@@ -60,7 +60,6 @@ from repro.experiments.runner import (
     run_sweep,
 )
 from repro.ftl.ftl import PageMappedFtl
-from repro.ftl.space import SpaceModel
 from repro.ftl.victim import SipFilteredSelector
 from repro.host import HostSystem
 from repro.metrics.collector import MetricsCollector
@@ -151,7 +150,7 @@ def _populated_ftl() -> PageMappedFtl:
     timing = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_page=1)
     ftl = PageMappedFtl(
         NandArray(geometry, timing),
-        SpaceModel.from_op_ratio(geometry, 0.12),
+        SsdConfig(geometry=geometry, timing=timing, op_ratio=0.12),
         victim_selector=SipFilteredSelector(),
     )
     user = ftl.space.user_pages

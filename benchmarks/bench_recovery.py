@@ -53,12 +53,11 @@ else:
 
 import numpy as np
 
-from repro.ftl.ftl import PageMappedFtl
 from repro.ftl.recovery import recover_ftl
-from repro.ftl.space import SpaceModel
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NAND_20NM_MLC
+from repro.ssd.config import SsdConfig
 
 #: Device scale per mode.  Full mode scans ~2M pages; quick keeps the
 #: same churned shape at CI-smoke scale.
@@ -77,12 +76,14 @@ def _churned_image(params: dict, checkpoint_interval=None) -> NandArray:
         pages_per_block=params["pages_per_block"],
         blocks_per_plane=params["blocks"],
     )
-    space = SpaceModel.from_op_ratio(geometry, op_ratio=0.12)
-    ftl = PageMappedFtl(
-        NandArray(geometry, NAND_20NM_MLC),
-        space,
+    config = SsdConfig(
+        geometry=geometry,
+        timing=NAND_20NM_MLC,
+        op_ratio=0.12,
         checkpoint_interval_pages=checkpoint_interval,
     )
+    ftl = config.build_ftl(nand=NandArray(geometry, NAND_20NM_MLC))
+    space = ftl.space
     rng = np.random.default_rng(7)
     for lpn in range(space.user_pages):
         ftl.host_write_page(lpn)
@@ -106,7 +107,7 @@ def _churned_image(params: dict, checkpoint_interval=None) -> NandArray:
 def bench_recovery_scan(quick: bool) -> dict:
     params = SCALE["quick" if quick else "full"]
     image = _churned_image(params)
-    space = SpaceModel.from_op_ratio(image.geometry, op_ratio=0.12)
+    config = SsdConfig(geometry=image.geometry, timing=NAND_20NM_MLC, op_ratio=0.12)
     durable = image.capture_durable_state()
 
     walls = []
@@ -115,7 +116,7 @@ def bench_recovery_scan(quick: bool) -> dict:
             image.geometry, durable, timing=NAND_20NM_MLC
         )
         start = time.perf_counter()
-        ftl, report = recover_ftl(nand, space)
+        ftl, report = recover_ftl(nand, config)
         walls.append(time.perf_counter() - start)
     best = min(walls)
     return {
@@ -138,11 +139,11 @@ def bench_recovery_tail_scan(quick: bool) -> dict:
         pages_per_block=params["pages_per_block"],
         blocks_per_plane=params["blocks"],
     )
-    space = SpaceModel.from_op_ratio(geometry, op_ratio=0.12)
+    config = SsdConfig(geometry=geometry, timing=NAND_20NM_MLC, op_ratio=0.12)
     # One checkpoint per 1/32nd of the device's user pages; the churn
     # then continues half an interval past the last checkpoint, so the
     # tail scan covers a representative mid-interval crash.
-    interval = max(1, space.user_pages // 32)
+    interval = max(1, config.space_model().user_pages // 32)
     image = _churned_image(params, checkpoint_interval=interval)
     durable = image.capture_durable_state()
     stripped = dataclasses.replace(durable, meta=())
@@ -151,12 +152,12 @@ def bench_recovery_tail_scan(quick: bool) -> dict:
     for _ in range(params["rounds"]):
         nand = NandArray.from_durable(geometry, durable, timing=NAND_20NM_MLC)
         start = time.perf_counter()
-        ftl, ckpt_report = recover_ftl(nand, space)
+        ftl, ckpt_report = recover_ftl(nand, config)
         ckpt_walls.append(time.perf_counter() - start)
 
         nand = NandArray.from_durable(geometry, stripped, timing=NAND_20NM_MLC)
         start = time.perf_counter()
-        ftl_full, full_report = recover_ftl(nand, space)
+        ftl_full, full_report = recover_ftl(nand, config)
         full_walls.append(time.perf_counter() - start)
 
     if ckpt_report.full_scan:

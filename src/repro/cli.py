@@ -181,9 +181,7 @@ def _reliability_from(args: argparse.Namespace):
 def _echo_run_header(spec: ScenarioSpec) -> None:
     """State the resolved seed (and fault profile) so every printed
     result is reproducible from its own transcript."""
-    faults = spec.fault_profile
-    tag = faults if isinstance(faults, str) else ("custom" if faults else "none")
-    print(f"seed={spec.seed} faults={tag}")
+    print(f"seed={spec.seed} faults={spec.fault_tag()}")
 
 
 def _print_metrics(metrics) -> None:

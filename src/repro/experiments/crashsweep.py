@@ -128,7 +128,7 @@ class CrashSweepResult:
         )
 
 
-def _expected_free_blocks(nand: NandArray, streams: int = 2) -> int:
+def _expected_free_blocks(nand: NandArray, streams: int) -> int:
     """Media-visible free-pool expectation: every good ERASED block,
     less one per write stream that lacks an OPEN block to resume
     (``streams`` is 3 in dftl mode -- user, GC and translation)."""
@@ -259,28 +259,13 @@ def verify_crash_point(
     torn), and a second recovery from that doubly-crashed image must
     pass the same battery -- the crash-during-recovery-after-crash case.
     """
-    live_nand = live_ftl.nand
-    durable = live_nand.capture_durable_state()
-    nand = NandArray.from_durable(
-        config.geometry,
-        durable,
-        timing=config.timing,
-        pe_cycle_limit=config.pe_cycle_limit,
-        fault_injector=None,
-        # Fresh tracker: read-disturb counts are volatile DRAM state and
-        # reset at power-on (the retention clock, by contrast, rides the
-        # durable image -- charge leaks with the rail down too).
-        read_disturb=config.build_read_disturb(),
-    )
-    frontiers = [live_ftl.active_user_block, live_ftl.active_gc_block]
-    if live_ftl.mapping_mode == "dftl":
-        frontiers.append(live_ftl.active_trans_block)
-    for block in frontiers:
-        if block is not None:
-            nand.tear_frontier_page(block)
-    expected_free = _expected_free_blocks(nand, streams=live_ftl._streams)
+    streams = len(live_ftl.frontiers)
+    nand = config.restore_nand(live_ftl.nand.capture_durable_state())
+    for frontier in live_ftl.frontiers:
+        nand.tear_frontier_page(frontier.block)
+    expected_free = _expected_free_blocks(nand, streams)
 
-    ftl, report = _recover(nand, config)
+    ftl, report = recover_ftl(nand, config)
     _check_recovered_against_live(
         live_ftl, ftl, nand, report, expected_free, sample_reads, rng
     )
@@ -289,48 +274,21 @@ def verify_crash_point(
         # Second cut, mid-recovery: the first power-on checkpointed its
         # rebuilt mapping, and the rail dies while that record programs.
         ftl.write_checkpoint(trigger="recovery")
-        durable2 = ftl.nand.capture_durable_state()
-        nand2 = NandArray.from_durable(
-            config.geometry,
-            durable2,
-            timing=config.timing,
-            pe_cycle_limit=config.pe_cycle_limit,
-            fault_injector=None,
-            read_disturb=config.build_read_disturb(),
-        )
+        nand2 = config.restore_nand(ftl.nand.capture_durable_state())
         nand2.meta.tear_last()
         # The scan is read-only and the torn checkpoint never becomes
         # load-bearing, so the second power-on must see the same state.
-        ftl2, report2 = _recover(nand2, config)
+        ftl2, report2 = recover_ftl(nand2, config)
         _check_recovered_against_live(
             live_ftl,
             ftl2,
             nand2,
             report2,
-            _expected_free_blocks(nand2, streams=live_ftl._streams),
+            _expected_free_blocks(nand2, streams),
             sample_reads,
             rng,
         )
     return report
-
-
-def _recover(nand: NandArray, config: SsdConfig):
-    """Recover an FTL over an already-built (already-torn) NAND copy."""
-    return recover_ftl(
-        nand,
-        config.space_model(),
-        fgc_watermark=config.fgc_watermark,
-        fgc_penalty=config.fgc_penalty,
-        max_read_retries=config.max_read_retries,
-        max_program_retries=config.max_program_retries,
-        max_erase_retries=config.max_erase_retries,
-        checkpoint_interval_pages=config.checkpoint_interval_pages,
-        journal_unmaps=config.journal_unmaps,
-        mapping_mode=config.mapping_mode,
-        cmt_budget_bytes=config.cmt_budget_bytes,
-        checkpoint_policy=config._checkpoint_policy(),
-        reliability=config.resolved_reliability_profile(),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -129,10 +129,12 @@ class PowerLossEmulator:
         nand = ftl.nand
         cut = PowerCut(t_ns=host.sim.now)
         if self.tear_frontiers:
-            for block in (ftl.active_user_block, ftl.active_gc_block):
-                page = nand.tear_frontier_page(block)
+            # Every open write stream -- the translation frontier too in
+            # dftl mode -- exactly the set the crash sweep tears.
+            for frontier in ftl.frontiers:
+                page = nand.tear_frontier_page(frontier.block)
                 if page is not None:
-                    cut.torn.append((block, page))
+                    cut.torn.append((frontier.block, page))
         cut.durable = nand.capture_durable_state()
         cut.events_dropped = host.sim.power_cut()
         if nand.tracer.enabled:

@@ -23,6 +23,15 @@ GC datapath::
 The separation of user and GC write frontiers gives the natural hot/cold
 separation real FTLs rely on: migrated (cold-ish) data does not share
 blocks with fresh (hot) data.
+
+Every write stream -- user, GC and (dftl) translation -- is one
+:class:`WriteFrontier`, and all of them go through the same four
+routines: :meth:`PageMappedFtl._frontier_slot` (next page, rolling to a
+fresh block), :meth:`PageMappedFtl._program` (bounded retry),
+:meth:`PageMappedFtl._retire_failed_frontier` and
+:meth:`PageMappedFtl._relocate_valid_pages` (the per-page move both GC
+migration and frontier retirement use, routing each page by its OOB
+namespace to the data or the translation relocator).
 """
 
 from __future__ import annotations
@@ -32,11 +41,11 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set,
 import numpy as np
 
 from repro import perf
-from repro.ftl.checkpoint_policy import CheckpointPolicy, IntervalCheckpointPolicy
+from repro.ftl.checkpoint_policy import CheckpointPolicy, make_checkpoint_policy
 from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED, CachedPageMap, PageMap
 from repro.ftl.metastore import KIND_CHECKPOINT, KIND_UNMAP, build_checkpoint, build_tombstones
 from repro.ftl.scrub import RefreshScrubber
-from repro.ftl.space import SipOverlapIndex, SpaceModel, ValidCountIndex
+from repro.ftl.space import SipOverlapIndex, ValidCountIndex
 from repro.ftl.stats import FtlStats
 from repro.ftl.victim import GreedySelector, VictimSelector
 from repro.ftl.wear import StaticWearLeveler, WearAwareAllocator
@@ -47,7 +56,7 @@ from repro.nand.errors import (
     ProgramFailError,
     UncorrectableReadError,
 )
-from repro.nand.reliability import ReliabilityModel, ReliabilityProfile
+from repro.nand.reliability import ReliabilityModel
 from repro.obs.audit import (
     CheckpointRecord,
     DISABLED_AUDIT,
@@ -60,6 +69,7 @@ from repro.obs.tracer import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ftl.recovery import RecoveredFtlState
+    from repro.ssd.config import SsdConfig
 
 
 class FtlError(RuntimeError):
@@ -83,100 +93,77 @@ class DeviceReadOnlyError(FtlError):
     """
 
 
+class WriteFrontier:
+    """One write stream's open block -- where its next page is programmed.
+
+    The FTL runs one per stream: ``user`` (host writes), ``gc`` (migrated
+    data) and, in dftl mode, ``trans`` (translation pages).  The streams
+    differ only in what they carry; slotting, rolling, retrying and
+    retiring are the FTL's, written once and handed the frontier.
+    ``block`` is a plain attribute because the host write path reads it
+    once per page.
+    """
+
+    __slots__ = ("name", "block")
+
+    def __init__(self, name: str, block: int) -> None:
+        self.name = name
+        self.block = block
+
+
 class PageMappedFtl:
     """Page-level FTL over a :class:`~repro.nand.array.NandArray`.
 
+    Every device knob -- watermark, foreground-GC penalty, retry budgets,
+    checkpoint interval/policy, unmap journaling, mapping mode and CMT
+    budget, reliability profile, wear levelling -- is read from the
+    validated :class:`~repro.ssd.config.SsdConfig`, which documents and
+    range-checks each of them.  The keyword arguments are collaborators
+    only.
+
     Args:
-        nand: the physical array.
-        space: user/OP capacity split.
+        nand: the physical array (built over ``config.geometry``).
+        config: the device configuration.
         victim_selector: GC victim policy (greedy by default; JIT-GC
             installs a :class:`~repro.ftl.victim.SipFilteredSelector`).
-        fgc_watermark: free-pool size at or below which a host write must
-            run foreground GC first.  Must be >= 2 so GC migrations always
-            have a block to allocate.
-        fgc_penalty: latency multiplier applied to foreground GC.  A
-            foreground collection on a real drive costs more than the raw
-            NAND operations: the request pipeline drains, mapping-table
-            updates flush, and the host-interface queue stalls.  The
-            multiplier models that overhead (4.0 by default; 1.0 gives
-            the pure NAND-cost model).
         clock: zero-arg callable returning the current simulated time in
-            nanoseconds (used for block-age bookkeeping); defaults to an
-            operation counter when the FTL is used standalone.
-        wear_leveler: optional static wear leveller.
-        max_read_retries: voltage-shift re-reads attempted after an
-            uncorrectable read before declaring the data lost.
-        max_program_retries: frontier slots tried per logical page before
-            a program failure is considered fatal.
-        max_erase_retries: erase re-attempts before a block is retired as
-            grown-bad.
-        reliability: optional :class:`~repro.nand.reliability.ReliabilityProfile`
-            arming the live data-integrity subsystem: reads run the
-            deterministic ECC escalation ladder (fast decode -> priced
-            read-retry levels -> soft decode -> UECC), the NAND retention
-            clock is driven by this FTL's clock, and -- when the profile
-            enables it -- a background refresh scrubber nominates at-risk
-            blocks for relocation.  None (default) keeps the historical
-            bit-identical behavior.
+            nanoseconds (block ages, retention, audit stamps); defaults
+            to an operation counter when the FTL is used standalone.
+        registry: shared metrics registry; a standalone FTL owns a
+            private one.
+        recovered: post-power-cut state to adopt instead of formatting a
+            fresh device (:func:`repro.ftl.recovery.recover_ftl`, the
+            analytic warm start).
     """
 
     def __init__(
         self,
         nand: NandArray,
-        space: SpaceModel,
+        config: "SsdConfig",
+        *,
         victim_selector: Optional[VictimSelector] = None,
-        fgc_watermark: int = 2,
         clock: Optional[Callable[[], int]] = None,
-        wear_leveler: Optional[StaticWearLeveler] = None,
-        fgc_penalty: float = 4.0,
-        max_read_retries: int = 4,
-        max_program_retries: int = 4,
-        max_erase_retries: int = 2,
-        checkpoint_interval_pages: Optional[int] = None,
-        journal_unmaps: bool = True,
         registry: Optional[MetricsRegistry] = None,
         recovered: Optional["RecoveredFtlState"] = None,
-        mapping_mode: str = "dram",
-        cmt_budget_bytes: Optional[int] = None,
-        checkpoint_policy: Optional[CheckpointPolicy] = None,
-        reliability: Optional[ReliabilityProfile] = None,
     ) -> None:
-        if space.geometry is not nand.geometry:
-            raise ValueError("space model and NAND array use different geometries")
-        if fgc_watermark < 2:
-            raise ValueError(f"fgc_watermark must be >= 2, got {fgc_watermark}")
-        if mapping_mode not in ("dram", "dftl"):
-            raise ValueError(
-                f"mapping_mode must be 'dram' or 'dftl', got {mapping_mode!r}"
-            )
-        if fgc_penalty < 1.0:
-            raise ValueError(f"fgc_penalty must be >= 1.0, got {fgc_penalty}")
-        for name, value in (
-            ("max_read_retries", max_read_retries),
-            ("max_program_retries", max_program_retries),
-            ("max_erase_retries", max_erase_retries),
-        ):
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if checkpoint_interval_pages is not None and checkpoint_interval_pages < 1:
-            raise ValueError(
-                f"checkpoint_interval_pages must be >= 1, got {checkpoint_interval_pages}"
-            )
+        if config.geometry is not nand.geometry:
+            raise ValueError("device config and NAND array use different geometries")
         self.nand = nand
-        self.space = space
+        self.config = config
+        self.space = space = config.space_model()
         self.geometry = nand.geometry
         #: Mapping architecture: ``dram`` keeps the full page map in
         #: controller DRAM (the historical model); ``dftl`` stores
         #: translation pages on NAND behind an LRU cached mapping table
         #: with a configurable DRAM budget (1/64 of the full map by
         #: default) and a third write frontier for translation blocks.
-        self.mapping_mode = mapping_mode
-        self._dftl = mapping_mode == "dftl"
+        self.mapping_mode = config.mapping_mode
+        self._dftl = config.mapping_mode == "dftl"
         if self._dftl:
             full_map_bytes = space.user_pages * 8
             budget = (
-                cmt_budget_bytes
-                if cmt_budget_bytes is not None
+                config.cmt_budget_bytes
+                if config.cmt_budget_bytes is not None
                 else full_map_bytes // 64
             )
             self.cmt_budget_bytes = budget
@@ -191,12 +178,16 @@ class PageMappedFtl:
         #: frontier in dftl mode (sizing floor for the free pool).
         self._streams = 3 if self._dftl else 2
         self.victim_selector = victim_selector or GreedySelector()
-        self.fgc_watermark = fgc_watermark
-        self.fgc_penalty = fgc_penalty
-        self.wear_leveler = wear_leveler
-        self.max_read_retries = max_read_retries
-        self.max_program_retries = max_program_retries
-        self.max_erase_retries = max_erase_retries
+        self.fgc_watermark = config.fgc_watermark
+        self.fgc_penalty = config.fgc_penalty
+        self.wear_leveler = (
+            StaticWearLeveler(nand.endurance, config.wear_level_threshold)
+            if config.enable_wear_leveling
+            else None
+        )
+        self.max_read_retries = config.max_read_retries
+        self.max_program_retries = config.max_program_retries
+        self.max_erase_retries = config.max_erase_retries
         self.stats = FtlStats()
 
         #: Runtime-retired blocks (grown bad + worn out); excluded from
@@ -224,23 +215,21 @@ class PageMappedFtl:
         self._write_seq = 0
 
         #: Durable metadata (repro.ftl.metastore): write a mapping
-        #: checkpoint every N host pages (None = never -- recovery falls
-        #: back to the full OOB scan), and journal unmap tombstones so
-        #: TRIMs survive power loss.  Tombstones burn sequence numbers
-        #: from the same counter as programs, giving programs and unmaps
-        #: one total order that recovery replays newest-stamp-wins.
-        self.checkpoint_interval_pages = checkpoint_interval_pages
-        self.journal_unmaps = journal_unmaps
-        #: Checkpoint scheduling: an explicit policy object wins;
-        #: otherwise a set interval builds the classic fixed-interval
-        #: policy (bit-identical to the historical inline check), and
-        #: None disables checkpointing entirely.
-        if checkpoint_policy is not None:
-            self._ckpt_policy: Optional[CheckpointPolicy] = checkpoint_policy
-        elif checkpoint_interval_pages is not None:
-            self._ckpt_policy = IntervalCheckpointPolicy(checkpoint_interval_pages)
-        else:
-            self._ckpt_policy = None
+        #: checkpoint when the configured policy says so (no interval =
+        #: never -- recovery falls back to the full OOB scan), and
+        #: journal unmap tombstones so TRIMs survive power loss.
+        #: Tombstones burn sequence numbers from the same counter as
+        #: programs, giving programs and unmaps one total order that
+        #: recovery replays newest-stamp-wins.  The policy object is
+        #: stateful, hence one fresh instance per FTL.
+        self.journal_unmaps = config.journal_unmaps
+        self._ckpt_policy: Optional[CheckpointPolicy] = (
+            make_checkpoint_policy(
+                config.checkpoint_policy, config.checkpoint_interval_pages
+            )
+            if config.checkpoint_interval_pages is not None
+            else None
+        )
         #: Generation stamp of the last checkpoint written (monotonic
         #: across power cycles: recovery restores the max generation seen
         #: in the metadata log, torn records included).
@@ -281,7 +270,7 @@ class PageMappedFtl:
         #: blocks during idle windows.  When off, the whole path is a
         #: single ``is None`` check -- bit-identical to the historical
         #: model.
-        self.reliability = reliability
+        self.reliability = reliability = config.resolved_reliability_profile()
         #: Read-retry level histogram {level: successful reads}; level
         #: ``len(retry_rber_factors)`` means the soft decoder.  Kept off
         #: FtlStats (plain-int snapshot/delta contract) and surfaced in
@@ -314,14 +303,25 @@ class PageMappedFtl:
             for block in range(self.geometry.total_blocks)
             if not nand.is_bad(block)
         ]
-        if len(good) < fgc_watermark + self._streams:
+        if len(good) < self.fgc_watermark + self._streams:
             raise FtlError("not enough good blocks to operate")
         self.allocator = WearAwareAllocator(nand.endurance, initial_free=good)
+        self._open_frontiers()
 
-        self._active_user_block = self._allocate_block()
-        self._active_gc_block = self._allocate_block()
-        self._active_trans_block: Optional[int] = (
-            self._allocate_block() if self._dftl else None
+    def _open_frontiers(self, resumed: Iterable[Optional[int]] = (None, None, None)) -> None:
+        """Open the write streams in (user, GC, translation) order, each
+        on its ``resumed`` block when recovery found one, else on a fresh
+        block from the pool."""
+        names = ("user", "gc", "trans")[: self._streams]
+        #: Every open write stream.  A power cut tears the in-flight page
+        #: of each (live SPO and the crash sweep both iterate this).
+        self.frontiers: Tuple[WriteFrontier, ...] = tuple(
+            WriteFrontier(name, block if block is not None else self._allocate_block())
+            for name, block in zip(names, resumed)
+        )
+        self._user, self._gc = self.frontiers[:2]
+        self._trans: Optional[WriteFrontier] = (
+            self.frontiers[2] if self._dftl else None
         )
 
     def _install_recovered(self, recovered: "RecoveredFtlState") -> None:
@@ -352,24 +352,13 @@ class PageMappedFtl:
             self._closed[block] = True
             if self.victim_index is not None:
                 self.victim_index.track(block, pm.valid_count(block))
-        self._active_user_block = (
-            recovered.active_user_block
-            if recovered.active_user_block is not None
-            else self._allocate_block()
-        )
-        self._active_gc_block = (
-            recovered.active_gc_block
-            if recovered.active_gc_block is not None
-            else self._allocate_block()
-        )
-        if self._dftl:
-            self._active_trans_block = (
-                recovered.active_trans_block
-                if recovered.active_trans_block is not None
-                else self._allocate_block()
+        self._open_frontiers(
+            (
+                recovered.active_user_block,
+                recovered.active_gc_block,
+                recovered.active_trans_block,
             )
-        else:
-            self._active_trans_block = None
+        )
         if self.retired_blocks:
             # Re-seed the degraded-OP timeline so post-recovery metrics
             # start from the surviving capacity, not the nominal one.
@@ -385,17 +374,6 @@ class PageMappedFtl:
     def _default_clock(self) -> int:
         return self._op_counter
 
-    def _on_valid_delta(self, block: int, lpn: int, delta: int) -> None:
-        """Unfused PageMap observer (kept for tests/subclasses; the
-        constructor installs the fused closure from
-        :meth:`ValidCountIndex.make_fused_observer` instead)."""
-        index = self.victim_index
-        if index is not None:
-            index.adjust_if_tracked(block, delta)
-        sip = self.sip_index
-        if sip is not None:
-            sip.on_valid_delta(block, lpn, delta)
-
     def _allocate_block(self) -> int:
         block = self.allocator.allocate()
         if block is None:
@@ -410,16 +388,16 @@ class PageMappedFtl:
 
     @property
     def active_user_block(self) -> int:
-        return self._active_user_block
+        return self._user.block
 
     @property
     def active_gc_block(self) -> int:
-        return self._active_gc_block
+        return self._gc.block
 
     @property
     def active_trans_block(self) -> Optional[int]:
         """Translation-block write frontier (None in dram mode)."""
-        return self._active_trans_block
+        return self._trans.block if self._trans is not None else None
 
     # ------------------------------------------------------------------
     # Capacity queries (the paper's Cfree / Cused)
@@ -430,14 +408,10 @@ class PageMappedFtl:
     def free_pages(self) -> int:
         """Pages writable without any GC: pool blocks + open frontiers."""
         ppb = self.geometry.pages_per_block
-        frontier_user = ppb - self.nand.next_programmable_page(self._active_user_block)
-        frontier_gc = ppb - self.nand.next_programmable_page(self._active_gc_block)
-        frontier_trans = 0
-        if self._active_trans_block is not None:
-            frontier_trans = ppb - self.nand.next_programmable_page(
-                self._active_trans_block
-            )
-        return len(self.allocator) * ppb + frontier_user + frontier_gc + frontier_trans
+        free = len(self.allocator) * ppb
+        for frontier in self.frontiers:
+            free += ppb - self.nand.next_programmable_page(frontier.block)
+        return free
 
     def free_bytes(self) -> int:
         """The paper's ``Cfree`` in bytes."""
@@ -658,21 +632,48 @@ class PageMappedFtl:
             self._note_fault("read", block, page, "data-lost", attempts)
         return latency, False
 
-    def _program_frontier(self, user: bool, lpn: int) -> Tuple[int, int, int]:
-        """Program the next frontier page of the given stream, recovering
-        from injected program failures.
+    def _frontier_slot(self, frontier: WriteFrontier) -> Tuple[int, int]:
+        """``(block, page)`` of the stream's next page, rolling to a fresh
+        free block when the current frontier is full.
+
+        Reads the NAND's ``program_ptr`` vector directly: the active
+        block is FTL-owned, so re-validating its address through
+        :meth:`NandArray.next_programmable_page` per write is pure
+        overhead."""
+        block = frontier.block
+        page = int(self.nand.program_ptr[block])
+        if page >= self._ppb:
+            self._close_block(block)
+            block = frontier.block = self._allocate_block()
+            page = 0
+        return block, page
+
+    def _close_block(self, block: int) -> None:
+        self._closed[block] = True
+        self._close_time[block] = self._clock()
+        if self.victim_index is not None:
+            self.victim_index.track(block, self.page_map.valid_count(block))
+
+    def _program(
+        self, frontier: WriteFrontier, lpn: int, retire_on_fail: bool = True
+    ) -> Tuple[int, int, int]:
+        """Program ``lpn`` (either OOB namespace) on the stream's next
+        page, recovering from injected program failures.
 
         On a status-fail the spoiled block is retired (its live pages
         relocated first) and the program is retried on a fresh frontier.
-        The successful program stamps ``(lpn, seq)`` into the page's OOB;
-        failed attempts leave their consumed page unstamped (torn-like)
-        and do not burn a sequence number.  Returns
-        ``(block, page, latency_ns)`` of the successful program.
+        While a retirement is itself relocating (``retire_on_fail``
+        False) a nested failure only spoils its slot -- the page becomes
+        garbage and the next slot is tried, without recursive
+        retirement, so recovery terminates.  The successful program
+        stamps ``(lpn, seq)`` into the page's OOB; failed attempts leave
+        their consumed page unstamped (torn-like) and do not burn a
+        sequence number.  Returns ``(block, page, latency_ns)`` of the
+        successful program.
         """
         latency = 0
         for _ in range(self.max_program_retries + 1):
-            block, page, extra = self._frontier_slot(user=user)
-            latency += extra
+            block, page = self._frontier_slot(frontier)
             try:
                 latency += self.nand.program_page(block, page, lpn, self._write_seq)
                 self._write_seq += 1
@@ -680,78 +681,81 @@ class PageMappedFtl:
             except ProgramFailError as fault:
                 latency += fault.latency_ns
                 self.stats.program_faults += 1
-                latency += self._retire_failed_frontier(block, user)
+                if retire_on_fail:
+                    latency += self._retire_failed_frontier(frontier, block)
         raise FtlError(
-            f"program retry budget ({self.max_program_retries}) exhausted"
+            f"program retry budget ({self.max_program_retries}) exhausted "
+            f"on the {frontier.name} frontier"
         )
 
-    def _retire_failed_frontier(self, failed_block: int, user: bool) -> int:
-        """Retire the active block that just failed a program.
+    def _retire_failed_frontier(self, frontier: WriteFrontier, failed_block: int) -> int:
+        """Retire the stream's active block after it failed a program.
 
         A fresh frontier replaces it first, then the failed block's live
         pages are rewritten onto that frontier (reads recover via
-        read-retry; pages lost anyway are unmapped and counted).  Returns
-        the NAND latency spent on the relocation.
+        read-retry; data pages lost anyway are unmapped and counted).
+        Returns the NAND latency spent on the relocation.
         """
-        replacement = self._allocate_block()
-        if user:
-            self._active_user_block = replacement
-        else:
-            self._active_gc_block = replacement
-
-        latency = 0
-        relocated_lpns = list(self.page_map.valid_lpns_in_block(failed_block))
-        for offset, lpn in relocated_lpns:
-            read_ns, ok = self._read_with_retry(failed_block, offset)
-            latency += read_ns
-            self.stats.gc_pages_read += 1
-            if not ok:
-                # Data unrecoverable: drop the mapping; a later host read
-                # of this LPN returns an error (modelled as an unmapped
-                # read) rather than silently stale data.  Tombstoned so
-                # the loss also survives a crash.
-                latency += self._unmap_lost(lpn)
-                continue
-            programmed = False
-            for _ in range(self.max_program_retries + 1):
-                block, page, extra = self._frontier_slot(user=user)
-                latency += extra
-                try:
-                    latency += self.nand.program_page(
-                        block, page, lpn, self._write_seq
-                    )
-                    self._write_seq += 1
-                except ProgramFailError as fault:
-                    # Nested failure: the spoiled page becomes garbage;
-                    # keep trying the next slot without recursive
-                    # retirement so recovery terminates.
-                    latency += fault.latency_ns
-                    self.stats.program_faults += 1
-                    continue
-                self.page_map.remap(lpn, self.page_map.ppn(block, page))
-                self.stats.gc_pages_migrated += 1
-                programmed = True
-                break
-            if not programmed:
-                raise FtlError(
-                    "program retry budget exhausted while retiring "
-                    f"block {failed_block}"
-                )
+        frontier.block = self._allocate_block()
+        latency, dirtied = self._relocate_valid_pages(
+            failed_block, frontier, retire_on_fail=False
+        )
         self.page_map.clear_block(failed_block)
         self.nand.mark_bad(failed_block)
         self._record_retirement(failed_block)
         if self.audit.enabled or self.tracer.enabled:
             self._note_fault("program", failed_block, -1, "block-retired")
-        if self._dftl:
-            # Every relocated (or lost) LPN dirtied its translation page;
-            # deferred past the relocation loop like the GC paths.
-            ept = self.page_map.entries_per_tpage
-            touched = sorted(
-                {lpn // ept for _, lpn in relocated_lpns}
-            )
-            for tvpn in touched:
-                latency += self._mapping_access(tvpn, dirty=True)
+        for tvpn in dirtied:
+            latency += self._mapping_access(tvpn, dirty=True)
         return latency
+
+    def _relocate_valid_pages(
+        self, source: int, data_frontier: WriteFrontier, retire_on_fail: bool
+    ) -> Tuple[int, List[int]]:
+        """Move every valid page of ``source`` onto an open frontier, one
+        page at a time -- the routine behind both per-page GC migration
+        and frontier retirement.
+
+        Each page is routed by its OOB namespace.  A *translation* page
+        goes to the translation frontier; its content is reconstructible
+        from the authoritative mapping, so a lost read still reprograms
+        -- nothing is unmapped.  A *data* page goes to ``data_frontier``;
+        if its read is unrecoverable the logical page is lost: the
+        mapping is dropped (a later host read returns an error rather
+        than silently stale data) and the unmap tombstoned so the loss
+        also survives a crash.
+
+        Returns the NAND latency and the translation pages the moved (or
+        lost) data LPNs dirtied, sorted.  Touching those is the caller's
+        job, *after* the loop: a dirty eviction's writeback invalidates
+        an old translation copy, which must not happen while iterating
+        the source's own valid set.
+        """
+        latency = 0
+        pages = list(self.page_map.valid_lpns_in_block(source))
+        for offset, lpn in pages:
+            read_ns, ok = self._read_with_retry(source, offset)
+            latency += read_ns
+            self.stats.gc_pages_read += 1
+            if lpn >= TRANS_LPN_BASE:
+                latency += self._program_trans_page(
+                    lpn - TRANS_LPN_BASE, migrated=True, retire_on_fail=retire_on_fail
+                )
+            elif not ok:
+                latency += self._unmap_lost(lpn)
+            else:
+                block, page, program_ns = self._program(
+                    data_frontier, lpn, retire_on_fail
+                )
+                latency += program_ns
+                self.page_map.remap(lpn, block * self._ppb + page)
+                self.stats.gc_pages_migrated += 1
+        if not self._dftl:
+            return latency, []
+        ept = self.page_map.entries_per_tpage
+        return latency, sorted(
+            {lpn // ept for _, lpn in pages if lpn < TRANS_LPN_BASE}
+        )
 
     def _erase_with_retry(self, block: int) -> Tuple[int, bool]:
         """Erase ``block`` with bounded retries.
@@ -847,7 +851,7 @@ class PageMappedFtl:
                 )
             if self.needs_foreground_gc():
                 latency += self._run_foreground_gc()
-            block = self._active_user_block
+            block = self._user.block
             start = int(nand.program_ptr[block])
             if start >= ppb:
                 # Frontier roll: take the per-page helper for exactly one
@@ -1109,7 +1113,7 @@ class PageMappedFtl:
 
     def _program_user_page(self, lpn: int) -> int:
         self._op_counter += 1
-        block, page, latency = self._program_frontier(user=True, lpn=lpn)
+        block, page, latency = self._program(self._user, lpn)
         self.page_map.remap(lpn, block * self._ppb + page)
         self.stats.host_pages_written += 1
         if self._dftl:
@@ -1117,33 +1121,6 @@ class PageMappedFtl:
                 self.page_map.tvpn_of(lpn), dirty=True
             )
         return latency
-
-    def _frontier_slot(self, user: bool) -> Tuple[int, int, int]:
-        """Return (block, page, extra_latency) for the next frontier page,
-        rolling to a fresh free block when the current frontier is full.
-
-        Reads the NAND's ``program_ptr`` vector directly: the active
-        block is FTL-owned, so re-validating its address through
-        :meth:`NandArray.next_programmable_page` per write is pure
-        overhead."""
-        block = self._active_user_block if user else self._active_gc_block
-        page = int(self.nand.program_ptr[block])
-        extra = 0
-        if page >= self._ppb:
-            self._close_block(block)
-            new_block = self._allocate_block()
-            if user:
-                self._active_user_block = new_block
-            else:
-                self._active_gc_block = new_block
-            block, page = new_block, 0
-        return block, page, extra
-
-    def _close_block(self, block: int) -> None:
-        self._closed[block] = True
-        self._close_time[block] = self._clock()
-        if self.victim_index is not None:
-            self.victim_index.track(block, self.page_map.valid_count(block))
 
     # ------------------------------------------------------------------
     # Translation tier (dftl mapping mode)
@@ -1215,19 +1192,9 @@ class PageMappedFtl:
                 )
         return latency
 
-    def _trans_frontier_slot(self) -> Tuple[int, int, int]:
-        """(block, page, extra_latency) of the next translation-frontier
-        page, rolling to a fresh block when the frontier fills."""
-        block = self._active_trans_block
-        page = int(self.nand.program_ptr[block])
-        if page >= self._ppb:
-            self._close_block(block)
-            block = self._allocate_block()
-            self._active_trans_block = block
-            page = 0
-        return block, page, 0
-
-    def _program_trans_page(self, tvpn: int, migrated: bool = False) -> int:
+    def _program_trans_page(
+        self, tvpn: int, migrated: bool = False, retire_on_fail: bool = True
+    ) -> int:
         """Program a fresh copy of translation page ``tvpn``.
 
         Stamps ``TRANS_LPN_BASE + tvpn`` in the page's OOB so recovery
@@ -1235,78 +1202,14 @@ class PageMappedFtl:
         the GTD (invalidating the previous copy) through
         :meth:`CachedPageMap.remap_trans`.
         """
-        latency = 0
-        encoded = TRANS_LPN_BASE + tvpn
-        for _ in range(self.max_program_retries + 1):
-            block, page, extra = self._trans_frontier_slot()
-            latency += extra
-            try:
-                latency += self.nand.program_page(
-                    block, page, encoded, self._write_seq
-                )
-                self._write_seq += 1
-            except ProgramFailError as fault:
-                latency += fault.latency_ns
-                self.stats.program_faults += 1
-                latency += self._retire_failed_trans_frontier(block)
-                continue
-            self.page_map.remap_trans(tvpn, block * self._ppb + page)
-            if migrated:
-                self.stats.trans_pages_migrated += 1
-            else:
-                self.stats.trans_pages_written += 1
-            return latency
-        raise FtlError(
-            f"program retry budget ({self.max_program_retries}) exhausted "
-            "on the translation frontier"
+        block, page, latency = self._program(
+            self._trans, TRANS_LPN_BASE + tvpn, retire_on_fail
         )
-
-    def _retire_failed_trans_frontier(self, failed_block: int) -> int:
-        """Retire the translation frontier after a program status-fail.
-
-        Mirrors :meth:`_retire_failed_frontier`, with one difference:
-        translation content is reconstructible from the authoritative
-        mapping, so a live translation page whose read is lost is still
-        reprogrammed -- nothing is unmapped, no data is lost.
-        """
-        replacement = self._allocate_block()
-        self._active_trans_block = replacement
-        latency = 0
-        for offset, encoded in list(self.page_map.valid_lpns_in_block(failed_block)):
-            tvpn = encoded - TRANS_LPN_BASE
-            read_ns, _ok = self._read_with_retry(failed_block, offset)
-            latency += read_ns
-            self.stats.gc_pages_read += 1
-            programmed = False
-            for _ in range(self.max_program_retries + 1):
-                block, page, extra = self._trans_frontier_slot()
-                latency += extra
-                try:
-                    latency += self.nand.program_page(
-                        block, page, encoded, self._write_seq
-                    )
-                    self._write_seq += 1
-                except ProgramFailError as fault:
-                    # Nested failure: the spoiled page becomes garbage;
-                    # keep trying the next slot without recursive
-                    # retirement so recovery terminates.
-                    latency += fault.latency_ns
-                    self.stats.program_faults += 1
-                    continue
-                self.page_map.remap_trans(tvpn, block * self._ppb + page)
-                self.stats.trans_pages_migrated += 1
-                programmed = True
-                break
-            if not programmed:
-                raise FtlError(
-                    "program retry budget exhausted while retiring "
-                    f"translation block {failed_block}"
-                )
-        self.page_map.clear_block(failed_block)
-        self.nand.mark_bad(failed_block)
-        self._record_retirement(failed_block)
-        if self.audit.enabled or self.tracer.enabled:
-            self._note_fault("program", failed_block, -1, "block-retired")
+        self.page_map.remap_trans(tvpn, block * self._ppb + page)
+        if migrated:
+            self.stats.trans_pages_migrated += 1
+        else:
+            self.stats.trans_pages_written += 1
         return latency
 
     # ------------------------------------------------------------------
@@ -1482,43 +1385,13 @@ class PageMappedFtl:
         program must draw from the injector's RNG streams in per-page
         order, and any page may need retry/retirement recovery.
         """
-        latency = 0
-        victims_pages: List[Tuple[int, int]] = list(self.page_map.valid_lpns_in_block(victim))
-        touched_tvpns: List[int] = []
-        for offset, lpn in victims_pages:
-            if lpn >= TRANS_LPN_BASE:
-                # Translation page: relocate to the translation frontier.
-                # Its content is reconstructible from the authoritative
-                # mapping, so a lost read still reprograms -- no unmap.
-                read_ns, _ok = self._read_with_retry(victim, offset)
-                latency += read_ns
-                self.stats.gc_pages_read += 1
-                latency += self._program_trans_page(
-                    lpn - TRANS_LPN_BASE, migrated=True
-                )
-                continue
-            read_ns, ok = self._read_with_retry(victim, offset)
-            latency += read_ns
-            self.stats.gc_pages_read += 1
-            if self._dftl:
-                touched_tvpns.append(lpn // self.page_map.entries_per_tpage)
-            if not ok:
-                # Migration source unrecoverable: the logical page is
-                # lost; unmap it instead of propagating garbage, and
-                # tombstone the unmap so the loss survives a crash.
-                latency += self._unmap_lost(lpn)
-                continue
-            block, page, program_ns = self._program_frontier(user=False, lpn=lpn)
-            latency += program_ns
-            self.page_map.remap(lpn, self.page_map.ppn(block, page))
-            self.stats.gc_pages_migrated += 1
-        if touched_tvpns:
-            # Deferred past the loop: a dirty eviction's writeback
-            # invalidates an old translation copy, which must not happen
-            # while iterating the victim's own valid set.  (The victim's
-            # translation copies, if any, were remapped away above.)
-            for tvpn in sorted(set(touched_tvpns)):
-                latency += self._mapping_access(tvpn, dirty=True)
+        latency, dirtied = self._relocate_valid_pages(
+            victim, self._gc, retire_on_fail=True
+        )
+        # The victim's own translation copies, if any, were remapped
+        # away by the loop above, so writebacks are safe from here on.
+        for tvpn in dirtied:
+            latency += self._mapping_access(tvpn, dirty=True)
         return latency
 
     def _migrate_valid_pages_batched(self, victim: int) -> int:
@@ -1550,13 +1423,7 @@ class PageMappedFtl:
         latency = 0
         pos = 0
         while pos < n:
-            block = self._active_gc_block
-            start = int(nand.program_ptr[block])
-            if start >= ppb:
-                self._close_block(block)
-                block = self._allocate_block()
-                self._active_gc_block = block
-                start = 0
+            block, start = self._frontier_slot(self._gc)
             chunk = min(n - pos, ppb - start)
             chunk_lpns = lpns[pos:pos + chunk]
             latency += nand.read_pages_batch(victim, chunk)
@@ -1725,14 +1592,10 @@ class PageMappedFtl:
                 raise AssertionError(
                     "SIP-overlap counters disagree with a full recount"
                 )
+        active = {frontier.block for frontier in self.frontiers}
         for block in range(self.geometry.total_blocks):
             in_pool = block in self.allocator
-            is_active = block in (
-                self._active_user_block,
-                self._active_gc_block,
-                self._active_trans_block,
-            )
-            if in_pool and (is_active or self._closed[block]):
+            if in_pool and (block in active or self._closed[block]):
                 raise AssertionError(f"block {block} both free and in use")
             if in_pool and self.page_map.valid_count(block) != 0:
                 raise AssertionError(f"free block {block} holds valid pages")

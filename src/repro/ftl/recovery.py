@@ -36,8 +36,9 @@ Power-on recovery proceeds checkpoint-first:
    interrupted mid-program; it holds no trustworthy data.
 5. **Layout re-discovery** -- ERASED blocks form the free pool, OPEN
    blocks (a partially-programmed frontier) resume as the active
-   user/GC frontiers, FULL blocks are closed GC candidates, and bad
-   blocks not in the factory table are the grown-bad (retired) set.
+   write frontiers (user, GC and -- dftl -- translation), FULL blocks
+   are closed GC candidates, and bad blocks not in the factory table
+   are the grown-bad (retired) set.
 6. **Index rebuild + invariant check** -- the valid-count and SIP
    indexes are rebuilt from the reconstructed map and the recovered FTL
    must pass the same :meth:`~repro.ftl.ftl.PageMappedFtl.invariant_check`
@@ -61,7 +62,7 @@ and erase no longer resurrects the mapping (the pre-PR-6 caveat).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -74,7 +75,7 @@ from repro.ftl.metastore import (
     parse_checkpoint,
     parse_tombstones,
 )
-from repro.ftl.space import SpaceModel
+from repro.ftl.victim import VictimSelector
 from repro.nand.array import (
     OOB_UNSTAMPED,
     STATE_BAD,
@@ -83,6 +84,10 @@ from repro.nand.array import (
     STATE_OPEN,
     NandArray,
 )
+from repro.obs.registry import MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.ssd.config import SsdConfig
 
 
 class RecoveryError(FtlError):
@@ -577,8 +582,8 @@ def rediscover_layout(
     Returns ``(free, open, closed, retired)``:
 
     * ERASED (and good) -> free pool;
-    * OPEN -> a write frontier interrupted mid-block (at most two exist:
-      the user and GC streams);
+    * OPEN -> a write frontier interrupted mid-block (at most one per
+      write stream exists: user, GC and -- dftl -- translation);
     * FULL -> closed, in-use, GC candidate;
     * BAD and not factory-marked -> grown-bad (retired).
     """
@@ -593,16 +598,20 @@ def rediscover_layout(
 
 def recover_ftl(
     nand: NandArray,
-    space: SpaceModel,
+    config: "SsdConfig",
     post_checkpoint: bool = False,
-    **ftl_kwargs,
+    *,
+    victim_selector: Optional[VictimSelector] = None,
+    clock: Optional[Callable[[], int]] = None,
+    registry: Optional[MetricsRegistry] = None,
 ) -> Tuple[PageMappedFtl, RecoveryReport]:
     """Full post-power-cut recovery: load metadata, scan, rebuild, verify.
 
     ``nand`` is the powered-back-on array (typically
-    :meth:`NandArray.from_durable` over a captured media image);
-    ``ftl_kwargs`` are forwarded to :class:`PageMappedFtl` (victim
-    selector, watermark, clock, checkpoint interval, registry, ...).
+    :meth:`SsdConfig.restore_nand <repro.ssd.config.SsdConfig.restore_nand>`
+    over a captured media image); ``config`` is the device it belongs to
+    -- the scan and the rebuilt :class:`PageMappedFtl` read every knob
+    from it -- and the keyword arguments are the FTL's collaborators.
     With ``post_checkpoint=True`` the recovered FTL immediately writes a
     fresh checkpoint (generation past every one seen, torn included), so
     the *next* power-on need not redo this scan; its program cost is
@@ -616,7 +625,8 @@ def recover_ftl(
             OOB stamp, geometry-mismatched checkpoint, or more open
             frontiers than write streams).
     """
-    dftl = ftl_kwargs.get("mapping_mode", "dram") == "dftl"
+    space = config.space_model()
+    dftl = config.mapping_mode == "dftl"
     trans_pages = 0
     if dftl:
         entries_per_tpage = nand.geometry.page_size // 8
@@ -681,7 +691,14 @@ def recover_ftl(
         gtd=report.gtd,
         active_trans_block=active_trans,
     )
-    ftl = PageMappedFtl(nand, space, recovered=recovered, **ftl_kwargs)
+    ftl = PageMappedFtl(
+        nand,
+        config,
+        victim_selector=victim_selector,
+        clock=clock,
+        registry=registry,
+        recovered=recovered,
+    )
     ftl.invariant_check()
 
     report.free_blocks = ftl.free_pool_blocks()

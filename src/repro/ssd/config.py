@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.faults.injector import FaultInjector, FaultProfile, resolve_fault_profile
-from repro.ftl.checkpoint_policy import CheckpointPolicy, make_checkpoint_policy
 from repro.ftl.ftl import PageMappedFtl
 from repro.ftl.recovery import recover_ftl
 from repro.ftl.space import SpaceModel
 from repro.ftl.victim import VictimSelector
-from repro.ftl.wear import StaticWearLeveler
 from repro.nand.array import NandArray, NandDurableState
 from repro.nand.endurance import EnduranceModel
 from repro.nand.geometry import NandGeometry
@@ -39,7 +37,15 @@ class SsdConfig:
         timing: NAND latencies; defaults to 20 nm MLC.
         op_ratio: over-provisioning as a fraction of user capacity
             (SM843T: 7 %).
-        fgc_watermark: free-pool floor that triggers foreground GC.
+        fgc_watermark: free-pool size at or below which a host write must
+            run foreground GC first.  Must be >= 2 so GC migrations always
+            have a block to allocate.
+        fgc_penalty: latency multiplier applied to foreground GC.  A
+            foreground collection on a real drive costs more than the raw
+            NAND operations: the request pipeline drains, mapping-table
+            updates flush, and the host-interface queue stalls.  The
+            multiplier models that overhead (4.0 by default; 1.0 gives
+            the pure NAND-cost model).
         pe_cycle_limit: endurance rating; None disables wear-out.
         enable_wear_leveling: install a static wear leveller.
         wear_level_threshold: allowed erase-count spread.
@@ -50,8 +56,12 @@ class SsdConfig:
             :class:`~repro.faults.injector.FaultProfile`, a preset name
             from :data:`~repro.faults.injector.FAULT_PROFILES`, or None
             for a fault-free device.
-        max_read_retries / max_program_retries / max_erase_retries:
-            FTL recovery budgets (see :class:`PageMappedFtl`).
+        max_read_retries: voltage-shift re-reads attempted after an
+            uncorrectable read before declaring the data lost.
+        max_program_retries: frontier slots tried per logical page before
+            a program failure is considered fatal.
+        max_erase_retries: erase re-attempts before a block is retired as
+            grown-bad.
     """
 
     geometry: NandGeometry = field(default_factory=NandGeometry.scaled_sm843t)
@@ -124,6 +134,9 @@ class SsdConfig:
             )
         if self.fgc_penalty < 1.0:
             raise ValueError(f"fgc_penalty must be >= 1.0, got {self.fgc_penalty}")
+        for name in ("max_read_retries", "max_program_retries", "max_erase_retries"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.pe_cycle_limit is not None and self.pe_cycle_limit <= 0:
             raise ValueError(
                 f"pe_cycle_limit must be positive or None, got {self.pe_cycle_limit}"
@@ -171,19 +184,6 @@ class SsdConfig:
     def space_model(self) -> SpaceModel:
         return SpaceModel.from_op_ratio(self.geometry, self.op_ratio)
 
-    def _checkpoint_policy(self) -> Optional[CheckpointPolicy]:
-        """Fresh policy instance per FTL (the adaptive policy is stateful).
-
-        Returns None for the default interval policy: the FTL builds its
-        own from ``checkpoint_interval_pages``, keeping the historical
-        construction path (and its bit-identical behaviour) untouched.
-        """
-        if self.checkpoint_policy == "interval" or self.checkpoint_interval_pages is None:
-            return None
-        return make_checkpoint_policy(
-            self.checkpoint_policy, self.checkpoint_interval_pages
-        )
-
     def resolved_fault_profile(self) -> FaultProfile:
         return resolve_fault_profile(self.fault_profile)
 
@@ -204,18 +204,44 @@ class SsdConfig:
             self.geometry.total_blocks, scrub_threshold=profile.disturb_threshold
         )
 
+    def build_injector(self, seed: int = 0) -> Optional[FaultInjector]:
+        """A fresh fault injector over this config's profile (None when
+        the profile injects nothing); ``seed`` keeps its fault sequence
+        reproducible per scenario seed."""
+        profile = self.resolved_fault_profile()
+        return FaultInjector(profile, seed=seed) if profile.enabled else None
+
     def build_nand(self, seed: int = 0) -> NandArray:
         endurance = EnduranceModel(self.geometry.total_blocks, self.pe_cycle_limit)
-        injector = None
-        profile = self.resolved_fault_profile()
-        if profile.enabled:
-            injector = FaultInjector(profile, seed=seed)
         return NandArray(
             self.geometry,
             self.timing,
             endurance,
             read_disturb=self.build_read_disturb(),
-            fault_injector=injector,
+            fault_injector=self.build_injector(seed),
+            meta_blocks=self.meta_blocks,
+        )
+
+    def restore_nand(
+        self,
+        durable: NandDurableState,
+        fault_injector: Optional[FaultInjector] = None,
+    ) -> NandArray:
+        """Power this device's array back on from a captured media image.
+
+        The one place a post-power-cut array is built (live SPO recovery
+        and both crash-sweep recoveries use it).  Power-on disturb-reset
+        semantics: the read-disturb tracker is rebuilt zeroed (volatile
+        DRAM died with the rail) while the retention clock rides the
+        durable image itself -- charge leaks with the rail down too.
+        """
+        return NandArray.from_durable(
+            self.geometry,
+            durable,
+            timing=self.timing,
+            pe_cycle_limit=self.pe_cycle_limit,
+            fault_injector=fault_injector,
+            read_disturb=self.build_read_disturb(),
             meta_blocks=self.meta_blocks,
         )
 
@@ -240,28 +266,13 @@ class SsdConfig:
         """
         if nand is None:
             nand = self.build_nand(seed=seed)
-        leveler = None
-        if self.enable_wear_leveling:
-            leveler = StaticWearLeveler(nand.endurance, self.wear_level_threshold)
         return PageMappedFtl(
             nand,
-            self.space_model(),
+            self,
             victim_selector=victim_selector,
-            fgc_watermark=self.fgc_watermark,
             clock=clock,
-            wear_leveler=leveler,
-            fgc_penalty=self.fgc_penalty,
-            max_read_retries=self.max_read_retries,
-            max_program_retries=self.max_program_retries,
-            max_erase_retries=self.max_erase_retries,
-            checkpoint_interval_pages=self.checkpoint_interval_pages,
-            journal_unmaps=self.journal_unmaps,
             registry=registry,
             recovered=recovered,
-            mapping_mode=self.mapping_mode,
-            cmt_budget_bytes=self.cmt_budget_bytes,
-            checkpoint_policy=self._checkpoint_policy(),
-            reliability=self.resolved_reliability_profile(),
         )
 
     def recover_from(
@@ -276,9 +287,8 @@ class SsdConfig:
         """Power the device back on from a captured media image.
 
         Counterpart of :meth:`build_ftl` for the post-power-cut path:
-        rebuilds the NAND from ``durable``
-        (:meth:`~repro.nand.array.NandArray.from_durable`), arms a fresh
-        fault injector over the same profile (``seed`` keeps the
+        rebuilds the NAND from ``durable`` (:meth:`restore_nand`), arms a
+        fresh fault injector over the same profile (``seed`` keeps the
         post-recovery fault sequence reproducible but independent of the
         pre-cut stream) and runs the recovery scan -- checkpoint-bounded
         when the image holds a complete checkpoint, the full OOB sweep
@@ -289,44 +299,13 @@ class SsdConfig:
         Returns ``(ftl, report)`` -- see
         :func:`~repro.ftl.recovery.recover_ftl`.
         """
-        injector = None
-        profile = self.resolved_fault_profile()
-        if profile.enabled:
-            injector = FaultInjector(profile, seed=seed)
-        nand = NandArray.from_durable(
-            self.geometry,
-            durable,
-            timing=self.timing,
-            pe_cycle_limit=self.pe_cycle_limit,
-            fault_injector=injector,
-            # Power-on disturb-reset semantics: the tracker is rebuilt
-            # zeroed (volatile DRAM died with the rail) while the
-            # retention clock rides the durable image itself.
-            read_disturb=self.build_read_disturb(),
-            meta_blocks=self.meta_blocks,
-        )
-        leveler = None
-        if self.enable_wear_leveling:
-            leveler = StaticWearLeveler(nand.endurance, self.wear_level_threshold)
         return recover_ftl(
-            nand,
-            self.space_model(),
-            post_checkpoint=post_checkpoint,
+            self.restore_nand(durable, self.build_injector(seed)),
+            self,
+            post_checkpoint,
             victim_selector=victim_selector,
-            fgc_watermark=self.fgc_watermark,
             clock=clock,
-            wear_leveler=leveler,
-            fgc_penalty=self.fgc_penalty,
-            max_read_retries=self.max_read_retries,
-            max_program_retries=self.max_program_retries,
-            max_erase_retries=self.max_erase_retries,
-            checkpoint_interval_pages=self.checkpoint_interval_pages,
-            journal_unmaps=self.journal_unmaps,
             registry=registry,
-            mapping_mode=self.mapping_mode,
-            cmt_budget_bytes=self.cmt_budget_bytes,
-            checkpoint_policy=self._checkpoint_policy(),
-            reliability=self.resolved_reliability_profile(),
         )
 
     @property

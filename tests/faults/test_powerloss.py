@@ -1,5 +1,6 @@
 """Tests for SPO planning and the power-loss emulator."""
 
+import numpy as np
 import pytest
 
 from repro.core.policies import lazy_bgc_policy
@@ -66,6 +67,11 @@ def test_cut_power_tears_frontiers_and_kills_the_queue():
     ftl = host.ftl
     user_block = ftl.active_user_block
     frontier_page = int(ftl.nand.program_ptr[user_block])
+    open_pages = [
+        (block, int(ftl.nand.program_ptr[block]))
+        for block in (user_block, ftl.active_gc_block)
+        if ftl.nand.program_ptr[block] < host.config.geometry.pages_per_block
+    ]
     emulator = PowerLossEmulator()
     cut = emulator.cut_power(host)
 
@@ -74,7 +80,8 @@ def test_cut_power_tears_frontiers_and_kills_the_queue():
     # The flusher (at minimum) had an event pending on the rail.
     assert cut.events_dropped >= 1
     assert (user_block, frontier_page) in cut.torn
-    assert len(cut.torn) <= 2
+    # Dram mode tears exactly its two write streams, user then GC.
+    assert cut.torn == open_pages
     # The torn page is consumed but unstamped on the captured image.
     ppn = user_block * host.config.geometry.pages_per_block + frontier_page
     assert cut.durable.program_ptr[user_block] == frontier_page + 1
@@ -83,6 +90,53 @@ def test_cut_power_tears_frontiers_and_kills_the_queue():
     # The dead simulator refuses further scheduling.
     with pytest.raises(SimulationError):
         host.run_for(SECOND)
+
+
+def _dftl_host():
+    # Four translation pages behind a one-page CMT: the prefill alone
+    # writes translation pages back, so the third frontier is mid-block.
+    config = SsdConfig.small(
+        blocks=256, pages_per_block=8, mapping_mode="dftl", cmt_budget_bytes=4096
+    )
+    host = HostSystem(config, lazy_bgc_policy(), seed=1)
+    host.prefill(host.user_pages // 2)
+    return host
+
+
+def test_dftl_cut_tears_the_translation_frontier_too_and_recovers():
+    host = _dftl_host()
+    host.run_for(SECOND)
+    ftl = host.ftl
+    ppb = host.config.geometry.pages_per_block
+    trans_block = ftl.active_trans_block
+    trans_page = int(ftl.nand.program_ptr[trans_block])
+    assert 0 < trans_page < ppb  # open, and already holding flushed pages
+    open_blocks = [
+        f.block for f in ftl.frontiers if ftl.nand.program_ptr[f.block] < ppb
+    ]
+
+    cut = PowerLossEmulator().cut_power(host)
+
+    # Every open write stream tears -- the same set the crash sweep's
+    # verify_crash_point tears -- and the translation frontier's
+    # in-flight page is among them, consumed but unstamped.
+    assert [block for block, _page in cut.torn] == open_blocks
+    assert (trans_block, trans_page) in cut.torn
+    assert cut.durable.program_ptr[trans_block] == trans_page + 1
+    assert cut.durable.oob_seq[trans_block * ppb + trans_page] == OOB_UNSTAMPED
+
+    recovered, report = host.config.recover_from(cut.durable)
+    assert report.torn_pages == len(cut.torn)
+    assert report.trans_pages_mapped == ftl.page_map.gtd_mapped_count > 0
+    # The dead host's DRAM mapping is the live reference.
+    assert np.array_equal(
+        recovered.page_map.l2p_snapshot(), ftl.page_map.l2p_snapshot()
+    )
+    assert np.array_equal(
+        recovered.page_map.gtd_snapshot(), ftl.page_map.gtd_snapshot()
+    )
+    recovered.invariant_check()
+    recovered.host_write_page(0)  # the recovered device serves writes
 
 
 def test_cut_without_tearing_models_quiescent_cut():

@@ -15,10 +15,7 @@ import numpy as np
 import pytest
 
 from repro.faults.powerloss import cut_during_recovery
-from repro.ftl.ftl import PageMappedFtl
-from repro.ftl.mapping import UNMAPPED
 from repro.ftl.recovery import recover_ftl
-from repro.ftl.space import SpaceModel
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NandTiming
@@ -26,17 +23,19 @@ from repro.ssd.config import SsdConfig
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=8, blocks_per_plane=24)
 TIMING = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_page=1)
+#: The device with default knobs (no checkpointing): what every recovery
+#: below powers on as, whatever the crashed device was configured with.
+CONFIG = SsdConfig(geometry=GEOMETRY, timing=TIMING, op_ratio=0.25)
 
 
 def make_ftl(checkpoint_interval=32, journal_unmaps=True):
-    space = SpaceModel.from_op_ratio(GEOMETRY, op_ratio=0.25)
-    ftl = PageMappedFtl(
-        NandArray(GEOMETRY, TIMING),
-        space,
+    config = dataclasses.replace(
+        CONFIG,
         checkpoint_interval_pages=checkpoint_interval,
         journal_unmaps=journal_unmaps,
     )
-    return ftl, space
+    ftl = config.build_ftl(nand=NandArray(GEOMETRY, TIMING))
+    return ftl, ftl.space
 
 
 def churn(ftl, space, writes=260, seed=4, trim_every=0):
@@ -61,11 +60,11 @@ def crash(ftl):
     return crashed
 
 
-def recover(image, space, **kwargs):
+def recover(image, **kwargs):
     nand = NandArray.from_durable(
         GEOMETRY, image.capture_durable_state(), timing=TIMING
     )
-    return recover_ftl(nand, space, **kwargs)
+    return recover_ftl(nand, CONFIG, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -80,14 +79,14 @@ def test_tail_scan_equals_full_scan_for_less_reading():
     churn(ftl, space)
     image = crash(ftl)
 
-    tail_ftl, tail = recover(image, space)
+    tail_ftl, tail = recover(image)
     assert not tail.full_scan
     assert tail.checkpoint_generation == ftl._ckpt_generation
     assert tail.meta_pages_read > 0
 
     stripped = dataclasses.replace(image.capture_durable_state(), meta=())
     bare = NandArray.from_durable(GEOMETRY, stripped, timing=TIMING)
-    full_ftl, full = recover_ftl(bare, space)
+    full_ftl, full = recover_ftl(bare, CONFIG)
     assert full.full_scan
 
     assert np.array_equal(
@@ -104,7 +103,7 @@ def test_tail_scan_equals_full_scan_for_less_reading():
 def test_recovered_ftl_matches_live_reference():
     ftl, space = make_ftl()
     churn(ftl, space, trim_every=7)
-    recovered, report = recover(crash(ftl), space)
+    recovered, report = recover(crash(ftl))
     assert np.array_equal(
         recovered.page_map.l2p_snapshot(), ftl.page_map.l2p_snapshot()
     )
@@ -119,7 +118,7 @@ def test_recovery_without_checkpoints_still_replays_tombstones():
     victim = 2
     ftl.host_write_page(victim)
     ftl.trim([victim])
-    recovered, report = recover(crash(ftl), space)
+    recovered, report = recover(crash(ftl))
     assert report.full_scan
     assert report.tombstones_replayed >= 1
     assert recovered.page_map.lookup(victim) is None
@@ -135,7 +134,7 @@ def test_trim_survives_power_loss():
     for lpn in victims:
         ftl.host_write_page(lpn)
     assert ftl.trim(victims) > 0  # journaling is a real program, with latency
-    recovered, report = recover(crash(ftl), space)
+    recovered, report = recover(crash(ftl))
     for lpn in victims:
         assert recovered.page_map.lookup(lpn) is None
     assert np.array_equal(
@@ -148,7 +147,7 @@ def test_trim_then_rewrite_keeps_the_newer_copy():
     churn(ftl, space)
     ftl.trim([3])
     ftl.host_write_page(3)  # re-written after the discard: stamp > tombstone
-    recovered, _ = recover(crash(ftl), space)
+    recovered, _ = recover(crash(ftl))
     assert recovered.page_map.lookup(3) == ftl.page_map.lookup(3) is not None
 
 
@@ -160,7 +159,7 @@ def test_unjournaled_trim_resurrects_after_crash():
     ftl.host_write_page(7)
     assert ftl.trim([7]) == 0  # no journal record, no latency
     assert ftl.page_map.lookup(7) is None
-    recovered, _ = recover(crash(ftl), space)
+    recovered, _ = recover(crash(ftl))
     assert recovered.page_map.lookup(7) is not None  # resurrected
 
 
@@ -173,7 +172,7 @@ def test_torn_checkpoint_falls_back_to_previous_generation():
     ftl.write_checkpoint()
     image = crash(ftl)
     image.meta.tear_last()
-    recovered, report = recover(image, space)
+    recovered, report = recover(image)
     assert report.torn_meta_records == 1
     assert report.checkpoint_fallbacks == 1
     assert not report.full_scan
@@ -193,7 +192,7 @@ def test_all_checkpoints_torn_falls_back_to_full_scan():
     ftl.write_checkpoint()
     image = crash(ftl)
     image.meta.tear_last()
-    recovered, report = recover(image, space)
+    recovered, report = recover(image)
     assert report.full_scan and report.checkpoint_fallbacks == 1
     assert np.array_equal(
         recovered.page_map.l2p_snapshot(), ftl.page_map.l2p_snapshot()
@@ -212,7 +211,7 @@ def test_torn_newest_tombstone_is_an_undurable_trim():
     image = crash(ftl)
     assert image.meta.records[-1].kind == "unmap"
     image.meta.tear_last(keep_pages=0)
-    recovered, report = recover(image, space)
+    recovered, report = recover(image)
     assert report.torn_meta_records == 1
     assert recovered.page_map.lookup(9) is not None
     assert np.array_equal(recovered.page_map.l2p_snapshot(), expected)
@@ -251,8 +250,8 @@ def test_post_checkpoint_cost_is_separate_from_power_on_ready():
     ftl, space = make_ftl()
     churn(ftl, space)
     image = crash(ftl)
-    plain_ftl, plain = recover(image, space)
-    ckpt_ftl, ckpt = recover(image, space, post_checkpoint=True)
+    plain_ftl, plain = recover(image)
+    ckpt_ftl, ckpt = recover(image, post_checkpoint=True)
     assert plain.post_checkpoint_ns == 0
     assert ckpt.post_checkpoint_ns > 0
     # Same host-ready latency either way: the checkpoint is written
@@ -276,8 +275,5 @@ def test_checkpoint_and_journal_stats():
 
 
 def test_interval_must_be_positive():
-    space = SpaceModel.from_op_ratio(GEOMETRY, op_ratio=0.25)
-    with pytest.raises(ValueError):
-        PageMappedFtl(
-            NandArray(GEOMETRY, TIMING), space, checkpoint_interval_pages=0
-        )
+    with pytest.raises(ValueError, match="checkpoint_interval_pages must be >= 1"):
+        dataclasses.replace(CONFIG, checkpoint_interval_pages=0)

@@ -2,21 +2,22 @@
 
 import pytest
 
-from repro.ftl.ftl import OutOfSpaceError, PageMappedFtl
-from repro.ftl.space import SpaceModel
+from repro.ftl.ftl import OutOfSpaceError
 from repro.ftl.victim import SipFilteredSelector
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NandTiming
+from repro.ssd.config import SsdConfig
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=16)
 TIMING = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_page=1)
 
 
 def make_ftl(op_ratio=0.25, selector=None, watermark=2):
-    nand = NandArray(GEOMETRY, TIMING)
-    space = SpaceModel.from_op_ratio(GEOMETRY, op_ratio=op_ratio)
-    return PageMappedFtl(nand, space, victim_selector=selector, fgc_watermark=watermark)
+    config = SsdConfig(
+        geometry=GEOMETRY, timing=TIMING, op_ratio=op_ratio, fgc_watermark=watermark
+    )
+    return config.build_ftl(victim_selector=selector, nand=NandArray(GEOMETRY, TIMING))
 
 
 def test_initial_capacity():
@@ -175,7 +176,5 @@ def test_has_victim_false_on_fresh_device():
 
 
 def test_watermark_validation():
-    nand = NandArray(GEOMETRY, TIMING)
-    space = SpaceModel.from_op_ratio(GEOMETRY)
-    with pytest.raises(ValueError):
-        PageMappedFtl(nand, space, fgc_watermark=1)
+    with pytest.raises(ValueError, match="fgc_watermark must be >= 2"):
+        SsdConfig(geometry=GEOMETRY, timing=TIMING, fgc_watermark=1)

@@ -3,26 +3,26 @@ out-of-space behaviour and free-accounting arithmetic."""
 
 import pytest
 
-from repro.ftl.ftl import OutOfSpaceError, PageMappedFtl
-from repro.ftl.space import SpaceModel
-from repro.ftl.wear import StaticWearLeveler
+from repro.ftl.ftl import OutOfSpaceError
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NandTiming
+from repro.ssd.config import SsdConfig
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=16)
 TIMING = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_page=1)
 
 
 def make_ftl(fgc_penalty=1.0, wear_leveler=False, threshold=4):
-    nand = NandArray(GEOMETRY, TIMING)
-    leveler = StaticWearLeveler(nand.endurance, threshold) if wear_leveler else None
-    return PageMappedFtl(
-        nand,
-        SpaceModel.from_op_ratio(GEOMETRY, op_ratio=0.25),
+    config = SsdConfig(
+        geometry=GEOMETRY,
+        timing=TIMING,
+        op_ratio=0.25,
         fgc_penalty=fgc_penalty,
-        wear_leveler=leveler,
+        enable_wear_leveling=wear_leveler,
+        wear_level_threshold=threshold,
     )
+    return config.build_ftl(nand=NandArray(GEOMETRY, TIMING))
 
 
 def fill_with_garbage(ftl, overwrites=3):
@@ -44,7 +44,7 @@ def test_fgc_penalty_multiplies_stall():
 
 
 def test_fgc_penalty_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fgc_penalty must be >= 1.0"):
         make_ftl(fgc_penalty=0.5)
 
 

@@ -145,7 +145,7 @@ def test_dftl_mode_builds_cached_map_with_budgeted_capacity():
     ftl = cfg.build_ftl()
     assert isinstance(ftl.page_map, CachedPageMap)
     assert ftl.page_map.cmt_capacity_pages == 2  # budget // page_size
-    assert ftl._streams == 3  # user, GC and translation frontiers
+    assert [f.name for f in ftl.frontiers] == ["user", "gc", "trans"]
 
 
 def test_dftl_default_budget_is_one_64th_of_full_map():

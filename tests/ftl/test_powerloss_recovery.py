@@ -4,7 +4,6 @@ discard, newest-copy-wins mapping and layout re-discovery."""
 import numpy as np
 import pytest
 
-from repro.ftl.ftl import PageMappedFtl
 from repro.ftl.mapping import UNMAPPED
 from repro.ftl.recovery import (
     RecoveryError,
@@ -12,19 +11,20 @@ from repro.ftl.recovery import (
     rediscover_layout,
     scan_oob,
 )
-from repro.ftl.space import SpaceModel
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NandTiming
+from repro.ssd.config import SsdConfig
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=16)
 TIMING = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_page=1)
 
 
-def make_ftl(op_ratio=0.25, **kwargs):
-    nand = NandArray(GEOMETRY, TIMING)
-    space = SpaceModel.from_op_ratio(GEOMETRY, op_ratio=op_ratio)
-    return PageMappedFtl(nand, space, **kwargs)
+CONFIG = SsdConfig(geometry=GEOMETRY, timing=TIMING, op_ratio=0.25)
+
+
+def make_ftl():
+    return CONFIG.build_ftl(nand=NandArray(GEOMETRY, TIMING))
 
 
 def crashed_copy(ftl, tear=True):
@@ -127,7 +127,7 @@ def test_recover_ftl_restores_full_state_and_passes_invariants():
     while ftl.has_victim():
         ftl.collect_one_block(background=True)
     nand = crashed_copy(ftl)
-    recovered, report = recover_ftl(nand, ftl.space)
+    recovered, report = recover_ftl(nand, CONFIG)
 
     assert np.array_equal(
         recovered.page_map.l2p_snapshot(), ftl.page_map.l2p_snapshot()
@@ -148,7 +148,7 @@ def test_recovery_resumes_open_frontiers():
     for lpn in range(GEOMETRY.pages_per_block // 2):
         ftl.host_write_page(lpn)
     nand = crashed_copy(ftl, tear=False)
-    recovered, report = recover_ftl(nand, ftl.space)
+    recovered, report = recover_ftl(nand, CONFIG)
     assert report.open_blocks >= 1
     assert recovered.active_user_block is not None
     # Writing continues mid-block, right after the last surviving page.
@@ -160,9 +160,8 @@ def test_recovery_rejects_more_than_two_open_blocks():
     nand = NandArray(GEOMETRY, TIMING)
     for block in range(3):
         nand.program_page(block, 0, lpn=block, seq=block)
-    space = SpaceModel.from_op_ratio(GEOMETRY, op_ratio=0.25)
     with pytest.raises(RecoveryError):
-        recover_ftl(nand, space)
+        recover_ftl(nand, CONFIG)
 
 
 def test_recovery_carries_grown_bad_blocks_as_retired():
@@ -176,7 +175,7 @@ def test_recovery_carries_grown_bad_blocks_as_retired():
         if nand.block_state(b).name == "ERASED"
     ]
     nand.mark_bad(spare[0])
-    recovered, report = recover_ftl(nand, ftl.space)
+    recovered, report = recover_ftl(nand, CONFIG)
     assert spare[0] in recovered.retired_blocks
     assert report.retired_blocks == 1
     assert recovered.stats.blocks_retired == 1
@@ -188,7 +187,7 @@ def test_write_seq_monotonic_across_recovery():
     for lpn in range(12):
         ftl.host_write_page(lpn)
     nand = crashed_copy(ftl)
-    recovered, _ = recover_ftl(nand, ftl.space)
+    recovered, _ = recover_ftl(nand, CONFIG)
     seq_before = recovered._write_seq
     recovered.host_write_page(3)
     new_ppn = recovered.page_map.lookup(3)

@@ -22,17 +22,17 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.ftl.ftl import PageMappedFtl
 from repro.ftl.mapping import UNMAPPED
 from repro.ftl.recovery import recover_ftl
-from repro.ftl.space import SpaceModel
 from repro.nand.array import OOB_UNSTAMPED, NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NandTiming
+from repro.ssd.config import SsdConfig
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=16)
 TIMING = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_page=1)
 PPB = GEOMETRY.pages_per_block
+CONFIG = SsdConfig(geometry=GEOMETRY, timing=TIMING, op_ratio=0.25)
 
 
 def oob_oracle(durable, user_pages):
@@ -66,9 +66,8 @@ def oob_oracle(durable, user_pages):
     crash_fraction=st.floats(min_value=0.05, max_value=1.0),
 )
 def test_recovered_state_equals_oob_oracle(seed, total_writes, crash_fraction):
-    nand = NandArray(GEOMETRY, TIMING)
-    space = SpaceModel.from_op_ratio(GEOMETRY, op_ratio=0.25)
-    ftl = PageMappedFtl(nand, space)
+    ftl = CONFIG.build_ftl(nand=NandArray(GEOMETRY, TIMING))
+    space = ftl.space
     rng = np.random.default_rng(seed)
     hot = max(1, space.user_pages // 3)  # skewed overwrites force GC
 
@@ -88,7 +87,7 @@ def test_recovered_state_equals_oob_oracle(seed, total_writes, crash_fraction):
         if block is not None:
             crashed.tear_frontier_page(block)
 
-    recovered, report = recover_ftl(crashed, space)
+    recovered, report = recover_ftl(crashed, CONFIG)
     oracle_l2p = oob_oracle(crashed.capture_durable_state(), space.user_pages)
 
     # Page-level state equals the oracle's reconstruction...
@@ -137,9 +136,9 @@ def test_recovery_never_exceeds_durable_horizon(
     torn tombstones, whichever was written last), or the metadata region
     stripped entirely (the full-scan fallback).
     """
-    nand = NandArray(GEOMETRY, TIMING)
-    space = SpaceModel.from_op_ratio(GEOMETRY, op_ratio=0.25)
-    ftl = PageMappedFtl(nand, space, checkpoint_interval_pages=interval)
+    config = dataclasses.replace(CONFIG, checkpoint_interval_pages=interval)
+    ftl = config.build_ftl(nand=NandArray(GEOMETRY, TIMING))
+    space = ftl.space
     rng = np.random.default_rng(seed)
     hot = max(1, space.user_pages // 3)
 
@@ -176,7 +175,7 @@ def test_recovery_never_exceeds_durable_horizon(
             keep_pages=None if tear == "half" else 0
         )
 
-    recovered, report = recover_ftl(crashed, space)
+    recovered, report = recover_ftl(crashed, CONFIG)
 
     # The horizon bound: the recovered counter and every surviving
     # mapping entry's stamp predate the durable horizon.

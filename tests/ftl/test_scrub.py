@@ -15,7 +15,6 @@ import pytest
 
 from repro.ftl.ftl import PageMappedFtl
 from repro.ftl.scrub import RefreshScrubber
-from repro.ftl.space import SpaceModel
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.reliability import (
@@ -25,6 +24,7 @@ from repro.nand.reliability import (
     ReliabilityProfile,
 )
 from repro.nand.timing import NandTiming
+from repro.ssd.config import SsdConfig
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=16)
 TIMING = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_page=1)
@@ -54,14 +54,14 @@ def make_rel_ftl(profile=PROFILE, op_ratio=0.25, watermark=2):
         GEOMETRY.total_blocks, scrub_threshold=profile.disturb_threshold
     )
     nand = NandArray(GEOMETRY, TIMING, read_disturb=tracker)
-    space = SpaceModel.from_op_ratio(GEOMETRY, op_ratio=op_ratio)
-    ftl = PageMappedFtl(
-        nand,
-        space,
+    config = SsdConfig(
+        geometry=GEOMETRY,
+        timing=TIMING,
+        op_ratio=op_ratio,
         fgc_watermark=watermark,
-        clock=clock,
         reliability=profile,
     )
+    ftl = PageMappedFtl(nand, config, clock=clock)
     return ftl, clock
 
 

@@ -24,13 +24,13 @@ from repro.experiments.fig2 import fig2_specs
 from repro.experiments.runner import ScenarioSpec, _run_scenario_host, run_sweep
 from repro.ftl.ftl import PageMappedFtl
 from repro.ftl.mapping import UNMAPPED
-from repro.ftl.space import SpaceModel
 from repro.ftl.victim import SipFilteredSelector
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NandTiming
 from repro.obs import ObservabilityConfig
 from repro.oskernel.cache import PageCache
+from repro.ssd.config import SsdConfig
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=24)
 TIMING = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_page=1)
@@ -196,7 +196,7 @@ def _make_ftl(indexed: bool) -> PageMappedFtl:
     def build() -> PageMappedFtl:
         return PageMappedFtl(
             NandArray(GEOMETRY, TIMING),
-            SpaceModel.from_op_ratio(GEOMETRY, 0.12),
+            SsdConfig(geometry=GEOMETRY, timing=TIMING, op_ratio=0.12),
             victim_selector=SipFilteredSelector(),
         )
 
@@ -425,10 +425,11 @@ def test_host_write_extent_matches_per_page_loop(extents, sip_seed):
 
     def build():
         geometry = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=24)
-        nand = NandArray(geometry, TIMING)
-        space = SpaceModel.from_op_ratio(geometry, op_ratio=0.3)
+        config = SsdConfig(
+            geometry=geometry, timing=TIMING, op_ratio=0.3, fgc_watermark=2
+        )
         return PageMappedFtl(
-            nand, space, victim_selector=SipFilteredSelector(), fgc_watermark=2
+            NandArray(geometry, TIMING), config, victim_selector=SipFilteredSelector()
         )
 
     batched, looped = build(), build()
@@ -467,10 +468,11 @@ def test_host_write_extent_large_chunks_match_per_page_loop():
 
     def build():
         geometry = NandGeometry(page_size=4096, pages_per_block=64, blocks_per_plane=16)
-        nand = NandArray(geometry, TIMING)
-        space = SpaceModel.from_op_ratio(geometry, op_ratio=0.3)
+        config = SsdConfig(
+            geometry=geometry, timing=TIMING, op_ratio=0.3, fgc_watermark=2
+        )
         return PageMappedFtl(
-            nand, space, victim_selector=SipFilteredSelector(), fgc_watermark=2
+            NandArray(geometry, TIMING), config, victim_selector=SipFilteredSelector()
         )
 
     batched, looped = build(), build()

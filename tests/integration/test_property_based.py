@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from repro.core.cdh import CumulativeDataHistogram
 from repro.ftl.ftl import PageMappedFtl
 from repro.ftl.mapping import PageMap
-from repro.ftl.space import SpaceModel
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NandTiming
+from repro.ssd.config import SsdConfig
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=24)
 TIMING = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_page=1)
@@ -61,8 +61,7 @@ def test_ftl_invariants_under_random_traffic(seed, writes):
     rng = random.Random(seed)
     ftl = PageMappedFtl(
         NandArray(GEOMETRY, TIMING),
-        SpaceModel.from_op_ratio(GEOMETRY, op_ratio=0.25),
-        fgc_watermark=2,
+        SsdConfig(geometry=GEOMETRY, timing=TIMING, op_ratio=0.25, fgc_watermark=2),
     )
     user = ftl.space.user_pages
     live = set()
