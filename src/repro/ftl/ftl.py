@@ -348,10 +348,12 @@ class PageMappedFtl:
         self.allocator = WearAwareAllocator(
             self.nand.endurance, initial_free=recovered.free_blocks
         )
-        for block in recovered.closed_blocks:
-            self._closed[block] = True
-            if self.victim_index is not None:
-                self.victim_index.track(block, pm.valid_count(block))
+        closed = np.asarray(recovered.closed_blocks, dtype=np.int64)
+        self._closed[closed] = True
+        if self.victim_index is not None:
+            self.victim_index.track_many(
+                recovered.closed_blocks, pm.valid_counts()[closed].tolist()
+            )
         self._open_frontiers(
             (
                 recovered.active_user_block,
@@ -1445,8 +1447,8 @@ class PageMappedFtl:
             # translation page; touches are deferred past the migration
             # like the scan path's.
             ept = self.page_map.entries_per_tpage
-            for tvpn in np.unique(lpns // ept):
-                latency += self._mapping_access(int(tvpn), dirty=True)
+            for tvpn in sorted(set((lpns // ept).tolist())):
+                latency += self._mapping_access(tvpn, dirty=True)
         return latency
 
     def _run_foreground_gc(self) -> int:
@@ -1573,11 +1575,10 @@ class PageMappedFtl:
     def invariant_check(self) -> None:
         """Cross-structure consistency check used by tests."""
         self.page_map.invariant_check()
+        valid_counts = self.page_map.valid_counts()
         if self.victim_index is not None:
-            expected = {
-                int(block): self.page_map.valid_count(int(block))
-                for block in np.flatnonzero(self._closed)
-            }
+            closed = np.flatnonzero(self._closed)
+            expected = dict(zip(closed.tolist(), valid_counts[closed].tolist()))
             if dict(self.victim_index.items()) != expected:
                 raise AssertionError(
                     "valid-count index disagrees with the closed-block scan"
@@ -1592,13 +1593,17 @@ class PageMappedFtl:
                 raise AssertionError(
                     "SIP-overlap counters disagree with a full recount"
                 )
-        active = {frontier.block for frontier in self.frontiers}
-        for block in range(self.geometry.total_blocks):
-            in_pool = block in self.allocator
-            if in_pool and (block in active or self._closed[block]):
+        in_pool = np.zeros(self.geometry.total_blocks, dtype=bool)
+        in_pool[list(self.allocator)] = True
+        in_use = self._closed.copy()
+        in_use[[frontier.block for frontier in self.frontiers]] = True
+        in_use &= in_pool
+        offending = in_use | (in_pool & (valid_counts != 0))
+        if offending.any():
+            block = int(np.argmax(offending))  # the lowest, as a scan finds it
+            if in_use[block]:
                 raise AssertionError(f"block {block} both free and in use")
-            if in_pool and self.page_map.valid_count(block) != 0:
-                raise AssertionError(f"free block {block} holds valid pages")
+            raise AssertionError(f"free block {block} holds valid pages")
         for block in self.retired_blocks:
             if not self.nand.is_bad(block):
                 raise AssertionError(f"retired block {block} not marked bad")

@@ -237,14 +237,17 @@ class PageMap:
         self._l2p[:] = l2p
         self._p2l[:] = UNMAPPED
         self._valid[:] = False
-        self._valid_per_block[:] = 0
         lpns = np.flatnonzero(self._l2p != UNMAPPED)
         ppns = self._l2p[lpns]
-        if len(np.unique(ppns)) != len(ppns):
-            raise ValueError("l2p table maps two LPNs to the same physical page")
+        # Scatter, then gather: whichever of two LPNs sharing a PPN the
+        # scatter kept, the other one reads back a stranger.
         self._p2l[ppns] = lpns
+        if not np.array_equal(self._p2l[ppns], lpns):
+            raise ValueError("l2p table maps two LPNs to the same physical page")
         self._valid[ppns] = True
-        np.add.at(self._valid_per_block, ppns // self._ppb, 1)
+        self._valid_per_block[:] = np.bincount(
+            ppns // self._ppb, minlength=len(self._valid_per_block)
+        )
         self.mapped_count = int(len(lpns))
 
     def _invalidate_ppn(self, ppn: int) -> None:
@@ -376,6 +379,10 @@ class PageMap:
         self._valid_per_block[src_block] -= n
         self._valid_per_block[dst_block] += n
 
+    def _recount_valid(self) -> np.ndarray:
+        """Per-block valid-page counts recounted from the validity bitmap."""
+        return np.count_nonzero(self._valid.reshape(-1, self._ppb), axis=1)
+
     def invariant_check(self) -> None:
         """Full-state consistency check on batched array ops (O(total pages)).
 
@@ -384,11 +391,7 @@ class PageMap:
         """
         if int(self._valid.sum()) != self.mapped_count:
             raise AssertionError("valid-page population does not match mapped_count")
-        per_block = np.add.reduceat(
-            self._valid.astype(np.int32),
-            np.arange(0, self.geometry.total_pages, self.geometry.pages_per_block),
-        )
-        if not np.array_equal(per_block, self._valid_per_block):
+        if not np.array_equal(self._recount_valid(), self._valid_per_block):
             raise AssertionError("per-block valid counters out of sync")
         mapped = np.flatnonzero(self._l2p != UNMAPPED)
         if len(mapped):
@@ -403,11 +406,7 @@ class PageMap:
         """Per-LPN reference recount of :meth:`invariant_check`."""
         if int(self._valid.sum()) != self.mapped_count:
             raise AssertionError("valid-page population does not match mapped_count")
-        per_block = np.add.reduceat(
-            self._valid.astype(np.int32),
-            np.arange(0, self.geometry.total_pages, self.geometry.pages_per_block),
-        )
-        if not np.array_equal(per_block, self._valid_per_block):
+        if not np.array_equal(self._recount_valid(), self._valid_per_block):
             raise AssertionError("per-block valid counters out of sync")
         mapped = np.flatnonzero(self._l2p != UNMAPPED)
         for lpn in mapped:
@@ -532,13 +531,16 @@ class CachedPageMap(PageMap):
         self._gtd[:] = gtd
         tvpns = np.flatnonzero(self._gtd != UNMAPPED)
         ppns = self._gtd[tvpns]
-        if len(np.unique(ppns)) != len(ppns):
+        stamps = TRANS_LPN_BASE + tvpns
+        self._p2l[ppns] = stamps
+        if not np.array_equal(self._p2l[ppns], stamps):
             raise ValueError("gtd maps two translation pages to the same PPN")
         if self._valid[ppns].any():
             raise ValueError("gtd entry collides with a mapped data page")
-        self._p2l[ppns] = TRANS_LPN_BASE + tvpns
         self._valid[ppns] = True
-        np.add.at(self._valid_per_block, ppns // self._ppb, 1)
+        self._valid_per_block += np.bincount(
+            ppns // self._ppb, minlength=len(self._valid_per_block)
+        )
         self.gtd_mapped_count = int(len(tvpns))
         self._cmt.clear()
 
@@ -592,11 +594,7 @@ class CachedPageMap(PageMap):
                 "valid-page population does not match mapped_count + "
                 "gtd_mapped_count"
             )
-        per_block = np.add.reduceat(
-            self._valid.astype(np.int32),
-            np.arange(0, self.geometry.total_pages, self.geometry.pages_per_block),
-        )
-        if not np.array_equal(per_block, self._valid_per_block):
+        if not np.array_equal(self._recount_valid(), self._valid_per_block):
             raise AssertionError("per-block valid counters out of sync")
         mapped = np.flatnonzero(self._l2p != UNMAPPED)
         if len(mapped):

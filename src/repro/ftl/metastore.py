@@ -33,7 +33,8 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,6 +75,22 @@ class MetaRecord:
     payload: bytes
     pages: int  # metadata pages the surviving payload occupies
     torn: bool = False
+
+    @cached_property
+    def parsed(self) -> Union[CheckpointImage, Tuple[np.ndarray, np.ndarray], None]:
+        """The CRC-checked payload, parsed once per record.
+
+        A :class:`CheckpointImage`, a tombstone ``(lpns, seqs)`` pair, or
+        ``None`` when the record is torn.  Records are immutable and
+        shared by reference between the live log, :meth:`MetaLog.capture`
+        and :meth:`MetaLog.restore`, so every power-on over the same
+        image reuses the parse; :meth:`MetaLog.tear_last` builds a *new*
+        record, which therefore never inherits one.  The arrays are
+        read-only views of ``payload``.
+        """
+        if self.kind == KIND_CHECKPOINT:
+            return parse_checkpoint(self.payload)
+        return parse_tombstones(self.payload)
 
 
 @dataclass(frozen=True)
@@ -138,7 +155,10 @@ def build_checkpoint(
 
 
 def parse_checkpoint(payload: bytes) -> Optional[CheckpointImage]:
-    """Parse a checkpoint payload; ``None`` for torn/corrupt records."""
+    """Parse a checkpoint payload; ``None`` for torn/corrupt records.
+
+    The image's arrays are read-only views of ``payload``.
+    """
     if len(payload) < _CKPT_HEADER.size + _CRC.size:
         return None
     magic, generation, write_seq, user_pages, blocks, ppb = _CKPT_HEADER.unpack_from(
@@ -163,15 +183,13 @@ def parse_checkpoint(payload: bytes) -> Optional[CheckpointImage]:
         return None
     gtd = None
     if magic == MAGIC_CHECKPOINT2:
-        gtd = np.frombuffer(
-            payload, dtype=np.int64, count=gtd_entries, offset=offset
-        ).copy()
+        gtd = np.frombuffer(payload, dtype=np.int64, count=gtd_entries, offset=offset)
         offset += 8 * gtd_entries
-    l2p = np.frombuffer(payload, dtype=np.int64, count=user_pages, offset=offset).copy()
+    l2p = np.frombuffer(payload, dtype=np.int64, count=user_pages, offset=offset)
     offset += 8 * user_pages
-    ptr = np.frombuffer(payload, dtype=np.int32, count=blocks, offset=offset).copy()
+    ptr = np.frombuffer(payload, dtype=np.int32, count=blocks, offset=offset)
     offset += 4 * blocks
-    erases = np.frombuffer(payload, dtype=np.int64, count=blocks, offset=offset).copy()
+    erases = np.frombuffer(payload, dtype=np.int64, count=blocks, offset=offset)
     return CheckpointImage(
         generation=int(generation),
         write_seq=int(write_seq),
@@ -194,7 +212,8 @@ def build_tombstones(lpns: Sequence[int], seqs: Sequence[int]) -> bytes:
 
 
 def parse_tombstones(payload: bytes) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Parse a tombstone payload into ``(lpns, seqs)``; ``None`` if torn."""
+    """Parse a tombstone payload into read-only ``(lpns, seqs)`` views of
+    it; ``None`` if torn."""
     if len(payload) < _TOMB_HEADER.size + _CRC.size:
         return None
     magic, count = _TOMB_HEADER.unpack_from(payload)
@@ -206,18 +225,11 @@ def parse_tombstones(payload: bytes) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     if crc != zlib.crc32(payload[: -_CRC.size]):
         return None
     offset = _TOMB_HEADER.size
-    lpns = np.frombuffer(payload, dtype=np.int64, count=count, offset=offset).copy()
+    lpns = np.frombuffer(payload, dtype=np.int64, count=count, offset=offset)
     seqs = np.frombuffer(
         payload, dtype=np.int64, count=count, offset=offset + 8 * count
-    ).copy()
+    )
     return lpns, seqs
-
-
-def _peek_tombstone_max_seq(payload: bytes) -> Optional[int]:
-    parsed = parse_tombstones(payload)
-    if parsed is None or parsed[1].size == 0:
-        return None
-    return int(parsed[1].max())
 
 
 class MetaLog:
@@ -303,7 +315,7 @@ class MetaLog:
         for record in reversed(self._records):
             if record.kind != KIND_CHECKPOINT or len(kept_horizons) >= keep_generations:
                 continue
-            image = parse_checkpoint(record.payload)
+            image = record.parsed
             if image is None:
                 continue  # torn checkpoint: never worth keeping
             keep_ckpts.add(record.seq)
@@ -316,9 +328,9 @@ class MetaLog:
             if record.kind == KIND_CHECKPOINT:
                 if record.seq in keep_ckpts:
                     survivors.append(record)
-            else:
-                max_seq = _peek_tombstone_max_seq(record.payload)
-                if max_seq is not None and max_seq >= oldest_horizon:
+            elif record.parsed is not None:
+                seqs = record.parsed[1]
+                if seqs.size and int(seqs.max()) >= oldest_horizon:
                     survivors.append(record)
         dropped = len(self._records) - len(survivors)
         self._records = survivors

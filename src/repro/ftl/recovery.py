@@ -72,8 +72,6 @@ from repro.ftl.metastore import (
     KIND_CHECKPOINT,
     KIND_UNMAP,
     CheckpointImage,
-    parse_checkpoint,
-    parse_tombstones,
 )
 from repro.ftl.victim import VictimSelector
 from repro.nand.array import (
@@ -176,6 +174,33 @@ class RecoveryReport:
     trans_pages_mapped: int = 0
 
 
+def _newest_per_key(keys: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+    """Index of the newest-stamped entry of each distinct key.
+
+    Sort-and-take-last-per-key: the entries are put in stamp order, each
+    is tagged ``(key, position in that order)`` in one int64, and after
+    sorting the tags the last one of every key is its newest entry.  Keys
+    come back distinct, so a caller's ``table[keys[idx]] = values[idx]``
+    never assigns one slot twice -- NumPy leaves the winner of a repeated
+    fancy-assignment index unspecified.  Stamps are unique on any image
+    the FTL wrote (one shared counter); were two entries of a key to tie,
+    one of them is returned.  Keys must be non-negative and
+    ``keys.max() * len(keys)`` must fit 62 bits (any device whose page
+    count fits 31 does).
+    """
+    by_seq = np.argsort(seqs)
+    bits = len(keys).bit_length()
+    tags = keys[by_seq]
+    tags <<= bits
+    tags |= np.arange(len(keys), dtype=np.int64)
+    tags.sort()
+    position = tags & ((1 << bits) - 1)
+    tags >>= bits  # the keys again, sorted, each key's entries in stamp order
+    last = np.ones(len(tags), dtype=bool)
+    np.not_equal(tags[1:], tags[:-1], out=last[:-1])
+    return by_seq[position[last]]
+
+
 def _split_stamps(
     cand: np.ndarray,
     lpns: np.ndarray,
@@ -219,6 +244,40 @@ def _split_stamps(
     )
 
 
+def _sweep(
+    nand: NandArray,
+    start: np.ndarray,
+    end: np.ndarray,
+    user_pages: int,
+    trans_pages: int,
+    where: str,
+) -> Tuple[
+    int,
+    np.ndarray,
+    Tuple[np.ndarray, np.ndarray, np.ndarray],
+    Tuple[np.ndarray, np.ndarray, np.ndarray],
+]:
+    """Read the OOB of pages ``[start[b], end[b])`` of every block ``b``.
+
+    Returns ``(pages_scanned, torn_ppns, data_stamps, trans_stamps)``,
+    the stamps as :func:`_split_stamps` partitions them, everything in
+    ascending PPN order.  The page set is built from the runs themselves,
+    so the cost is that of the pages swept, not of the device.
+    """
+    counts = end - start
+    first = np.arange(len(end), dtype=np.int64) * nand.geometry.pages_per_block + start
+    pages = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(
+        int(counts.sum()), dtype=np.int64
+    )
+    seqs = nand.oob_seq[pages]
+    stamped = seqs != OOB_UNSTAMPED
+    cand = pages[stamped]
+    data, trans = _split_stamps(
+        cand, nand.oob_lpn[cand], seqs[stamped], user_pages, trans_pages, where
+    )
+    return int(pages.size), pages[~stamped], data, trans
+
+
 def scan_oob(
     nand: NandArray, user_pages: int, trans_pages: int = 0
 ) -> Tuple[np.ndarray, int, RecoveryReport]:
@@ -235,23 +294,11 @@ def scan_oob(
     returned in ``report.gtd``.
     """
     ppb = nand.geometry.pages_per_block
-    total_pages = nand.geometry.total_pages
-    bad_blocks = nand.block_states == STATE_BAD
-
     # Page i of block b is programmed iff i < program_ptr[b]; bad blocks
     # are skipped wholesale (their BBT entry says "do not trust").
-    page_idx = np.arange(total_pages, dtype=np.int64) % ppb
-    programmed = page_idx < np.repeat(
-        nand.program_ptr.astype(np.int64), ppb
-    )
-    programmed &= np.repeat(~bad_blocks, ppb)
-
-    stamped = programmed & (nand.oob_seq != OOB_UNSTAMPED)
-    torn_mask = programmed & (nand.oob_seq == OOB_UNSTAMPED)
-
-    cand = np.flatnonzero(stamped)
-    (d_cand, d_lpns, d_seqs), (t_cand, tvpns, t_seqs) = _split_stamps(
-        cand, nand.oob_lpn[cand], nand.oob_seq[cand], user_pages, trans_pages,
+    programmed = np.where(nand.block_states == STATE_BAD, 0, nand.program_ptr)
+    pages_scanned, torn, (d_cand, d_lpns, d_seqs), (t_cand, tvpns, t_seqs) = _sweep(
+        nand, np.zeros_like(programmed), programmed, user_pages, trans_pages,
         "OOB sweep",
     )
 
@@ -259,11 +306,9 @@ def scan_oob(
     write_seq = 0
     stale = 0
     if d_cand.size:
-        best_seq = np.full(user_pages, OOB_UNSTAMPED, dtype=np.int64)
-        np.maximum.at(best_seq, d_lpns, d_seqs)
-        winners = best_seq[d_lpns] == d_seqs
-        l2p[d_lpns[winners]] = d_cand[winners]
-        stale = int(d_cand.size - winners.sum())
+        newest = _newest_per_key(d_lpns, d_seqs)
+        l2p[d_lpns[newest]] = d_cand[newest]
+        stale = int(d_cand.size - newest.size)
         write_seq = int(d_seqs.max()) + 1
 
     gtd: Optional[np.ndarray] = None
@@ -271,16 +316,12 @@ def scan_oob(
     if trans_pages:
         gtd = np.full(trans_pages, UNMAPPED, dtype=np.int64)
         if t_cand.size:
-            best_seq = np.full(trans_pages, OOB_UNSTAMPED, dtype=np.int64)
-            np.maximum.at(best_seq, tvpns, t_seqs)
-            winners = best_seq[tvpns] == t_seqs
-            gtd[tvpns[winners]] = t_cand[winners]
-            stale += int(t_cand.size - winners.sum())
+            newest = _newest_per_key(tvpns, t_seqs)
+            gtd[tvpns[newest]] = t_cand[newest]
+            stale += int(t_cand.size - newest.size)
             write_seq = max(write_seq, int(t_seqs.max()) + 1)
         trans_mapped = int((gtd != UNMAPPED).sum())
 
-    pages_scanned = int(programmed.sum())
-    torn = np.flatnonzero(torn_mask)
     report = RecoveryReport(
         duration_ns=pages_scanned * nand.timing.read_ns,
         pages_scanned=pages_scanned,
@@ -332,7 +373,7 @@ def _load_metadata(nand: NandArray, user_pages: int) -> _DurableMetadata:
         max_generation = max(max_generation, record.generation)
         if checkpoint is not None:
             continue
-        image = parse_checkpoint(record.payload)
+        image = record.parsed
         if image is None:
             torn_records += 1
             fallbacks += 1
@@ -368,21 +409,23 @@ def _load_metadata(nand: NandArray, user_pages: int) -> _DurableMetadata:
     for record in records:
         if record.kind != KIND_UNMAP:
             continue
-        parsed = parse_tombstones(record.payload)
-        if parsed is None:
+        if record.parsed is None:
             torn_records += 1
             continue
-        lpns, seqs = parsed
-        if lpns.size and (int(lpns.min()) < 0 or int(lpns.max()) >= user_pages):
-            raise RecoveryError(
-                f"tombstone LPN outside the logical space [0, {user_pages})"
-            )
+        lpns, seqs = record.parsed
         lpn_parts.append(lpns)
         seq_parts.append(seqs)
     empty = np.empty(0, dtype=np.int64)
+    tomb_lpns = np.concatenate(lpn_parts) if lpn_parts else empty
+    if tomb_lpns.size and (
+        int(tomb_lpns.min()) < 0 or int(tomb_lpns.max()) >= user_pages
+    ):
+        raise RecoveryError(
+            f"tombstone LPN outside the logical space [0, {user_pages})"
+        )
     return _DurableMetadata(
         checkpoint=checkpoint,
-        tomb_lpns=np.concatenate(lpn_parts) if lpn_parts else empty,
+        tomb_lpns=tomb_lpns,
         tomb_seqs=np.concatenate(seq_parts) if seq_parts else empty,
         meta_pages=meta_pages,
         torn_records=torn_records,
@@ -401,7 +444,6 @@ def _checkpoint_recovery(
     """Rebuild the L2P (and GTD, in dftl mode) from a checkpoint plus
     the log-tail merge."""
     ppb = nand.geometry.pages_per_block
-    total_pages = nand.geometry.total_pages
     horizon = ckpt.write_seq
 
     ptr_now = nand.program_ptr.astype(np.int64)
@@ -418,22 +460,11 @@ def _checkpoint_recovery(
     # Erased-since blocks: rescan whole (they may hold fresh data, or --
     # after a *failed* erase that bumped the counter but kept the cells
     # -- stale stamps below the horizon, which the seq filter discards).
-    start = np.where(erase_moved, 0, ckpt.program_ptr.astype(np.int64))
-    start = np.where(bad, ptr_now, start)
-    start = np.minimum(start, ptr_now)
-
-    page_idx = np.arange(total_pages, dtype=np.int64) % ppb
-    start_rep = np.repeat(start, ppb)
-    end_rep = np.repeat(np.where(bad, np.int64(0), ptr_now), ppb)
-    in_tail = (page_idx >= start_rep) & (page_idx < end_rep)
-
-    stamped = in_tail & (nand.oob_seq != OOB_UNSTAMPED)
-    torn_mask = in_tail & (nand.oob_seq == OOB_UNSTAMPED)
-
-    cand = np.flatnonzero(stamped)
-    (cand, lpns, seqs), (t_cand, tvpns, t_seqs) = _split_stamps(
-        cand, nand.oob_lpn[cand], nand.oob_seq[cand], user_pages, trans_pages,
-        "tail scan",
+    # Bad blocks are skipped wholesale.
+    end = np.where(bad, 0, ptr_now)
+    start = np.minimum(np.where(erase_moved, 0, ckpt.program_ptr), end)
+    pages_scanned, torn, (cand, lpns, seqs), (t_cand, tvpns, t_seqs) = _sweep(
+        nand, start, end, user_pages, trans_pages, "tail scan"
     )
     fresh = seqs >= horizon
     stale_trans = 0
@@ -460,12 +491,10 @@ def _checkpoint_recovery(
         all_ppns = np.concatenate(
             [cand, np.full(tomb_lpns.size, UNMAPPED, dtype=np.int64)]
         )
-        best = np.full(user_pages, OOB_UNSTAMPED, dtype=np.int64)
-        np.maximum.at(best, all_lpns, all_seqs)
-        winners = best[all_lpns] == all_seqs
-        l2p[all_lpns[winners]] = all_ppns[winners]
-        stale += int(cand.size - winners[: cand.size].sum())
-        tombstones_replayed = int(winners[cand.size:].sum())
+        newest = _newest_per_key(all_lpns, all_seqs)
+        l2p[all_lpns[newest]] = all_ppns[newest]
+        tombstones_replayed = int((newest >= cand.size).sum())
+        stale += int(cand.size - (newest.size - tombstones_replayed))
         write_seq = max(write_seq, int(all_seqs.max()) + 1)
 
     # A checkpoint entry can point into a block erased after the
@@ -502,11 +531,9 @@ def _checkpoint_recovery(
         else:
             gtd = np.full(trans_pages, UNMAPPED, dtype=np.int64)
         if t_cand.size:
-            best = np.full(trans_pages, OOB_UNSTAMPED, dtype=np.int64)
-            np.maximum.at(best, tvpns, t_seqs)
-            winners = best[tvpns] == t_seqs
-            gtd[tvpns[winners]] = t_cand[winners]
-            stale += int(t_cand.size - winners.sum())
+            newest = _newest_per_key(tvpns, t_seqs)
+            gtd[tvpns[newest]] = t_cand[newest]
+            stale += int(t_cand.size - newest.size)
             write_seq = max(write_seq, int(t_seqs.max()) + 1)
         tv = np.flatnonzero(gtd != UNMAPPED)
         if tv.size:
@@ -518,8 +545,6 @@ def _checkpoint_recovery(
                 gtd[tv[dangling]] = UNMAPPED
         trans_mapped = int((gtd != UNMAPPED).sum())
 
-    pages_scanned = int(in_tail.sum())
-    torn = np.flatnonzero(torn_mask)
     report = RecoveryReport(
         duration_ns=(meta.meta_pages + pages_scanned) * nand.timing.read_ns,
         pages_scanned=pages_scanned,
@@ -556,7 +581,8 @@ def _full_scan_recovery(
     l2p, write_seq, report = scan_oob(nand, user_pages, trans_pages)
     if meta.tomb_lpns.size:
         tomb_best = np.full(user_pages, OOB_UNSTAMPED, dtype=np.int64)
-        np.maximum.at(tomb_best, meta.tomb_lpns, meta.tomb_seqs)
+        newest = _newest_per_key(meta.tomb_lpns, meta.tomb_seqs)
+        tomb_best[meta.tomb_lpns[newest]] = meta.tomb_seqs[newest]
         mapped = l2p != UNMAPPED
         newest_stamp = np.full(user_pages, OOB_UNSTAMPED, dtype=np.int64)
         # l2p holds, per mapped LPN, the PPN of its newest stamped copy.
@@ -588,11 +614,11 @@ def rediscover_layout(
     * BAD and not factory-marked -> grown-bad (retired).
     """
     states = nand.block_states
-    free = [int(b) for b in np.flatnonzero(states == STATE_ERASED)]
-    open_blocks = [int(b) for b in np.flatnonzero(states == STATE_OPEN)]
-    closed = [int(b) for b in np.flatnonzero(states == STATE_FULL)]
+    free = np.flatnonzero(states == STATE_ERASED).tolist()
+    open_blocks = np.flatnonzero(states == STATE_OPEN).tolist()
+    closed = np.flatnonzero(states == STATE_FULL).tolist()
     grown = (states == STATE_BAD) & ~nand.factory_bad
-    retired = {int(b) for b in np.flatnonzero(grown)}
+    retired = set(np.flatnonzero(grown).tolist())
     return free, open_blocks, closed, retired
 
 

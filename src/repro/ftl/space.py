@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -83,6 +83,19 @@ class ValidCountIndex:
         self._gen[block] = gen
         self._count[block] = count
         heapq.heappush(self._heap, (count, block, gen))
+
+    def track_many(self, blocks: Sequence[int], counts: Sequence[int]) -> None:
+        """Bulk :meth:`track` of distinct ``blocks`` (power-on rebuild).
+
+        One ``heapify`` instead of a push per block.  Heap entries are
+        distinct ``(count, block, gen)`` tuples, so the pop order is the
+        same whichever way the heap was built.
+        """
+        gens = [self._gen.get(block, 0) + 1 for block in blocks]
+        self._gen.update(zip(blocks, gens))
+        self._count.update(zip(blocks, counts))
+        self._heap.extend(zip(counts, blocks, gens))
+        heapq.heapify(self._heap)
 
     def untrack(self, block: int) -> None:
         """Stop tracking ``block`` (erased or retired); idempotent."""

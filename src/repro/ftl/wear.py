@@ -18,7 +18,7 @@ it does not mask GC effects.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -43,6 +43,10 @@ class WearAwareAllocator:
 
     def __contains__(self, block: int) -> bool:
         return block in self._members
+
+    def __iter__(self) -> Iterator[int]:
+        """The free blocks, in no particular order."""
+        return iter(self._members)
 
     def release(self, block: int) -> None:
         """Return an erased block to the pool."""

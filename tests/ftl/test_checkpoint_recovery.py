@@ -10,6 +10,8 @@ and cuts during a previous recovery's own checkpoint write.
 """
 
 import dataclasses
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -277,3 +279,63 @@ def test_checkpoint_and_journal_stats():
 def test_interval_must_be_positive():
     with pytest.raises(ValueError, match="checkpoint_interval_pages must be >= 1"):
         dataclasses.replace(CONFIG, checkpoint_interval_pages=0)
+
+
+# ----------------------------------------------------------------------
+# Host cost of one power-on (deterministic: bytes and calls, no timing)
+# ----------------------------------------------------------------------
+def _big_checkpointed_image():
+    """A 4096x64 device, 6 % mapped, checkpointed, then one block of tail."""
+    geometry = NandGeometry(page_size=4096, pages_per_block=64, blocks_per_plane=4096)
+    config = SsdConfig(geometry=geometry, timing=TIMING)
+    ftl = config.build_ftl(nand=NandArray(geometry, TIMING))
+    for first in range(0, ftl.space.user_pages * 6 // 100, 64):
+        ftl.host_write_extent(first, 64)
+    ftl.trim(range(0, 640, 5))
+    ftl.write_checkpoint()
+    ftl.host_write_extent(7, 40)
+    for lpn in (3, 4, 6):
+        ftl.trim([lpn])  # one journal record each
+    return config, ftl, ftl.nand.capture_durable_state()
+
+
+def test_checkpointed_power_on_allocates_by_the_tail_not_by_the_device():
+    """The rebuild's working memory is the FTL it builds (L2P + reverse
+    map + validity plane, 2.2x the L2P's bytes), one working copy of the
+    L2P, and temporaries sized by the tail and the mapped population --
+    nothing ``total_pages`` long."""
+    config, ftl, durable = _big_checkpointed_image()
+    nand = config.restore_nand(durable)
+    tracemalloc.start()
+    try:
+        recovered, report = recover_ftl(nand, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.full_scan and report.pages_scanned == 40
+    assert np.array_equal(
+        recovered.page_map.l2p_snapshot(), ftl.page_map.l2p_snapshot()
+    )
+    assert peak < 4 * ftl.space.user_pages * 8
+
+
+def test_second_power_on_over_the_same_records_checks_no_crc(monkeypatch):
+    config, _, durable = _big_checkpointed_image()
+    calls = []
+    real_crc32 = zlib.crc32
+
+    def counting_crc32(data, *args):
+        calls.append(len(data))
+        return real_crc32(data, *args)
+
+    monkeypatch.setattr(zlib, "crc32", counting_crc32)
+    _, first = recover_ftl(config.restore_nand(durable), config)
+    # Each journal record once; the live log's own compaction had already
+    # parsed the checkpoint record, and the image shares that record.
+    journal = [record for record in durable.meta if record.kind == "unmap"]
+    assert len(journal) == 3
+    assert calls == [len(record.payload) - 4 for record in journal]
+    del calls[:]
+    _, second = recover_ftl(config.restore_nand(durable), config)
+    assert calls == []
+    assert second == first

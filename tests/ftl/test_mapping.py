@@ -1,8 +1,9 @@
 """Tests for LPN<->PPN mapping, validity tracking and invariants."""
 
+import numpy as np
 import pytest
 
-from repro.ftl.mapping import PageMap
+from repro.ftl.mapping import UNMAPPED, PageMap
 from repro.nand.geometry import NandGeometry
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=8)
@@ -104,3 +105,38 @@ def test_invariant_check_detects_corruption():
     pm._valid_per_block[0] = 9  # simulate corruption
     with pytest.raises(AssertionError):
         pm.invariant_check()
+
+
+# ----------------------------------------------------------------------
+# load_mapping: the one-shot recovery install
+# ----------------------------------------------------------------------
+def test_load_mapping_rejects_two_lpns_on_one_ppn():
+    pm = make_map()
+    l2p = np.full(16, UNMAPPED, dtype=np.int64)
+    l2p[[2, 5, 11]] = [7, 9, 7]
+    with pytest.raises(ValueError, match="maps two LPNs to the same physical page"):
+        pm.load_mapping(l2p)
+
+
+def test_load_mapping_rejects_wrong_length_and_out_of_range_ppn():
+    pm = make_map()
+    with pytest.raises(ValueError, match="l2p table sized 15, map holds 16 LPNs"):
+        pm.load_mapping(np.full(15, UNMAPPED, dtype=np.int64))
+    l2p = np.full(16, UNMAPPED, dtype=np.int64)
+    l2p[3] = GEOMETRY.total_pages  # one past the physical space
+    with pytest.raises(IndexError):
+        pm.load_mapping(l2p)
+
+
+def test_load_mapping_replaces_existing_state():
+    pm = make_map()
+    for lpn in range(6):
+        pm.remap(lpn, pm.ppn(lpn % 3, lpn // 3))
+    l2p = np.full(16, UNMAPPED, dtype=np.int64)
+    l2p[[1, 15]] = [pm.ppn(7, 3), pm.ppn(7, 0)]
+    pm.load_mapping(l2p)
+    assert pm.mapped_count == 2
+    assert pm.valid_counts().tolist() == [0, 0, 0, 0, 0, 0, 0, 2]
+    assert pm.lpn_of_ppn(pm.ppn(7, 3)) == 1
+    assert pm.lpn_of_ppn(pm.ppn(0, 0)) is None
+    pm.invariant_check()

@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ftl.ftl import PageMappedFtl
 from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED, CachedPageMap, PageMap
@@ -116,8 +118,82 @@ def test_load_gtd_rejects_collision_with_data_page():
     gtd = np.full(m.trans_pages, UNMAPPED, dtype=np.int64)
     gtd[0] = 40  # same physical page as the mapped data LPN
     m.load_mapping(l2p)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="collides with a mapped data page"):
         m.load_gtd(gtd)
+
+
+def test_load_gtd_rejects_two_tvpns_on_one_ppn():
+    m = make_map(user_pages=2048)
+    m.load_mapping(np.full(2048, UNMAPPED, dtype=np.int64))
+    gtd = np.full(m.trans_pages, UNMAPPED, dtype=np.int64)
+    gtd[[0, 3]] = 80
+    with pytest.raises(
+        ValueError, match="gtd maps two translation pages to the same PPN"
+    ):
+        m.load_gtd(gtd)
+    with pytest.raises(ValueError, match="gtd sized 3, directory holds 4 entries"):
+        m.load_gtd(gtd[:3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bulk_install_equals_replaying_one_entry_at_a_time(data):
+    """``load_mapping`` + ``load_gtd`` over a random injective partial map
+    leave the page map exactly where per-entry ``remap`` / ``remap_trans``
+    calls do -- the reverse map, validity plane, per-block counters and
+    both populations."""
+    user_pages = 1024
+    trans_pages = make_map(user_pages).trans_pages
+    n_data = data.draw(st.integers(0, 100))
+    n_trans = data.draw(st.integers(0, trans_pages))
+    ppns = data.draw(
+        st.lists(
+            st.integers(0, GEOMETRY.total_pages - 1),
+            min_size=n_data + n_trans,
+            max_size=n_data + n_trans,
+            unique=True,
+        )
+    )
+    lpns = data.draw(
+        st.lists(
+            st.integers(0, user_pages - 1),
+            min_size=n_data,
+            max_size=n_data,
+            unique=True,
+        )
+    )
+    tvpns = data.draw(
+        st.lists(
+            st.integers(0, trans_pages - 1),
+            min_size=n_trans,
+            max_size=n_trans,
+            unique=True,
+        )
+    )
+    l2p = np.full(user_pages, UNMAPPED, dtype=np.int64)
+    l2p[lpns] = ppns[:n_data]
+    gtd = np.full(trans_pages, UNMAPPED, dtype=np.int64)
+    gtd[tvpns] = ppns[n_data:]
+
+    bulk = make_map(user_pages)
+    bulk.remap(7, 0)  # stale state the install must replace
+    bulk.load_mapping(l2p)
+    bulk.load_gtd(gtd)
+
+    replayed = make_map(user_pages)
+    for lpn, ppn in zip(lpns, ppns[:n_data]):
+        replayed.remap(lpn, ppn)
+    for tvpn, ppn in zip(tvpns, ppns[n_data:]):
+        replayed.remap_trans(tvpn, ppn)
+
+    assert np.array_equal(bulk._p2l, replayed._p2l)
+    assert np.array_equal(bulk._valid, replayed._valid)
+    assert np.array_equal(bulk.valid_counts(), replayed.valid_counts())
+    assert np.array_equal(bulk.l2p_snapshot(), replayed.l2p_snapshot())
+    assert np.array_equal(bulk.gtd_snapshot(), replayed.gtd_snapshot())
+    assert bulk.mapped_count == replayed.mapped_count == n_data
+    assert bulk.gtd_mapped_count == replayed.gtd_mapped_count == n_trans
+    bulk.invariant_check()
 
 
 def test_invariant_check_catches_gtd_desync():

@@ -181,3 +181,37 @@ def test_capture_restore_round_trip():
     assert record.seq == log.records[-1].seq + 1
     # The snapshot is immutable: the original log is unaffected.
     assert len(log.records) == 2
+
+
+# ----------------------------------------------------------------------
+# Parse once per record
+# ----------------------------------------------------------------------
+def test_a_torn_copy_never_inherits_the_parse_of_the_record_it_tore():
+    log = MetaLog(PAGE)
+    payload, (l2p, _, _) = _checkpoint_payload(user_pages=4096, blocks=128)
+    record = log.append(KIND_CHECKPOINT, payload, generation=1)
+    assert np.array_equal(record.parsed.l2p, l2p)  # parsed before the cut
+    torn = log.tear_last()
+    assert torn.parsed is None
+    assert record.parsed is not None  # the complete original is untouched
+
+    log.append(KIND_UNMAP, build_tombstones([1, 2], [7, 8]))
+    lpns, seqs = log.records[-1].parsed
+    assert lpns.tolist() == [1, 2] and seqs.tolist() == [7, 8]
+    assert log.tear_last(keep_pages=0).parsed is None
+
+
+def test_a_restored_log_shares_parses_with_the_log_it_was_captured_from():
+    log = MetaLog(PAGE)
+    log.append(KIND_CHECKPOINT, _checkpoint_payload(1, 100)[0], generation=1)
+    log.append(KIND_UNMAP, build_tombstones([2], [150]))
+    clone = MetaLog.restore(log.capture(), PAGE)
+    for ours, theirs in zip(log.records, clone.records):
+        assert ours.parsed is theirs.parsed
+    # Shared means nobody may write through it: the arrays are read-only
+    # views of the immutable payload.
+    image = clone.records[0].parsed
+    with pytest.raises(ValueError):
+        image.l2p[0] = 5
+    with pytest.raises(ValueError):
+        clone.records[1].parsed[0][0] = 5

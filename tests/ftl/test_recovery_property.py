@@ -22,9 +22,20 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.ftl.mapping import UNMAPPED
-from repro.ftl.recovery import recover_ftl
-from repro.nand.array import OOB_UNSTAMPED, NandArray
+from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED
+from repro.ftl.metastore import (
+    KIND_CHECKPOINT,
+    KIND_UNMAP,
+    build_checkpoint,
+    build_tombstones,
+)
+from repro.ftl.recovery import (
+    _checkpoint_recovery,
+    _full_scan_recovery,
+    _load_metadata,
+    recover_ftl,
+)
+from repro.nand.array import OOB_UNSTAMPED, STATE_FULL, NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NandTiming
 from repro.ssd.config import SsdConfig
@@ -194,3 +205,114 @@ def test_recovery_never_exceeds_durable_horizon(
     if torn_record is not None:
         assert report.torn_meta_records >= 1
     recovered.invariant_check()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_newest_stamp_wins_merges_equal_a_per_key_dict(data):
+    """Both merges -- checkpoint base + tail, and full sweep + tombstone
+    replay -- against the obvious oracle: a dict keeping, per key, the
+    event with the highest stamp.
+
+    The image is fabricated, not run: random ``(lpn, seq, ppn)`` stamps
+    (several per LPN, and up to a dozen on the one translation page, so
+    keys repeat heavily), tombstones interleaved in the same sequence
+    space and split over several journal records, every block FULL so the
+    whole device is the tail, and a checkpoint at a random horizon ``H``
+    whose base is the oracle's state of the events below ``H``.
+    """
+    user_pages, trans_pages = 24, 1
+    n_events = data.draw(st.integers(1, GEOMETRY.total_pages))
+    is_tomb = data.draw(
+        st.lists(st.booleans(), min_size=n_events, max_size=n_events)
+    )
+    keys = data.draw(
+        st.lists(
+            st.one_of(st.integers(0, user_pages - 1), st.just(TRANS_LPN_BASE)),
+            min_size=n_events,
+            max_size=n_events,
+        )
+    )
+    seqs = data.draw(st.permutations(range(n_events)))
+    ppns = data.draw(st.permutations(range(GEOMETRY.total_pages)))
+    horizon = data.draw(st.integers(0, n_events))
+    journal_cuts = data.draw(st.integers(1, 3))
+
+    nand = NandArray(GEOMETRY, TIMING)
+    nand.program_ptr[:] = PPB
+    nand.block_states[:] = STATE_FULL
+    events = []  # (seq, key, ppn or UNMAPPED)
+    for key, tomb, seq, ppn in zip(keys, is_tomb, seqs, ppns):
+        if tomb and key != TRANS_LPN_BASE:  # translation pages are never trimmed
+            events.append((seq, key, UNMAPPED))
+        else:
+            nand.oob_lpn[ppn] = key
+            nand.oob_seq[ppn] = seq
+            events.append((seq, key, ppn))
+    tombs = [(key, seq) for seq, key, ppn in events if ppn == UNMAPPED]
+    for part in range(journal_cuts):
+        chunk = tombs[part::journal_cuts]
+        if chunk:
+            nand.meta.append(
+                KIND_UNMAP, build_tombstones(*(list(col) for col in zip(*chunk)))
+            )
+
+    def oracle(upto=None):
+        newest = {}
+        for seq, key, ppn in events:
+            if (upto is None or seq < upto) and seq >= newest.get(key, (-1,))[0]:
+                newest[key] = (seq, ppn)
+        l2p = np.full(user_pages, UNMAPPED, dtype=np.int64)
+        gtd = np.full(trans_pages, UNMAPPED, dtype=np.int64)
+        for key, (_seq, ppn) in newest.items():
+            if key == TRANS_LPN_BASE:
+                gtd[0] = ppn
+            else:
+                l2p[key] = ppn
+        return l2p, gtd, newest
+
+    want_l2p, want_gtd, newest = oracle()
+    stamped_keys = {key for _seq, key, ppn in events if ppn != UNMAPPED}
+    n_stamps = n_events - len(tombs)
+
+    # Full sweep, then tombstone replay.
+    meta = _load_metadata(nand, user_pages)
+    l2p, write_seq, report = _full_scan_recovery(nand, meta, user_pages, trans_pages)
+    assert np.array_equal(l2p, want_l2p)
+    assert np.array_equal(report.gtd, want_gtd)
+    assert write_seq == report.write_seq == n_events
+    assert report.stale_pages == n_stamps - len(stamped_keys)
+    assert report.torn_pages == GEOMETRY.total_pages - n_stamps
+    assert report.tombstones_replayed == sum(
+        1 for key, (_seq, ppn) in newest.items()
+        if ppn == UNMAPPED and key in stamped_keys
+    )
+
+    # Checkpoint at H + the tail (here: the whole device) merged onto it.
+    base_l2p, base_gtd, _ = oracle(upto=horizon)
+    nand.meta.append(
+        KIND_CHECKPOINT,
+        build_checkpoint(
+            1, horizon, base_l2p, np.zeros(GEOMETRY.total_blocks, dtype=np.int32),
+            nand.erase_counts, PPB, gtd=base_gtd,
+        ),
+        generation=1,
+    )
+    meta = _load_metadata(nand, user_pages)
+    l2p, write_seq, report = _checkpoint_recovery(
+        nand, meta.checkpoint, meta, user_pages, trans_pages
+    )
+    assert not report.full_scan
+    assert np.array_equal(l2p, want_l2p)
+    assert np.array_equal(report.gtd, want_gtd)
+    assert write_seq == max(horizon, n_events)
+    assert report.pages_scanned == GEOMETRY.total_pages
+    fresh = [(seq, key, ppn) for seq, key, ppn in events if seq >= horizon]
+    assert report.tombstones_replayed == sum(
+        1 for seq, key, ppn in fresh
+        if ppn == UNMAPPED and newest[key][0] == seq
+    )
+    fresh_stamp_winners = sum(
+        1 for seq, key, ppn in fresh if ppn != UNMAPPED and newest[key][0] == seq
+    )
+    assert report.stale_pages == n_stamps - fresh_stamp_winners

@@ -1,8 +1,11 @@
-"""Tests for the Fig. 1 space model: user/OP split and reserved capacity."""
+"""Tests for the Fig. 1 space model (user/OP split, reserved capacity) and
+the valid-count index that shares its module."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ftl.space import SpaceModel
+from repro.ftl.space import SpaceModel, ValidCountIndex
 from repro.nand.geometry import NandGeometry
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=64, blocks_per_plane=100)
@@ -71,3 +74,45 @@ def test_invalid_op_ratio():
     for ratio in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError):
             SpaceModel.from_op_ratio(GEOMETRY, op_ratio=ratio)
+
+
+# ----------------------------------------------------------------------
+# ValidCountIndex: bulk install vs one track() per block
+# ----------------------------------------------------------------------
+@settings(max_examples=80, deadline=None)
+@given(
+    history=st.lists(
+        st.tuples(st.integers(0, 39), st.integers(0, 64), st.booleans()), max_size=30
+    ),
+    install=st.dictionaries(st.integers(0, 39), st.integers(0, 64), max_size=40),
+)
+def test_track_many_equals_one_track_per_block(history, install):
+    """Same tracked population, same generations, same full pop order --
+    also for blocks that were tracked before (a pre-existing generation)
+    and with stale entries of earlier lives still in the heap."""
+    bulk, looped = ValidCountIndex(), ValidCountIndex()
+    for index in (bulk, looped):
+        for block, count, erase in history:
+            index.track(block, count)
+            if count:
+                index.adjust(block, -1)
+            if erase:
+                index.untrack(block)
+    blocks = [block for block in install if not bulk.tracks(block)]
+    counts = [install[block] for block in blocks]
+
+    bulk.track_many(blocks, counts)
+    for block, count in zip(blocks, counts):
+        looped.track(block, count)
+
+    assert dict(bulk.items()) == dict(looped.items())
+    assert bulk._gen == looped._gen
+    everything = len(bulk)
+    assert bulk.ranked_prefix(everything) == looped.ranked_prefix(everything)
+    assert bulk.peek_min() == looped.peek_min()
+    # ...and the two stay in step under the updates that follow an install.
+    for block in blocks[::2]:
+        if install[block]:
+            bulk.adjust(block, -1)
+            looped.adjust(block, -1)
+    assert bulk.ranked_prefix(everything) == looped.ranked_prefix(everything)
