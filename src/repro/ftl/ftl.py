@@ -1420,15 +1420,17 @@ class PageMappedFtl:
         if n == 0:
             return 0
         nand = self.nand
-        ppb = self.geometry.pages_per_block
+        ppb = self._ppb
         sip = self.sip_index
-        latency = 0
+        # Reads neither consume stamps nor touch a frontier, so the whole
+        # victim is read up front; everything below is per GC-frontier
+        # block -- one pass unless the frontier rolls under the victim.
+        latency = nand.read_pages_batch(victim, n)
         pos = 0
         while pos < n:
             block, start = self._frontier_slot(self._gc)
             chunk = min(n - pos, ppb - start)
             chunk_lpns = lpns[pos:pos + chunk]
-            latency += nand.read_pages_batch(victim, chunk)
             latency += nand.program_pages_batch(
                 block, start, chunk, lpns=chunk_lpns, first_seq=self._write_seq
             )

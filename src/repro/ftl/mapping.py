@@ -338,9 +338,10 @@ class PageMap:
         Batch form of :meth:`valid_lpns_in_block` in the same ascending
         page order (the order GC migration depends on for determinism).
         """
-        start = block * self.geometry.pages_per_block
-        offsets = np.flatnonzero(self._valid[start:start + self.geometry.pages_per_block])
-        return offsets, self._p2l[start + offsets]
+        start = block * self._ppb
+        end = start + self._ppb
+        offsets = np.flatnonzero(self._valid[start:end])
+        return offsets, self._p2l[start:end][offsets]
 
     # ------------------------------------------------------------------
     # Batched mutations (GC migration fast path)
@@ -366,16 +367,18 @@ class PageMap:
         n = len(offsets)
         if n == 0:
             return
-        ppb = self.geometry.pages_per_block
-        old_ppns = src_block * ppb + offsets
-        if not self._valid[old_ppns].all():
+        ppb = self._ppb
+        src = src_block * ppb
+        src_valid = self._valid[src:src + ppb]
+        if not src_valid[offsets].all():
             raise RuntimeError(f"migrating invalid pages out of block {src_block}")
-        new_ppns = dst_block * ppb + dst_start + np.arange(n, dtype=np.int64)
-        self._valid[old_ppns] = False
-        self._p2l[old_ppns] = UNMAPPED
-        self._valid[new_ppns] = True
-        self._p2l[new_ppns] = lpns
-        self._l2p[lpns] = new_ppns
+        src_valid[offsets] = False
+        self._p2l[src:src + ppb][offsets] = UNMAPPED
+        # The destination is one run of a frontier block: slices.
+        base = dst_block * ppb + dst_start
+        self._valid[base:base + n] = True
+        self._p2l[base:base + n] = lpns
+        self._l2p[lpns] = np.arange(base, base + n, dtype=np.int64)
         self._valid_per_block[src_block] -= n
         self._valid_per_block[dst_block] += n
 

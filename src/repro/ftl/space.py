@@ -26,8 +26,10 @@ is on the SIP list so the paper's filter stops recounting
 from __future__ import annotations
 
 import heapq
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -40,6 +42,10 @@ from repro.nand.geometry import NandGeometry
 BLOCK_KIND_DATA = 0
 BLOCK_KIND_TRANS = 1
 
+#: :class:`ValidCountIndex` compacts its heap once it holds more than
+#: ``_HEAP_FACTOR * tracked + _HEAP_SLACK`` entries.
+_HEAP_FACTOR, _HEAP_SLACK = 4, 64
+
 
 class ValidCountIndex:
     """Min-ordered index of GC candidates keyed by ``(valid_count, block)``.
@@ -48,9 +54,11 @@ class ValidCountIndex:
     lazily: each tracked block carries a *generation* (bumped when the
     block is re-closed after an erase) and an entry is live only when
     both its generation and its count match the current tracked state.
-    A closed block's valid count only ever decreases (new programs go to
-    open frontier blocks), so pushing a fresh entry per decrement keeps
-    heap growth bounded by the invalidation rate.
+    Every count change pushes an entry and only dead *heads* are popped,
+    so a superseded entry ranked above the victim level would stay for
+    ever: the heap is rebuilt from the tracked state, one live entry per
+    block, whenever it outgrows ``4 * tracked + 64`` entries -- O(tracked)
+    memory at amortised O(1) per push, and no effect on the ranking.
 
     Ranking is by ascending ``(count, block)``, which is bit-identical
     to ``np.argmin`` / stable ``np.argsort`` over the ascending-block
@@ -83,6 +91,7 @@ class ValidCountIndex:
         self._gen[block] = gen
         self._count[block] = count
         heapq.heappush(self._heap, (count, block, gen))
+        self._compact_if_bloated()
 
     def track_many(self, blocks: Sequence[int], counts: Sequence[int]) -> None:
         """Bulk :meth:`track` of distinct ``blocks`` (power-on rebuild).
@@ -94,18 +103,19 @@ class ValidCountIndex:
         gens = [self._gen.get(block, 0) + 1 for block in blocks]
         self._gen.update(zip(blocks, gens))
         self._count.update(zip(blocks, counts))
-        self._heap.extend(zip(counts, blocks, gens))
-        heapq.heapify(self._heap)
+        self._compact()
 
     def untrack(self, block: int) -> None:
         """Stop tracking ``block`` (erased or retired); idempotent."""
         self._count.pop(block, None)
+        self._compact_if_bloated()
 
     def adjust(self, block: int, delta: int) -> None:
         """Apply a valid-count delta to a tracked block."""
         count = self._count[block] + delta
         self._count[block] = count
         heapq.heappush(self._heap, (count, block, self._gen[block]))
+        self._compact_if_bloated()
 
     def adjust_if_tracked(self, block: int, delta: int) -> None:
         """One-lookup :meth:`tracks` + :meth:`adjust` (per-page hot path)."""
@@ -114,6 +124,7 @@ class ValidCountIndex:
             count += delta
             self._count[block] = count
             heapq.heappush(self._heap, (count, block, self._gen[block]))
+            self._compact_if_bloated()
 
     def make_fused_observer(self, sip: "SipOverlapIndex"):
         """A single ``(block, lpn, delta)`` callable fusing
@@ -123,15 +134,16 @@ class ValidCountIndex:
         index internals into one closure removes two method-dispatch
         layers from that path.  The bound containers (``_count``,
         ``_gen``, ``_heap``, SIP counters) are created once and mutated
-        in place, so the closure never goes stale; the SIP LPN set is
-        re-read through ``sip`` because :meth:`SipOverlapIndex.replace`
-        rebinds it.
+        in place (:meth:`_compact` included), so the closure never goes
+        stale; the SIP LPN set is re-read through ``sip`` because
+        :meth:`SipOverlapIndex.replace` rebinds it.
         """
         count_get = self._count.get
         counts = self._count
         gens = self._gen
         heap = self._heap
         heappush = heapq.heappush
+        compact = self._compact
         sip_counts = sip._counts
 
         def observer(block: int, lpn: int, delta: int) -> None:
@@ -140,10 +152,23 @@ class ValidCountIndex:
                 count += delta
                 counts[block] = count
                 heappush(heap, (count, block, gens[block]))
+                if len(heap) > _HEAP_FACTOR * len(counts) + _HEAP_SLACK:
+                    compact()
             if lpn in sip.lpns:
                 sip_counts[block] += delta
 
         return observer
+
+    def _compact(self) -> None:
+        """Rebuild the heap as one live entry per tracked block -- in
+        place, because :meth:`make_fused_observer` closures hold the list."""
+        gens = self._gen
+        self._heap[:] = [(count, block, gens[block]) for block, count in self._count.items()]
+        heapq.heapify(self._heap)
+
+    def _compact_if_bloated(self) -> None:
+        if len(self._heap) > _HEAP_FACTOR * len(self._count) + _HEAP_SLACK:
+            self._compact()
 
     def _is_live(self, entry: Tuple[int, int, int]) -> bool:
         count, block, gen = entry
@@ -163,32 +188,35 @@ class ValidCountIndex:
         count, block, _gen = heap[0]
         return count, block
 
-    def ranked_prefix(
-        self, k: int, excluded: Optional[Set[int]] = None
-    ) -> List[Tuple[int, int]]:
-        """First ``k`` tracked blocks by ascending ``(count, block)``.
+    def ranked(self, excluded: Optional[Set[int]] = None) -> Iterator[Tuple[int, int]]:
+        """Tracked blocks outside ``excluded`` as ``(block, count)`` by
+        ascending ``(count, block)``, produced on demand.
 
-        Returns ``(block, count)`` pairs, skipping ``excluded`` blocks.
-        Live entries popped during the walk are pushed back, so the call
-        is read-only with O((k + stale) log n) cost.
+        Each step pops the heap: dead entries are dropped for good, live
+        ones pushed back when the generator is closed -- which the caller
+        must do (``contextlib.closing``) before touching the index again.
         """
         exclude = excluded or ()
         heap = self._heap
         popped: List[Tuple[int, int, int]] = []
-        result: List[Tuple[int, int]] = []
         seen: Set[int] = set()
-        while heap and len(result) < k:
-            entry = heapq.heappop(heap)
-            if not self._is_live(entry) or entry[1] in seen:
-                continue
-            popped.append(entry)
-            seen.add(entry[1])
-            if entry[1] in exclude:
-                continue
-            result.append((entry[1], entry[0]))
-        for entry in popped:
-            heapq.heappush(heap, entry)
-        return result
+        try:
+            while heap:
+                entry = heapq.heappop(heap)
+                if not self._is_live(entry) or entry[1] in seen:
+                    continue
+                popped.append(entry)
+                seen.add(entry[1])
+                if entry[1] not in exclude:
+                    yield entry[1], entry[0]
+        finally:
+            for entry in popped:
+                heapq.heappush(heap, entry)
+
+    def ranked_prefix(self, k: int, excluded: Optional[Set[int]] = None) -> List[Tuple[int, int]]:
+        """The first ``k`` pairs of :meth:`ranked`, as a list."""
+        with closing(self.ranked(excluded)) as walk:
+            return list(islice(walk, k))
 
     def min_block(self, excluded: Optional[Set[int]] = None) -> Optional[Tuple[int, int]]:
         """Best ``(block, count)`` candidate outside ``excluded``."""

@@ -18,7 +18,9 @@ This module provides:
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Set
 
 import numpy as np
@@ -330,80 +332,74 @@ class SipFilteredSelector(VictimSelector):
         sip_overlap=None,
     ) -> VictimDecision:
         if valid_index is not None and candidates is None:
-            # Fast path: greedy-ranked prefix straight off the index,
-            # SIP content off the O(1) overlap counters.
+            # Fast path: ranking straight off the index, consumed on
+            # demand; SIP content off the O(1) overlap counters.
             considered = _considered_via_index(valid_index, excluded_blocks)
-            if considered == 0:
-                return VictimDecision(block=None)
-            ranked = [
-                block
-                for block, _count in valid_index.ranked_prefix(
-                    self.max_rank_scan, excluded_blocks
+            if not sip_lpns:
+                # Nothing can be filtered: the greedy head is the answer.
+                return self._decision(
+                    valid_index.min_block(excluded_blocks), considered, 0
                 )
-            ]
+            ranking = valid_index.ranked(excluded_blocks)
         else:
             candidates = filter_excluded(candidates, excluded_blocks)
-            if len(candidates) == 0:
-                return VictimDecision(block=None)
             considered = len(candidates)
             counts = page_map.valid_counts()[candidates]
             order = np.argsort(counts, kind="stable")
-            ranked = [int(candidates[i]) for i in order[: self.max_rank_scan]]
-        self.total_selections += 1
-
-        if not sip_lpns:
-            valid = page_map.valid_count(ranked[0])
-            return VictimDecision(
-                block=ranked[0],
-                candidates_considered=considered,
-                valid_pages=valid,
-                score=float(valid),
+            ranking = ((int(candidates[i]), int(counts[i])) for i in order)
+        with closing(ranking):
+            pick, filtered = self._first_unfiltered(
+                islice(ranking, self.max_rank_scan), page_map, sip_lpns, sip_overlap
             )
+        return self._decision(pick, considered, filtered)
 
+    def _first_unfiltered(self, ranking, page_map: PageMap, sip_lpns, sip_overlap):
+        """Walk ``(block, valid)`` pairs in greedy order up to the first
+        one that is not SIP-heavy; returns ``(pair, candidates skipped)``.
+
+        The pair is the greedy head when every examined candidate was
+        skipped, and None when the ranking is empty.
+        """
         ppb = page_map.geometry.pages_per_block
+        head = None
         filtered = 0
-        for block in ranked:
-            valid = page_map.valid_count(block)
+        for pick in ranking:
+            block, valid = pick
+            if head is None:
+                head = pick
+            if not sip_lpns or valid == 0:
+                # No SIP list, or nothing to migrate: SIP content is
+                # irrelevant.
+                return pick, filtered
             if valid >= ppb:
                 # Ranked ascending by valid count: this and all later
                 # candidates hold no garbage.  Stop; fall back to greedy.
                 break
-            if valid == 0:
-                # Nothing to migrate; SIP content is irrelevant.
-                self.total_filtered += filtered
-                return VictimDecision(
-                    block=block,
-                    candidates_considered=considered,
-                    filtered_by_sip=filtered,
-                    valid_pages=valid,
-                    score=float(valid),
-                )
             if sip_overlap is not None:
                 sip_pages = sip_overlap.overlap(block)
             else:
                 sip_pages = self.sip_valid_pages(block, page_map, sip_lpns)
-            if sip_pages / valid > self.sip_fraction_threshold:
-                filtered += 1
-                continue
-            self.total_filtered += filtered
-            return VictimDecision(
-                block=block,
-                candidates_considered=considered,
-                filtered_by_sip=filtered,
-                valid_pages=valid,
-                score=float(valid),
-            )
-
+            if sip_pages / valid <= self.sip_fraction_threshold:
+                return pick, filtered
+            filtered += 1
         # Everything in the scanned prefix was SIP-heavy; fall back to
         # plain greedy so GC still reclaims space.
+        return head, filtered
+
+    def _decision(self, pick, considered: int, filtered: int) -> VictimDecision:
+        """Count one selection of ``pick`` (a ``(block, valid)`` pair;
+        None: no eligible candidate) and report it."""
+        if pick is None:
+            return VictimDecision(block=None)
+        self.total_selections += 1
         self.total_filtered += filtered
-        fallback_valid = page_map.valid_count(ranked[0])
+        block, valid = pick
         return VictimDecision(
-            block=ranked[0],
+            block=block,
             candidates_considered=considered,
             filtered_by_sip=filtered,
-            valid_pages=fallback_valid,
-            score=float(fallback_valid),
+            valid_pages=valid,
+            score=float(valid),
         )
 
     def filtered_fraction(self) -> float:

@@ -212,6 +212,13 @@ class PageCache:
         Dirty listeners observe the whole batch as ONE call, however
         many pages are dropped.
         """
+        if not self._dirty and not self._in_writeback:
+            # Nothing dirty (a direct-write workload): only clean copies
+            # can be dropped, and no listener has anything to hear.
+            drop_clean = self._clean.pop
+            for lpn in lpns:
+                drop_clean(lpn, None)
+            return
         removed: List[Tuple[int, int]] = []
         for lpn in lpns:
             entry = self._dirty.pop(lpn, None)

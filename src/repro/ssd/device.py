@@ -188,20 +188,21 @@ class SsdDevice:
         ftl = self.ftl
         fgc_before = ftl.stats.fgc_time_ns
         latency = 0
+        lpns = range(request.lpn, request.lpn + request.page_count)
         if request.kind == IoKind.READ:
-            for lpn in request.lpns:
+            for lpn in lpns:
                 latency += ftl.host_read_page(lpn)
         elif request.is_write:
             if request.page_count > 1 and ftl.supports_batched_writes:
                 latency += ftl.host_write_extent(request.lpn, request.page_count)
             else:
-                for lpn in request.lpns:
+                for lpn in lpns:
                     latency += ftl.host_write_page(lpn)
         elif request.kind == IoKind.TRIM:
             # The FTL returns the unmap journal's metadata program time:
             # a durable TRIM is acknowledged only once its tombstones are
             # on NAND, so the journaling cost is part of the service.
-            latency = self.TRIM_LATENCY_NS + ftl.trim(request.lpns)
+            latency = self.TRIM_LATENCY_NS + ftl.trim(lpns)
         else:  # pragma: no cover - enum is exhaustive
             raise ValueError(f"unknown request kind {request.kind}")
         fgc_ns = ftl.stats.fgc_time_ns - fgc_before

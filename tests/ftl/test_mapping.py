@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ftl.mapping import UNMAPPED, PageMap
 from repro.nand.geometry import NandGeometry
@@ -140,3 +142,61 @@ def test_load_mapping_replaces_existing_state():
     assert pm.lpn_of_ppn(pm.ppn(7, 3)) == 1
     assert pm.lpn_of_ppn(pm.ppn(0, 0)) is None
     pm.invariant_check()
+
+
+# ----------------------------------------------------------------------
+# migrate_pages: the batched GC move vs one remap() per page
+# ----------------------------------------------------------------------
+def snapshot(pm):
+    return (
+        pm._l2p.tolist(),
+        pm._p2l.tolist(),
+        pm._valid.tolist(),
+        pm.valid_counts().tolist(),
+        pm.mapped_count,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stale=st.sets(st.integers(0, 3)),
+    dst_start=st.integers(0, 3),
+    first_chunk=st.integers(0, 4),
+)
+def test_migrate_pages_equals_per_page_remap(stale, dst_start, first_chunk):
+    """Block 1 is written full, the ``stale`` pages are overwritten into
+    block 2, and what is left moves to block 5 from ``dst_start`` --
+    rolling into block 6 where block 5 ends, or after ``first_chunk``
+    pages, whichever comes first (the GC frontier filling mid-victim)."""
+    batched, replayed = make_map(), make_map()
+    for pm in (batched, replayed):
+        for offset in range(4):
+            pm.remap(8 + offset, pm.ppn(1, offset))
+        for slot, offset in enumerate(sorted(stale)):
+            pm.remap(8 + offset, pm.ppn(2, slot))
+    offsets, lpns = batched.valid_pages_in_block(1)
+    assert offsets.tolist() == [o for o in range(4) if o not in stale]
+    assert lpns.tolist() == [8 + o for o in offsets.tolist()]
+    split = min(first_chunk, 4 - dst_start, len(offsets))
+    chunks = [(5, dst_start, 0, split), (6, 0, split, len(offsets))]
+
+    for dst_block, start, lo, hi in chunks:
+        batched.migrate_pages(1, offsets[lo:hi], lpns[lo:hi], dst_block, start)
+        for i, lpn in enumerate(lpns[lo:hi].tolist()):
+            replayed.remap(lpn, replayed.ppn(dst_block, start + i))
+
+    assert snapshot(batched) == snapshot(replayed)
+    batched.invariant_check()
+    batched.clear_block(1)  # nothing valid was left behind
+
+
+def test_migrate_pages_rejects_an_already_invalid_source_page():
+    pm = make_map()
+    pm.remap(3, pm.ppn(1, 0))
+    pm.remap(4, pm.ppn(1, 1))
+    offsets, lpns = pm.valid_pages_in_block(1)
+    pm.remap(4, pm.ppn(2, 0))  # LPN 4 leaves block 1 behind the caller's back
+    before = snapshot(pm)
+    with pytest.raises(RuntimeError, match="migrating invalid pages out of block 1"):
+        pm.migrate_pages(1, offsets, lpns, 5, 0)
+    assert snapshot(pm) == before

@@ -1,11 +1,19 @@
 """Tests for the Fig. 1 space model (user/OP split, reserved capacity) and
 the valid-count index that shares its module."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
-from repro.ftl.space import SpaceModel, ValidCountIndex
+from repro.ftl.space import SipOverlapIndex, SpaceModel, ValidCountIndex
 from repro.nand.geometry import NandGeometry
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=64, blocks_per_plane=100)
@@ -116,3 +124,122 @@ def test_track_many_equals_one_track_per_block(history, install):
             bulk.adjust(block, -1)
             looped.adjust(block, -1)
     assert bulk.ranked_prefix(everything) == looped.ranked_prefix(everything)
+
+
+# ----------------------------------------------------------------------
+# ValidCountIndex: every mutator against a dict oracle, across compactions
+# ----------------------------------------------------------------------
+class ValidCountIndexMachine(RuleBasedStateMachine):
+    """Drives the index the way the FTL does -- close, invalidate (by
+    method and through the fused observer), erase, re-close -- beside a
+    plain ``{block: count}`` dict.  Twelve blocks keep the compaction
+    threshold near a hundred entries, so ``churn`` crosses it often."""
+
+    BLOCKS = 12
+    PPB = 64
+    compactions = 0  # over every example of one test run
+
+    blocks = st.integers(0, BLOCKS - 1)
+
+    def __init__(self):
+        super().__init__()
+        self.index = ValidCountIndex()
+        self.sip = SipOverlapIndex(self.BLOCKS)
+        # Bound before the first compaction, used until the last step.
+        self.observer = self.index.make_fused_observer(self.sip)
+        self.heap = self.index._heap
+        self.oracle = {}
+
+    def _clip(self, block, delta):
+        """``delta`` clipped so the oracle's count stays in [0, PPB]."""
+        count = self.oracle[block]
+        return max(-count, min(self.PPB - count, delta))
+
+    @rule(block=blocks, count=st.integers(0, PPB))
+    def track(self, block, count):
+        if block not in self.oracle:  # also the re-track after an erase
+            self.index.track(block, count)
+            self.oracle[block] = count
+
+    @rule(install=st.dictionaries(blocks, st.integers(0, PPB), max_size=BLOCKS))
+    def track_many(self, install):
+        new = [block for block in install if block not in self.oracle]
+        self.index.track_many(new, [install[block] for block in new])
+        self.oracle.update((block, install[block]) for block in new)
+
+    @rule(block=blocks)
+    def untrack(self, block):
+        self.index.untrack(block)
+        self.oracle.pop(block, None)
+
+    @rule(block=blocks, delta=st.integers(-PPB, PPB))
+    def adjust(self, block, delta):
+        if block in self.oracle:
+            delta = self._clip(block, delta)
+            self.index.adjust(block, delta)
+            self.oracle[block] += delta
+
+    @rule(block=blocks, delta=st.integers(-PPB, PPB))
+    def adjust_if_tracked(self, block, delta):
+        if block in self.oracle:
+            delta = self._clip(block, delta)
+            self.oracle[block] += delta
+        self.index.adjust_if_tracked(block, delta)
+
+    @rule(block=blocks, pages=st.integers(1, PPB), up=st.booleans(), back=st.booleans())
+    def churn(self, block, pages, up, back):
+        """Per-page validity events through the pre-compaction observer:
+        ``pages`` steps one way, then (``back``) the same steps back."""
+        step = 1 if up else -1
+        tracked = block in self.oracle
+        if tracked:
+            pages = abs(self._clip(block, step * pages))
+        before = len(self.heap)
+        for direction in (step, -step)[: 1 + back]:
+            for lpn in range(pages):
+                self.observer(block, lpn, direction)
+        if tracked and pages:
+            if not back:
+                self.oracle[block] += step * pages
+            # The closure's pushes landed in the heap the index ranks from.
+            entry = (self.oracle[block], block, self.index._gen[block])
+            assert entry in self.index._heap
+            if len(self.heap) < before + pages * (1 + back):
+                type(self).compactions += 1
+
+    @rule(k=st.integers(1, BLOCKS), excluded=st.sets(blocks))
+    def ranked_prefix_is_read_only(self, k, excluded):
+        assert self.index.ranked_prefix(k, excluded) == self._ranking(excluded)[:k]
+
+    def _ranking(self, excluded):
+        return [
+            (block, count)
+            for count, block in sorted((c, b) for b, c in self.oracle.items())
+            if block not in excluded
+        ]
+
+    @invariant()
+    def ranking_matches_oracle(self):
+        index = self.index
+        assert index._heap is self.heap, "compaction must rebuild in place"
+        assert len(index._heap) <= 4 * len(index) + 64
+        assert dict(index.items()) == self.oracle
+        ranking = self._ranking(())
+        assert index.min_block() == (ranking[0] if ranking else None)
+        assert index.peek_min() == (ranking[0][::-1] if ranking else None)
+        # The full ranking is read off a copy: walking it to the end
+        # would sweep the dead entries the bound above is about.
+        for excluded in (set(), set(range(0, self.BLOCKS, 2))):
+            probe = copy.deepcopy(index)
+            expected = self._ranking(excluded)
+            assert probe.min_block(excluded) == (expected[0] if expected else None)
+            assert probe.ranked_prefix(self.BLOCKS, excluded) == expected
+
+
+def test_valid_count_index_against_dict_oracle():
+    ValidCountIndexMachine.compactions = 0
+    run_state_machine_as_test(
+        ValidCountIndexMachine,
+        settings=settings(max_examples=40, stateful_step_count=120, deadline=None),
+    )
+    assert ValidCountIndexMachine.compactions >= 3

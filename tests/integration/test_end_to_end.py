@@ -8,6 +8,7 @@ from repro.core.policies import (
     aggressive_bgc_policy,
     lazy_bgc_policy,
 )
+from repro.experiments.runner import ScenarioSpec, build_preconditioned_host
 from repro.host import HostSystem
 from repro.metrics.collector import MetricsCollector
 from repro.sim.simtime import SECOND
@@ -101,3 +102,35 @@ def test_extended_interface_roundtrip_in_running_system():
     assert interface.commands_issued > 0
     assert interface.get_waf() >= 1.0
     assert interface.query_free_capacity() == host.ftl.free_bytes()
+
+
+def test_direct_write_gc_keeps_the_victim_index_bounded():
+    """The e2e ``gc-direct`` cell at 256x64: uniform direct 8-32-page
+    writes over 95 % of the device, so every write stalls on foreground
+    collections and every overwrite supersedes victim-index entries far
+    above the victim level -- the entries only compaction removes."""
+    spec = ScenarioSpec(
+        workload="Synthetic",
+        blocks=256,
+        pages_per_block=64,
+        working_set_fraction=0.95,
+        warmup_s=5,
+        measure_s=20,
+        seed=3,
+        workload_kwargs=dict(
+            actors=4, direct_fraction=1.0, write_fraction=0.95, zipf_theta=0.0,
+            min_pages=8, max_pages=32,
+        ),
+    )
+    host, collector, actors, _ = build_preconditioned_host(spec)
+    collected_before = host.ftl.stats.fgc_blocks_collected
+    collector.begin()
+    host.run_for(spec.measure_s * SECOND)
+    collector.end()
+    actors.stop()
+
+    assert host.ftl.stats.fgc_blocks_collected - collected_before > 300
+    assert host.cache.dirty_pages == 0  # direct writes never dirtied the cache
+    index = host.ftl.victim_index
+    assert len(index._heap) <= 4 * len(index) + 64
+    host.ftl.invariant_check()

@@ -209,3 +209,28 @@ def test_indexed_and_scan_caches_agree_after_churn():
         got = [e.lpn for e in indexed.expired_dirty(now, tau)]
         want = [e.lpn for e in scan.expired_dirty(now, tau)]
         assert sorted(got) == sorted(want)
+
+
+def test_invalidate_with_nothing_dirty_drops_clean_copies_silently():
+    """The direct-write case: reads left clean copies, nothing is dirty
+    or in write-back, so no listener has anything to hear."""
+    cache = make_cache()
+    calls = []
+    cache.dirty_listeners.append(lambda added, removed: calls.append("dirty"))
+    cache.writeback_listeners.append(lambda moved: calls.append("writeback"))
+    cache.drain_listeners.append(lambda: calls.append("drain"))
+    cache.pressure_listeners.append(lambda: calls.append("pressure"))
+    for lpn in (1, 2, 3):
+        cache.insert_clean(lpn)
+    cache.invalidate(iter(range(2, 6)))  # one-shot iterable, partly uncached
+    assert cache.read_page(1)
+    assert not cache.read_page(2) and not cache.read_page(3)
+    assert cache.cached_pages == 1
+    assert cache.dirty_pages == 0 and cache.writeback_pages == 0
+    assert calls == []
+    # ...and the general path is back as soon as something is dirty.
+    cache.write_page(7, now=5)
+    calls.clear()
+    cache.invalidate([1, 7])
+    assert calls == ["dirty"]
+    assert cache.cached_pages == 0
