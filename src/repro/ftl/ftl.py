@@ -563,7 +563,7 @@ class PageMappedFtl:
         reads_left = (1 << ReliabilityModel._DIST_SHIFT) - (
             disturbs & ((1 << ReliabilityModel._DIST_SHIFT) - 1)
         )
-        memo[block] = [outcome, expiry_ns, reads_left]
+        memo[block] = [outcome, expiry_ns, reads_left - 1]  # less the read in hand
         return outcome
 
     def _read_with_retry(self, block: int, page: int) -> Tuple[int, bool]:
@@ -934,26 +934,62 @@ class PageMappedFtl:
         return latency + count * self.nand.timing.transfer_ns_per_page
 
     def host_read_page(self, lpn: int) -> int:
-        """Read one logical page; returns NAND latency (ns).
+        """Read one logical page: :meth:`host_read_extent` of length one."""
+        return self.host_read_extent(lpn, 1)
+
+    def host_read_extent(self, lpn: int, count: int) -> int:
+        """Read ``count`` logical pages from ``lpn``; returns NAND latency (ns).
 
         Reads of never-written pages return zeroes at transfer cost only
-        (no flash access), like a real drive.  In dftl mode the lookup
-        first consults the cached mapping table; a miss pays a real NAND
-        read of the translation page.
+        (no flash access), like a real drive.  In dftl mode the cached
+        mapping table is consulted once per translation page the extent
+        spans, *before* that group's data reads (a miss pays a NAND read
+        of the translation page, a dirty eviction a program; the group's
+        other lookups are MRU hits by construction), and the PPNs and the
+        clock are read after it.  Pages under a live fast-path ladder
+        verdict are served inline and their NAND bookkeeping deferred to
+        one bulk call, flushed before any page takes
+        :meth:`_read_with_retry` (its ladder walk reads disturb counters).
         """
+        pm, ppb, end = self.page_map, self._ppb, lpn + count
+        if lpn < 0 or end > pm.user_pages:  # both ends, before anything is touched
+            raise IndexError(f"LPN extent [{lpn}, {end}) out of range [0, {pm.user_pages})")
+        # Fault draws are per read and in order: injected runs never defer.
+        memo_get = ({} if self.nand.fault_injector is not None else self._ladder_memo).get
+        ept = pm.entries_per_tpage if self._dftl else 0  # 0: one group, no CMT
         latency = 0
-        if self._dftl:
-            latency += self._mapping_access(
-                self.page_map.tvpn_of(lpn), dirty=False
-            )
-        ppn = self.page_map.lookup(lpn)
-        self.stats.host_pages_read += 1
-        if ppn is None:
-            return latency + self.nand.timing.transfer_ns_per_page
-        read_ns, _ok = self._read_with_retry(
-            self.page_map.block_of(ppn), self.page_map.page_of(ppn)
-        )
-        return latency + read_ns + self.nand.timing.transfer_ns_per_page
+        fast: List[int] = []  # blocks of the deferred fast-path reads
+        while lpn < end:
+            stop = min(end, lpn - lpn % ept + ept) if ept else end
+            if ept:
+                latency += self._mapping_access(lpn // ept, dirty=False)
+                self.stats.cmt_hits += stop - lpn - 1
+            now = self._clock()
+            for ppn in pm.lookup_extent(lpn, stop - lpn):
+                block = ppn // ppb
+                entry = memo_get(block)  # [outcome, expiry_ns, reads left]
+                if (
+                    entry is not None and entry[2] > 0 and now < entry[1]
+                    and entry[0].ok and entry[0].level == 0
+                ):
+                    entry[2] -= 1
+                    fast.append(block)
+                elif ppn != UNMAPPED:  # a hole costs its transfer only
+                    if fast:
+                        latency += self._flush_fast_reads(fast)
+                    latency += self._read_with_retry(block, ppn % ppb)[0]
+            if fast:
+                latency += self._flush_fast_reads(fast)
+            lpn = stop
+        self.stats.host_pages_read += count
+        return latency + count * self.nand.timing.transfer_ns_per_page
+
+    def _flush_fast_reads(self, blocks: List[int]) -> int:
+        """Book the deferred fast-path reads of ``blocks``; empties the list."""
+        self.stats.ecc_fast_reads += len(blocks)
+        latency = self.nand.read_pages_scattered(blocks)
+        blocks.clear()
+        return latency
 
     def trim(self, lpns: Iterable[int]) -> int:
         """TRIM logical pages; returns the journaling latency (ns).

@@ -171,17 +171,12 @@ class PageMap:
         take a scalar loop; large ones the vectorized path -- both apply
         the exact same state transitions.
         """
-        if first_lpn < 0 or first_lpn + count > self.user_pages:
-            raise IndexError(
-                f"LPN extent [{first_lpn}, {first_lpn + count}) out of range "
-                f"[0, {self.user_pages})"
-            )
+        old_ppns = self.lookup_extent(first_lpn, count)
         l2p = self._l2p
         p2l = self._p2l
         valid = self._valid
         per_block = self._valid_per_block
         ppb = self._ppb
-        old_ppns = l2p[first_lpn:first_lpn + count].tolist()
         if count <= self._SCALAR_EXTENT_MAX:
             fresh = 0
             lpn, ppn = first_lpn, first_ppn
@@ -292,6 +287,15 @@ class PageMap:
         self.check_lpn(lpn)
         ppn = int(self._l2p[lpn])
         return None if ppn == UNMAPPED else ppn
+
+    def lookup_extent(self, first_lpn: int, count: int) -> List[int]:
+        """PPNs of ``count`` consecutive LPNs (``UNMAPPED`` where unmapped)."""
+        if first_lpn < 0 or first_lpn + count > self.user_pages:
+            raise IndexError(
+                f"LPN extent [{first_lpn}, {first_lpn + count}) out of range "
+                f"[0, {self.user_pages})"
+            )
+        return self._l2p[first_lpn:first_lpn + count].tolist()
 
     def lpn_of_ppn(self, ppn: int) -> Optional[int]:
         """LPN stored at ``ppn`` if that physical page is valid."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -566,6 +566,24 @@ class NandArray:
         if self.read_disturb is not None:
             self.read_disturb.record_reads(block, count)
         return self._read_ns * count
+
+    def read_pages_scattered(self, blocks: List[int]) -> int:
+        """Read one page in each of ``blocks`` (repeats allowed) in bulk;
+        returns total tR.  Identical to one successful :meth:`read_page`
+        per entry -- the block-bounds and bad-block probe stay per page --
+        and, like :meth:`read_pages_batch`, only legal without a fault
+        injector."""
+        if self.fault_injector is not None:
+            raise RuntimeError("read_pages_scattered requires fault_injector=None")
+        disturb = self.read_disturb.read_counts if self.read_disturb is not None else None
+        num_blocks, bad = self._num_blocks, self._bad
+        for block in blocks:
+            if not 0 <= block < num_blocks or bad[block]:
+                self._check_block(block, "read")  # raises the matching error
+            if disturb is not None:
+                disturb[block] += 1
+        self.page_reads += len(blocks)
+        return self._read_ns * len(blocks)
 
     def program_pages_batch(
         self,

@@ -188,22 +188,34 @@ class PageCache:
 
     def read_page(self, lpn: int) -> bool:
         """Look up ``lpn``; returns True on hit (and refreshes LRU)."""
-        if lpn in self._dirty or lpn in self._in_writeback:
-            self.read_hits += 1
-            return True
-        if lpn in self._clean:
-            self._clean.move_to_end(lpn)
-            self.read_hits += 1
-            return True
-        self.read_misses += 1
-        return False
+        return not self.read_extent(lpn, 1)
+
+    def read_extent(self, lpn: int, count: int) -> List[int]:
+        """Look up ``count`` pages from ``lpn``; returns the misses in
+        ascending order (clean hits refresh LRU in page order)."""
+        dirty, writeback, clean = self._dirty, self._in_writeback, self._clean
+        misses: List[int] = []
+        for page in range(lpn, lpn + count):
+            if page in clean:  # a page is in at most one of the three sets
+                clean.move_to_end(page)
+            elif page not in dirty and page not in writeback:
+                misses.append(page)
+        self.read_hits += count - len(misses)
+        self.read_misses += len(misses)
+        return misses
 
     def insert_clean(self, lpn: int) -> None:
         """Cache a page fetched from the device."""
-        if lpn in self._dirty or lpn in self._in_writeback:
-            return
-        self._clean[lpn] = True
-        self._clean.move_to_end(lpn)
+        self.insert_clean_many((lpn,))
+
+    def insert_clean_many(self, lpns: Iterable[int]) -> None:
+        """Cache pages fetched from the device, evicting once at the end
+        (LRU is a stack algorithm: same survivors as evicting per page)."""
+        dirty, writeback, clean = self._dirty, self._in_writeback, self._clean
+        for lpn in lpns:
+            if lpn not in dirty and lpn not in writeback:
+                clean[lpn] = True
+                clean.move_to_end(lpn)
         self._evict_if_needed()
 
     def invalidate(self, lpns: Iterable[int]) -> None:
@@ -353,8 +365,10 @@ class PageCache:
     # ------------------------------------------------------------------
     def _evict_if_needed(self) -> None:
         """LRU-evict clean pages past capacity (dirty pages are pinned)."""
-        while self.cached_pages > self.capacity_pages and self._clean:
+        excess = self.cached_pages - self.capacity_pages
+        while excess > 0 and self._clean:
             self._clean.popitem(last=False)
+            excess -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -200,7 +200,7 @@ class IoDispatcher:
         """Read pages, cache-first; misses are fetched as one extent."""
         self.stats.read_bytes += page_count * self.cache.page_size
         self.stats.read_ops += 1
-        misses = [p for p in range(lpn, lpn + page_count) if not self.cache.read_page(p)]
+        misses = self.cache.read_extent(lpn, page_count)
         if not misses:
             if on_complete is not None:
                 self.sim.schedule(
@@ -211,12 +211,11 @@ class IoDispatcher:
             return
 
         def fetched(req: IoRequest) -> None:
-            for page in misses:
-                self.cache.insert_clean(page)
+            self.cache.insert_clean_many(misses)
             if on_complete is not None:
                 on_complete()
 
-        first, last = min(misses), max(misses)
+        first, last = misses[0], misses[-1]
         self.device.submit(
             IoRequest(IoKind.READ, first, last - first + 1, on_complete=fetched)
         )

@@ -190,8 +190,7 @@ class SsdDevice:
         latency = 0
         lpns = range(request.lpn, request.lpn + request.page_count)
         if request.kind == IoKind.READ:
-            for lpn in lpns:
-                latency += ftl.host_read_page(lpn)
+            latency = ftl.host_read_extent(request.lpn, request.page_count)
         elif request.is_write:
             if request.page_count > 1 and ftl.supports_batched_writes:
                 latency += ftl.host_write_extent(request.lpn, request.page_count)

@@ -263,3 +263,24 @@ def test_accel_preset_is_quiescent_when_fresh():
     assert ftl.stats.ecc_fast_reads == 1
     assert ftl.stats.ecc_retry_reads == 0
     assert ftl.stats.uecc_count == 0
+
+
+def test_ladder_verdict_expires_with_its_disturb_bucket(monkeypatch):
+    """A memoised verdict is good for the reads left in the block's
+    disturb bucket *including* the read it was computed for: the ladder
+    is consulted again at pre-read disturb count 4096, not 4097."""
+    ftl, clock = make_rel_ftl()
+    ftl.host_write_page(0)
+    consulted = []
+    model = ftl._rel_model
+    real = model.read_outcome
+
+    def spy(pe_cycles, retention_s, read_disturbs):
+        consulted.append(read_disturbs)
+        return real(pe_cycles, retention_s, read_disturbs)
+
+    monkeypatch.setattr(model, "read_outcome", spy)
+    for _ in range(4100):
+        ftl.host_read_page(0)
+    assert consulted == [0, 4096]
+    assert ftl.stats.ecc_fast_reads == 4100

@@ -1,6 +1,8 @@
 """Tests for the write-back page cache."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.oskernel.cache import PageCache
 
@@ -234,3 +236,100 @@ def test_invalidate_with_nothing_dirty_drops_clean_copies_silently():
     cache.invalidate([1, 7])
     assert calls == ["dirty"]
     assert cache.cached_pages == 0
+
+
+# ----------------------------------------------------------------------
+# Extent forms against the per-page routines they replaced
+# ----------------------------------------------------------------------
+def reference_read_page(cache, lpn):
+    """``read_page`` as it stood before ``read_extent``."""
+    if lpn in cache._dirty or lpn in cache._in_writeback:
+        cache.read_hits += 1
+        return True
+    if lpn in cache._clean:
+        cache._clean.move_to_end(lpn)
+        cache.read_hits += 1
+        return True
+    cache.read_misses += 1
+    return False
+
+
+def reference_insert_clean(cache, lpn):
+    """``insert_clean`` as it stood before ``insert_clean_many``,
+    evicting after every page."""
+    if lpn in cache._dirty or lpn in cache._in_writeback:
+        return
+    cache._clean[lpn] = True
+    cache._clean.move_to_end(lpn)
+    while cache.cached_pages > cache.capacity_pages and cache._clean:
+        cache._clean.popitem(last=False)
+
+
+def cache_state(cache):
+    return (
+        list(cache._clean.items()),
+        list(cache._dirty.items()),
+        list(cache._in_writeback.items()),
+        cache.read_hits,
+        cache.read_misses,
+    )
+
+
+CACHE_LPNS = st.integers(0, 9)
+#: Other actors: an application write, the flusher issuing or finishing
+#: a page's write-back, another reader's fetch landing.
+ACTORS = st.lists(
+    st.tuples(st.sampled_from(["write", "writeback", "complete", "fetch"]), CACHE_LPNS),
+    max_size=12,
+)
+
+
+def run_actors(caches, actors, now):
+    for action, lpn in actors:
+        for cache in caches:
+            if action == "write":
+                cache.write_page(lpn, now)
+            elif action == "writeback":
+                if cache.contains_dirty(lpn):
+                    cache.begin_writeback([lpn])
+            elif action == "complete":
+                cache.complete_writeback([lpn])
+            else:
+                reference_insert_clean(cache, lpn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity=st.integers(1, 8),
+    before=ACTORS,
+    lpn=CACHE_LPNS,
+    count=st.integers(1, 10),
+    between=ACTORS,
+    extra=st.lists(CACHE_LPNS, max_size=4),
+)
+def test_extent_forms_equal_the_per_page_replay(
+    capacity, before, lpn, count, between, extra
+):
+    """From any state (dirty pages pinned past capacity included), with
+    other actors between the miss and the fetch and duplicates in the
+    fetched list, the extent forms leave the cache exactly as the
+    per-page routines do -- through the reference bodies above and
+    through the one-page forms ``read_page`` / ``insert_clean``."""
+    extent, paged, single = caches = [make_cache(capacity, 1.0) for _ in range(3)]
+    run_actors(caches, before, now=1)
+    misses = extent.read_extent(lpn, count)
+    pages = range(lpn, lpn + count)
+    assert misses == [p for p in pages if not reference_read_page(paged, p)]
+    assert misses == [p for p in pages if not single.read_page(p)]
+    assert cache_state(extent) == cache_state(paged) == cache_state(single)
+    run_actors(caches, between, now=2)
+    fetched = misses + extra + misses[:2]
+    extent.insert_clean_many(fetched)
+    for page in fetched:
+        reference_insert_clean(paged, page)
+        single.insert_clean(page)
+    assert cache_state(extent) == cache_state(paged) == cache_state(single)
+    if len(extent._dirty) + len(extent._in_writeback) >= capacity:
+        assert not extent._clean  # pinned pages alone fill the cache
+    else:
+        assert extent.cached_pages <= capacity

@@ -101,6 +101,28 @@ def test_read_miss_fetches_and_caches():
     assert device.requests_completed == 1
 
 
+def test_read_with_hits_in_the_middle_is_one_extent_and_inserts_only_misses():
+    sim, device, cache, dispatcher = make_stack()
+    dispatcher.write(5, 1, direct=False)  # page 5 dirty
+    cache.insert_clean(6)
+    cache.insert_clean(20)
+    reads = []
+    device.completion_listeners.append(
+        lambda req: reads.append((req.kind, req.lpn, req.page_count))
+    )
+    done = []
+    dispatcher.read(3, 6, on_complete=lambda: done.append(1))
+    sim.run()
+    assert done == [1]
+    # Misses 3, 4, 7, 8 travel as the one extent first..last.
+    assert reads == [(IoKind.READ, 3, 6)]
+    assert (cache.read_hits, cache.read_misses) == (2, 4)
+    # The hit was promoted by the lookup and not touched again by the
+    # fetch; the dirty page stayed dirty.
+    assert list(cache._clean) == [20, 6, 3, 4, 7, 8]
+    assert cache.contains_dirty(5) and cache.dirty_pages == 1
+
+
 def test_trim_invalidates_and_reaches_device():
     sim, device, cache, dispatcher = make_stack()
     dispatcher.write(0, 4, direct=True)

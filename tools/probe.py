@@ -29,6 +29,12 @@ def probe(workload="YCSB", policy="L-BGC", blocks=1024, ppb=64, warm=20, meas=60
     host.run_for(warm*SECOND)
     metrics.begin()
     samples.clear()
+    # peak dirty population of the measured window (one call per cache op)
+    max_dirty = host.cache.dirty_pages
+    def on_dirty(_added, _removed):
+        nonlocal max_dirty
+        max_dirty = max(max_dirty, host.cache.dirty_pages)
+    host.cache.dirty_listeners.append(on_dirty)
     host.run_for(meas*SECOND)
     metrics.end()
     m = metrics.results()
@@ -37,10 +43,9 @@ def probe(workload="YCSB", policy="L-BGC", blocks=1024, ppb=64, warm=20, meas=60
     print(f"{policy:8s} {workload:10s} iops={m.iops:8.1f} waf={m.waf:.3f} fgc={m.fgc_invocations:4d} "
           f"fgc_s={m.fgc_time_ns/1e9:6.2f} bgc={m.bgc_blocks:5d} hostw={m.host_pages_written:7d} "
           f"free[min/med/max]={min(samples)}/{sorted(samples)[len(samples)//2]}/{max(samples)} OP={op}"
-          f" dirty_max={max_dirty[0]} buf={m.buffered_fraction:.3f}{acc}")
+          f" dirty_max={max_dirty} buf={m.buffered_fraction:.3f}{acc}")
     return m
 
-max_dirty = [0]
 if __name__ == "__main__":
     import json
     kwargs = json.loads(sys.argv[3]) if len(sys.argv) > 3 else {}
