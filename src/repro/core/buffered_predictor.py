@@ -131,10 +131,20 @@ class BufferedWritePredictor:
     def _on_dirty_delta(
         self, added: List[Tuple[int, int]], removed: List[Tuple[int, int]]
     ) -> None:
-        for _lpn, ts in removed:
-            self._bump(ts, -1)
-        for _lpn, ts in added:
-            self._bump(ts, +1)
+        # One bump per run of equal stamps: every page of one buffered
+        # write carries the same ``now``, and a flushed batch leaves in
+        # (last_update, lpn) order.
+        for pairs, sign in ((removed, -1), (added, +1)):
+            run_ts, run = None, 0
+            for _lpn, ts in pairs:
+                if ts == run_ts:
+                    run += 1
+                else:
+                    if run:
+                        self._bump(run_ts, sign * run)
+                    run_ts, run = ts, 1
+            if run:
+                self._bump(run_ts, sign * run)
 
     # ------------------------------------------------------------------
     def predict(self, now: int) -> BufferedPrediction:

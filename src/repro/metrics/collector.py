@@ -242,8 +242,8 @@ class MetricsCollector:
         log and trace events when tail attribution or tracing is on;
         plain ``record_op(latency)`` call sites keep working unchanged.
         """
-        self.iops_meter.record_op()
-        self._ops_counter.inc()
+        self.iops_meter.total_ops += 1
+        self._ops_counter.value += 1
         if latency_ns is None:
             return
         self.hdr.record(latency_ns)

@@ -110,8 +110,14 @@ class HdrHistogram:
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         value = int(value)
-        index = self.bucket_index(value)
-        self.counts[index] = self.counts.get(index, 0) + n
+        # bucket_index(value), spelled out: one call per recorded op.
+        index = value
+        if value >= self._sub:
+            shift = value.bit_length() - self.bucket_bits
+            half = self._half
+            index = self._sub + (shift - 1) * half + ((value >> shift) - half)
+        counts = self.counts
+        counts[index] = counts.get(index, 0) + n
         self.count += n
         self.total += value * n
         if self._min is None or value < self._min:

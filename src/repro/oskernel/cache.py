@@ -154,37 +154,55 @@ class PageCache:
     # Application-side operations
     # ------------------------------------------------------------------
     def write_page(self, lpn: int, now: int) -> None:
-        """Buffer a write to ``lpn`` at time ``now`` (marks/refreshes dirty).
+        """Buffer a write to ``lpn`` at time ``now`` (marks/refreshes dirty)."""
+        self.write_extent(lpn, 1, now)
+
+    def write_extent(self, lpn: int, count: int, now: int) -> None:
+        """Buffer a write of ``count`` pages from ``lpn`` at time ``now``.
 
         Callers must check :meth:`throttled` first; writing while
         throttled is allowed (the model keeps state consistent) but a
         well-behaved dispatcher blocks the writer instead.
+
+        One listener call, one eviction pass and one throttle check per
+        operation, with the outcome of doing each per page: the dirty +
+        write-back population never shrinks inside a write, so "some new
+        page left the cache throttled" is "a page was new and the cache
+        ends throttled", and LRU is a stack algorithm, so evicting once
+        at the end leaves the survivors evicting per page would.
         """
-        entry = self._dirty.get(lpn)
-        if entry is not None:
-            # Overwrite: age resets, flush is postponed (paper Fig. 4, B').
-            old_ts = entry.last_update
-            entry.last_update = now
-            self._dirty.move_to_end(lpn)
-            if self._indexed and old_ts != now:
-                self._bucket_remove(lpn, old_ts)
-                self._bucket_add(lpn, now)
-            self.write_hits += 1
-            if self.dirty_listeners:
-                self._notify_dirty([(lpn, now)], [(lpn, old_ts)])
-            return
-        # A write to a page under write-back re-dirties it.
-        self._in_writeback.pop(lpn, None)
-        self._clean.pop(lpn, None)
-        self._dirty[lpn] = DirtyPage(lpn=lpn, last_update=now)
-        if self._indexed:
-            self._bucket_add(lpn, now)
+        dirty = self._dirty
+        indexed = self._indexed
+        added: List[Tuple[int, int]] = []
+        removed: List[Tuple[int, int]] = []
+        for page in range(lpn, lpn + count):
+            entry = dirty.get(page)
+            if entry is not None:
+                # Overwrite: age resets, flush is postponed (paper Fig. 4, B').
+                old_ts = entry.last_update
+                entry.last_update = now
+                dirty.move_to_end(page)
+                if indexed and old_ts != now:
+                    self._bucket_remove(page, old_ts)
+                    self._bucket_add(page, now)
+                removed.append((page, old_ts))
+            else:
+                # A write to a page under write-back re-dirties it.
+                self._in_writeback.pop(page, None)
+                self._clean.pop(page, None)
+                dirty[page] = DirtyPage(page, now)
+                if indexed:
+                    self._bucket_add(page, now)
+            added.append((page, now))
+        hits = len(removed)
+        self.write_hits += hits
         if self.dirty_listeners:
-            self._notify_dirty([(lpn, now)], [])
-        self._evict_if_needed()
-        if self.throttled():
-            for listener in list(self.pressure_listeners):
-                listener()
+            self._notify_dirty(added, removed)
+        if hits < count:  # at least one page was new
+            self._evict_if_needed()
+            if self.throttled():
+                for listener in list(self.pressure_listeners):
+                    listener()
 
     def read_page(self, lpn: int) -> bool:
         """Look up ``lpn``; returns True on hit (and refreshes LRU)."""

@@ -159,9 +159,7 @@ class IoDispatcher:
             return
         self.stats.buffered_bytes += page_count * self.cache.page_size
         self.stats.buffered_ops += 1
-        now = self.sim.now
-        for page in range(lpn, lpn + page_count):
-            self.cache.write_page(page, now)
+        self.cache.write_extent(lpn, page_count, self.sim.now)
         if on_complete is not None:
             self.sim.schedule(
                 self.memcpy_ns_per_page * page_count,

@@ -12,13 +12,16 @@ Hot-path layout (PERFORMANCE.md): the heap holds flat
 ``(time, priority, seq, event)`` tuples.  ``seq`` is unique per event, so
 heap sifting is decided entirely by C-level int comparison -- the
 :class:`~repro.sim.events.Event` object rides along and is never compared.
-``run`` / ``run_until`` inline the dispatch instead of calling
-:meth:`step` per event.
+Scheduling is one call (:meth:`Simulator.schedule` validates, builds the
+event and pushes; :meth:`Simulator.schedule_at` validates its absolute
+time and goes through it), and ``step`` / ``run`` / ``run_until`` share
+one loop that fires the event where it pops it.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from time import perf_counter_ns
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -29,6 +32,9 @@ _heappop = heapq.heappop
 
 #: Heap entry: ``(time, priority, seq, event)``.
 _HeapEntry = Tuple[int, int, int, Event]
+
+#: "No horizon" / "no event limit": one int compare serves both cases.
+_UNBOUNDED = sys.maxsize
 
 
 class SimulationError(RuntimeError):
@@ -105,7 +111,15 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for {name or callback}")
-        return self.schedule_at(self._now + delay, callback, priority=priority, name=name)
+        if self._dead:
+            raise SimulationError("simulator is dead after a power cut")
+        time = self._now + delay
+        seq = self._seq
+        event = Event(time, priority, seq, callback, name, self._on_event_cancelled)
+        self._seq = seq + 1
+        self._live += 1
+        _heappush(self._heap, (time, priority, seq, event))
+        return event
 
     def schedule_at(
         self,
@@ -116,19 +130,11 @@ class Simulator:
         name: Optional[str] = None,
     ) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``."""
-        if self._dead:
-            raise SimulationError("simulator is dead after a power cut")
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at {time} before current time {self._now}"
             )
-        seq = self._seq
-        event = Event(time, priority, seq, callback, name)
-        event._on_cancel = self._on_event_cancelled
-        self._seq = seq + 1
-        self._live += 1
-        _heappush(self._heap, (time, event.priority, seq, event))
-        return event
+        return self.schedule(time - self._now, callback, priority=priority, name=name)
 
     def _on_event_cancelled(self) -> None:
         self._live -= 1
@@ -136,54 +142,61 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _dispatch(self, time: int, event: Event) -> None:
-        """Fire one live event just popped off the heap."""
-        event._on_cancel = None  # fired: a late cancel() is a no-op
-        self._live -= 1
-        self._now = time
-        self.dispatched += 1
-        profiler = self._profiler
-        if profiler is None:
-            event.callback()
-        else:
-            label = event.name or getattr(
-                event.callback, "__qualname__", "anonymous"
-            )
-            start = perf_counter_ns()
-            event.callback()
-            profiler.record(label, perf_counter_ns() - start)
+    def _drain(self, until: Optional[int], max_events: Optional[int]) -> int:
+        """The one dispatch loop behind :meth:`step`, :meth:`run` and
+        :meth:`run_until`: fire live events stamped ``<= until`` (``None``:
+        all of them) and, unless stopped or cut short by ``max_events``,
+        leave the clock at ``until``.  Returns the number dispatched.
+        """
+        horizon = _UNBOUNDED if until is None else until
+        limit = _UNBOUNDED if max_events is None else max_events
+        self._stopped = False
+        count = 0
+        heap = self._heap
+        while heap and not self._stopped:
+            if count >= limit:
+                return count
+            head = heap[0]
+            event = head[3]
+            if event.cancelled:
+                _heappop(heap)
+                continue
+            time = head[0]
+            if time > horizon:
+                break
+            _heappop(heap)
+            event._on_cancel = None  # fired: a late cancel() is a no-op
+            self._live -= 1
+            self._now = time
+            self.dispatched += 1
+            profiler = self._profiler
+            if profiler is None:
+                event.callback()
+            else:
+                label = event.name or getattr(
+                    event.callback, "__qualname__", "anonymous"
+                )
+                start = perf_counter_ns()
+                event.callback()
+                profiler.record(label, perf_counter_ns() - start)
+            count += 1
+        if until is not None and not self._stopped:
+            self._now = max(self._now, until)
+        return count
 
     def step(self) -> bool:
         """Dispatch the single next pending event.
 
         Returns ``False`` when the heap is empty (nothing was dispatched).
         """
-        heap = self._heap
-        while heap:
-            time, _prio, _seq, event = _heappop(heap)
-            if event.cancelled:
-                continue
-            self._dispatch(time, event)
-            return True
-        return False
+        return self._drain(None, 1) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event heap drains (or ``max_events`` dispatched).
 
         Returns the number of events dispatched by this call.
         """
-        self._stopped = False
-        count = 0
-        heap = self._heap
-        while not self._stopped and heap:
-            if max_events is not None and count >= max_events:
-                break
-            time, _prio, _seq, event = _heappop(heap)
-            if event.cancelled:
-                continue
-            self._dispatch(time, event)
-            count += 1
-        return count
+        return self._drain(None, max_events)
 
     def run_until(self, time: int, max_events: Optional[int] = None) -> int:
         """Run events with timestamps ``<= time``, then set the clock to it.
@@ -200,24 +213,7 @@ class Simulator:
             raise SimulationError("simulator is dead after a power cut")
         if time < self._now:
             raise SimulationError(f"run_until({time}) is in the past (now={self._now})")
-        self._stopped = False
-        count = 0
-        heap = self._heap
-        while not self._stopped and heap:
-            if max_events is not None and count >= max_events:
-                return count
-            head = heap[0]
-            if head[3].cancelled:
-                _heappop(heap)
-                continue
-            if head[0] > time:
-                break
-            _heappop(heap)
-            self._dispatch(head[0], head[3])
-            count += 1
-        if not self._stopped:
-            self._now = max(self._now, time)
-        return count
+        return self._drain(time, max_events)
 
     def stop(self) -> None:
         """Ask the running loop to stop after the current event."""

@@ -10,7 +10,8 @@ flusher tick at the same timestamp.
 The event core is structure-of-arrays flavoured (PERFORMANCE.md): the
 engine's heap holds plain ``(time, priority, seq, event)`` int tuples so
 ordering is decided by C-level tuple comparison, and :class:`Event` is a
-``__slots__`` record carrying a precomputed sort key.  The
+``__slots__`` record whose sort key is derived only when someone asks
+for it (the heap never does).  The
 :class:`EventPriority` enum remains the documented vocabulary, but every
 hot scheduling site uses the hoisted module-level int constants below --
 ``IntEnum`` member access goes through the enum metaclass and shows up in
@@ -53,16 +54,16 @@ class Event:
         time: absolute simulated time (integer nanoseconds) at which the
             event fires.
         priority: tie-break class, see :class:`EventPriority` (stored as
-            a plain int).
+            given; the hot scheduling sites all pass plain ints).
         seq: scheduling sequence number; assigned by the simulator.
-        key: precomputed ``(time, priority, seq)`` total-ordering key.
+        key: the ``(time, priority, seq)`` total-ordering key (derived).
         callback: zero-argument callable invoked when the event fires.
         name: optional label used in error messages and traces.
         cancelled: set via :meth:`cancel`; cancelled events are skipped
             (lazily removed from the heap).
     """
 
-    __slots__ = ("time", "priority", "seq", "key", "callback", "name",
+    __slots__ = ("time", "priority", "seq", "callback", "name",
                  "cancelled", "_on_cancel")
 
     def __init__(
@@ -72,21 +73,25 @@ class Event:
         seq: int,
         callback: Callable[[], Any],
         name: Optional[str] = None,
+        on_cancel: Optional[Callable[[], None]] = None,
     ) -> None:
         self.time = time
-        self.priority = int(priority)
+        self.priority = priority
         self.seq = seq
-        #: Precomputed sort key; the engine's heap entries embed it so the
-        #: heap never calls back into Python-level comparison.
-        self.key: Tuple[int, int, int] = (time, self.priority, seq)
         self.callback = callback
         self.name = name
         self.cancelled = False
-        #: Set by the scheduling simulator so cancellation can keep its
+        #: Passed by the scheduling simulator so cancellation can keep its
         #: live-event counter exact without scanning the heap.  Cleared
         #: when the event fires or is cancelled, so a fired event held by
         #: a component never keeps the simulator hook reachable.
-        self._on_cancel: Optional[Callable[[], None]] = None
+        self._on_cancel = on_cancel
+
+    @property
+    def key(self) -> Tuple[int, int, int]:
+        """The total ordering key; the engine's heap entries carry the
+        same three ints inline, so nothing on the hot path builds this."""
+        return (self.time, int(self.priority), self.seq)
 
     def sort_key(self) -> Tuple[int, int, int]:
         """The total ordering key used by the event heap."""

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.events import PRIORITY_NORMAL
 
 
 class ProcessExit(Exception):
@@ -111,6 +110,12 @@ class Process:
         self._on_exit = on_exit
         self._finished = False
         self._started = False
+        # Per process, not per event: the three names its events carry
+        # and the callback behind every step that sends no value.
+        self._start_name = f"{self.name}.start"
+        self._resume_name = f"{self.name}.resume"
+        self._timeout_name = f"{self.name}.timeout"
+        self._advance = self._step
 
     @property
     def finished(self) -> bool:
@@ -121,7 +126,7 @@ class Process:
         if self._started:
             raise RuntimeError(f"process {self.name} already started")
         self._started = True
-        self.sim.schedule(delay, lambda: self._step(None), name=f"{self.name}.start")
+        self.sim.schedule(delay, self._advance, name=self._start_name)
         return self
 
     def kill(self) -> None:
@@ -139,12 +144,11 @@ class Process:
         """Resume at the current instant (still via the event loop)."""
         self.sim.schedule(
             0,
-            lambda: self._step(value),
-            priority=PRIORITY_NORMAL,
-            name=f"{self.name}.resume",
+            self._advance if value is None else (lambda: self._step(value)),
+            name=self._resume_name,
         )
 
-    def _step(self, send_value: Any) -> None:
+    def _step(self, send_value: Any = None) -> None:
         if self._finished:
             return
         try:
@@ -152,12 +156,12 @@ class Process:
         except StopIteration:
             self._finish()
             return
-        self._dispatch(command)
-
-    def _dispatch(self, command: Any) -> None:
-        if isinstance(command, Timeout):
-            self.sim.schedule(command.delay, lambda: self._step(None), name=f"{self.name}.timeout")
-        elif isinstance(command, WaitFor):
+        # Exact types first (all a workload ever yields); isinstance only
+        # to admit a subclass or reject the command.
+        kind = type(command)
+        if kind is Timeout or (kind is not WaitFor and isinstance(command, Timeout)):
+            self.sim.schedule(command.delay, self._advance, name=self._timeout_name)
+        elif kind is WaitFor or isinstance(command, WaitFor):
             if command._attach(self):
                 # Already woken before we parked: resume with its value now.
                 self._resume_soon(command._value)

@@ -29,7 +29,7 @@ from repro.sim.events import PRIORITY_DEVICE, PRIORITY_LOW
 from repro.sim.simtime import MICROSECOND
 from repro.ssd.bandwidth import BandwidthEstimator
 from repro.ssd.config import SsdConfig
-from repro.ssd.request import IoKind, IoRequest
+from repro.ssd.request import DIRECT_WRITE, READ, TRIM, WRITEBACK, IoRequest
 
 
 class ReclaimController:
@@ -98,7 +98,10 @@ class SsdDevice:
         #: wear-level moves) for tail-latency attribution.
         self.audit = DISABLED_AUDIT
 
-        self._queue: Deque[IoRequest] = deque()
+        #: FIFO of submitted requests not yet in service.  Never rebound:
+        #: workloads keep the deque and sample ``len()`` per operation
+        #: (:attr:`queue_depth` is the same number).
+        self.queue: Deque[IoRequest] = deque()
         self._busy = False
         self._bgc_active = False
         #: Invalidates pending idle checks whenever host activity occurs.
@@ -134,18 +137,18 @@ class SsdDevice:
         """
         request.submit_time = self.sim.now
         self._idle_token += 1
-        self._queue.append(request)
+        self.queue.append(request)
         if not self._busy:
             self._start_next()
 
     @property
     def idle(self) -> bool:
         """True when neither host service nor BGC occupies the device."""
-        return not self._busy and not self._queue
+        return not self._busy and not self.queue
 
     @property
     def queue_depth(self) -> int:
-        return len(self._queue)
+        return len(self.queue)
 
     def free_bytes(self) -> int:
         """The paper's ``Cfree``."""
@@ -168,13 +171,19 @@ class SsdDevice:
     def _start_next(self) -> None:
         if self._busy:
             return
-        if not self._queue:
+        if not self.queue:
             self._schedule_idle_check()
             return
-        request = self._queue.popleft()
+        request = self.queue.popleft()
         request.start_time = self.sim.now
         raw_latency, fgc_ns = self._execute(request)
-        latency = self._scale_latency(raw_latency, request.page_count, fgc_ns)
+        # Channel striping: the FTL reports serial per-page latencies; up
+        # to ``parallelism`` pages of a request (and all of the GC work
+        # inside it) overlap across channels.
+        factor = self.parallelism
+        if fgc_ns == 0 and request.page_count < factor:
+            factor = request.page_count
+        latency = max(1, raw_latency // factor)
         self._busy = True
         self.sim.schedule(
             latency,
@@ -187,34 +196,26 @@ class SsdDevice:
         """Run the FTL state changes; returns (raw latency, FGC portion)."""
         ftl = self.ftl
         fgc_before = ftl.stats.fgc_time_ns
-        latency = 0
-        lpns = range(request.lpn, request.lpn + request.page_count)
-        if request.kind == IoKind.READ:
-            latency = ftl.host_read_extent(request.lpn, request.page_count)
-        elif request.is_write:
-            if request.page_count > 1 and ftl.supports_batched_writes:
-                latency += ftl.host_write_extent(request.lpn, request.page_count)
+        kind = request.kind
+        lpn = request.lpn
+        pages = request.page_count
+        if kind is READ:
+            latency = ftl.host_read_extent(lpn, pages)
+        elif kind is DIRECT_WRITE or kind is WRITEBACK:
+            if pages > 1 and ftl.supports_batched_writes:
+                latency = ftl.host_write_extent(lpn, pages)
             else:
-                for lpn in lpns:
-                    latency += ftl.host_write_page(lpn)
-        elif request.kind == IoKind.TRIM:
+                latency = 0
+                for page in range(lpn, lpn + pages):
+                    latency += ftl.host_write_page(page)
+        elif kind is TRIM:
             # The FTL returns the unmap journal's metadata program time:
             # a durable TRIM is acknowledged only once its tombstones are
             # on NAND, so the journaling cost is part of the service.
-            latency = self.TRIM_LATENCY_NS + ftl.trim(lpns)
+            latency = self.TRIM_LATENCY_NS + ftl.trim(range(lpn, lpn + pages))
         else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unknown request kind {request.kind}")
-        fgc_ns = ftl.stats.fgc_time_ns - fgc_before
-        return latency, fgc_ns
-
-    def _scale_latency(self, raw_ns: int, pages: int, fgc_ns: int) -> int:
-        """Model channel striping: up to ``parallelism`` pages overlap.
-
-        The FTL reports serial per-page latencies; a multi-page request
-        (and the GC work inside it) overlaps across channels.
-        """
-        factor = min(self.parallelism, max(1, pages)) if fgc_ns == 0 else self.parallelism
-        return max(1, raw_ns // factor)
+            raise ValueError(f"unknown request kind {kind}")
+        return latency, ftl.stats.fgc_time_ns - fgc_before
 
     def _complete(self, request: IoRequest, latency: int, fgc_ns: int) -> None:
         self._busy = False
@@ -244,15 +245,17 @@ class SsdDevice:
                     )
                 )
 
-        nbytes = request.page_count * self.config.geometry.page_size
-        if request.is_write:
+        kind = request.kind
+        if kind is READ:
+            self.read_busy_ns += latency
+        elif kind is DIRECT_WRITE or kind is WRITEBACK:
             self.write_busy_ns += latency
             # Exclude the FGC stall from the bandwidth sample: Bw is the
             # device's clean write rate, which Tw = Creq/Bw relies on.
             clean_ns = max(1, latency - fgc_ns // self.parallelism)
-            self.write_bandwidth.observe(nbytes, clean_ns)
-        elif request.kind == IoKind.READ:
-            self.read_busy_ns += latency
+            self.write_bandwidth.observe(
+                request.page_count * self.config.geometry.page_size, clean_ns
+            )
 
         if request.on_complete is not None:
             request.on_complete(request)
@@ -293,7 +296,7 @@ class SsdDevice:
             self._maybe_bgc()
 
     def _maybe_bgc(self) -> None:
-        if self._busy or self._queue:
+        if self._busy or self.queue:
             return
         if self.ftl.read_only:
             # Terminal degraded state: no spare capacity left to reclaim
@@ -350,7 +353,7 @@ class SsdDevice:
             )
         if self.controller is not None:
             self.controller.on_block_collected(self, freed_pages)
-        if self._queue:
+        if self.queue:
             self._start_next()
         else:
             # Chain consecutive BGC blocks without re-waiting the grace:
@@ -399,7 +402,7 @@ class SsdDevice:
                     scrub=True,
                 )
             )
-        if self._queue:
+        if self.queue:
             self._start_next()
         else:
             # Confirmed idle period: drain the at-risk queue (and let
@@ -442,6 +445,6 @@ class SsdDevice:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<SsdDevice t={self.sim.now} queue={len(self._queue)} "
+            f"<SsdDevice t={self.sim.now} queue={len(self.queue)} "
             f"busy={self._busy} free={self.ftl.free_pool_blocks()}blk>"
         )

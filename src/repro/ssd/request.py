@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 _request_ids = itertools.count()
@@ -27,7 +26,14 @@ class IoKind(enum.Enum):
     TRIM = "trim"
 
 
-@dataclass
+#: Hoisted members: attribute access on an ``Enum`` class goes through a
+#: descriptor and costs an order of magnitude more than a global load.
+READ = IoKind.READ
+DIRECT_WRITE = IoKind.DIRECT_WRITE
+WRITEBACK = IoKind.WRITEBACK
+TRIM = IoKind.TRIM
+
+
 class IoRequest:
     """One host command against a contiguous logical extent.
 
@@ -37,24 +43,33 @@ class IoRequest:
         page_count: extent length in pages.
         on_complete: optional callback invoked with this request when the
             device finishes service.
+        request_id: process-wide serial number, in construction order.
         submit_time / start_time / complete_time: filled by the device for
             latency accounting (integer nanoseconds; -1 = not yet).
     """
 
-    kind: IoKind
-    lpn: int
-    page_count: int
-    on_complete: Optional[Callable[["IoRequest"], None]] = None
-    request_id: int = field(default_factory=lambda: next(_request_ids))
-    submit_time: int = -1
-    start_time: int = -1
-    complete_time: int = -1
+    __slots__ = ("kind", "lpn", "page_count", "on_complete", "request_id",
+                 "submit_time", "start_time", "complete_time")
 
-    def __post_init__(self) -> None:
-        if self.page_count <= 0:
-            raise ValueError(f"page_count must be positive, got {self.page_count}")
-        if self.lpn < 0:
-            raise ValueError(f"lpn must be >= 0, got {self.lpn}")
+    def __init__(
+        self,
+        kind: IoKind,
+        lpn: int,
+        page_count: int,
+        on_complete: Optional[Callable[["IoRequest"], None]] = None,
+    ) -> None:
+        if page_count <= 0:
+            raise ValueError(f"page_count must be positive, got {page_count}")
+        if lpn < 0:
+            raise ValueError(f"lpn must be >= 0, got {lpn}")
+        self.kind = kind
+        self.lpn = lpn
+        self.page_count = page_count
+        self.on_complete = on_complete
+        self.request_id = next(_request_ids)
+        self.submit_time = -1
+        self.start_time = -1
+        self.complete_time = -1
 
     @property
     def lpns(self) -> List[int]:
@@ -63,7 +78,8 @@ class IoRequest:
 
     @property
     def is_write(self) -> bool:
-        return self.kind in (IoKind.DIRECT_WRITE, IoKind.WRITEBACK)
+        kind = self.kind
+        return kind is DIRECT_WRITE or kind is WRITEBACK
 
     def latency(self) -> int:
         """Submit-to-complete latency; valid after completion."""

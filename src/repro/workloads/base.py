@@ -91,7 +91,9 @@ class ZipfGenerator:
             weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), theta)
             self._cdf = np.cumsum(weights)
             self._cdf /= self._cdf[-1]
-        self._batch: np.ndarray = np.empty(0, dtype=np.int64)
+        #: The current batch as Python ints (one ``tolist`` per 4096
+        #: samples instead of boxing a NumPy scalar per sample).
+        self._batch: List[int] = []
         self._cursor = 0
 
     def with_rng(self, rng: np.random.Generator) -> "ZipfGenerator":
@@ -101,13 +103,13 @@ class ZipfGenerator:
         return ZipfGenerator(self.n, self.theta, rng, _shared_cdf=self._cdf)
 
     def sample(self) -> int:
-        if self._cursor >= len(self._batch):
+        cursor = self._cursor
+        if cursor >= len(self._batch):
             uniforms = self._rng.random(4096)
-            self._batch = np.searchsorted(self._cdf, uniforms)
-            self._cursor = 0
-        value = int(self._batch[self._cursor])
-        self._cursor += 1
-        return value
+            self._batch = np.searchsorted(self._cdf, uniforms).tolist()
+            cursor = 0
+        self._cursor = cursor + 1
+        return self._batch[cursor]
 
 
 class Workload:
@@ -160,6 +162,11 @@ class Workload:
     ) -> None:
         self.host = host
         self.sim = host.sim
+        # Fixed per host.  Methods are still looked up on the dispatcher
+        # per call: a TraceRecorder patches them on the instance, and may
+        # do so after the workload was built.
+        self._dispatcher = host.dispatcher
+        self._device_queue = host.device.queue
         self.metrics = metrics
         self.region = region
         self.think_ns = think_ns
@@ -209,36 +216,33 @@ class Workload:
     # ------------------------------------------------------------------
     def op_write(self, lpn: int, pages: int, direct: bool) -> Iterator:
         """One application write operation, counted on completion."""
-        start = self.sim.now
-        depth = self.host.device.queue_depth
+        sim = self.sim
+        start = sim.now
+        depth = len(self._device_queue)
         waiter = WaitFor()
-        self.host.dispatcher.write(lpn, pages, direct=direct, on_complete=waiter.wake)
+        self._dispatcher.write(lpn, pages, direct, waiter.wake)
         yield waiter
-        self.metrics.record_op(
-            self.sim.now - start, kind="write", issue_ns=start, queue_depth=depth
-        )
+        self.metrics.record_op(sim.now - start, "write", start, depth)
 
     def op_fsync(self, lpn: int, pages: int) -> Iterator:
         """fsync a range: wait until its dirty pages hit the device."""
-        start = self.sim.now
-        depth = self.host.device.queue_depth
+        sim = self.sim
+        start = sim.now
+        depth = len(self._device_queue)
         waiter = WaitFor()
-        self.host.dispatcher.fsync(lpn, pages, on_complete=waiter.wake)
+        self._dispatcher.fsync(lpn, pages, waiter.wake)
         yield waiter
-        self.metrics.record_op(
-            self.sim.now - start, kind="fsync", issue_ns=start, queue_depth=depth
-        )
+        self.metrics.record_op(sim.now - start, "fsync", start, depth)
 
     def op_read(self, lpn: int, pages: int) -> Iterator:
         """One application read operation, counted on completion."""
-        start = self.sim.now
-        depth = self.host.device.queue_depth
+        sim = self.sim
+        start = sim.now
+        depth = len(self._device_queue)
         waiter = WaitFor()
-        self.host.dispatcher.read(lpn, pages, on_complete=waiter.wake)
+        self._dispatcher.read(lpn, pages, waiter.wake)
         yield waiter
-        self.metrics.record_op(
-            self.sim.now - start, kind="read", issue_ns=start, queue_depth=depth
-        )
+        self.metrics.record_op(sim.now - start, "read", start, depth)
 
     def op_trim(self, lpn: int, pages: int) -> Iterator:
         """One discard (TRIM) operation, counted on completion.
@@ -246,14 +250,13 @@ class Workload:
         Completion means the device acknowledged the discard -- with
         unmap journaling on, the tombstones are durable by then.
         """
-        start = self.sim.now
-        depth = self.host.device.queue_depth
+        sim = self.sim
+        start = sim.now
+        depth = len(self._device_queue)
         waiter = WaitFor()
-        self.host.dispatcher.trim(lpn, pages, on_complete=waiter.wake)
+        self._dispatcher.trim(lpn, pages, waiter.wake)
         yield waiter
-        self.metrics.record_op(
-            self.sim.now - start, kind="trim", issue_ns=start, queue_depth=depth
-        )
+        self.metrics.record_op(sim.now - start, "trim", start, depth)
 
     def actor_rng(self, index: int) -> np.random.Generator:
         """Dedicated random stream for actor ``index``.
@@ -290,10 +293,16 @@ class Workload:
         yield waiter
 
     def think(self, rng: Optional[np.random.Generator] = None) -> Iterator:
-        """Exponential think time inside a burst (truncated at 4x mean)."""
-        delay = self._exponential(self.think_ns, rng)
-        if delay > 0:
-            yield Timeout(delay)
+        """Exponential think time inside a burst (truncated at 4x mean).
+
+        ``_exponential(self.think_ns, rng)`` drawn in place: this runs
+        once per operation.
+        """
+        mean = self.think_ns
+        if mean > 0:
+            delay = min(int((rng or self.rng).exponential(mean)), 4 * mean)
+            if delay > 0:
+                yield Timeout(delay)
 
     def burst_pause(self, rng: Optional[np.random.Generator] = None) -> Iterator:
         """Pause after a burst: until the next global wave boundary when

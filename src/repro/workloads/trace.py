@@ -95,9 +95,9 @@ class TraceRecorder:
         self.records.append(TraceRecord(self._sim.now, "read", lpn, page_count))
         return self._orig_read(lpn, page_count, on_complete)
 
-    def _trim(self, lpn, page_count):
+    def _trim(self, lpn, page_count, on_complete=None):
         self.records.append(TraceRecord(self._sim.now, "trim", lpn, page_count))
-        return self._orig_trim(lpn, page_count)
+        return self._orig_trim(lpn, page_count, on_complete)
 
     def detach(self) -> None:
         """Restore the dispatcher's original methods."""

@@ -78,7 +78,8 @@ class YcsbWorkload(Workload):
         rng = self.actor_rng(index)
         zipf = self.zipf.with_rng(rng)
         while True:
-            yield from self.op_gate()
+            if not self._gate_open:
+                yield from self.op_gate()
             record = zipf.sample()
             lpn = self._record_lpn(record)
             if rng.random() < self.update_fraction:

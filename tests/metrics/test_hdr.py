@@ -207,3 +207,49 @@ def test_interval_percentiles_cover_only_new_samples():
     for q in (50, 99):
         assert interval[q] >= exact
         assert interval[q] - exact <= max(1, int(exact * hist.relative_error))
+
+
+# ----------------------------------------------------------------------
+# record() computes the bucket itself; bucket_index stays for readers
+# ----------------------------------------------------------------------
+def reference_record(hist, value, n=1):
+    """``record`` as it stood when it called ``bucket_index``."""
+    if value < 0:
+        raise ValueError(f"value must be >= 0, got {value}")
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    value = int(value)
+    index = hist.bucket_index(value)
+    hist.counts[index] = hist.counts.get(index, 0) + n
+    hist.count += n
+    hist.total += value * n
+    if hist._min is None or value < hist._min:
+        hist._min = value
+    if value > hist._max:
+        hist._max = value
+
+
+#: Both sides of the exact/log-linear boundary, and past 2^40.
+edge_values = st.sampled_from([0, 1, 255, 256, 257, 511, 512, 2**40, 2**40 + 1, 2**47 - 1])
+
+
+@given(
+    st.lists(
+        st.tuples(st.one_of(latency_values, edge_values), st.integers(1, 3)),
+        min_size=1,
+        max_size=200,
+    ),
+    st.sampled_from([2, 5, 8, 11]),
+)
+@settings(max_examples=200, deadline=None)
+def test_record_agrees_with_bucket_index(stream, bucket_bits):
+    hist = HdrHistogram(bucket_bits)
+    reference = HdrHistogram(bucket_bits)
+    for value, n in stream:
+        alone = HdrHistogram(bucket_bits)
+        alone.record(value, n)
+        assert alone.counts == {alone.bucket_index(value): n}
+        hist.record(value, n)
+        reference_record(reference, value, n)
+    assert hist == reference
+    assert (hist.min(), hist.max()) == (reference.min(), reference.max())

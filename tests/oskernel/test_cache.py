@@ -1,10 +1,11 @@
 """Tests for the write-back page cache."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.oskernel.cache import PageCache
+from repro.core.buffered_predictor import BufferedWritePredictor
+from repro.oskernel.cache import DirtyPage, PageCache
 
 PAGE = 4096
 
@@ -284,11 +285,11 @@ ACTORS = st.lists(
 )
 
 
-def run_actors(caches, actors, now):
+def run_actors(caches, actors, now, write=PageCache.write_page):
     for action, lpn in actors:
         for cache in caches:
             if action == "write":
-                cache.write_page(lpn, now)
+                write(cache, lpn, now)
             elif action == "writeback":
                 if cache.contains_dirty(lpn):
                     cache.begin_writeback([lpn])
@@ -333,3 +334,145 @@ def test_extent_forms_equal_the_per_page_replay(
         assert not extent._clean  # pinned pages alone fill the cache
     else:
         assert extent.cached_pages <= capacity
+
+
+# ----------------------------------------------------------------------
+# write_extent against n x the per-page write_page it replaced
+# ----------------------------------------------------------------------
+def reference_write_page(cache, lpn, now):
+    """``write_page`` as it stood before ``write_extent``: one listener
+    call, one eviction pass and one throttle check per *page*."""
+    entry = cache._dirty.get(lpn)
+    if entry is not None:
+        old_ts = entry.last_update
+        entry.last_update = now
+        cache._dirty.move_to_end(lpn)
+        if cache._indexed and old_ts != now:
+            cache._bucket_remove(lpn, old_ts)
+            cache._bucket_add(lpn, now)
+        cache.write_hits += 1
+        if cache.dirty_listeners:
+            cache._notify_dirty([(lpn, now)], [(lpn, old_ts)])
+        return
+    cache._in_writeback.pop(lpn, None)
+    cache._clean.pop(lpn, None)
+    cache._dirty[lpn] = DirtyPage(lpn=lpn, last_update=now)
+    if cache._indexed:
+        cache._bucket_add(lpn, now)
+    if cache.dirty_listeners:
+        cache._notify_dirty([(lpn, now)], [])
+    cache._evict_if_needed()
+    if cache.throttled():
+        for listener in list(cache.pressure_listeners):
+            listener()
+
+
+PERIOD, TAU = 4, 12  # the predictor's p and tau_expire (Nwb = 3)
+
+
+class WriteSide:
+    """One cache with everything that listens to its write path."""
+
+    def __init__(self, capacity, throttle):
+        self.cache = make_cache(capacity, throttle)
+        self.predictor = BufferedWritePredictor(
+            self.cache, PERIOD, TAU, incremental=True
+        )
+        self.payloads = []
+        self.pressure = 0
+        self.cache.dirty_listeners.append(
+            lambda added, removed: self.payloads.append((list(added), list(removed)))
+        )
+        self.cache.pressure_listeners.append(self._on_pressure)
+
+    def _on_pressure(self):
+        self.pressure += 1
+
+    def state(self):
+        cache = self.cache
+        return (
+            [(lpn, entry.lpn, entry.last_update) for lpn, entry in cache._dirty.items()],
+            list(cache._clean.items()),
+            list(cache._in_writeback.items()),
+            [(ts, list(bucket)) for ts, bucket in cache._by_time.items()],
+            cache.write_hits,
+            self.predictor._interval_counts,
+        )
+
+    def heard(self):
+        """Listener payloads as multisets, whatever the call boundaries."""
+        added = sorted(pair for payload in self.payloads for pair in payload[0])
+        removed = sorted(pair for payload in self.payloads for pair in payload[1])
+        return added, removed
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    capacity=st.integers(1, 8),
+    throttle=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+    before=st.lists(
+        st.tuples(
+            st.sampled_from(["write", "writeback", "complete", "fetch"]),
+            CACHE_LPNS,
+            st.integers(0, 3),
+        ),
+        max_size=16,
+    ),
+    lpn=CACHE_LPNS,
+    count=st.integers(1, 10),
+    gap=st.integers(0, 3),
+)
+# (ii) a page of the extent is itself the LRU clean page, at capacity.
+@example(
+    capacity=3, throttle=1.0, lpn=0, count=2, gap=1,
+    before=[("fetch", 1, 0), ("fetch", 5, 0), ("fetch", 6, 0)],
+)
+# (iii) pinned dirty pages alone exceed capacity.
+@example(
+    capacity=3, throttle=1.0, lpn=0, count=4, gap=1,
+    before=[("write", 7, 0), ("write", 8, 1), ("fetch", 9, 0)],
+)
+# The throttle threshold (3 of 6 pages) is crossed by the third page of
+# four: page 1 re-dirtied from write-back, page 2 from a clean copy.
+@example(
+    capacity=6, throttle=0.5, lpn=0, count=4, gap=0,
+    before=[("write", 1, 2), ("writeback", 1, 0), ("fetch", 2, 1)],
+)
+def test_write_extent_equals_the_per_page_replay(
+    capacity, throttle, before, lpn, count, gap
+):
+    """From any state -- dirty, write-back and clean pages inside the
+    extent, eviction running, the extent's own page being the LRU clean
+    one, pinned pages past capacity, the throttle crossed mid-extent --
+    one ``write_extent`` leaves the cache, the expiry index, the
+    pressure signal and a listening predictor exactly as ``count``
+    per-page writes did, and so does the one-page form."""
+    extent, paged, single = sides = [WriteSide(capacity, throttle) for _ in range(3)]
+    now = 0
+    for action, page, step in before:
+        now += step
+        run_actors(
+            [side.cache for side in sides], [(action, page)], now, reference_write_page
+        )
+    now += gap  # gap 0: pages already stamped ``now`` keep their bucket
+    for side in sides:
+        side.payloads.clear()
+        side.pressure = 0
+    evictions = []
+    original = extent.cache._evict_if_needed
+    extent.cache._evict_if_needed = lambda: (evictions.append(1), original())[1]
+
+    extent.cache.write_extent(lpn, count, now)
+    for page in range(lpn, lpn + count):
+        reference_write_page(paged.cache, page, now)
+        single.cache.write_page(page, now)
+
+    assert extent.state() == paged.state() == single.state()
+    assert bool(extent.pressure) == bool(paged.pressure) == bool(single.pressure)
+    assert extent.pressure <= 1 and len(evictions) <= 1
+    assert len(extent.payloads) == 1  # ONE dirty-listener call per operation
+    assert extent.heard() == paged.heard() == single.heard()
+    tick = -(-now // PERIOD) * PERIOD
+    demands = [side.predictor.predict(tick).demands_bytes for side in sides]
+    assert demands[0] == demands[1] == demands[2]
+    assert sum(demands[0]) == extent.cache.dirty_pages * PAGE

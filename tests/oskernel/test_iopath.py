@@ -186,3 +186,27 @@ def test_coalesce_helper():
     assert _coalesce([]) == []
     assert _coalesce([1]) == [(1, 1)]
     assert _coalesce([1, 2, 3, 7, 8, 11]) == [(1, 3), (7, 2), (11, 1)]
+
+
+def test_buffered_write_is_one_cache_operation():
+    """The listener contract of ``PageCache.dirty_listeners`` -- exactly
+    one call per cache operation -- holds for a multi-page buffered
+    write: one listener call, one eviction pass, whatever its length."""
+    sim, _, cache, dispatcher = make_stack()
+    heard = []
+    cache.dirty_listeners.append(lambda added, removed: heard.append("first"))
+    cache.dirty_listeners.append(
+        lambda added, removed: heard.append((list(added), list(removed)))
+    )
+    evictions = []
+    evict = cache._evict_if_needed
+    cache._evict_if_needed = lambda: (evictions.append(1), evict())[1]
+    sim.run_until(50)
+    dispatcher.write(6, 2, direct=False)
+    assert heard == ["first", ([(6, 50), (7, 50)], [])]
+    assert len(evictions) == 1
+    sim.run_until(80)
+    dispatcher.write(7, 2, direct=False)  # page 7 is an overwrite
+    assert heard[2:] == ["first", ([(7, 80), (8, 80)], [(7, 50)])]
+    assert len(evictions) == 2
+    assert cache.write_hits == 1 and cache.dirty_pages == 3

@@ -1,6 +1,8 @@
 """Tests for the simulator event loop: ordering, cancellation, run_until."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import EventPriority
@@ -221,3 +223,155 @@ def test_on_cancel_hook_detached_after_fire_and_after_cancel():
     assert cancelled_event._on_cancel is None
     cancelled_event.cancel()  # idempotent with the hook already gone
     assert sim.pending() == 0
+
+
+# ----------------------------------------------------------------------
+# Property: any program of schedules, cancels, slices and stops
+# ----------------------------------------------------------------------
+PRIORITY_VALUES = list(EventPriority)
+#: ``schedule`` / ``schedule_at`` with a delay (0 included), a priority,
+#: a name or none; a cancel of the n-th event created so far, fired or
+#: not; a ``stop()``.
+ACTIONS = st.one_of(
+    st.tuples(
+        st.just("schedule"),
+        st.integers(0, 6),
+        st.sampled_from(PRIORITY_VALUES),
+        st.booleans(),
+        st.booleans(),
+    ),
+    st.tuples(st.just("cancel"), st.integers(0, 60)),
+    st.tuples(st.just("stop")),
+)
+MAX_EVENTS = st.one_of(st.none(), st.integers(0, 5))
+SLICES = st.one_of(
+    st.tuples(st.just("until"), st.integers(0, 9), MAX_EVENTS),
+    st.tuples(st.just("run"), MAX_EVENTS),
+    st.tuples(st.just("step")),
+)
+
+
+class EngineModel:
+    """Drives a Simulator and keeps the set of live events beside it."""
+
+    EVENT_CAP = 120  # callbacks schedule callbacks: bound the program
+
+    def __init__(self, behaviours):
+        self.sim = Simulator()
+        self.behaviours = behaviours
+        self.events = []
+        self.labels = []
+        self.live = {}
+        self.fired = []
+        self.profile = []
+        self.stopped = False
+        self.sim.set_profiler(self)
+
+    def record(self, label, wall_ns):  # the set_profiler seam
+        assert wall_ns >= 0
+        self.profile.append(label)
+
+    def check_counts(self):
+        assert self.sim.pending() == len(self.live)
+        assert self.sim.dispatched == len(self.fired)
+
+    def callback(self, ident):
+        def fire():
+            event = self.events[ident]
+            assert ident in self.live  # neither cancelled nor fired before
+            assert self.sim.now == event.time
+            assert event.sort_key() == min(e.sort_key() for e in self.live.values())
+            del self.live[ident]
+            self.fired.append(ident)
+            self.check_counts()
+            for action in self.behaviours[ident % len(self.behaviours)]:
+                self.do(action)
+
+        return fire
+
+    def do(self, action):
+        sim = self.sim
+        if action[0] == "schedule":
+            _, delay, priority, named, absolute = action
+            ident = len(self.events)
+            if ident >= self.EVENT_CAP:
+                return
+            callback = self.callback(ident)
+            name = f"event-{ident}" if named else None
+            if absolute:
+                event = sim.schedule_at(
+                    sim.now + delay, callback, priority=priority, name=name
+                )
+            else:
+                event = sim.schedule(delay, callback, priority=priority, name=name)
+            assert event.sort_key() == (sim.now + delay, priority, ident)
+            assert event.key == event.sort_key() and not event.cancelled
+            self.events.append(event)
+            self.labels.append(name or callback.__qualname__)
+            self.live[ident] = event
+        elif action[0] == "cancel":
+            if self.events:
+                ident = action[1] % len(self.events)
+                self.events[ident].cancel()
+                assert self.events[ident].cancelled
+                self.live.pop(ident, None)
+        else:
+            sim.stop()
+            self.stopped = True
+        self.check_counts()
+
+    def advance(self, piece):
+        sim = self.sim
+        self.stopped = False
+        fired_before, now_before = len(self.fired), sim.now
+        if piece[0] == "step":
+            target, limit = None, 1
+            returned = int(sim.step())
+        elif piece[0] == "run":
+            target, limit = None, piece[1]
+            returned = sim.run(limit)
+        else:
+            target, limit = sim.now + piece[1], piece[2]
+            returned = sim.run_until(target, limit)
+        count = len(self.fired) - fired_before
+        assert returned == count
+        last = self.events[self.fired[-1]].time if count else now_before
+        if limit is not None:
+            assert count <= limit
+        cut_short = limit is not None and count >= limit and bool(sim._heap)
+        if target is None or self.stopped or cut_short:
+            assert sim.now == last  # the clock rests on the last fired event
+        else:
+            assert sim.now == target
+        if not self.stopped and not cut_short:
+            horizon = sim.now if target is not None else float("inf")
+            assert not [e for e in self.live.values() if e.time <= horizon]
+        self.check_counts()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    behaviours=st.lists(st.lists(ACTIONS, max_size=4), min_size=1, max_size=8),
+    program=st.lists(st.one_of(ACTIONS, SLICES), max_size=40),
+)
+def test_any_program_dispatches_live_events_in_key_order(behaviours, program):
+    """Whatever is scheduled from wherever, the event that fires is the
+    smallest ``(time, priority, seq)`` among the live ones, at its own
+    time; ``pending()`` and ``dispatched`` are exact after every step;
+    slices end where ``max_events`` / ``stop()`` / the horizon say; and
+    the profiler hears each fired event once, under its label."""
+    model = EngineModel(behaviours)
+    for piece in program:
+        if piece[0] in ("until", "run", "step"):
+            model.advance(piece)
+        else:
+            model.do(piece)
+    model.advance(("run", None))
+    while model.stopped:  # a stop() ends a run early; finish the program
+        model.advance(("run", None))
+    assert not model.live and model.sim.pending() == 0
+    assert model.sim.peek_time() is None
+    assert sorted(model.fired) == sorted(set(model.fired))
+    times = [model.events[ident].time for ident in model.fired]
+    assert times == sorted(times)
+    assert model.profile == [model.labels[ident] for ident in model.fired]

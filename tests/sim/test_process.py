@@ -153,3 +153,126 @@ def test_two_processes_interleave():
         ("a", 30),
         ("b", 45),
     ]
+
+
+class EventNames:
+    """A ``set_profiler`` recorder: the label of every event, in order."""
+
+    def __init__(self):
+        self.labels = []
+
+    def record(self, label, wall_ns):
+        self.labels.append(label)
+
+
+def test_event_names_are_start_resume_timeout():
+    sim = Simulator()
+    names = EventNames()
+    sim.set_profiler(names)
+    parked, early = WaitFor(), WaitFor()
+    early.wake()
+
+    def actor():
+        yield Timeout(3)
+        yield parked  # woken later: resumes through an event
+        yield early  # woken before it parks: also resumes through an event
+        yield Timeout(0)
+
+    def worker():
+        yield Timeout(1)
+
+    Process(sim, actor(), name="YCSB[0]").start()
+    Process(sim, worker()).start(delay=50)  # named after its generator
+    sim.schedule(10, parked.wake, name="device")
+    sim.run()
+    assert names.labels == [
+        "YCSB[0].start",
+        "YCSB[0].timeout",
+        "device",
+        "YCSB[0].resume",
+        "YCSB[0].resume",
+        "YCSB[0].timeout",
+        "worker.start",
+        "worker.timeout",
+    ]
+
+
+@pytest.mark.parametrize("value", [None, 0, False, "", "payload", (1, 2)])
+def test_wake_value_reaches_the_yield_parked_or_not(value):
+    sim = Simulator()
+    received = []
+    before, after = WaitFor(), WaitFor()
+    before.wake(value)
+
+    def actor():
+        received.append((yield before))
+        received.append((yield after))
+        received.append((yield Timeout(1)))  # a sleep resumes with None
+
+    Process(sim, actor()).start()
+    sim.schedule(5, lambda: after.wake(value))
+    sim.run()
+    assert len(received) == 3
+    assert received[0] is value and received[1] is value
+    assert received[2] is None
+
+
+def test_kill_with_resume_pending_fires_nothing():
+    sim = Simulator()
+    trace = []
+    waiter = WaitFor()
+
+    def actor():
+        yield waiter
+        trace.append("resumed")
+        yield Timeout(1)
+        trace.append("slept")
+
+    proc = Process(sim, actor()).start()
+    sim.run()
+    waiter.wake("late")  # the resume event is now queued...
+    assert sim.pending() == 1
+    proc.kill()  # ...and the process dies before it fires
+    sim.run()
+    assert trace == []
+    assert proc.finished
+    assert sim.pending() == 0
+
+
+def test_waitfor_yielded_twice_raises():
+    sim = Simulator()
+    waiter = WaitFor()
+    waiter.wake()
+
+    def actor():
+        yield waiter
+        yield waiter
+
+    Process(sim, actor()).start()
+    with pytest.raises(RuntimeError):
+        sim.run()
+
+
+def test_command_subclasses_are_honoured_and_a_bare_int_is_not():
+    class Nap(Timeout):
+        pass
+
+    class Signal(WaitFor):
+        pass
+
+    sim = Simulator()
+    trace = []
+    signal = Signal()
+
+    def actor():
+        yield Nap(7)
+        trace.append(sim.now)
+        trace.append((yield signal))
+        yield 5
+
+    Process(sim, actor()).start()
+    sim.schedule(20, lambda: signal.wake("go"))
+    with pytest.raises(TypeError, match="expected Timeout or WaitFor"):
+        sim.run()
+    assert trace == [7, "go"]
+    assert sim.now == 20

@@ -1,6 +1,8 @@
 """Tests for the timed SSD device: queueing, completion, BGC control."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 from repro.ssd.config import SsdConfig
@@ -164,3 +166,28 @@ def test_free_bytes_matches_ftl():
     _, dev = make_device()
     assert dev.free_bytes() == dev.ftl.free_bytes()
     assert dev.free_pages() == dev.ftl.free_pages()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    raw_ns=st.integers(0, 10**7),
+    pages=st.integers(1, 64),
+    fgc_ns=st.sampled_from([0, 0, 1, 40_000]),
+    parallelism=st.integers(1, 16),
+    kind=st.sampled_from(list(IoKind)),
+)
+def test_service_time_follows_the_striping_rule(raw_ns, pages, fgc_ns, parallelism, kind):
+    """Up to ``parallelism`` pages of a request overlap; a request that
+    ran foreground GC overlaps across all channels; never below 1 ns.
+    Busy time is booked by request kind."""
+    sim, dev = make_device(channel_parallelism=parallelism)
+    dev._execute = lambda request: (raw_ns, fgc_ns)
+    req = IoRequest(kind, 0, pages)
+    dev.submit(req)
+    sim.run()
+    factor = min(parallelism, max(1, pages)) if fgc_ns == 0 else parallelism
+    latency = max(1, raw_ns // factor)
+    assert req.complete_time - req.start_time == latency
+    assert dev.busy_ns == latency
+    assert dev.write_busy_ns == (latency if req.is_write else 0)
+    assert dev.read_busy_ns == (latency if kind is IoKind.READ else 0)

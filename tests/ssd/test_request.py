@@ -32,13 +32,33 @@ def test_bytes_size():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="page_count must be positive, got 0"):
         IoRequest(IoKind.READ, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="page_count must be positive, got -2"):
+        IoRequest(IoKind.TRIM, 0, -2)
+    with pytest.raises(ValueError, match="lpn must be >= 0, got -1"):
         IoRequest(IoKind.READ, -1, 1)
+    with pytest.raises(ValueError, match="page_count"):  # checked first
+        IoRequest(IoKind.WRITEBACK, -1, 0)
 
 
 def test_request_ids_unique():
     a = IoRequest(IoKind.READ, 0, 1)
     b = IoRequest(IoKind.READ, 0, 1)
     assert a.request_id != b.request_id
+
+
+def test_request_ids_increase_in_construction_order():
+    ids = [IoRequest(kind, 3, 2).request_id for kind in list(IoKind) * 2]
+    assert ids == list(range(ids[0], ids[0] + 8))
+
+
+def test_fresh_request_is_unstamped():
+    done = []
+    by_position = IoRequest(IoKind.WRITEBACK, 4, 2, done.append)
+    by_keyword = IoRequest(IoKind.WRITEBACK, 4, 2, on_complete=done.append)
+    for req in (by_position, by_keyword):
+        assert (req.kind, req.lpn, req.page_count) == (IoKind.WRITEBACK, 4, 2)
+        assert req.on_complete == done.append
+        assert (req.submit_time, req.start_time, req.complete_time) == (-1, -1, -1)
+    assert IoRequest(IoKind.READ, 0, 1).on_complete is None

@@ -73,6 +73,19 @@ def test_zipf_with_rng_shares_distribution():
     assert 0 <= clone.sample() < 100
 
 
+def test_zipf_samples_are_the_batched_inverse_cdf_draws():
+    """The batch is kept as a list; the stream and its 4096-sample
+    refills are those of ``searchsorted(cdf, rng.random(4096))``."""
+    zipf = ZipfGenerator(300, theta=0.9, rng=np.random.default_rng(7))
+    twin = np.random.default_rng(7)
+    samples = [zipf.sample() for _ in range(4096 + 4096 + 10)]
+    expected = np.concatenate(
+        [np.searchsorted(zipf._cdf, twin.random(4096)) for _ in range(3)]
+    )
+    assert samples == expected[: len(samples)].tolist()
+    assert all(type(value) is int for value in samples)
+
+
 def test_zipf_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
@@ -122,6 +135,24 @@ def test_exponential_truncated_at_4x_mean():
     rng = workload.actor_rng(0)
     draws = [workload._exponential(1000, rng) for _ in range(2000)]
     assert max(draws) <= 4000
+
+
+def test_think_is_the_truncated_exponential_draw():
+    workload, other = (
+        OneShotWorkload(host, MetricsCollector(host, "test"), Region(0, 64), think_ns=1000)
+        for host in (make_host(), make_host())
+    )
+    rng, twin = workload.actor_rng(0), other.actor_rng(0)  # equal streams
+    for _ in range(500):
+        expected = workload._exponential(1000, twin)
+        assert [t.delay for t in workload.think(rng)] == ([expected] if expected else [])
+    # Without an rng the workload's own stream is drawn from...
+    [pause] = list(workload.think()) or [None]
+    assert pause is None or 0 < pause.delay <= 4000
+    # ...and a workload that does not think draws nothing at all.
+    workload.think_ns = 0
+    assert list(workload.think(rng)) == []
+    assert rng.random() == twin.random()
 
 
 def test_actor_rng_is_stable_per_index():

@@ -102,3 +102,59 @@ def test_trace_replay_reproduces_traffic():
     s1, s2 = host1.dispatcher.stats, host2.dispatcher.stats
     assert s2.buffered_bytes == s1.buffered_bytes
     assert s2.direct_bytes == s1.direct_bytes
+
+
+def ops_entered(host):
+    """Every write/read/trim that entered the dispatcher so far."""
+    stats = host.dispatcher.stats
+    return (
+        stats.buffered_ops
+        + stats.direct_ops
+        + stats.read_ops
+        + stats.trim_ops
+        + host.dispatcher.blocked_writers
+    )
+
+
+def test_recorder_records_a_trimming_workload():
+    """``op_trim`` hands the dispatcher a completion callback; the
+    recorder's wrapper has to take it and pass it on."""
+    host = make_host()
+    recorder = TraceRecorder(host.dispatcher, host.sim)
+    metrics = MetricsCollector(host, "synthetic")
+    workload = SyntheticWorkload(
+        host, metrics, Region(0, 512),
+        trim_fraction=0.2, think_ns=10_000, burst_ops=32, idle_ns=0,
+    )
+    workload.start()
+    host.run_for(2 * SECOND)
+    workload.stop()
+    recorder.detach()
+    trims = [r for r in recorder.records if r.op == "trim"]
+    assert trims and len(trims) == host.dispatcher.stats.trim_ops
+    assert len(recorder.records) == ops_entered(host)
+    # Every discard completed: the actors went on issuing after each one.
+    assert metrics.iops_meter.total_ops >= len(recorder.records) - workload.actors
+
+
+def test_recorder_attached_after_start_sees_every_op():
+    """The recorder patches the dispatcher *instance*: a workload may
+    keep the dispatcher it was built with, but has to look ``write`` /
+    ``read`` / ``trim`` up on it per call."""
+    host = make_host()
+    metrics = MetricsCollector(host, "synthetic")
+    workload = SyntheticWorkload(
+        host, metrics, Region(0, 512),
+        trim_fraction=0.2, think_ns=10_000, burst_ops=32, idle_ns=0,
+    )
+    workload.start()
+    host.run_for(SECOND // 2)
+    before = ops_entered(host)
+    assert before > 0
+    recorder = TraceRecorder(host.dispatcher, host.sim)
+    host.run_for(SECOND)
+    recorder.detach()
+    assert len(recorder.records) == ops_entered(host) - before
+    assert {r.op for r in recorder.records} == {"write", "read", "trim"}
+    host.run_for(SECOND // 2)  # detached: the workload runs on, unrecorded
+    assert len(recorder.records) < ops_entered(host) - before
