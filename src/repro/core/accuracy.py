@@ -22,7 +22,7 @@ to be right.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Tuple
 
 
 class PredictionAccuracyTracker:

@@ -78,11 +78,17 @@ class CumulativeDataHistogram:
             raise ValueError(f"probability must be in (0, 1], got {probability}")
         if not self._observations:
             return 0
-        for index, cumulative in enumerate(self.cdf()):
-            if cumulative >= probability:
-                return (index + 1) * self.bin_bytes
+        # Walk the occupied bins only: :meth:`cdf` is flat across an
+        # empty bin, so the first bin to reach ``probability`` is an
+        # occupied one, and ``acc / total`` there is the float it holds.
+        bin_bytes = self.bin_bytes
+        indices = sorted(value // bin_bytes for value in self._observations)
+        total = len(indices)
+        for acc, index in enumerate(indices, 1):
+            if acc / total >= probability:
+                return (index + 1) * bin_bytes
         # Floating-point slack: fall back to the maximum bin bound.
-        return len(self.cdf()) * self.bin_bytes
+        return (indices[-1] + 1) * bin_bytes
 
     def max_observation(self) -> int:
         return max(self._observations, default=0)

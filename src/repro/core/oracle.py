@@ -17,7 +17,7 @@ second-order effect of GC timing on completion timing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.policies import GcPolicy
 from repro.sim.events import PRIORITY_CONTROL

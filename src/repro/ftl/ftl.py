@@ -643,7 +643,7 @@ class PageMappedFtl:
         :meth:`NandArray.next_programmable_page` per write is pure
         overhead."""
         block = frontier.block
-        page = int(self.nand.program_ptr[block])
+        page = self.nand.program_ptr.item(block)
         if page >= self._ppb:
             self._close_block(block)
             block = frontier.block = self._allocate_block()
@@ -854,7 +854,7 @@ class PageMappedFtl:
             if self.needs_foreground_gc():
                 latency += self._run_foreground_gc()
             block = self._user.block
-            start = int(nand.program_ptr[block])
+            start = nand.program_ptr.item(block)
             if start >= ppb:
                 # Frontier roll: take the per-page helper for exactly one
                 # page -- it replicates the per-page order (clock tick,
@@ -883,29 +883,17 @@ class PageMappedFtl:
             self._write_seq += chunk
             self._op_counter += chunk
             latency += program_ns
-            old_ppns = page_map.remap_extent(first, chunk, block * ppb + start)
+            old_ppns, old_runs = page_map.remap_extent(
+                first, chunk, block * ppb + start
+            )
             if vindex is not None:
-                # The old PPNs of a contiguous extent were themselves
-                # written as runs, so group consecutive same-block PPNs
-                # and adjust once per run (intermediate heap entries the
-                # per-page observer would push are dead on arrival, so
-                # aggregation is selection-equivalent).
+                # One adjustment per run of old pages in one block: the
+                # intermediate heap entries the per-page observer would
+                # push are dead on arrival, so aggregation is
+                # selection-equivalent.
                 adjust = vindex.adjust_if_tracked
-                prev = -1
-                run = 0
-                for ppn in old_ppns:
-                    if ppn == UNMAPPED:
-                        continue
-                    b = ppn // ppb
-                    if b != prev:
-                        if run:
-                            adjust(prev, -run)
-                        prev = b
-                        run = 1
-                    else:
-                        run += 1
-                if run:
-                    adjust(prev, -run)
+                for old_block, pages in old_runs:
+                    adjust(old_block, -pages)
             if sip is not None and sip.lpns:
                 sip_set = sip.lpns
                 hits = [i for i in range(chunk) if (first + i) in sip_set]
@@ -1393,7 +1381,7 @@ class PageMappedFtl:
             # translation-holding victims (each page routes by its
             # OOB-stamp namespace; batched remap handles data LPNs only).
             latency = self._migrate_valid_pages_scan(victim)
-        self.page_map.clear_block(victim)
+            self.page_map.clear_block(victim)
         erase_ns, erased = self._erase_with_retry(victim)
         latency += erase_ns
         self._closed[victim] = False
@@ -1442,17 +1430,22 @@ class PageMappedFtl:
         * valid pages are read/programmed in chunks bounded by the GC
           frontier's remaining capacity, rolling frontiers exactly where
           the per-page loop would;
-        * the mapping moves via :meth:`PageMap.migrate_pages`, which
-          bypasses the per-page observer, so the index deltas are applied
-          in bulk here instead.  The ``ValidCountIndex`` intermediate
-          decrements on the victim are skipped outright: nothing queries
-          the index mid-migration, the victim is untracked right after,
-          and destination frontiers are only tracked at close time --
-          after their chunk remaps have landed.
+        * the mapping moves via :meth:`PageMap.evacuate_block` (the victim
+          is left as ``clear_block`` leaves it) and one
+          :meth:`PageMap.migrate_pages` per frontier run.  In between, the
+          LPNs not yet landed point at invalid pages; nothing reads the
+          map there -- a frontier roll closes a *destination* block and
+          asks the allocator, no more (an empty allocator is terminal:
+          what has not landed is put back before the error leaves);
+        * both bypass the per-page observer, so the index deltas are
+          applied in bulk here.  The ``ValidCountIndex`` decrements on
+          the victim are skipped outright: nothing queries the index
+          mid-migration, the victim is untracked right after, and a
+          destination is only tracked at close time, its runs landed.
         """
         pm = self.page_map
-        offsets, lpns = pm.valid_pages_in_block(victim)
-        n = len(offsets)
+        lpns = pm.evacuate_block(victim)
+        n = len(lpns)
         if n == 0:
             return 0
         nand = self.nand
@@ -1464,14 +1457,19 @@ class PageMappedFtl:
         latency = nand.read_pages_batch(victim, n)
         pos = 0
         while pos < n:
-            block, start = self._frontier_slot(self._gc)
+            try:
+                block, start = self._frontier_slot(self._gc)
+            except FtlError:
+                pm.reinstate_pages(lpns[pos:])
+                self.victim_index.adjust_if_tracked(victim, -pos)
+                raise
             chunk = min(n - pos, ppb - start)
-            chunk_lpns = lpns[pos:pos + chunk]
+            chunk_lpns = lpns if chunk == n else lpns[pos:pos + chunk]
             latency += nand.program_pages_batch(
                 block, start, chunk, lpns=chunk_lpns, first_seq=self._write_seq
             )
             self._write_seq += chunk
-            pm.migrate_pages(victim, offsets[pos:pos + chunk], chunk_lpns, block, start)
+            pm.migrate_pages(chunk_lpns, block, start)
             if sip is not None and sip.lpns:
                 sip.migrate(
                     victim, block, len(sip.lpns.intersection(chunk_lpns.tolist()))

@@ -154,22 +154,30 @@ class PageMap:
                 freed.append(lpn)
         return freed
 
-    # Below this extent size the fixed overhead of the ~10 numpy vector
-    # ops exceeds the cost of a scalar loop (writeback chunks are
-    # typically a handful of pages).
-    _SCALAR_EXTENT_MAX = 32
+    # Extents up to this size take the scalar loop.  Per call on a
+    # 4096x64 dram map under random 1-32-page overwrites (PERFORMANCE.md
+    # "The write-and-collect path"): scalar 2.8 + 0.58 us per page (a
+    # probe and five scalar stores each), vectorised 7.3 + 0.17 us per
+    # page -- scalar ahead through 8 pages, level at 9-10, behind from 11.
+    # Page-cache write-backs (almost all <= 4 pages) stay scalar; the
+    # chunks of direct 8-32-page extents mostly do not.
+    _SCALAR_EXTENT_MAX = 8
 
-    def remap_extent(self, first_lpn: int, count: int, first_ppn: int) -> List[int]:
+    def remap_extent(
+        self, first_lpn: int, count: int, first_ppn: int
+    ) -> Tuple[List[int], List[Tuple[int, int]]]:
         """Batched :meth:`remap` of a contiguous LPN extent onto a
         contiguous just-programmed PPN run inside one block.
 
         Semantically identical to ``remap(first_lpn + i, first_ppn + i)``
-        for ``i in range(count)``; returns the old-PPN list (``UNMAPPED``
-        where the LPN was fresh).  Like :meth:`migrate_pages` it does NOT
-        fire the per-page observer -- the caller (the FTL's batched host
-        write) applies the aggregated index deltas itself.  Small extents
-        take a scalar loop; large ones the vectorized path -- both apply
-        the exact same state transitions.
+        for ``i in range(count)``.  Returns the old-PPN list (``UNMAPPED``
+        where the LPN was fresh) and its ``(block, pages)`` runs:
+        consecutive mapped old PPNs of one block, holes skipped.  Like
+        :meth:`migrate_pages` it does NOT fire the per-page observer --
+        the caller (the FTL's batched host write) applies one index delta
+        per returned run.  Small extents take a scalar loop; large ones
+        the vectorized path -- both apply the exact same state
+        transitions.
         """
         old_ppns = self.lookup_extent(first_lpn, count)
         l2p = self._l2p
@@ -177,8 +185,28 @@ class PageMap:
         valid = self._valid
         per_block = self._valid_per_block
         ppb = self._ppb
+        # The old copies of a contiguous extent were themselves written
+        # as runs: group them once, for the counters here and for the
+        # caller's index.
+        runs: List[Tuple[int, int]] = []
+        fresh = 0
+        prev = -1
+        pages = 0
+        for old in old_ppns:
+            if old == UNMAPPED:
+                fresh += 1
+                continue
+            block = old // ppb
+            if block != prev:
+                if pages:
+                    runs.append((prev, pages))
+                prev = block
+                pages = 1
+            else:
+                pages += 1
+        if pages:
+            runs.append((prev, pages))
         if count <= self._SCALAR_EXTENT_MAX:
-            fresh = 0
             lpn, ppn = first_lpn, first_ppn
             for old in old_ppns:
                 if old != UNMAPPED:
@@ -186,25 +214,20 @@ class PageMap:
                         raise RuntimeError("double invalidation in remap_extent")
                     valid[old] = False
                     p2l[old] = UNMAPPED
-                    per_block[old // ppb] -= 1
-                else:
-                    fresh += 1
                 l2p[lpn] = ppn
                 p2l[ppn] = lpn
                 valid[ppn] = True
                 lpn += 1
                 ppn += 1
-            self.mapped_count += fresh
         else:
-            old_arr = np.asarray(old_ppns, dtype=np.int64)
-            old = old_arr[old_arr != UNMAPPED]
-            if old.size:
-                if not valid[old].all():
+            old = l2p[first_lpn:first_lpn + count]
+            if fresh:
+                old = old[old != UNMAPPED]
+            if fresh < count:
+                if np.count_nonzero(valid[old]) != count - fresh:
                     raise RuntimeError("double invalidation in remap_extent")
                 valid[old] = False
                 p2l[old] = UNMAPPED
-                np.subtract.at(per_block, old // ppb, 1)
-            self.mapped_count += count - int(old.size)
             l2p[first_lpn:first_lpn + count] = np.arange(
                 first_ppn, first_ppn + count, dtype=np.int64
             )
@@ -212,8 +235,12 @@ class PageMap:
                 first_lpn, first_lpn + count, dtype=np.int64
             )
             valid[first_ppn:first_ppn + count] = True
-        per_block[first_ppn // ppb] += count
-        return old_ppns
+        self.mapped_count += fresh
+        for block, pages in runs:
+            per_block[block] = per_block.item(block) - pages
+        dst_block = first_ppn // ppb
+        per_block[dst_block] = per_block.item(dst_block) + count
+        return old_ppns, runs
 
     def load_mapping(self, l2p: np.ndarray) -> None:
         """Install a complete L2P table in one shot (recovery scan).
@@ -317,7 +344,7 @@ class PageMap:
         return bool(self._valid[ppn])
 
     def valid_count(self, block: int) -> int:
-        return int(self._valid_per_block[block])
+        return self._valid_per_block.item(block)
 
     def valid_counts(self) -> np.ndarray:
         """Read-only view of per-block valid-page counters."""
@@ -336,55 +363,63 @@ class PageMap:
         for offset in np.flatnonzero(valid):
             yield int(offset), int(lpns[offset])
 
-    def valid_pages_in_block(self, block: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(page_offsets, lpns)`` arrays for the valid pages of ``block``.
-
-        Batch form of :meth:`valid_lpns_in_block` in the same ascending
-        page order (the order GC migration depends on for determinism).
-        """
-        start = block * self._ppb
-        end = start + self._ppb
-        offsets = np.flatnonzero(self._valid[start:end])
-        return offsets, self._p2l[start:end][offsets]
-
     # ------------------------------------------------------------------
     # Batched mutations (GC migration fast path)
     # ------------------------------------------------------------------
-    def migrate_pages(
-        self,
-        src_block: int,
-        offsets: np.ndarray,
-        lpns: np.ndarray,
-        dst_block: int,
-        dst_start: int,
-    ) -> None:
-        """Move valid pages ``offsets`` of ``src_block`` (mapping ``lpns``)
-        onto consecutive pages of ``dst_block`` starting at ``dst_start``.
+    def evacuate_block(self, block: int) -> np.ndarray:
+        """Take every valid page out of ``block``: the source half of a
+        batched GC migration.
 
-        Array-batched equivalent of per-page ``remap(lpn, new_ppn)`` calls
-        during GC migration: the source pages become invalid, the LPNs
-        point at the destination pages, ``mapped_count`` is unchanged.
-        Deliberately does **not** fire the per-page validity observer --
-        the caller (the FTL's batched migration) applies the equivalent
-        index updates in bulk itself.
+        Returns the valid LPNs in ascending page order (the order GC
+        migration depends on for determinism) and leaves the block as
+        :meth:`clear_block` leaves it.  The returned LPNs still point at
+        their old pages, now invalid, until :meth:`migrate_pages` lands
+        them: the caller must land every one before anything reads the
+        map (the FTL's batched migration only rolls the GC frontier in
+        between, which reads destination counters and the allocator).
+        Does not fire the validity observer.
         """
-        n = len(offsets)
-        if n == 0:
-            return
-        ppb = self._ppb
-        src = src_block * ppb
-        src_valid = self._valid[src:src + ppb]
-        if not src_valid[offsets].all():
-            raise RuntimeError(f"migrating invalid pages out of block {src_block}")
-        src_valid[offsets] = False
-        self._p2l[src:src + ppb][offsets] = UNMAPPED
-        # The destination is one run of a frontier block: slices.
-        base = dst_block * ppb + dst_start
-        self._valid[base:base + n] = True
-        self._p2l[base:base + n] = lpns
-        self._l2p[lpns] = np.arange(base, base + n, dtype=np.int64)
-        self._valid_per_block[src_block] -= n
-        self._valid_per_block[dst_block] += n
+        start = block * self._ppb
+        end = start + self._ppb
+        lpns = self._p2l[start:end][self._valid[start:end]]
+        if len(lpns) != self._valid_per_block.item(block):
+            raise RuntimeError(
+                f"block {block} holds {len(lpns)} valid pages, its counter "
+                f"says {self._valid_per_block.item(block)}"
+            )
+        self._p2l[start:end] = UNMAPPED
+        self._valid[start:end] = False
+        self._valid_per_block[block] = 0
+        return lpns
+
+    def migrate_pages(self, lpns: np.ndarray, dst_block: int, dst_start: int) -> None:
+        """Land ``lpns``, taken by :meth:`evacuate_block`, on consecutive
+        pages of ``dst_block`` from ``dst_start``: the destination half,
+        one call per run of a frontier block.
+
+        The pair equals per-page ``remap(lpn, new_ppn)`` calls during GC
+        migration (``mapped_count`` is unchanged); between the two an LPN
+        not yet landed points at an invalid page, which nothing may read
+        (see :meth:`evacuate_block`).  Does **not** fire the per-page
+        validity observer -- the caller (the FTL's batched migration)
+        applies the equivalent index updates in bulk itself.
+        """
+        base = dst_block * self._ppb + dst_start
+        end = base + len(lpns)
+        self._valid[base:end] = True
+        self._p2l[base:end] = lpns
+        self._l2p[lpns] = np.arange(base, end, dtype=np.int64)
+        per_block = self._valid_per_block
+        per_block[dst_block] = per_block.item(dst_block) + len(lpns)
+
+    def reinstate_pages(self, lpns: np.ndarray) -> None:
+        """Undo :meth:`evacuate_block` for ``lpns`` that were never
+        landed (a migration cut short by an empty free pool): they still
+        point at their old pages, which become valid again."""
+        ppns = self._l2p[lpns]
+        self._valid[ppns] = True
+        self._p2l[ppns] = lpns
+        np.add.at(self._valid_per_block, ppns // self._ppb, 1)
 
     def _recount_valid(self) -> np.ndarray:
         """Per-block valid-page counts recounted from the validity bitmap."""

@@ -617,7 +617,7 @@ class NandArray:
         if count <= 0:
             return 0
         self._check_addr(block, start_page, "program")
-        next_page = int(self.program_ptr[block])
+        next_page = self.program_ptr.item(block)
         if start_page < next_page:
             raise EraseBeforeWriteError(block, start_page)
         if start_page > next_page:
@@ -660,7 +660,9 @@ class NandArray:
         return BlockState(int(self.block_states[block]))
 
     def is_bad(self, block: int) -> bool:
-        return self.block_state(block) == BlockState.BAD
+        if not 0 <= block < self._num_blocks:
+            raise AddressError("block", block, self._num_blocks)
+        return bool(self._bad[block])
 
     def next_programmable_page(self, block: int) -> int:
         """Write frontier of ``block`` (== pages_per_block when full)."""

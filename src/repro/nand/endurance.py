@@ -59,14 +59,13 @@ class EnduranceModel:
 
         A block wears out on the erase that *reaches* the P/E limit.
         """
-        self.erase_counts[block] += 1
+        count = self.erase_counts.item(block) + 1
+        self.erase_counts[block] = count
         self.total_erases += 1
-        if self.pe_cycle_limit is None:
-            return False
-        return bool(self.erase_counts[block] >= self.pe_cycle_limit)
+        return self.pe_cycle_limit is not None and count >= self.pe_cycle_limit
 
     def erase_count(self, block: int) -> int:
-        return int(self.erase_counts[block])
+        return self.erase_counts.item(block)
 
     def remaining_cycles(self, block: int) -> Optional[int]:
         """Rated cycles left for ``block``; ``None`` if wear-out disabled."""

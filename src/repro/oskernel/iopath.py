@@ -19,7 +19,7 @@ reproduces the paper's Table 1.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Iterable, List, Optional, Tuple
 
 

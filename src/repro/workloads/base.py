@@ -23,7 +23,7 @@ import numpy as np
 from repro.host import HostSystem
 from repro.metrics.collector import MetricsCollector
 from repro.sim.process import Process, Timeout, WaitFor
-from repro.sim.simtime import MILLISECOND, SECOND
+from repro.sim.simtime import SECOND
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Deeper FTL tests: FGC penalty, wear levelling, forced victims,
 out-of-space behaviour and free-accounting arithmetic."""
 
+import random
+
+import numpy as np
 import pytest
 
-from repro.ftl.ftl import OutOfSpaceError
+from repro.ftl.ftl import DeviceReadOnlyError, OutOfSpaceError
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NandTiming
@@ -26,8 +29,6 @@ def make_ftl(fgc_penalty=1.0, wear_leveler=False, threshold=4):
 
 
 def fill_with_garbage(ftl, overwrites=3):
-    import random
-
     rng = random.Random(5)
     user = ftl.space.user_pages
     for _ in range(GEOMETRY.total_pages * overwrites):
@@ -137,3 +138,132 @@ def test_gc_preserves_data_addressability():
         ppn = ftl.page_map.lookup(lpn)
         if ppn is not None:
             assert ftl.page_map.lpn_of_ppn(ppn) == lpn
+
+
+# ----------------------------------------------------------------------
+# The batched migration (evacuate the victim, land it per frontier run)
+# against the per-page scan, on twin FTLs that both keep their indexes
+# ----------------------------------------------------------------------
+WIDE = NandGeometry(page_size=512, pages_per_block=8, blocks_per_plane=32)
+
+
+def make_twin(mode, gc_free):
+    """A churned FTL whose GC frontier has exactly ``gc_free`` pages left
+    (0: it is full, so the next migrated page rolls it first)."""
+    config = SsdConfig(
+        geometry=WIDE,
+        timing=TIMING,
+        op_ratio=0.25,
+        mapping_mode="dftl" if mode == "dftl" else "dram",
+        cmt_budget_bytes=512 if mode == "dftl" else None,
+        reliability="mlc-20nm" if mode == "mlc-20nm" else None,
+    )
+    ftl = config.build_ftl()
+    rng = random.Random(11)
+    user = ftl.space.user_pages
+    for _ in range(WIDE.total_pages * 2):
+        ftl.host_write_page(rng.randrange(user))
+    # Pad the GC frontier the way the per-page path moves one page.
+    ppb = WIDE.pages_per_block
+    lpn = 0
+    while ppb - ftl.nand.next_programmable_page(ftl.active_gc_block) != gc_free:
+        block, page, _ = ftl._program(ftl._gc, lpn)
+        ftl.page_map.remap(lpn, block * ppb + page)
+        lpn += 1
+    return ftl
+
+
+def collect_via_scan(ftl, victim):
+    """``_migrate_and_erase`` with the per-page scan (and the
+    ``clear_block`` that follows it) standing in for the batched path."""
+
+    def scan_then_clear(block):
+        if ftl._rel_model is not None:
+            # The caller booked the victim's reads as one fast-path
+            # verdict; the scan books each page itself.
+            ftl.stats.ecc_fast_reads -= ftl.page_map.valid_count(block)
+        latency = ftl._migrate_valid_pages_scan(block)
+        ftl.page_map.clear_block(block)
+        return latency
+
+    ftl._migrate_valid_pages_batched = scan_then_clear
+    try:
+        return ftl._migrate_and_erase(victim)
+    finally:
+        del ftl._migrate_valid_pages_batched
+
+
+@pytest.mark.parametrize("gc_free, runs", [(7, 1), (1, 2), (0, 1)])
+@pytest.mark.parametrize(
+    "mode, sip",
+    [("dram", False), ("dram", True), ("dftl", False), ("mlc-20nm", False)],
+)
+def test_batched_migration_equals_per_page_scan(mode, sip, gc_free, runs):
+    batched, scanned = (make_twin(mode, gc_free) for _ in range(2))
+    pm = batched.page_map
+    # The fullest closed victim with garbage: 2..7 valid pages, so it
+    # fits the frontier (7 free), straddles it (1 free) or rolls it (0).
+    victim = max(
+        (
+            block
+            for block, count in batched.victim_index.items()
+            if 2 <= count < WIDE.pages_per_block
+            and not (mode == "dftl" and pm.block_holds_trans(block))
+        ),
+        key=lambda block: (pm.valid_count(block), block),
+    )
+    if mode == "mlc-20nm":
+        outcome = batched._ladder_outcome(victim)
+        assert outcome.level == 0 and outcome.ok  # a fast-path block
+        scanned._ladder_outcome(victim)
+    if sip:
+        mine = [lpn for _, lpn in pm.valid_lpns_in_block(victim)]
+        for ftl in (batched, scanned):
+            ftl.set_sip_list(mine[::2] + list(range(0, 40, 3)))
+        assert batched.sip_index.overlap(victim) >= len(mine[::2])
+    programs_before = batched.nand.batch_programs
+
+    latency = batched._migrate_and_erase(victim)
+
+    assert batched.nand.batch_programs - programs_before == runs
+    assert latency == collect_via_scan(scanned, victim)
+    assert batched.stats == scanned.stats
+    assert batched._write_seq == scanned._write_seq
+    assert np.array_equal(batched.page_map._l2p, scanned.page_map._l2p)
+    assert np.array_equal(batched.page_map._p2l, scanned.page_map._p2l)
+    assert np.array_equal(batched.page_map._valid, scanned.page_map._valid)
+    assert np.array_equal(batched.page_map.valid_counts(), scanned.page_map.valid_counts())
+    assert np.array_equal(batched.nand.oob_lpn, scanned.nand.oob_lpn)
+    assert np.array_equal(batched.nand.oob_seq, scanned.nand.oob_seq)
+    assert np.array_equal(batched.nand.program_ptr, scanned.nand.program_ptr)
+    assert dict(batched.victim_index.items()) == dict(scanned.victim_index.items())
+    assert np.array_equal(batched.sip_index.snapshot(), scanned.sip_index.snapshot())
+    assert batched.active_gc_block == scanned.active_gc_block
+    batched.invariant_check()
+    scanned.invariant_check()
+
+
+def test_pool_exhausted_under_a_migration_leaves_a_consistent_device():
+    """Wear-out without a fault injector keeps the batched path on.  When
+    retirements have eaten the spare blocks, the GC frontier can find the
+    pool empty mid-victim: the device goes read-only there, and the pages
+    that never landed must be back in the victim, index included."""
+    geometry = NandGeometry(page_size=4096, pages_per_block=8, blocks_per_plane=32)
+    cut_mid_migration = 0
+    for seed in range(12):
+        config = SsdConfig(
+            geometry=geometry, timing=TIMING, op_ratio=0.25, pe_cycle_limit=5
+        )
+        ftl = config.build_ftl()
+        rng = random.Random(seed)
+        user = ftl.space.user_pages
+        with pytest.raises(DeviceReadOnlyError) as raised:
+            while True:
+                ftl.host_write_extent(rng.randrange(user - 6), rng.randrange(1, 7))
+        frames = [frame.name for frame in raised.traceback]
+        cut_mid_migration += "_migrate_valid_pages_batched" in frames
+        ftl.invariant_check()
+        for lpn in range(user):
+            ppn = ftl.page_map.lookup(lpn)
+            assert ppn is None or ftl.page_map.lpn_of_ppn(ppn) == lpn
+    assert cut_mid_migration > 0

@@ -1,8 +1,10 @@
 """Tests for LPN<->PPN mapping, validity tracking and invariants."""
 
+from itertools import groupby
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ftl.mapping import UNMAPPED, PageMap
@@ -30,6 +32,7 @@ def test_first_write_maps():
     assert pm.lpn_of_ppn(pm.ppn(1, 0)) == 5
     assert pm.mapped_count == 1
     assert pm.valid_count(1) == 1
+    assert type(pm.valid_count(1)) is int  # not a NumPy scalar
 
 
 def test_update_invalidates_old_page():
@@ -144,9 +147,6 @@ def test_load_mapping_replaces_existing_state():
     pm.invariant_check()
 
 
-# ----------------------------------------------------------------------
-# migrate_pages: the batched GC move vs one remap() per page
-# ----------------------------------------------------------------------
 def snapshot(pm):
     return (
         pm._l2p.tolist(),
@@ -157,31 +157,124 @@ def snapshot(pm):
     )
 
 
+# ----------------------------------------------------------------------
+# remap_extent: the batched host write vs one remap() per page
+# ----------------------------------------------------------------------
+SCALAR_MAX = PageMap._SCALAR_EXTENT_MAX
+PPB = 2 * SCALAR_MAX + 4  # the longest extent tried, and room for a stranger
+WIDE = NandGeometry(page_size=4096, pages_per_block=PPB, blocks_per_plane=12)
+#: Where each LPN of the extent lives beforehand: -1 is a hole
+#: (``UNMAPPED``), ``k >= 0`` the next free page of old block ``1 + k``.
+LAYOUT = st.integers(-1, 5)
+
+
+def old_layout_twins(first, layout):
+    twins = PageMap(WIDE, 64), PageMap(WIDE, 64)
+    for pm in twins:
+        used = [0] * 6
+        for i, where in enumerate(layout):
+            if where >= 0:
+                pm.remap(first + i, pm.ppn(1 + where, used[where]))
+                used[where] += 1
+        # Neighbours of the extent, so its blocks hold strangers too.
+        pm.remap((first - 1) % 64, pm.ppn(8, 0))
+        pm.remap((first + len(layout)) % 64, pm.ppn(1, PPB - 1))
+    return twins
+
+
+@pytest.mark.parametrize("n", range(1, 2 * SCALAR_MAX + 3))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_remap_extent_equals_per_page_remap(n, data):
+    """Both branches and the boundary between them, from states with
+    holes anywhere in the extent and old pages scattered over up to
+    ``n`` blocks (a block may recur in non-adjacent runs)."""
+    layout = data.draw(st.lists(LAYOUT, min_size=n, max_size=n))
+    first = data.draw(st.integers(0, 64 - n))
+    dst_start = data.draw(st.integers(0, PPB - n))
+    check_remap_extent(first, layout, dst_start)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        [-1, 0, 0, 1, 1, 1, 0, 0],            # hole at the head, block 0 recurs
+        [0, 0, -1, -1, 0, 1, 2, 3, 4, 5],     # hole in the middle of one run
+        [3, 3, 3, 3, 3, 3, 3, -1, -1],        # one block, hole at the tail
+        [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5],  # a new run on every page
+        [-1] * 9,                             # nothing mapped before
+        [-1, 2, -1],
+    ],
+)
+def test_remap_extent_named_layouts(layout):
+    check_remap_extent(first=20, layout=layout, dst_start=2)
+
+
+def check_remap_extent(first, layout, dst_start):
+    n = len(layout)
+    batched, replayed = old_layout_twins(first, layout)
+    dst = batched.ppn(9, dst_start)
+
+    old_ppns, runs = batched.remap_extent(first, n, dst)
+    replayed_old = [replayed.remap(first + i, dst + i) for i in range(n)]
+
+    assert snapshot(batched) == snapshot(replayed)
+    assert old_ppns == [UNMAPPED if old is None else old for old in replayed_old]
+    mapped_blocks = [old // PPB for old in old_ppns if old != UNMAPPED]
+    assert runs == [(block, len(list(run))) for block, run in groupby(mapped_blocks)]
+    assert sum(pages for _, pages in runs) == len(mapped_blocks)
+    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+    batched.invariant_check()
+
+
+@pytest.mark.parametrize("n", [SCALAR_MAX, SCALAR_MAX + 1])
+def test_remap_extent_rejects_a_double_invalidation_in_both_branches(n):
+    pm, _ = old_layout_twins(0, [0] * n)
+    pm._valid[pm.lookup(n - 1)] = False  # the bitmap lost a page behind our back
+    with pytest.raises(RuntimeError, match="double invalidation in remap_extent"):
+        pm.remap_extent(0, n, pm.ppn(9, 0))
+
+
+# ----------------------------------------------------------------------
+# evacuate_block + migrate_pages: the batched GC move vs one remap() per
+# page
+# ----------------------------------------------------------------------
+def victim_twins(stale):
+    """Block 1 written full, the ``stale`` pages overwritten into block 2."""
+    twins = make_map(), make_map()
+    for pm in twins:
+        for offset in range(4):
+            pm.remap(8 + offset, pm.ppn(1, offset))
+        for slot, offset in enumerate(sorted(stale)):
+            pm.remap(8 + offset, pm.ppn(2, slot))
+    return twins
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     stale=st.sets(st.integers(0, 3)),
     dst_start=st.integers(0, 3),
     first_chunk=st.integers(0, 4),
 )
+@example(stale=set(), dst_start=0, first_chunk=4)         # a full victim, one run
+@example(stale={0, 1, 2, 3}, dst_start=1, first_chunk=2)  # an empty victim
+@example(stale={1}, dst_start=2, first_chunk=4)           # split where block 5 ends
+@example(stale=set(), dst_start=3, first_chunk=0)         # rolls on its first page
 def test_migrate_pages_equals_per_page_remap(stale, dst_start, first_chunk):
-    """Block 1 is written full, the ``stale`` pages are overwritten into
-    block 2, and what is left moves to block 5 from ``dst_start`` --
-    rolling into block 6 where block 5 ends, or after ``first_chunk``
-    pages, whichever comes first (the GC frontier filling mid-victim)."""
-    batched, replayed = make_map(), make_map()
-    for pm in (batched, replayed):
-        for offset in range(4):
-            pm.remap(8 + offset, pm.ppn(1, offset))
-        for slot, offset in enumerate(sorted(stale)):
-            pm.remap(8 + offset, pm.ppn(2, slot))
-    offsets, lpns = batched.valid_pages_in_block(1)
-    assert offsets.tolist() == [o for o in range(4) if o not in stale]
-    assert lpns.tolist() == [8 + o for o in offsets.tolist()]
-    split = min(first_chunk, 4 - dst_start, len(offsets))
-    chunks = [(5, dst_start, 0, split), (6, 0, split, len(offsets))]
+    """What is left in block 1 is evacuated and lands in block 5 from
+    ``dst_start`` -- rolling into block 6 where block 5 ends, or after
+    ``first_chunk`` pages, whichever comes first (the GC frontier filling
+    mid-victim)."""
+    batched, replayed = victim_twins(stale)
+    lpns = batched.evacuate_block(1)
+    assert lpns.tolist() == [8 + o for o in range(4) if o not in stale]
+    batched.clear_block(1)  # already in the state an erase needs
+    assert list(batched.valid_lpns_in_block(1)) == []
+    split = min(first_chunk, 4 - dst_start, len(lpns))
+    runs = [(5, dst_start, 0, split), (6, 0, split, len(lpns))]
 
-    for dst_block, start, lo, hi in chunks:
-        batched.migrate_pages(1, offsets[lo:hi], lpns[lo:hi], dst_block, start)
+    for dst_block, start, lo, hi in runs:
+        batched.migrate_pages(lpns[lo:hi], dst_block, start)  # an empty run is a no-op
         for i, lpn in enumerate(lpns[lo:hi].tolist()):
             replayed.remap(lpn, replayed.ppn(dst_block, start + i))
 
@@ -190,13 +283,28 @@ def test_migrate_pages_equals_per_page_remap(stale, dst_start, first_chunk):
     batched.clear_block(1)  # nothing valid was left behind
 
 
-def test_migrate_pages_rejects_an_already_invalid_source_page():
-    pm = make_map()
-    pm.remap(3, pm.ppn(1, 0))
-    pm.remap(4, pm.ppn(1, 1))
-    offsets, lpns = pm.valid_pages_in_block(1)
-    pm.remap(4, pm.ppn(2, 0))  # LPN 4 leaves block 1 behind the caller's back
+@pytest.mark.parametrize("corruption", ["counter", "bitmap"])
+def test_evacuate_block_rejects_a_miscounted_block(corruption):
+    pm, _ = victim_twins(stale={2})
+    if corruption == "counter":
+        pm._valid_per_block[1] += 1
+    else:
+        pm._valid[pm.ppn(1, 0)] = False
     before = snapshot(pm)
-    with pytest.raises(RuntimeError, match="migrating invalid pages out of block 1"):
-        pm.migrate_pages(1, offsets, lpns, 5, 0)
+    with pytest.raises(RuntimeError, match="block 1 holds"):
+        pm.evacuate_block(1)
     assert snapshot(pm) == before
+
+
+@pytest.mark.parametrize("landed", [0, 1, 3])
+def test_reinstate_pages_puts_back_what_never_landed(landed):
+    """A migration cut short after ``landed`` pages equals the per-page
+    replay of just those pages: the rest is valid in the victim again."""
+    batched, replayed = victim_twins(stale={1})
+    lpns = batched.evacuate_block(1)
+    batched.migrate_pages(lpns[:landed], 5, 0)
+    batched.reinstate_pages(lpns[landed:])
+    for i, lpn in enumerate(lpns[:landed].tolist()):
+        replayed.remap(lpn, replayed.ppn(5, i))
+    assert snapshot(batched) == snapshot(replayed)
+    batched.invariant_check()

@@ -240,6 +240,10 @@ def test_valid_count_index_against_dict_oracle():
     ValidCountIndexMachine.compactions = 0
     run_state_machine_as_test(
         ValidCountIndexMachine,
-        settings=settings(max_examples=40, stateful_step_count=120, deadline=None),
+        # A fixed sample: the count below is of this run's examples, and
+        # a random forty fall short of it about one run in twenty.
+        settings=settings(
+            max_examples=40, stateful_step_count=120, deadline=None, derandomize=True
+        ),
     )
     assert ValidCountIndexMachine.compactions >= 3

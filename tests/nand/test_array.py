@@ -3,9 +3,10 @@ order, bad blocks and operation counting."""
 
 import pytest
 
-from repro.nand.array import BlockState, NandArray
+from repro.nand.array import STATE_BAD, BlockState, NandArray
 from repro.nand.endurance import EnduranceModel
 from repro.nand.errors import (
+    AddressError,
     BadBlockError,
     EraseBeforeWriteError,
     ProgramOrderError,
@@ -131,6 +132,36 @@ def test_factory_and_grown_bad_block_counters():
     assert nand.grown_bad_blocks == 1
     assert nand.is_bad(0)
     assert nand.good_blocks() == GEOMETRY.total_blocks - 3
+
+
+def test_is_bad_agrees_with_both_bad_block_records():
+    """``is_bad`` reads the one-byte mirror; the state vector is the
+    authority.  They must agree wherever a block can turn bad."""
+
+    def check(nand, expected):
+        for block in range(GEOMETRY.total_blocks):
+            verdict = nand.is_bad(block)
+            assert verdict is (block in expected)
+            assert verdict == (nand.block_states[block] == STATE_BAD)
+            assert verdict == bool(nand._bad[block])
+            assert verdict == (nand.block_state(block) == BlockState.BAD)
+
+    endurance = EnduranceModel(GEOMETRY.total_blocks, pe_cycle_limit=2)
+    nand = NandArray(GEOMETRY, TIMING, endurance, initial_bad_blocks=[3, 5])
+    check(nand, {3, 5})                      # factory marks
+    nand.mark_bad(0)
+    check(nand, {0, 3, 5})                   # a grown mark
+    nand.erase_block(6)
+    check(nand, {0, 3, 5})
+    nand.erase_block(6)
+    check(nand, {0, 3, 5, 6})                # a wear-out erase
+    restored = NandArray.from_durable(
+        GEOMETRY, nand.capture_durable_state(), timing=TIMING, pe_cycle_limit=2
+    )
+    check(restored, {0, 3, 5, 6})            # across a power cut
+    for block in (-1, GEOMETRY.total_blocks):
+        with pytest.raises(AddressError):
+            nand.is_bad(block)
 
 
 def test_mark_bad_rejects_all_operations():

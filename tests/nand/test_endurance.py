@@ -21,6 +21,23 @@ def test_wear_out_at_limit():
     assert model.remaining_cycles(1) == 0
 
 
+def test_record_erase_is_true_from_the_limit_on():
+    model = EnduranceModel(2, pe_cycle_limit=3)
+    verdicts = [model.record_erase(1) for _ in range(6)]
+    assert verdicts == [False, False, True, True, True, True]
+    assert model.erase_count(1) == 6 and model.erase_count(0) == 0
+    assert model.total_erases == 6
+    unlimited = EnduranceModel(2, pe_cycle_limit=None)
+    assert [unlimited.record_erase(0) for _ in range(6)] == [False] * 6
+
+
+def test_erase_count_is_a_plain_int():
+    model = EnduranceModel(2, pe_cycle_limit=3)
+    model.record_erase(0)
+    assert type(model.erase_count(0)) is int
+    assert type(model.record_erase(0)) is bool
+
+
 def test_remaining_cycles():
     model = EnduranceModel(2, pe_cycle_limit=5)
     model.record_erase(0)

@@ -14,7 +14,6 @@ from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.reliability import (
     RELIABILITY_PROFILES,
-    BitErrorModel,
     ReadDisturbTracker,
     ReadOutcome,
     ReliabilityModel,

@@ -1,7 +1,5 @@
 """Tests for tail-latency attribution (repro.obs.attribution)."""
 
-import pytest
-
 from repro.obs.attribution import (
     CAUSE_BGC_OVERLAP,
     CAUSE_FAULT_RETRY,

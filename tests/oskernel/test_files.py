@@ -8,7 +8,6 @@ from repro.oskernel.iopath import IoDispatcher
 from repro.sim.engine import Simulator
 from repro.ssd.config import SsdConfig
 from repro.ssd.device import SsdDevice
-from repro.ssd.request import IoKind
 
 
 def make_fs(page_count=200, journal_pages=16, journal_record_pages=1):

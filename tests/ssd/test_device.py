@@ -1,6 +1,5 @@
 """Tests for the timed SSD device: queueing, completion, BGC control."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,7 +1,7 @@
 """Device BGC mechanics: idle-detection grace, chaining, wear-level path."""
 
 from repro.sim.engine import Simulator
-from repro.sim.simtime import MICROSECOND, MILLISECOND, SECOND
+from repro.sim.simtime import MILLISECOND, SECOND
 from repro.ssd.config import SsdConfig
 from repro.ssd.device import ReclaimController, SsdDevice
 from repro.ssd.request import IoKind, IoRequest
