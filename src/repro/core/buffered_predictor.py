@@ -25,17 +25,16 @@ unaffected; the over-prediction is bounded by ``tau_flush`` (Sec 3.2.1).
 A ``strict`` mode that models the volume condition too is provided for
 the ablation bench.
 
-Hot path (PERFORMANCE.md): by default the predictor keeps the ``Dbuf``
-histogram *incrementally* -- it subscribes to the page cache's batched
-dirty listeners and maintains a count of dirty pages per absolute
+Hot path (PERFORMANCE.md): the predictor keeps the ``Dbuf`` histogram
+*incrementally* -- it subscribes to the page cache's batched dirty
+listeners and maintains a count of dirty pages per absolute
 flush-interval index ``c = ceil((w + tau_expire) / p)``.  At a flusher
 tick ``t = m*p`` the relative interval of a page is then
 ``clamp(c - m, 1, Nwb)`` exactly (subtracting the integer multiple of
 ``p`` commutes with the ceiling), so :meth:`predict` costs O(distinct
 intervals) instead of O(dirty pages).  Predictions at times that are not
 a multiple of ``p`` (never issued by the flusher, only by ad-hoc
-callers) fall back to the reference scan, which also remains available
-via :mod:`repro.perf`.
+callers) scan the dirty set instead.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro import perf
 from repro.core.sip import SipList
 from repro.oskernel.cache import PageCache
 
@@ -77,8 +75,6 @@ class BufferedWritePredictor:
         strict: model the volume flush condition too (ablation; the
             paper's predictor uses the relaxed, age-only rule).
         tau_flush_pages: volume threshold used in strict mode.
-        incremental: maintain the ``Dbuf`` histogram from cache dirty
-            listeners (None reads the :mod:`repro.perf` process default).
     """
 
     def __init__(
@@ -88,7 +84,6 @@ class BufferedWritePredictor:
         tau_expire_ns: int,
         strict: bool = False,
         tau_flush_pages: int = 0,
-        incremental: bool = None,
     ) -> None:
         if period_ns <= 0:
             raise ValueError(f"period must be positive, got {period_ns}")
@@ -100,16 +95,12 @@ class BufferedWritePredictor:
         self.strict = strict
         self.tau_flush_pages = tau_flush_pages
         self.invocations = 0
-        self._incremental = (
-            perf.hotpath_indexing_enabled() if incremental is None else bool(incremental)
-        )
         #: Absolute flush-interval index -> dirty-page count.  The key is
         #: ``c = ceil((last_update + tau_expire) / p)``; see module doc.
         self._interval_counts: Dict[int, int] = {}
-        if self._incremental:
-            for entry in cache.dirty_items():
-                self._bump(entry.last_update, +1)
-            cache.dirty_listeners.append(self._on_dirty_delta)
+        for entry in cache.dirty_items():
+            self._bump(entry.last_update, +1)
+        cache.dirty_listeners.append(self._on_dirty_delta)
 
     @property
     def nwb(self) -> int:
@@ -150,14 +141,14 @@ class BufferedWritePredictor:
     def predict(self, now: int) -> BufferedPrediction:
         """Compute ``Dbuf(now)`` plus the SIP list.
 
-        Uses the incrementally maintained histogram when enabled and
-        ``now`` falls on a flusher tick; otherwise scans the dirty set
-        (the reference path -- bit-identical output either way).
+        Uses the incrementally maintained histogram when ``now`` falls on
+        a flusher tick; otherwise scans the dirty set (bit-identical
+        output either way).
         """
         self.invocations += 1
         page = self.cache.page_size
         demands = [0] * self.nwb
-        if self._incremental and now % self.period_ns == 0:
+        if now % self.period_ns == 0:
             tick = now // self.period_ns
             nwb = self.nwb
             for key, count in self._interval_counts.items():

@@ -29,8 +29,6 @@ from dataclasses import dataclass, field, replace
 from queue import Empty
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro import perf
-
 from repro.core.policies import (
     AdaptiveGcPolicy,
     GcPolicy,
@@ -462,26 +460,18 @@ def resolve_jobs(jobs: Optional[int], task_count: int) -> int:
 _WORKER_QUEUE = None
 
 
-def _pool_init(indexed: bool, queue=None) -> None:
-    """Worker-process initializer: perf flag + result-stream queue."""
+def _pool_init(queue=None) -> None:
+    """Worker-process initializer: the result-stream queue."""
     global _WORKER_QUEUE
-    perf.set_hotpath_indexing(indexed)
     _WORKER_QUEUE = queue
 
 
 def _make_pool(jobs: int, queue=None) -> ProcessPoolExecutor:
-    """Worker pool whose processes inherit the current perf-flag choice.
-
-    Worker processes re-read module globals at import, so without the
-    initializer a sweep launched inside :func:`repro.perf.scan_reference`
-    would silently run its workers on the indexed paths.  ``queue`` (a
+    """Worker pool streaming results through ``queue`` (a
     ``multiprocessing.Manager`` queue proxy -- raw ``mp.Queue`` objects
-    cannot pass through executor initargs) enables result streaming.
-    """
+    cannot pass through executor initargs)."""
     return ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_pool_init,
-        initargs=(perf.hotpath_indexing_enabled(), queue),
+        max_workers=jobs, initializer=_pool_init, initargs=(queue,)
     )
 
 

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set,
 
 import numpy as np
 
-from repro import perf
 from repro.ftl.checkpoint_policy import CheckpointPolicy, make_checkpoint_policy
 from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED, CachedPageMap, PageMap
 from repro.ftl.metastore import KIND_CHECKPOINT, KIND_UNMAP, build_checkpoint, build_tombstones
@@ -240,19 +239,12 @@ class PageMappedFtl:
         self.sip_lpns: Set[int] = set()
 
         #: Hot-path indexes (PERFORMANCE.md): candidate blocks ordered by
-        #: valid count, and per-block SIP-overlap counters.  None when the
-        #: process runs on the reference scan paths (repro.perf).
-        if perf.hotpath_indexing_enabled():
-            self.victim_index: Optional[ValidCountIndex] = ValidCountIndex()
-            self.sip_index: Optional[SipOverlapIndex] = SipOverlapIndex(
-                self.geometry.total_blocks
-            )
-            self.page_map.set_valid_observer(
-                self.victim_index.make_fused_observer(self.sip_index)
-            )
-        else:
-            self.victim_index = None
-            self.sip_index = None
+        #: valid count, and per-block SIP-overlap counters.
+        self.victim_index = ValidCountIndex()
+        self.sip_index = SipOverlapIndex(self.geometry.total_blocks)
+        self.page_map.set_valid_observer(
+            self.victim_index.make_fused_observer(self.sip_index)
+        )
 
         # Cached int for the per-write frontier/address math below.
         self._ppb = self.geometry.pages_per_block
@@ -350,10 +342,9 @@ class PageMappedFtl:
         )
         closed = np.asarray(recovered.closed_blocks, dtype=np.int64)
         self._closed[closed] = True
-        if self.victim_index is not None:
-            self.victim_index.track_many(
-                recovered.closed_blocks, pm.valid_counts()[closed].tolist()
-            )
+        self.victim_index.track_many(
+            recovered.closed_blocks, pm.valid_counts()[closed].tolist()
+        )
         self._open_frontiers(
             (
                 recovered.active_user_block,
@@ -474,8 +465,7 @@ class PageMappedFtl:
             return
         self.retired_blocks.add(block)
         self._closed[block] = False
-        if self.victim_index is not None:
-            self.victim_index.untrack(block)
+        self.victim_index.untrack(block)
         self.stats.blocks_retired += 1
         effective_op = self.effective_op_pages()
         self._op_series.append(self._clock(), effective_op)
@@ -653,8 +643,7 @@ class PageMappedFtl:
     def _close_block(self, block: int) -> None:
         self._closed[block] = True
         self._close_time[block] = self._clock()
-        if self.victim_index is not None:
-            self.victim_index.track(block, self.page_map.valid_count(block))
+        self.victim_index.track(block, self.page_map.valid_count(block))
 
     def _program(
         self, frontier: WriteFrontier, lpn: int, retire_on_fail: bool = True
@@ -805,19 +794,6 @@ class PageMappedFtl:
         latency += self.nand.timing.transfer_ns_per_page
         return latency
 
-    @property
-    def supports_batched_writes(self) -> bool:
-        """True when :meth:`host_write_extent` is legal.
-
-        Requires the indexed data plane (victim index installed).  Fault
-        injection no longer disables it wholesale: the NAND pre-draws the
-        injector's program stream per chunk and raises
-        :class:`~repro.nand.errors.BatchFaultPending` (stream restored)
-        when a fault lies inside, so only the chunks that actually fault
-        fall back to the per-page loop.
-        """
-        return self.victim_index is not None
-
     def host_write_extent(self, lpn: int, count: int) -> int:
         """Batched :meth:`host_write_page` over a contiguous LPN extent.
 
@@ -831,9 +807,11 @@ class PageMappedFtl:
         per-page observer is bypassed): intermediate heap entries the
         per-page path would push are dead on arrival — only the final
         ``(count, generation)`` pair is live — so victim selection is
-        unchanged.
-
-        Only legal when :attr:`supports_batched_writes` is true.
+        unchanged.  Under fault injection the NAND pre-draws the
+        injector's program stream per chunk and raises
+        :class:`~repro.nand.errors.BatchFaultPending` (stream restored)
+        when a fault lies inside, so only the chunks that actually fault
+        take the per-page helper.
         """
         nand = self.nand
         page_map = self.page_map
@@ -886,15 +864,13 @@ class PageMappedFtl:
             old_ppns, old_runs = page_map.remap_extent(
                 first, chunk, block * ppb + start
             )
-            if vindex is not None:
-                # One adjustment per run of old pages in one block: the
-                # intermediate heap entries the per-page observer would
-                # push are dead on arrival, so aggregation is
-                # selection-equivalent.
-                adjust = vindex.adjust_if_tracked
-                for old_block, pages in old_runs:
-                    adjust(old_block, -pages)
-            if sip is not None and sip.lpns:
+            # One adjustment per run of old pages in one block: the
+            # intermediate heap entries the per-page observer would push
+            # are dead on arrival, so aggregation is selection-equivalent.
+            adjust = vindex.adjust_if_tracked
+            for old_block, pages in old_runs:
+                adjust(old_block, -pages)
+            if sip.lpns:
                 sip_set = sip.lpns
                 hits = [i for i in range(chunk) if (first + i) in sip_set]
                 if hits:
@@ -1250,17 +1226,13 @@ class PageMappedFtl:
         return np.flatnonzero(self._closed)
 
     def has_victim(self) -> bool:
-        """True if some candidate holds reclaimable garbage."""
-        if self.victim_index is not None:
-            # O(1) amortized: the global minimum decides -- some block
-            # has garbage iff the fewest-valid block has garbage.
-            top = self.victim_index.peek_min()
-            return top is not None and top[0] < self.geometry.pages_per_block
-        candidates = self.gc_candidates()
-        if len(candidates) == 0:
-            return False
-        valid = self.page_map.valid_counts()[candidates]
-        return bool((valid < self.geometry.pages_per_block).any())
+        """True if some candidate holds reclaimable garbage.
+
+        O(1) amortized: the global minimum decides -- some block has
+        garbage iff the fewest-valid block has garbage.
+        """
+        top = self.victim_index.peek_min()
+        return top is not None and top[0] < self.geometry.pages_per_block
 
     def collect_one_block(
         self,
@@ -1287,9 +1259,7 @@ class PageMappedFtl:
         if forced_victim is not None:
             victim: Optional[int] = forced_victim
         else:
-            if self.victim_index is not None and getattr(
-                self.victim_selector, "uses_valid_index", False
-            ):
+            if getattr(self.victim_selector, "uses_valid_index", False):
                 # Fast path: candidates come straight off the index; no
                 # candidate array, no O(blocks) age vector (the greedy
                 # family never reads block_ages).
@@ -1358,10 +1328,8 @@ class PageMappedFtl:
         return latency
 
     def _migrate_and_erase(self, victim: int) -> int:
-        batched = (
-            self.victim_index is not None
-            and self.nand.fault_injector is None
-            and not (self._dftl and self.page_map.block_holds_trans(victim))
+        batched = self.nand.fault_injector is None and not (
+            self._dftl and self.page_map.block_holds_trans(victim)
         )
         if batched and self._rel_model is not None:
             # The ladder verdict is block-granular (wear, retention age
@@ -1377,16 +1345,12 @@ class PageMappedFtl:
         if batched:
             latency = self._migrate_valid_pages_batched(victim)
         else:
-            # Per-page path: required under fault injection, and for
-            # translation-holding victims (each page routes by its
-            # OOB-stamp namespace; batched remap handles data LPNs only).
-            latency = self._migrate_valid_pages_scan(victim)
+            latency = self._migrate_valid_pages_per_page(victim)
             self.page_map.clear_block(victim)
         erase_ns, erased = self._erase_with_retry(victim)
         latency += erase_ns
         self._closed[victim] = False
-        if self.victim_index is not None:
-            self.victim_index.untrack(victim)
+        self.victim_index.untrack(victim)
         if not erased:
             # Grown bad block: every erase attempt failed.
             self.nand.mark_bad(victim)
@@ -1404,12 +1368,15 @@ class PageMappedFtl:
             self.allocator.release(victim)
         return latency
 
-    def _migrate_valid_pages_scan(self, victim: int) -> int:
-        """Per-page migration loop (executable specification).
+    def _migrate_valid_pages_per_page(self, victim: int) -> int:
+        """Per-page migration loop.
 
-        Also the only correct path under fault injection: every read and
-        program must draw from the injector's RNG streams in per-page
-        order, and any page may need retry/retirement recovery.
+        The only path for three kinds of victim: under fault injection
+        (every read and program must draw from the injector's RNG streams
+        in per-page order, and any page may need retry/retirement
+        recovery), holding translation pages (each page routes by its
+        OOB-stamp namespace; the batched path moves data LPNs only), and
+        stressed by the ECC ladder (each read pays its own retry toll).
         """
         latency, dirtied = self._relocate_valid_pages(
             victim, self._gc, retire_on_fail=True
@@ -1423,7 +1390,7 @@ class PageMappedFtl:
     def _migrate_valid_pages_batched(self, victim: int) -> int:
         """Array-batched migration: O(chunks) Python work, not O(pages).
 
-        Bit-identical externally to :meth:`_migrate_valid_pages_scan`
+        Bit-identical externally to :meth:`_migrate_valid_pages_per_page`
         when no fault injector is attached (same NAND latencies, frontier
         rolls, counters and final index state):
 
@@ -1470,7 +1437,7 @@ class PageMappedFtl:
             )
             self._write_seq += chunk
             pm.migrate_pages(chunk_lpns, block, start)
-            if sip is not None and sip.lpns:
+            if sip.lpns:
                 sip.migrate(
                     victim, block, len(sip.lpns.intersection(chunk_lpns.tolist()))
                 )
@@ -1479,9 +1446,9 @@ class PageMappedFtl:
         self.stats.gc_pages_migrated += n
         if self._dftl:
             # Batched victims are data-only (translation-holding blocks
-            # take the scan path), so every migrated LPN dirties its
+            # take the per-page path), so every migrated LPN dirties its
             # translation page; touches are deferred past the migration
-            # like the scan path's.
+            # like the per-page path's.
             ept = self.page_map.entries_per_tpage
             for tvpn in sorted(set((lpns // ept).tolist())):
                 latency += self._mapping_access(tvpn, dirty=True)
@@ -1598,37 +1565,29 @@ class PageMappedFtl:
     def set_sip_list(self, lpns: Iterable[int]) -> None:
         """Install the soon-to-be-invalidated page list from the host.
 
-        With indexing enabled the per-block overlap counters are updated
-        from the *delta* against the previous list (plus per-page
-        validity events), so the SIP-filtered selector never recounts a
-        candidate block's pages.
+        The per-block overlap counters are updated from the *delta*
+        against the previous list (plus per-page validity events), so the
+        SIP-filtered selector never recounts a candidate block's pages.
         """
-        if self.sip_index is not None:
-            self.sip_lpns = self.sip_index.replace(lpns, self.page_map)
-        else:
-            self.sip_lpns = set(lpns)
+        self.sip_lpns = self.sip_index.replace(lpns, self.page_map)
 
     def invariant_check(self) -> None:
         """Cross-structure consistency check used by tests."""
         self.page_map.invariant_check()
         valid_counts = self.page_map.valid_counts()
-        if self.victim_index is not None:
-            closed = np.flatnonzero(self._closed)
-            expected = dict(zip(closed.tolist(), valid_counts[closed].tolist()))
-            if dict(self.victim_index.items()) != expected:
-                raise AssertionError(
-                    "valid-count index disagrees with the closed-block scan"
-                )
-        if self.sip_index is not None:
-            recounted = np.zeros(self.geometry.total_blocks, dtype=np.int32)
-            if self.sip_lpns:
-                # Batched recount: one fancy-indexed lookup over the SIP
-                # set instead of a per-LPN Python loop.
-                np.add.at(recounted, self.page_map.mapped_blocks(self.sip_lpns), 1)
-            if not np.array_equal(self.sip_index.snapshot(), recounted):
-                raise AssertionError(
-                    "SIP-overlap counters disagree with a full recount"
-                )
+        closed = np.flatnonzero(self._closed)
+        expected = dict(zip(closed.tolist(), valid_counts[closed].tolist()))
+        if dict(self.victim_index.items()) != expected:
+            raise AssertionError(
+                "valid-count index disagrees with the closed-block scan"
+            )
+        recounted = np.zeros(self.geometry.total_blocks, dtype=np.int32)
+        if self.sip_lpns:
+            # Batched recount: one fancy-indexed lookup over the SIP set
+            # instead of a per-LPN Python loop.
+            np.add.at(recounted, self.page_map.mapped_blocks(self.sip_lpns), 1)
+        if not np.array_equal(self.sip_index.snapshot(), recounted):
+            raise AssertionError("SIP-overlap counters disagree with a full recount")
         in_pool = np.zeros(self.geometry.total_blocks, dtype=bool)
         in_pool[list(self.allocator)] = True
         in_use = self._closed.copy()

@@ -428,8 +428,8 @@ class PageMap:
     def invariant_check(self) -> None:
         """Full-state consistency check on batched array ops (O(total pages)).
 
-        Bit-identical verdicts to :meth:`invariant_check_scan`, which is
-        kept as the per-LPN executable specification.
+        The per-LPN loop it must agree with, messages included, lives in
+        ``tests/ftl/test_mapping.py``.
         """
         if int(self._valid.sum()) != self.mapped_count:
             raise AssertionError("valid-page population does not match mapped_count")
@@ -443,18 +443,6 @@ class PageMap:
                 raise AssertionError(
                     f"l2p/p2l mismatch at LPN {int(mapped[np.argmax(bad)])}"
                 )
-
-    def invariant_check_scan(self) -> None:
-        """Per-LPN reference recount of :meth:`invariant_check`."""
-        if int(self._valid.sum()) != self.mapped_count:
-            raise AssertionError("valid-page population does not match mapped_count")
-        if not np.array_equal(self._recount_valid(), self._valid_per_block):
-            raise AssertionError("per-block valid counters out of sync")
-        mapped = np.flatnonzero(self._l2p != UNMAPPED)
-        for lpn in mapped:
-            ppn = int(self._l2p[lpn])
-            if not self._valid[ppn] or int(self._p2l[ppn]) != lpn:
-                raise AssertionError(f"l2p/p2l mismatch at LPN {lpn}")
 
 
 class CachedPageMap(PageMap):

@@ -116,11 +116,8 @@ class VictimSelector:
 
 
 def _considered_via_index(valid_index, excluded_blocks: Optional[Set[int]]) -> int:
-    """Candidate population as the scan path would report it.
-
-    The scan path counts ``len(filter_excluded(candidates))``; with the
-    index that is the tracked population minus any excluded block that
-    is (transiently) still tracked.
+    """Candidate population of an index-served selection: the tracked
+    blocks minus any excluded block that is (transiently) still tracked.
     """
     considered = len(valid_index)
     if excluded_blocks:

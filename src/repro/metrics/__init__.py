@@ -3,9 +3,7 @@
 * :mod:`repro.metrics.iops` -- application-level operation counting and
   IOPS over a measurement window.
 * :mod:`repro.metrics.hdr` -- HDR-style log-linear latency histogram,
-  the primary percentile estimator (exact counts, mergeable).
-* :mod:`repro.metrics.latency` -- the reservoir-sampled oracle the
-  histogram is equivalence-tested against.
+  the percentile estimator (exact counts, mergeable).
 * :mod:`repro.metrics.collector` -- the per-run measurement bundle used
   by every experiment: IOPS + WAF (FTL-counter delta) + GC activity +
   latency percentiles + tail attribution, with explicit begin/end
@@ -19,11 +17,6 @@ leaf modules import eagerly.
 
 from repro.metrics.iops import IopsMeter
 from repro.metrics.hdr import HdrHistogram, merge_wire_histograms, nearest_rank
-from repro.metrics.latency import (
-    LatencyRecorder,
-    reservoir_reference,
-    reservoir_reference_enabled,
-)
 
 _LAZY = {
     "LATENCY_PERCENTILES": ("repro.metrics.collector", "LATENCY_PERCENTILES"),
@@ -49,12 +42,9 @@ __all__ = [
     "HdrHistogram",
     "IopsMeter",
     "LATENCY_PERCENTILES",
-    "LatencyRecorder",
     "MetricsCollector",
     "RunMetrics",
     "TimelineSampler",
     "merge_wire_histograms",
     "nearest_rank",
-    "reservoir_reference",
-    "reservoir_reference_enabled",
 ]

@@ -7,11 +7,9 @@ every experiment stores and formats.
 
 Latency is measured by the HDR histogram registered as
 ``host.op_latency_ns`` in the run's metrics registry (exact counts,
-bounded memory, mergeable across ``--jobs`` workers and SPO phases);
-inside :func:`repro.metrics.latency.reservoir_reference` the collector
-co-records into the legacy reservoir and freezes *its* statistics
-instead, which is how the equivalence tests pin the histogram against
-the oracle without perturbing the simulation.
+bounded memory, mergeable across ``--jobs`` workers and SPO phases).
+The reservoir oracle it is checked against lives in
+``tests/metrics/reservoir.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.ftl.stats import FtlStats
 from repro.host import HostSystem
 from repro.metrics.hdr import HdrHistogram
 from repro.metrics.iops import IopsMeter
-from repro.metrics.latency import LatencyRecorder, reservoir_reference_enabled
 from repro.obs.attribution import attribute_tail
 
 #: Percentiles frozen into every RunMetrics (p50/p95/p99/p999/p9999).
@@ -50,8 +47,7 @@ class RunMetrics:
         buffered_fraction: share of application write bytes that took the
             buffered path (Table 1).
         mean_latency_ns / p50..p9999 / max_latency_ns: application op
-            latency summary (HDR histogram; reservoir inside
-            :func:`~repro.metrics.latency.reservoir_reference`).
+            latency summary (HDR histogram).
         latency_hist: the full distribution in
             :meth:`~repro.metrics.hdr.HdrHistogram.to_wire` form, so
             merges recompute exact percentiles (None when no op carried
@@ -211,10 +207,6 @@ class MetricsCollector:
         # HDR histogram in the registry: the primary latency estimator,
         # shared with the per-interval p99/p999 sampler.
         self.hdr = host.obs.registry.hdr("host.op_latency_ns")
-        #: Reservoir oracle, kept only inside reservoir_reference().
-        self.latency: Optional[LatencyRecorder] = (
-            LatencyRecorder() if reservoir_reference_enabled() else None
-        )
         # The registry is the single source of truth: sampled alongside
         # the gauges, host.ops becomes the per-interval IOPS series.
         self._ops_counter = host.obs.registry.counter("host.ops")
@@ -247,8 +239,6 @@ class MetricsCollector:
         if latency_ns is None:
             return
         self.hdr.record(latency_ns)
-        if self.latency is not None:
-            self.latency.record(latency_ns)
         if issue_ns is None:
             return
         if self._oplog.enabled:
@@ -299,19 +289,7 @@ class MetricsCollector:
 
     # ------------------------------------------------------------------
     def _latency_summary(self) -> dict:
-        """Latency fields for :meth:`results` (HDR, or the reservoir
-        oracle when built inside ``reservoir_reference()``)."""
-        if self.latency is not None:
-            return {
-                "mean_latency_ns": self.latency.mean(),
-                "p50_latency_ns": self.latency.percentile(50),
-                "p95_latency_ns": self.latency.percentile(95),
-                "p99_latency_ns": self.latency.percentile(99),
-                "p999_latency_ns": self.latency.percentile(99.9),
-                "p9999_latency_ns": self.latency.percentile(99.99),
-                "max_latency_ns": self.latency.max(),
-                "latency_hist": self.hdr.to_wire() if self.hdr.count else None,
-            }
+        """Latency fields for :meth:`results`, off the HDR histogram."""
         pcts = self.hdr.percentiles(LATENCY_PERCENTILES)
         return {
             "mean_latency_ns": self.hdr.mean(),

@@ -23,7 +23,7 @@ response-time evaluation):
   concatenated stream (asserted by a hypothesis property test).
 
 Quantile definition (shared with the reservoir oracle in
-:mod:`repro.metrics.latency`): **nearest-rank** -- ``P_q`` is the value
+``tests/metrics/reservoir.py``): **nearest-rank** -- ``P_q`` is the value
 of the sample at 1-based rank ``ceil(q/100 * N)`` (rank 1 when q = 0)
 in the sorted stream.  The reservoir returns that sample exactly; the
 histogram returns the upper bound of the bucket containing that rank

@@ -17,11 +17,9 @@ Hot-path layout (PERFORMANCE.md): per-block state lives in flat int32
 vectors (``block_states``, ``program_ptr``, and the endurance model's
 ``erase_counts``) plus a ``bytearray`` bad-block mirror, so the per-op
 address/state validation is a couple of int comparisons and one byte
-probe instead of a geometry-property chain.  The original
-geometry-backed validation is kept as the executable specification
-(:meth:`_check_addr_scan`) and selected at construction time by the
-:mod:`repro.perf` indexed/scan switch; both paths raise the exact same
-exception types for the same inputs.
+probe instead of a geometry-property chain.  The geometry-backed check
+it must agree with, exception for exception, lives in
+``tests/nand/test_array.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro import perf
 from repro.nand.endurance import EnduranceModel, WearStats
 from repro.nand.errors import (
     AddressError,
@@ -252,15 +249,6 @@ class NandArray:
                 self._bad[block] = 1
                 self._factory_bad[block] = True
                 self.factory_bad_blocks += 1
-
-        # Address validation implementation, chosen at construction time
-        # like every other repro.perf consumer: the fast path is a pair of
-        # int range checks plus the bytearray probe; the scan path is the
-        # original geometry-backed validation kept as executable spec.
-        if perf.hotpath_indexing_enabled():
-            self._check_addr = self._check_addr_fast
-        else:
-            self._check_addr = self._check_addr_scan
 
     def set_reliability_clock(self, clock) -> None:
         """Install the zero-arg ns clock that stamps the retention vector.
@@ -680,9 +668,9 @@ class NandArray:
         return self.endurance.stats()
 
     # ------------------------------------------------------------------
-    # Address validation (fast probe vs geometry-backed executable spec)
+    # Address validation
     # ------------------------------------------------------------------
-    def _check_addr_fast(self, block: int, page: int, operation: str) -> None:
+    def _check_addr(self, block: int, page: int, operation: str) -> None:
         """Bounds + bad-block validation via cached ints and one byte probe.
 
         Explicit ``< 0`` checks matter: Python/bytearray indexing would
@@ -695,13 +683,6 @@ class NandArray:
                 raise BadBlockError(block, operation)
             return
         raise AddressError("block", block, self._num_blocks)
-
-    def _check_addr_scan(self, block: int, page: int, operation: str) -> None:
-        """Original geometry-backed validation (executable specification)."""
-        self.geometry.check_block(block)
-        self.geometry.check_page(page)
-        if self.block_states[block] == STATE_BAD:
-            raise BadBlockError(block, operation)
 
     def _check_block(self, block: int, operation: str) -> None:
         """Block-only validation for whole-block ops (erase)."""

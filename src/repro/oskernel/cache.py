@@ -21,13 +21,12 @@ capacity, buffered writers must block until write-back drains the cache
 how GC stalls propagate to application IOPS.
 
 Hot-path acceleration (PERFORMANCE.md): the flusher and the buffered
-predictor interrogate the dirty set every tick.  By default the cache
-maintains a *last-update expiry index* -- dirty LPNs grouped into
-per-timestamp buckets kept in age order -- so :meth:`expired_dirty`
-costs O(pages expired) and :meth:`iter_oldest_dirty` streams
-oldest-first without sorting the whole population.  The original
-full-scan implementations remain as ``*_scan`` methods (the executable
-specification; selected via :mod:`repro.perf`).
+predictor interrogate the dirty set every tick.  The cache maintains a
+*last-update expiry index* -- dirty LPNs grouped into per-timestamp
+buckets kept in age order -- so :meth:`expired_dirty` costs O(pages
+expired) and :meth:`iter_oldest_dirty` streams oldest-first without
+sorting the whole population.  The full scans of the dirty set they must
+agree with are written out in ``tests/oskernel/test_cache.py``.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
-
-from repro import perf
 
 
 @dataclass
@@ -61,8 +58,6 @@ class PageCache:
         capacity_bytes: total cache capacity.
         dirty_throttle_fraction: dirty share of capacity beyond which
             buffered writers must block (Linux ``dirty_ratio`` analogue).
-        indexed: maintain the last-update expiry index (None reads the
-            :mod:`repro.perf` process default).
     """
 
     def __init__(
@@ -70,7 +65,6 @@ class PageCache:
         page_size: int,
         capacity_bytes: int,
         dirty_throttle_fraction: float = 0.4,
-        indexed: bool = None,
     ) -> None:
         if page_size <= 0 or capacity_bytes < page_size:
             raise ValueError("cache must hold at least one page")
@@ -82,9 +76,6 @@ class PageCache:
         self.capacity_pages = capacity_bytes // page_size
         self.dirty_throttle_pages = max(
             1, int(self.capacity_pages * dirty_throttle_fraction)
-        )
-        self._indexed = (
-            perf.hotpath_indexing_enabled() if indexed is None else bool(indexed)
         )
 
         self._dirty: "OrderedDict[int, DirtyPage]" = OrderedDict()
@@ -172,7 +163,6 @@ class PageCache:
         at the end leaves the survivors evicting per page would.
         """
         dirty = self._dirty
-        indexed = self._indexed
         added: List[Tuple[int, int]] = []
         removed: List[Tuple[int, int]] = []
         for page in range(lpn, lpn + count):
@@ -182,7 +172,7 @@ class PageCache:
                 old_ts = entry.last_update
                 entry.last_update = now
                 dirty.move_to_end(page)
-                if indexed and old_ts != now:
+                if old_ts != now:
                     self._bucket_remove(page, old_ts)
                     self._bucket_add(page, now)
                 removed.append((page, old_ts))
@@ -191,8 +181,7 @@ class PageCache:
                 self._in_writeback.pop(page, None)
                 self._clean.pop(page, None)
                 dirty[page] = DirtyPage(page, now)
-                if indexed:
-                    self._bucket_add(page, now)
+                self._bucket_add(page, now)
             added.append((page, now))
         hits = len(removed)
         self.write_hits += hits
@@ -253,8 +242,7 @@ class PageCache:
         for lpn in lpns:
             entry = self._dirty.pop(lpn, None)
             if entry is not None:
-                if self._indexed:
-                    self._bucket_remove(lpn, entry.last_update)
+                self._bucket_remove(lpn, entry.last_update)
                 removed.append((lpn, entry.last_update))
             self._clean.pop(lpn, None)
             self._in_writeback.pop(lpn, None)
@@ -268,11 +256,8 @@ class PageCache:
         """Dirty pages older than ``tau_expire`` at time ``now``.
 
         O(pages expired) on the expiry index (oldest bucket first, LPN
-        order within a bucket); the scan reference is
-        :meth:`expired_dirty_scan`.
+        order within a bucket).
         """
-        if not self._indexed:
-            return self.expired_dirty_scan(now, tau_expire)
         expired: List[DirtyPage] = []
         for ts, bucket in self._by_time.items():
             if now - ts < tau_expire:
@@ -280,31 +265,14 @@ class PageCache:
             expired.extend(self._dirty[lpn] for lpn in sorted(bucket))
         return expired
 
-    def expired_dirty_scan(self, now: int, tau_expire: int) -> List[DirtyPage]:
-        """Reference implementation: full scan of the dirty set."""
-        return [e for e in self._dirty.values() if now - e.last_update >= tau_expire]
-
-    def oldest_dirty(self) -> List[DirtyPage]:
-        """All dirty pages ordered oldest-first (by last update)."""
-        if not self._indexed:
-            return self.oldest_dirty_scan()
-        return list(self.iter_oldest_dirty())
-
-    def oldest_dirty_scan(self) -> List[DirtyPage]:
-        """Reference implementation: sort the whole dirty set."""
-        return sorted(self._dirty.values(), key=lambda e: (e.last_update, e.lpn))
-
     def iter_oldest_dirty(self) -> Iterator[DirtyPage]:
-        """Stream dirty pages oldest-first, lazily.
+        """Stream dirty pages oldest-first, in ``(last_update, lpn)``
+        order, lazily.
 
         The flusher's volume condition only needs the oldest ``excess``
-        pages; with the index this stops after yielding them instead of
-        sorting the whole population.  Both implementations yield the
-        identical ``(last_update, lpn)`` order.
+        pages; this stops after yielding them instead of sorting the
+        whole population.
         """
-        if not self._indexed:
-            yield from self.oldest_dirty_scan()
-            return
         for bucket in self._by_time.values():
             for lpn in sorted(bucket):
                 yield self._dirty[lpn]
@@ -320,8 +288,7 @@ class PageCache:
             entry = self._dirty.pop(lpn, None)
             if entry is None:
                 raise KeyError(f"page {lpn} is not dirty")
-            if self._indexed:
-                self._bucket_remove(lpn, entry.last_update)
+            self._bucket_remove(lpn, entry.last_update)
             self._in_writeback[lpn] = True
             moved.append((lpn, entry.last_update))
         if moved:

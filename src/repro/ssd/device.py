@@ -202,7 +202,7 @@ class SsdDevice:
         if kind is READ:
             latency = ftl.host_read_extent(lpn, pages)
         elif kind is DIRECT_WRITE or kind is WRITEBACK:
-            if pages > 1 and ftl.supports_batched_writes:
+            if pages > 1:
                 latency = ftl.host_write_extent(lpn, pages)
             else:
                 latency = 0

@@ -2,6 +2,8 @@
 worked example."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.buffered_predictor import BufferedWritePredictor
 from repro.oskernel.cache import PageCache
@@ -94,6 +96,40 @@ def test_strict_mode_pulls_excess_earlier():
     # in the final interval, the rest shifted earlier.
     assert relaxed_last <= 10 * PAGE
     assert prediction.total_bytes() == 30 * PAGE
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    writes=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=31),  # lpn
+            st.integers(min_value=0, max_value=60),  # time
+        ),
+        max_size=60,
+    ),
+    ticks=st.lists(st.integers(min_value=0, max_value=14), min_size=1, max_size=6),
+)
+def test_predictor_incremental_dbuf_matches_scan(writes, ticks):
+    """On a flusher tick (the incremental histogram) and off it (the
+    dirty-set scan), ``Dbuf`` equals ``_flush_interval`` applied to
+    every dirty page -- the scan the histogram replaced."""
+    period, tau = 5, 30
+    cache = PageCache(4096, 128 * 4096)
+    predictor = BufferedWritePredictor(cache, period, tau)
+    for lpn, t in writes:
+        cache.write_page(lpn, t)
+
+    def scanned(now):
+        demands = [0] * predictor.nwb
+        for entry in cache.dirty_items():
+            demands[predictor._flush_interval(entry.last_update, now) - 1] += 4096
+        return demands
+
+    for tick in sorted(ticks):
+        for now in (tick * period, tick * period + 1):
+            prediction = predictor.predict(now)
+            assert prediction.demands_bytes == scanned(now)
+            assert prediction.sip.as_set() == set(cache.dirty_lpns())
 
 
 def test_validation():

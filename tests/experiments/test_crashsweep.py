@@ -228,6 +228,5 @@ def test_light_fault_runs_still_batch_clean_extents():
         fault_profile="light",
     )
     _, host = _run_scenario_host(spec)
-    assert host.ftl.supports_batched_writes
     assert host.ftl.nand.batch_programs > 0
     assert host.ftl.nand.fault_injector.total_faults() >= 0

@@ -9,11 +9,11 @@ from repro.experiments.latencyreport import (
     run_latency_report,
 )
 from repro.experiments.runner import POLICY_FACTORIES, run_scenario
-from repro.metrics.collector import RunMetrics
+from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.metrics.hdr import HdrHistogram
-from repro.metrics.latency import reservoir_reference
 from repro.obs.attribution import CAUSES
 from repro.sim.simtime import SECOND
+from tests.metrics.reservoir import LatencyRecorder
 
 
 def _tiny_spec(**kwargs):
@@ -157,36 +157,33 @@ def test_merge_phase_metrics_falls_back_without_histograms():
 # ----------------------------------------------------------------------
 # Reservoir oracle equivalence: recording must never perturb the run
 # ----------------------------------------------------------------------
-def test_reservoir_reference_run_is_bit_identical():
+def test_reservoir_oracle_run_is_bit_identical(monkeypatch):
     # measure_s=2 keeps the op count under the 4096-slot reservoir, so
     # the oracle's nearest-rank percentiles are exact, not sampled.
     spec = _tiny_spec(measure_s=2)
     hdr_metrics = run_scenario(spec)
-    with reservoir_reference():
-        oracle = run_scenario(spec)
-    assert hdr_metrics.latency_histogram().count <= 4096
-    # Simulation outcomes are bit-identical: the recorder choice only
-    # changes how latencies are summarised, never what the host did.
-    for field in (
-        "duration_ns",
-        "host_pages_written",
-        "gc_pages_migrated",
-        "fgc_invocations",
-        "bgc_blocks",
-        "erases",
-        "waf",
-        "iops",
-        "tail_slow_ops",
-        "tail_causes",
-        "max_latency_ns",
-    ):
-        assert getattr(hdr_metrics, field) == getattr(oracle, field), field
+    oracle = LatencyRecorder()
+    record_op = MetricsCollector.record_op
+
+    def record_into_oracle_too(self, latency_ns=None, *args, **kwargs):
+        if latency_ns is not None:
+            oracle.record(latency_ns)
+        record_op(self, latency_ns, *args, **kwargs)
+
+    monkeypatch.setattr(MetricsCollector, "record_op", record_into_oracle_too)
+    observed = run_scenario(spec)
+    hist = hdr_metrics.latency_histogram()
+    assert oracle.count == hist.count <= 4096
+    # Feeding the oracle never touches what the host did: the run is
+    # bit-identical, latency summary included.
+    assert observed == hdr_metrics
+    assert oracle.max() == hdr_metrics.max_latency_ns
     # And the HDR percentiles sit within the histogram's relative-error
     # bound of the exact reservoir values.
-    hist = hdr_metrics.latency_histogram()
-    for hdr_value, exact in (
-        (hdr_metrics.p50_latency_ns, oracle.p50_latency_ns),
-        (hdr_metrics.p99_latency_ns, oracle.p99_latency_ns),
-        (hdr_metrics.p999_latency_ns, oracle.p999_latency_ns),
+    for hdr_value, q in (
+        (hdr_metrics.p50_latency_ns, 50),
+        (hdr_metrics.p99_latency_ns, 99),
+        (hdr_metrics.p999_latency_ns, 99.9),
     ):
+        exact = oracle.percentile(q)
         assert abs(hdr_value - exact) <= max(1, int(exact * hist.relative_error))

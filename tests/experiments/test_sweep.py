@@ -3,6 +3,7 @@ timeouts, and persistence of the fault-metrics fields."""
 
 import dataclasses
 import json
+import os
 import time
 
 import pytest
@@ -193,3 +194,50 @@ def test_metrics_roundtrip_preserves_fault_fields():
 def test_scenario_key_includes_fault_profile():
     assert tiny_spec().key().endswith("faults-none")
     assert tiny_spec(fault_profile="heavy").key().endswith("faults-heavy")
+
+
+# ----------------------------------------------------------------------
+# Parallel executor: a --jobs run must agree with (and resume from) a
+# serial run's checkpoint.
+# ----------------------------------------------------------------------
+def test_parallel_sweep_resumes_serial_checkpoint(tmp_path):
+    base = ScenarioSpec(blocks=128, pages_per_block=32, warmup_s=5, measure_s=10, seed=3)
+    first = [base.with_policy(name) for name in ("L-BGC", "JIT-GC")]
+    checkpoint = os.fspath(tmp_path / "sweep.json")
+
+    serial = run_sweep(first, checkpoint=checkpoint)
+    assert serial.ok() and not serial.skipped
+
+    superset = first + [base.with_policy("A-BGC")]
+    parallel = run_sweep(superset, checkpoint=checkpoint, jobs=2)
+    assert parallel.ok()
+    # The serial results were resumed, not re-run...
+    assert sorted(parallel.skipped) == sorted(spec.key() for spec in first)
+    for spec in first:
+        assert parallel.results[spec.key()] == serial.results[spec.key()]
+    # ...results come back in input order, and the fresh scenario matches
+    # what a serial run of it produces.
+    assert list(parallel.results) == [spec.key() for spec in superset]
+    alone = run_sweep([superset[-1]])
+    assert parallel.results[superset[-1].key()] == alone.results[superset[-1].key()]
+
+
+def test_streamed_aggregation_matches_serial_at_scale():
+    # The streamed queue aggregation must reproduce the serial results
+    # exactly at sweep scale.  Default 100 scenarios (the acceptance
+    # scale); REPRO_SWEEP_SCALE trims it for constrained CI runners.
+    count = int(os.environ.get("REPRO_SWEEP_SCALE", "100"))
+    base = ScenarioSpec(
+        workload="YCSB", blocks=48, pages_per_block=8, warmup_s=0, measure_s=1
+    )
+    policies = ("L-BGC", "A-BGC", "ADP-GC", "JIT-GC")
+    specs = [
+        dataclasses.replace(base.with_policy(policies[i % len(policies)]), seed=i)
+        for i in range(count)
+    ]
+    assert len({spec.key() for spec in specs}) == count
+    serial = run_sweep(list(specs), jobs=1)
+    streamed = run_sweep(list(specs), jobs=2)
+    assert serial.ok() and streamed.ok()
+    assert list(streamed.results) == list(serial.results) == [s.key() for s in specs]
+    assert streamed.results == serial.results

@@ -1,6 +1,9 @@
 """Tests for the page-mapped FTL: write path, FGC, BGC, SIP plumbing."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ftl.ftl import OutOfSpaceError
 from repro.ftl.victim import SipFilteredSelector
@@ -178,3 +181,81 @@ def test_has_victim_false_on_fresh_device():
 def test_watermark_validation():
     with pytest.raises(ValueError, match="fgc_watermark must be >= 2"):
         SsdConfig(geometry=GEOMETRY, timing=TIMING, fgc_watermark=1)
+
+
+# ----------------------------------------------------------------------
+# Batched host-write extents vs the per-page write loop
+# ----------------------------------------------------------------------
+def _extent_twins(geometry):
+    config = SsdConfig(geometry=geometry, timing=TIMING, op_ratio=0.3, fgc_watermark=2)
+    return [
+        config.build_ftl(
+            victim_selector=SipFilteredSelector(), nand=NandArray(geometry, TIMING)
+        )
+        for _ in range(2)
+    ]
+
+
+def _assert_same_state(batched, looped):
+    assert batched._op_counter == looped._op_counter
+    assert batched.stats == looped.stats
+    assert np.array_equal(batched.page_map._l2p, looped.page_map._l2p)
+    assert np.array_equal(batched.page_map._p2l, looped.page_map._p2l)
+    assert np.array_equal(batched.page_map._valid, looped.page_map._valid)
+    assert batched.page_map.mapped_count == looped.page_map.mapped_count
+    assert np.array_equal(batched._closed, looped._closed)
+    assert np.array_equal(batched._close_time, looped._close_time)
+    assert dict(batched.victim_index.items()) == dict(looped.victim_index.items())
+    assert np.array_equal(batched.sip_index.snapshot(), looped.sip_index.snapshot())
+    # Both sides must also satisfy the cross-structure invariants.
+    batched.invariant_check()
+    looped.invariant_check()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    extents=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=60),  # first LPN
+            st.integers(min_value=1, max_value=12),  # page count
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    sip_seed=st.integers(min_value=0, max_value=7),
+)
+def test_host_write_extent_matches_per_page_loop(extents, sip_seed):
+    """host_write_extent must be bit-identical to the per-page loop:
+    same latencies, clock, stats, mapping state, and index contents --
+    across frontier rolls, overwrites, FGC stalls, and SIP overlap."""
+    geometry = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=24)
+    batched, looped = _extent_twins(geometry)
+    sip = {lpn for lpn in range(64) if (lpn * 7 + sip_seed) % 3 == 0}
+    batched.set_sip_list(sip)
+    looped.set_sip_list(sip)
+
+    user_pages = batched.space.user_pages
+    for first, count in extents:
+        count = min(count, user_pages - first)
+        if count <= 0:
+            continue
+        lat_batched = batched.host_write_extent(first, count)
+        lat_looped = sum(looped.host_write_page(first + i) for i in range(count))
+        assert lat_batched == lat_looped
+    _assert_same_state(batched, looped)
+
+
+def test_host_write_extent_large_chunks_match_per_page_loop():
+    """Extents above PageMap._SCALAR_EXTENT_MAX take the vectorized
+    remap path; it must agree with the per-page loop too."""
+    geometry = NandGeometry(page_size=4096, pages_per_block=64, blocks_per_plane=16)
+    batched, looped = _extent_twins(geometry)
+    batched.set_sip_list(range(0, 200, 3))
+    looped.set_sip_list(range(0, 200, 3))
+    extents = [(0, 60), (30, 50), (100, 48), (0, 60), (200, 40), (25, 55)]
+    for first, count in extents:
+        assert count > batched.page_map._SCALAR_EXTENT_MAX
+        lat_b = batched.host_write_extent(first, count)
+        lat_l = sum(looped.host_write_page(first + i) for i in range(count))
+        assert lat_b == lat_l
+    _assert_same_state(batched, looped)

@@ -142,7 +142,7 @@ def test_gc_preserves_data_addressability():
 
 # ----------------------------------------------------------------------
 # The batched migration (evacuate the victim, land it per frontier run)
-# against the per-page scan, on twin FTLs that both keep their indexes
+# against the per-page migration, on twin FTLs
 # ----------------------------------------------------------------------
 WIDE = NandGeometry(page_size=512, pages_per_block=8, blocks_per_plane=32)
 
@@ -173,20 +173,20 @@ def make_twin(mode, gc_free):
     return ftl
 
 
-def collect_via_scan(ftl, victim):
-    """``_migrate_and_erase`` with the per-page scan (and the
+def collect_per_page(ftl, victim):
+    """``_migrate_and_erase`` with the per-page migration (and the
     ``clear_block`` that follows it) standing in for the batched path."""
 
-    def scan_then_clear(block):
+    def per_page_then_clear(block):
         if ftl._rel_model is not None:
             # The caller booked the victim's reads as one fast-path
-            # verdict; the scan books each page itself.
+            # verdict; the per-page loop books each page itself.
             ftl.stats.ecc_fast_reads -= ftl.page_map.valid_count(block)
-        latency = ftl._migrate_valid_pages_scan(block)
+        latency = ftl._migrate_valid_pages_per_page(block)
         ftl.page_map.clear_block(block)
         return latency
 
-    ftl._migrate_valid_pages_batched = scan_then_clear
+    ftl._migrate_valid_pages_batched = per_page_then_clear
     try:
         return ftl._migrate_and_erase(victim)
     finally:
@@ -226,7 +226,7 @@ def test_batched_migration_equals_per_page_scan(mode, sip, gc_free, runs):
     latency = batched._migrate_and_erase(victim)
 
     assert batched.nand.batch_programs - programs_before == runs
-    assert latency == collect_via_scan(scanned, victim)
+    assert latency == collect_per_page(scanned, victim)
     assert batched.stats == scanned.stats
     assert batched._write_seq == scanned._write_seq
     assert np.array_equal(batched.page_map._l2p, scanned.page_map._l2p)

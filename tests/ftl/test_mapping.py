@@ -112,6 +112,60 @@ def test_invariant_check_detects_corruption():
         pm.invariant_check()
 
 
+def invariant_check_per_lpn(pm):
+    """The per-LPN loop :meth:`PageMap.invariant_check` vectorises."""
+    ppb = GEOMETRY.pages_per_block
+    if sum(bool(v) for v in pm._valid) != pm.mapped_count:
+        raise AssertionError("valid-page population does not match mapped_count")
+    for block in range(GEOMETRY.total_blocks):
+        if sum(bool(v) for v in pm._valid[block * ppb:(block + 1) * ppb]) != int(
+            pm._valid_per_block[block]
+        ):
+            raise AssertionError("per-block valid counters out of sync")
+    for lpn in range(pm.user_pages):
+        ppn = int(pm._l2p[lpn])
+        if ppn != UNMAPPED and (not pm._valid[ppn] or int(pm._p2l[ppn]) != lpn):
+            raise AssertionError(f"l2p/p2l mismatch at LPN {lpn}")
+
+
+def _raises_message(check) -> str:
+    try:
+        check()
+    except AssertionError as exc:
+        return str(exc)
+    return ""
+
+
+def test_batched_invariant_check_matches_scan_on_clean_and_corrupted_state():
+    pm = make_map()
+    for ppn, lpn in enumerate(list(range(12)) + list(range(0, 12, 3))):
+        pm.remap(lpn, ppn)
+    # Clean state: both accept it.
+    pm.invariant_check()
+    invariant_check_per_lpn(pm)
+    mapped = np.flatnonzero(pm._l2p != UNMAPPED)
+    ppn = int(pm._l2p[mapped[0]])
+
+    # Reverse-map corruption: only the l2p/p2l cross-check can see it.
+    saved = int(pm._p2l[ppn])
+    pm._p2l[ppn] = int(mapped[-1])
+    batched_msg = _raises_message(pm.invariant_check)
+    assert batched_msg and batched_msg == _raises_message(
+        lambda: invariant_check_per_lpn(pm)
+    )
+    pm._p2l[ppn] = saved
+
+    # Valid-bit corruption: population and per-block counters disagree.
+    pm._valid[ppn] = False
+    batched_msg = _raises_message(pm.invariant_check)
+    assert batched_msg and batched_msg == _raises_message(
+        lambda: invariant_check_per_lpn(pm)
+    )
+    pm._valid[ppn] = True
+    pm.invariant_check()
+    invariant_check_per_lpn(pm)
+
+
 # ----------------------------------------------------------------------
 # load_mapping: the one-shot recovery install
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Tests for the reservoir-sampled latency recorder."""
+"""Tests for the reservoir-sampled latency recorder (the HDR oracle)."""
 
 import pytest
 
-from repro.metrics.latency import LatencyRecorder
+from tests.metrics.reservoir import LatencyRecorder
 
 
 def test_exact_stats_small_population():
@@ -61,18 +61,3 @@ def test_reservoir_matches_nearest_rank_while_exact():
     ordered = sorted(values)
     for q in (0, 25, 50, 99, 100):
         assert rec.percentile(q) == ordered[nearest_rank(q, 4) - 1]
-
-
-def test_reservoir_reference_flag_restores_on_exit():
-    from repro.metrics import latency
-
-    assert not latency.reservoir_reference_enabled()
-    with latency.reservoir_reference():
-        assert latency.reservoir_reference_enabled()
-        with pytest.raises(RuntimeError):
-            with latency.reservoir_reference():
-                assert latency.reservoir_reference_enabled()
-                raise RuntimeError("boom")
-        # Still enabled: the inner exit restored the *outer* state.
-        assert latency.reservoir_reference_enabled()
-    assert not latency.reservoir_reference_enabled()

@@ -1,7 +1,10 @@
 """Tests for the NAND array state machine: erase-before-write, program
 order, bad blocks and operation counting."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nand.array import STATE_BAD, BlockState, NandArray
 from repro.nand.endurance import EnduranceModel
@@ -218,3 +221,86 @@ def test_injected_uncorrectable_read():
     with pytest.raises(UncorrectableReadError) as excinfo:
         nand.read_page(0, 0)
     assert excinfo.value.latency_ns == TIMING.read_ns
+
+
+# ----------------------------------------------------------------------
+# The address probe against the geometry-backed check it replaced
+# ----------------------------------------------------------------------
+def reference_check_addr(nand, block, page, operation):
+    """Address validation as the geometry-property chain spells it."""
+    nand.geometry.check_block(block)
+    nand.geometry.check_page(page)
+    if nand.block_states[block] == STATE_BAD:
+        raise BadBlockError(block, operation)
+
+
+def _apply_nand_op(nand, op, block, page):
+    try:
+        if op == "read":
+            return ("ok", nand.read_page(block, page))
+        if op == "program":
+            return ("ok", nand.program_page(block, page))
+        if op == "erase":
+            return ("ok", nand.erase_block(block))
+        nand.mark_bad(block)
+        return ("ok", None)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["read", "program", "erase", "mark_bad"]),
+            st.integers(min_value=-3, max_value=GEOMETRY.total_blocks + 5),
+            st.integers(min_value=-3, max_value=GEOMETRY.pages_per_block + 2),
+        ),
+        max_size=120,
+    )
+)
+def test_nand_fast_check_matches_scan(ops):
+    """The int-and-byte probe raises exactly what the geometry-backed
+    check raises (negative addresses included) and leaves the array in
+    the same state, op for op."""
+    fast = make_array()
+    ref = make_array()
+    ref._check_addr = lambda block, page, operation: reference_check_addr(
+        ref, block, page, operation
+    )
+    for op, block, page in ops:
+        assert _apply_nand_op(fast, op, block, page) == _apply_nand_op(
+            ref, op, block, page
+        )
+    assert np.array_equal(fast.program_ptr, ref.program_ptr)
+    assert np.array_equal(fast.block_states, ref.block_states)
+    assert np.array_equal(fast.erase_counts, ref.erase_counts)
+    assert bytes(fast._bad) == bytes(ref._bad)
+    assert (fast.page_reads, fast.page_programs, fast.block_erases) == (
+        ref.page_reads, ref.page_programs, ref.block_erases
+    )
+    assert fast.good_blocks() == ref.good_blocks()
+
+
+def test_nand_batch_ops_match_per_page_loops():
+    batched = make_array()
+    looped = make_array()
+    ppb = GEOMETRY.pages_per_block
+    lat_batch = batched.program_pages_batch(0, 0, 3)
+    lat_loop = sum(looped.program_page(0, page) for page in range(3))
+    assert lat_batch == lat_loop
+    lat_batch = batched.read_pages_batch(0, 3)
+    lat_loop = sum(looped.read_page(0, page) for page in range(3))
+    assert lat_batch == lat_loop
+    assert np.array_equal(batched.program_ptr, looped.program_ptr)
+    assert np.array_equal(batched.block_states, looped.block_states)
+    assert (batched.page_reads, batched.page_programs) == (
+        looped.page_reads, looped.page_programs
+    )
+    # Frontier violations and overflow raise the per-page loop's types.
+    with pytest.raises(EraseBeforeWriteError):
+        batched.program_pages_batch(0, 0, 1)  # behind the frontier (3)
+    with pytest.raises(ProgramOrderError):
+        batched.program_pages_batch(1, 2, 1)  # ahead of block 1's frontier (0)
+    with pytest.raises(AddressError):
+        batched.program_pages_batch(0, 3, ppb)  # runs past the block end

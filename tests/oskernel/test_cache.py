@@ -14,6 +14,16 @@ def make_cache(capacity_pages=64, throttle=0.5):
     return PageCache(PAGE, capacity_pages * PAGE, dirty_throttle_fraction=throttle)
 
 
+def oldest_dirty(cache):
+    """The full-scan reference of the expiry index's age order."""
+    return sorted(cache.dirty_items(), key=lambda e: (e.last_update, e.lpn))
+
+
+def expired_lpns(cache, now, tau):
+    """The full-scan reference of :meth:`PageCache.expired_dirty`."""
+    return {e.lpn for e in cache.dirty_items() if now - e.last_update >= tau}
+
+
 def test_write_marks_dirty_with_timestamp():
     cache = make_cache()
     cache.write_page(5, now=100)
@@ -61,7 +71,7 @@ def test_oldest_dirty_order():
     cache.write_page(3, now=30)
     cache.write_page(1, now=10)
     cache.write_page(2, now=20)
-    assert [e.lpn for e in cache.oldest_dirty()] == [1, 2, 3]
+    assert [e.lpn for e in cache.iter_oldest_dirty()] == [1, 2, 3]
 
 
 def test_writeback_lifecycle():
@@ -193,25 +203,57 @@ def test_iter_oldest_dirty_matches_oldest_dirty():
     for lpn, now in ((1, 30), (2, 10), (3, 20), (4, 10)):
         cache.write_page(lpn, now=now)
     assert [e.lpn for e in cache.iter_oldest_dirty()] == [2, 4, 3, 1]
-    assert list(cache.iter_oldest_dirty()) == cache.oldest_dirty()
-    assert cache.oldest_dirty() == cache.oldest_dirty_scan()
+    assert list(cache.iter_oldest_dirty()) == oldest_dirty(cache)
 
 
 def test_indexed_and_scan_caches_agree_after_churn():
-    indexed = PageCache(PAGE, 64 * PAGE, indexed=True)
-    scan = PageCache(PAGE, 64 * PAGE, indexed=False)
-    for c in (indexed, scan):
-        for lpn in range(16):
-            c.write_page(lpn, now=lpn % 5)
-        c.begin_writeback([0, 1, 2])
-        c.complete_writeback([0, 1, 2])
-        c.invalidate([3, 4])
-        c.write_page(1, now=9)
-    assert indexed.oldest_dirty() == scan.oldest_dirty()
+    cache = PageCache(PAGE, 64 * PAGE)
+    for lpn in range(16):
+        cache.write_page(lpn, now=lpn % 5)
+    cache.begin_writeback([0, 1, 2])
+    cache.complete_writeback([0, 1, 2])
+    cache.invalidate([3, 4])
+    cache.write_page(1, now=9)
+    assert list(cache.iter_oldest_dirty()) == oldest_dirty(cache)
     for now, tau in ((10, 3), (10, 8), (4, 1)):
-        got = [e.lpn for e in indexed.expired_dirty(now, tau)]
-        want = [e.lpn for e in scan.expired_dirty(now, tau)]
-        assert sorted(got) == sorted(want)
+        got = [e.lpn for e in cache.expired_dirty(now, tau)]
+        assert sorted(got) == sorted(expired_lpns(cache, now, tau))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["write", "invalidate", "writeback", "query"]),
+            st.integers(min_value=0, max_value=31),  # lpn
+            st.integers(min_value=0, max_value=40),  # time (may go backwards)
+        ),
+        max_size=80,
+    ),
+    tau=st.integers(min_value=1, max_value=20),
+)
+def test_cache_expiry_index_matches_scan(ops, tau):
+    """The expiry index answers what a full scan of the dirty set does,
+    on random op sequences, clock rewinds included."""
+    cache = PageCache(PAGE, 64 * PAGE)
+    now = 0
+    for op, lpn, t in ops:
+        now = max(now, t)
+        if op == "write":
+            cache.write_page(lpn, t)
+        elif op == "invalidate":
+            cache.invalidate([lpn])
+        elif op == "writeback":
+            if cache.contains_dirty(lpn):
+                cache.begin_writeback([lpn])
+                cache.complete_writeback([lpn])
+        else:
+            assert list(cache.iter_oldest_dirty()) == oldest_dirty(cache)
+            assert {e.lpn for e in cache.expired_dirty(now, tau)} == expired_lpns(
+                cache, now, tau
+            )
+    assert list(cache.iter_oldest_dirty()) == oldest_dirty(cache)
+    assert {e.lpn for e in cache.expired_dirty(now, tau)} == expired_lpns(cache, now, tau)
 
 
 def test_invalidate_with_nothing_dirty_drops_clean_copies_silently():
@@ -347,7 +389,7 @@ def reference_write_page(cache, lpn, now):
         old_ts = entry.last_update
         entry.last_update = now
         cache._dirty.move_to_end(lpn)
-        if cache._indexed and old_ts != now:
+        if old_ts != now:
             cache._bucket_remove(lpn, old_ts)
             cache._bucket_add(lpn, now)
         cache.write_hits += 1
@@ -357,8 +399,7 @@ def reference_write_page(cache, lpn, now):
     cache._in_writeback.pop(lpn, None)
     cache._clean.pop(lpn, None)
     cache._dirty[lpn] = DirtyPage(lpn=lpn, last_update=now)
-    if cache._indexed:
-        cache._bucket_add(lpn, now)
+    cache._bucket_add(lpn, now)
     if cache.dirty_listeners:
         cache._notify_dirty([(lpn, now)], [])
     cache._evict_if_needed()
@@ -375,9 +416,7 @@ class WriteSide:
 
     def __init__(self, capacity, throttle):
         self.cache = make_cache(capacity, throttle)
-        self.predictor = BufferedWritePredictor(
-            self.cache, PERIOD, TAU, incremental=True
-        )
+        self.predictor = BufferedWritePredictor(self.cache, PERIOD, TAU)
         self.payloads = []
         self.pressure = 0
         self.cache.dirty_listeners.append(

@@ -1,25 +1,14 @@
 """Regression gate for the repo's benchmark results.
 
 Benchmark numbers are machine-dependent, so the gate judges *ratios*
-(measured on the same run), which transfer across hosts.  It accepts two
-payload shapes and picks the matching rule set automatically:
+(measured on the same run), which transfer across hosts.  It picks the
+rule set matching the payload's ``benchmark`` stamp:
 
-Hot-path payloads (``benchmarks/bench_hotpaths.py``):
-
-1. The end-to-end ``events_per_sec`` speedup must clear ``--min-speedup``
-   (default 1.5x -- the CI floor; the committed full-mode trajectory
-   documents >= 2x).
-2. Against ``--baseline`` (the committed ``BENCH_hotpaths.json``
-   trajectory -- the gate picks the *latest entry with the same mode* as
-   the run under test, falling back to the latest entry overall), no
-   metric's speedup may shrink below a floor.  Same-mode comparisons use
-   the strict >20%-regression rule (floor = 0.8x the baseline speedup);
-   cross-mode comparisons use ``--tolerance`` (default 2x: a quick-mode
-   CI run against a full-mode entry differs in scale, so the tolerance
-   absorbs that; the absolute 1.5x floor in (1) is the hard bar).
-3. The ``--jobs 2`` sweep must beat ``--jobs 1`` when the current host
-   actually has >= 2 CPUs; on single-core runners the check is skipped
-   (and says so).
+Sweep-scaling payloads (``benchmarks/bench_hotpaths.py``): the
+``--jobs 2`` sweep must beat ``--jobs 1`` by ``MIN_JOBS_SPEEDUP`` when
+the measuring host actually has >= 2 CPUs; on single-core runners the
+check is skipped (and says so).  Simulator speed itself is gated end to
+end by ``benchmarks/e2e``.
 
 Recovery payloads (``benchmarks/bench_recovery.py``, ``benchmark``
 starting with ``"recovery"``): the gate reports both power-on-ready
@@ -50,14 +39,10 @@ events-per-sec ``slowdown`` must stay under
 risk) -- and requires the armed run to actually be quiescent (zero
 scrub relocations, zero UECCs, a fast-path count covering the reads).
 
-Hot-path baselines are matched like-for-like on the ``mapping`` stamp
-(entries predating the stamp count as dram), so a dftl measurement is
-never judged against a dram trajectory entry.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py --quick --output /tmp/bench.json
-    python tools/bench_gate.py --current /tmp/bench.json --baseline BENCH_hotpaths.json
+    python tools/bench_gate.py --current /tmp/bench.json
 
     PYTHONPATH=src python benchmarks/bench_recovery.py --quick --output /tmp/rec.json
     python tools/bench_gate.py --current /tmp/rec.json
@@ -70,15 +55,8 @@ import json
 import sys
 from pathlib import Path
 
-#: Metrics whose indexed-vs-scan speedup is compared against the baseline.
-RATIO_METRICS = ("events_per_sec", "victim_selection_us", "flusher_tick_us")
-
 #: Minimum jobs1/jobs2 wall-clock ratio demanded on multi-core hosts.
 MIN_JOBS_SPEEDUP = 1.2
-
-#: Same-mode baseline comparisons fail when a speedup loses more than
-#: this fraction (the trajectory's ">20% regression" rule).
-MAX_SAME_MODE_REGRESSION = 0.20
 
 
 def _load_current(path: Path) -> dict:
@@ -87,79 +65,6 @@ def _load_current(path: Path) -> dict:
     if payload.get("schema") != "bench-hotpaths/v1":
         raise SystemExit(f"{path}: unsupported schema {payload.get('schema')!r}")
     return payload
-
-
-def _gateable(entry: dict) -> bool:
-    """Whether an entry carries every speedup ratio the gate compares.
-
-    The v2 trajectory also records non-hotpath entries (e.g. the
-    recovery-scan benchmark), which have their own result shapes.
-    """
-    results = entry.get("results")
-    if not isinstance(results, dict):
-        return False
-    return all(
-        isinstance(results.get(m), dict) and "speedup" in results[m]
-        for m in RATIO_METRICS
-    )
-
-
-def _load_baseline(path: Path, mode: str, mapping: str = "dram") -> dict | None:
-    """Pick the baseline entry to gate against.
-
-    Accepts either a flat ``bench-hotpaths/v1`` payload (pre-trajectory
-    baseline, or another single run) or a ``bench-hotpaths/v2``
-    trajectory, from which the latest gateable entry matching ``mode``
-    *and* ``mapping`` is chosen -- entries are append-only and
-    chronological -- falling back to the latest same-mapping entry, then
-    to the latest gateable entry of any kind.  Mapping is matched first:
-    dram and dftl hot paths genuinely differ, so a dftl run must never
-    be judged against a dram trajectory entry (entries that predate the
-    mapping stamp count as dram).  A missing, empty or unreadable
-    baseline is not an error: the gate runs its absolute ratio-floor
-    checks and passes or fails on those alone.
-    """
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        print(f"[bench_gate] baseline {path} unreadable ({exc}); ignoring it")
-        return None
-    if not text.strip():
-        print(f"[bench_gate] baseline {path} is empty; ignoring it")
-        return None
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"[bench_gate] baseline {path} is not valid JSON ({exc}); ignoring it")
-        return None
-    if not isinstance(payload, dict):
-        print(f"[bench_gate] baseline {path} is not a JSON object; ignoring it")
-        return None
-    schema = payload.get("schema")
-    if schema == "bench-hotpaths/v1":
-        return payload if _gateable(payload) else None
-    if schema == "bench-hotpaths/v2":
-        entries = [e for e in payload.get("entries") or [] if _gateable(e)]
-        if not entries:
-            return None
-        # Like-for-like first: entries without a mapping stamp predate
-        # the dftl work and were all measured in dram mode.
-        same_mapping = [
-            e for e in entries if e.get("mapping", "dram") == mapping
-        ]
-        pool = same_mapping or entries
-        same_mode = [e for e in pool if e.get("mode") == mode]
-        entry = same_mode[-1] if same_mode else pool[-1]
-        print(
-            f"[bench_gate] baseline: trajectory entry "
-            f"{entries.index(entry) + 1}/{len(entries)} "
-            f"(date={entry.get('date')} commit={entry.get('commit')} "
-            f"mode={entry.get('mode')} "
-            f"mapping={entry.get('mapping', 'dram')})"
-        )
-        return entry
-    print(f"[bench_gate] baseline {path}: unsupported schema {schema!r}; ignoring it")
-    return None
 
 
 def check_recovery(current: dict, min_recovery_speedup: float) -> list:
@@ -293,62 +198,27 @@ def check_reliability(current: dict, max_reliability_overhead: float) -> list:
     return failures
 
 
-def check(current: dict, baseline: dict | None, min_speedup: float,
-          tolerance: float) -> list:
-    failures = []
-    results = current["results"]
-
-    speedup = results["events_per_sec"]["speedup"]
-    if speedup < min_speedup:
-        failures.append(
-            f"events_per_sec speedup {speedup}x is below the {min_speedup}x floor"
-        )
-
-    if baseline is not None:
-        same_mode = baseline.get("mode") == current.get("mode")
-        for metric in RATIO_METRICS:
-            now = results[metric]["speedup"]
-            then = baseline["results"][metric]["speedup"]
-            if same_mode:
-                floor = then * (1.0 - MAX_SAME_MODE_REGRESSION)
-                rule = f">{MAX_SAME_MODE_REGRESSION:.0%} same-mode regression"
-            else:
-                floor = then / tolerance
-                rule = f"cross-mode tolerance {tolerance}x"
-            if now < floor:
-                failures.append(
-                    f"{metric} speedup regressed: {now}x vs baseline {then}x "
-                    f"(floor {floor:.2f}x, {rule})"
-                )
-
-    jobs = results["sweep_jobs"]
+def check(current: dict) -> list:
+    """Gate a sweep-scaling payload on the ``--jobs 2`` speedup."""
+    jobs = current["results"]["sweep_jobs"]
     cpus = jobs.get("cpu_count") or current.get("cpu_count") or 1
-    if cpus >= 2:
-        if jobs["speedup"] < MIN_JOBS_SPEEDUP:
-            failures.append(
-                f"sweep --jobs 2 speedup {jobs['speedup']}x is below "
-                f"{MIN_JOBS_SPEEDUP}x on a {cpus}-CPU host"
-            )
-    else:
+    if cpus < 2:
         print("[bench_gate] single-CPU host: skipping --jobs scaling check")
-
-    return failures
+        return []
+    if jobs["speedup"] < MIN_JOBS_SPEEDUP:
+        return [
+            f"sweep --jobs 2 speedup {jobs['speedup']}x is below "
+            f"{MIN_JOBS_SPEEDUP}x on a {cpus}-CPU host"
+        ]
+    return []
 
 
 def main(argv=None) -> int:
-    repo_root = Path(__file__).resolve().parents[1]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--current", type=Path, required=True, metavar="JSON",
         help="results of the run under test",
     )
-    parser.add_argument(
-        "--baseline", type=Path, default=repo_root / "BENCH_hotpaths.json",
-        metavar="JSON",
-        help="committed baseline or trajectory (default: repo BENCH_hotpaths.json)",
-    )
-    parser.add_argument("--min-speedup", type=float, default=1.5)
-    parser.add_argument("--tolerance", type=float, default=2.0)
     parser.add_argument(
         "--min-recovery-speedup", type=float, default=10.0,
         help="floor for a recovery payload's checkpointed-vs-full-scan "
@@ -378,38 +248,16 @@ def main(argv=None) -> int:
 
     current = _load_current(args.current)
     benchmark = str(current.get("benchmark", ""))
-    if (
-        benchmark.startswith("recovery")
-        or benchmark.startswith("warmstart")
-        or benchmark.startswith("cmt")
-        or benchmark.startswith("reliability")
-    ):
-        if benchmark.startswith("recovery"):
-            failures = check_recovery(current, args.min_recovery_speedup)
-        elif benchmark.startswith("warmstart"):
-            failures = check_warmstart(current, args.min_warmstart_speedup)
-        elif benchmark.startswith("reliability"):
-            failures = check_reliability(current, args.max_reliability_overhead)
-        else:
-            failures = check_cmt(
-                current, args.max_cmt_slowdown, args.max_trans_share
-            )
-        if failures:
-            for failure in failures:
-                print(f"[bench_gate] FAIL: {failure}")
-            return 1
-        print("[bench_gate] OK")
-        return 0
-    baseline = (
-        _load_baseline(
-            args.baseline, current.get("mode"), current.get("mapping", "dram")
-        )
-        if args.baseline.exists() else None
-    )
-    if baseline is None:
-        print(f"[bench_gate] no baseline at {args.baseline}; ratio-floor checks only")
-
-    failures = check(current, baseline, args.min_speedup, args.tolerance)
+    if benchmark.startswith("recovery"):
+        failures = check_recovery(current, args.min_recovery_speedup)
+    elif benchmark.startswith("warmstart"):
+        failures = check_warmstart(current, args.min_warmstart_speedup)
+    elif benchmark.startswith("reliability"):
+        failures = check_reliability(current, args.max_reliability_overhead)
+    elif benchmark.startswith("cmt"):
+        failures = check_cmt(current, args.max_cmt_slowdown, args.max_trans_share)
+    else:
+        failures = check(current)
     if failures:
         for failure in failures:
             print(f"[bench_gate] FAIL: {failure}")
