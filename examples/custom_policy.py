@@ -21,7 +21,8 @@ class HybridPolicy(GcPolicy):
 
     Demonstrates the extension points:
 
-    * ``make_victim_selector`` -- install any victim-selection rule;
+    * ``make_victim_selector`` -- install a victim-selection rule (a
+      ``VictimSelector`` ranking the FTL's valid-count index);
     * ``attach`` -- subscribe to flusher ticks / device completions;
     * ``reclaim_demand_pages`` -- the device consults this when idle.
     """

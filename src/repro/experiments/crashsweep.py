@@ -526,7 +526,6 @@ def run_scenario_with_spo(spec: ScenarioSpec, plan: SpoPlan) -> SpoRunResult:
         phase += 1
         ftl, report = config.recover_from(
             cut.durable,
-            victim_selector=None,  # the new policy installs its own below
             seed=spec.seed + 7919 * phase + 1,
             post_checkpoint=post_checkpoint,
         )
@@ -551,7 +550,6 @@ def run_scenario_with_spo(spec: ScenarioSpec, plan: SpoPlan) -> SpoRunResult:
             phase += 1
             ftl, report = config.recover_from(
                 cut.durable,
-                victim_selector=None,
                 seed=spec.seed + 7919 * phase + 1,
                 post_checkpoint=post_checkpoint,
             )

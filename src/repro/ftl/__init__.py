@@ -7,8 +7,8 @@ Implements the firmware half of the paper's storage system:
   that defines lazy vs aggressive background GC.
 * :mod:`repro.ftl.mapping` -- page-level LPN↔PPN mapping with validity
   tracking.
-* :mod:`repro.ftl.victim` -- pluggable GC victim selection (greedy,
-  cost-benefit, and the paper's SIP-filtered greedy).
+* :mod:`repro.ftl.victim` -- GC victim selection off the FTL's
+  valid-count index: greedy, and the paper's SIP-filtered greedy.
 * :mod:`repro.ftl.wear` -- free-block allocation ordered by wear plus a
   static wear-levelling sweep.
 * :mod:`repro.ftl.stats` -- WAF, migration and GC-invocation counters.
@@ -24,9 +24,6 @@ from repro.ftl.mapping import PageMap
 from repro.ftl.victim import (
     VictimSelector,
     GreedySelector,
-    CostBenefitSelector,
-    RandomSelector,
-    FifoSelector,
     SipFilteredSelector,
     VictimDecision,
 )
@@ -47,9 +44,6 @@ __all__ = [
     "PageMap",
     "VictimSelector",
     "GreedySelector",
-    "CostBenefitSelector",
-    "RandomSelector",
-    "FifoSelector",
     "SipFilteredSelector",
     "VictimDecision",
     "WearAwareAllocator",

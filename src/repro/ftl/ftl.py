@@ -16,7 +16,8 @@ Write datapath (out-place update)::
 
 GC datapath::
 
-    pick victim (pluggable selector; the paper's SIP filter plugs here)
+    pick victim (pluggable selector; the paper's SIP filter plugs here),
+    or take the forced one (wear levelling, refresh scrub)
       -> migrate valid pages to the GC frontier
       -> erase victim, return it to the wear-ordered free pool
 
@@ -123,8 +124,6 @@ class PageMappedFtl:
     Args:
         nand: the physical array (built over ``config.geometry``).
         config: the device configuration.
-        victim_selector: GC victim policy (greedy by default; JIT-GC
-            installs a :class:`~repro.ftl.victim.SipFilteredSelector`).
         clock: zero-arg callable returning the current simulated time in
             nanoseconds (block ages, retention, audit stamps); defaults
             to an operation counter when the FTL is used standalone.
@@ -140,7 +139,6 @@ class PageMappedFtl:
         nand: NandArray,
         config: "SsdConfig",
         *,
-        victim_selector: Optional[VictimSelector] = None,
         clock: Optional[Callable[[], int]] = None,
         registry: Optional[MetricsRegistry] = None,
         recovered: Optional["RecoveredFtlState"] = None,
@@ -176,7 +174,10 @@ class PageMappedFtl:
         #: Write streams: user + GC frontiers, plus the translation
         #: frontier in dftl mode (sizing floor for the free pool).
         self._streams = 3 if self._dftl else 2
-        self.victim_selector = victim_selector or GreedySelector()
+        #: GC victim policy: greedy until a policy installs its own
+        #: (:class:`~repro.host.HostSystem` is the one install point;
+        #: JIT-GC installs a :class:`~repro.ftl.victim.SipFilteredSelector`).
+        self.victim_selector: VictimSelector = GreedySelector()
         self.fgc_watermark = config.fgc_watermark
         self.fgc_penalty = config.fgc_penalty
         self.wear_leveler = (
@@ -248,8 +249,6 @@ class PageMappedFtl:
 
         # Cached int for the per-write frontier/address math below.
         self._ppb = self.geometry.pages_per_block
-        #: Time each block was closed (frontier filled); for cost-benefit age.
-        self._close_time = np.zeros(self.geometry.total_blocks, dtype=np.int64)
         #: True for blocks that are in use and completely programmed.
         self._closed = np.zeros(self.geometry.total_blocks, dtype=bool)
         #: Erases since the last wear-levelling check.
@@ -642,7 +641,6 @@ class PageMappedFtl:
 
     def _close_block(self, block: int) -> None:
         self._closed[block] = True
-        self._close_time[block] = self._clock()
         self.victim_index.track(block, self.page_map.valid_count(block))
 
     def _program(
@@ -1235,87 +1233,65 @@ class PageMappedFtl:
         return top is not None and top[0] < self.geometry.pages_per_block
 
     def collect_one_block(
-        self,
-        background: bool,
-        forced_victim: Optional[int] = None,
-        allow_full_victim: bool = False,
+        self, background: bool, forced_victim: Optional[int] = None
     ) -> int:
         """Collect a single victim block; returns the NAND latency (ns).
+
+        The one collection routine: foreground GC, background GC, wear
+        levelling and refresh scrub are its four callers.
 
         Args:
             background: attribute the work to BGC (idle-time) rather than
                 FGC (write-stall) counters.
             forced_victim: bypass the selector (wear levelling, refresh
-                scrub).
-            allow_full_victim: permit a victim with zero invalid pages.
-                Reclaim-motivated GC treats that as device-full, but a
-                refresh scrub legitimately relocates fully-valid blocks
-                -- the point is re-basing the retention clock, not
-                freeing space.
+                scrub).  A forced victim is relocated whatever its valid
+                count -- the point is moving its data (wear spread, a
+                re-based retention clock), not freeing space.
 
         Raises:
-            OutOfSpaceError: no candidate has any garbage to reclaim.
+            OutOfSpaceError: the selected victim holds no garbage, or no
+                candidate exists -- the device is full of live data.
         """
-        if forced_victim is not None:
-            victim: Optional[int] = forced_victim
-        else:
-            if getattr(self.victim_selector, "uses_valid_index", False):
-                # Fast path: candidates come straight off the index; no
-                # candidate array, no O(blocks) age vector (the greedy
-                # family never reads block_ages).
-                decision = self.victim_selector.select(
-                    None,
-                    self.page_map,
-                    block_ages=None,
-                    sip_lpns=self.sip_lpns,
-                    excluded_blocks=self.retired_blocks,
-                    valid_index=self.victim_index,
-                    sip_overlap=self.sip_index,
-                )
-            else:
-                candidates = self.gc_candidates()
-                decision = self.victim_selector.select(
-                    candidates,
-                    self.page_map,
-                    block_ages=self._ages(),
-                    sip_lpns=self.sip_lpns,
-                    excluded_blocks=self.retired_blocks,
-                )
+        victim = forced_victim
+        if victim is None:
+            decision = self.victim_selector.select(
+                self.page_map,
+                self.victim_index,
+                self.sip_index,
+                sip_lpns=self.sip_lpns,
+                excluded_blocks=self.retired_blocks,
+            )
             victim = decision.block
-            if victim is not None:
-                self.stats.victim_selections += 1
-                if decision.filtered_by_sip > 0:
-                    self.stats.victims_filtered_by_sip += 1
-                if self.audit.enabled or self.tracer.enabled:
-                    record = VictimRecord(
-                        t_ns=self._clock(),
+            if victim is None:
+                raise OutOfSpaceError("no GC victim available")
+            self.stats.victim_selections += 1
+            if decision.filtered_by_sip > 0:
+                self.stats.victims_filtered_by_sip += 1
+            if self.audit.enabled or self.tracer.enabled:
+                record = VictimRecord(
+                    t_ns=self._clock(),
+                    block=victim,
+                    valid_pages=decision.valid_pages,
+                    score=decision.score,
+                    candidates_considered=decision.candidates_considered,
+                    filtered_by_sip=decision.filtered_by_sip,
+                    background=background,
+                )
+                self.audit.record_victim(record)
+                if self.tracer.enabled:
+                    self.tracer.emit(
+                        "ftl",
+                        "victim.select",
                         block=victim,
                         valid_pages=decision.valid_pages,
                         score=decision.score,
-                        candidates_considered=decision.candidates_considered,
                         filtered_by_sip=decision.filtered_by_sip,
                         background=background,
                     )
-                    self.audit.record_victim(record)
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            "ftl",
-                            "victim.select",
-                            block=victim,
-                            valid_pages=decision.valid_pages,
-                            score=decision.score,
-                            filtered_by_sip=decision.filtered_by_sip,
-                            background=background,
-                        )
-        if victim is None:
-            raise OutOfSpaceError("no GC victim available")
-        if (
-            not allow_full_victim
-            and self.page_map.valid_count(victim) >= self.geometry.pages_per_block
-        ):
-            raise OutOfSpaceError(
-                f"best victim {victim} has no invalid pages; device is full of live data"
-            )
+            if decision.valid_pages >= self._ppb:
+                raise OutOfSpaceError(
+                    f"best victim {victim} has no invalid pages; device is full of live data"
+                )
 
         latency = self._migrate_and_erase(victim)
         if background:
@@ -1488,11 +1464,6 @@ class PageMappedFtl:
         self.stats.fgc_time_ns += penalised - latency
         return penalised
 
-    def _ages(self) -> np.ndarray:
-        """Per-block age proxy for cost-benefit selection."""
-        now = self._clock()
-        return np.maximum(0, now - self._close_time)
-
     # ------------------------------------------------------------------
     # Wear levelling
     # ------------------------------------------------------------------
@@ -1538,9 +1509,7 @@ class PageMappedFtl:
         if victim is None:
             return 0
         pages_before = self.stats.gc_pages_migrated
-        latency = self.collect_one_block(
-            background=True, forced_victim=victim, allow_full_victim=True
-        )
+        latency = self.collect_one_block(background=True, forced_victim=victim)
         self.stats.scrub_blocks_refreshed += 1
         self.stats.scrub_pages_migrated += (
             self.stats.gc_pages_migrated - pages_before

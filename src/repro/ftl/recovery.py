@@ -73,7 +73,6 @@ from repro.ftl.metastore import (
     KIND_UNMAP,
     CheckpointImage,
 )
-from repro.ftl.victim import VictimSelector
 from repro.nand.array import (
     OOB_UNSTAMPED,
     STATE_BAD,
@@ -627,7 +626,6 @@ def recover_ftl(
     config: "SsdConfig",
     post_checkpoint: bool = False,
     *,
-    victim_selector: Optional[VictimSelector] = None,
     clock: Optional[Callable[[], int]] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> Tuple[PageMappedFtl, RecoveryReport]:
@@ -720,7 +718,6 @@ def recover_ftl(
     ftl = PageMappedFtl(
         nand,
         config,
-        victim_selector=victim_selector,
         clock=clock,
         registry=registry,
         recovered=recovered,

@@ -60,9 +60,8 @@ class ValidCountIndex:
     block, whenever it outgrows ``4 * tracked + 64`` entries -- O(tracked)
     memory at amortised O(1) per push, and no effect on the ranking.
 
-    Ranking is by ascending ``(count, block)``, which is bit-identical
-    to ``np.argmin`` / stable ``np.argsort`` over the ascending-block
-    candidate array the scan path uses.
+    Ranking is by ascending ``(count, block)``: fewest valid pages
+    first, ties toward the lowest block number.
     """
 
     def __init__(self) -> None:

@@ -9,11 +9,15 @@ those pages is work that the imminent overwrite will waste.
 This module provides:
 
 * :class:`GreedySelector` -- classic min-valid-count victim selection.
-* :class:`CostBenefitSelector` -- age-weighted cost-benefit selection
-  (provided for completeness / ablations).
 * :class:`SipFilteredSelector` -- the paper's rule: greedy, but skip
   candidates whose valid pages are dominated by SIP entries.  It counts
   filtered candidates, which reproduces the paper's Table 3.
+
+Both are served by the FTL's indexes: the candidates come off the
+:class:`~repro.ftl.space.ValidCountIndex` in greedy order and SIP content
+off the :class:`~repro.ftl.space.SipOverlapIndex` counters.  The FTL
+starts with a :class:`GreedySelector`; a policy's selector is installed
+over it by :class:`~repro.host.HostSystem`.
 """
 
 from __future__ import annotations
@@ -23,29 +27,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Set
 
-import numpy as np
-
 from repro.ftl.mapping import PageMap
-
-
-def filter_excluded(
-    candidates: np.ndarray, excluded_blocks: Optional[Set[int]]
-) -> np.ndarray:
-    """Drop candidates the FTL has excluded (e.g. retired bad blocks).
-
-    Retirement can race victim selection inside one recovery episode --
-    a block picked up as a candidate may be marked bad before the
-    selector runs -- so every selector filters defensively rather than
-    trusting the candidate list.
-    """
-    if not excluded_blocks or len(candidates) == 0:
-        return candidates
-    mask = np.fromiter(
-        (int(block) not in excluded_blocks for block in candidates),
-        dtype=bool,
-        count=len(candidates),
-    )
-    return candidates[mask]
+from repro.ftl.space import SipOverlapIndex, ValidCountIndex
 
 
 @dataclass
@@ -59,10 +42,8 @@ class VictimDecision:
             because of their SIP content (0 for SIP-oblivious selectors).
         valid_pages: valid-page count of the chosen block (its migration
             cost), when a block was chosen.
-        score: the selector's ranking score for the chosen block --
-            valid count for greedy-family selectors, the cost-benefit
-            value for :class:`CostBenefitSelector`, the age for
-            :class:`FifoSelector`.  Feeds the decision-audit log.
+        score: the selector's ranking score for the chosen block (its
+            valid count).  Feeds the decision-audit log.
     """
 
     block: Optional[int]
@@ -73,37 +54,27 @@ class VictimDecision:
 
 
 class VictimSelector:
-    """Interface: choose a victim among candidate blocks."""
-
-    #: Human-readable policy name (reports, repr).
-    name = "abstract"
-
-    #: True when :meth:`select` accepts ``candidates=None`` plus the
-    #: ``valid_index`` / ``sip_overlap`` fast-path keywords.  The FTL
-    #: only passes them when this is set, so selector subclasses with
-    #: the original signature keep working unchanged.
-    uses_valid_index = False
+    """Interface: choose a victim among the blocks the FTL's index tracks."""
 
     def select(
         self,
-        candidates: np.ndarray,
         page_map: PageMap,
-        block_ages: Optional[np.ndarray] = None,
+        valid_index: ValidCountIndex,
+        sip_overlap: SipOverlapIndex,
         sip_lpns: Optional[Set[int]] = None,
         excluded_blocks: Optional[Set[int]] = None,
     ) -> VictimDecision:
         """Pick a victim.
 
         Args:
-            candidates: array of block numbers eligible for GC (closed,
-                non-free, non-active blocks).
-            page_map: mapping state (valid counts, reverse map).
-            block_ages: optional per-block "age" proxy (time since the
-                block was closed); used by cost-benefit.
+            page_map: mapping state (the geometry).
+            valid_index: the candidates -- closed in-use blocks -- in
+                (valid count, block) order.
+            sip_overlap: per-block count of valid pages on the SIP list.
             sip_lpns: current soon-to-be-invalidated LPN set; used by the
                 SIP-filtered selector.
             excluded_blocks: blocks that must never be chosen (retired
-                grown-bad blocks); filtered before ranking.
+                grown-bad blocks); skipped while ranking.
 
         Returns:
             a :class:`VictimDecision`; ``block`` is None iff no eligible
@@ -115,7 +86,9 @@ class VictimSelector:
         return f"<{type(self).__name__}>"
 
 
-def _considered_via_index(valid_index, excluded_blocks: Optional[Set[int]]) -> int:
+def _considered_via_index(
+    valid_index: ValidCountIndex, excluded_blocks: Optional[Set[int]]
+) -> int:
     """Candidate population of an index-served selection: the tracked
     blocks minus any excluded block that is (transiently) still tracked.
     """
@@ -129,153 +102,27 @@ class GreedySelector(VictimSelector):
     """Choose the candidate with the fewest valid pages.
 
     Ties break toward the lowest block number, keeping runs deterministic.
+    The index holds the candidates in (count, block) order, so a
+    selection is O(1) amortized.
     """
-
-    name = "greedy"
-    uses_valid_index = True
 
     def select(
         self,
-        candidates: Optional[np.ndarray],
         page_map: PageMap,
-        block_ages: Optional[np.ndarray] = None,
+        valid_index: ValidCountIndex,
+        sip_overlap: SipOverlapIndex,
         sip_lpns: Optional[Set[int]] = None,
         excluded_blocks: Optional[Set[int]] = None,
-        valid_index=None,
-        sip_overlap=None,
     ) -> VictimDecision:
-        if valid_index is not None and candidates is None:
-            # Fast path: the FTL's ValidCountIndex already holds the
-            # candidates in (count, block) order -- O(1) amortized.
-            pick = valid_index.min_block(excluded_blocks)
-            if pick is None:
-                return VictimDecision(block=None)
-            best, valid = pick
-            return VictimDecision(
-                block=best,
-                candidates_considered=_considered_via_index(
-                    valid_index, excluded_blocks
-                ),
-                valid_pages=valid,
-                score=float(valid),
-            )
-        candidates = filter_excluded(candidates, excluded_blocks)
-        if len(candidates) == 0:
+        pick = valid_index.min_block(excluded_blocks)
+        if pick is None:
             return VictimDecision(block=None)
-        counts = page_map.valid_counts()[candidates]
-        pick = int(np.argmin(counts))
-        best = int(candidates[pick])
-        valid = int(counts[pick])
+        best, valid = pick
         return VictimDecision(
             block=best,
-            candidates_considered=len(candidates),
+            candidates_considered=_considered_via_index(valid_index, excluded_blocks),
             valid_pages=valid,
             score=float(valid),
-        )
-
-
-class CostBenefitSelector(VictimSelector):
-    """Cost-benefit selection: maximise ``(1 - u) * age / (1 + u)``.
-
-    ``u`` is the block's valid-page utilisation.  Favors old blocks with
-    moderate garbage over very young nearly-empty blocks whose remaining
-    valid pages are likely still hot.  Included as an alternative backend
-    for ablation studies; the paper's policies use greedy selection.
-    """
-
-    name = "cost-benefit"
-
-    def select(
-        self,
-        candidates: np.ndarray,
-        page_map: PageMap,
-        block_ages: Optional[np.ndarray] = None,
-        sip_lpns: Optional[Set[int]] = None,
-        excluded_blocks: Optional[Set[int]] = None,
-    ) -> VictimDecision:
-        candidates = filter_excluded(candidates, excluded_blocks)
-        if len(candidates) == 0:
-            return VictimDecision(block=None)
-        ppb = page_map.geometry.pages_per_block
-        utilisation = page_map.valid_counts()[candidates] / ppb
-        if block_ages is None:
-            ages = np.ones(len(candidates), dtype=np.float64)
-        else:
-            ages = block_ages[candidates].astype(np.float64) + 1.0
-        score = (1.0 - utilisation) * ages / (1.0 + utilisation)
-        pick = int(np.argmax(score))
-        best = int(candidates[pick])
-        return VictimDecision(
-            block=best,
-            candidates_considered=len(candidates),
-            valid_pages=page_map.valid_count(best),
-            score=float(score[pick]),
-        )
-
-
-class RandomSelector(VictimSelector):
-    """Uniform-random victim selection (the classic worst-case baseline).
-
-    Useful to bound how much greedy selection itself contributes before
-    attributing WAF differences to GC *timing* policies.
-    """
-
-    name = "random"
-
-    def __init__(self, rng: Optional["np.random.Generator"] = None) -> None:
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-
-    def select(
-        self,
-        candidates: np.ndarray,
-        page_map: PageMap,
-        block_ages: Optional[np.ndarray] = None,
-        sip_lpns: Optional[Set[int]] = None,
-        excluded_blocks: Optional[Set[int]] = None,
-    ) -> VictimDecision:
-        candidates = filter_excluded(candidates, excluded_blocks)
-        if len(candidates) == 0:
-            return VictimDecision(block=None)
-        pick = int(candidates[int(self._rng.integers(0, len(candidates)))])
-        return VictimDecision(
-            block=pick,
-            candidates_considered=len(candidates),
-            valid_pages=page_map.valid_count(pick),
-        )
-
-
-class FifoSelector(VictimSelector):
-    """Oldest-closed-block-first selection (log-structured sweep order).
-
-    With ``block_ages`` supplied by the FTL, the candidate closed
-    longest ago wins -- the circular-log cleaning order of early FTLs.
-    """
-
-    name = "fifo"
-
-    def select(
-        self,
-        candidates: np.ndarray,
-        page_map: PageMap,
-        block_ages: Optional[np.ndarray] = None,
-        sip_lpns: Optional[Set[int]] = None,
-        excluded_blocks: Optional[Set[int]] = None,
-    ) -> VictimDecision:
-        candidates = filter_excluded(candidates, excluded_blocks)
-        if len(candidates) == 0:
-            return VictimDecision(block=None)
-        if block_ages is None:
-            best = int(candidates[0])
-            age = None
-        else:
-            pick = int(np.argmax(block_ages[candidates]))
-            best = int(candidates[pick])
-            age = float(block_ages[candidates][pick])
-        return VictimDecision(
-            block=best,
-            candidates_considered=len(candidates),
-            valid_pages=page_map.valid_count(best),
-            score=age,
         )
 
 
@@ -287,8 +134,8 @@ class SipFilteredSelector(VictimSelector):
     Table 3 -- when more than ``sip_fraction_threshold`` of its valid
     pages appear in the SIP list.  If every examined candidate is
     filtered, the plain greedy choice is used (GC must still make
-    progress).  At most ``max_rank_scan`` candidates are examined so
-    selection stays O(k · pages/block).
+    progress).  At most ``max_rank_scan`` candidates are examined, each
+    at the cost of one overlap-counter read.
 
     Args:
         sip_fraction_threshold: fraction of valid pages that must be SIP
@@ -296,9 +143,6 @@ class SipFilteredSelector(VictimSelector):
             by default, swept in the ablation bench).
         max_rank_scan: bound on the greedy-ranked prefix to examine.
     """
-
-    name = "sip-filtered-greedy"
-    uses_valid_index = True
 
     def __init__(self, sip_fraction_threshold: float = 0.5, max_rank_scan: int = 8) -> None:
         if not 0.0 < sip_fraction_threshold <= 1.0:
@@ -314,69 +158,49 @@ class SipFilteredSelector(VictimSelector):
         #: Cumulative number of selections performed.
         self.total_selections = 0
 
-    def sip_valid_pages(self, block: int, page_map: PageMap, sip_lpns: Set[int]) -> int:
-        """Number of valid pages in ``block`` whose LPN is in the SIP list."""
-        return sum(1 for _, lpn in page_map.valid_lpns_in_block(block) if lpn in sip_lpns)
-
     def select(
         self,
-        candidates: Optional[np.ndarray],
         page_map: PageMap,
-        block_ages: Optional[np.ndarray] = None,
+        valid_index: ValidCountIndex,
+        sip_overlap: SipOverlapIndex,
         sip_lpns: Optional[Set[int]] = None,
         excluded_blocks: Optional[Set[int]] = None,
-        valid_index=None,
-        sip_overlap=None,
     ) -> VictimDecision:
-        if valid_index is not None and candidates is None:
-            # Fast path: ranking straight off the index, consumed on
-            # demand; SIP content off the O(1) overlap counters.
-            considered = _considered_via_index(valid_index, excluded_blocks)
-            if not sip_lpns:
-                # Nothing can be filtered: the greedy head is the answer.
-                return self._decision(
-                    valid_index.min_block(excluded_blocks), considered, 0
-                )
-            ranking = valid_index.ranked(excluded_blocks)
-        else:
-            candidates = filter_excluded(candidates, excluded_blocks)
-            considered = len(candidates)
-            counts = page_map.valid_counts()[candidates]
-            order = np.argsort(counts, kind="stable")
-            ranking = ((int(candidates[i]), int(counts[i])) for i in order)
-        with closing(ranking):
+        considered = _considered_via_index(valid_index, excluded_blocks)
+        if not sip_lpns:
+            # Nothing can be filtered: the greedy head is the answer.
+            return self._decision(valid_index.min_block(excluded_blocks), considered, 0)
+        # The ranking is consumed on demand, SIP content read off the
+        # O(1) overlap counters.
+        with closing(valid_index.ranked(excluded_blocks)) as ranking:
             pick, filtered = self._first_unfiltered(
-                islice(ranking, self.max_rank_scan), page_map, sip_lpns, sip_overlap
+                islice(ranking, self.max_rank_scan),
+                page_map.geometry.pages_per_block,
+                sip_overlap,
             )
         return self._decision(pick, considered, filtered)
 
-    def _first_unfiltered(self, ranking, page_map: PageMap, sip_lpns, sip_overlap):
+    def _first_unfiltered(self, ranking, ppb: int, sip_overlap: SipOverlapIndex):
         """Walk ``(block, valid)`` pairs in greedy order up to the first
         one that is not SIP-heavy; returns ``(pair, candidates skipped)``.
 
         The pair is the greedy head when every examined candidate was
         skipped, and None when the ranking is empty.
         """
-        ppb = page_map.geometry.pages_per_block
         head = None
         filtered = 0
         for pick in ranking:
             block, valid = pick
             if head is None:
                 head = pick
-            if not sip_lpns or valid == 0:
-                # No SIP list, or nothing to migrate: SIP content is
-                # irrelevant.
+            if valid == 0:
+                # Nothing to migrate: SIP content is irrelevant.
                 return pick, filtered
             if valid >= ppb:
                 # Ranked ascending by valid count: this and all later
                 # candidates hold no garbage.  Stop; fall back to greedy.
                 break
-            if sip_overlap is not None:
-                sip_pages = sip_overlap.overlap(block)
-            else:
-                sip_pages = self.sip_valid_pages(block, page_map, sip_lpns)
-            if sip_pages / valid <= self.sip_fraction_threshold:
+            if sip_overlap.overlap(block) / valid <= self.sip_fraction_threshold:
                 return pick, filtered
             filtered += 1
         # Everything in the scanned prefix was SIP-heavy; fall back to

@@ -78,11 +78,9 @@ class HostSystem:
         self.streams = RandomStreams(seed)
         self.obs = Observability.resolve(obs)
 
-        selector = policy.make_victim_selector()
         self.device = SsdDevice(
             self.sim,
             config,
-            victim_selector=selector,
             controller=policy,
             seed=seed,
             registry=self.obs.registry,
@@ -94,12 +92,13 @@ class HostSystem:
             # on the resumed timeline.
             sim = self.sim
             ftl._clock = lambda: sim.now
-            if selector is not None:
-                # A pre-built FTL bypasses SsdDevice's selector install;
-                # wire the policy's selector in here so victim ranking
-                # (and its SIP statistics) track the *attached* policy,
-                # not a default selector.
-                ftl.victim_selector = selector
+        selector = policy.make_victim_selector()
+        if selector is not None:
+            # The one place a policy's victim selector is installed.
+            # Fresh, recovered and warm-started FTLs all start greedy
+            # and have collected nothing yet, so victim ranking (and its
+            # SIP statistics) track the *attached* policy throughout.
+            self.device.ftl.victim_selector = selector
 
         page_size = config.geometry.page_size
         if cache_bytes is None:

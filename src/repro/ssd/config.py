@@ -16,7 +16,6 @@ from repro.faults.injector import FaultInjector, FaultProfile, resolve_fault_pro
 from repro.ftl.ftl import PageMappedFtl
 from repro.ftl.recovery import recover_ftl
 from repro.ftl.space import SpaceModel
-from repro.ftl.victim import VictimSelector
 from repro.nand.array import NandArray, NandDurableState
 from repro.nand.endurance import EnduranceModel
 from repro.nand.geometry import NandGeometry
@@ -247,7 +246,6 @@ class SsdConfig:
 
     def build_ftl(
         self,
-        victim_selector: Optional[VictimSelector] = None,
         clock=None,
         seed: int = 0,
         registry=None,
@@ -269,7 +267,6 @@ class SsdConfig:
         return PageMappedFtl(
             nand,
             self,
-            victim_selector=victim_selector,
             clock=clock,
             registry=registry,
             recovered=recovered,
@@ -278,7 +275,6 @@ class SsdConfig:
     def recover_from(
         self,
         durable: NandDurableState,
-        victim_selector: Optional[VictimSelector] = None,
         clock=None,
         seed: int = 0,
         registry=None,
@@ -303,7 +299,6 @@ class SsdConfig:
             self.restore_nand(durable, self.build_injector(seed)),
             self,
             post_checkpoint,
-            victim_selector=victim_selector,
             clock=clock,
             registry=registry,
         )

@@ -12,15 +12,18 @@ extended interface.
 
 Background GC runs one victim block at a time, so an arriving host request
 waits at most one block-collection before being served -- the standard
-preemption granularity of real drives.
+preemption granularity of real drives.  Refresh scrub and wear levelling
+take the idle windows reclaim declines, one block at a time through the
+same launcher and completion; when any idle-work block ends, the device
+serves its queue if a request arrived, and otherwise chains the next
+block at once (the idle period is already confirmed).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, NamedTuple, Optional
 
-from repro.ftl.victim import VictimSelector
 from repro.obs.audit import DISABLED_AUDIT, GcSpanRecord
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
@@ -30,6 +33,22 @@ from repro.sim.simtime import MICROSECOND
 from repro.ssd.bandwidth import BandwidthEstimator
 from repro.ssd.config import SsdConfig
 from repro.ssd.request import DIRECT_WRITE, READ, TRIM, WRITEBACK, IoRequest
+
+
+class IdleWork(NamedTuple):
+    """What differs between the kinds of idle-time work the device runs."""
+
+    #: Completion event name.
+    event: str
+    #: Device trace span name.
+    span: str
+    #: :attr:`GcSpanRecord.scrub` of the block's occupancy span.
+    scrub: bool
+
+
+BGC_WORK = IdleWork("ssd.bgc_done", "bgc.block", False)
+SCRUB_WORK = IdleWork("ssd.scrub_done", "scrub.block", True)
+WEAR_LEVEL_WORK = IdleWork("ssd.wl_done", "wear_level.block", False)
 
 
 class ReclaimController:
@@ -54,7 +73,6 @@ class SsdDevice:
     Args:
         sim: shared simulator.
         config: device configuration.
-        victim_selector: GC victim policy handed to the FTL.
         controller: background-reclaim controller (may be set later via
             :attr:`controller`).
         seed: scenario seed forwarded to the FTL build (drives the fault
@@ -75,7 +93,6 @@ class SsdDevice:
         self,
         sim: Simulator,
         config: SsdConfig,
-        victim_selector: Optional[VictimSelector] = None,
         controller: Optional[ReclaimController] = None,
         seed: int = 0,
         registry: Optional[MetricsRegistry] = None,
@@ -84,7 +101,6 @@ class SsdDevice:
         self.sim = sim
         self.config = config
         self.ftl = ftl if ftl is not None else config.build_ftl(
-            victim_selector=victim_selector,
             clock=lambda: sim.now,
             seed=seed,
             registry=registry,
@@ -103,7 +119,6 @@ class SsdDevice:
         #: (:attr:`queue_depth` is the same number).
         self.queue: Deque[IoRequest] = deque()
         self._busy = False
-        self._bgc_active = False
         #: Invalidates pending idle checks whenever host activity occurs.
         self._idle_token = 0
 
@@ -296,6 +311,8 @@ class SsdDevice:
             self._maybe_bgc()
 
     def _maybe_bgc(self) -> None:
+        """Spend the idle window: one BGC block if the controller wants
+        space reclaimed, else one refresh-scrub or wear-level block."""
         if self._busy or self.queue:
             return
         if self.ftl.read_only:
@@ -306,142 +323,76 @@ class SsdDevice:
         if controller is None:
             return
         demand = controller.reclaim_demand_pages(self)
-        if demand <= 0 or not self.ftl.has_victim():
-            # Reclaim declined the window: refresh scrub gets first call
-            # on the spare idle time (data at risk beats wear spread),
-            # then wear levelling.  Both are no-ops unless armed.
-            if self._maybe_scrub():
-                return
-            self._maybe_wear_level()
+        if demand > 0 and self.ftl.has_victim():
+            free_before = self.ftl.free_pages()
+            raw = self.ftl.collect_one_block(background=True)
+            self._run_idle_work(BGC_WORK, raw, free_before)
             return
-        free_before = self.ftl.free_pages()
-        raw_latency = self.ftl.collect_one_block(background=True)
+        # Reclaim declined the window: refresh scrub gets first call on
+        # the spare idle time (data at risk beats wear spread), then wear
+        # levelling.  Both are no-ops unless armed.
+        raw = self.ftl.maybe_scrub()
+        if raw > 0:
+            self._run_idle_work(SCRUB_WORK, raw)
+            return
+        raw = self.ftl.maybe_wear_level()
+        if raw > 0:
+            self._run_idle_work(WEAR_LEVEL_WORK, raw)
+
+    def _run_idle_work(
+        self, work: IdleWork, raw_latency: int, free_before: int = 0
+    ) -> None:
+        """Occupy the device for one idle-work block the FTL just ran."""
         latency = max(1, raw_latency // self.parallelism)
         self._busy = True
-        self._bgc_active = True
         self.sim.schedule(
             latency,
-            lambda: self._bgc_done(latency, free_before),
+            lambda: self._idle_work_done(work, latency, free_before),
             priority=PRIORITY_DEVICE,
-            name="ssd.bgc_done",
+            name=work.event,
         )
 
-    def _bgc_done(self, latency: int, free_before: int) -> None:
+    def _idle_work_done(self, work: IdleWork, latency: int, free_before: int) -> None:
         self._busy = False
-        self._bgc_active = False
         self.busy_ns += latency
         self.bgc_busy_ns += latency
-        freed_pages = self.ftl.free_pages() - free_before
-        freed_bytes = freed_pages * self.config.geometry.page_size
-        self.gc_bandwidth.observe(max(0, freed_bytes), latency)
+        start_ns = self.sim.now - latency
+        # Only BGC is reclaim: its freed pages feed the bandwidth
+        # estimate, the trace, the occupancy span and the controller.
+        # Scrub and wear levelling move data; what they free is incidental.
+        bgc = work is BGC_WORK
+        freed_pages = 0
+        fields = {}
+        if bgc:
+            freed_pages = self.ftl.free_pages() - free_before
+            freed_bytes = freed_pages * self.config.geometry.page_size
+            self.gc_bandwidth.observe(max(0, freed_bytes), latency)
+            fields["freed_pages"] = freed_pages
         if self.tracer.enabled:
             self.tracer.complete(
-                "device",
-                "bgc.block",
-                start_ns=self.sim.now - latency,
-                dur_ns=latency,
-                freed_pages=freed_pages,
+                "device", work.span, start_ns=start_ns, dur_ns=latency, **fields
             )
         if self.audit.enabled:
+            # Every idle-work block occupies the device like a BGC block;
+            # scrub relocations carry the scrub flag so tail attribution
+            # reports ``scrub-interference`` apart from ``bgc-overlap``.
             self.audit.record_gc_span(
                 GcSpanRecord(
-                    t_ns=self.sim.now - latency,
+                    t_ns=start_ns,
                     dur_ns=latency,
                     background=True,
                     pages=freed_pages,
+                    scrub=work.scrub,
                 )
             )
-        if self.controller is not None:
+        if bgc and self.controller is not None:
             self.controller.on_block_collected(self, freed_pages)
         if self.queue:
             self._start_next()
         else:
-            # Chain consecutive BGC blocks without re-waiting the grace:
-            # the device is already in a confirmed idle period.
+            # Chain the next idle-work block without re-waiting the
+            # grace: the device is already in a confirmed idle period.
             self._maybe_bgc()
-
-    def _maybe_scrub(self) -> bool:
-        """Run one refresh-scrub relocation if a block is at risk.
-
-        Returns True when a scrub block was launched (the device is busy
-        until :meth:`_scrub_done` fires).
-        """
-        raw = self.ftl.maybe_scrub()
-        if raw <= 0:
-            return False
-        latency = max(1, raw // self.parallelism)
-        self._busy = True
-        self.sim.schedule(
-            latency,
-            lambda: self._scrub_done(latency),
-            priority=PRIORITY_DEVICE,
-            name="ssd.scrub_done",
-        )
-        return True
-
-    def _scrub_done(self, latency: int) -> None:
-        self._busy = False
-        self.busy_ns += latency
-        self.bgc_busy_ns += latency
-        if self.tracer.enabled:
-            self.tracer.complete(
-                "device",
-                "scrub.block",
-                start_ns=self.sim.now - latency,
-                dur_ns=latency,
-            )
-        if self.audit.enabled:
-            # Scrub relocations occupy the device like a BGC block, but
-            # carry the scrub flag so tail attribution can report
-            # ``scrub-interference`` separately from ``bgc-overlap``.
-            self.audit.record_gc_span(
-                GcSpanRecord(
-                    t_ns=self.sim.now - latency,
-                    dur_ns=latency,
-                    background=True,
-                    scrub=True,
-                )
-            )
-        if self.queue:
-            self._start_next()
-        else:
-            # Confirmed idle period: drain the at-risk queue (and let
-            # BGC reclaim) without re-waiting the grace.
-            self._maybe_bgc()
-
-    def _maybe_wear_level(self) -> None:
-        raw = self.ftl.maybe_wear_level()
-        if raw <= 0:
-            return
-        latency = max(1, raw // self.parallelism)
-        self._busy = True
-        self.sim.schedule(
-            latency,
-            lambda: self._wl_done(latency),
-            priority=PRIORITY_DEVICE,
-            name="ssd.wl_done",
-        )
-
-    def _wl_done(self, latency: int) -> None:
-        self._busy = False
-        self.busy_ns += latency
-        self.bgc_busy_ns += latency
-        if self.tracer.enabled:
-            self.tracer.complete(
-                "device",
-                "wear_level.block",
-                start_ns=self.sim.now - latency,
-                dur_ns=latency,
-            )
-        if self.audit.enabled:
-            # Wear-level moves occupy the device exactly like a BGC
-            # block; attribution charges ops queued behind them to GC.
-            self.audit.record_gc_span(
-                GcSpanRecord(
-                    t_ns=self.sim.now - latency, dur_ns=latency, background=True
-                )
-            )
-        self._start_next()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

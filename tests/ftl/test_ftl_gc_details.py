@@ -71,6 +71,32 @@ def test_wear_level_hook_runs_after_enough_erases():
     ftl.invariant_check()
 
 
+def test_wear_level_moves_a_fully_valid_cold_block():
+    """Static wear levelling's textbook case: the least-erased block
+    holds cold data and no garbage.  A forced victim is relocated
+    whatever its valid count."""
+    ftl = SsdConfig.small(
+        blocks=64, pages_per_block=8, enable_wear_leveling=True, wear_level_threshold=1
+    ).build_ftl()
+    for lpn in range(8):
+        ftl.host_write_page(lpn)
+    user = ftl.space.user_pages
+    for lpn in np.random.default_rng(0).integers(8, user // 2, size=20_000):
+        ftl.host_write_page(int(lpn))
+    assert ftl.page_map.valid_count(0) == 8
+    assert ftl.wear_leveler.pick_cold_block(ftl.gc_candidates()) == 0
+
+    assert ftl.maybe_wear_level(check_interval_erases=1) > 0
+    assert ftl.stats.wl_blocks_collected == 1
+    assert ftl.page_map.valid_count(0) == 0
+    for lpn in range(8):
+        ppn = ftl.page_map.lookup(lpn)
+        assert ppn is not None and ppn // 8 != 0
+        assert ftl.page_map.is_valid(ppn)
+        assert ftl.page_map.lpn_of_ppn(ppn) == lpn
+    ftl.invariant_check()
+
+
 def test_wear_level_noop_without_leveler():
     ftl = make_ftl(wear_leveler=False)
     fill_with_garbage(ftl)

@@ -191,26 +191,27 @@ def test_op_exhaustion_enters_read_only():
 
 
 def test_victim_selection_excludes_retired_blocks():
-    import numpy as np
-
-    from repro.ftl.victim import GreedySelector, filter_excluded
-
-    candidates = np.array([1, 2, 3])
-    assert list(filter_excluded(candidates, {2})) == [1, 3]
-    assert list(filter_excluded(candidates, None)) == [1, 2, 3]
+    from repro.ftl.victim import GreedySelector, SipFilteredSelector
 
     ftl = make_ftl(None)
     # Two garbage-heavy closed blocks; exclude the greedy favourite.
     for _ in range(3):
         for lpn in range(2 * GEOMETRY.pages_per_block):
             ftl.host_write_page(lpn)
-    selector = GreedySelector()
-    best = selector.select(ftl.gc_candidates(), ftl.page_map).block
-    assert best is not None
-    second = selector.select(
-        ftl.gc_candidates(), ftl.page_map, excluded_blocks={best}
-    ).block
-    assert second is not None and second != best
+    index = ftl.victim_index
+    best, _ = index.min_block()
+    assert best not in {block for block, _ in index.ranked({best})}
+    second, _ = index.min_block({best})
+    assert second != best
+    # Every valid page on the SIP list: the SIP-filtered selector walks
+    # the ranking (and falls back to its head), the greedy one does not.
+    ftl.set_sip_list(range(2 * GEOMETRY.pages_per_block))
+    for selector in (GreedySelector(), SipFilteredSelector()):
+        decision = selector.select(
+            ftl.page_map, index, ftl.sip_index,
+            sip_lpns=ftl.sip_lpns, excluded_blocks={best},
+        )
+        assert decision.block == second
 
 
 def test_fault_free_device_unaffected():

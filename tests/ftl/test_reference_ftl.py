@@ -131,7 +131,8 @@ class FtlAgainstReference(RuleBasedStateMachine):
             mapping_mode=self.mode,
             cmt_budget_bytes=GEOMETRY.page_size if self.mode == "dftl" else None,
         )
-        self.ftl = self.config.build_ftl(victim_selector=SipFilteredSelector())
+        self.ftl = self.config.build_ftl()
+        self.ftl.victim_selector = SipFilteredSelector()
         self.user_pages = self.ftl.space.user_pages
         #: LPNs the host touches.  A dftl device whose working set nears
         #: its whole logical space can exhaust the free pool inside
@@ -194,11 +195,8 @@ class FtlAgainstReference(RuleBasedStateMachine):
         for frontier in self.ftl.frontiers:
             nand.tear_frontier_page(frontier.block)
         durable = nand.capture_durable_state()
-        self.ftl, _ = recover_ftl(
-            self.config.restore_nand(durable),
-            self.config,
-            victim_selector=SipFilteredSelector(),
-        )
+        self.ftl, _ = recover_ftl(self.config.restore_nand(durable), self.config)
+        self.ftl.victim_selector = SipFilteredSelector()
         l2p = self.ftl.page_map.l2p_snapshot()
         assert not any(l2p[lpn] != UNMAPPED for lpn in self.trimmed)
 

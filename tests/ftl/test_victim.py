@@ -1,17 +1,12 @@
-"""Tests for victim selection: greedy, cost-benefit and SIP filtering."""
+"""Tests for victim selection: greedy and SIP filtering, off the FTL's indexes."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ftl.mapping import PageMap
 from repro.ftl.space import SipOverlapIndex, ValidCountIndex
-from repro.ftl.victim import (
-    CostBenefitSelector,
-    GreedySelector,
-    SipFilteredSelector,
-)
+from repro.ftl.victim import GreedySelector, SipFilteredSelector
 from repro.nand.geometry import NandGeometry
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=16)
@@ -26,52 +21,54 @@ def build_map(block_contents):
     return pm
 
 
+def track(pm, blocks):
+    """The valid-count index the FTL keeps, with ``blocks`` closed."""
+    index = ValidCountIndex()
+    for block in blocks:
+        index.track(block, pm.valid_count(block))
+    return index
+
+
+def indexed_state(block_contents, sip_lpns):
+    """Page map plus the two indexes the FTL hands a selector, every
+    programmed block tracked as closed."""
+    pm = build_map(block_contents)
+    index = track(pm, block_contents)
+    overlap = SipOverlapIndex(GEOMETRY.total_blocks)
+    overlap.replace(sip_lpns, pm)
+    return pm, index, overlap
+
+
+def select(selector, block_contents, sip_lpns=frozenset(), excluded=None):
+    pm, index, overlap = indexed_state(block_contents, sip_lpns)
+    return selector.select(
+        pm, index, overlap, sip_lpns=set(sip_lpns), excluded_blocks=excluded
+    )
+
+
 def test_greedy_picks_min_valid():
-    pm = build_map({0: [1, 2, 3], 1: [4], 2: [5, 6]})
-    decision = GreedySelector().select(np.array([0, 1, 2]), pm)
+    decision = select(GreedySelector(), {0: [1, 2, 3], 1: [4], 2: [5, 6]})
     assert decision.block == 1
     assert decision.candidates_considered == 3
     assert decision.filtered_by_sip == 0
+    assert decision.valid_pages == 1
 
 
 def test_greedy_tie_breaks_low_block():
-    pm = build_map({3: [1], 5: [2]})
-    decision = GreedySelector().select(np.array([3, 5]), pm)
+    decision = select(GreedySelector(), {3: [1], 5: [2]})
     assert decision.block == 3
 
 
 def test_greedy_empty_candidates():
-    pm = build_map({})
-    decision = GreedySelector().select(np.array([], dtype=int), pm)
+    decision = select(GreedySelector(), {})
     assert decision.block is None
-
-
-def test_cost_benefit_prefers_older_blocks():
-    # Same utilisation, different age: the older block wins.
-    pm = build_map({0: [1, 2], 1: [3, 4]})
-    ages = np.zeros(GEOMETRY.total_blocks)
-    ages[0] = 100
-    ages[1] = 10
-    decision = CostBenefitSelector().select(np.array([0, 1]), pm, block_ages=ages)
-    assert decision.block == 0
-
-
-def test_cost_benefit_weighs_utilisation():
-    # Very full old block loses to empty young block.
-    pm = build_map({0: [1, 2, 3, 4], 1: []})
-    ages = np.zeros(GEOMETRY.total_blocks)
-    ages[0] = 1000
-    ages[1] = 1
-    decision = CostBenefitSelector().select(np.array([0, 1]), pm, block_ages=ages)
-    assert decision.block == 1
 
 
 def test_sip_filter_skips_sip_heavy_block():
     """The greedy-best block is SIP-dominated: it must be skipped and the
     skip counted (Table 3 metric)."""
-    pm = build_map({0: [1], 1: [2, 3]})
     selector = SipFilteredSelector(sip_fraction_threshold=0.5)
-    decision = selector.select(np.array([0, 1]), pm, sip_lpns={1})
+    decision = select(selector, {0: [1], 1: [2, 3]}, sip_lpns={1})
     assert decision.block == 1  # block 0 (valid={1}) is 100% SIP
     assert decision.filtered_by_sip == 1
     assert selector.total_filtered == 1
@@ -79,26 +76,22 @@ def test_sip_filter_skips_sip_heavy_block():
 
 
 def test_sip_filter_no_sip_list_behaves_greedy():
-    pm = build_map({0: [1], 1: [2, 3]})
-    selector = SipFilteredSelector()
-    decision = selector.select(np.array([0, 1]), pm, sip_lpns=set())
+    decision = select(SipFilteredSelector(), {0: [1], 1: [2, 3]}, sip_lpns=set())
     assert decision.block == 0
     assert decision.filtered_by_sip == 0
 
 
 def test_sip_filter_below_threshold_not_skipped():
-    pm = build_map({0: [1, 2, 3], 1: [4, 5, 6, 7]})
     selector = SipFilteredSelector(sip_fraction_threshold=0.5)
     # Only 1/3 of block 0's valid pages are SIP -> keep it.
-    decision = selector.select(np.array([0, 1]), pm, sip_lpns={1})
+    decision = select(selector, {0: [1, 2, 3], 1: [4, 5, 6, 7]}, sip_lpns={1})
     assert decision.block == 0
     assert decision.filtered_by_sip == 0
 
 
 def test_sip_filter_all_filtered_falls_back_to_greedy():
-    pm = build_map({0: [1], 1: [2, 3]})
     selector = SipFilteredSelector(sip_fraction_threshold=0.5)
-    decision = selector.select(np.array([0, 1]), pm, sip_lpns={1, 2, 3})
+    decision = select(selector, {0: [1], 1: [2, 3]}, sip_lpns={1, 2, 3})
     assert decision.block == 0  # fallback: plain greedy best
     assert decision.filtered_by_sip == 2
 
@@ -107,17 +100,18 @@ def test_sip_filter_empty_block_chosen_immediately():
     """A block with zero valid pages is a perfect victim regardless of SIP."""
     pm = build_map({0: [1], 1: []})
     pm.remap(1, pm.ppn(2, 0))  # invalidate block 0's only page
-    selector = SipFilteredSelector()
-    decision = selector.select(np.array([0, 1]), pm, sip_lpns={99})
-    assert decision.block in (0, 1)
-    assert pm.valid_count(decision.block) == 0
+    overlap = SipOverlapIndex(GEOMETRY.total_blocks)
+    overlap.replace({9}, pm)
+    decision = SipFilteredSelector().select(pm, track(pm, [0, 1]), overlap, sip_lpns={9})
+    assert decision.block == 0
+    assert decision.valid_pages == 0
 
 
 def test_sip_filtered_fraction():
-    pm = build_map({0: [1], 1: [2, 3]})
+    contents = {0: [1], 1: [2, 3]}
     selector = SipFilteredSelector()
-    selector.select(np.array([0, 1]), pm, sip_lpns={1})      # one filter event
-    selector.select(np.array([0, 1]), pm, sip_lpns=set())    # none
+    select(selector, contents, sip_lpns={1})  # one filter event
+    select(selector, contents, sip_lpns=set())  # none
     assert selector.filtered_fraction() == pytest.approx(0.5)
 
 
@@ -130,28 +124,22 @@ def test_sip_filter_parameter_validation():
         SipFilteredSelector(max_rank_scan=0)
 
 
-def test_sip_valid_pages_counts_only_valid():
+def test_sip_overlap_counts_only_valid_pages():
+    """A block's SIP content, as the selector reads it off the overlap
+    index, counts only the SIP LPNs still valid in that block."""
     pm = build_map({0: [1, 2]})
-    pm.remap(1, pm.ppn(1, 0))  # LPN 1 leaves block 0
-    selector = SipFilteredSelector()
-    assert selector.sip_valid_pages(0, pm, {1, 2}) == 1
-
-
-# ----------------------------------------------------------------------
-# Indexed (lazy walk) path vs candidate-array (materialised ranking) path
-# ----------------------------------------------------------------------
-def indexed_state(block_contents, sip_lpns):
-    """Page map plus the two indexes the FTL hands a selector, every
-    programmed block tracked as closed."""
-    pm = build_map(block_contents)
-    index = ValidCountIndex()
-    for block in block_contents:
-        index.track(block, pm.valid_count(block))
     overlap = SipOverlapIndex(GEOMETRY.total_blocks)
-    overlap.replace(sip_lpns, pm)
-    return pm, index, overlap
+    overlap.replace({1, 2}, pm)
+    assert overlap.overlap(0) == 2
+    pm.set_valid_observer(overlap.on_valid_delta)
+    pm.remap(1, pm.ppn(1, 0))  # LPN 1 leaves block 0
+    assert overlap.overlap(0) == 1
+    assert overlap.overlap(1) == 1
 
 
+# ----------------------------------------------------------------------
+# The lazy walk off the index vs the rule over a materialised ranking
+# ----------------------------------------------------------------------
 def decision_fields(decision):
     return (
         decision.block,
@@ -193,24 +181,19 @@ def test_sip_filter_lazy_walk_equals_materialised_ranking(
     same range covers none, some or (the greedy fallback) all of them."""
     contents = {b: list(range(4 * b, 4 * b + n)) for b, n in enumerate(fill)}
     pm, index, overlap = indexed_state(contents, sip_lpns)
-    lazy = SipFilteredSelector(threshold, max_rank_scan)
-    materialised = SipFilteredSelector(threshold, max_rank_scan)
+    selector = SipFilteredSelector(threshold, max_rank_scan)
     heap_before = sorted(index._heap)
 
-    walked = lazy.select(
-        None, pm, sip_lpns=sip_lpns, excluded_blocks=excluded,
-        valid_index=index, sip_overlap=overlap,
-    )
-    scanned = materialised.select(
-        np.array(sorted(contents)), pm, sip_lpns=sip_lpns, excluded_blocks=excluded
+    walked = selector.select(
+        pm, index, overlap, sip_lpns=sip_lpns, excluded_blocks=excluded
     )
 
-    assert decision_fields(walked) == decision_fields(scanned)
-    assert decision_fields(walked) == materialised_decision(
+    expected = materialised_decision(
         pm, contents, sip_lpns, excluded, threshold, max_rank_scan
     )
-    assert lazy.total_filtered == materialised.total_filtered
-    assert lazy.total_selections == materialised.total_selections
+    assert decision_fields(walked) == expected
+    assert selector.total_selections == (expected[0] is not None)
+    assert selector.total_filtered == (expected[1] if expected[0] is not None else 0)
     assert sorted(index._heap) == heap_before  # the walk pushed back what it took
 
 
@@ -219,18 +202,14 @@ def test_sip_filter_every_block_excluded_selects_nothing(sip_lpns):
     contents = {0: [1], 1: [2, 3]}
     pm, index, overlap = indexed_state(contents, sip_lpns)
     selector = SipFilteredSelector()
-    indexed = selector.select(
-        None, pm, sip_lpns=sip_lpns, excluded_blocks={0, 1},
-        valid_index=index, sip_overlap=overlap,
-    )
-    scanned = selector.select(
-        np.array([0, 1]), pm, sip_lpns=sip_lpns, excluded_blocks={0, 1}
-    )
-    empty = selector.select(np.array([], dtype=int), pm, sip_lpns=sip_lpns)
-    untracked = selector.select(
-        None, pm, sip_lpns=sip_lpns, valid_index=ValidCountIndex(), sip_overlap=overlap
-    )
-    for decision in (indexed, scanned, empty, untracked):
-        assert decision.block is None
-        assert decision.candidates_considered == 0
+    for chooser in (selector, GreedySelector()):
+        excluded = chooser.select(
+            pm, index, overlap, sip_lpns=sip_lpns, excluded_blocks={0, 1}
+        )
+        empty = select(chooser, {}, sip_lpns=sip_lpns)
+        # Blocks programmed in the map but never closed: nothing tracked.
+        untracked = chooser.select(pm, ValidCountIndex(), overlap, sip_lpns=sip_lpns)
+        for decision in (excluded, empty, untracked):
+            assert decision.block is None
+            assert decision.candidates_considered == 0
     assert selector.total_selections == 0

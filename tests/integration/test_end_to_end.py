@@ -93,6 +93,7 @@ def test_wear_leveling_integration():
     workload.stop()
     stats = host.ftl.nand.wear_stats()
     assert stats.total_erases > 0
+    assert host.ftl.stats.wl_blocks_collected > 0
     host.ftl.invariant_check()
 
 
