@@ -16,6 +16,13 @@ artifact can be regenerated from a shell:
                per policy (the paper's "long lifetimes" claim).
 * ``list``     -- available workloads and policies.
 
+Scenario flags are not declared here: each is a
+:class:`~repro.experiments.ScenarioSpec` field whose metadata holds its
+spelling, help, choices and converter.  A subcommand names the fields it
+exposes and a base spec their defaults come from, and builds its
+scenario as one ``replace`` of that base.  Only the flags that configure
+a command rather than a scenario are written out below.
+
 Power-loss emulation rides on ``run``: ``--spo-at T`` cuts power at
 simulated second T (repeatable), ``--spo-random N`` adds N seeded
 random cuts in the measurement window; the device recovers from its
@@ -25,14 +32,14 @@ OOB metadata and the workload resumes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro import __version__
 from repro.experiments import (
     POLICY_FACTORIES,
-    WARM_START_MODES,
     ScenarioSpec,
     format_table,
     gc_heavy_spec,
@@ -56,126 +63,97 @@ from repro.obs import TRACE_FORMATS, ObservabilityConfig
 from repro.sim.simtime import SECOND
 from repro.workloads import WORKLOADS
 
+#: The run family (``run``, ``compare``, ``oracle``, the artifacts and
+#: ``sweep``) measures shorter windows than ``ScenarioSpec()``.
+_RUN_BASE = ScenarioSpec(warmup_s=20, measure_s=60, fault_profile="none")
+_RUN_FLAGS = (
+    "workload", "blocks", "pages_per_block", "warmup_s", "measure_s", "seed",
+    "warm_start", "fault_profile", "mapping", "cmt_budget_bytes",
+    "reliability", "checkpoint_interval", "checkpoint_policy",
+)
+#: crash-sweep's ``--faults`` defaults to the name "none", as the run family's.
+_CRASH_BASE = gc_heavy_spec(fault_profile="none")
+_CRASH_FLAGS = (
+    "blocks", "pages_per_block", "measure_s", "warmup_s", "seed", "warm_start",
+    "fault_profile", "mapping", "cmt_budget_bytes", "reliability",
+    "checkpoint_interval",
+)
+_REPORT_BASE = gc_heavy_spec()
+_REPORT_FLAGS = (
+    "workload", "blocks", "pages_per_block", "measure_s", "seed", "mapping",
+    "cmt_budget_bytes", "reliability",
+)
+# The report defaults to a working set below the crash sweep's 0.9:
+# with idle headroom available, just-in-time background collection
+# can actually differ from lazy collection -- at 0.9 every policy is
+# pinned at the FGC watermark and the attribution tables converge.
+_LATENCY_BASE = replace(_REPORT_BASE, working_set_fraction=0.75)
+_LATENCY_FLAGS = _REPORT_FLAGS + ("working_set_fraction",)
 
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workload", default="YCSB", choices=sorted(WORKLOADS))
-    parser.add_argument("--blocks", type=int, default=1024)
-    parser.add_argument("--pages-per-block", type=int, default=64)
-    parser.add_argument("--warmup", type=int, default=20, metavar="S")
-    parser.add_argument("--measure", type=int, default=60, metavar="S")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--warm-start", default="sim", choices=sorted(WARM_START_MODES),
-        help="preconditioning mode: 'sim' replays the prefill + warmup "
-        "simulation (reference); 'analytic' synthesizes the predicted "
-        "steady state directly and skips the warmup (see PERFORMANCE.md)",
-    )
-    parser.add_argument(
-        "--faults",
-        default="none",
-        choices=sorted(FAULT_PROFILES),
-        help="media-fault injection profile (default: none)",
-    )
-    _add_mapping_args(parser)
-    _add_reliability_arg(parser)
-    parser.add_argument(
-        "--checkpoint-interval", type=int, default=None, metavar="PAGES",
-        help="write a durable mapping checkpoint every PAGES host pages "
-        "(bounds post-power-cut recovery to a log-tail scan; default: off)",
-    )
-    parser.add_argument(
-        "--checkpoint-policy", default="interval",
-        choices=("interval", "adaptive"),
-        help="checkpoint scheduling: 'interval' fires on a fixed "
-        "host-page count; 'adaptive' fires on actual tail-scan accrual "
-        "(all program streams) and early during GC quiescence",
-    )
-    parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="write a simulation trace to PATH (see OBSERVABILITY.md)",
-    )
+
+def _add_spec_args(
+    parser: argparse.ArgumentParser, base: ScenarioSpec, names: Sequence[str]
+) -> None:
+    """One flag per named field, as its metadata declares, defaulting to
+    ``base``'s value."""
+    fields = {f.name: f for f in dataclasses.fields(ScenarioSpec)}
+    for name in names:
+        meta = fields[name].metadata
+        parser.add_argument(
+            meta["flag"], dest=name, default=getattr(base, name), **meta["argparse"]
+        )
+
+
+def _spec_from(
+    args: argparse.Namespace, base: ScenarioSpec, names: Sequence[str], **extra
+) -> ScenarioSpec:
+    """``base`` with each named field set from its parsed flag."""
+    flags = vars(args)
+    try:
+        return replace(base, **{name: flags[name] for name in names}, **extra)
+    except ValueError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}")
+
+
+def _add_obs_args(
+    parser: argparse.ArgumentParser,
+    trace_help: str = "write a simulation trace to PATH (see OBSERVABILITY.md)",
+    sampling: bool = True,
+) -> None:
+    parser.add_argument("--trace", default=None, metavar="PATH", help=trace_help)
     parser.add_argument(
         "--trace-format", default="jsonl", choices=TRACE_FORMATS,
         help="trace file format: jsonl, or chrome (Perfetto-loadable)",
     )
-    parser.add_argument(
-        "--metrics-interval", type=float, default=1.0, metavar="S",
-        help="sim-time registry sampling period in seconds (0 disables)",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="profile event-loop wall time and print the report",
-    )
+    if sampling:
+        parser.add_argument(
+            "--metrics-interval", type=float, default=1.0, metavar="S",
+            help="sim-time registry sampling period in seconds (0 disables)",
+        )
+        parser.add_argument(
+            "--profile", action="store_true",
+            help="profile event-loop wall time and print the report",
+        )
 
 
-def _add_mapping_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--mapping", default="dram", choices=("dram", "dftl"),
-        help="FTL mapping architecture: 'dram' keeps the whole page map "
-        "in DRAM (reference); 'dftl' stores translation pages on NAND "
-        "behind a cached mapping table (see DESIGN.md)",
-    )
-    parser.add_argument(
-        "--cmt-budget-kb", type=int, default=None, metavar="KIB",
-        help="cached-mapping-table DRAM budget in KiB (dftl only; "
-        "default: 1/64 of the full in-DRAM map)",
-    )
+def _add_scenario_args(parser: argparse.ArgumentParser, *names: str) -> None:
+    """The run family's flags: its scenario fields, ``names``, observability."""
+    _add_spec_args(parser, _RUN_BASE, _RUN_FLAGS + names)
+    _add_obs_args(parser)
 
 
-def _add_reliability_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--reliability", default="off",
-        choices=("off", "mlc-20nm", "mlc-20nm-accel"),
-        help="data-integrity subsystem profile: retention clock, ECC "
-        "read-retry escalation ladder and background refresh scrub "
-        "('off' keeps the historical bit-identical device; "
-        "'mlc-20nm-accel' compresses retention physics into simulated "
-        "seconds for demos/tests)",
-    )
-
-
-def _cmt_budget_bytes(args: argparse.Namespace):
-    kib = getattr(args, "cmt_budget_kb", None)
-    return None if kib is None else kib * 1024
-
-
-def _obs_config_from(args: argparse.Namespace):
-    trace = getattr(args, "trace", None)
-    profile = bool(getattr(args, "profile", False))
-    if trace is None and not profile:
-        return None
-    return ObservabilityConfig(
-        trace_path=trace,
-        trace_format=getattr(args, "trace_format", "jsonl"),
-        metrics_interval_ns=int(getattr(args, "metrics_interval", 1.0) * SECOND),
-        profile=profile,
-        audit=trace is not None,
-    )
-
-
-def _spec_from(args: argparse.Namespace) -> ScenarioSpec:
-    return ScenarioSpec(
-        workload=args.workload,
-        blocks=args.blocks,
-        pages_per_block=args.pages_per_block,
-        warmup_s=args.warmup,
-        measure_s=args.measure,
-        seed=args.seed,
-        fault_profile=getattr(args, "faults", "none"),
-        checkpoint_interval=getattr(args, "checkpoint_interval", None),
-        obs=_obs_config_from(args),
-        warm_start=getattr(args, "warm_start", "sim"),
-        mapping=getattr(args, "mapping", "dram"),
-        cmt_budget_bytes=_cmt_budget_bytes(args),
-        checkpoint_policy=getattr(args, "checkpoint_policy", "interval"),
-        reliability=_reliability_from(args),
-    )
-
-
-def _reliability_from(args: argparse.Namespace):
-    """CLI knob -> spec field ('off' -> None keeps historical keys)."""
-    profile = getattr(args, "reliability", "off")
-    return None if profile in (None, "off") else profile
+def _scenario_spec(args: argparse.Namespace, *names: str) -> ScenarioSpec:
+    """The spec built from :func:`_add_scenario_args`'s flags."""
+    obs = None
+    if args.trace is not None or args.profile:
+        obs = ObservabilityConfig(
+            trace_path=args.trace,
+            trace_format=args.trace_format,
+            metrics_interval_ns=int(args.metrics_interval * SECOND),
+            profile=args.profile,
+            audit=args.trace is not None,
+        )
+    return _spec_from(args, _RUN_BASE, _RUN_FLAGS + names, obs=obs)
 
 
 def _echo_run_header(spec: ScenarioSpec) -> None:
@@ -291,8 +269,7 @@ def _spo_plan_from(args: argparse.Namespace) -> SpoPlan:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = _spec_from(args)
-    spec.policy = args.policy
+    spec = _scenario_spec(args, "policy")
     _echo_run_header(spec)
     plan = _spo_plan_from(args)
     if plan.enabled:
@@ -321,20 +298,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_crash_sweep(args: argparse.Namespace) -> int:
-    spec = gc_heavy_spec(
-        blocks=args.blocks,
-        pages_per_block=args.pages_per_block,
-        seed=args.seed,
-        measure_s=args.measure,
-        warmup_s=args.warmup,
-        fault_profile=args.faults,
-        trim_heavy=args.trim_heavy,
-        checkpoint_interval=args.checkpoint_interval,
-        warm_start=args.warm_start,
-        mapping=args.mapping,
-        cmt_budget_bytes=_cmt_budget_bytes(args),
-        reliability=_reliability_from(args),
-    )
+    spec = _spec_from(args, gc_heavy_spec(trim_heavy=args.trim_heavy), _CRASH_FLAGS)
     _echo_run_header(spec)
     ticks = {"n": 0}
 
@@ -363,7 +327,7 @@ def cmd_crash_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    spec = _spec_from(args)
+    spec = _scenario_spec(args)
     _echo_run_header(spec)
     results = run_policy_comparison(spec, jobs=args.jobs)
     iops = normalize_to({p: m.iops for p, m in results.items()}, "A-BGC")
@@ -382,11 +346,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    print(run_oracle_comparison(_spec_from(args)).format())
-    return 0
-
-
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=0, metavar="N",
@@ -398,20 +357,19 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
 
 def _artifact_command(runner):
     def command(args: argparse.Namespace) -> int:
-        spec = _spec_from(args)
-        print(runner(spec).format())
+        print(runner(_scenario_spec(args)).format())
         return 0
 
     return command
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
-    print(run_fig2(_spec_from(args), jobs=args.jobs).format())
+    print(run_fig2(_scenario_spec(args), jobs=args.jobs).format())
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base = _spec_from(args)
+    base = _scenario_spec(args)
     specs = [base.with_policy(name) for name in sorted(POLICY_FACTORIES)]
     _echo_run_header(base)
     outcome = run_sweep(
@@ -435,36 +393,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         format_table(
             ["Scenario", "IOPS", "WAF", "Retired", "Read-only"],
             rows,
-            title=f"Sweep on {args.workload} (faults={args.faults})",
+            title=f"Sweep on {base.workload} (faults={base.fault_profile})",
         )
     )
     return 0 if outcome.ok() else 1
 
 
 def cmd_latency_report(args: argparse.Namespace) -> int:
-    spec = gc_heavy_spec(
-        blocks=args.blocks,
-        pages_per_block=args.pages_per_block,
-        seed=args.seed,
-        measure_s=args.measure,
-        mapping=args.mapping,
-        cmt_budget_bytes=_cmt_budget_bytes(args),
-        reliability=_reliability_from(args),
-    )
-    # The report defaults to a working set below the crash sweep's 0.9:
-    # with idle headroom available, just-in-time background collection
-    # can actually differ from lazy collection -- at 0.9 every policy is
-    # pinned at the FGC watermark and the attribution tables converge.
-    spec = replace(spec, working_set_fraction=args.working_set)
-    if args.workload != spec.workload:
-        spec = replace(spec, workload=args.workload)
+    obs = None
     if args.trace is not None:
-        spec = replace(
-            spec,
-            obs=ObservabilityConfig(
-                trace_path=args.trace, trace_format=args.trace_format
-            ),
-        )
+        obs = ObservabilityConfig(trace_path=args.trace, trace_format=args.trace_format)
+    spec = _spec_from(args, _LATENCY_BASE, _LATENCY_FLAGS, obs=obs)
     policies = None
     if args.policies:
         names = [name.strip() for name in args.policies.split(",") if name.strip()]
@@ -484,17 +423,7 @@ def cmd_latency_report(args: argparse.Namespace) -> int:
 
 
 def cmd_lifetime_report(args: argparse.Namespace) -> int:
-    spec = gc_heavy_spec(
-        blocks=args.blocks,
-        pages_per_block=args.pages_per_block,
-        seed=args.seed,
-        measure_s=args.measure,
-        mapping=args.mapping,
-        cmt_budget_bytes=_cmt_budget_bytes(args),
-        reliability=_reliability_from(args),
-    )
-    if args.workload != spec.workload:
-        spec = replace(spec, workload=args.workload)
+    spec = _spec_from(args, _REPORT_BASE, _REPORT_FLAGS)
     _echo_run_header(spec)
     result = run_lifetime_report(
         spec,
@@ -526,10 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run one (workload, policy) scenario")
-    _add_scenario_args(run_parser)
-    run_parser.add_argument(
-        "--policy", default="JIT-GC", choices=sorted(POLICY_FACTORIES)
-    )
+    _add_scenario_args(run_parser, "policy")
     run_parser.add_argument(
         "--spo-at", type=float, action="append", default=None, metavar="S",
         help="cut power at simulated second S and recover (repeatable)",
@@ -546,16 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(compare_parser)
     compare_parser.set_defaults(func=cmd_compare)
 
-    oracle_parser = sub.add_parser("oracle", help="JIT-GC vs the ideal policy")
-    _add_scenario_args(oracle_parser)
-    oracle_parser.set_defaults(func=cmd_oracle)
-
     fig2_parser = sub.add_parser("fig2", help="reserved-capacity sweep (paper Fig. 2)")
     _add_scenario_args(fig2_parser)
     _add_jobs_arg(fig2_parser)
     fig2_parser.set_defaults(func=cmd_fig2)
 
     for name, runner, help_text in (
+        ("oracle", run_oracle_comparison, "JIT-GC vs the ideal policy"),
         ("fig7", run_fig7, "four policies x six benchmarks (paper Fig. 7)"),
         ("table1", run_table1, "buffered/direct write mix (paper Table 1)"),
         ("table2", run_table2, "prediction accuracy (paper Table 2)"),
@@ -589,25 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify crash-consistent recovery at many crash points of a "
         "GC-heavy run",
     )
-    crash_parser.add_argument("--blocks", type=int, default=256)
-    crash_parser.add_argument("--pages-per-block", type=int, default=64)
-    crash_parser.add_argument("--measure", type=int, default=30, metavar="S")
-    crash_parser.add_argument(
-        "--warmup", type=int, default=2, metavar="S",
-        help="simulated preconditioning seconds before the swept window "
-        "(default: 2 -- the prefill already leaves the device GC-bound)",
-    )
-    crash_parser.add_argument("--seed", type=int, default=42)
-    crash_parser.add_argument(
-        "--warm-start", default="sim", choices=sorted(WARM_START_MODES),
-        help="preconditioning mode for the swept run (see PERFORMANCE.md)",
-    )
-    crash_parser.add_argument(
-        "--faults", default="none", choices=sorted(FAULT_PROFILES),
-        help="media-fault profile active while the sweep runs",
-    )
-    _add_mapping_args(crash_parser)
-    _add_reliability_arg(crash_parser)
+    _add_spec_args(crash_parser, _CRASH_BASE, _CRASH_FLAGS)
     crash_parser.add_argument(
         "--points", type=int, default=100, metavar="N",
         help="crash points to verify (default: 100)",
@@ -622,11 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         "points land around TRIM journal writes",
     )
     crash_parser.add_argument(
-        "--checkpoint-interval", type=int, default=None, metavar="PAGES",
-        help="arm durable mapping checkpoints every PAGES host pages "
-        "during the swept run",
-    )
-    crash_parser.add_argument(
         "--nested-every", type=int, default=0, metavar="K",
         help="every K-th point, also crash the recovery itself (torn "
         "post-recovery checkpoint) and verify the second power-on "
@@ -639,19 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tail-latency percentiles + per-cause attribution across "
         "policies on a GC-heavy scenario",
     )
-    latency_parser.add_argument(
-        "--workload", default="YCSB", choices=sorted(WORKLOADS)
-    )
-    latency_parser.add_argument("--blocks", type=int, default=256)
-    latency_parser.add_argument("--pages-per-block", type=int, default=64)
-    latency_parser.add_argument("--measure", type=int, default=30, metavar="S")
-    latency_parser.add_argument("--seed", type=int, default=42)
-    latency_parser.add_argument(
-        "--working-set", type=float, default=0.75, metavar="F",
-        help="working-set fraction of user capacity (default: 0.75 -- "
-        "GC-heavy but with idle headroom, so background-collection "
-        "policies can differentiate)",
-    )
+    _add_spec_args(latency_parser, _LATENCY_BASE, _LATENCY_FLAGS)
     latency_parser.add_argument(
         "--policies", default=None, metavar="A,B",
         help="comma-separated policy subset (default: all four)",
@@ -660,16 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold-pct", type=float, default=99.0, metavar="Q",
         help="percentile defining a slow op (default: 99)",
     )
-    latency_parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="also write per-policy traces (op completions, p99/p999 "
+    _add_obs_args(
+        latency_parser,
+        trace_help="also write per-policy traces (op completions, p99/p999 "
         "counter tracks) next to PATH",
+        sampling=False,
     )
-    latency_parser.add_argument(
-        "--trace-format", default="jsonl", choices=TRACE_FORMATS,
-    )
-    _add_mapping_args(latency_parser)
-    _add_reliability_arg(latency_parser)
     _add_jobs_arg(latency_parser)
     latency_parser.set_defaults(func=cmd_latency_report)
 
@@ -678,13 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="years-to-ECC-cliff projection per policy from measured WAF "
         "(the paper's long-lifetimes claim, quantified)",
     )
-    lifetime_parser.add_argument(
-        "--workload", default="YCSB", choices=sorted(WORKLOADS)
-    )
-    lifetime_parser.add_argument("--blocks", type=int, default=256)
-    lifetime_parser.add_argument("--pages-per-block", type=int, default=64)
-    lifetime_parser.add_argument("--measure", type=int, default=30, metavar="S")
-    lifetime_parser.add_argument("--seed", type=int, default=42)
+    _add_spec_args(lifetime_parser, _REPORT_BASE, _REPORT_FLAGS)
     lifetime_parser.add_argument(
         "--lifetime-profile", default="mlc-20nm",
         choices=("mlc-20nm", "mlc-20nm-accel"),
@@ -705,8 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dwpd", type=float, default=1.0, metavar="N",
         help="assumed host volume in drive-writes per day (default: 1)",
     )
-    _add_mapping_args(lifetime_parser)
-    _add_reliability_arg(lifetime_parser)
     _add_jobs_arg(lifetime_parser)
     lifetime_parser.set_defaults(func=cmd_lifetime_report)
 

@@ -37,7 +37,7 @@ must still match the live reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -294,75 +294,41 @@ def verify_crash_point(
 # ----------------------------------------------------------------------
 # The exhaustive sweep
 # ----------------------------------------------------------------------
-def gc_heavy_spec(
-    blocks: int = 256,
-    pages_per_block: int = 64,
-    seed: int = 42,
-    warmup_s: int = 2,
-    measure_s: int = 30,
-    fault_profile=None,
-    trim_heavy: bool = False,
-    checkpoint_interval: Optional[int] = None,
-    warm_start: str = "sim",
-    mapping: str = "dram",
-    cmt_budget_bytes: Optional[int] = None,
-    reliability: Optional[object] = None,
-) -> ScenarioSpec:
-    """A scenario tuned so GC runs constantly under the sweep.
+#: A scenario tuned so GC runs constantly under the sweep: a 90 %
+#: working set over a logically-full (prefilled + churned) device keeps
+#: the free pool near the FGC watermark, so crash points land inside
+#: foreground GC, background GC and frontier rolls -- the states
+#: recovery must get right.
+GC_HEAVY = ScenarioSpec(
+    blocks=256, working_set_fraction=0.9, warmup_s=2, measure_s=30, tau_expire_s=2
+)
 
-    A 90 % working set over a logically-full (prefilled + churned)
-    device keeps the free pool near the FGC watermark, so crash points
-    land inside foreground GC, background GC and frontier rolls -- the
-    states recovery must get right.
+
+def gc_heavy_spec(trim_heavy: bool = False, **overrides) -> ScenarioSpec:
+    """:data:`GC_HEAVY` with ``overrides`` (any :class:`ScenarioSpec` field).
 
     ``trim_heavy`` switches to the synthetic workload with a quarter of
     its operations issued as discards, so crash points land between a
     TRIM's journal write and the next host program -- the window the
-    persisted unmap journal exists for.  ``checkpoint_interval`` arms
-    periodic mapping checkpoints (pages of host writes per checkpoint),
-    putting checkpoint programs and bounded tail scans under the sweep.
-    ``warmup_s`` is the pre-sweep warm-up window (the CLI's ``--warmup``
-    knob, shared with the scenario runner); ``warm_start="analytic"``
-    replaces the prefill + warm-up with the synthesized steady state, so
-    crash points verify recovery of analytically constructed images too.
-    ``mapping="dftl"`` runs the sweep over the flash-resident mapping:
-    crash points then also land between a translation-page writeback and
-    its GTD update, inside translation-block GC, and on the torn
-    translation frontier -- the states the GTD rebuild must get right.
-    ``reliability`` arms the data-integrity subsystem (profile name or
-    instance), so crash points also land around refresh-scrub
-    relocations and verify the retention clock rides the durable image
-    while the disturb counters reset at power-on.
+    persisted unmap journal exists for.  The other knobs put more states
+    under the sweep: ``checkpoint_interval`` checkpoint programs and
+    bounded tail scans; ``warm_start="analytic"`` analytically
+    constructed images; ``mapping="dftl"`` translation-page writebacks,
+    translation-block GC and the torn translation frontier;
+    ``reliability`` refresh-scrub relocations and a retention clock that
+    rides the durable image.
     """
-    workload = "YCSB"
-    workload_kwargs: dict = {}
     if trim_heavy:
-        workload = "Synthetic"
-        workload_kwargs = {
-            "trim_fraction": 0.25,
-            "write_fraction": 0.85,
-            "zipf_theta": 0.9,
+        overrides = {
+            "workload": "Synthetic",
+            "workload_kwargs": {
+                "trim_fraction": 0.25,
+                "write_fraction": 0.85,
+                "zipf_theta": 0.9,
+            },
+            **overrides,
         }
-    return ScenarioSpec(
-        workload=workload,
-        policy="JIT-GC",
-        blocks=blocks,
-        pages_per_block=pages_per_block,
-        op_ratio=0.07,
-        working_set_fraction=0.9,
-        warmup_s=warmup_s,
-        measure_s=measure_s,
-        flusher_period_s=1,
-        tau_expire_s=2,
-        seed=seed,
-        workload_kwargs=workload_kwargs,
-        fault_profile=fault_profile,
-        checkpoint_interval=checkpoint_interval,
-        warm_start=warm_start,
-        mapping=mapping,
-        cmt_budget_bytes=cmt_budget_bytes,
-        reliability=reliability,
-    )
+    return replace(GC_HEAVY, **overrides)
 
 
 def run_crash_sweep(
@@ -387,7 +353,14 @@ def run_crash_sweep(
 
     Every check failure is recorded, not raised -- the result object
     reports pass/fail per point (``result.ok()`` for the verdict).
+    Fewer than one point, or a stride under one event, would verify
+    nothing yet report success, so both raise :class:`ValueError`.
     """
+    if points < 1 or stride_events < 1:
+        raise ValueError(
+            f"a crash sweep needs points >= 1 and stride_events >= 1, "
+            f"got points={points}, stride_events={stride_events}"
+        )
     host, _collector, workload, measure_start = build_preconditioned_host(spec)
     config = host.config
     end = measure_start + spec.measure_s * SECOND

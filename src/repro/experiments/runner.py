@@ -37,6 +37,7 @@ from repro.core.policies import (
     lazy_bgc_policy,
 )
 from repro.experiments.persistence import SweepCheckpoint
+from repro.faults import FAULT_PROFILES
 from repro.ftl.ftl import DeviceReadOnlyError
 from repro.host import HostSystem
 from repro.metrics.collector import MetricsCollector, RunMetrics
@@ -58,33 +59,42 @@ POLICY_FACTORIES: Dict[str, Callable[[], GcPolicy]] = {
 }
 
 
+#: Valid ``ScenarioSpec.warm_start`` modes.
+WARM_START_MODES = ("sim", "analytic")
+
+
+def _kib(text: str) -> int:
+    """``--cmt-budget-kb`` converter: KiB on the command line, bytes in the spec."""
+    return int(text) * 1024
+
+
+def _flag(default, flag: str, help: str, **argparse_kwargs):
+    """A field that is also a CLI flag; :mod:`repro.cli` reads the metadata."""
+    return field(
+        default=default,
+        metadata={"flag": flag, "argparse": dict(help=help, **argparse_kwargs)},
+    )
+
+
 @dataclass
 class ScenarioSpec:
     """One measured run's full parameterisation.
 
+    A field declared with ``_flag`` *is* that CLI flag: its spelling,
+    help text, choices and converter live in the field's metadata, and
+    :mod:`repro.cli` derives every subcommand's scenario flags from it.
+    Those fields are described by their help text; the rest:
+
     Attributes:
-        workload: a key of :data:`repro.workloads.WORKLOADS` (the paper
-            suite plus the synthetic generator).
-        policy: a key of :data:`POLICY_FACTORIES`, or use
-            ``policy_factory`` for custom policies (Fig. 2's sweep).
-        blocks / pages_per_block: device scale.
+        policy_factory: custom policy constructor, used instead of
+            ``policy`` (Fig. 2's sweep).
         op_ratio: over-provisioning ratio (SM843T: 7 %).
-        working_set_fraction: share of user capacity the benchmark
-            touches (paper: one half).
-        warmup_s / measure_s: simulated warm-up and measurement windows.
         flusher_period_s / tau_expire_s: the write-back constants ``p``
             and ``tau_expire``.  The paper uses 5 s / 30 s on a 240 GB
             device; the scaled default (1 s / 6 s) keeps ``Nwb = 6`` and
             keeps per-horizon traffic in the same proportion to the OP
             capacity as on the real testbed.
-        seed: root random seed (shared across compared policies).
         workload_kwargs: extra workload-constructor arguments.
-        fault_profile: media-fault injection -- a preset name
-            (``"light"``, ``"heavy"``, ``"wearout"``) or a
-            :class:`~repro.faults.injector.FaultProfile`; None disables.
-        checkpoint_interval: when set, the FTL writes an incremental
-            mapping checkpoint every that many host pages (durable
-            metadata; bounds post-power-cut recovery to a log-tail scan).
         timeout_s: optional wall-clock budget for this scenario; on
             expiry :class:`ScenarioTimeoutError` is raised (and isolated
             by :func:`run_sweep`).
@@ -93,47 +103,94 @@ class ScenarioSpec:
             :meth:`key`: instrumentation never changes simulated
             behaviour, so observed and unobserved runs are the same
             scenario.
-        warm_start: how the device reaches steady state before the
-            measurement window.  ``"sim"`` (default) prefills and runs
-            the simulated warm-up -- the validation oracle.
-            ``"analytic"`` synthesizes the mean-field steady state
-            directly (:mod:`repro.analytic`) and runs only a short
-            settle window, trading a bounded model error (see
-            PERFORMANCE.md) for most of the scenario's wall time.
+
+    ``fault_profile`` and ``reliability`` also take a profile instance
+    (:class:`~repro.faults.injector.FaultProfile`,
+    :class:`~repro.nand.reliability.ReliabilityProfile`); None disables
+    either, and ``reliability="off"`` is stored as None so both spell
+    one scenario.
     """
 
-    workload: str = "YCSB"
-    policy: str = "JIT-GC"
+    workload: str = _flag(
+        "YCSB", "--workload", "benchmark to run", choices=sorted(WORKLOADS)
+    )
+    policy: str = _flag(
+        "JIT-GC", "--policy", "GC policy under test", choices=sorted(POLICY_FACTORIES)
+    )
     policy_factory: Optional[Callable[[], GcPolicy]] = None
-    blocks: int = 1024
-    pages_per_block: int = 64
+    blocks: int = _flag(1024, "--blocks", "erase blocks on the device", type=int)
+    pages_per_block: int = _flag(
+        64, "--pages-per-block", "pages per erase block", type=int
+    )
     op_ratio: float = 0.07
-    working_set_fraction: float = 0.5
-    warmup_s: int = 40
-    measure_s: int = 180
+    working_set_fraction: float = _flag(
+        0.5, "--working-set", "share of user capacity the benchmark touches "
+        "(paper: one half)", type=float, metavar="F",
+    )
+    warmup_s: int = _flag(
+        40, "--warmup", "simulated seconds of preconditioning before the "
+        "measurement window", type=int, metavar="S",
+    )
+    measure_s: int = _flag(
+        180, "--measure", "simulated seconds measured", type=int, metavar="S"
+    )
     flusher_period_s: int = 1
     tau_expire_s: int = 6
-    seed: int = 42
+    seed: int = _flag(42, "--seed", "root seed, shared by compared policies", type=int)
     workload_kwargs: dict = field(default_factory=dict)
-    fault_profile: Optional[object] = None
-    checkpoint_interval: Optional[int] = None
+    fault_profile: Optional[object] = _flag(
+        None, "--faults", "media-fault injection profile",
+        choices=sorted(FAULT_PROFILES),
+    )
+    checkpoint_interval: Optional[int] = _flag(
+        None, "--checkpoint-interval", "write a durable mapping checkpoint "
+        "every PAGES host pages (bounds post-power-cut recovery to a "
+        "log-tail scan; default: off)", type=int, metavar="PAGES",
+    )
     timeout_s: Optional[float] = None
     obs: Optional[ObservabilityConfig] = None
-    warm_start: str = "sim"
-    #: FTL mapping architecture: ``"dram"`` (all-DRAM page map) or
-    #: ``"dftl"`` (flash-resident translation pages behind a CMT).
-    mapping: str = "dram"
-    #: CMT DRAM budget in bytes (dftl only; None = 1/64 of the full map).
-    cmt_budget_bytes: Optional[int] = None
-    #: Checkpoint scheduling: ``"interval"`` (fixed host-page interval)
-    #: or ``"adaptive"`` (accrual-based with GC-quiescence early fire).
-    checkpoint_policy: str = "interval"
-    #: Reliability profile arming the live data-integrity subsystem
-    #: (retention clock, ECC escalation ladder, refresh scrubber): a
-    #: preset name (``"mlc-20nm"``, ``"mlc-20nm-accel"``), a
-    #: :class:`~repro.nand.reliability.ReliabilityProfile`, or
-    #: None/``"off"`` for the historical bit-identical device.
-    reliability: Optional[object] = None
+    warm_start: str = _flag(
+        "sim", "--warm-start", "preconditioning mode: 'sim' replays the "
+        "prefill + warmup simulation (reference); 'analytic' synthesizes the "
+        "predicted steady state directly and skips the warmup (see "
+        "PERFORMANCE.md)", choices=WARM_START_MODES,
+    )
+    mapping: str = _flag(
+        "dram", "--mapping", "FTL mapping architecture: 'dram' keeps the whole "
+        "page map in DRAM (reference); 'dftl' stores translation pages on NAND "
+        "behind a cached mapping table (see DESIGN.md)", choices=("dram", "dftl"),
+    )
+    cmt_budget_bytes: Optional[int] = _flag(
+        None, "--cmt-budget-kb", "cached-mapping-table DRAM budget in KiB "
+        "(dftl only; default: 1/64 of the full in-DRAM map)",
+        type=_kib, metavar="KIB",
+    )
+    checkpoint_policy: str = _flag(
+        "interval", "--checkpoint-policy", "checkpoint scheduling: 'interval' "
+        "fires on a fixed host-page count; 'adaptive' fires on actual "
+        "tail-scan accrual (all program streams) and early during GC "
+        "quiescence", choices=("interval", "adaptive"),
+    )
+    reliability: Optional[object] = _flag(
+        None, "--reliability", "data-integrity subsystem profile: retention "
+        "clock, ECC read-retry escalation ladder and background refresh scrub "
+        "('off' keeps the historical bit-identical device; 'mlc-20nm-accel' "
+        "compresses retention physics into simulated seconds for demos/tests)",
+        choices=("off", "mlc-20nm", "mlc-20nm-accel"),
+    )
+
+    def __post_init__(self) -> None:
+        if self.reliability == "off":
+            self.reliability = None
+        for name, ok, rule in (
+            ("measure_s", self.measure_s >= 1, ">= 1"),
+            ("warmup_s", self.warmup_s >= 0, ">= 0"),
+            ("working_set_fraction", 0 < self.working_set_fraction <= 1, "in (0, 1]"),
+            ("flusher_period_s", self.flusher_period_s >= 1, ">= 1"),
+            ("tau_expire_s", self.tau_expire_s >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def with_policy(self, policy: str, factory: Optional[Callable[[], GcPolicy]] = None):
         """Same scenario, different policy (identical workload replay)."""
@@ -259,9 +316,6 @@ def _wall_clock_limit(seconds: Optional[float]):
 #: so IOPS comparisons are not skewed by how many ON phases land inside
 #: a short measurement window.
 _ANALYTIC_SETTLE_S = 4
-
-#: Valid ``ScenarioSpec.warm_start`` modes.
-WARM_START_MODES = ("sim", "analytic")
 
 
 def build_preconditioned_host(

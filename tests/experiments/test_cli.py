@@ -168,3 +168,31 @@ def test_sweep_suffixes_traces_per_scenario(tmp_path, capsys):
         header = json.loads(path.read_text().splitlines()[0])
         assert header["type"] == "header"
         assert "fault_profile" in header
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["run", "--measure", "-5"], "measure_s"),
+        (["compare", "--warmup", "-1"], "warmup_s"),
+        (["latency-report", "--working-set", "1.5"], "working_set_fraction"),
+        (["crash-sweep", "--measure", "0"], "measure_s"),
+    ],
+)
+def test_bad_scenario_values_exit_before_any_run(monkeypatch, argv, field):
+    """An invalid knob fails at spec construction, not after the
+    preconditioning it would otherwise have paid for."""
+    import repro.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a runner was called with an invalid spec")
+
+    for name in (
+        "run_scenario", "run_policy_comparison", "run_latency_report",
+        "run_crash_sweep",
+    ):
+        monkeypatch.setattr(cli, name, no_run)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code not in (0, None)
+    assert field in str(excinfo.value.code)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import crashsweep
 from repro.experiments.crashsweep import (
     gc_heavy_spec,
     merge_phase_metrics,
@@ -37,6 +38,24 @@ def test_sweep_verifies_every_point():
     # Points advance in simulated time.
     times = [p.t_ns for p in result.points]
     assert times == sorted(times)
+
+
+@pytest.mark.parametrize(
+    "points,stride",
+    [(0, 512), (3, 0), (3, -4)],
+    ids=["no-points", "zero-stride", "negative-stride"],
+)
+def test_sweep_that_would_verify_nothing_is_rejected(monkeypatch, points, stride):
+    """No point, or a stride that dispatches no event, used to report
+    ``1/1`` (or ``0/0``) points recovered and pass; it is an error, raised
+    before any host is built."""
+
+    def no_host(spec):
+        raise AssertionError("host built for an empty sweep")
+
+    monkeypatch.setattr(crashsweep, "build_preconditioned_host", no_host)
+    with pytest.raises(ValueError, match="points >= 1 and stride_events >= 1"):
+        run_crash_sweep(small_spec(), points=points, stride_events=stride)
 
 
 def test_sweep_composes_with_fault_profiles():

@@ -82,3 +82,31 @@ def test_comparison_runs_identical_workload():
     assert set(results) == {"L-BGC", "A-BGC"}
     for name, metrics in results.items():
         assert metrics.policy == name
+
+
+def test_reliability_off_is_the_same_scenario_as_none():
+    """``"off"`` and None build the same device, so they must name the
+    same scenario in sweep checkpoints and trace headers."""
+    assert ScenarioSpec(reliability="off").key() == ScenarioSpec().key()
+    assert ScenarioSpec(reliability="off").reliability is None
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("measure_s", 0),
+        ("measure_s", -5),
+        ("warmup_s", -1),
+        ("working_set_fraction", 0.0),
+        ("working_set_fraction", 1.5),
+        ("flusher_period_s", 0),
+        ("tau_expire_s", 0),
+    ],
+)
+def test_spec_rejects_bad_values_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        ScenarioSpec(**{field: value})
+
+
+def test_spec_accepts_boundary_values():
+    ScenarioSpec(measure_s=1, warmup_s=0, working_set_fraction=1.0)
