@@ -312,13 +312,16 @@ def cmd_crash_sweep(args: argparse.Namespace) -> int:
                 f"(t={check.t_ns / 1e9:.2f}s, {check.torn_pages} torn)"
             )
 
-    result = run_crash_sweep(
-        spec,
-        points=args.points,
-        stride_events=args.stride,
-        progress=progress,
-        nested_every=args.nested_every,
-    )
+    try:
+        result = run_crash_sweep(
+            spec,
+            points=args.points,
+            stride_events=args.stride,
+            progress=progress,
+            nested_every=args.nested_every,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}")
     print(result.summary())
     nested = sum(1 for p in result.points if p.nested)
     if nested:

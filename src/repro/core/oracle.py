@@ -8,9 +8,10 @@ is told the future (the exact per-interval device write volumes of the
 run, captured beforehand) and reserves exactly that, making it the upper
 bound any predictor-based policy can approach.
 
-Use :func:`capture_future_writes` to run a scenario once and harvest the
-per-interval write volumes, then replay the identical scenario under
-``OracleGcPolicy(future)``.  Because workload replay is deterministic
+:func:`repro.experiments.oracle.run_oracle_comparison` runs a scenario
+once to harvest the per-interval write volumes
+(:class:`FutureWriteRecorder`), then replays the identical scenario
+under ``OracleGcPolicy(future)``.  Because workload replay is deterministic
 (per-actor random streams), the captured future is exact up to the
 second-order effect of GC timing on completion timing.
 """
@@ -111,14 +112,3 @@ class OracleGcPolicy(GcPolicy):
         target = space.clamp_reserved_pages(demand_pages, device.ftl.used_pages())
         return max(0, target - device.ftl.free_pages())
 
-
-def capture_future_writes(run_scenario_fn, interval_ns: int):
-    """Helper wiring for oracle experiments.
-
-    Not all experiment entry points expose the device; the ablation in
-    :mod:`repro.experiments.oracle` shows the full two-pass pattern.
-    """
-    raise NotImplementedError(
-        "use repro.experiments.oracle.run_oracle_comparison, which owns the "
-        "two-pass capture/replay wiring"
-    )

@@ -46,11 +46,11 @@ from repro.experiments.crashsweep import (
     CrashSweepResult,
     SpoRunResult,
     gc_heavy_spec,
-    merge_phase_metrics,
     run_crash_sweep,
     run_scenario_with_spo,
     verify_crash_point,
 )
+from repro.metrics.collector import merge_phase_metrics
 from repro.experiments.latencyreport import (
     LatencyReportResult,
     latency_spec,

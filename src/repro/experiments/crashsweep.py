@@ -37,19 +37,22 @@ must still match the live reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.experiments.runner import ScenarioSpec, build_preconditioned_host
+from repro.experiments.runner import (
+    ScenarioSpec,
+    _advance_tolerating_death,
+    build_preconditioned_host,
+)
 from repro.faults.powerloss import PowerCut, PowerLossEmulator, SpoPlan
 from repro.ftl.ftl import DeviceReadOnlyError, FtlError, PageMappedFtl
 from repro.ftl.mapping import UNMAPPED
 from repro.ftl.recovery import RecoveryReport, recover_ftl
 from repro.host import HostSystem
-from repro.metrics.collector import LATENCY_PERCENTILES, MetricsCollector, RunMetrics
-from repro.metrics.hdr import merge_wire_histograms
+from repro.metrics.collector import MetricsCollector, RunMetrics, merge_phase_metrics
 from repro.nand.array import STATE_ERASED, STATE_OPEN, NandArray
 from repro.obs.audit import RecoveryRecord
 from repro.sim.simtime import SECOND
@@ -120,7 +123,7 @@ class CrashSweepResult:
             if self.points
             else "empty"
         )
-        torn = sum(p.torn_pages for p in self.points)
+        torn = sum(point.torn_pages for point in self.points)
         return (
             f"crash sweep [{self.scenario}]: {self.passed}/{len(self.points)} "
             f"points recovered consistently (span {span}, stride "
@@ -405,15 +408,6 @@ def run_crash_sweep(
     return result
 
 
-def _advance(host: HostSystem, target_ns: int) -> None:
-    """Advance to ``target_ns`` sim time, surviving device death."""
-    while host.sim.now < target_ns:
-        try:
-            host.sim.run_until(target_ns)
-        except DeviceReadOnlyError:
-            continue
-
-
 # ----------------------------------------------------------------------
 # Live SPO runs with post-recovery continuation
 # ----------------------------------------------------------------------
@@ -444,7 +438,9 @@ def run_scenario_with_spo(spec: ScenarioSpec, plan: SpoPlan) -> SpoRunResult:
     a new host resumes the timeline at ``cut + recovery scan`` (plus the
     post-recovery checkpoint, when the config enables checkpointing).
     The measurement window is the same as a cut-free run's; metric
-    windows spanning a cut are split into phases and merged.
+    windows spanning a cut are split into phases and merged; no phase
+    opens at or past the window's end.  Each host traces to its own
+    file: recovery n's to ``spec.obs.with_suffix(f"phase{n}")``.
 
     Recovery is re-entrant: a planned cut landing *inside* a recovery
     window (scan or post-recovery checkpoint still in progress when the
@@ -481,10 +477,12 @@ def run_scenario_with_spo(spec: ScenarioSpec, plan: SpoPlan) -> SpoRunResult:
         t, _, kind = stops[index]
         index += 1
         if t > host.sim.now:
-            _advance(host, t)
+            _advance_tolerating_death(host, t - host.sim.now)
         if kind == "begin":
-            collector.begin()
-            measuring = True
+            # A recovery that outlasted the window leaves nothing to measure.
+            measuring = host.sim.now < measure_end
+            if measuring:
+                collector.begin()
             continue
         if kind == "end":
             if measuring:
@@ -496,30 +494,8 @@ def run_scenario_with_spo(spec: ScenarioSpec, plan: SpoPlan) -> SpoRunResult:
             collector.end()
             phases.append(collector.results())
         cut = emulator.cut_power(host)
-        phase += 1
-        ftl, report = config.recover_from(
-            cut.durable,
-            seed=spec.seed + 7919 * phase + 1,
-            post_checkpoint=post_checkpoint,
-        )
-        reports.append(report)
-        resume_ns = cut.t_ns + report.duration_ns + report.post_checkpoint_ns
-        # Consume planned cuts that land before the device is host-ready
-        # again: the rail dies *during* the recovery.  The scan itself is
-        # read-only, so the nested cut's durable image differs from the
-        # previous one only when it catches the post-recovery checkpoint
-        # mid-program -- in which case that record tears.
-        while index < len(stops) and stops[index][2] == "cut" and stops[index][0] < resume_ns:
-            t_nested = stops[index][0]
-            index += 1
-            # Any cut before host-ready catches the post-recovery
-            # checkpoint not-yet-durable (mid-program, or not started):
-            # tear it, so the next power-on cannot lean on it.
-            cut = emulator.cut_recovery(
-                ftl.nand,
-                t_ns=t_nested,
-                tear_checkpoint=report.post_checkpoint_ns > 0,
-            )
+        host.obs.finish()
+        while True:
             phase += 1
             ftl, report = config.recover_from(
                 cut.durable,
@@ -527,8 +503,27 @@ def run_scenario_with_spo(spec: ScenarioSpec, plan: SpoPlan) -> SpoRunResult:
                 post_checkpoint=post_checkpoint,
             )
             reports.append(report)
-            resume_ns = t_nested + report.duration_ns + report.post_checkpoint_ns
+            resume_ns = cut.t_ns + report.duration_ns + report.post_checkpoint_ns
+            # Consume planned cuts that land before the device is
+            # host-ready again: the rail dies *during* the recovery.  The
+            # scan itself is read-only, so the nested cut's durable image
+            # differs from the previous one only when it catches the
+            # post-recovery checkpoint mid-program -- in which case that
+            # record tears.
+            nested = index < len(stops) and stops[index][2] == "cut"
+            if not nested or stops[index][0] >= resume_ns:
+                break
+            # Any cut before host-ready catches the post-recovery
+            # checkpoint not-yet-durable (mid-program, or not started):
+            # tear it, so the next power-on cannot lean on it.
+            cut = emulator.cut_recovery(
+                ftl.nand,
+                t_ns=stops[index][0],
+                tear_checkpoint=report.post_checkpoint_ns > 0,
+            )
+            index += 1
         policy = spec.make_policy()
+        obs = spec.obs and spec.obs.with_suffix(f"phase{phase}")
         # recover_from built the FTL before the policy existed;
         # HostSystem installs this policy's selector on it, so victim
         # ranking (and its SIP statistics) match a fresh device.
@@ -540,25 +535,17 @@ def run_scenario_with_spo(spec: ScenarioSpec, plan: SpoPlan) -> SpoRunResult:
             tau_expire_ns=spec.tau_expire_s * SECOND,
             ftl=ftl,
             start_time_ns=resume_ns,
+            obs=replace(spec, obs=obs).make_obs(),
         )
         if host.ftl.audit.enabled:
             host.ftl.audit.record_recovery(
                 RecoveryRecord(
                     t_ns=cut.t_ns,
-                    duration_ns=report.duration_ns,
-                    pages_scanned=report.pages_scanned,
-                    torn_pages=report.torn_pages,
-                    stale_pages=report.stale_pages,
-                    mapped_lpns=report.mapped_lpns,
-                    free_blocks=report.free_blocks,
-                    closed_blocks=report.closed_blocks,
-                    retired_blocks=report.retired_blocks,
-                    read_only=report.read_only,
-                    full_scan=report.full_scan,
-                    checkpoint_generation=report.checkpoint_generation,
-                    tombstones_replayed=report.tombstones_replayed,
-                    torn_meta_records=report.torn_meta_records,
-                    checkpoint_fallbacks=report.checkpoint_fallbacks,
+                    **{
+                        f.name: getattr(report, f.name)
+                        for f in fields(RecoveryRecord)
+                        if f.name != "t_ns"
+                    },
                 )
             )
         collector = MetricsCollector(host, workload_name=spec.workload)
@@ -566,9 +553,11 @@ def run_scenario_with_spo(spec: ScenarioSpec, plan: SpoPlan) -> SpoRunResult:
             host, collector, Region(0, working_set), **spec.workload_kwargs
         )
         workload.start()
+        measuring = measuring and resume_ns < measure_end
         if measuring:
             collector.begin()
     workload.stop()
+    host.obs.finish()
 
     merged = merge_phase_metrics(
         phases,
@@ -579,111 +568,3 @@ def run_scenario_with_spo(spec: ScenarioSpec, plan: SpoPlan) -> SpoRunResult:
         metrics=merged, phases=phases, cuts=emulator.cuts, reports=reports
     )
 
-
-def merge_phase_metrics(
-    phases: List[RunMetrics], spo_count: int = 0, recovery_time_ns: int = 0
-) -> RunMetrics:
-    """Fold per-phase windows into one run-level :class:`RunMetrics`.
-
-    Counters sum; WAF is recomputed from the summed page counts; rates
-    and means are duration-weighted; capacity fields take the final
-    phase's value.  Latency: when every phase carries its HDR wire
-    histogram the merged distribution is exact -- the merge is fed the
-    full per-phase distributions, so p50..p9999 are recomputed over all
-    phases' samples (bit-identical to one histogram fed the concatenated
-    stream).  Phases without histograms (pre-HDR wire records) fall back
-    to the old conservative bound: max of per-phase p99s, duration-
-    weighted mean.  Tail-attribution tables sum cause-wise; the merged
-    threshold is the worst phase's.
-    """
-    if not phases:
-        raise ValueError("cannot merge zero phases")
-    total = sum(p.duration_ns for p in phases)
-
-    def wavg(get) -> float:
-        if total == 0:
-            return 0.0
-        return sum(get(p) * p.duration_ns for p in phases) / total
-
-    host_pages = sum(p.host_pages_written for p in phases)
-    gc_pages = sum(p.gc_pages_migrated for p in phases)
-    accuracy = next(
-        (
-            p.prediction_accuracy_pct
-            for p in reversed(phases)
-            if p.prediction_accuracy_pct is not None
-        ),
-        None,
-    )
-    timeline: List[Tuple[int, int]] = []
-    for p in phases:
-        timeline.extend(p.op_timeline)
-
-    merged_hist = merge_wire_histograms([p.latency_hist for p in phases])
-    if merged_hist is not None:
-        pcts = merged_hist.percentiles(LATENCY_PERCENTILES)
-        latency_fields = dict(
-            mean_latency_ns=merged_hist.mean(),
-            p50_latency_ns=pcts[50.0],
-            p95_latency_ns=pcts[95.0],
-            p99_latency_ns=pcts[99.0],
-            p999_latency_ns=pcts[99.9],
-            p9999_latency_ns=pcts[99.99],
-            max_latency_ns=merged_hist.max(),
-            latency_hist=merged_hist.to_wire(),
-        )
-    else:
-        # Legacy fallback: no full distributions to merge, so keep the
-        # conservative worst-phase tail bound (what pre-HDR merges did).
-        latency_fields = dict(
-            mean_latency_ns=wavg(lambda p: p.mean_latency_ns),
-            p50_latency_ns=max(p.p50_latency_ns for p in phases),
-            p95_latency_ns=max(p.p95_latency_ns for p in phases),
-            p99_latency_ns=max(p.p99_latency_ns for p in phases),
-            p999_latency_ns=max(p.p999_latency_ns for p in phases),
-            p9999_latency_ns=max(p.p9999_latency_ns for p in phases),
-            max_latency_ns=max(p.max_latency_ns for p in phases),
-            latency_hist=None,
-        )
-
-    tail_causes: dict = {}
-    for p in phases:
-        for cause, (count, ns) in (p.tail_causes or {}).items():
-            old = tail_causes.get(cause, (0, 0))
-            tail_causes[cause] = (old[0] + count, old[1] + ns)
-    tail_causes = {c: [int(n), int(t)] for c, (n, t) in tail_causes.items()}
-
-    return RunMetrics(
-        policy=phases[-1].policy,
-        workload=phases[-1].workload,
-        duration_ns=total,
-        iops=wavg(lambda p: p.iops),
-        waf=(host_pages + gc_pages) / host_pages if host_pages else 0.0,
-        host_pages_written=host_pages,
-        gc_pages_migrated=gc_pages,
-        fgc_invocations=sum(p.fgc_invocations for p in phases),
-        fgc_time_ns=sum(p.fgc_time_ns for p in phases),
-        bgc_blocks=sum(p.bgc_blocks for p in phases),
-        erases=sum(p.erases for p in phases),
-        prediction_accuracy_pct=accuracy,
-        sip_selections=sum(p.sip_selections for p in phases),
-        sip_filtered=sum(p.sip_filtered for p in phases),
-        buffered_fraction=wavg(lambda p: p.buffered_fraction),
-        tail_threshold_pct=max(p.tail_threshold_pct for p in phases),
-        tail_threshold_ns=max(p.tail_threshold_ns for p in phases),
-        tail_slow_ops=sum(p.tail_slow_ops for p in phases),
-        tail_causes=tail_causes,
-        injected_faults=sum(p.injected_faults for p in phases),
-        read_retries=sum(p.read_retries for p in phases),
-        uncorrectable_reads=sum(p.uncorrectable_reads for p in phases),
-        program_faults=sum(p.program_faults for p in phases),
-        erase_faults=sum(p.erase_faults for p in phases),
-        blocks_retired=sum(p.blocks_retired for p in phases),
-        effective_op_pages=phases[-1].effective_op_pages,
-        op_timeline=timeline,
-        device_read_only=any(p.device_read_only for p in phases),
-        spo_count=spo_count,
-        recovery_time_ns=recovery_time_ns,
-        trim_count=sum(p.trim_count for p in phases),
-        **latency_fields,
-    )

@@ -14,17 +14,15 @@ rather than *know* -- the headroom left for better predictors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict
 
 from repro.core.oracle import FutureWriteRecorder, OracleGcPolicy
 from repro.core.policies import JitGcPolicy
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import ScenarioSpec
-from repro.host import HostSystem
-from repro.metrics.collector import MetricsCollector, RunMetrics
+from repro.experiments.runner import ScenarioSpec, run_scenario
+from repro.metrics.collector import RunMetrics
 from repro.sim.simtime import SECOND
-from repro.workloads import BENCHMARKS, Region
 
 
 @dataclass
@@ -53,49 +51,38 @@ class OracleComparison:
         )
 
 
-def _run_pass(spec: ScenarioSpec, policy, record_interval_ns=None):
-    """One scenario pass, optionally recording future write volumes."""
-    config = spec.make_config()
-    host = HostSystem(
-        config,
-        policy,
-        seed=spec.seed,
-        flusher_period_ns=spec.flusher_period_s * SECOND,
-        tau_expire_ns=spec.tau_expire_s * SECOND,
-    )
-    recorder = None
-    if record_interval_ns is not None:
-        recorder = FutureWriteRecorder(host.device, record_interval_ns)
-    working_set = int(host.user_pages * spec.working_set_fraction)
-    host.prefill(working_set)
-    metrics = MetricsCollector(host, workload_name=spec.workload)
-    workload = BENCHMARKS[spec.workload](
-        host, metrics, Region(0, working_set), **spec.workload_kwargs
-    )
-    workload.start()
-    host.run_for(spec.warmup_s * SECOND)
-    metrics.begin()
-    host.run_for(spec.measure_s * SECOND)
-    metrics.end()
-    workload.stop()
-    return metrics.results(), recorder
+class _CapturingJitGc(JitGcPolicy):
+    """JIT-GC recording the device write volume of every interval from
+    :meth:`attach` on -- before preconditioning, so the whole timeline."""
+
+    def __init__(self, interval_ns: int) -> None:
+        super().__init__()
+        self.interval_ns = interval_ns
+
+    def attach(self, sim, device, cache, flusher) -> None:
+        super().attach(sim, device, cache, flusher)
+        self.recorder = FutureWriteRecorder(device, self.interval_ns)
+
+
+def _policy_spec(spec: ScenarioSpec, name: str, factory) -> ScenarioSpec:
+    """``spec`` under the policy ``factory`` builds, tracing to its own file."""
+    obs = spec.obs and spec.obs.with_suffix(name)
+    return replace(spec, policy=name, policy_factory=factory, obs=obs)
 
 
 def run_oracle_comparison(spec: ScenarioSpec = None) -> OracleComparison:
     """Capture under JIT-GC, replay under the oracle; returns both."""
     spec = spec or ScenarioSpec(workload="TPC-C")
-    interval_ns = spec.flusher_period_s * SECOND
     result = OracleComparison(workload=spec.workload)
 
-    jit_metrics, recorder = _run_pass(
-        spec, JitGcPolicy(), record_interval_ns=interval_ns
-    )
-    result.raw["JIT-GC"] = jit_metrics
+    capture = _CapturingJitGc(spec.flusher_period_s * SECOND)
+    result.raw["JIT-GC"] = run_scenario(_policy_spec(spec, "JIT-GC", lambda: capture))
 
-    future = recorder.log()
+    future = capture.recorder.log()
     horizon = spec.tau_expire_s // spec.flusher_period_s
-    oracle_metrics, _ = _run_pass(
-        spec, OracleGcPolicy(future, horizon_intervals=horizon)
+    result.raw["ORACLE"] = run_scenario(
+        _policy_spec(
+            spec, "ORACLE", lambda: OracleGcPolicy(future, horizon_intervals=horizon)
+        )
     )
-    result.raw["ORACLE"] = oracle_metrics
     return result

@@ -252,6 +252,13 @@ class ScenarioSpec:
             return rel
         return getattr(rel, "name", "custom")
 
+    def make_obs(self) -> Optional[Observability]:
+        """The run's observability (None without ``obs``), its trace
+        header stamped with :meth:`trace_header`."""
+        if self.obs is None:
+            return None
+        return Observability.from_config(self.obs, header=self.trace_header())
+
     def trace_header(self) -> dict:
         """Attribution fields stamped into every trace/metrics file."""
         return {
@@ -356,11 +363,7 @@ def build_preconditioned_host(
         )
     config = spec.make_config()
     policy = spec.make_policy()
-    obs = (
-        Observability.from_config(spec.obs, header=spec.trace_header())
-        if spec.obs is not None
-        else None
-    )
+    obs = spec.make_obs()
     host_kwargs = dict(
         seed=spec.seed,
         flusher_period_ns=spec.flusher_period_s * SECOND,

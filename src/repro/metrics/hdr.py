@@ -286,10 +286,10 @@ class HdrHistogram:
 
 
 def merge_wire_histograms(wires: List[Optional[dict]]) -> Optional[HdrHistogram]:
-    """Merge wire-form histograms; None when any phase lacks one.
+    """Merge wire-form histograms; None when given none or any is None.
 
-    The SPO phase merge calls this: multi-phase percentiles are exact
-    only when every phase carried its full distribution.
+    The SPO phase merge passes the phases that carried a histogram (a
+    phase in which no latency-carrying op completed has none).
     """
     if not wires or any(w is None for w in wires):
         return None

@@ -6,6 +6,7 @@ from repro.core.oracle import FutureWriteLog, FutureWriteRecorder, OracleGcPolic
 from repro.experiments.oracle import run_oracle_comparison
 from repro.experiments.runner import ScenarioSpec
 from repro.host import HostSystem
+from repro.obs import ObservabilityConfig
 from repro.sim.simtime import SECOND
 from repro.ssd.config import SsdConfig
 from repro.ssd.request import IoKind, IoRequest
@@ -73,3 +74,23 @@ def test_oracle_comparison_end_to_end():
     assert result.raw["ORACLE"].iops > 0
     assert result.iops_gap() > 0
     assert "Oracle comparison" in result.format()
+
+
+def test_oracle_comparison_runs_the_scenario_it_is_given(tmp_path):
+    """Both passes run the runner's lifecycle: each traces to its own
+    file, and a device worn to read-only ends the window, not the run."""
+    spec = ScenarioSpec(
+        workload="YCSB",
+        blocks=128,
+        pages_per_block=16,
+        warmup_s=2,
+        measure_s=30,
+        fault_profile="heavy",
+        obs=ObservabilityConfig(trace_path=str(tmp_path / "o.jsonl")),
+    )
+    result = run_oracle_comparison(spec)
+    assert result.raw["JIT-GC"].device_read_only
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "o-JIT-GC.jsonl",
+        "o-ORACLE.jsonl",
+    ]

@@ -156,6 +156,13 @@ def test_crash_sweep_command(capsys):
     assert "6/6 points recovered consistently" in out
 
 
+@pytest.mark.parametrize("flag", ["--points", "--stride"])
+def test_crash_sweep_that_would_verify_nothing_exits_with_one_line(flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["crash-sweep", flag, "0"])
+    assert str(excinfo.value.code).startswith("repro crash-sweep: ")
+
+
 def test_sweep_suffixes_traces_per_scenario(tmp_path, capsys):
     trace = tmp_path / "sweep.jsonl"
     args = ["sweep", "--workload", "YCSB", "--blocks", "64",

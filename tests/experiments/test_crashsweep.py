@@ -1,5 +1,8 @@
 """Tests for the crash-point sweep harness and live SPO runs."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import crashsweep
@@ -12,9 +15,17 @@ from repro.experiments.crashsweep import (
 )
 from repro.experiments.runner import ScenarioSpec, _run_scenario_host
 from repro.faults.powerloss import SpoPlan
+from repro.ftl.stats import FtlStats
 from repro.metrics.collector import RunMetrics
+from repro.metrics.hdr import HdrHistogram
 from repro.obs import ObservabilityConfig
 from repro.sim.simtime import SECOND
+
+_VALIDATOR = importlib.util.spec_from_file_location(
+    "validate_trace", Path(__file__).resolve().parents[2] / "tools" / "validate_trace.py"
+)
+validate_trace = importlib.util.module_from_spec(_VALIDATOR)
+_VALIDATOR.loader.exec_module(validate_trace)
 
 
 def small_spec(**kwargs):
@@ -179,6 +190,79 @@ def test_spo_cuts_outside_window_are_skipped():
     assert len(outcome.phases) == 1
 
 
+def test_spo_recovery_outlasting_the_window_opens_no_phase():
+    # Cut 10 ms before the window closes: the full scan runs past the
+    # window's end, so the resumed host has nothing left to measure.
+    spec = small_spec(measure_s=4)
+    end = (spec.warmup_s + spec.measure_s) * SECOND
+    outcome = run_scenario_with_spo(spec, SpoPlan(at_ns=(end - SECOND // 100,)))
+    (report,) = outcome.reports
+    assert report.duration_ns > SECOND // 100
+    assert len(outcome.phases) == 1
+    assert outcome.metrics.spo_count == 1
+    assert outcome.metrics.recovery_time_ns == report.duration_ns
+
+
+@pytest.mark.parametrize("fmt,name", [("jsonl", "spo.jsonl"), ("chrome", "spo.json")])
+def test_traced_spo_run_writes_a_valid_trace_per_phase(tmp_path, fmt, name):
+    spec = small_spec(measure_s=4, mapping="dftl")
+    spec.obs = ObservabilityConfig(trace_path=str(tmp_path / name), trace_format=fmt)
+    run_scenario_with_spo(spec, SpoPlan(at_ns=((spec.warmup_s + 2) * SECOND,)))
+    stem, ext = name.split(".")
+    paths = sorted(tmp_path.iterdir())
+    assert [p.name for p in paths] == sorted([name, f"{stem}-phase1.{ext}"])
+    assert validate_trace.main([str(p) for p in paths]) == 0
+
+
+#: Every RunMetrics window counter, each summed across power-cut phases.
+_COUNTER_FIELDS = (
+    "host_pages_written", "gc_pages_migrated", "fgc_invocations",
+    "fgc_time_ns", "bgc_blocks", "erases", "sip_selections", "sip_filtered",
+    "read_retries", "uncorrectable_reads", "program_faults", "erase_faults",
+    "blocks_retired", "trim_count", "cmt_hits", "cmt_misses",
+    "trans_pages_written", "trans_pages_migrated", "ecc_fast_reads",
+    "ecc_retry_reads", "ecc_soft_decodes", "uecc_count",
+    "scrub_blocks_refreshed", "scrub_pages_migrated",
+)
+
+
+def test_spo_merge_carries_every_counter_of_a_dftl_reliability_run():
+    """dftl x reliability x checkpoints x SPO: the merged run is the sum
+    of its phases, field for field, and its WAF is FtlStats' own."""
+    spec = gc_heavy_spec(
+        blocks=128,
+        pages_per_block=16,
+        seed=11,
+        checkpoint_interval=256,
+        mapping="dftl",
+        reliability="mlc-20nm-accel",
+    )
+    outcome = run_scenario_with_spo(spec, SpoPlan(at_ns=(6 * SECOND,)))
+    merged, phases = outcome.metrics, outcome.phases
+    assert len(phases) == 2
+    # The combination exercises the fields a dram, reliability-off run
+    # leaves at zero, in both phases.
+    assert all(p.cmt_hits > 0 for p in phases)
+    assert sum(p.ecc_soft_decodes for p in phases) > 0
+    assert sum(p.scrub_blocks_refreshed for p in phases) > 0
+    for name in _COUNTER_FIELDS:
+        assert getattr(merged, name) == sum(getattr(p, name) for p in phases), name
+    assert merged.mapping_mode == "dftl"
+    histogram = {}
+    for p in phases:
+        for level, count in p.ecc_retry_histogram.items():
+            histogram[level] = histogram.get(level, 0) + count
+    assert merged.ecc_retry_histogram == histogram
+    summed = FtlStats(
+        host_pages_written=merged.host_pages_written,
+        gc_pages_migrated=merged.gc_pages_migrated,
+        trans_pages_written=merged.trans_pages_written,
+        trans_pages_migrated=merged.trans_pages_migrated,
+    )
+    assert merged.waf == summed.waf()
+    assert merged.translation_waf_share == summed.translation_waf_share()
+
+
 # ----------------------------------------------------------------------
 # Phase merging
 # ----------------------------------------------------------------------
@@ -200,14 +284,27 @@ def _metrics(**kwargs):
     return RunMetrics(**defaults)
 
 
+def _hist_wire(*latencies):
+    hist = HdrHistogram()
+    for value in latencies:
+        hist.record(value)
+    return hist.to_wire()
+
+
 def test_merge_phase_metrics_weights_and_sums():
-    a = _metrics(duration_ns=1 * SECOND, iops=1000.0, p99_latency_ns=50)
+    a = _metrics(
+        duration_ns=1 * SECOND,
+        iops=1000.0,
+        p99_latency_ns=50,
+        latency_hist=_hist_wire(50),
+    )
     b = _metrics(
         duration_ns=3 * SECOND,
         iops=2000.0,
         host_pages_written=300,
         gc_pages_migrated=100,
         p99_latency_ns=80,
+        latency_hist=_hist_wire(80),
         device_read_only=True,
         trim_count=25,
     )

@@ -143,15 +143,23 @@ def test_merge_phase_metrics_sums_tail_attribution():
     assert merged.tail_causes["media-queueing"] == [2, 300]
 
 
-def test_merge_phase_metrics_falls_back_without_histograms():
-    # Phases that predate the HDR pipeline (latency_hist=None) still
-    # merge via the legacy max-of-percentiles estimate.
+def test_merge_phase_metrics_empty_phase_contributes_no_samples():
+    # A phase in which no latency-carrying op completed has no histogram;
+    # it adds no samples, so the merge stays exact over the others.
     a = _phase([100] * 10)
     b = _phase([200] * 10)
-    b.latency_hist = None
-    merged = merge_phase_metrics([a, b])
-    assert merged.latency_hist is None
-    assert merged.p99_latency_ns == max(a.p99_latency_ns, b.p99_latency_ns)
+    empty = _phase([])
+    empty.latency_hist = None  # as MetricsCollector.results() reports it
+    merged = merge_phase_metrics([a, empty, b])
+
+    reference = HdrHistogram()
+    for value in [100] * 10 + [200] * 10:
+        reference.record(value)
+    assert merged.latency_hist == reference.to_wire()
+    assert merged.mean_latency_ns == reference.mean()
+    assert merged.p50_latency_ns == reference.percentile(50.0)
+    assert merged.p99_latency_ns == 200
+    assert merged.max_latency_ns == 200
 
 
 # ----------------------------------------------------------------------
