@@ -259,3 +259,18 @@ def test_host_write_extent_large_chunks_match_per_page_loop():
         lat_l = sum(looped.host_write_page(first + i) for i in range(count))
         assert lat_b == lat_l
     _assert_same_state(batched, looped)
+
+
+def test_dftl_host_write_extent_counts_every_cmt_hit():
+    """In dftl mode the extent touches each translation page once per
+    chunk; the per-page loop's repeat touches of that page are hits and
+    must be counted, so every FtlStats field matches the loop's."""
+    config = SsdConfig.small(blocks=128, pages_per_block=16, mapping_mode="dftl")
+    batched, looped = (config.build_ftl() for _ in range(2))
+    for first in range(0, 1000, 50):
+        batched.host_write_extent(first, 50)
+    for lpn in range(1000):
+        looped.host_write_page(lpn)
+    for name, value in vars(looped.stats).items():
+        assert getattr(batched.stats, name) == value, name
+    assert looped.stats.cmt_hits == 998
