@@ -38,6 +38,17 @@ class CheckpointPolicy:
     def should_checkpoint(self, ftl: "PageMappedFtl") -> bool:
         raise NotImplementedError
 
+    def pages_until_due(self, ftl: "PageMappedFtl") -> int:
+        """Host pages that can be written before :meth:`should_checkpoint`
+        can turn true: the n-th page from now is the first after which it
+        may.  A bulk writer that ends its extent there (and asks again)
+        sees every checkpoint at the per-page loop's host-page count.
+
+        The default, 1, is the safe answer for a policy whose accrual a
+        host write cannot predict.
+        """
+        return 1
+
     def note_checkpoint(self, ftl: "PageMappedFtl") -> None:
         """Called after every checkpoint write (any trigger)."""
 
@@ -58,6 +69,10 @@ class IntervalCheckpointPolicy(CheckpointPolicy):
             >= self.interval_pages
         )
 
+    def pages_until_due(self, ftl: "PageMappedFtl") -> int:
+        since = ftl.stats.host_pages_written - ftl._pages_at_last_ckpt
+        return max(1, self.interval_pages - since)
+
 
 class AdaptiveCheckpointPolicy(CheckpointPolicy):
     """Checkpoint on actual tail-scan accrual, early at GC quiescence.
@@ -69,6 +84,10 @@ class AdaptiveCheckpointPolicy(CheckpointPolicy):
             early if GC is quiescent.
         quiescence_margin: free-pool blocks above the FGC watermark that
             count as "quiet" (no collection imminent).
+
+    Keeps the default :meth:`pages_until_due` of 1: the accrual also
+    counts GC migrations and translation writebacks, which no host-page
+    count can foresee.
     """
 
     trigger = "adaptive"

@@ -129,38 +129,75 @@ class HostSystem:
     def user_pages(self) -> int:
         return self.ftl.space.user_pages
 
-    def prefill(self, pages: int, stride: int = 1, age: bool = True) -> None:
+    def prefill(self, pages: int, age: bool = True) -> None:
         """Pre-condition the device: write ``pages`` logical pages
         directly through the FTL in zero simulated time.
 
         Gives every compared policy an identical aged starting state
         without burning simulated hours on the fill:
 
-        1. the working set (``pages`` LPNs) is written once, so
-           ``Cused`` matches the benchmark setup; then
-        2. with ``age=True``, random overwrites churn the working set
-           until the free capacity is down to roughly the OP capacity --
-           the "logically full" steady state a deployed SSD lives in,
-           where every spare block holds garbage and GC policy actually
-           matters.
+        1. the working set (LPNs ``0 .. pages - 1``) is written once, so
+           ``Cused`` matches the benchmark setup.  It goes down as
+           :meth:`~repro.ftl.ftl.PageMappedFtl.host_write_extent` calls,
+           each ending where the checkpoint policy may next fire
+           (:meth:`~repro.ftl.checkpoint_policy.CheckpointPolicy.pages_until_due`;
+           no policy: one extent), so the device ends exactly as a
+           per-page :meth:`~repro.ftl.ftl.PageMappedFtl.host_write_page`
+           loop leaves it, checkpoints at the same host-page counts.  In
+           dftl mode this also rests on each translation page's first LPN
+           landing at a block start, which a fill from LPN 0 keeps when
+           ``pages_per_block`` divides the entries per translation page;
+           then
+        2. with ``age=True``, random overwrites churn the working set, one
+           page each, until the free capacity is down to roughly the OP
+           capacity (``op_pages`` + two blocks) -- the "logically full"
+           steady state a deployed SSD lives in, where every spare block
+           holds garbage and GC policy actually matters.
 
         Call before starting any workload.
+
+        Raises:
+            ValueError: ``pages`` is negative or exceeds the user
+                capacity; or, with ``age=True``, the churn's floor lies
+                below the free space foreground GC keeps (after every
+                write at least ``(fgc_watermark + 1)`` blocks less one
+                page are free), so the churn could never end.
         """
-        if pages > self.user_pages:
+        if not 0 <= pages <= self.user_pages:
             raise ValueError(
-                f"prefill of {pages} pages exceeds user capacity {self.user_pages}"
+                f"prefill of {pages} pages is outside [0, {self.user_pages}] "
+                "(the user capacity)"
             )
-        for lpn in range(0, pages * stride, stride):
-            self.ftl.host_write_page(lpn % self.user_pages)
+        ftl = self.ftl
+        ppb = self.config.geometry.pages_per_block
+        floor = ftl.space.op_pages + 2 * ppb
+        # Foreground GC keeps more than fgc_watermark blocks pooled, and a
+        # write that rolls the user frontier takes one and leaves ppb - 1
+        # pages in it: short of block retirements, every write leaves at
+        # least gc_floor pages free.
+        gc_floor = (ftl.fgc_watermark + 1) * ppb - 1
+        if age and pages and floor < gc_floor:
+            raise ValueError(
+                f"prefill churn cannot reach {floor} free pages (op_pages + 2 "
+                f"blocks): foreground GC keeps at least {gc_floor} free at "
+                f"fgc_watermark={ftl.fgc_watermark}; raise op_ratio "
+                f"(now {self.config.op_ratio}) or lower fgc_watermark"
+            )
+        policy = ftl.checkpoint_policy
+        lpn = 0
+        while lpn < pages:
+            run = pages - lpn
+            if policy is not None:
+                run = min(run, policy.pages_until_due(ftl))
+            ftl.host_write_extent(lpn, run)
+            lpn += run
         if not age or pages == 0:
             return
         rng = self.streams.numpy("prefill-churn")
-        ftl = self.ftl
-        floor = ftl.space.op_pages + 2 * self.config.geometry.pages_per_block
         while ftl.free_pages() > floor:
             batch = rng.integers(0, pages, size=1024)
             for lpn in batch:
-                ftl.host_write_page(int(lpn) * stride % self.user_pages)
+                ftl.host_write_page(int(lpn))
                 if ftl.free_pages() <= floor:
                     break
 
