@@ -32,35 +32,29 @@ fresh block), :meth:`PageMappedFtl._program` (bounded retry),
 :meth:`PageMappedFtl._retire_failed_frontier` and
 :meth:`PageMappedFtl._relocate_valid_pages` (the per-page move both GC
 migration and frontier retirement use, routing each page by its OOB
-namespace to the data or the translation relocator).
+namespace to the data or the translation relocator).  Reads and erases
+go through :class:`~repro.ftl.media.Media`, the one seam to the flash.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.ftl.checkpoint_policy import CheckpointPolicy, make_checkpoint_policy
 from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED, CachedPageMap, PageMap
+from repro.ftl.media import Media
 from repro.ftl.metastore import KIND_CHECKPOINT, KIND_UNMAP, build_checkpoint, build_tombstones
-from repro.ftl.scrub import RefreshScrubber
 from repro.ftl.space import SipOverlapIndex, ValidCountIndex
 from repro.ftl.stats import FtlStats
 from repro.ftl.victim import GreedySelector, VictimSelector
 from repro.ftl.wear import StaticWearLeveler, WearAwareAllocator
 from repro.nand.array import NandArray
-from repro.nand.errors import (
-    BatchFaultPending,
-    EraseFailError,
-    ProgramFailError,
-    UncorrectableReadError,
-)
-from repro.nand.reliability import ReliabilityModel
+from repro.nand.errors import BatchFaultPending, ProgramFailError
 from repro.obs.audit import (
     CheckpointRecord,
     DISABLED_AUDIT,
-    FaultRecord,
     MappingFaultRecord,
     VictimRecord,
 )
@@ -185,9 +179,7 @@ class PageMappedFtl:
             if config.enable_wear_leveling
             else None
         )
-        self.max_read_retries = config.max_read_retries
         self.max_program_retries = config.max_program_retries
-        self.max_erase_retries = config.max_erase_retries
         self.stats = FtlStats()
 
         #: Runtime-retired blocks (grown bad + worn out); excluded from
@@ -206,7 +198,9 @@ class PageMappedFtl:
         self.read_only = False
 
         self._op_counter = 0
-        self._clock = clock or self._default_clock
+        #: The flash seam: reads, erases, their retries, the ECC ladder
+        #: and fault notes.  Its clock is the FTL's too.
+        self.media = Media(nand, config, self.stats, clock or (lambda: self._op_counter))
         #: Monotonic write-sequence stamp persisted in each programmed
         #: page's OOB slot (power-loss recovery's "newest copy wins"
         #: arbiter).  Consumed only by *successful* programs, so every
@@ -253,37 +247,6 @@ class PageMappedFtl:
         self._closed = np.zeros(self.geometry.total_blocks, dtype=bool)
         #: Erases since the last wear-levelling check.
         self._erases_since_wl_check = 0
-
-        #: Live data-integrity subsystem (repro.nand.reliability +
-        #: repro.ftl.scrub).  When armed, the NAND retention clock runs
-        #: off this FTL's clock, every read consults the deterministic
-        #: ECC escalation ladder, and the scrubber nominates at-risk
-        #: blocks during idle windows.  When off, the whole path is a
-        #: single ``is None`` check -- bit-identical to the historical
-        #: model.
-        self.reliability = reliability = config.resolved_reliability_profile()
-        #: Read-retry level histogram {level: successful reads}; level
-        #: ``len(retry_rber_factors)`` means the soft decoder.  Kept off
-        #: FtlStats (plain-int snapshot/delta contract) and surfaced in
-        #: RunMetrics by the collector.
-        self.ecc_retry_histogram: dict = {}
-        if reliability is not None:
-            self._rel_model: Optional[ReliabilityModel] = ReliabilityModel(
-                reliability
-            )
-            # Modelled retention seconds per simulated nanosecond.
-            self._rel_accel_per_ns = reliability.retention_accel / 1e9
-            nand.set_reliability_clock(self._clock)
-            self._scrubber: Optional[RefreshScrubber] = (
-                RefreshScrubber(reliability) if reliability.scrub else None
-            )
-        else:
-            self._rel_model = None
-            self._rel_accel_per_ns = 0.0
-            self._scrubber = None
-        #: Per-block memo of ladder verdicts: block -> [outcome,
-        #: expiry_ns, reads-left-in-disturb-bucket].  See _ladder_outcome.
-        self._ladder_memo: Dict[int, list] = {}
 
         if recovered is not None:
             self._install_recovered(recovered)
@@ -355,7 +318,7 @@ class PageMappedFtl:
             # Re-seed the degraded-OP timeline so post-recovery metrics
             # start from the surviving capacity, not the nominal one.
             self.stats.blocks_retired = len(self.retired_blocks)
-            self._op_series.append(self._clock(), self.effective_op_pages())
+            self._op_series.append(self.media.clock(), self.effective_op_pages())
         min_good = self.fgc_watermark + self._streams
         if self.effective_op_pages() <= 0 or self.nand.good_blocks() < min_good:
             self._enter_read_only()
@@ -363,9 +326,6 @@ class PageMappedFtl:
     # ------------------------------------------------------------------
     # Small helpers
     # ------------------------------------------------------------------
-    def _default_clock(self) -> int:
-        return self._op_counter
-
     def _allocate_block(self) -> int:
         block = self.allocator.allocate()
         if block is None:
@@ -467,7 +427,7 @@ class PageMappedFtl:
         self.victim_index.untrack(block)
         self.stats.blocks_retired += 1
         effective_op = self.effective_op_pages()
-        self._op_series.append(self._clock(), effective_op)
+        self._op_series.append(self.media.clock(), effective_op)
         if self.tracer.enabled:
             self.tracer.emit(
                 "ftl",
@@ -480,149 +440,8 @@ class PageMappedFtl:
             self._enter_read_only()
 
     # ------------------------------------------------------------------
-    # Fault-recovery primitives
+    # Write frontiers
     # ------------------------------------------------------------------
-    def _note_fault(
-        self, kind: str, block: int, page: int, resolution: str, retries: int = 0
-    ) -> None:
-        """Audit one fault-recovery episode (injection + recovery path)."""
-        if self.audit.enabled:
-            self.audit.record_fault(
-                FaultRecord(
-                    t_ns=self._clock(),
-                    kind=kind,
-                    block=block,
-                    page=page,
-                    resolution=resolution,
-                    retries=retries,
-                )
-            )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "faults",
-                f"fault.{kind}",
-                block=block,
-                page=page,
-                resolution=resolution,
-                retries=retries,
-            )
-
-    def _ladder_outcome(self, block: int):
-        """ECC escalation ladder verdict for a read of ``block`` now.
-
-        Expected RBER is wear x retention age x disturb count; the model
-        buckets all three, so repeated reads of a block in the same
-        stress regime hit a cache.  Retention age uses the profile's
-        acceleration factor (modelled seconds per simulated second) --
-        accelerated profiles let a 30-second run cross the ECC cliff.
-
-        A per-block memo keeps the steady-state cost to one dict probe:
-        a verdict stays valid until the block's retention bucket rolls
-        over (``expiry_ns``, from the stamp it was computed against) or
-        its disturb bucket could advance (a countdown of reads), and is
-        dropped outright on erase (``_erase_with_retry``), which changes
-        all three stress inputs at once.  A stamp refreshed by a later
-        program only shortens the true age, so holding the older verdict
-        until the (earlier) expiry is conservative, never optimistic.
-        """
-        memo = self._ladder_memo
-        entry = memo.get(block)
-        if entry is not None and self._clock() < entry[1] and entry[2] > 0:
-            entry[2] -= 1
-            return entry[0]
-        nand = self.nand
-        stamp_ns = int(nand.last_program_ns[block])
-        age_ns = self._clock() - stamp_ns
-        if age_ns < 0:
-            # Clock skew across power cycles (standalone op-counter
-            # clocks restart at zero); treat as freshly programmed.
-            age_ns = 0
-        disturbs = (
-            int(nand.read_disturb.read_counts[block])
-            if nand.read_disturb is not None
-            else 0
-        )
-        retention_s = age_ns * self._rel_accel_per_ns
-        outcome = self._rel_model.read_outcome(
-            int(nand.erase_counts[block]), retention_s, disturbs
-        )
-        bucket_s = 1 << ReliabilityModel._RET_SHIFT
-        next_boundary_s = (int(retention_s) // bucket_s + 1) * bucket_s
-        expiry_ns = stamp_ns + int(next_boundary_s / self._rel_accel_per_ns)
-        reads_left = (1 << ReliabilityModel._DIST_SHIFT) - (
-            disturbs & ((1 << ReliabilityModel._DIST_SHIFT) - 1)
-        )
-        memo[block] = [outcome, expiry_ns, reads_left - 1]  # less the read in hand
-        return outcome
-
-    def _read_with_retry(self, block: int, page: int) -> Tuple[int, bool]:
-        """Read one physical page, retrying uncorrectable reads.
-
-        Returns ``(latency_ns, ok)``; ``ok`` is False when the data is
-        lost even after the retry budget (counted as an uncorrectable
-        read -- the host sees an I/O error for that page).
-
-        With a reliability profile armed, the deterministic ECC
-        escalation ladder runs first: within-strength reads succeed at
-        base latency, stressed reads pay priced retry levels or the soft
-        decoder, and beyond-cliff reads are UECCs that feed the same
-        data-lost machinery the fault injector uses.
-        """
-        extra_ns = 0
-        if self._rel_model is not None:
-            outcome = self._ladder_outcome(block)
-            extra_ns = outcome.extra_ns
-            if not outcome.ok:
-                # UECC: the whole priced ladder (hard retry levels plus
-                # the soft decoder) ran and the data is still beyond the
-                # code.  Callers handle it like any other lost read --
-                # GC migrations unmap, host reads surface EIO.
-                self.stats.uecc_count += 1
-                self.stats.uncorrectable_reads += 1
-                if self.audit.enabled or self.tracer.enabled:
-                    self._note_fault("read", block, page, "uecc", outcome.level)
-                try:
-                    base_ns = self.nand.read_page(block, page)
-                except UncorrectableReadError as fault:
-                    base_ns = fault.latency_ns
-                return base_ns + extra_ns, False
-            if outcome.level == 0:
-                self.stats.ecc_fast_reads += 1
-            else:
-                self.stats.ecc_retry_reads += 1
-                hist = self.ecc_retry_histogram
-                hist[outcome.level] = hist.get(outcome.level, 0) + 1
-                if outcome.soft:
-                    self.stats.ecc_soft_decodes += 1
-                if self.audit.enabled or self.tracer.enabled:
-                    self._note_fault(
-                        "read",
-                        block,
-                        page,
-                        "ecc-soft-decode" if outcome.soft else "ecc-retry",
-                        outcome.level,
-                    )
-        try:
-            return self.nand.read_page(block, page) + extra_ns, True
-        except UncorrectableReadError as fault:
-            latency = fault.latency_ns + extra_ns
-        attempts = 0
-        for _ in range(self.max_read_retries):
-            attempts += 1
-            self.stats.read_retries += 1
-            try:
-                latency += self.nand.reread_page(block, page)
-            except UncorrectableReadError as fault:
-                latency += fault.latency_ns
-                continue
-            if self.audit.enabled or self.tracer.enabled:
-                self._note_fault("read", block, page, "read-retry", attempts)
-            return latency, True
-        self.stats.uncorrectable_reads += 1
-        if self.audit.enabled or self.tracer.enabled:
-            self._note_fault("read", block, page, "data-lost", attempts)
-        return latency, False
-
     def _frontier_slot(self, frontier: WriteFrontier) -> Tuple[int, int]:
         """``(block, page)`` of the stream's next page, rolling to a fresh
         free block when the current frontier is full.
@@ -692,8 +511,7 @@ class PageMappedFtl:
         self.page_map.clear_block(failed_block)
         self.nand.mark_bad(failed_block)
         self._record_retirement(failed_block)
-        if self.audit.enabled or self.tracer.enabled:
-            self._note_fault("program", failed_block, -1, "block-retired")
+        self.media.note_fault("program", failed_block, -1, "block-retired")
         for tvpn in dirtied:
             latency += self._mapping_access(tvpn, dirty=True)
         return latency
@@ -723,7 +541,7 @@ class PageMappedFtl:
         latency = 0
         pages = list(self.page_map.valid_lpns_in_block(source))
         for offset, lpn in pages:
-            read_ns, ok = self._read_with_retry(source, offset)
+            read_ns, ok = self.media.read(source, offset)
             latency += read_ns
             self.stats.gc_pages_read += 1
             if lpn >= TRANS_LPN_BASE:
@@ -745,25 +563,6 @@ class PageMappedFtl:
         return latency, sorted(
             {lpn // ept for _, lpn in pages if lpn < TRANS_LPN_BASE}
         )
-
-    def _erase_with_retry(self, block: int) -> Tuple[int, bool]:
-        """Erase ``block`` with bounded retries.
-
-        Returns ``(latency_ns, ok)``; ``ok`` False means every attempt
-        failed and the block must be retired as grown-bad.
-        """
-        # The erase re-bases the retention clock, resets the disturb
-        # counter and bumps the P/E count: any memoised ladder verdict
-        # for the block is stale either way.
-        self._ladder_memo.pop(block, None)
-        latency = 0
-        for _ in range(self.max_erase_retries + 1):
-            try:
-                return latency + self.nand.erase_block(block), True
-            except EraseFailError as fault:
-                latency += fault.latency_ns
-                self.stats.erase_faults += 1
-        return latency, False
 
     # ------------------------------------------------------------------
     # Host datapath
@@ -919,51 +718,25 @@ class PageMappedFtl:
         mapping table is consulted once per translation page the extent
         spans, *before* that group's data reads (a miss pays a NAND read
         of the translation page, a dirty eviction a program; the group's
-        other lookups are MRU hits by construction), and the PPNs and the
-        clock are read after it.  Pages under a live fast-path ladder
-        verdict are served inline and their NAND bookkeeping deferred to
-        one bulk call, flushed before any page takes
-        :meth:`_read_with_retry` (its ladder walk reads disturb counters).
+        other lookups are MRU hits by construction), and the group's PPNs
+        are read after it, through one :meth:`Media.read_extent
+        <repro.ftl.media.Media.read_extent>` call.  A hole costs its
+        transfer only.
         """
-        pm, ppb, end = self.page_map, self._ppb, lpn + count
+        pm, end = self.page_map, lpn + count
         if lpn < 0 or end > pm.user_pages:  # both ends, before anything is touched
             raise IndexError(f"LPN extent [{lpn}, {end}) out of range [0, {pm.user_pages})")
-        # Fault draws are per read and in order: injected runs never defer.
-        memo_get = ({} if self.nand.fault_injector is not None else self._ladder_memo).get
         ept = pm.entries_per_tpage if self._dftl else 0  # 0: one group, no CMT
         latency = 0
-        fast: List[int] = []  # blocks of the deferred fast-path reads
         while lpn < end:
             stop = min(end, lpn - lpn % ept + ept) if ept else end
             if ept:
                 latency += self._mapping_access(lpn // ept, dirty=False)
                 self.stats.cmt_hits += stop - lpn - 1
-            now = self._clock()
-            for ppn in pm.lookup_extent(lpn, stop - lpn):
-                block = ppn // ppb
-                entry = memo_get(block)  # [outcome, expiry_ns, reads left]
-                if (
-                    entry is not None and entry[2] > 0 and now < entry[1]
-                    and entry[0].ok and entry[0].level == 0
-                ):
-                    entry[2] -= 1
-                    fast.append(block)
-                elif ppn != UNMAPPED:  # a hole costs its transfer only
-                    if fast:
-                        latency += self._flush_fast_reads(fast)
-                    latency += self._read_with_retry(block, ppn % ppb)[0]
-            if fast:
-                latency += self._flush_fast_reads(fast)
+            latency += self.media.read_extent(pm.lookup_extent(lpn, stop - lpn))
             lpn = stop
         self.stats.host_pages_read += count
         return latency + count * self.nand.timing.transfer_ns_per_page
-
-    def _flush_fast_reads(self, blocks: List[int]) -> int:
-        """Book the deferred fast-path reads of ``blocks``; empties the list."""
-        self.stats.ecc_fast_reads += len(blocks)
-        latency = self.nand.read_pages_scattered(blocks)
-        blocks.clear()
-        return latency
 
     def trim(self, lpns: Iterable[int]) -> int:
         """TRIM logical pages; returns the journaling latency (ns).
@@ -1105,7 +878,7 @@ class PageMappedFtl:
         if self.audit.enabled:
             self.audit.record_checkpoint(
                 CheckpointRecord(
-                    t_ns=self._clock(),
+                    t_ns=self.media.clock(),
                     generation=generation,
                     meta_pages=record.pages,
                     horizon_seq=self._write_seq,
@@ -1171,10 +944,7 @@ class PageMappedFtl:
             stats.cmt_misses += 1
             ppn = pm.trans_ppn(tvpn)
             if ppn is not None:
-                read_ns, _ok = self._read_with_retry(
-                    ppn // self._ppb, ppn % self._ppb
-                )
-                latency += read_ns
+                latency += self.media.read(ppn // self._ppb, ppn % self._ppb)[0]
                 stats.trans_pages_read += 1
         pages = 1 if latency else 0
         for evicted_tvpn, was_dirty in evicted:
@@ -1188,7 +958,7 @@ class PageMappedFtl:
             if self.audit.enabled:
                 self.audit.record_mapping_fault(
                     MappingFaultRecord(
-                        t_ns=self._clock(),
+                        t_ns=self.media.clock(),
                         dur_ns=latency,
                         kind=kind,
                         pages=pages,
@@ -1281,7 +1051,7 @@ class PageMappedFtl:
                 self.stats.victims_filtered_by_sip += 1
             if self.audit.enabled or self.tracer.enabled:
                 record = VictimRecord(
-                    t_ns=self._clock(),
+                    t_ns=self.media.clock(),
                     block=victim,
                     valid_pages=decision.valid_pages,
                     score=decision.score,
@@ -1316,26 +1086,25 @@ class PageMappedFtl:
         return latency
 
     def _migrate_and_erase(self, victim: int) -> int:
-        batched = self.nand.fault_injector is None and not (
-            self._dftl and self.page_map.block_holds_trans(victim)
-        )
-        if batched and self._rel_model is not None:
-            # The ladder verdict is block-granular (wear, retention age
-            # and disturb count are per-block), so one check covers every
-            # page of the victim: a fast-path block batches identically
-            # to the off model, anything stressed takes the per-page
-            # path so each migrated read pays its retry/soft/UECC toll.
-            outcome = self._ladder_outcome(victim)
-            if outcome.level == 0 and outcome.ok:
-                self.stats.ecc_fast_reads += self.page_map.valid_count(victim)
-            else:
-                batched = False
-        if batched:
-            latency = self._migrate_valid_pages_batched(victim)
+        pm = self.page_map
+        # The media reads the whole victim up front when it can (reads
+        # neither consume stamps nor touch a frontier).  Translation pages
+        # route per page by OOB namespace: the batched path moves data only.
+        read_ns = None
+        if not (self._dftl and pm.block_holds_trans(victim)):
+            read_ns = self.media.read_block(victim, pm.valid_count(victim))
+        if read_ns is not None:
+            latency = read_ns + self._migrate_valid_pages_batched(victim)
         else:
-            latency = self._migrate_valid_pages_per_page(victim)
-            self.page_map.clear_block(victim)
-        erase_ns, erased = self._erase_with_retry(victim)
+            latency, dirtied = self._relocate_valid_pages(
+                victim, self._gc, retire_on_fail=True
+            )
+            # The victim's own translation copies, if any, were remapped
+            # away by the loop above, so writebacks are safe from here on.
+            for tvpn in dirtied:
+                latency += self._mapping_access(tvpn, dirty=True)
+            pm.clear_block(victim)
+        erase_ns, erased = self.media.erase(victim)
         latency += erase_ns
         self._closed[victim] = False
         self.victim_index.untrack(victim)
@@ -1343,10 +1112,6 @@ class PageMappedFtl:
             # Grown bad block: every erase attempt failed.
             self.nand.mark_bad(victim)
             self._record_retirement(victim)
-            if self.audit.enabled or self.tracer.enabled:
-                self._note_fault(
-                    "erase", victim, -1, "block-retired", self.max_erase_retries
-                )
             return latency
         self.stats.blocks_erased += 1
         if self.nand.is_bad(victim):
@@ -1356,33 +1121,17 @@ class PageMappedFtl:
             self.allocator.release(victim)
         return latency
 
-    def _migrate_valid_pages_per_page(self, victim: int) -> int:
-        """Per-page migration loop.
-
-        The only path for three kinds of victim: under fault injection
-        (every read and program must draw from the injector's RNG streams
-        in per-page order, and any page may need retry/retirement
-        recovery), holding translation pages (each page routes by its
-        OOB-stamp namespace; the batched path moves data LPNs only), and
-        stressed by the ECC ladder (each read pays its own retry toll).
-        """
-        latency, dirtied = self._relocate_valid_pages(
-            victim, self._gc, retire_on_fail=True
-        )
-        # The victim's own translation copies, if any, were remapped
-        # away by the loop above, so writebacks are safe from here on.
-        for tvpn in dirtied:
-            latency += self._mapping_access(tvpn, dirty=True)
-        return latency
-
     def _migrate_valid_pages_batched(self, victim: int) -> int:
         """Array-batched migration: O(chunks) Python work, not O(pages).
 
-        Bit-identical externally to :meth:`_migrate_valid_pages_per_page`
-        when no fault injector is attached (same NAND latencies, frontier
-        rolls, counters and final index state):
+        The victim's pages were read in bulk by the caller
+        (:meth:`Media.read_block <repro.ftl.media.Media.read_block>`);
+        this lands them.  Bit-identical externally to the per-page
+        migration of :meth:`_migrate_and_erase` on a victim the media
+        reads in bulk (same NAND latencies, frontier rolls, counters and
+        final index state):
 
-        * valid pages are read/programmed in chunks bounded by the GC
+        * valid pages are programmed in chunks bounded by the GC
           frontier's remaining capacity, rolling frontiers exactly where
           the per-page loop would;
         * the mapping moves via :meth:`PageMap.evacuate_block` (the victim
@@ -1406,10 +1155,9 @@ class PageMappedFtl:
         nand = self.nand
         ppb = self._ppb
         sip = self.sip_index
-        # Reads neither consume stamps nor touch a frontier, so the whole
-        # victim is read up front; everything below is per GC-frontier
-        # block -- one pass unless the frontier rolls under the victim.
-        latency = nand.read_pages_batch(victim, n)
+        # Per GC-frontier block: one pass unless the frontier rolls under
+        # the victim.
+        latency = 0
         pos = 0
         while pos < n:
             try:
@@ -1510,14 +1258,15 @@ class PageMappedFtl:
         collection.  Returns the NAND latency spent (0 if nothing was
         done).
         """
-        if self._scrubber is None or self.read_only:
+        scrubber = self.media.scrubber
+        if scrubber is None or self.read_only:
             return 0
         if self.free_pool_blocks() <= self.fgc_watermark:
             # No headroom: a fully-valid refresh victim frees nothing
             # until its erase completes, so never scrub into the
             # foreground-GC watermark.
             return 0
-        victim = self._scrubber.next_victim(self, self._clock())
+        victim = scrubber.next_victim(self, self.media.clock())
         if victim is None:
             return 0
         pages_before = self.stats.gc_pages_migrated
@@ -1536,7 +1285,7 @@ class PageMappedFtl:
         collections provision for refresh traffic too.  Always 0.0 with
         the scrubber off.
         """
-        if self._scrubber is None or self.stats.host_pages_written == 0:
+        if self.media.scrubber is None or self.stats.host_pages_written == 0:
             return 0.0
         return self.stats.scrub_pages_migrated / self.stats.host_pages_written
 

@@ -62,7 +62,7 @@ and erase no longer resurrects the mapping (the pre-PR-6 caveat).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -626,7 +626,6 @@ def recover_ftl(
     config: "SsdConfig",
     post_checkpoint: bool = False,
     *,
-    clock: Optional[Callable[[], int]] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> Tuple[PageMappedFtl, RecoveryReport]:
     """Full post-power-cut recovery: load metadata, scan, rebuild, verify.
@@ -635,7 +634,8 @@ def recover_ftl(
     :meth:`SsdConfig.restore_nand <repro.ssd.config.SsdConfig.restore_nand>`
     over a captured media image); ``config`` is the device it belongs to
     -- the scan and the rebuilt :class:`PageMappedFtl` read every knob
-    from it -- and the keyword arguments are the FTL's collaborators.
+    from it -- and ``registry`` is the FTL's metrics registry.  The FTL
+    runs on its operation-counter clock until a host adopts it.
     With ``post_checkpoint=True`` the recovered FTL immediately writes a
     fresh checkpoint (generation past every one seen, torn included), so
     the *next* power-on need not redo this scan; its program cost is
@@ -715,13 +715,7 @@ def recover_ftl(
         gtd=report.gtd,
         active_trans_block=active_trans,
     )
-    ftl = PageMappedFtl(
-        nand,
-        config,
-        clock=clock,
-        registry=registry,
-        recovered=recovered,
-    )
+    ftl = PageMappedFtl(nand, config, registry=registry, recovered=recovered)
     ftl.invariant_check()
 
     report.free_blocks = ftl.free_pool_blocks()

@@ -96,7 +96,7 @@ class FtlStats:
     #: hard decode (no extra latency).
     ecc_fast_reads: int = 0
     #: Reads that needed at least one read-retry voltage level (the
-    #: per-level breakdown lives in ``PageMappedFtl.ecc_retry_histogram``).
+    #: per-level breakdown lives in ``Media.ecc_retry_histogram``).
     ecc_retry_reads: int = 0
     #: Reads rescued by the soft-decision decoder after the whole hard
     #: retry ladder failed.

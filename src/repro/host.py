@@ -88,10 +88,10 @@ class HostSystem:
         )
         if ftl is not None:
             # The recovered FTL was built before this simulator existed;
-            # rebind its clock so block ages and audit records continue
-            # on the resumed timeline.
+            # rebind its clock so retention stamps, block ages and audit
+            # records continue on the resumed timeline.
             sim = self.sim
-            ftl._clock = lambda: sim.now
+            ftl.media.set_clock(lambda: sim.now)
         selector = policy.make_victim_selector()
         if selector is not None:
             # The one place a policy's victim selector is installed.

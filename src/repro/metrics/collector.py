@@ -373,9 +373,7 @@ class MetricsCollector:
         self._begin_ns = now
         # ECC retry-level histogram lives off FtlStats (it is a dict);
         # window-scope it the same way via a begin copy.
-        self._ecc_hist_begin = dict(
-            getattr(self.host.ftl, "ecc_retry_histogram", {})
-        )
+        self._ecc_hist_begin = dict(self.host.ftl.media.ecc_retry_histogram)
 
     def end(self) -> None:
         now = self.host.sim.now
@@ -383,8 +381,8 @@ class MetricsCollector:
         self._end_ns = now
 
     def _ecc_retry_delta(self) -> Dict[str, int]:
-        """Window delta of the FTL's retry-level histogram (str keys)."""
-        current = getattr(self.host.ftl, "ecc_retry_histogram", {})
+        """Window delta of the media's retry-level histogram (str keys)."""
+        current = self.host.ftl.media.ecc_retry_histogram
         delta: Dict[str, int] = {}
         for level, count in current.items():
             window = count - self._ecc_hist_begin.get(level, 0)

@@ -383,6 +383,8 @@ class ReliabilityModel:
         self._retry_cost = tuple(cumulative)
         self._ladder_cost = total  # every hard level attempted
         self._cache: Dict[Tuple[int, int, int], ReadOutcome] = {}
+        #: Modelled retention seconds per simulated nanosecond.
+        self._accel_per_ns = profile.retention_accel / 1e9
 
     def expected_rber(
         self, pe_cycles: int, retention_s: float, read_disturbs: int
@@ -416,6 +418,24 @@ class ReliabilityModel:
             )
             self._cache[key] = outcome
         return outcome
+
+    def verdict(
+        self, pe_cycles: int, age_ns: int, read_disturbs: int
+    ) -> Tuple[ReadOutcome, int, int]:
+        """:meth:`read_outcome` for a block programmed ``age_ns`` simulated
+        nanoseconds ago (the profile's ``retention_accel`` converts it to
+        modelled seconds), and how long that outcome holds.
+
+        Returns ``(outcome, hold_ns, reads)``: the outcome is the block's
+        until its retention bucket rolls over, ``hold_ns`` after the
+        program stamp, or its disturb bucket advances, after ``reads``
+        more reads including the one in hand.
+        """
+        retention_s = age_ns * self._accel_per_ns
+        outcome = self.read_outcome(pe_cycles, retention_s, read_disturbs)
+        next_boundary_s = ((int(retention_s) >> self._RET_SHIFT) + 1) << self._RET_SHIFT
+        reads = (1 << self._DIST_SHIFT) - (read_disturbs & ((1 << self._DIST_SHIFT) - 1))
+        return outcome, int(next_boundary_s / self._accel_per_ns), reads
 
     def _walk(self, rber: float) -> ReadOutcome:
         if rber <= self._fast_rber:

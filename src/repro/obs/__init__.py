@@ -221,12 +221,12 @@ class Observability:
             host.device.tracer = self.tracer
             host.flusher.tracer = self.tracer
             ftl = host.ftl
-            ftl.tracer = self.tracer
+            ftl.tracer = ftl.media.tracer = self.tracer
             ftl.nand.tracer = self.tracer
             if ftl.nand.fault_injector is not None:
                 ftl.nand.fault_injector.tracer = self.tracer
         if self.audit.enabled:
-            host.ftl.audit = self.audit
+            host.ftl.audit = host.ftl.media.audit = self.audit
             # The attribution timeline also needs device GC spans and
             # kernel backpressure episodes (see repro.obs.attribution).
             host.device.audit = self.audit

@@ -19,11 +19,7 @@ from repro.ftl.space import SpaceModel
 from repro.nand.array import NandArray, NandDurableState
 from repro.nand.endurance import EnduranceModel
 from repro.nand.geometry import NandGeometry
-from repro.nand.reliability import (
-    ReadDisturbTracker,
-    ReliabilityProfile,
-    resolve_reliability_profile,
-)
+from repro.nand.reliability import ReadDisturbTracker, resolve_reliability_profile
 from repro.nand.timing import NAND_20NM_MLC, NandTiming
 
 
@@ -186,9 +182,6 @@ class SsdConfig:
     def resolved_fault_profile(self) -> FaultProfile:
         return resolve_fault_profile(self.fault_profile)
 
-    def resolved_reliability_profile(self) -> Optional[ReliabilityProfile]:
-        return resolve_reliability_profile(self.reliability)
-
     def build_read_disturb(self) -> Optional[ReadDisturbTracker]:
         """A fresh read-disturb tracker when reliability is armed.
 
@@ -196,11 +189,10 @@ class SsdConfig:
         controller DRAM, so both first boot and every power-on start
         them at zero (DESIGN.md, power-on disturb-reset semantics).
         """
-        profile = self.resolved_reliability_profile()
-        if profile is None:
+        if self.reliability is None:
             return None
         return ReadDisturbTracker(
-            self.geometry.total_blocks, scrub_threshold=profile.disturb_threshold
+            self.geometry.total_blocks, scrub_threshold=self.reliability.disturb_threshold
         )
 
     def build_injector(self, seed: int = 0) -> Optional[FaultInjector]:
@@ -275,7 +267,6 @@ class SsdConfig:
     def recover_from(
         self,
         durable: NandDurableState,
-        clock=None,
         seed: int = 0,
         registry=None,
         post_checkpoint: bool = False,
@@ -299,7 +290,6 @@ class SsdConfig:
             self.restore_nand(durable, self.build_injector(seed)),
             self,
             post_checkpoint,
-            clock=clock,
             registry=registry,
         )
 

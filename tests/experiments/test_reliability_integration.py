@@ -9,13 +9,17 @@ The PR's acceptance criteria live here:
 * under accelerated retention (``mlc-20nm-accel``) a GC-heavy run ends
   with **zero** UECCs when the scrubber runs and **at least one** when
   it is disabled -- the scrubber demonstrably prevents data loss;
-* the lifetime report projects years-to-ECC-cliff per policy.
+* the lifetime report projects years-to-ECC-cliff per policy;
+* an FTL adopted by a host (warm start, power-on recovery) stamps
+  retention on the simulator's clock, the one it is aged against.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.analytic.warmstart import synthesize_steady_state
+from repro.core.policies import JitGcPolicy
 from repro.experiments import (
     POLICY_FACTORIES,
     ScenarioSpec,
@@ -23,8 +27,11 @@ from repro.experiments import (
     run_lifetime_report,
     run_scenario,
 )
+from repro.host import HostSystem
 from repro.metrics.collector import RunMetrics
 from repro.nand.reliability import RELIABILITY_PROFILES
+from repro.sim.simtime import SECOND
+from repro.ssd.config import SsdConfig
 
 #: RunMetrics fields introduced by the reliability subsystem: the only
 #: ones allowed to differ between an off run and a quiescent armed run.
@@ -198,3 +205,45 @@ def test_lifetime_report_projects_policies():
     table = report.format()
     assert "Lifetime projection" in table
     assert "JIT-GC" in table and "A-BGC" in table
+
+
+# ----------------------------------------------------------------------
+# One clock for retention stamping and ageing
+# ----------------------------------------------------------------------
+def _warm_started(config, policy):
+    ftl, _ = synthesize_steady_state(
+        config,
+        seed=3,
+        working_set_pages=config.space_model().user_pages // 2,
+        policy=policy,
+    )
+    return HostSystem(config, policy, ftl=ftl, seed=3)
+
+
+def _recovered(config, policy):
+    live = config.build_ftl(seed=3)
+    for lpn in range(live.space.user_pages // 2):
+        live.host_write_page(lpn)
+    ftl, _ = config.recover_from(live.nand.capture_durable_state(), seed=3)
+    return HostSystem(config, policy, ftl=ftl, seed=3, start_time_ns=SECOND)
+
+
+@pytest.mark.parametrize("build", [_warm_started, _recovered])
+def test_adopted_ftl_stamps_retention_on_the_simulator_clock(build):
+    """An FTL built before its simulator (analytic warm start, power-on
+    recovery) joins the simulator's clock for stamping as well as for
+    ageing: a page written at sim time t is stamped t and, read back at
+    once, takes the ladder's fast path even under accelerated retention."""
+    config = SsdConfig.small(
+        blocks=64, pages_per_block=16, mapping_mode="dftl", reliability="mlc-20nm-accel"
+    )
+    host = build(config, JitGcPolicy())
+    host.run_for(2 * SECOND)
+    ftl, now = host.ftl, host.sim.now
+    ftl.host_write_page(5)
+    block = ftl.page_map.block_of(ftl.page_map.lookup(5))
+    assert int(ftl.nand.last_program_ns[block]) == now
+    before = dataclasses.replace(ftl.stats)
+    ftl.host_read_page(5)
+    assert ftl.stats.ecc_fast_reads == before.ecc_fast_reads + 1
+    assert ftl.stats.ecc_retry_reads == before.ecc_retry_reads

@@ -200,23 +200,14 @@ def make_twin(mode, gc_free):
 
 
 def collect_per_page(ftl, victim):
-    """``_migrate_and_erase`` with the per-page migration (and the
-    ``clear_block`` that follows it) standing in for the batched path."""
-
-    def per_page_then_clear(block):
-        if ftl._rel_model is not None:
-            # The caller booked the victim's reads as one fast-path
-            # verdict; the per-page loop books each page itself.
-            ftl.stats.ecc_fast_reads -= ftl.page_map.valid_count(block)
-        latency = ftl._migrate_valid_pages_per_page(block)
-        ftl.page_map.clear_block(block)
-        return latency
-
-    ftl._migrate_valid_pages_batched = per_page_then_clear
+    """``_migrate_and_erase`` with the media refusing the bulk victim
+    read, so the per-page migration (and the ``clear_block`` that follows
+    it) stands in for the batched path."""
+    ftl.media.read_block = lambda block, count: None
     try:
         return ftl._migrate_and_erase(victim)
     finally:
-        del ftl._migrate_valid_pages_batched
+        del ftl.media.read_block
 
 
 @pytest.mark.parametrize("gc_free, runs", [(7, 1), (1, 2), (0, 1)])
@@ -239,9 +230,9 @@ def test_batched_migration_equals_per_page_scan(mode, sip, gc_free, runs):
         key=lambda block: (pm.valid_count(block), block),
     )
     if mode == "mlc-20nm":
-        outcome = batched._ladder_outcome(victim)
+        outcome = batched.media.verdict(victim)
         assert outcome.level == 0 and outcome.ok  # a fast-path block
-        scanned._ladder_outcome(victim)
+        scanned.media.verdict(victim)
     if sip:
         mine = [lpn for _, lpn in pm.valid_lpns_in_block(victim)]
         for ftl in (batched, scanned):

@@ -1,8 +1,9 @@
 """``host_read_extent`` against the per-page loop it replaced.
 
 The extent path groups CMT accesses per translation page, slices the
-L2P once per group and defers the NAND bookkeeping of fast-path reads;
-none of that may be observable.  The reference kept here is the
+L2P once per group and hands each group to the media, which reads a
+plain device's group in one bulk call and defers the NAND bookkeeping of
+fast-path ladder reads; none of that may be observable.  The reference kept here is the
 per-page routine as it stood before the extent path existed
 (:func:`reference_read_page`), driven over three identically prepared
 FTLs: one reads each extent whole, one in a drawn partition of
@@ -95,7 +96,7 @@ def reference_read_page(ftl, lpn):
     ftl.stats.host_pages_read += 1
     if ppn is None:
         return latency + ftl.nand.timing.transfer_ns_per_page
-    read_ns, _ok = ftl._read_with_retry(
+    read_ns, _ok = ftl.media.read(
         ftl.page_map.block_of(ppn), ftl.page_map.page_of(ppn)
     )
     return latency + read_ns + ftl.nand.timing.transfer_ns_per_page
@@ -119,8 +120,8 @@ def snapshot(ftl):
     injector, disturb = nand.fault_injector, nand.read_disturb
     return {
         "stats": dataclasses.asdict(ftl.stats),
-        "retry_histogram": dict(ftl.ecc_retry_histogram),
-        "ladder_memo": {block: list(entry) for block, entry in ftl._ladder_memo.items()},
+        "retry_histogram": dict(ftl.media.ecc_retry_histogram),
+        "ladder_memo": {block: list(entry) for block, entry in ftl.media._memo.items()},
         "read_counts": disturb.read_counts.tolist() if disturb is not None else None,
         "nand": (nand.page_reads, nand.page_programs, nand.program_ptr.tolist()),
         "cmt": list(pm._cmt.items()) if ftl._dftl else None,
@@ -166,7 +167,7 @@ def park_countdown(ftl, lpn, reads_left):
     if ppn is None or ftl.nand.read_disturb is None:
         return
     block = ftl.page_map.block_of(ppn)
-    entry = ftl._ladder_memo.get(block)
+    entry = ftl.media._memo.get(block)
     if entry is not None:
         entry[2] = reads_left
     else:
@@ -204,20 +205,27 @@ def test_extent_read_equals_every_partition_down_to_single_pages(
 
 
 def _nand_op_log(ftl, monkeypatch):
-    """Every per-page NAND read and program of ``ftl``, in order."""
+    """Every NAND page read (by block) and program of ``ftl``, in order;
+    a bulk read logs each of its pages."""
     log = []
     nand = ftl.nand
     real_read, real_program = nand.read_page, nand.program_page
+    real_scattered = nand.read_pages_scattered
 
     def read_page(block, page):
-        log.append(("read", block, page))
+        log.append(("read", block))
         return real_read(block, page)
 
+    def read_pages_scattered(blocks):
+        log.extend(("read", block) for block in blocks)
+        return real_scattered(blocks)
+
     def program_page(block, page, *args):
-        log.append(("program", block, page))
+        log.append(("program", block))
         return real_program(block, page, *args)
 
     monkeypatch.setattr(nand, "read_page", read_page)
+    monkeypatch.setattr(nand, "read_pages_scattered", read_pages_scattered)
     monkeypatch.setattr(nand, "program_page", program_page)
     return log
 
@@ -244,7 +252,7 @@ def test_dirty_eviction_lands_between_the_two_groups_data_reads(monkeypatch):
         assert ftl.stats.trans_pages_read - before.trans_pages_read == 1
         logs.append((latency, log, snapshot(ftl)))
     assert logs[0] == logs[1]
-    kinds = [kind for kind, _, _ in logs[0][1]]
+    kinds = [kind for kind, _ in logs[0][1]]
     # data 6, data 7, tvpn 1's translation page, tvpn 3's writeback, data 8, data 9
     assert kinds == ["read", "read", "read", "program", "read", "read"]
 
@@ -261,6 +269,30 @@ def test_out_of_range_extent_raises_and_changes_nothing(mapping, lpn, count):
     with pytest.raises(IndexError):
         ftl.host_read_extent(lpn, count)
     assert snapshot(ftl) == before
+
+
+@pytest.mark.parametrize("mapping, groups", [("dram", [16]), ("dftl", [4, 8, 4])])
+def test_plain_device_reads_each_translation_group_in_one_bulk_call(
+    mapping, groups, monkeypatch
+):
+    """No injector, no ladder: the media is the array, and a group of an
+    extent (the whole extent in dram mode) is one bulk read."""
+    ftl, _ = make_ftl(mapping, "off", "none", cmt_pages=3)
+    for lpn in range(WRITE_SPAN):
+        ftl.host_write_page(lpn)
+    nand, calls = ftl.nand, []
+    real_scattered = nand.read_pages_scattered
+    monkeypatch.setattr(nand, "read_page", lambda block, page: calls.append("page"))
+
+    def read_pages_scattered(blocks):
+        calls.append(len(blocks))
+        return real_scattered(blocks)
+
+    monkeypatch.setattr(nand, "read_pages_scattered", read_pages_scattered)
+    reads_before = nand.page_reads
+    ftl.host_read_extent(4, 16)
+    assert calls == groups
+    assert nand.page_reads - reads_before == 16
 
 
 def test_sixteen_pages_in_one_translation_page_cost_one_cmt_touch(monkeypatch):

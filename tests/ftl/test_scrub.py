@@ -217,7 +217,7 @@ def test_fast_reads_counted_and_free():
     assert base == TIMING.read_ns + TIMING.transfer_ns_per_page
     assert ftl.stats.ecc_fast_reads == 1
     assert ftl.stats.ecc_retry_reads == 0
-    assert ftl.ecc_retry_histogram == {}
+    assert ftl.media.ecc_retry_histogram == {}
 
 
 def test_retry_read_pays_ladder_latency_and_fills_histogram():
@@ -229,7 +229,7 @@ def test_retry_read_pays_ladder_latency_and_fills_histogram():
     latency = ftl.host_read_page(0)
     assert ftl.stats.ecc_retry_reads == 1
     assert ftl.stats.uecc_count == 0
-    assert ftl.ecc_retry_histogram == {3: 1}
+    assert ftl.media.ecc_retry_histogram == {3: 1}
     expected_extra = sum(PROFILE.retry_latency_ns)
     assert latency == TIMING.read_ns + TIMING.transfer_ns_per_page + expected_extra
 
@@ -272,7 +272,7 @@ def test_ladder_verdict_expires_with_its_disturb_bucket(monkeypatch):
     ftl, clock = make_rel_ftl()
     ftl.host_write_page(0)
     consulted = []
-    model = ftl._rel_model
+    model = ftl.media.model
     real = model.read_outcome
 
     def spy(pe_cycles, retention_s, read_disturbs):

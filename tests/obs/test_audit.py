@@ -1,8 +1,12 @@
 """Tests for the decision-audit log, including the Sec 3.3 branch audit."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from repro.core.policies import JitGcPolicy
+from repro.faults.injector import FaultProfile
 from repro.host import HostSystem
 from repro.metrics.collector import MetricsCollector
 from repro.obs import Observability, ObservabilityConfig
@@ -16,6 +20,8 @@ from repro.obs.audit import (
     ManagerTickRecord,
     VictimRecord,
 )
+from repro.nand.reliability import RELIABILITY_PROFILES
+from repro.obs.tracer import InMemorySink, Tracer
 from repro.sim.simtime import SECOND
 from repro.ssd.config import SsdConfig
 from repro.workloads import BENCHMARKS, Region
@@ -172,4 +178,69 @@ def test_faulty_run_audits_recovery_paths():
     for fault in faults:
         if fault.resolution == "read-retry":
             assert fault.retries >= 1
+    assert not host.ftl.read_only
+
+
+def test_ladder_armed_faulty_dftl_run_audits_every_media_resolution():
+    """The media's fault notes under both the ECC ladder and an injector:
+    every resolution has its audit record and its tracer ``fault.*``
+    event, one for one.  Accelerated retention with the scrubber off ages
+    the data through retry levels and the soft decoder during a busy
+    phase; a long idle then leaves it beyond the ladder (UECC)."""
+    config = SsdConfig.small(
+        blocks=256,
+        pages_per_block=16,
+        mapping_mode="dftl",
+        reliability=dataclasses.replace(
+            RELIABILITY_PROFILES["mlc-20nm-accel"], scrub=False
+        ),
+        fault_profile=FaultProfile(
+            erase_fail_prob=0.15,
+            read_uncorrectable_prob=0.01,
+            read_retry_success_prob=0.2,
+        ),
+    )
+    sink = InMemorySink()
+    obs = Observability(tracer=Tracer(sink), audit=DecisionAuditLog())
+    host = HostSystem(config, JitGcPolicy(), seed=42, flusher_period_ns=SECOND, obs=obs)
+    working_set = int(host.user_pages * 0.5)
+    host.prefill(working_set)
+    metrics = MetricsCollector(host, workload_name="YCSB")
+    busy = BENCHMARKS["YCSB"](host, metrics, Region(0, working_set))
+    busy.start()
+    host.run_for(20 * SECOND)
+    busy.stop()
+    host.run_for(60 * SECOND)
+    BENCHMARKS["YCSB"](host, metrics, Region(0, working_set)).start()
+    host.run_for(2 * SECOND)
+
+    audit = obs.audit
+    assert audit.dropped == 0
+    audited = Counter(
+        (f.kind, f.block, f.page, f.resolution, f.retries) for f in audit.faults
+    )
+    fields = ("block", "page", "resolution", "retries")
+    traced = Counter(
+        (r["name"].removeprefix("fault."), *(r["args"][k] for k in fields))
+        for r in sink.records
+        if r["name"] in ("fault.read", "fault.program", "fault.erase")
+    )
+    assert audited == traced
+    resolutions = Counter((f.kind, f.resolution) for f in audit.faults)
+    for wanted in (
+        ("read", "ecc-retry"),
+        ("read", "ecc-soft-decode"),
+        ("read", "uecc"),
+        ("read", "data-lost"),
+        ("erase", "block-retired"),
+    ):
+        assert resolutions[wanted] > 0, wanted
+    stats = host.ftl.stats
+    assert resolutions[("read", "uecc")] == stats.uecc_count
+    assert resolutions[("read", "ecc-soft-decode")] == stats.ecc_soft_decodes
+    assert (
+        resolutions[("read", "ecc-retry")] + resolutions[("read", "ecc-soft-decode")]
+        == stats.ecc_retry_reads
+        == sum(host.ftl.media.ecc_retry_histogram.values())
+    )
     assert not host.ftl.read_only

@@ -19,7 +19,6 @@ def test_off_and_none_resolve_to_disabled():
     for spelling in (None, "off"):
         config = SsdConfig.small(blocks=16, pages_per_block=4, reliability=spelling)
         assert config.reliability is None
-        assert config.resolved_reliability_profile() is None
         assert config.build_read_disturb() is None
 
 
@@ -62,17 +61,15 @@ def test_build_read_disturb_is_fresh_per_call():
 def test_build_ftl_arms_the_subsystem():
     config = SsdConfig.small(blocks=16, pages_per_block=4, reliability="mlc-20nm")
     ftl = config.build_ftl()
-    assert ftl.reliability is RELIABILITY_PROFILES["mlc-20nm"]
-    assert ftl._rel_model is not None
-    assert ftl._scrubber is not None
+    assert ftl.media.model.profile is RELIABILITY_PROFILES["mlc-20nm"]
+    assert ftl.media.scrubber is not None
     assert ftl.nand.read_disturb is not None
 
 
 def test_build_ftl_without_reliability_leaves_hooks_uninstalled():
     config = SsdConfig.small(blocks=16, pages_per_block=4)
     ftl = config.build_ftl()
-    assert ftl.reliability is None
-    assert ftl._rel_model is None
-    assert ftl._scrubber is None
+    assert ftl.media.model is None
+    assert ftl.media.scrubber is None
     assert ftl.nand.read_disturb is None
     assert ftl.maybe_scrub() == 0
