@@ -38,7 +38,7 @@ must still match the live reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -81,8 +81,9 @@ class CrashPointCheck:
             recovery report.
         read_only: the recovered device came back write-refusing.
         nested: this point also crashed the recovery itself (torn
-            post-recovery checkpoint) and re-verified the second
-            power-on.
+            post-recovery checkpoint) and verified the second power-on.
+            False when the nested pass was scheduled but did not run (the
+            first recovery came back read-only) or did not pass.
     """
 
     index: int
@@ -140,8 +141,30 @@ def _expected_free_blocks(nand: NandArray, streams: int) -> int:
     return erased - max(0, streams - open_count)
 
 
+class _LiveSide(NamedTuple):
+    """The live reference of one crash point, computed once and shared by
+    its first and its nested re-check (the live FTL does not move while
+    the point is verified): read-only views of the live L2P and GTD (the
+    latter dftl only) and the mapped LPNs."""
+
+    l2p: np.ndarray
+    mapped: np.ndarray
+    gtd: Optional[np.ndarray]
+
+
+def _live_side(live_ftl: PageMappedFtl) -> _LiveSide:
+    l2p = live_ftl.page_map.l2p_view()
+    dftl = live_ftl.mapping_mode == "dftl"
+    return _LiveSide(
+        l2p=l2p,
+        mapped=np.flatnonzero(l2p != UNMAPPED),
+        gtd=live_ftl.page_map.gtd_view() if dftl else None,
+    )
+
+
 def _check_recovered_against_live(
     live_ftl: PageMappedFtl,
+    live: _LiveSide,
     ftl: PageMappedFtl,
     nand: NandArray,
     report: RecoveryReport,
@@ -152,13 +175,13 @@ def _check_recovered_against_live(
     """The crash-point equality battery (see :func:`verify_crash_point`).
 
     Raises :class:`CrashPointMismatch` on the first divergence between
-    the recovered device (``ftl`` over ``nand``) and the live reference.
+    the recovered device (``ftl`` over ``nand``) and the live reference
+    (``live_ftl``, with ``live`` its precomputed side).
     """
     live_nand = live_ftl.nand
-    live_l2p = live_ftl.page_map.l2p_snapshot()
-    rec_l2p = ftl.page_map.l2p_snapshot()
-    if not np.array_equal(live_l2p, rec_l2p):
-        diff = int((live_l2p != rec_l2p).sum())
+    rec_l2p = ftl.page_map.l2p_view()
+    if not np.array_equal(live.l2p, rec_l2p):
+        diff = int(np.count_nonzero(live.l2p != rec_l2p))
         raise CrashPointMismatch(
             f"L2P mismatch after recovery: {diff} LPNs map differently"
         )
@@ -177,14 +200,13 @@ def _check_recovered_against_live(
         raise CrashPointMismatch(
             f"write_seq {ftl._write_seq} != live {live_ftl._write_seq}"
         )
-    if live_ftl.mapping_mode == "dftl":
+    if live.gtd is not None:
         # The translation tier must survive the cut bit-identically too:
         # same GTD (every translation page's newest on-NAND copy) and
-        # matching OOB stamps at those physical locations.
-        live_gtd = live_ftl.page_map.gtd_snapshot()
-        rec_gtd = ftl.page_map.gtd_snapshot()
-        if not np.array_equal(live_gtd, rec_gtd):
-            diff = int((live_gtd != rec_gtd).sum())
+        # matching OOB stamps at those physical locations (below).
+        rec_gtd = ftl.page_map.gtd_view()
+        if not np.array_equal(live.gtd, rec_gtd):
+            diff = int(np.count_nonzero(live.gtd != rec_gtd))
             raise CrashPointMismatch(
                 f"GTD mismatch after recovery: {diff} TVPNs map differently"
             )
@@ -193,33 +215,25 @@ def _check_recovered_against_live(
                 f"gtd_mapped_count {ftl.page_map.gtd_mapped_count} != "
                 f"{live_ftl.page_map.gtd_mapped_count}"
             )
-        trans_mapped = np.flatnonzero(live_gtd != UNMAPPED)
-        if trans_mapped.size:
-            tppns = live_gtd[trans_mapped]
-            if not (
-                np.array_equal(nand.oob_lpn[tppns], live_nand.oob_lpn[tppns])
-                and np.array_equal(nand.oob_seq[tppns], live_nand.oob_seq[tppns])
-            ):
-                raise CrashPointMismatch(
-                    "OOB stamps of mapped translation pages diverged"
-                )
 
     # Read identity: with page payloads not modelled, a physical page's
     # content *is* its (lpn, seq) stamp -- equal stamps at equal PPNs
     # means every post-recovery host read returns bit-identical data.
-    mapped = np.flatnonzero(live_l2p != UNMAPPED)
-    if mapped.size:
-        ppns = live_l2p[mapped]
-        if not (
-            np.array_equal(nand.oob_lpn[ppns], live_nand.oob_lpn[ppns])
-            and np.array_equal(nand.oob_seq[ppns], live_nand.oob_seq[ppns])
-        ):
+    # The two images differ in few pages if any, so diff the OOB columns
+    # whole (contiguous) and ask whether a differing page is mapped.
+    differs = np.flatnonzero(
+        (nand.oob_lpn != live_nand.oob_lpn) | (nand.oob_seq != live_nand.oob_seq)
+    )
+    if differs.size:
+        if live.gtd is not None and np.isin(differs, live.gtd).any():
+            raise CrashPointMismatch("OOB stamps of mapped translation pages diverged")
+        if np.isin(differs, live.l2p[live.mapped]).any():
             raise CrashPointMismatch("OOB stamps of mapped pages diverged")
-        if sample_reads > 0:
-            rng = rng if rng is not None else np.random.default_rng(0)
-            picks = rng.choice(mapped, size=min(sample_reads, mapped.size))
-            for lpn in picks:
-                ftl.host_read_page(int(lpn))
+    if live.mapped.size and sample_reads > 0:
+        rng = rng if rng is not None else np.random.default_rng(0)
+        picks = rng.choice(live.mapped, size=min(sample_reads, live.mapped.size))
+        for lpn in picks:
+            ftl.host_read_page(int(lpn))
 
     if not report.read_only and ftl.free_pool_blocks() != expected_free:
         raise CrashPointMismatch(
@@ -269,25 +283,32 @@ def verify_crash_point(
     expected_free = _expected_free_blocks(nand, streams)
 
     ftl, report = recover_ftl(nand, config)
+    live = _live_side(live_ftl)
     _check_recovered_against_live(
-        live_ftl, ftl, nand, report, expected_free, sample_reads, rng
+        live_ftl, live, ftl, nand, report, expected_free, sample_reads, rng
     )
 
     if nested and not ftl.read_only:
         # Second cut, mid-recovery: the first power-on checkpointed its
         # rebuilt mapping, and the rail dies while that record programs.
         ftl.write_checkpoint(trigger="recovery")
-        nand2 = config.restore_nand(ftl.nand.capture_durable_state())
-        nand2.meta.tear_last()
+        durable = ftl.nand.capture_durable_state()
+        # The first power-on is verified: free it before the second one is
+        # built, so the two never hold device-sized arrays at once.
+        del ftl, nand
+        nand = config.restore_nand(durable)
+        del durable
+        nand.meta.tear_last()
         # The scan is read-only and the torn checkpoint never becomes
         # load-bearing, so the second power-on must see the same state.
-        ftl2, report2 = recover_ftl(nand2, config)
+        ftl, nested_report = recover_ftl(nand, config)
         _check_recovered_against_live(
             live_ftl,
-            ftl2,
-            nand2,
-            report2,
-            _expected_free_blocks(nand2, streams),
+            live,
+            ftl,
+            nand,
+            nested_report,
+            _expected_free_blocks(nand, streams),
             sample_reads,
             rng,
         )
@@ -385,13 +406,15 @@ def run_crash_sweep(
             index=index,
             t_ns=host.sim.now,
             events_dispatched=host.sim.dispatched,
-            nested=nested,
         )
         try:
             report = verify_crash_point(
                 host.ftl, config, sample_reads=sample_reads, rng=rng, nested=nested
             )
             check.ok = True
+            # verify_crash_point runs the second power-on exactly when
+            # the first one came back writable.
+            check.nested = nested and not report.read_only
             check.torn_pages = report.torn_pages
             check.pages_scanned = report.pages_scanned
             check.mapped_lpns = report.mapped_lpns

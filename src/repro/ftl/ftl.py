@@ -38,6 +38,7 @@ go through :class:`~repro.ftl.media.Media`, the one seam to the flash.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -45,7 +46,7 @@ import numpy as np
 from repro.ftl.checkpoint_policy import CheckpointPolicy, make_checkpoint_policy
 from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED, CachedPageMap, PageMap
 from repro.ftl.media import Media
-from repro.ftl.metastore import KIND_CHECKPOINT, KIND_UNMAP, build_checkpoint, build_tombstones
+from repro.ftl.metastore import KIND_UNMAP, build_checkpoint, build_tombstones
 from repro.ftl.space import SipOverlapIndex, ValidCountIndex
 from repro.ftl.stats import FtlStats
 from repro.ftl.victim import GreedySelector, VictimSelector
@@ -198,9 +199,19 @@ class PageMappedFtl:
         self.read_only = False
 
         self._op_counter = 0
+        if clock is None:
+            # The operation counter, read through a weak reference: a
+            # strong one would put the FTL in a cycle with its own media
+            # seam, and a dropped FTL (every crash-sweep recovery) would
+            # hold its device-sized arrays until the next cyclic GC pass.
+            owner = weakref.ref(self)
+
+            def clock() -> int:
+                return owner()._op_counter
+
         #: The flash seam: reads, erases, their retries, the ECC ladder
         #: and fault notes.  Its clock is the FTL's too.
-        self.media = Media(nand, config, self.stats, clock or (lambda: self._op_counter))
+        self.media = Media(nand, config, self.stats, clock)
         #: Monotonic write-sequence stamp persisted in each programmed
         #: page's OOB slot (power-loss recovery's "newest copy wins"
         #: arbiter).  Consumed only by *successful* programs, so every
@@ -858,13 +869,13 @@ class PageMappedFtl:
         payload = build_checkpoint(
             generation,
             self._write_seq,
-            self.page_map.l2p_snapshot(),
+            self.page_map.l2p_view(),
             self.nand.program_ptr,
             self.nand.endurance.erase_counts,
             self._ppb,
-            gtd=self.page_map.gtd_snapshot() if self._dftl else None,
+            gtd=self.page_map.gtd_view() if self._dftl else None,
         )
-        record = self.nand.meta.append(KIND_CHECKPOINT, payload, generation=generation)
+        record = self.nand.meta.append_checkpoint(payload, generation)
         self.nand.meta.compact()
         self._pages_at_last_ckpt = self.stats.host_pages_written
         if self.checkpoint_policy is not None:

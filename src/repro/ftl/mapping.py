@@ -48,6 +48,27 @@ UNMAPPED: int = -1
 TRANS_LPN_BASE: int = 1 << 48
 
 
+def _check_in_physical_space(table: np.ndarray, total_pages: int, what: str) -> None:
+    """Reject a table with an entry outside ``{UNMAPPED} ∪ [0, total_pages)``.
+
+    Two reductions, no temporary: ``UNMAPPED`` is -1, so the allowed set
+    is exactly ``[-1, total_pages)``.  Runs before an install touches any
+    state -- a negative entry would otherwise wrap round as a fancy index.
+    """
+    if len(table) and (
+        int(table.min()) < UNMAPPED or int(table.max()) >= total_pages
+    ):
+        raise ValueError(
+            f"{what} entry outside the physical space [0, {total_pages})"
+        )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 class PageMap:
     """LPN↔PPN translation state.
 
@@ -250,26 +271,27 @@ class PageMap:
         bitmap, per-block counters and ``mapped_count`` are all rebuilt
         from it.  Replaces any existing state and does **not** fire the
         validity observer -- the recovery path rebuilds its indexes from
-        the resulting counters itself.
+        the resulting counters itself.  A table of the wrong length, or
+        with an entry outside the physical space, is rejected with a
+        :class:`ValueError` before any state changes.
         """
         if len(l2p) != self.user_pages:
             raise ValueError(
                 f"l2p table sized {len(l2p)}, map holds {self.user_pages} LPNs"
             )
+        _check_in_physical_space(l2p, len(self._p2l), "l2p")
         self._l2p[:] = l2p
-        self._p2l[:] = UNMAPPED
-        self._valid[:] = False
         lpns = np.flatnonzero(self._l2p != UNMAPPED)
-        ppns = self._l2p[lpns]
-        # Scatter, then gather: whichever of two LPNs sharing a PPN the
-        # scatter kept, the other one reads back a stranger.
-        self._p2l[ppns] = lpns
-        if not np.array_equal(self._p2l[ppns], lpns):
+        self._p2l.fill(UNMAPPED)
+        self._p2l[self._l2p[lpns]] = lpns
+        # The validity plane is the reverse map's occupied slots, and the
+        # per-block counters are its row sums: contiguous passes, no
+        # gather.  Two LPNs sharing a PPN land in one slot, so a short
+        # count is the duplicate test.
+        np.not_equal(self._p2l, UNMAPPED, out=self._valid)
+        if np.count_nonzero(self._valid) != len(lpns):
             raise ValueError("l2p table maps two LPNs to the same physical page")
-        self._valid[ppns] = True
-        self._valid_per_block[:] = np.bincount(
-            ppns // self._ppb, minlength=len(self._valid_per_block)
-        )
+        self._valid_per_block[:] = self._recount_valid()
         self.mapped_count = int(len(lpns))
 
     def _invalidate_ppn(self, ppn: int) -> None:
@@ -304,10 +326,16 @@ class PageMap:
     def l2p_snapshot(self) -> np.ndarray:
         """Copy of the full LPN→PPN vector (``UNMAPPED`` where unmapped).
 
-        For recovery oracles and crash-sweep verification -- one array
-        compare instead of ``user_pages`` :meth:`lookup` calls.
+        For recovery oracles -- one array compare instead of
+        ``user_pages`` :meth:`lookup` calls.
         """
         return self._l2p.copy()
+
+    def l2p_view(self) -> np.ndarray:
+        """Read-only view of the LPN→PPN vector, valid until the next
+        mutation: for a compare or a serialisation that must not pay a
+        copy (crash-sweep verification, checkpoint writes)."""
+        return _read_only(self._l2p)
 
     def lookup(self, lpn: int) -> Optional[int]:
         """Current PPN of ``lpn``, or None if unmapped."""
@@ -423,7 +451,41 @@ class PageMap:
 
     def _recount_valid(self) -> np.ndarray:
         """Per-block valid-page counts recounted from the validity bitmap."""
-        return np.count_nonzero(self._valid.reshape(-1, self._ppb), axis=1)
+        return self._valid.reshape(-1, self._ppb).sum(axis=1, dtype=np.int32)
+
+    def _check_plane(self, population: int, counters: str) -> None:
+        """The validity plane holds ``population`` pages (the sum of
+        ``counters``), and the per-block counters agree with it."""
+        if np.count_nonzero(self._valid) != population:
+            raise AssertionError(f"valid-page population does not match {counters}")
+        if not np.array_equal(self._recount_valid(), self._valid_per_block):
+            raise AssertionError("per-block valid counters out of sync")
+
+    def _check_entries(
+        self, table: np.ndarray, stamp_base: int, name: str, key: str
+    ) -> None:
+        """Every mapped entry of ``table`` is a PPN of the physical space
+        holding a valid page whose reverse-map slot reads back
+        ``stamp_base + index``; raises on the lowest offending index."""
+        mapped = np.flatnonzero(table != UNMAPPED)
+        if not len(mapped):
+            return
+        ppns = table[mapped]
+        outside = None
+        if int(ppns.min()) < 0 or int(ppns.max()) >= len(self._valid):
+            outside = (ppns < 0) | (ppns >= len(self._valid))
+            ppns = np.where(outside, 0, ppns)
+        stamps = mapped + stamp_base if stamp_base else mapped
+        bad = ~self._valid[ppns] | (self._p2l[ppns] != stamps)
+        if outside is not None:
+            bad |= outside
+        if bad.any():
+            at = int(np.argmax(bad))
+            if outside is not None and outside[at]:
+                problem = f"{name} entry outside the physical space"
+            else:
+                problem = f"{name}/p2l mismatch"
+            raise AssertionError(f"{problem} at {key} {int(mapped[at])}")
 
     def invariant_check(self) -> None:
         """Full-state consistency check on batched array ops (O(total pages)).
@@ -431,18 +493,8 @@ class PageMap:
         The per-LPN loop it must agree with, messages included, lives in
         ``tests/ftl/test_mapping.py``.
         """
-        if int(self._valid.sum()) != self.mapped_count:
-            raise AssertionError("valid-page population does not match mapped_count")
-        if not np.array_equal(self._recount_valid(), self._valid_per_block):
-            raise AssertionError("per-block valid counters out of sync")
-        mapped = np.flatnonzero(self._l2p != UNMAPPED)
-        if len(mapped):
-            ppns = self._l2p[mapped]
-            bad = ~self._valid[ppns] | (self._p2l[ppns] != mapped)
-            if bad.any():
-                raise AssertionError(
-                    f"l2p/p2l mismatch at LPN {int(mapped[np.argmax(bad)])}"
-                )
+        self._check_plane(self.mapped_count, "mapped_count")
+        self._check_entries(self._l2p, 0, "l2p", "LPN")
 
 
 class CachedPageMap(PageMap):
@@ -511,8 +563,13 @@ class CachedPageMap(PageMap):
         return None if ppn == UNMAPPED else ppn
 
     def gtd_snapshot(self) -> np.ndarray:
-        """Copy of the GTD vector (crash-sweep verification, checkpoints)."""
+        """Copy of the GTD vector."""
         return self._gtd.copy()
+
+    def gtd_view(self) -> np.ndarray:
+        """Read-only view of the GTD, valid until the next mutation
+        (crash-sweep verification, checkpoint writes)."""
+        return _read_only(self._gtd)
 
     def block_holds_trans(self, block: int) -> bool:
         """True when ``block`` holds at least one valid translation page."""
@@ -558,6 +615,7 @@ class CachedPageMap(PageMap):
             raise ValueError(
                 f"gtd sized {len(gtd)}, directory holds {self.trans_pages} entries"
             )
+        _check_in_physical_space(gtd, len(self._p2l), "gtd")
         self._gtd[:] = gtd
         tvpns = np.flatnonzero(self._gtd != UNMAPPED)
         ppns = self._gtd[tvpns]
@@ -618,33 +676,14 @@ class CachedPageMap(PageMap):
     # ------------------------------------------------------------------
     def invariant_check(self) -> None:
         """Cross-check the shared validity plane over both page classes."""
-        expected = self.mapped_count + self.gtd_mapped_count
-        if int(self._valid.sum()) != expected:
-            raise AssertionError(
-                "valid-page population does not match mapped_count + "
-                "gtd_mapped_count"
-            )
-        if not np.array_equal(self._recount_valid(), self._valid_per_block):
-            raise AssertionError("per-block valid counters out of sync")
-        mapped = np.flatnonzero(self._l2p != UNMAPPED)
-        if len(mapped):
-            ppns = self._l2p[mapped]
-            bad = ~self._valid[ppns] | (self._p2l[ppns] != mapped)
-            if bad.any():
-                raise AssertionError(
-                    f"l2p/p2l mismatch at LPN {int(mapped[np.argmax(bad)])}"
-                )
-        tvpns = np.flatnonzero(self._gtd != UNMAPPED)
-        if int(len(tvpns)) != self.gtd_mapped_count:
+        self._check_plane(
+            self.mapped_count + self.gtd_mapped_count,
+            "mapped_count + gtd_mapped_count",
+        )
+        self._check_entries(self._l2p, 0, "l2p", "LPN")
+        tvpns = np.count_nonzero(self._gtd != UNMAPPED)
+        if tvpns != self.gtd_mapped_count:
             raise AssertionError("gtd_mapped_count out of sync with the GTD")
-        if len(tvpns):
-            ppns = self._gtd[tvpns]
-            bad = ~self._valid[ppns] | (
-                self._p2l[ppns] != TRANS_LPN_BASE + tvpns
-            )
-            if bad.any():
-                raise AssertionError(
-                    f"gtd/p2l mismatch at tvpn {int(tvpns[np.argmax(bad)])}"
-                )
+        self._check_entries(self._gtd, TRANS_LPN_BASE, "gtd", "tvpn")
         if len(self._cmt) > self.cmt_capacity_pages:
             raise AssertionError("CMT exceeds its capacity")

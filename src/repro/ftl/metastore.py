@@ -92,6 +92,15 @@ class MetaRecord:
             return parse_checkpoint(self.payload)
         return parse_tombstones(self.payload)
 
+    @cached_property
+    def newest_stamp(self) -> Optional[int]:
+        """Highest sequence number of a complete, non-empty tombstone
+        record (``None`` otherwise), cached like :attr:`parsed`: every
+        compaction asks it of every journal record still held."""
+        if self.kind != KIND_UNMAP or self.parsed is None or not self.parsed[1].size:
+            return None
+        return int(self.parsed[1].max())
+
 
 @dataclass(frozen=True)
 class CheckpointImage:
@@ -115,9 +124,28 @@ class CheckpointImage:
     def user_pages(self) -> int:
         return int(len(self.l2p))
 
+    @cached_property
+    def l2p_span(self) -> Tuple[int, int]:
+        """Lowest and highest L2P entry.  The image is immutable and
+        shared by every power-on over its record, so recovery's range
+        check reads two cached ints instead of a pass over the table."""
+        return _span(self.l2p)
+
+    @cached_property
+    def gtd_span(self) -> Tuple[int, int]:
+        """Lowest and highest GTD entry (see :attr:`l2p_span`); the GTD
+        must be present."""
+        return _span(self.gtd)
+
     @property
     def blocks(self) -> int:
         return int(len(self.program_ptr))
+
+
+def _span(table: np.ndarray) -> Tuple[int, int]:
+    if not len(table):
+        return (-1, -1)
+    return int(table.min()), int(table.max())
 
 
 def build_checkpoint(
@@ -137,21 +165,30 @@ def build_checkpoint(
     """
     if len(program_ptr) != len(erase_counts):
         raise ValueError("program_ptr and erase_counts must cover the same blocks")
-    body = _CKPT_HEADER.pack(
-        MAGIC_CHECKPOINT if gtd is None else MAGIC_CHECKPOINT2,
-        generation,
-        write_seq,
-        len(l2p),
-        len(program_ptr),
-        pages_per_block,
-    )
+    parts = [
+        _CKPT_HEADER.pack(
+            MAGIC_CHECKPOINT if gtd is None else MAGIC_CHECKPOINT2,
+            generation,
+            write_seq,
+            len(l2p),
+            len(program_ptr),
+            pages_per_block,
+        )
+    ]
     if gtd is not None:
-        body += _CKPT2_GTD.pack(len(gtd))
-        body += np.ascontiguousarray(gtd, dtype=np.int64).tobytes()
-    body += np.ascontiguousarray(l2p, dtype=np.int64).tobytes()
-    body += np.ascontiguousarray(program_ptr, dtype=np.int32).tobytes()
-    body += np.ascontiguousarray(erase_counts, dtype=np.int64).tobytes()
-    return body + _CRC.pack(zlib.crc32(body))
+        parts += [_CKPT2_GTD.pack(len(gtd)), np.ascontiguousarray(gtd, dtype=np.int64)]
+    parts += [
+        np.ascontiguousarray(l2p, dtype=np.int64),
+        np.ascontiguousarray(program_ptr, dtype=np.int32),
+        np.ascontiguousarray(erase_counts, dtype=np.int64),
+    ]
+    # The arrays' own buffers go through the CRC and into one join: each
+    # byte is read once by the CRC and copied once into the record.
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(_CRC.pack(crc))
+    return b"".join(parts)
 
 
 def parse_checkpoint(payload: bytes) -> Optional[CheckpointImage]:
@@ -159,6 +196,18 @@ def parse_checkpoint(payload: bytes) -> Optional[CheckpointImage]:
 
     The image's arrays are read-only views of ``payload``.
     """
+    image = _unpack_checkpoint(payload)
+    if image is None:
+        return None
+    (crc,) = _CRC.unpack_from(payload, len(payload) - _CRC.size)
+    if crc != zlib.crc32(memoryview(payload)[: -_CRC.size]):
+        return None
+    return image
+
+
+def _unpack_checkpoint(payload: bytes) -> Optional[CheckpointImage]:
+    """The layout half of :func:`parse_checkpoint`: header, lengths and
+    array views, with no CRC check."""
     if len(payload) < _CKPT_HEADER.size + _CRC.size:
         return None
     magic, generation, write_seq, user_pages, blocks, ppb = _CKPT_HEADER.unpack_from(
@@ -177,9 +226,6 @@ def parse_checkpoint(payload: bytes) -> Optional[CheckpointImage]:
         offset + 8 * gtd_entries + 8 * user_pages + 4 * blocks + 8 * blocks + _CRC.size
     )
     if len(payload) != expected:
-        return None
-    (crc,) = _CRC.unpack_from(payload, len(payload) - _CRC.size)
-    if crc != zlib.crc32(payload[: -_CRC.size]):
         return None
     gtd = None
     if magic == MAGIC_CHECKPOINT2:
@@ -274,6 +320,19 @@ class MetaLog:
         self.pages_written += pages
         return record
 
+    def append_checkpoint(self, payload: bytes, generation: int) -> MetaRecord:
+        """:meth:`append` a checkpoint :func:`build_checkpoint` just built.
+
+        The record's :attr:`~MetaRecord.parsed` is read straight off the
+        layout: the CRC was computed over these very bytes at build, and
+        checking it again would re-read the whole table.  A payload of any
+        other origin goes through :meth:`append`, whose parse checks it.
+        """
+        record = self.append(KIND_CHECKPOINT, payload, generation=generation)
+        # Seeds the cached_property, exactly as a first read would.
+        record.__dict__["parsed"] = _unpack_checkpoint(payload)
+        return record
+
     def tear_last(self, keep_pages: Optional[int] = None) -> Optional[MetaRecord]:
         """Emulate power loss mid-way through the newest record's program.
 
@@ -328,10 +387,11 @@ class MetaLog:
             if record.kind == KIND_CHECKPOINT:
                 if record.seq in keep_ckpts:
                     survivors.append(record)
-            elif record.parsed is not None:
-                seqs = record.parsed[1]
-                if seqs.size and int(seqs.max()) >= oldest_horizon:
-                    survivors.append(record)
+            elif (
+                record.newest_stamp is not None
+                and record.newest_stamp >= oldest_horizon
+            ):
+                survivors.append(record)
         dropped = len(self._records) - len(survivors)
         self._records = survivors
         return dropped

@@ -387,17 +387,15 @@ def _load_metadata(nand: NandArray, user_pages: int) -> _DurableMetadata:
                 f"{image.user_pages} LPNs / {image.blocks} blocks, device has "
                 f"{user_pages} / {nand.geometry.total_blocks}"
             )
+        # Every entry must be UNMAPPED (-1) or a PPN: the span of the
+        # table, cached on the immutable image, decides it.
         total_pages = nand.geometry.total_pages
-        valid_entries = (image.l2p == UNMAPPED) | (
-            (image.l2p >= 0) & (image.l2p < total_pages)
-        )
-        if not valid_entries.all():
+        low, high = image.l2p_span
+        if low < UNMAPPED or high >= total_pages:
             raise RecoveryError("checkpoint L2P entry outside the physical space")
         if image.gtd is not None:
-            valid_gtd = (image.gtd == UNMAPPED) | (
-                (image.gtd >= 0) & (image.gtd < total_pages)
-            )
-            if not valid_gtd.all():
+            low, high = image.gtd_span
+            if low < UNMAPPED or high >= total_pages:
                 raise RecoveryError(
                     "checkpoint GTD entry outside the physical space"
                 )
@@ -505,6 +503,7 @@ def _checkpoint_recovery(
     # There is no durable copy of that LPN left; drop the entry rather
     # than resurrect a mapping into garbage.
     mapped = np.flatnonzero(l2p != UNMAPPED)
+    mapped_lpns = int(mapped.size)
     if mapped.size:
         ppns = l2p[mapped]
         dangling = (nand.oob_seq[ppns] == OOB_UNSTAMPED) | (
@@ -512,6 +511,7 @@ def _checkpoint_recovery(
         )
         if dangling.any():
             l2p[mapped[dangling]] = UNMAPPED
+            mapped_lpns -= int(np.count_nonzero(dangling))
 
     # GTD: checkpoint base (a CKP1 base means no translation page was
     # ever flushed as of the snapshot), newest-wins merge of the tail's
@@ -549,7 +549,7 @@ def _checkpoint_recovery(
         pages_scanned=pages_scanned,
         torn_pages=int(torn.size),
         stale_pages=stale,
-        mapped_lpns=int((l2p != UNMAPPED).sum()),
+        mapped_lpns=mapped_lpns,
         write_seq=write_seq,
         meta_pages_read=meta.meta_pages,
         full_scan=False,

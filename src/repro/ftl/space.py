@@ -95,14 +95,18 @@ class ValidCountIndex:
     def track_many(self, blocks: Sequence[int], counts: Sequence[int]) -> None:
         """Bulk :meth:`track` of distinct ``blocks`` (power-on rebuild).
 
-        One ``heapify`` instead of a push per block.  Heap entries are
-        distinct ``(count, block, gen)`` tuples, so the pop order is the
-        same whichever way the heap was built.
+        The new ``(count, block, gen)`` rows join the heap as they are
+        and one ``heapify`` orders it -- no push per block, no rebuild of
+        the rows from the dicts.  Heap entries are distinct tuples, so
+        the pop order is the same whichever way the heap was built.
         """
-        gens = [self._gen.get(block, 0) + 1 for block in blocks]
+        gen_of = self._gen.get
+        gens = [gen_of(block, 0) + 1 for block in blocks]
         self._gen.update(zip(blocks, gens))
         self._count.update(zip(blocks, counts))
-        self._compact()
+        self._heap.extend(zip(counts, blocks, gens))
+        heapq.heapify(self._heap)
+        self._compact_if_bloated()
 
     def untrack(self, block: int) -> None:
         """Stop tracking ``block`` (erased or retired); idempotent."""

@@ -107,6 +107,24 @@ def test_nested_points_work_without_checkpoints():
     assert all(p.nested for p in result.points)
 
 
+def test_a_point_whose_first_battery_fails_is_not_counted_nested(monkeypatch):
+    """``nested`` records the second power-on that was verified, not the
+    one the schedule asked for: a first battery that raises skips it, and
+    the CLI's "also verified crash-during-recovery" count with it."""
+    real = crashsweep.recover_ftl
+
+    def recover_one_stamp_ahead(nand, config, *args, **kwargs):
+        ftl, report = real(nand, config, *args, **kwargs)
+        ftl._write_seq += 1
+        return ftl, report
+
+    monkeypatch.setattr(crashsweep, "recover_ftl", recover_one_stamp_ahead)
+    result = run_crash_sweep(small_spec(), points=1, stride_events=64, nested_every=1)
+    (point,) = result.points
+    assert not point.ok and point.error.startswith("CrashPointMismatch: write_seq")
+    assert not point.nested
+
+
 def test_verify_crash_point_leaves_live_ftl_untouched():
     spec = small_spec()
     _, host = _run_scenario_host(spec)

@@ -10,13 +10,17 @@ and cuts during a previous recovery's own checkpoint write.
 """
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 
+from repro.experiments.crashsweep import verify_crash_point
 from repro.faults.powerloss import cut_during_recovery
+from repro.ftl.metastore import parse_checkpoint
 from repro.ftl.recovery import recover_ftl
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
@@ -339,3 +343,65 @@ def test_second_power_on_over_the_same_records_checks_no_crc(monkeypatch):
     _, second = recover_ftl(config.restore_nand(durable), config)
     assert calls == []
     assert second == first
+
+
+def test_one_checkpoint_write_crcs_its_payload_once(monkeypatch):
+    """The CRC is computed over the payload's bytes at build, and the
+    log's compaction reuses that build's parse instead of checking it
+    again (it used to read the whole table through ``zlib.crc32`` twice)."""
+    _, ftl, _ = _big_checkpointed_image()
+    for record in ftl.nand.meta.records:
+        assert record.parsed is not None  # every held record already parsed
+    crc_bytes = []
+    real_crc32 = zlib.crc32
+
+    def counting_crc32(data, *args):
+        crc_bytes.append(memoryview(data).nbytes)
+        return real_crc32(data, *args)
+
+    monkeypatch.setattr(zlib, "crc32", counting_crc32)
+    ftl.write_checkpoint()
+    newest = ftl.nand.meta.records[-1]
+    assert newest.kind == "checkpoint"
+    assert sum(crc_bytes) == len(newest.payload) - 4
+    monkeypatch.undo()
+    # The reused parse is the one a CRC-checked parse of the bytes gives.
+    checked = parse_checkpoint(newest.payload)
+    assert checked is not None and newest.parsed.write_seq == checked.write_seq
+    assert np.array_equal(newest.parsed.l2p, ftl.page_map.l2p_snapshot())
+    assert np.array_equal(checked.l2p, newest.parsed.l2p)
+
+
+def test_nested_crash_point_peaks_below_nine_l2ps():
+    """A nested crash point peaks while it captures the first recovered
+    device for the second power-on: that device, its new checkpoint
+    record and the capture, 7.9x the L2P's bytes.  The first device is
+    freed before the second is built, and the check battery allocates
+    nothing ``user_pages`` long (it compares views and diffs the OOB
+    columns whole).  Both devices at once, plus the battery's L2P copies
+    and per-LPN gathers, used to put the point at 13.2x."""
+    config, ftl, _ = _big_checkpointed_image()
+    tracemalloc.start()
+    try:
+        report = verify_crash_point(ftl, config, nested=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.full_scan
+    assert peak < 9 * ftl.space.user_pages * 8
+
+
+def test_a_dropped_recovered_ftl_is_freed_without_a_gc_pass():
+    """No reference cycle holds a recovered FTL, and with it its device-
+    sized arrays, until the next cyclic collection: a crash sweep drops
+    one or two of them at every point."""
+    ftl, space = make_ftl()
+    churn(ftl, space)
+    recovered, _ = recover(crash(ftl))
+    refs = weakref.ref(recovered), weakref.ref(recovered.page_map)
+    gc.disable()
+    try:
+        del recovered
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

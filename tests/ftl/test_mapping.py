@@ -124,7 +124,11 @@ def invariant_check_per_lpn(pm):
             raise AssertionError("per-block valid counters out of sync")
     for lpn in range(pm.user_pages):
         ppn = int(pm._l2p[lpn])
-        if ppn != UNMAPPED and (not pm._valid[ppn] or int(pm._p2l[ppn]) != lpn):
+        if ppn == UNMAPPED:
+            continue
+        if not 0 <= ppn < GEOMETRY.total_pages:
+            raise AssertionError(f"l2p entry outside the physical space at LPN {lpn}")
+        if not pm._valid[ppn] or int(pm._p2l[ppn]) != lpn:
             raise AssertionError(f"l2p/p2l mismatch at LPN {lpn}")
 
 
@@ -166,6 +170,22 @@ def test_batched_invariant_check_matches_scan_on_clean_and_corrupted_state():
     invariant_check_per_lpn(pm)
 
 
+@pytest.mark.parametrize("entry", [-2, -GEOMETRY.total_pages, GEOMETRY.total_pages])
+def test_invariant_check_flags_a_mapped_entry_outside_the_physical_space(entry):
+    """A negative entry other than ``UNMAPPED`` used to pass: as a fancy
+    index it wraps round onto a real page, valid and pointing back."""
+    pm = make_map()
+    for lpn in range(8):
+        pm.remap(lpn, 8 + lpn)
+    # LPN 5 really lives where the entry wraps round to (if it does).
+    pm.remap(5, entry % GEOMETRY.total_pages)
+    pm.invariant_check()
+    pm._l2p[5] = entry
+    expected = "l2p entry outside the physical space at LPN 5"
+    assert _raises_message(pm.invariant_check) == expected
+    assert _raises_message(lambda: invariant_check_per_lpn(pm)) == expected
+
+
 # ----------------------------------------------------------------------
 # load_mapping: the one-shot recovery install
 # ----------------------------------------------------------------------
@@ -183,8 +203,25 @@ def test_load_mapping_rejects_wrong_length_and_out_of_range_ppn():
         pm.load_mapping(np.full(15, UNMAPPED, dtype=np.int64))
     l2p = np.full(16, UNMAPPED, dtype=np.int64)
     l2p[3] = GEOMETRY.total_pages  # one past the physical space
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="l2p entry outside the physical space"):
         pm.load_mapping(l2p)
+
+
+@pytest.mark.parametrize("entry", [-2, -GEOMETRY.total_pages, GEOMETRY.total_pages])
+def test_load_mapping_rejects_an_entry_outside_the_physical_space_untouched(entry):
+    """Only ``UNMAPPED`` may be negative.  A -2 used to be caught only by
+    ``np.bincount`` failing after the reverse map and the validity plane
+    were already rewritten -- or, wrapped round, not at all."""
+    pm = make_map()
+    for lpn in range(6):
+        pm.remap(lpn, pm.ppn(lpn % 3, lpn // 3))
+    before = snapshot(pm)
+    l2p = np.full(16, UNMAPPED, dtype=np.int64)
+    l2p[[1, 3]] = [pm.ppn(7, 3), entry]
+    with pytest.raises(ValueError, match="l2p entry outside the physical space"):
+        pm.load_mapping(l2p)
+    assert snapshot(pm) == before
+    pm.invariant_check()
 
 
 def test_load_mapping_replaces_existing_state():

@@ -135,6 +135,52 @@ def test_load_gtd_rejects_two_tvpns_on_one_ppn():
         m.load_gtd(gtd[:3])
 
 
+@pytest.mark.parametrize("entry", [-2, -GEOMETRY.total_pages, GEOMETRY.total_pages])
+def test_load_gtd_rejects_an_entry_outside_the_physical_space_untouched(entry):
+    m = make_map(user_pages=1024)
+    l2p = np.full(1024, UNMAPPED, dtype=np.int64)
+    l2p[5] = 40
+    m.load_mapping(l2p)
+    before = (m._p2l.copy(), m._valid.copy(), m.valid_counts().copy())
+    gtd = np.full(m.trans_pages, UNMAPPED, dtype=np.int64)
+    gtd[0] = entry
+    with pytest.raises(ValueError, match="gtd entry outside the physical space"):
+        m.load_gtd(gtd)
+    assert m.gtd_mapped_count == 0
+    assert np.array_equal(m.gtd_snapshot(), np.full(m.trans_pages, UNMAPPED))
+    assert np.array_equal(m._p2l, before[0])
+    assert np.array_equal(m._valid, before[1])
+    assert np.array_equal(m.valid_counts(), before[2])
+    m.invariant_check()
+
+
+def test_load_mapping_rejects_a_negative_entry_in_dftl_mode():
+    m = make_map(user_pages=1024)
+    l2p = np.full(1024, UNMAPPED, dtype=np.int64)
+    l2p[[3, 5]] = [-2, 40]
+    with pytest.raises(ValueError, match="l2p entry outside the physical space"):
+        m.load_mapping(l2p)
+    assert m.mapped_count == 0 and not m._valid.any()
+    m.invariant_check()
+
+
+@pytest.mark.parametrize("table", ["l2p", "gtd"])
+def test_invariant_check_flags_an_entry_outside_the_physical_space(table):
+    m = make_map(user_pages=1024)
+    m.remap(5, 40)
+    m.remap_trans(0, 41)
+    m.invariant_check()
+    if table == "l2p":
+        m._l2p[5] = -2
+        expected = "l2p entry outside the physical space at LPN 5"
+    else:
+        m._gtd[0] = GEOMETRY.total_pages
+        expected = "gtd entry outside the physical space at tvpn 0"
+    with pytest.raises(AssertionError) as raised:
+        m.invariant_check()
+    assert str(raised.value) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_bulk_install_equals_replaying_one_entry_at_a_time(data):
