@@ -8,12 +8,14 @@ reliability profile, erase-retry, and the audit records and tracer
 ``(latency_ns, ok)``; what a lost page or a failed erase means for the
 mapping (unmap, retire) stays with the FTL, as do program retries, which
 re-slot on a write frontier.  Without an injector or a ladder the media
-is the array itself: an extent's reads are one bulk call.
+is the array itself: an extent's or a victim's reads are one bulk call.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.ftl.mapping import UNMAPPED
 from repro.ftl.scrub import RefreshScrubber
@@ -215,20 +217,32 @@ class Media:
         blocks.clear()
         return latency
 
-    def read_block(self, block: int, count: int) -> Optional[int]:
-        """Read ``count`` pages of GC victim ``block`` in one bulk call and
-        return their latency, or None -- not batchable, each page must
-        take :meth:`read` -- under an injector (per-page fault draws) or
-        a stressed ladder verdict (per-page retry tolls).  The verdict is
-        block-granular, so one check covers every page.
+    def read_block(self, block: int, pages: np.ndarray) -> Optional[Tuple[int, List[int]]]:
+        """Read ahead the valid ``pages`` (ascending offsets) of a block
+        being relocated; returns the latency and the positions in
+        ``pages`` of the pages lost, or None -- no read-ahead -- under an
+        injector, whose per-operation draws must stay interleaved with
+        the relocation's programs and retirements, so each page takes
+        :meth:`read` at its turn.
+
+        A plain block, or one on the ladder's fast path, is one bulk call
+        (the verdict is block-granular, so one check covers every page).
+        A stressed block is read page by page through :meth:`read`, with
+        the ladder's tolls and notes.
         """
         if self.nand.fault_injector is not None:
             return None
         if self.model is not None:
             if self.verdict(block).level:
-                return None
-            self.stats.ecc_fast_reads += count
-        return self.nand.read_pages_batch(block, count)
+                latency, lost = 0, []
+                for position, page in enumerate(pages.tolist()):
+                    read_ns, ok = self.read(block, page)
+                    latency += read_ns
+                    if not ok:
+                        lost.append(position)
+                return latency, lost
+            self.stats.ecc_fast_reads += len(pages)
+        return self.nand.read_pages_batch(block, len(pages)), []
 
     def erase(self, block: int) -> Tuple[int, bool]:
         """Erase ``block`` with bounded retries; returns ``(latency_ns,

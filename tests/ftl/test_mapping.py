@@ -357,8 +357,9 @@ def test_migrate_pages_equals_per_page_remap(stale, dst_start, first_chunk):
     ``first_chunk`` pages, whichever comes first (the GC frontier filling
     mid-victim)."""
     batched, replayed = victim_twins(stale)
-    lpns = batched.evacuate_block(1)
-    assert lpns.tolist() == [8 + o for o in range(4) if o not in stale]
+    offsets, lpns = batched.evacuate_block(1)
+    assert offsets.tolist() == [o for o in range(4) if o not in stale]
+    assert lpns.tolist() == [8 + o for o in offsets.tolist()]
     batched.clear_block(1)  # already in the state an erase needs
     assert list(batched.valid_lpns_in_block(1)) == []
     split = min(first_chunk, 4 - dst_start, len(lpns))
@@ -392,10 +393,29 @@ def test_reinstate_pages_puts_back_what_never_landed(landed):
     """A migration cut short after ``landed`` pages equals the per-page
     replay of just those pages: the rest is valid in the victim again."""
     batched, replayed = victim_twins(stale={1})
-    lpns = batched.evacuate_block(1)
+    _, lpns = batched.evacuate_block(1)
     batched.migrate_pages(lpns[:landed], 5, 0)
     batched.reinstate_pages(lpns[landed:])
     for i, lpn in enumerate(lpns[:landed].tolist()):
         replayed.remap(lpn, replayed.ppn(5, i))
     assert snapshot(batched) == snapshot(replayed)
     batched.invariant_check()
+
+
+def test_drop_evacuated_unmaps_a_page_that_never_lands():
+    """A lost page's unmap on an evacuated block equals the per-page
+    ``unmap``; a page that did land is refused (it would be a second
+    invalidation's twin)."""
+    batched, replayed = victim_twins(stale={1})
+    _, lpns = batched.evacuate_block(1)
+    lost, rest = int(lpns[0]), lpns[1:]
+    batched.drop_evacuated(lost)
+    batched.migrate_pages(rest, 5, 0)
+    replayed.unmap(lost)
+    for i, lpn in enumerate(rest.tolist()):
+        replayed.remap(lpn, replayed.ppn(5, i))
+    assert snapshot(batched) == snapshot(replayed)
+    batched.invariant_check()
+    for lpn in (lost, int(rest[0])):
+        with pytest.raises(RuntimeError, match="not evacuated"):
+            batched.drop_evacuated(lpn)
