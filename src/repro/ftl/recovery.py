@@ -675,21 +675,17 @@ def recover_ftl(
     # Ascending order is deterministic; which open frontier served which
     # stream is volatile knowledge, and either assignment is valid.  In
     # dftl mode the translation frontier *is* identifiable by its stamp
-    # namespace; an open block whose every programmed page tore carries
-    # no namespace evidence, so the ascending fallback assigns it last.
+    # namespace; failing that, the highest open block holding no stamp
+    # at all (every programmed page tore) -- never one holding data, as a
+    # block holds one page class.
     active_trans = None
     if dftl and open_blocks:
         ppb = nand.geometry.pages_per_block
-        trans_stamped = [
-            b
+        stamps = {
+            b: nand.oob_lpn[b * ppb : b * ppb + int(nand.program_ptr[b])]
             for b in open_blocks
-            if bool(
-                (
-                    nand.oob_lpn[b * ppb : b * ppb + int(nand.program_ptr[b])]
-                    >= TRANS_LPN_BASE
-                ).any()
-            )
-        ]
+        }
+        trans_stamped = [b for b in open_blocks if (stamps[b] >= TRANS_LPN_BASE).any()]
         if len(trans_stamped) > 1:
             raise RecoveryError(
                 f"{len(trans_stamped)} open blocks carry translation stamps; "
@@ -698,7 +694,10 @@ def recover_ftl(
         if trans_stamped:
             active_trans = trans_stamped[0]
         elif len(open_blocks) == 3:
-            active_trans = open_blocks[-1]
+            unstamped = [b for b in open_blocks if (stamps[b] == OOB_UNSTAMPED).all()]
+            if not unstamped:
+                raise RecoveryError("3 open blocks all carry data stamps")
+            active_trans = unstamped[-1]
     data_open = [b for b in open_blocks if b != active_trans]
     active_user = data_open[0] if len(data_open) >= 1 else None
     active_gc = data_open[1] if len(data_open) >= 2 else None

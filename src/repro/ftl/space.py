@@ -401,10 +401,6 @@ class SpaceModel:
             raise ValueError(f"retired_pages must be >= 0, got {retired_pages}")
         return max(0, self.op_pages - retired_pages)
 
-    def effective_op_ratio(self, retired_pages: int) -> float:
-        """Degraded OP as a fraction of user capacity."""
-        return self.effective_op_pages(retired_pages) / self.user_pages
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<SpaceModel user={self.user_pages}p op={self.op_pages}p "

@@ -68,9 +68,6 @@ class WearAwareAllocator:
                 return block
         return None
 
-    def peek_count(self) -> int:
-        return len(self._members)
-
 
 class StaticWearLeveler:
     """Threshold-triggered static wear levelling.

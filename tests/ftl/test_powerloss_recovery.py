@@ -1,6 +1,8 @@
 """Tests for crash-consistent FTL recovery: the OOB scan, torn-page
 discard, newest-copy-wins mapping and layout re-discovery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,16 @@ def test_recovery_rejects_more_than_two_open_blocks():
         nand.program_page(block, 0, lpn=block, seq=block)
     with pytest.raises(RecoveryError):
         recover_ftl(nand, CONFIG)
+
+
+def test_dftl_recovery_rejects_three_open_blocks_all_holding_data():
+    # One of three open dftl blocks is the translation stream's: it holds
+    # translation stamps or only torn pages, never data.
+    nand = NandArray(GEOMETRY, TIMING)
+    for block in range(3):
+        nand.program_page(block, 0, lpn=block, seq=block)
+    with pytest.raises(RecoveryError, match="all carry data stamps"):
+        recover_ftl(nand, dataclasses.replace(CONFIG, mapping_mode="dftl"))
 
 
 def test_recovery_carries_grown_bad_blocks_as_retired():
