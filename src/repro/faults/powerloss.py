@@ -112,10 +112,7 @@ class PowerLossEmulator:
     timeline repeatedly across sequential recovery phases.
     """
 
-    def __init__(self, tear_frontiers: bool = True) -> None:
-        #: Tear the in-flight frontier page of each open write stream.
-        #: Disable to model a cut during a quiescent instant.
-        self.tear_frontiers = tear_frontiers
+    def __init__(self) -> None:
         self.cuts: List[PowerCut] = []
 
     def cut_power(self, host) -> PowerCut:
@@ -128,13 +125,12 @@ class PowerLossEmulator:
         ftl = host.ftl
         nand = ftl.nand
         cut = PowerCut(t_ns=host.sim.now)
-        if self.tear_frontiers:
-            # Every open write stream -- the translation frontier too in
-            # dftl mode -- exactly the set the crash sweep tears.
-            for frontier in ftl.frontiers:
-                page = nand.tear_frontier_page(frontier.block)
-                if page is not None:
-                    cut.torn.append((frontier.block, page))
+        # Every open write stream -- the translation frontier too in
+        # dftl mode -- exactly the set the crash sweep tears.
+        for frontier in ftl.frontiers:
+            page = nand.tear_frontier_page(frontier.block)
+            if page is not None:
+                cut.torn.append((frontier.block, page))
         cut.durable = nand.capture_durable_state()
         cut.events_dropped = host.sim.power_cut()
         if nand.tracer.enabled:
@@ -177,24 +173,3 @@ class PowerLossEmulator:
             )
         self.cuts.append(cut)
         return cut
-
-
-def cut_during_recovery(
-    durable: NandDurableState,
-    config,
-    seed: int = 0,
-    keep_pages: Optional[int] = None,
-):
-    """Nested-crash harness: recover from ``durable``, cut mid-checkpoint.
-
-    Runs a full recovery (with the post-recovery checkpoint enabled),
-    then emulates the rail dying while that checkpoint was programming:
-    the newest metadata record is torn to ``keep_pages`` pages (default:
-    half).  Returns ``(second_durable, first_report)`` -- the durable
-    image a *second* recovery must cope with, and the first recovery's
-    report.  ``config`` is duck-typed (needs ``recover_from``) to keep
-    this module import-light.
-    """
-    ftl, report = config.recover_from(durable, seed=seed, post_checkpoint=True)
-    ftl.nand.meta.tear_last(keep_pages=keep_pages)
-    return ftl.nand.capture_durable_state(), report

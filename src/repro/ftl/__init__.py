@@ -36,7 +36,6 @@ from repro.ftl.recovery import (
     RecoveryReport,
     recover_ftl,
     rediscover_layout,
-    scan_oob,
 )
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "RecoveryReport",
     "recover_ftl",
     "rediscover_layout",
-    "scan_oob",
 ]

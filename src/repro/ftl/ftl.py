@@ -222,13 +222,12 @@ class PageMappedFtl:
 
         #: Durable metadata (repro.ftl.metastore): write a mapping
         #: checkpoint when the configured policy says so (no interval =
-        #: never -- recovery falls back to the full OOB scan), and
-        #: journal unmap tombstones so TRIMs survive power loss.
+        #: never -- recovery rebuilds from an empty base), and journal
+        #: unmap tombstones so TRIMs survive power loss.
         #: Tombstones burn sequence numbers from the same counter as
         #: programs, giving programs and unmaps one total order that
         #: recovery replays newest-stamp-wins.  The policy object is
         #: stateful, hence one fresh instance per FTL.
-        self.journal_unmaps = config.journal_unmaps
         self.checkpoint_policy: Optional[CheckpointPolicy] = (
             make_checkpoint_policy(
                 config.checkpoint_policy, config.checkpoint_interval_pages
@@ -812,12 +811,12 @@ class PageMappedFtl:
         """TRIM logical pages; returns the journaling latency (ns).
 
         TRIM creates garbage without writes -- file deletion in the
-        Postmark/Filebench workloads reaches the FTL through here.  With
-        :attr:`journal_unmaps` on (the default) each freed LPN is
-        tombstoned in the durable unmap journal so the discard survives
-        power loss; the returned latency is the tombstone record's
-        metadata-page program time (zero when nothing was mapped).  A
-        command naming an LPN outside the logical space changes nothing.
+        Postmark/Filebench workloads reaches the FTL through here.  Each
+        freed LPN is tombstoned in the durable unmap journal so the
+        discard survives power loss; the returned latency is the
+        tombstone record's metadata-page program time (zero when nothing
+        was mapped).  A command naming an LPN outside the logical space
+        changes nothing.
         """
         freed = self.page_map.unmap_many(lpns)
         self.stats.pages_trimmed += len(freed)
@@ -885,7 +884,7 @@ class PageMappedFtl:
         and is itself outranked by any later re-write -- exactly the
         newest-stamp-wins order the recovery merge replays.
         """
-        if not self.journal_unmaps or not lpns:
+        if not lpns:
             return 0
         first = self._write_seq
         self._write_seq += len(lpns)

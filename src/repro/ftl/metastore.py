@@ -288,7 +288,7 @@ class MetaLog:
     at checkpoint time: the two newest complete checkpoint generations
     are retained (the newest may tear, so its predecessor must survive)
     plus every tombstone record still unresolved at the *oldest* kept
-    horizon.
+    horizon -- and until two complete generations exist, everything is.
     """
 
     def __init__(self, page_size: int) -> None:
@@ -356,30 +356,30 @@ class MetaLog:
         self._records[-1] = torn
         return torn
 
-    def compact(self, keep_generations: int = 2) -> int:
+    def compact(self) -> int:
         """Drop records made obsolete by newer complete checkpoints.
 
-        Retains the ``keep_generations`` newest *complete* checkpoints,
-        and every tombstone record whose newest entry is at or past the
-        oldest retained horizon (older tombstones are already folded
-        into every surviving checkpoint's L2P).  Torn records and
-        checkpoints older than the retained set are dropped.  With no
-        complete checkpoint, nothing is dropped.  Returns the number of
-        records removed.
+        Retains the two newest *complete* checkpoints, and every
+        tombstone record whose newest entry is at or past the older one's
+        horizon (older tombstones are already folded into both L2Ps).
+        Torn records and older checkpoints are dropped.  The newest
+        checkpoint may still tear -- compaction runs right after it is
+        appended, before it is programmed -- so a tombstone may only go
+        once a complete checkpoint *older* than the newest covers it:
+        with fewer than two complete checkpoints, nothing is dropped.
+        Returns the number of records removed.
         """
-        if keep_generations < 1:
-            raise ValueError("keep_generations must be >= 1")
         kept_horizons = []
         keep_ckpts = set()
         for record in reversed(self._records):
-            if record.kind != KIND_CHECKPOINT or len(kept_horizons) >= keep_generations:
+            if record.kind != KIND_CHECKPOINT or len(kept_horizons) >= 2:
                 continue
             image = record.parsed
             if image is None:
                 continue  # torn checkpoint: never worth keeping
             keep_ckpts.add(record.seq)
             kept_horizons.append(image.write_seq)
-        if not kept_horizons:
+        if len(kept_horizons) < 2:
             return 0
         oldest_horizon = min(kept_horizons)
         survivors = []

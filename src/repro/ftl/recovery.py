@@ -14,24 +14,28 @@ gone.  Everything needed to rebuild it survives on the media:
 * erase counts and the factory bad-block table live in flash metadata,
   as on a real drive.
 
-Power-on recovery proceeds checkpoint-first:
+Every power-on takes the same rebuild, over a *base image*:
 
 1. **Metadata read** -- every surviving metadata record is read (charged
    at tR per metadata page).  Torn records (power cut mid-program) fail
    their CRC and are discarded; a torn *checkpoint* falls back to the
-   previous complete generation, and with no complete checkpoint at all
-   the scan falls back to the PR-5 full-device sweep.
-2. **Tail scan** -- with a checkpoint of horizon ``H``: only pages
-   programmed past the checkpoint's per-block program pointers are
-   swept (blocks whose erase count moved since the snapshot are rescanned
-   whole -- they were erased, and possibly reprogrammed, after it).
-3. **Newest-stamp-wins merge** -- tail OOB stamps and journaled
-   tombstones with ``seq >= H`` are merged onto the checkpoint's L2P;
-   programs and unmaps burn sequence numbers from one shared counter, so
-   the highest stamp per LPN is its definitive fate (tombstone -> gone).
-   Stamps older than the horizon -- e.g. surfaced by rescanning a block
-   whose erase *failed* and left stale cells behind -- are already
-   adjudicated by the checkpoint and are ignored.
+   previous complete generation.  The newest complete checkpoint is the
+   base; with none at all the base is empty -- horizon 0, every L2P and
+   GTD entry unmapped, program pointers and erase counts zero.
+2. **Tail scan** -- with a base of horizon ``H``: only pages programmed
+   past its per-block program pointers are swept (blocks whose erase
+   count moved since the snapshot are rescanned whole -- they were
+   erased, and possibly reprogrammed, after it).  Over the empty base
+   the tail is every programmed page of every good block.
+3. **Newest-stamp-wins merge** -- per namespace (L2P, and in dftl mode
+   the GTD), tail OOB stamps and journaled tombstones with ``seq >= H``
+   are merged onto the base; programs and unmaps burn sequence numbers
+   from one shared counter, so the highest stamp per LPN is its
+   definitive fate (tombstone -> gone).  Stamps older than the horizon
+   -- e.g. surfaced by rescanning a block whose erase *failed* and left
+   stale cells behind -- are already adjudicated by the base and are
+   ignored.  Base entries left dangling at a page erased since the
+   snapshot are dropped.
 4. **Torn-page discard** -- a consumed page whose OOB is unstamped was
    interrupted mid-program; it holds no trustworthy data.
 5. **Layout re-discovery** -- ERASED blocks form the free pool, OPEN
@@ -134,10 +138,12 @@ class RecoveryReport:
 
     ``duration_ns`` models the power-on-ready cost: one tR read per
     surviving metadata page plus one tR OOB read per swept user page --
-    the checkpoint tail on the fast path, every programmed page on the
-    full-scan fallback.  ``post_checkpoint_ns`` (programs of the optional
-    post-recovery checkpoint) is kept separate: a drive is host-ready
-    before it, and writes it lazily afterwards.
+    the checkpoint's tail, or every programmed page when no checkpoint
+    survived (``full_scan``: the base was empty).  ``post_checkpoint_ns``
+    (programs of the optional post-recovery checkpoint) is kept separate:
+    a drive is host-ready before it, and writes it lazily afterwards.
+    ``stale_pages`` counts swept stamps that lost the merge: below the
+    horizon, or beaten by a newer stamp or tombstone of their key.
     """
 
     duration_ns: int = 0
@@ -153,11 +159,12 @@ class RecoveryReport:
     read_only: bool = False
     #: Metadata pages read (checkpoint + tombstone records).
     meta_pages_read: int = 0
-    #: True when no complete checkpoint bounded the scan.
+    #: True when no complete checkpoint survived (the base was empty).
     full_scan: bool = True
-    #: Generation of the checkpoint loaded (-1 on the full-scan path).
+    #: Generation of the checkpoint loaded (-1 when none survived).
     checkpoint_generation: int = -1
-    #: Journaled unmap entries that won the newest-stamp-wins merge.
+    #: Journaled unmap entries at or past the horizon that won the
+    #: newest-stamp-wins merge.
     tombstones_replayed: int = 0
     #: Torn/corrupt metadata records discarded (checkpoints + journals).
     torn_meta_records: int = 0
@@ -187,7 +194,10 @@ def _newest_per_key(keys: np.ndarray, seqs: np.ndarray) -> np.ndarray:
     ``keys.max() * len(keys)`` must fit 62 bits (any device whose page
     count fits 31 does).
     """
-    by_seq = np.argsort(seqs)
+    # A sweep yields stamps in PPN order, ascending within each block: a
+    # merge sort rides those runs (~4x the default's speed on a full
+    # device).
+    by_seq = np.argsort(seqs, kind="stable")
     bits = len(keys).bit_length()
     tags = keys[by_seq]
     tags <<= bits
@@ -200,56 +210,12 @@ def _newest_per_key(keys: np.ndarray, seqs: np.ndarray) -> np.ndarray:
     return by_seq[position[last]]
 
 
-def _split_stamps(
-    cand: np.ndarray,
-    lpns: np.ndarray,
-    seqs: np.ndarray,
-    user_pages: int,
-    trans_pages: int,
-    where: str,
-) -> Tuple[
-    Tuple[np.ndarray, np.ndarray, np.ndarray],
-    Tuple[np.ndarray, np.ndarray, np.ndarray],
-]:
-    """Partition OOB stamps into data and translation namespaces.
-
-    A stamped LPN at or above ``TRANS_LPN_BASE`` encodes the translation
-    page ``tvpn = lpn - TRANS_LPN_BASE``; anything else must be a data
-    LPN in ``[0, user_pages)``.  With ``trans_pages == 0`` (dram mapping
-    mode) a translation stamp is corruption.  Returns
-    ``((data_ppns, data_lpns, data_seqs), (trans_ppns, tvpns, trans_seqs))``.
-    """
-    is_trans = lpns >= TRANS_LPN_BASE
-    if is_trans.any() and trans_pages == 0:
-        raise RecoveryError(
-            f"{where} found a translation-page stamp but the mapping mode "
-            "keeps the full map in DRAM -- corrupt stamp or mode mismatch"
-        )
-    d_lpns = lpns[~is_trans]
-    if d_lpns.size and (int(d_lpns.min()) < 0 or int(d_lpns.max()) >= user_pages):
-        raise RecoveryError(
-            f"{where} found an LPN outside the logical space "
-            f"[0, {user_pages}) -- corrupt stamp"
-        )
-    tvpns = lpns[is_trans] - TRANS_LPN_BASE
-    if tvpns.size and int(tvpns.max()) >= trans_pages:
-        raise RecoveryError(
-            f"{where} found a translation stamp outside the directory "
-            f"[0, {trans_pages}) -- corrupt stamp"
-        )
-    return (
-        (cand[~is_trans], d_lpns, seqs[~is_trans]),
-        (cand[is_trans], tvpns, seqs[is_trans]),
-    )
-
-
 def _sweep(
     nand: NandArray,
     start: np.ndarray,
     end: np.ndarray,
     user_pages: int,
     trans_pages: int,
-    where: str,
 ) -> Tuple[
     int,
     np.ndarray,
@@ -258,10 +224,14 @@ def _sweep(
 ]:
     """Read the OOB of pages ``[start[b], end[b])`` of every block ``b``.
 
-    Returns ``(pages_scanned, torn_ppns, data_stamps, trans_stamps)``,
-    the stamps as :func:`_split_stamps` partitions them, everything in
-    ascending PPN order.  The page set is built from the runs themselves,
-    so the cost is that of the pages swept, not of the device.
+    Returns ``(pages_scanned, torn_ppns, (ppns, lpns, seqs), (ppns,
+    tvpns, seqs))``, everything in ascending PPN order.  The page set is
+    built from the runs themselves, so the cost is that of the pages
+    swept, not of the device.  A stamped LPN at or above
+    ``TRANS_LPN_BASE`` encodes the translation page ``tvpn = lpn -
+    TRANS_LPN_BASE``; anything else must be a data LPN in ``[0,
+    user_pages)``.  With ``trans_pages == 0`` (dram mapping mode) a
+    translation stamp is corruption.
     """
     counts = end - start
     first = np.arange(len(end), dtype=np.int64) * nand.geometry.pages_per_block + start
@@ -271,70 +241,32 @@ def _sweep(
     seqs = nand.oob_seq[pages]
     stamped = seqs != OOB_UNSTAMPED
     cand = pages[stamped]
-    data, trans = _split_stamps(
-        cand, nand.oob_lpn[cand], seqs[stamped], user_pages, trans_pages, where
+    seqs = seqs[stamped]
+    lpns = nand.oob_lpn[cand]
+    is_trans = lpns >= TRANS_LPN_BASE
+    if is_trans.any() and trans_pages == 0:
+        raise RecoveryError(
+            "OOB sweep found a translation-page stamp but the mapping mode "
+            "keeps the full map in DRAM -- corrupt stamp or mode mismatch"
+        )
+    d_lpns = lpns[~is_trans]
+    if d_lpns.size and (int(d_lpns.min()) < 0 or int(d_lpns.max()) >= user_pages):
+        raise RecoveryError(
+            "OOB sweep found an LPN outside the logical space "
+            f"[0, {user_pages}) -- corrupt stamp"
+        )
+    tvpns = lpns[is_trans] - TRANS_LPN_BASE
+    if tvpns.size and int(tvpns.max()) >= trans_pages:
+        raise RecoveryError(
+            "OOB sweep found a translation stamp outside the directory "
+            f"[0, {trans_pages}) -- corrupt stamp"
+        )
+    return (
+        int(pages.size),
+        pages[~stamped],
+        (cand[~is_trans], d_lpns, seqs[~is_trans]),
+        (cand[is_trans], tvpns, seqs[is_trans]),
     )
-    return int(pages.size), pages[~stamped], data, trans
-
-
-def scan_oob(
-    nand: NandArray, user_pages: int, trans_pages: int = 0
-) -> Tuple[np.ndarray, int, RecoveryReport]:
-    """Sweep every programmed page's OOB and rebuild the L2P table.
-
-    Returns ``(l2p, write_seq, report)`` where ``report`` carries the
-    scan-cost accounting (layout fields are filled by the caller).
-    Vectorized over the whole device: the per-page "is it programmed,
-    is it stamped, is it the newest copy of its LPN" decisions are a few
-    flat-array passes, not a Python loop.
-
-    With ``trans_pages > 0`` (dftl mapping mode) translation-page stamps
-    participate in their own newest-wins merge and the rebuilt GTD is
-    returned in ``report.gtd``.
-    """
-    ppb = nand.geometry.pages_per_block
-    # Page i of block b is programmed iff i < program_ptr[b]; bad blocks
-    # are skipped wholesale (their BBT entry says "do not trust").
-    programmed = np.where(nand.block_states == STATE_BAD, 0, nand.program_ptr)
-    pages_scanned, torn, (d_cand, d_lpns, d_seqs), (t_cand, tvpns, t_seqs) = _sweep(
-        nand, np.zeros_like(programmed), programmed, user_pages, trans_pages,
-        "OOB sweep",
-    )
-
-    l2p = np.full(user_pages, UNMAPPED, dtype=np.int64)
-    write_seq = 0
-    stale = 0
-    if d_cand.size:
-        newest = _newest_per_key(d_lpns, d_seqs)
-        l2p[d_lpns[newest]] = d_cand[newest]
-        stale = int(d_cand.size - newest.size)
-        write_seq = int(d_seqs.max()) + 1
-
-    gtd: Optional[np.ndarray] = None
-    trans_mapped = 0
-    if trans_pages:
-        gtd = np.full(trans_pages, UNMAPPED, dtype=np.int64)
-        if t_cand.size:
-            newest = _newest_per_key(tvpns, t_seqs)
-            gtd[tvpns[newest]] = t_cand[newest]
-            stale += int(t_cand.size - newest.size)
-            write_seq = max(write_seq, int(t_seqs.max()) + 1)
-        trans_mapped = int((gtd != UNMAPPED).sum())
-
-    report = RecoveryReport(
-        duration_ns=pages_scanned * nand.timing.read_ns,
-        pages_scanned=pages_scanned,
-        torn_pages=int(torn.size),
-        stale_pages=stale,
-        mapped_lpns=int((l2p != UNMAPPED).sum()),
-        write_seq=write_seq,
-        torn_addresses=[
-            (int(p) // ppb, int(p) % ppb) for p in torn[:64]
-        ],
-        gtd=gtd,
-        trans_pages_mapped=trans_mapped,
-    )
-    return l2p, write_seq, report
 
 
 @dataclass
@@ -354,8 +286,8 @@ def _load_metadata(nand: NandArray, user_pages: int) -> _DurableMetadata:
     """Read and parse the metadata log, newest complete checkpoint first.
 
     Torn records parse as ``None`` and are skipped; a torn checkpoint
-    counts as a fallback (an older complete generation, or the full
-    scan, takes over).  Tombstone vectors are concatenated across all
+    counts as a fallback (an older complete generation, or the empty
+    base, takes over).  Tombstone vectors are concatenated across all
     surviving journal records -- the merge orders them by stamp, so
     record boundaries carry no meaning.
     """
@@ -431,22 +363,111 @@ def _load_metadata(nand: NandArray, user_pages: int) -> _DurableMetadata:
     )
 
 
-def _checkpoint_recovery(
+def _merge_namespace(
     nand: NandArray,
-    ckpt: CheckpointImage,
+    base: Optional[np.ndarray],
+    size: int,
+    stamps: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    tombs: Tuple[np.ndarray, np.ndarray],
+    horizon: int,
+    oob_base: int,
+) -> Tuple[np.ndarray, int, int, int, int]:
+    """Rebuild one mapping table -- the L2P or the GTD -- over its base.
+
+    The swept ``stamps`` ``(ppns, keys, seqs)`` and the journaled
+    ``tombs`` ``(keys, seqs)`` at or past ``horizon`` are merged
+    newest-stamp-wins onto ``base`` (``None``: an empty base, ``size``
+    entries all ``UNMAPPED``).  Anything below the horizon is already
+    folded into the base -- replaying such a tombstone would unmap a key
+    whose newer (pre-snapshot) copy has no stamp in the tail.
+
+    Then dangling entries are dropped.  A base entry can point into a
+    block erased after the snapshot: the page was invalidated (overwrite
+    or TRIM) and the block collected, but the superseding event is not
+    durable -- e.g. its tombstone sat in a torn journal record.  It
+    dangles at an unprogrammed page (or at another key's data if the
+    block was reprogrammed), and no durable copy of that key is left, so
+    a surviving entry must land on a page stamped ``oob_base + key``.  A
+    merge winner always does, so an empty base needs no check.
+
+    Returns ``(table, mapped, stale, tombstones_replayed, next_seq)``:
+    ``mapped`` counts the table's entries, ``stale`` the swept stamps
+    that did not win, and ``next_seq`` is past every merged stamp and
+    tombstone (``horizon`` at least).
+    """
+    if base is None:
+        table = np.full(size, UNMAPPED, dtype=np.int64)
+    else:
+        table = base.copy()
+    ppns, keys, seqs = stamps
+    tomb_keys, tomb_seqs = tombs
+    stale = int(ppns.size)
+    if horizon:  # every stamp and tombstone is at or past a zero horizon
+        fresh = seqs >= horizon
+        ppns, keys, seqs = ppns[fresh], keys[fresh], seqs[fresh]
+        fresh = tomb_seqs >= horizon
+        tomb_keys, tomb_seqs = tomb_keys[fresh], tomb_seqs[fresh]
+    n_stamps = ppns.size
+    if tomb_keys.size:
+        keys = np.concatenate([keys, tomb_keys])
+        seqs = np.concatenate([seqs, tomb_seqs])
+        ppns = np.concatenate(
+            [ppns, np.full(tomb_keys.size, UNMAPPED, dtype=np.int64)]
+        )
+    replayed = 0
+    next_seq = horizon
+    if keys.size:
+        newest = _newest_per_key(keys, seqs)
+        table[keys[newest]] = ppns[newest]
+        replayed = int(np.count_nonzero(newest >= n_stamps))
+        stale -= newest.size - replayed
+        next_seq = max(horizon, int(seqs.max()) + 1)
+
+    if base is None:
+        mapped = int(np.count_nonzero(table != UNMAPPED))
+        return table, mapped, stale, replayed, next_seq
+    mapped = np.flatnonzero(table != UNMAPPED)
+    ppns = table[mapped]
+    dangling = nand.oob_seq[ppns] == OOB_UNSTAMPED
+    owner = nand.oob_lpn[ppns]
+    if oob_base:
+        owner -= oob_base
+    dangling |= owner != mapped
+    n_dangling = int(np.count_nonzero(dangling))
+    if n_dangling:
+        table[mapped[dangling]] = UNMAPPED
+    return table, int(mapped.size) - n_dangling, stale, replayed, next_seq
+
+
+def _rebuild(
+    nand: NandArray,
     meta: _DurableMetadata,
     user_pages: int,
     trans_pages: int = 0,
 ) -> Tuple[np.ndarray, int, RecoveryReport]:
-    """Rebuild the L2P (and GTD, in dftl mode) from a checkpoint plus
-    the log-tail merge."""
+    """Rebuild the L2P (and the GTD, in dftl mode) from the newest
+    complete checkpoint plus the log tail.
+
+    With no complete checkpoint the base is an empty image -- horizon 0,
+    every entry ``UNMAPPED``, program pointers and erase counts zero --
+    so the tail is every programmed page and every tombstone is fresh.
+    """
     ppb = nand.geometry.pages_per_block
-    horizon = ckpt.write_seq
+    ckpt = meta.checkpoint
+    if ckpt is None:
+        horizon, generation, l2p_base, gtd_base = 0, -1, None, None
+        base_ptr = np.zeros_like(nand.program_ptr)
+        base_erases = np.zeros_like(nand.endurance.erase_counts)
+    else:
+        horizon, generation, l2p_base, gtd_base = (
+            ckpt.write_seq, ckpt.generation, ckpt.l2p, ckpt.gtd
+        )
+        base_ptr, base_erases = ckpt.program_ptr, ckpt.erase_counts
 
     ptr_now = nand.program_ptr.astype(np.int64)
     bad = nand.block_states == STATE_BAD
-    erase_moved = nand.endurance.erase_counts.astype(np.int64) != ckpt.erase_counts
-    regressed = (~bad) & (~erase_moved) & (ptr_now < ckpt.program_ptr)
+    erase_moved = nand.endurance.erase_counts.astype(np.int64) != base_erases
+    regressed = (~bad) & (~erase_moved) & (ptr_now < base_ptr)
     if regressed.any():
         raise RecoveryError(
             f"block {int(np.flatnonzero(regressed)[0])} program pointer moved "
@@ -456,93 +477,37 @@ def _checkpoint_recovery(
     # Unerased blocks: only pages past the snapshot pointer are new.
     # Erased-since blocks: rescan whole (they may hold fresh data, or --
     # after a *failed* erase that bumped the counter but kept the cells
-    # -- stale stamps below the horizon, which the seq filter discards).
-    # Bad blocks are skipped wholesale.
+    # -- stale stamps below the horizon, which the merge discards).
+    # Bad blocks are skipped wholesale (their BBT entry says "do not
+    # trust").
     end = np.where(bad, 0, ptr_now)
-    start = np.minimum(np.where(erase_moved, 0, ckpt.program_ptr), end)
-    pages_scanned, torn, (cand, lpns, seqs), (t_cand, tvpns, t_seqs) = _sweep(
-        nand, start, end, user_pages, trans_pages, "tail scan"
+    start = np.minimum(np.where(erase_moved, 0, base_ptr), end)
+    pages_scanned, torn, data, trans = _sweep(
+        nand, start, end, user_pages, trans_pages
     )
-    fresh = seqs >= horizon
-    stale_trans = 0
-    if trans_pages:
-        t_fresh = t_seqs >= horizon
-        stale_trans = int((~t_fresh).sum())
-        t_cand, tvpns, t_seqs = t_cand[t_fresh], tvpns[t_fresh], t_seqs[t_fresh]
-    cand, lpns, seqs = cand[fresh], lpns[fresh], seqs[fresh]
+    l2p, mapped_lpns, stale, tombstones_replayed, write_seq = _merge_namespace(
+        nand, l2p_base, user_pages, data, (meta.tomb_lpns, meta.tomb_seqs),
+        horizon, 0,
+    )
+    del data  # device-sized over an empty base: release it before the GTD
 
-    # Tombstones below the horizon are already folded into the
-    # checkpoint's L2P; replaying one would wrongly unmap an LPN whose
-    # newer (pre-checkpoint) copy has no stamp in the tail.
-    tomb_keep = meta.tomb_seqs >= horizon
-    tomb_lpns = meta.tomb_lpns[tomb_keep]
-    tomb_seqs = meta.tomb_seqs[tomb_keep]
-
-    l2p = ckpt.l2p.copy()
-    stale = int((~fresh).sum()) + stale_trans
-    tombstones_replayed = 0
-    write_seq = horizon
-    if cand.size or tomb_lpns.size:
-        all_lpns = np.concatenate([lpns, tomb_lpns])
-        all_seqs = np.concatenate([seqs, tomb_seqs])
-        all_ppns = np.concatenate(
-            [cand, np.full(tomb_lpns.size, UNMAPPED, dtype=np.int64)]
-        )
-        newest = _newest_per_key(all_lpns, all_seqs)
-        l2p[all_lpns[newest]] = all_ppns[newest]
-        tombstones_replayed = int((newest >= cand.size).sum())
-        stale += int(cand.size - (newest.size - tombstones_replayed))
-        write_seq = max(write_seq, int(all_seqs.max()) + 1)
-
-    # A checkpoint entry can point into a block erased after the
-    # snapshot: the page was invalidated (overwrite or TRIM) and the
-    # block collected, but the superseding event is not durable -- e.g.
-    # its tombstone sat in a torn journal record.  No newer stamp
-    # re-bound the LPN above, so the entry dangles at an unprogrammed
-    # page (or at another LPN's data if the block was reprogrammed).
-    # There is no durable copy of that LPN left; drop the entry rather
-    # than resurrect a mapping into garbage.
-    mapped = np.flatnonzero(l2p != UNMAPPED)
-    mapped_lpns = int(mapped.size)
-    if mapped.size:
-        ppns = l2p[mapped]
-        dangling = (nand.oob_seq[ppns] == OOB_UNSTAMPED) | (
-            nand.oob_lpn[ppns] != mapped
-        )
-        if dangling.any():
-            l2p[mapped[dangling]] = UNMAPPED
-            mapped_lpns -= int(np.count_nonzero(dangling))
-
-    # GTD: checkpoint base (a CKP1 base means no translation page was
-    # ever flushed as of the snapshot), newest-wins merge of the tail's
-    # translation stamps, and the same dangling-entry drop as the L2P --
-    # a directory entry must land on a page stamped with its own tvpn.
+    # GTD: a CKP1 base (or none) means no translation page was ever
+    # flushed as of the snapshot.  Translation pages are never trimmed.
     gtd: Optional[np.ndarray] = None
     trans_mapped = 0
     if trans_pages:
-        if ckpt.gtd is not None:
-            if len(ckpt.gtd) != trans_pages:
-                raise RecoveryError(
-                    f"checkpoint GTD covers {len(ckpt.gtd)} translation "
-                    f"pages, device needs {trans_pages}"
-                )
-            gtd = ckpt.gtd.copy()
-        else:
-            gtd = np.full(trans_pages, UNMAPPED, dtype=np.int64)
-        if t_cand.size:
-            newest = _newest_per_key(tvpns, t_seqs)
-            gtd[tvpns[newest]] = t_cand[newest]
-            stale += int(t_cand.size - newest.size)
-            write_seq = max(write_seq, int(t_seqs.max()) + 1)
-        tv = np.flatnonzero(gtd != UNMAPPED)
-        if tv.size:
-            ppns = gtd[tv]
-            dangling = (nand.oob_seq[ppns] == OOB_UNSTAMPED) | (
-                nand.oob_lpn[ppns] != TRANS_LPN_BASE + tv
+        if gtd_base is not None and len(gtd_base) != trans_pages:
+            raise RecoveryError(
+                f"checkpoint GTD covers {len(gtd_base)} translation "
+                f"pages, device needs {trans_pages}"
             )
-            if dangling.any():
-                gtd[tv[dangling]] = UNMAPPED
-        trans_mapped = int((gtd != UNMAPPED).sum())
+        empty = np.empty(0, dtype=np.int64)
+        gtd, trans_mapped, trans_stale, _, trans_seq = _merge_namespace(
+            nand, gtd_base, trans_pages, trans, (empty, empty), horizon,
+            TRANS_LPN_BASE,
+        )
+        stale += trans_stale
+        write_seq = max(write_seq, trans_seq)
 
     report = RecoveryReport(
         duration_ns=(meta.meta_pages + pages_scanned) * nand.timing.read_ns,
@@ -552,8 +517,8 @@ def _checkpoint_recovery(
         mapped_lpns=mapped_lpns,
         write_seq=write_seq,
         meta_pages_read=meta.meta_pages,
-        full_scan=False,
-        checkpoint_generation=ckpt.generation,
+        full_scan=meta.checkpoint is None,
+        checkpoint_generation=generation,
         tombstones_replayed=tombstones_replayed,
         torn_meta_records=meta.torn_records,
         checkpoint_fallbacks=meta.checkpoint_fallbacks,
@@ -561,41 +526,6 @@ def _checkpoint_recovery(
         gtd=gtd,
         trans_pages_mapped=trans_mapped,
     )
-    return l2p, write_seq, report
-
-
-def _full_scan_recovery(
-    nand: NandArray,
-    meta: _DurableMetadata,
-    user_pages: int,
-    trans_pages: int = 0,
-) -> Tuple[np.ndarray, int, RecoveryReport]:
-    """PR-5 full OOB sweep, extended with tombstone replay.
-
-    With no usable checkpoint every journaled tombstone participates: a
-    tombstone beats a surviving stamp of its LPN iff it is newer (the
-    shared sequence counter makes the comparison exact).  Translation
-    pages are never tombstoned -- the sweep's newest-wins GTD stands.
-    """
-    l2p, write_seq, report = scan_oob(nand, user_pages, trans_pages)
-    if meta.tomb_lpns.size:
-        tomb_best = np.full(user_pages, OOB_UNSTAMPED, dtype=np.int64)
-        newest = _newest_per_key(meta.tomb_lpns, meta.tomb_seqs)
-        tomb_best[meta.tomb_lpns[newest]] = meta.tomb_seqs[newest]
-        mapped = l2p != UNMAPPED
-        newest_stamp = np.full(user_pages, OOB_UNSTAMPED, dtype=np.int64)
-        # l2p holds, per mapped LPN, the PPN of its newest stamped copy.
-        newest_stamp[mapped] = nand.oob_seq[l2p[mapped]]
-        killed = mapped & (tomb_best > newest_stamp)
-        l2p[killed] = UNMAPPED
-        report.tombstones_replayed = int(killed.sum())
-        report.mapped_lpns = int((l2p != UNMAPPED).sum())
-        write_seq = max(write_seq, int(meta.tomb_seqs.max()) + 1)
-    report.write_seq = write_seq
-    report.meta_pages_read = meta.meta_pages
-    report.torn_meta_records = meta.torn_records
-    report.checkpoint_fallbacks = meta.checkpoint_fallbacks
-    report.duration_ns += meta.meta_pages * nand.timing.read_ns
     return l2p, write_seq, report
 
 
@@ -656,14 +586,7 @@ def recover_ftl(
         entries_per_tpage = nand.geometry.page_size // 8
         trans_pages = -(-space.user_pages // entries_per_tpage)  # ceil
     meta = _load_metadata(nand, space.user_pages)
-    if meta.checkpoint is not None:
-        l2p, write_seq, report = _checkpoint_recovery(
-            nand, meta.checkpoint, meta, space.user_pages, trans_pages
-        )
-    else:
-        l2p, write_seq, report = _full_scan_recovery(
-            nand, meta, space.user_pages, trans_pages
-        )
+    l2p, write_seq, report = _rebuild(nand, meta, space.user_pages, trans_pages)
     free, open_blocks, closed, retired = rediscover_layout(nand)
 
     max_streams = 3 if dftl else 2

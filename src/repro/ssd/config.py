@@ -79,9 +79,6 @@ class SsdConfig:
     #: Write a durable mapping checkpoint every N host pages (None
     #: disables checkpointing; recovery then pays the full OOB scan).
     checkpoint_interval_pages: Optional[int] = None
-    #: Journal TRIM/data-loss unmaps as durable tombstones (the fix for
-    #: the pre-PR-6 resurrect-after-TRIM hole).  Off only for A/B tests.
-    journal_unmaps: bool = True
     #: Reserved metadata blocks backing the durable-metadata log; their
     #: wear and faults are modelled (:mod:`repro.nand.metaregion`).
     meta_blocks: int = 4

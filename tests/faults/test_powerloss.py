@@ -139,14 +139,6 @@ def test_dftl_cut_tears_the_translation_frontier_too_and_recovers():
     recovered.host_write_page(0)  # the recovered device serves writes
 
 
-def test_cut_without_tearing_models_quiescent_cut():
-    host = _small_host()
-    emulator = PowerLossEmulator(tear_frontiers=False)
-    cut = emulator.cut_power(host)
-    assert cut.torn == []
-    assert cut.durable.torn_pages == 0
-
-
 def test_resume_at_restores_the_timeline():
     host = _small_host()
     emulator = PowerLossEmulator()

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.crashsweep import verify_crash_point
-from repro.faults.powerloss import cut_during_recovery
+from repro.faults.powerloss import PowerLossEmulator
 from repro.ftl.metastore import parse_checkpoint
 from repro.ftl.recovery import recover_ftl
 from repro.nand.array import NandArray
@@ -34,11 +34,9 @@ TIMING = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_p
 CONFIG = SsdConfig(geometry=GEOMETRY, timing=TIMING, op_ratio=0.25)
 
 
-def make_ftl(checkpoint_interval=32, journal_unmaps=True):
+def make_ftl(checkpoint_interval=32):
     config = dataclasses.replace(
-        CONFIG,
-        checkpoint_interval_pages=checkpoint_interval,
-        journal_unmaps=journal_unmaps,
+        CONFIG, checkpoint_interval_pages=checkpoint_interval
     )
     ftl = config.build_ftl(nand=NandArray(GEOMETRY, TIMING))
     return ftl, ftl.space
@@ -157,18 +155,6 @@ def test_trim_then_rewrite_keeps_the_newer_copy():
     assert recovered.page_map.lookup(3) == ftl.page_map.lookup(3) is not None
 
 
-def test_unjournaled_trim_resurrects_after_crash():
-    # The documented pre-PR-6 behaviour, kept reachable for A/B runs:
-    # with the journal off, a crash undoes the discard.
-    ftl, space = make_ftl(journal_unmaps=False)
-    churn(ftl, space)
-    ftl.host_write_page(7)
-    assert ftl.trim([7]) == 0  # no journal record, no latency
-    assert ftl.page_map.lookup(7) is None
-    recovered, _ = recover(crash(ftl))
-    assert recovered.page_map.lookup(7) is not None  # resurrected
-
-
 # ----------------------------------------------------------------------
 # Torn metadata: fallback chain and re-entrant recovery
 # ----------------------------------------------------------------------
@@ -239,8 +225,10 @@ def test_post_checkpoint_recovery_is_reentrant():
     churn(ftl, space, trim_every=8)
     first_durable = crash(ftl).capture_durable_state()
 
-    second_durable, first_report = cut_during_recovery(first_durable, config)
+    first, first_report = config.recover_from(first_durable, post_checkpoint=True)
     assert first_report.post_checkpoint_ns > 0
+    cut = PowerLossEmulator().cut_recovery(first.nand, tear_checkpoint=True)
+    second_durable = cut.durable
     assert second_durable.meta[-1].torn
 
     final, report = config.recover_from(second_durable)
@@ -250,6 +238,23 @@ def test_post_checkpoint_recovery_is_reentrant():
         final.page_map.l2p_snapshot(), ftl.page_map.l2p_snapshot()
     )
     final.invariant_check()
+
+
+def test_a_torn_first_checkpoint_keeps_the_unmap_journal():
+    # With no checkpoint yet, the post-recovery checkpoint is the only
+    # complete one when the log compacts -- and it can still tear.  The
+    # tombstones below its horizon must survive until an older complete
+    # checkpoint covers them, or the next power-on resurrects the TRIMs.
+    ftl, space = make_ftl(checkpoint_interval=None)
+    churn(ftl, space, trim_every=5)
+    first, first_report = recover(crash(ftl), post_checkpoint=True)
+    assert first_report.full_scan and first_report.tombstones_replayed > 0
+    PowerLossEmulator().cut_recovery(first.nand, tear_checkpoint=True)
+    final, report = recover(first.nand)
+    assert report.full_scan and report.checkpoint_fallbacks == 1
+    assert np.array_equal(
+        final.page_map.l2p_snapshot(), ftl.page_map.l2p_snapshot()
+    )
 
 
 def test_post_checkpoint_cost_is_separate_from_power_on_ready():
@@ -336,8 +341,10 @@ def test_second_power_on_over_the_same_records_checks_no_crc(monkeypatch):
     _, first = recover_ftl(config.restore_nand(durable), config)
     # Each journal record once; the live log's own compaction had already
     # parsed the checkpoint record, and the image shares that record.
+    # The pre-checkpoint TRIM record survives: a lone checkpoint may still
+    # tear, so it covers nothing yet.
     journal = [record for record in durable.meta if record.kind == "unmap"]
-    assert len(journal) == 3
+    assert len(journal) == 4
     assert calls == [len(record.payload) - 4 for record in journal]
     del calls[:]
     _, second = recover_ftl(config.restore_nand(durable), config)

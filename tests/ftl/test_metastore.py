@@ -129,14 +129,14 @@ def test_tear_last_keep_pages_zero_still_occupies_a_page():
 def test_compact_keeps_two_generations_and_live_tombstones():
     log = MetaLog(PAGE)
     # gen1 @ H=100, tombstones straddling the horizons, gen2 @ H=200,
-    # gen3 @ H=300.  keep_generations=2 keeps gen2+gen3; the oldest kept
+    # gen3 @ H=300.  Compaction keeps gen2+gen3; the oldest kept
     # horizon is 200, so only tombstones with max seq >= 200 survive.
     log.append(KIND_CHECKPOINT, _checkpoint_payload(1, 100)[0], generation=1)
     log.append(KIND_UNMAP, build_tombstones([4], [150]))  # folded into gen2
     log.append(KIND_CHECKPOINT, _checkpoint_payload(2, 200)[0], generation=2)
     log.append(KIND_UNMAP, build_tombstones([5], [250]))  # still live
     log.append(KIND_CHECKPOINT, _checkpoint_payload(3, 300)[0], generation=3)
-    dropped = log.compact(keep_generations=2)
+    dropped = log.compact()
     assert dropped == 2
     kinds = [(r.kind, r.generation) for r in log.records]
     assert (KIND_CHECKPOINT, 1) not in kinds
@@ -150,7 +150,7 @@ def test_compact_never_counts_a_torn_checkpoint_as_kept():
     log.append(KIND_CHECKPOINT, _checkpoint_payload(2, 200)[0], generation=2)
     log.append(KIND_CHECKPOINT, _checkpoint_payload(3, 300)[0], generation=3)
     log.tear_last()
-    log.compact(keep_generations=2)
+    log.compact()
     # The torn gen3 is dropped, gens 1+2 are the two complete survivors.
     gens = [r.generation for r in log.records if r.kind == KIND_CHECKPOINT]
     assert gens == [1, 2]
@@ -163,8 +163,17 @@ def test_compact_without_a_complete_checkpoint_keeps_everything():
     log.tear_last()
     assert log.compact() == 0
     assert len(log.records) == 2
-    with pytest.raises(ValueError):
-        log.compact(keep_generations=0)
+
+
+def test_compact_keeps_tombstones_until_an_older_checkpoint_covers_them():
+    # The newest checkpoint may still tear: alone, it covers nothing.
+    log = MetaLog(PAGE)
+    log.append(KIND_UNMAP, build_tombstones([1], [10]))
+    log.append(KIND_CHECKPOINT, _checkpoint_payload(1, 50)[0], generation=1)
+    assert log.compact() == 0
+    log.append(KIND_CHECKPOINT, _checkpoint_payload(2, 60)[0], generation=2)
+    assert log.compact() == 1  # gen1 now covers the tombstone
+    assert [r.generation for r in log.records] == [1, 2]
 
 
 def test_capture_restore_round_trip():

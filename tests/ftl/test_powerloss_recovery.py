@@ -1,17 +1,17 @@
-"""Tests for crash-consistent FTL recovery: the OOB scan, torn-page
-discard, newest-copy-wins mapping and layout re-discovery."""
+"""Tests for crash-consistent FTL recovery: the OOB sweep of a device
+with no checkpoint, torn-page discard, newest-copy-wins mapping and
+layout re-discovery."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.ftl.mapping import UNMAPPED
+from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED
 from repro.ftl.recovery import (
     RecoveryError,
     recover_ftl,
     rediscover_layout,
-    scan_oob,
 )
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
@@ -42,16 +42,19 @@ def crashed_copy(ftl, tear=True):
 
 
 # ----------------------------------------------------------------------
-# scan_oob
+# The OOB sweep (no checkpoint: the whole device is the tail)
 # ----------------------------------------------------------------------
 def test_scan_rebuilds_map_and_charges_one_read_per_programmed_page():
     ftl = make_ftl()
     for lpn in range(10):
         ftl.host_write_page(lpn)
     nand = crashed_copy(ftl, tear=False)
-    l2p, write_seq, report = scan_oob(nand, ftl.space.user_pages)
-    assert np.array_equal(l2p, ftl.page_map.l2p_snapshot())
-    assert write_seq == ftl._write_seq
+    recovered, report = recover_ftl(nand, CONFIG)
+    assert report.full_scan
+    assert np.array_equal(
+        recovered.page_map.l2p_snapshot(), ftl.page_map.l2p_snapshot()
+    )
+    assert recovered._write_seq == report.write_seq == ftl._write_seq
     assert report.pages_scanned == 10
     assert report.duration_ns == 10 * TIMING.read_ns
     assert report.mapped_lpns == 10
@@ -65,9 +68,11 @@ def test_newest_copy_wins_over_stale_copies():
     for _ in range(3):  # re-write LPN 0: two stale copies on the media
         ftl.host_write_page(0)
     nand = crashed_copy(ftl, tear=False)
-    l2p, _, report = scan_oob(nand, ftl.space.user_pages)
+    recovered, report = recover_ftl(nand, CONFIG)
     assert report.stale_pages >= 2
-    assert np.array_equal(l2p, ftl.page_map.l2p_snapshot())
+    assert np.array_equal(
+        recovered.page_map.l2p_snapshot(), ftl.page_map.l2p_snapshot()
+    )
 
 
 def test_torn_pages_are_discarded_not_mapped():
@@ -75,10 +80,12 @@ def test_torn_pages_are_discarded_not_mapped():
     for lpn in range(5):
         ftl.host_write_page(lpn)
     nand = crashed_copy(ftl, tear=True)
-    l2p, _, report = scan_oob(nand, ftl.space.user_pages)
+    recovered, report = recover_ftl(nand, CONFIG)
     assert report.torn_pages >= 1
     assert report.torn_addresses
-    assert np.array_equal(l2p, ftl.page_map.l2p_snapshot())
+    assert np.array_equal(
+        recovered.page_map.l2p_snapshot(), ftl.page_map.l2p_snapshot()
+    )
 
 
 def test_corrupt_oob_stamp_is_rejected():
@@ -88,7 +95,25 @@ def test_corrupt_oob_stamp_is_rejected():
     programmed = np.flatnonzero(nand.oob_seq != -1)
     nand.oob_lpn[programmed[0]] = ftl.space.user_pages + 7
     with pytest.raises(RecoveryError):
-        scan_oob(nand, ftl.space.user_pages)
+        recover_ftl(nand, CONFIG)
+
+
+@pytest.mark.parametrize(
+    "mapping_mode, tvpn, message",
+    [
+        ("dram", 0, "keeps the full map in DRAM"),
+        ("dftl", 10**6, "outside the directory"),
+    ],
+    ids=["dram", "dftl"],
+)
+def test_a_translation_stamp_the_device_cannot_hold_is_rejected(
+    mapping_mode, tvpn, message
+):
+    nand = NandArray(GEOMETRY, TIMING)
+    nand.program_page(0, 0, lpn=TRANS_LPN_BASE + tvpn, seq=0)
+    config = dataclasses.replace(CONFIG, mapping_mode=mapping_mode)
+    with pytest.raises(RecoveryError, match=message):
+        recover_ftl(nand, config)
 
 
 def test_scan_skips_bad_blocks():
@@ -98,7 +123,8 @@ def test_scan_skips_bad_blocks():
     nand = crashed_copy(ftl, tear=False)
     victim_block = int(ftl.page_map.lookup(0)) // GEOMETRY.pages_per_block
     nand.mark_bad(victim_block)
-    l2p, _, _ = scan_oob(nand, ftl.space.user_pages)
+    recovered, _ = recover_ftl(nand, CONFIG)
+    l2p = recovered.page_map.l2p_snapshot()
     in_bad = ftl.page_map.l2p_snapshot() // GEOMETRY.pages_per_block == victim_block
     assert (l2p[in_bad[: len(l2p)]] == UNMAPPED).all()
 
@@ -208,6 +234,6 @@ def test_write_seq_monotonic_across_recovery():
     nand2 = NandArray.from_durable(
         GEOMETRY, recovered.nand.capture_durable_state(), timing=TIMING
     )
-    l2p, write_seq, _ = scan_oob(nand2, ftl.space.user_pages)
-    assert l2p[3] == new_ppn
-    assert write_seq == seq_before + 1
+    again, _ = recover_ftl(nand2, CONFIG)
+    assert again.page_map.lookup(3) == new_ppn
+    assert again._write_seq == seq_before + 1

@@ -1,7 +1,7 @@
 """Property-based recovery tests (hypothesis).
 
-The vectorized recovery scan (:func:`repro.ftl.recovery.scan_oob`) is
-checked against an independent pure-Python oracle that reconstructs the
+The vectorized recovery rebuild (:func:`repro.ftl.recovery.recover_ftl`)
+is checked against an independent pure-Python oracle that reconstructs the
 mapping straight from the durable OOB columns, page by page.  For random
 workload seeds and random crash points the recovered FTL must agree with
 the oracle on every page-level fact: mapped LPNs, per-block valid
@@ -29,12 +29,7 @@ from repro.ftl.metastore import (
     build_checkpoint,
     build_tombstones,
 )
-from repro.ftl.recovery import (
-    _checkpoint_recovery,
-    _full_scan_recovery,
-    _load_metadata,
-    recover_ftl,
-)
+from repro.ftl.recovery import _load_metadata, _rebuild, recover_ftl
 from repro.nand.array import OOB_UNSTAMPED, STATE_FULL, NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NandTiming
@@ -210,9 +205,9 @@ def test_recovery_never_exceeds_durable_horizon(
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_newest_stamp_wins_merges_equal_a_per_key_dict(data):
-    """Both merges -- checkpoint base + tail, and full sweep + tombstone
-    replay -- against the obvious oracle: a dict keeping, per key, the
-    event with the highest stamp.
+    """The one rebuild -- over an empty base (no checkpoint) and over a
+    checkpoint at a drawn horizon -- against the obvious oracle: a dict
+    keeping, per key, the event with the highest stamp.
 
     The image is fabricated, not run: random ``(lpn, seq, ppn)`` stamps
     (several per LPN, and up to a dozen on the one translation page, so
@@ -272,21 +267,31 @@ def test_newest_stamp_wins_merges_equal_a_per_key_dict(data):
         return l2p, gtd, newest
 
     want_l2p, want_gtd, newest = oracle()
-    stamped_keys = {key for _seq, key, ppn in events if ppn != UNMAPPED}
     n_stamps = n_events - len(tombs)
 
-    # Full sweep, then tombstone replay.
-    meta = _load_metadata(nand, user_pages)
-    l2p, write_seq, report = _full_scan_recovery(nand, meta, user_pages, trans_pages)
-    assert np.array_equal(l2p, want_l2p)
-    assert np.array_equal(report.gtd, want_gtd)
-    assert write_seq == report.write_seq == n_events
-    assert report.stale_pages == n_stamps - len(stamped_keys)
-    assert report.torn_pages == GEOMETRY.total_pages - n_stamps
-    assert report.tombstones_replayed == sum(
-        1 for key, (_seq, ppn) in newest.items()
-        if ppn == UNMAPPED and key in stamped_keys
-    )
+    def check(horizon, generation):
+        meta = _load_metadata(nand, user_pages)
+        l2p, write_seq, report = _rebuild(nand, meta, user_pages, trans_pages)
+        assert report.checkpoint_generation == generation
+        assert report.full_scan == (generation == -1)
+        assert np.array_equal(l2p, want_l2p)
+        assert np.array_equal(report.gtd, want_gtd)
+        assert write_seq == report.write_seq == max(horizon, n_events)
+        assert report.pages_scanned == GEOMETRY.total_pages
+        assert report.torn_pages == GEOMETRY.total_pages - n_stamps
+        # One definition on both runs: a tombstone is replayed when it is
+        # at or past the horizon and the newest event of its key; a swept
+        # stamp is stale unless it is that.
+        winners = [
+            ppn for seq, key, ppn in events
+            if seq >= horizon and newest[key][0] == seq
+        ]
+        replayed = sum(1 for ppn in winners if ppn == UNMAPPED)
+        assert report.tombstones_replayed == replayed
+        assert report.stale_pages == n_stamps - (len(winners) - replayed)
+
+    # No checkpoint: an empty base at horizon 0, the whole device the tail.
+    check(0, -1)
 
     # Checkpoint at H + the tail (here: the whole device) merged onto it.
     base_l2p, base_gtd, _ = oracle(upto=horizon)
@@ -298,21 +303,4 @@ def test_newest_stamp_wins_merges_equal_a_per_key_dict(data):
         ),
         generation=1,
     )
-    meta = _load_metadata(nand, user_pages)
-    l2p, write_seq, report = _checkpoint_recovery(
-        nand, meta.checkpoint, meta, user_pages, trans_pages
-    )
-    assert not report.full_scan
-    assert np.array_equal(l2p, want_l2p)
-    assert np.array_equal(report.gtd, want_gtd)
-    assert write_seq == max(horizon, n_events)
-    assert report.pages_scanned == GEOMETRY.total_pages
-    fresh = [(seq, key, ppn) for seq, key, ppn in events if seq >= horizon]
-    assert report.tombstones_replayed == sum(
-        1 for seq, key, ppn in fresh
-        if ppn == UNMAPPED and newest[key][0] == seq
-    )
-    fresh_stamp_winners = sum(
-        1 for seq, key, ppn in fresh if ppn != UNMAPPED and newest[key][0] == seq
-    )
-    assert report.stale_pages == n_stamps - fresh_stamp_winners
+    check(horizon, 1)
