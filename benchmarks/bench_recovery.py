@@ -54,7 +54,7 @@ else:
 import numpy as np
 
 from repro.ftl.recovery import recover_ftl
-from repro.nand.array import NandArray
+from repro.nand.array import NandArray, NandDurableState
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NAND_20NM_MLC
 from repro.ssd.config import SsdConfig
@@ -67,22 +67,26 @@ SCALE = {
 }
 
 
-def _churned_image(params: dict, checkpoint_interval=None) -> NandArray:
-    """A crash image of a device that has lived: full map, stale copies,
-    torn frontiers (and, when ``checkpoint_interval`` is set, a durable
-    metadata log of periodic checkpoints)."""
+def _config(params: dict, checkpoint_interval=None) -> SsdConfig:
     geometry = NandGeometry(
         page_size=4096,
         pages_per_block=params["pages_per_block"],
         blocks_per_plane=params["blocks"],
     )
-    config = SsdConfig(
+    return SsdConfig(
         geometry=geometry,
         timing=NAND_20NM_MLC,
         op_ratio=0.12,
         checkpoint_interval_pages=checkpoint_interval,
     )
-    ftl = config.build_ftl(nand=NandArray(geometry, NAND_20NM_MLC))
+
+
+def _churned_image(params: dict, checkpoint_interval=None) -> NandDurableState:
+    """A crash image of a device that has lived: full map, stale copies,
+    torn frontiers (and, when ``checkpoint_interval`` is set, a durable
+    metadata log of periodic checkpoints)."""
+    config = _config(params, checkpoint_interval)
+    ftl = config.build_ftl(nand=NandArray(config.geometry, NAND_20NM_MLC))
     space = ftl.space
     rng = np.random.default_rng(7)
     for lpn in range(space.user_pages):
@@ -95,26 +99,21 @@ def _churned_image(params: dict, checkpoint_interval=None) -> NandArray:
         # tail scan must cover a representative half-interval of churn.
         for lpn in rng.integers(0, space.user_pages // 4, checkpoint_interval // 2):
             ftl.host_write_page(int(lpn))
-    crashed = NandArray.from_durable(
-        geometry, ftl.nand.capture_durable_state(), timing=NAND_20NM_MLC
-    )
+    # The rail dies here: the frontiers' in-flight programs tear.
     for block in (ftl.active_user_block, ftl.active_gc_block):
         if block is not None:
-            crashed.tear_frontier_page(block)
-    return crashed
+            ftl.nand.tear_frontier_page(block)
+    return ftl.nand.capture_durable_state()
 
 
 def bench_recovery_scan(quick: bool) -> dict:
     params = SCALE["quick" if quick else "full"]
-    image = _churned_image(params)
-    config = SsdConfig(geometry=image.geometry, timing=NAND_20NM_MLC, op_ratio=0.12)
-    durable = image.capture_durable_state()
+    durable = _churned_image(params)
+    config = _config(params)
 
     walls = []
     for _ in range(params["rounds"]):
-        nand = NandArray.from_durable(
-            image.geometry, durable, timing=NAND_20NM_MLC
-        )
+        nand = config.restore_nand(durable)
         start = time.perf_counter()
         ftl, report = recover_ftl(nand, config)
         walls.append(time.perf_counter() - start)
@@ -134,28 +133,25 @@ def bench_recovery_scan(quick: bool) -> dict:
 def bench_recovery_tail_scan(quick: bool) -> dict:
     """Checkpointed power-on vs the full scan, on the same crash image."""
     params = SCALE["quick" if quick else "full"]
-    geometry = NandGeometry(
-        page_size=4096,
-        pages_per_block=params["pages_per_block"],
-        blocks_per_plane=params["blocks"],
-    )
-    config = SsdConfig(geometry=geometry, timing=NAND_20NM_MLC, op_ratio=0.12)
+    config = _config(params)
     # One checkpoint per 1/32nd of the device's user pages; the churn
     # then continues half an interval past the last checkpoint, so the
     # tail scan covers a representative mid-interval crash.
     interval = max(1, config.space_model().user_pages // 32)
-    image = _churned_image(params, checkpoint_interval=interval)
-    durable = image.capture_durable_state()
-    stripped = dataclasses.replace(durable, meta=())
+    durable = _churned_image(params, checkpoint_interval=interval)
+    # Drop the records; the reserved blocks keep their wear.
+    stripped = dataclasses.replace(
+        durable, meta=dataclasses.replace(durable.meta, records=())
+    )
 
     ckpt_walls, full_walls = [], []
     for _ in range(params["rounds"]):
-        nand = NandArray.from_durable(geometry, durable, timing=NAND_20NM_MLC)
+        nand = config.restore_nand(durable)
         start = time.perf_counter()
         ftl, ckpt_report = recover_ftl(nand, config)
         ckpt_walls.append(time.perf_counter() - start)
 
-        nand = NandArray.from_durable(geometry, stripped, timing=NAND_20NM_MLC)
+        nand = config.restore_nand(stripped)
         start = time.perf_counter()
         ftl_full, full_report = recover_ftl(nand, config)
         full_walls.append(time.perf_counter() - start)

@@ -476,9 +476,3 @@ class JitGcPolicy(GcPolicy):
     def on_block_collected(self, device: SsdDevice, freed_pages: int) -> None:
         self._quota_pages = max(0, self._quota_pages - max(0, freed_pages))
 
-    # ------------------------------------------------------------------
-    def sip_filter_stats(self) -> tuple:
-        """(selections, filtered) from the SIP selector, for Table 3."""
-        if self._selector is None:
-            return (0, 0)
-        return (self._selector.total_selections, self._selector.total_filtered)

@@ -50,11 +50,6 @@ class Fig2Result:
         values = [m.iops for m in self.raw[workload].values()]
         return max(values) / max(min(values), 1e-12)
 
-    def waf_spread(self, workload: str) -> float:
-        """max/min WAF over the sweep (paper: up to ~2x)."""
-        values = [m.waf for m in self.raw[workload].values()]
-        return max(values) / max(min(values), 1e-12)
-
     def format(self) -> str:
         """Both panels as text tables."""
         headers = ["Benchmark"] + [f"{k:g}OP" for k in self.reserve_points]

@@ -37,13 +37,6 @@ class Table1Result:
     def direct_pct(self, workload: str) -> float:
         return 100.0 - self.buffered_pct[workload]
 
-    def max_deviation_pct(self) -> float:
-        """Largest |measured - paper| buffered percentage."""
-        return max(
-            abs(self.buffered_pct[w] - PAPER_BUFFERED_PCT[w])
-            for w in self.buffered_pct
-        )
-
     def format(self) -> str:
         rows: List[List[object]] = []
         for workload, measured in self.buffered_pct.items():

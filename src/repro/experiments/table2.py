@@ -45,12 +45,6 @@ class Table2Result:
 
     accuracy_pct: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
-    def jit_beats_adp(self, workload: str) -> bool:
-        return (
-            self.accuracy_pct["JIT-GC"][workload]
-            >= self.accuracy_pct["ADP-GC"][workload]
-        )
-
     def format(self) -> str:
         workloads = list(next(iter(self.accuracy_pct.values())).keys())
         rows: List[List[object]] = []

@@ -62,16 +62,20 @@ class IntervalCheckpointPolicy(CheckpointPolicy):
         if interval_pages < 1:
             raise ValueError(f"interval_pages must be >= 1, got {interval_pages}")
         self.interval_pages = interval_pages
+        self._pages_at_last_ckpt = 0
 
     def should_checkpoint(self, ftl: "PageMappedFtl") -> bool:
         return (
-            ftl.stats.host_pages_written - ftl._pages_at_last_ckpt
+            ftl.stats.host_pages_written - self._pages_at_last_ckpt
             >= self.interval_pages
         )
 
     def pages_until_due(self, ftl: "PageMappedFtl") -> int:
-        since = ftl.stats.host_pages_written - ftl._pages_at_last_ckpt
+        since = ftl.stats.host_pages_written - self._pages_at_last_ckpt
         return max(1, self.interval_pages - since)
+
+    def note_checkpoint(self, ftl: "PageMappedFtl") -> None:
+        self._pages_at_last_ckpt = ftl.stats.host_pages_written
 
 
 class AdaptiveCheckpointPolicy(CheckpointPolicy):

@@ -54,6 +54,7 @@ from repro.ftl.victim import GreedySelector, VictimSelector
 from repro.ftl.wear import StaticWearLeveler, WearAwareAllocator
 from repro.nand.array import NandArray
 from repro.nand.errors import BatchFaultPending, ProgramFailError
+from repro.nand.metaregion import MetaProgramOutcome
 from repro.obs.audit import (
     CheckpointRecord,
     DISABLED_AUDIT,
@@ -239,7 +240,6 @@ class PageMappedFtl:
         #: across power cycles: recovery restores the max generation seen
         #: in the metadata log, torn records included).
         self._ckpt_generation = 0
-        self._pages_at_last_ckpt = 0
 
         #: LPNs the host reported as soon-to-be-invalidated (paper's SIP list).
         self.sip_lpns: Set[int] = set()
@@ -817,7 +817,16 @@ class PageMappedFtl:
         tombstone record's metadata-page program time (zero when nothing
         was mapped).  A command naming an LPN outside the logical space
         changes nothing.
+
+        Raises:
+            DeviceReadOnlyError: the metadata blocks are worn out, so the
+                unmap could not be journaled (nothing is touched).
         """
+        if self.nand.meta.exhausted:
+            raise DeviceReadOnlyError(
+                "TRIM rejected: the metadata blocks are worn out, "
+                "so the unmap cannot be journaled"
+            )
         freed = self.page_map.unmap_many(lpns)
         self.stats.pages_trimmed += len(freed)
         latency = self._journal_tombstones(freed)
@@ -834,19 +843,16 @@ class PageMappedFtl:
     # ------------------------------------------------------------------
     # Durable metadata (checkpoints + unmap journal)
     # ------------------------------------------------------------------
-    def _meta_program(self, pages: int) -> int:
-        """Physically program ``pages`` metadata pages; returns ns latency.
+    def _note_meta(self, outcome: MetaProgramOutcome) -> int:
+        """Account one metadata append; returns its NAND latency (ns).
 
-        The logical append (:meth:`MetaLog.append <repro.ftl.metastore.MetaLog.append>`)
-        already happened; this routes its pages through the reserved-block
-        wear/fault model (:meth:`~repro.nand.array.NandArray.meta_program`),
-        so checkpoint and tombstone traffic ages the metadata ring, pays
-        for its wrap-around erases and program-fail retries, and -- when
-        every reserved block is retired -- drives the device read-only: a
-        controller that cannot persist its mapping must stop accepting
-        writes.
+        The log has already programmed the record through its reserved
+        blocks (:meth:`MetaLog.append <repro.ftl.metastore.MetaLog.append>`)
+        and torn it if they ran out; this adds the counts to the stats
+        and -- when every reserved block is retired -- drives the device
+        read-only: a controller that cannot persist its mapping must stop
+        accepting writes.
         """
-        outcome = self.nand.meta_program(pages)
         stats = self.stats
         stats.meta_pages_written += outcome.pages_programmed
         stats.meta_block_erases += outcome.erases
@@ -862,16 +868,9 @@ class PageMappedFtl:
                 program_faults=outcome.program_faults,
                 erase_faults=outcome.erase_faults,
                 blocks_retired=outcome.blocks_retired,
-                live_blocks=self.nand.meta_region.live_blocks(),
+                live_blocks=self.nand.meta.ring.live_blocks(),
             )
         if outcome.exhausted and not self.read_only:
-            if outcome.pages_programmed < pages:
-                # The logical append preceded this program, so the
-                # record's tail never reached NAND: mark it torn, or
-                # recovery would trust a checkpoint generation that was
-                # never durably complete.  The previous complete
-                # generation (kept by compaction) takes over.
-                self.nand.meta.tear_last(keep_pages=outcome.pages_programmed)
             self._enter_read_only()
         return outcome.latency_ns
 
@@ -889,9 +888,8 @@ class PageMappedFtl:
         first = self._write_seq
         self._write_seq += len(lpns)
         payload = build_tombstones(lpns, range(first, first + len(lpns)))
-        record = self.nand.meta.append(KIND_UNMAP, payload)
         self.stats.tombstones_journaled += len(lpns)
-        return self._meta_program(record.pages)
+        return self._note_meta(self.nand.meta.append(KIND_UNMAP, payload))
 
     def _maybe_checkpoint(self) -> int:
         """Write a mapping checkpoint when the policy says so."""
@@ -921,9 +919,7 @@ class PageMappedFtl:
             self._ppb,
             gtd=self.page_map.gtd_view() if self._dftl else None,
         )
-        record = self.nand.meta.append_checkpoint(payload, generation)
-        self.nand.meta.compact()
-        self._pages_at_last_ckpt = self.stats.host_pages_written
+        outcome = self.nand.meta.append_checkpoint(payload, generation)
         if self.checkpoint_policy is not None:
             self.checkpoint_policy.note_checkpoint(self)
         if self._dftl:
@@ -931,13 +927,14 @@ class PageMappedFtl:
             # entries stop being writeback debt at this instant.
             self.page_map.cmt_flush_all()
         self.stats.checkpoints_written += 1
-        latency = self._meta_program(record.pages)
+        latency = self._note_meta(outcome)
+        meta_pages = outcome.record.pages
         if self.audit.enabled:
             self.audit.record_checkpoint(
                 CheckpointRecord(
                     t_ns=self.media.clock(),
                     generation=generation,
-                    meta_pages=record.pages,
+                    meta_pages=meta_pages,
                     horizon_seq=self._write_seq,
                     trigger=trigger,
                 )
@@ -947,7 +944,7 @@ class PageMappedFtl:
                 "ftl",
                 "ftl.checkpoint",
                 generation=generation,
-                meta_pages=record.pages,
+                meta_pages=meta_pages,
                 horizon_seq=self._write_seq,
                 trigger=trigger,
             )

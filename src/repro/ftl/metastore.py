@@ -18,11 +18,15 @@ plane that fixes both:
   counter as page programs, so programs and unmaps form one total order
   and recovery replays them newest-stamp-wins.
 
-Records live in a small dedicated metadata region attached to
-:class:`repro.nand.array.NandArray` -- physically separate from the
-user-addressable blocks (real drives reserve root/metadata blocks the
-same way), so user-capacity accounting, GC and the free pool are
-untouched.  Every record is self-describing (magic + element counts),
+Records live in a small ring of reserved metadata blocks
+(:class:`~repro.nand.metaregion.MetaRegion`) -- physically separate
+from the user-addressable blocks (real drives reserve root/metadata
+blocks the same way), so user-capacity accounting, GC and the free pool
+are untouched.  :class:`MetaLog` is the one owner of that durable state:
+one :meth:`~MetaLog.append` adds a record, programs its pages through
+the ring and prices them at the array's timings; a record the ring
+cannot land in full (every reserved block retired) is torn on the spot.
+Every record is self-describing (magic + element counts),
 CRC-checksummed and, for checkpoints, generation-stamped; a record cut
 mid-write parses as *torn* and is ignored, which is exactly the
 fallback-to-previous-generation behaviour re-entrant recovery needs.
@@ -37,6 +41,9 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from repro.nand.metaregion import MetaProgramOutcome, MetaRegion, RingWear
+from repro.nand.timing import NandTiming
 
 #: Record kinds stored in the metadata log.
 KIND_CHECKPOINT = "checkpoint"
@@ -83,7 +90,7 @@ class MetaRecord:
         A :class:`CheckpointImage`, a tombstone ``(lpns, seqs)`` pair, or
         ``None`` when the record is torn.  Records are immutable and
         shared by reference between the live log, :meth:`MetaLog.capture`
-        and :meth:`MetaLog.restore`, so every power-on over the same
+        and :meth:`MetaLog.load`, so every power-on over the same
         image reuses the parse; :meth:`MetaLog.tear_last` builds a *new*
         record, which therefore never inherits one.  The arrays are
         read-only views of ``payload``.
@@ -278,60 +285,99 @@ def parse_tombstones(payload: bytes) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return lpns, seqs
 
 
-class MetaLog:
-    """The NAND-resident metadata log.
+@dataclass(frozen=True)
+class MetaImage:
+    """The log as it survives a power cut: its records and the ring's
+    wear, captured and loaded as one immutable value."""
 
-    An ordered append-only sequence of :class:`MetaRecord`; writes are
-    charged by the FTL at ``pages * program_ns`` and reads at
-    ``pages * read_ns`` during recovery, so metadata traffic shows up in
-    simulated time exactly like user traffic.  The log compacts itself
-    at checkpoint time: the two newest complete checkpoint generations
-    are retained (the newest may tear, so its predecessor must survive)
-    plus every tombstone record still unresolved at the *oldest* kept
-    horizon -- and until two complete generations exist, everything is.
+    records: Tuple[MetaRecord, ...]
+    ring: RingWear
+
+
+class MetaLog:
+    """The NAND-resident metadata log and the reserved blocks it lives in.
+
+    An ordered append-only sequence of :class:`MetaRecord`.  Each
+    :meth:`append` programs the record's pages through ``ring`` and
+    prices the NAND work -- payload programs, status-failed retries and
+    ring-wrap erases -- at ``timing``; recovery charges reads at
+    ``pages * read_ns``, so metadata traffic shows up in simulated time
+    exactly like user traffic.  The log compacts itself at checkpoint
+    time: the two newest complete checkpoint generations are retained
+    (the newest may tear, so its predecessor must survive) plus every
+    tombstone record still unresolved at the *oldest* kept horizon --
+    and until two complete generations exist, everything is.
     """
 
-    def __init__(self, page_size: int) -> None:
+    def __init__(self, page_size: int, ring: MetaRegion, timing: NandTiming) -> None:
         if page_size <= 0:
             raise ValueError(f"page_size must be positive, got {page_size}")
         self.page_size = page_size
+        #: The reserved blocks every record is programmed into.
+        self.ring = ring
+        self._program_ns = timing.program_ns
+        self._erase_ns = timing.erase_ns
         self._records: List[MetaRecord] = []
         self._next_seq = 0
-        #: Lifetime metadata pages programmed (compaction never lowers it).
-        self.pages_written = 0
 
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    def append(self, kind: str, payload: bytes, generation: int = 0) -> MetaRecord:
-        """Durably append one record; returns it (with its page cost)."""
+    def append(
+        self, kind: str, payload: bytes, generation: int = 0
+    ) -> MetaProgramOutcome:
+        """Append one record and program it; returns the ring's accounting.
+
+        The outcome carries the NAND time spent, the fault and
+        retirement counts and the record as it stands on NAND -- torn,
+        keeping only the pages that landed, when the ring ran out.
+        """
+        return self._program(self._add(kind, payload, generation))
+
+    def append_checkpoint(self, payload: bytes, generation: int) -> MetaProgramOutcome:
+        """:meth:`append` a checkpoint :func:`build_checkpoint` just built.
+
+        The log compacts between the append and the program, so only
+        generations older than this record's predecessor are gone when
+        its pages are spent (and may tear).  The record's :attr:`~MetaRecord.parsed` is read
+        straight off the layout: the CRC was computed over these very
+        bytes at build, and checking it again would re-read the whole
+        table.  A payload of any other origin goes through :meth:`append`,
+        whose parse checks it.
+        """
+        record = self._add(KIND_CHECKPOINT, payload, generation)
+        # Seeds the cached_property, exactly as a first read would.
+        record.__dict__["parsed"] = _unpack_checkpoint(payload)
+        self.compact()
+        return self._program(record)
+
+    def _add(self, kind: str, payload: bytes, generation: int) -> MetaRecord:
         if kind not in (KIND_CHECKPOINT, KIND_UNMAP):
             raise ValueError(f"unknown metadata record kind {kind!r}")
-        pages = max(1, -(-len(payload) // self.page_size))
         record = MetaRecord(
             kind=kind,
             seq=self._next_seq,
             generation=generation,
             payload=payload,
-            pages=pages,
+            pages=max(1, -(-len(payload) // self.page_size)),
         )
         self._next_seq += 1
         self._records.append(record)
-        self.pages_written += pages
         return record
 
-    def append_checkpoint(self, payload: bytes, generation: int) -> MetaRecord:
-        """:meth:`append` a checkpoint :func:`build_checkpoint` just built.
-
-        The record's :attr:`~MetaRecord.parsed` is read straight off the
-        layout: the CRC was computed over these very bytes at build, and
-        checking it again would re-read the whole table.  A payload of any
-        other origin goes through :meth:`append`, whose parse checks it.
-        """
-        record = self.append(KIND_CHECKPOINT, payload, generation=generation)
-        # Seeds the cached_property, exactly as a first read would.
-        record.__dict__["parsed"] = _unpack_checkpoint(payload)
-        return record
+    def _program(self, record: MetaRecord) -> MetaProgramOutcome:
+        """Program the newest record's pages through the ring and price
+        them; tear it when the ring could not land every page."""
+        outcome = self.ring.program(record.pages)
+        outcome.latency_ns = (
+            (outcome.pages_programmed + outcome.program_faults) * self._program_ns
+            + (outcome.erases + outcome.erase_faults) * self._erase_ns
+        )
+        if outcome.pages_programmed < record.pages:
+            # The tail never reached NAND: recovery must not trust it.
+            record = self.tear_last(keep_pages=outcome.pages_programmed)
+        outcome.record = record
+        return outcome
 
     def tear_last(self, keep_pages: Optional[int] = None) -> Optional[MetaRecord]:
         """Emulate power loss mid-way through the newest record's program.
@@ -363,8 +409,8 @@ class MetaLog:
         tombstone record whose newest entry is at or past the older one's
         horizon (older tombstones are already folded into both L2Ps).
         Torn records and older checkpoints are dropped.  The newest
-        checkpoint may still tear -- compaction runs right after it is
-        appended, before it is programmed -- so a tombstone may only go
+        checkpoint may still tear -- :meth:`append_checkpoint` compacts
+        before it programs -- so a tombstone may only go
         once a complete checkpoint *older* than the newest covers it:
         with fewer than two complete checkpoints, nothing is dropped.
         Returns the number of records removed.
@@ -407,19 +453,21 @@ class MetaLog:
         """Metadata pages a recovery scan must read (post-compaction)."""
         return sum(record.pages for record in self._records)
 
-    def capture(self) -> Tuple[MetaRecord, ...]:
-        """Immutable snapshot for :class:`NandDurableState`."""
-        return tuple(self._records)
+    @property
+    def exhausted(self) -> bool:
+        """The ring has no block left: no further record can land."""
+        return self.ring.exhausted
 
-    @classmethod
-    def restore(
-        cls, records: Sequence[MetaRecord], page_size: int
-    ) -> "MetaLog":
-        log = cls(page_size)
-        log._records = list(records)
-        log._next_seq = max((r.seq for r in records), default=-1) + 1
-        log.pages_written = sum(r.pages for r in records)
-        return log
+    def capture(self) -> MetaImage:
+        """The durable image: records plus ring wear, deep-copied."""
+        return MetaImage(tuple(self._records), self.ring.capture())
+
+    def load(self, image: MetaImage) -> None:
+        """Power on over a captured image: its records and ring wear
+        replace this (fresh) log's."""
+        self._records = list(image.records)
+        self._next_seq = max((r.seq for r in image.records), default=-1) + 1
+        self.ring.load(image.ring)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         ckpts = sum(1 for r in self._records if r.kind == KIND_CHECKPOINT)
@@ -429,16 +477,3 @@ class MetaLog:
         )
 
 
-__all__ = [
-    "KIND_CHECKPOINT",
-    "KIND_UNMAP",
-    "MAGIC_CHECKPOINT",
-    "MAGIC_CHECKPOINT2",
-    "MetaRecord",
-    "CheckpointImage",
-    "MetaLog",
-    "build_checkpoint",
-    "parse_checkpoint",
-    "build_tombstones",
-    "parse_tombstones",
-]

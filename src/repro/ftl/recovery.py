@@ -292,7 +292,6 @@ def _load_metadata(nand: NandArray, user_pages: int) -> _DurableMetadata:
     record boundaries carry no meaning.
     """
     records = nand.meta.records
-    meta_pages = sum(record.pages for record in records)
     torn_records = 0
     fallbacks = 0
     max_generation = 0
@@ -356,7 +355,7 @@ def _load_metadata(nand: NandArray, user_pages: int) -> _DurableMetadata:
         checkpoint=checkpoint,
         tomb_lpns=tomb_lpns,
         tomb_seqs=np.concatenate(seq_parts) if seq_parts else empty,
-        meta_pages=meta_pages,
+        meta_pages=nand.meta.pages_held(),
         torn_records=torn_records,
         checkpoint_fallbacks=fallbacks,
         max_generation=max_generation,

@@ -22,7 +22,6 @@ _LAZY = {
     "LATENCY_PERCENTILES": ("repro.metrics.collector", "LATENCY_PERCENTILES"),
     "MetricsCollector": ("repro.metrics.collector", "MetricsCollector"),
     "RunMetrics": ("repro.metrics.collector", "RunMetrics"),
-    "TimelineSampler": ("repro.metrics.timeline", "TimelineSampler"),
 }
 
 
@@ -44,7 +43,6 @@ __all__ = [
     "LATENCY_PERCENTILES",
     "MetricsCollector",
     "RunMetrics",
-    "TimelineSampler",
     "merge_wire_histograms",
     "nearest_rank",
 ]

@@ -44,9 +44,10 @@ from repro.nand.errors import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
+    from repro.ftl.metastore import MetaImage
     from repro.nand.reliability import ReadDisturbTracker
 from repro.nand.geometry import NandGeometry
-from repro.nand.metaregion import MetaProgramOutcome, MetaRegion
+from repro.nand.metaregion import MetaRegion
 from repro.nand.timing import NAND_20NM_MLC, NandTiming
 from repro.obs.tracer import NULL_TRACER
 
@@ -79,10 +80,13 @@ class NandDurableState:
     This is the media image the recovery scan works from: per-block
     physical state and program pointers, per-block erase counts (real
     drives keep wear counters in flash metadata), the bad-block table
-    (factory marks distinguished from grown marks, as in a real BBT) and
-    the per-page OOB columns.  Volatile controller state -- operation
+    (factory marks distinguished from grown marks, as in a real BBT),
+    the per-page OOB columns, the per-block retention clock and the
+    durable-metadata log.  Volatile controller state -- operation
     counters, the fault injector's RNG position, tracers -- is
-    deliberately absent: it dies with the power rail.
+    deliberately absent: it dies with the power rail.  Only
+    :meth:`NandArray.capture_durable_state` builds one, and
+    :meth:`NandArray.load_durable_state` is its inverse.
     """
 
     block_states: np.ndarray
@@ -95,25 +99,16 @@ class NandDurableState:
     torn_pages: int
     factory_bad_blocks: int
     grown_bad_blocks: int
-    #: Snapshot of the NAND-resident metadata log (checkpoints + unmap
-    #: journal, see :mod:`repro.ftl.metastore`).  Records are immutable,
-    #: so a tuple of them is already a deep copy.  Defaults to an empty
-    #: log for images captured before durable metadata existed.
-    meta: tuple = ()
-    #: Wear snapshot of the reserved metadata blocks
-    #: (:meth:`~repro.nand.metaregion.MetaRegion.capture`).  ``None`` for
-    #: images captured before metadata wear accounting existed -- restore
-    #: then starts the region fresh, like a drive whose BBT predates the
-    #: firmware feature.
-    meta_wear: Optional[dict] = None
+    #: The NAND-resident metadata log as one value: its records
+    #: (checkpoints + unmap journal) and the wear of the reserved blocks
+    #: they live in (:class:`~repro.ftl.metastore.MetaImage`).
+    meta: "MetaImage"
     #: Per-block retention clock: sim time (ns) of each block's most
     #: recent program, the age base the reliability model's retention
     #: term works from.  Charge leaks whether the rail is up or not, so
     #: unlike the read-disturb counters (volatile DRAM state, reset at
-    #: power-on) this vector *does* ride the durable image.  ``None``
-    #: for images captured before the retention clock existed -- restore
-    #: then treats all data as just-written.
-    last_program_ns: Optional[np.ndarray] = None
+    #: power-on) this vector *does* ride the durable image.
+    last_program_ns: np.ndarray
 
 
 class NandArray:
@@ -199,22 +194,22 @@ class NandArray:
         # import cycle (ftl.ftl imports this module).
         from repro.ftl.metastore import MetaLog
 
-        #: NAND-resident metadata region (mapping checkpoints + unmap
-        #: journal).  Modelled as reserved metadata blocks *outside* the
-        #: user-addressable pool, so user capacity, the free pool and GC
-        #: accounting are unaffected; programs/reads against it are
-        #: charged by the FTL at the array's page timings.
-        self.meta = MetaLog(geometry.page_size)
-
-        #: Physical wear model of the reserved blocks backing ``meta``:
-        #: a small erase ring that ages (and can fail) under checkpoint
-        #: and tombstone traffic.  Shares the endurance rating and fault
-        #: injector with the user blocks; see :meth:`meta_program`.
-        self.meta_region = MetaRegion(
-            meta_blocks,
-            geometry.pages_per_block,
-            pe_cycle_limit=self.endurance.pe_cycle_limit,
-            fault_injector=fault_injector,
+        #: NAND-resident metadata log (mapping checkpoints + unmap
+        #: journal) and the ring of reserved blocks *outside* the
+        #: user-addressable pool it programs into, so user capacity, the
+        #: free pool and GC accounting are unaffected.  The ring ages
+        #: (and can fail) under checkpoint and tombstone traffic; it
+        #: shares the endurance rating and fault injector with the user
+        #: blocks, and the log prices its work at this array's timings.
+        self.meta = MetaLog(
+            geometry.page_size,
+            MetaRegion(
+                meta_blocks,
+                geometry.pages_per_block,
+                pe_cycle_limit=self.endurance.pe_cycle_limit,
+                fault_injector=fault_injector,
+            ),
+            timing,
         )
 
         self.read_disturb = read_disturb
@@ -387,25 +382,6 @@ class NandArray:
             self.block_states[block] = STATE_ERASED
         return self._erase_ns
 
-    def meta_program(self, pages: int) -> MetaProgramOutcome:
-        """Program ``pages`` metadata pages into the reserved region.
-
-        Routes durable-metadata appends (checkpoints, unmap-journal
-        tombstones) through the :class:`~repro.nand.metaregion.MetaRegion`
-        wear/fault model and prices the resulting NAND work -- payload
-        programs, status-failed retries and ring-wrap erases -- at this
-        array's timings.  The returned outcome carries ``latency_ns``
-        plus the fault/retirement accounting; ``outcome.exhausted`` means
-        the region has no usable block left and the caller must stop
-        accepting writes.
-        """
-        outcome = self.meta_region.program(pages)
-        outcome.latency_ns = (
-            (outcome.pages_programmed + outcome.program_faults) * self._program_ns
-            + (outcome.erases + outcome.erase_faults) * self._erase_ns
-        )
-        return outcome
-
     def mark_bad(self, block: int) -> None:
         """Retire ``block`` as a grown bad block (program/erase failure).
 
@@ -466,70 +442,32 @@ class NandArray:
             factory_bad_blocks=self.factory_bad_blocks,
             grown_bad_blocks=self.grown_bad_blocks,
             meta=self.meta.capture(),
-            meta_wear=self.meta_region.capture(),
             last_program_ns=self.last_program_ns.copy(),
         )
 
-    @classmethod
-    def from_durable(
-        cls,
-        geometry: NandGeometry,
-        state: NandDurableState,
-        timing: NandTiming = NAND_20NM_MLC,
-        pe_cycle_limit: Optional[int] = 3000,
-        fault_injector: Optional["FaultInjector"] = None,
-        read_disturb: Optional["ReadDisturbTracker"] = None,
-        meta_blocks: int = 4,
-    ) -> "NandArray":
-        """Build an array from a post-power-cut media image.
+    def load_durable_state(self, state: NandDurableState) -> None:
+        """Power this freshly built array on over a captured media image.
 
-        The durable arrays are copied in (the snapshot stays reusable);
-        volatile operation counters start at zero, mirroring a controller
-        that just powered on.  ``pe_cycle_limit`` must match the original
-        device's endurance limit (None disables wear-out, as in
-        :class:`~repro.nand.endurance.EnduranceModel`) for wear-out
-        behaviour to continue correctly.
+        The array must be built as first boot builds it (same geometry,
+        endurance rating and metadata ring); the durable arrays are
+        copied in, so the image stays reusable, while volatile operation
+        counters stay at zero -- a controller that just powered on.  The
+        read-disturb counters are volatile too: the caller builds the
+        array with a *fresh* tracker, exactly like a real power-on.
         """
-        endurance = EnduranceModel(
-            geometry.total_blocks, pe_cycle_limit=pe_cycle_limit
-        )
-        nand = cls(
-            geometry,
-            timing=timing,
-            endurance=endurance,
-            read_disturb=read_disturb,
-            fault_injector=fault_injector,
-            meta_blocks=meta_blocks,
-        )
-        nand.block_states[:] = state.block_states
-        nand.program_ptr[:] = state.program_ptr
-        nand._bad[:] = state.bad
-        nand._factory_bad[:] = state.factory_bad
-        nand.oob_lpn[:] = state.oob_lpn
-        nand.oob_seq[:] = state.oob_seq
-        nand.torn_pages = state.torn_pages
-        nand.factory_bad_blocks = state.factory_bad_blocks
-        nand.grown_bad_blocks = state.grown_bad_blocks
-        endurance.erase_counts[:] = state.erase_counts
-        endurance.total_erases = int(state.erase_counts.sum())
-        from repro.ftl.metastore import MetaLog  # local: import cycle
-
-        nand.meta = MetaLog.restore(state.meta, geometry.page_size)
-        if state.last_program_ns is not None:
-            # Retention survives the power cut (cells leak regardless of
-            # the rail); the read-disturb counters deliberately do NOT --
-            # they are volatile controller DRAM, so the caller passes a
-            # *fresh* tracker and the count restarts at zero, exactly
-            # like a real power-on.
-            nand.last_program_ns[:] = state.last_program_ns
-        if state.meta_wear is not None:
-            nand.meta_region = MetaRegion.restore(
-                state.meta_wear,
-                geometry.pages_per_block,
-                pe_cycle_limit=pe_cycle_limit,
-                fault_injector=fault_injector,
-            )
-        return nand
+        self.block_states[:] = state.block_states
+        self.program_ptr[:] = state.program_ptr
+        self._bad[:] = state.bad
+        self._factory_bad[:] = state.factory_bad
+        self.oob_lpn[:] = state.oob_lpn
+        self.oob_seq[:] = state.oob_seq
+        self.torn_pages = state.torn_pages
+        self.factory_bad_blocks = state.factory_bad_blocks
+        self.grown_bad_blocks = state.grown_bad_blocks
+        self.endurance.erase_counts[:] = state.erase_counts
+        self.endurance.total_erases = int(state.erase_counts.sum())
+        self.last_program_ns[:] = state.last_program_ns
+        self.meta.load(state.meta)
 
     # ------------------------------------------------------------------
     # Batched operations (GC migration fast path)

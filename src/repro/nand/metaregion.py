@@ -1,37 +1,45 @@
 """Physical wear model of the reserved metadata region.
 
-The logical durable-metadata log (:mod:`repro.ftl.metastore`) records
-*what* survives a power cut; this module models *where it lives*: a
-small ring of NAND blocks reserved outside the user-addressable space,
-exactly like the metadata blocks of a real controller.  Checkpoint and
-tombstone programs advance a ring frontier; wrapping onto a previously
-written block erases it first, so metadata traffic ages the reserved
-blocks through the same endurance arithmetic user blocks see, and -- with
-a fault profile armed -- its programs and erases can fail like user
-operations (drawn from the injector's dedicated "meta" stream so user
-fault sequences stay untouched).
+The durable-metadata log (:mod:`repro.ftl.metastore`) records *what*
+survives a power cut; this module models *where it lives*: a small ring
+of NAND blocks reserved outside the user-addressable space, exactly like
+the metadata blocks of a real controller.  The log owns the ring and
+programs every record's pages through it.  Programs advance a ring
+frontier; wrapping onto a previously written block erases it first, so
+metadata traffic ages the reserved blocks through the same endurance
+arithmetic user blocks see, and -- with a fault profile armed -- its
+programs and erases can fail like user operations (drawn from the
+injector's dedicated "meta" stream so user fault sequences stay
+untouched).
 
 The ring is deliberately simpler than the user-space FTL: records are
 compacted logically by :meth:`~repro.ftl.metastore.MetaLog.compact`
 (old checkpoint generations dropped), so physically the ring only ever
 needs to reclaim whole blocks in write order -- no per-page validity
 tracking.  A block whose erase fails, or that reaches the P/E limit, is
-retired; when every reserved block is retired the region is *exhausted*
-and the FTL must stop writing durable metadata (it goes read-only: a
-device that can no longer persist its mapping cannot accept writes).
+retired; when every reserved block is retired the region is *exhausted*:
+the log tears any record it cannot land in full, and the FTL goes
+read-only (a device that can no longer persist its mapping cannot accept
+writes or TRIMs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - the log lives in the ftl package
+    from repro.ftl.metastore import MetaRecord
 
 
 @dataclass
 class MetaProgramOutcome:
     """Accounting for one metadata append routed through the region.
+
+    :meth:`MetaRegion.program` fills the counts; the log's append adds
+    the price and the record as it stands on NAND.
 
     Attributes:
         pages_programmed: payload pages successfully programmed.
@@ -50,9 +58,24 @@ class MetaProgramOutcome:
     erase_faults: int = 0
     blocks_retired: int = 0
     exhausted: bool = False
-    #: Total NAND time consumed, filled in by :meth:`NandArray.meta_program`
-    #: (programs -- successful and status-failed -- plus erase attempts).
+    #: Total NAND time consumed (programs -- successful and status-failed
+    #: -- plus erase attempts), priced by the log at the array's timings.
     latency_ns: int = 0
+    #: The appended record: torn, holding only the pages that landed,
+    #: when the ring ran out mid-record.
+    record: Optional["MetaRecord"] = None
+
+
+@dataclass(frozen=True)
+class RingWear:
+    """Immutable wear snapshot of a :class:`MetaRegion` (its half of the
+    log's durable image); equal snapshots compare equal."""
+
+    erase_counts: Tuple[int, ...]
+    retired: Tuple[bool, ...]
+    written: Tuple[bool, ...]
+    block: int
+    page: int
 
 
 class MetaRegion:
@@ -89,13 +112,6 @@ class MetaRegion:
         self._block = 0
         self._page = 0
 
-        #: Monotonic counters (mirrored into FtlStats by the FTL).
-        self.pages_programmed = 0
-        self.program_faults = 0
-        self.block_erases = 0
-        self.erase_faults = 0
-        self.blocks_retired = 0
-
     # ------------------------------------------------------------------
     @property
     def exhausted(self) -> bool:
@@ -111,7 +127,6 @@ class MetaRegion:
     # ------------------------------------------------------------------
     def _retire(self, block: int, outcome: MetaProgramOutcome) -> None:
         self.retired[block] = True
-        self.blocks_retired += 1
         outcome.blocks_retired += 1
 
     def _roll_frontier(self, outcome: MetaProgramOutcome) -> bool:
@@ -132,12 +147,10 @@ class MetaRegion:
                 # A failed erase still stresses the cells (matches the
                 # user path); with no spare pool to retry into, retire.
                 self.erase_counts[block] += 1
-                self.erase_faults += 1
                 outcome.erase_faults += 1
                 self._retire(block, outcome)
                 continue
             self.erase_counts[block] += 1
-            self.block_erases += 1
             outcome.erases += 1
             self._written[block] = False
             if (
@@ -155,8 +168,8 @@ class MetaRegion:
         Mirrors the user-path failure semantics: a status-failed program
         consumes its page and the payload page is rewritten on the next
         one; an erase failure or wear-out retires the block.  Returns
-        the accounting the FTL turns into latency, stats and -- on
-        ``exhausted`` -- the read-only transition.
+        the accounting the log prices and the FTL turns into stats and
+        -- on ``exhausted`` -- the read-only transition.
         """
         outcome = MetaProgramOutcome()
         if pages <= 0:
@@ -180,10 +193,8 @@ class MetaRegion:
             if injector is not None and injector.meta_program_fails(
                 block, page, int(self.erase_counts[block])
             ):
-                self.program_faults += 1
                 outcome.program_faults += 1
                 continue  # page wasted; payload page retries on the next
-            self.pages_programmed += 1
             outcome.pages_programmed += 1
             remaining -= 1
         return outcome
@@ -191,36 +202,22 @@ class MetaRegion:
     # ------------------------------------------------------------------
     # Durability (captured with the NAND media image)
     # ------------------------------------------------------------------
-    def capture(self) -> dict:
-        """Deep-copied wear state for :class:`NandDurableState`."""
-        return {
-            "erase_counts": self.erase_counts.copy(),
-            "retired": self.retired.copy(),
-            "written": self._written.copy(),
-            "block": self._block,
-            "page": self._page,
-        }
-
-    @classmethod
-    def restore(
-        cls,
-        state: dict,
-        pages_per_block: int,
-        pe_cycle_limit: Optional[int] = None,
-        fault_injector=None,
-    ) -> "MetaRegion":
-        region = cls(
-            blocks=len(state["erase_counts"]),
-            pages_per_block=pages_per_block,
-            pe_cycle_limit=pe_cycle_limit,
-            fault_injector=fault_injector,
+    def capture(self) -> RingWear:
+        return RingWear(
+            tuple(self.erase_counts.tolist()),
+            tuple(self.retired.tolist()),
+            tuple(self._written.tolist()),
+            self._block,
+            self._page,
         )
-        region.erase_counts[:] = state["erase_counts"]
-        region.retired[:] = state["retired"]
-        region._written[:] = state["written"]
-        region._block = int(state["block"])
-        region._page = int(state["page"])
-        return region
+
+    def load(self, wear: RingWear) -> None:
+        """Copy a :meth:`capture` back into this ring (same block count)."""
+        self.erase_counts[:] = wear.erase_counts
+        self.retired[:] = wear.retired
+        self._written[:] = wear.written
+        self._block = wear.block
+        self._page = wear.page
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -193,9 +193,6 @@ class MetricsRegistry:
             instrument = self._series[name] = TimeSeries(name)
         return instrument
 
-    def has_series(self, name: str) -> bool:
-        return name in self._series
-
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------

@@ -200,13 +200,17 @@ class SsdConfig:
         return FaultInjector(profile, seed=seed) if profile.enabled else None
 
     def build_nand(self, seed: int = 0) -> NandArray:
+        """A first-boot array; ``seed`` seeds its fault injector."""
+        return self._nand(self.build_injector(seed))
+
+    def _nand(self, fault_injector: Optional[FaultInjector]) -> NandArray:
         endurance = EnduranceModel(self.geometry.total_blocks, self.pe_cycle_limit)
         return NandArray(
             self.geometry,
             self.timing,
             endurance,
             read_disturb=self.build_read_disturb(),
-            fault_injector=self.build_injector(seed),
+            fault_injector=fault_injector,
             meta_blocks=self.meta_blocks,
         )
 
@@ -218,20 +222,16 @@ class SsdConfig:
         """Power this device's array back on from a captured media image.
 
         The one place a post-power-cut array is built (live SPO recovery
-        and both crash-sweep recoveries use it).  Power-on disturb-reset
-        semantics: the read-disturb tracker is rebuilt zeroed (volatile
-        DRAM died with the rail) while the retention clock rides the
-        durable image itself -- charge leaks with the rail down too.
+        and both crash-sweep recoveries use it): the array first boot
+        builds, with the caller's ``fault_injector``, loaded with
+        ``durable``.  Power-on disturb-reset semantics: the read-disturb
+        tracker is rebuilt zeroed (volatile DRAM died with the rail)
+        while the retention clock rides the durable image itself --
+        charge leaks with the rail down too.
         """
-        return NandArray.from_durable(
-            self.geometry,
-            durable,
-            timing=self.timing,
-            pe_cycle_limit=self.pe_cycle_limit,
-            fault_injector=fault_injector,
-            read_disturb=self.build_read_disturb(),
-            meta_blocks=self.meta_blocks,
-        )
+        nand = self._nand(fault_injector)
+        nand.load_durable_state(durable)
+        return nand
 
     def build_ftl(
         self,

@@ -56,8 +56,7 @@ def churn(ftl, space, writes=260, seed=4, trim_every=0):
 
 def crash(ftl):
     """Power-cut image: durable state only, frontier pages torn."""
-    durable = ftl.nand.capture_durable_state()
-    crashed = NandArray.from_durable(GEOMETRY, durable, timing=TIMING)
+    crashed = CONFIG.restore_nand(ftl.nand.capture_durable_state())
     for block in (ftl.active_user_block, ftl.active_gc_block):
         if block is not None:
             crashed.tear_frontier_page(block)
@@ -65,9 +64,7 @@ def crash(ftl):
 
 
 def recover(image, **kwargs):
-    nand = NandArray.from_durable(
-        GEOMETRY, image.capture_durable_state(), timing=TIMING
-    )
+    nand = CONFIG.restore_nand(image.capture_durable_state())
     return recover_ftl(nand, CONFIG, **kwargs)
 
 
@@ -88,8 +85,12 @@ def test_tail_scan_equals_full_scan_for_less_reading():
     assert tail.checkpoint_generation == ftl._ckpt_generation
     assert tail.meta_pages_read > 0
 
-    stripped = dataclasses.replace(image.capture_durable_state(), meta=())
-    bare = NandArray.from_durable(GEOMETRY, stripped, timing=TIMING)
+    durable = image.capture_durable_state()
+    # Drop the records; the reserved blocks keep their wear.
+    stripped = dataclasses.replace(
+        durable, meta=dataclasses.replace(durable.meta, records=())
+    )
+    bare = CONFIG.restore_nand(stripped)
     full_ftl, full = recover_ftl(bare, CONFIG)
     assert full.full_scan
 
@@ -229,7 +230,7 @@ def test_post_checkpoint_recovery_is_reentrant():
     assert first_report.post_checkpoint_ns > 0
     cut = PowerLossEmulator().cut_recovery(first.nand, tear_checkpoint=True)
     second_durable = cut.durable
-    assert second_durable.meta[-1].torn
+    assert second_durable.meta.records[-1].torn
 
     final, report = config.recover_from(second_durable)
     assert report.torn_meta_records >= 1
@@ -282,7 +283,7 @@ def test_checkpoint_and_journal_stats():
     assert ftl.stats.meta_pages_written >= ftl.stats.checkpoints_written
     # Compaction keeps the on-NAND region bounded: far fewer pages held
     # than were ever written.
-    assert ftl.nand.meta.pages_held() < ftl.nand.meta.pages_written
+    assert ftl.nand.meta.pages_held() < ftl.stats.meta_pages_written
 
 
 def test_interval_must_be_positive():
@@ -343,7 +344,7 @@ def test_second_power_on_over_the_same_records_checks_no_crc(monkeypatch):
     # parsed the checkpoint record, and the image shares that record.
     # The pre-checkpoint TRIM record survives: a lone checkpoint may still
     # tear, so it covers nothing yet.
-    journal = [record for record in durable.meta if record.kind == "unmap"]
+    journal = [record for record in durable.meta.records if record.kind == "unmap"]
     assert len(journal) == 4
     assert calls == [len(record.payload) - 4 for record in journal]
     del calls[:]

@@ -545,9 +545,6 @@ def test_a_faulted_dftl_run_equals_the_per_page_reference(monkeypatch):
     image, ref_image = (f.nand.capture_durable_state() for f in (ftl, ref))
     for field in dataclasses.fields(image):
         mine, theirs = getattr(image, field.name), getattr(ref_image, field.name)
-        if field.name == "meta_wear":  # a dict of arrays and ints
-            mine, theirs = list(mine.values()), list(theirs.values())
-        else:
-            mine, theirs = [mine], [theirs]
-        for a, b in zip(mine, theirs):
-            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+        assert (
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+        ), field.name

@@ -14,8 +14,15 @@ from repro.ftl.metastore import (
     parse_checkpoint,
     parse_tombstones,
 )
+from repro.nand.metaregion import MetaRegion
+from repro.nand.timing import NAND_20NM_MLC
 
 PAGE = 4096
+
+
+def _log():
+    """A log whose reserved blocks never run out in these tests."""
+    return MetaLog(PAGE, MetaRegion(blocks=4, pages_per_block=64), NAND_20NM_MLC)
 
 
 def _checkpoint_payload(generation=1, write_seq=500, user_pages=64, blocks=16):
@@ -88,25 +95,28 @@ def test_wrong_magic_is_not_parsed_as_the_other_kind():
 # The log: append / tear / compact
 # ----------------------------------------------------------------------
 def test_append_charges_ceil_pages():
-    log = MetaLog(PAGE)
-    small = log.append(KIND_UNMAP, build_tombstones([1], [1]))
+    log = _log()
+    first = log.append(KIND_UNMAP, build_tombstones([1], [1]))
+    small = first.record
     assert small.pages == 1
     payload, _ = _checkpoint_payload(user_pages=2048, blocks=64)
-    big = log.append(KIND_CHECKPOINT, payload, generation=1)
+    second = log.append(KIND_CHECKPOINT, payload, generation=1)
+    big = second.record
     assert big.pages == -(-len(payload) // PAGE) > 1
-    assert log.pages_written == small.pages + big.pages
-    assert log.pages_held() == log.pages_written
+    written = first.pages_programmed + second.pages_programmed
+    assert written == small.pages + big.pages
+    assert log.pages_held() == written
 
 
 def test_append_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        MetaLog(PAGE).append("bogus", b"x")
+        _log().append("bogus", b"x")
 
 
 def test_tear_last_truncates_and_marks():
-    log = MetaLog(PAGE)
+    log = _log()
     payload, _ = _checkpoint_payload(user_pages=4096, blocks=128)
-    record = log.append(KIND_CHECKPOINT, payload, generation=1)
+    record = log.append(KIND_CHECKPOINT, payload, generation=1).record
     assert record.pages >= 2
     torn = log.tear_last()
     assert torn is not None and torn.torn
@@ -115,11 +125,11 @@ def test_tear_last_truncates_and_marks():
     assert parse_checkpoint(torn.payload) is None
     # The log now holds the torn version, not the original.
     assert log.records[-1].torn
-    assert MetaLog(PAGE).tear_last() is None
+    assert _log().tear_last() is None
 
 
 def test_tear_last_keep_pages_zero_still_occupies_a_page():
-    log = MetaLog(PAGE)
+    log = _log()
     log.append(KIND_UNMAP, build_tombstones([1], [1]))
     torn = log.tear_last(keep_pages=0)
     assert torn.payload == b"" and torn.pages == 1
@@ -127,7 +137,7 @@ def test_tear_last_keep_pages_zero_still_occupies_a_page():
 
 
 def test_compact_keeps_two_generations_and_live_tombstones():
-    log = MetaLog(PAGE)
+    log = _log()
     # gen1 @ H=100, tombstones straddling the horizons, gen2 @ H=200,
     # gen3 @ H=300.  Compaction keeps gen2+gen3; the oldest kept
     # horizon is 200, so only tombstones with max seq >= 200 survive.
@@ -145,7 +155,7 @@ def test_compact_keeps_two_generations_and_live_tombstones():
 
 
 def test_compact_never_counts_a_torn_checkpoint_as_kept():
-    log = MetaLog(PAGE)
+    log = _log()
     log.append(KIND_CHECKPOINT, _checkpoint_payload(1, 100)[0], generation=1)
     log.append(KIND_CHECKPOINT, _checkpoint_payload(2, 200)[0], generation=2)
     log.append(KIND_CHECKPOINT, _checkpoint_payload(3, 300)[0], generation=3)
@@ -157,7 +167,7 @@ def test_compact_never_counts_a_torn_checkpoint_as_kept():
 
 
 def test_compact_without_a_complete_checkpoint_keeps_everything():
-    log = MetaLog(PAGE)
+    log = _log()
     log.append(KIND_UNMAP, build_tombstones([1], [10]))
     log.append(KIND_CHECKPOINT, _checkpoint_payload(1, 50)[0], generation=1)
     log.tear_last()
@@ -167,7 +177,7 @@ def test_compact_without_a_complete_checkpoint_keeps_everything():
 
 def test_compact_keeps_tombstones_until_an_older_checkpoint_covers_them():
     # The newest checkpoint may still tear: alone, it covers nothing.
-    log = MetaLog(PAGE)
+    log = _log()
     log.append(KIND_UNMAP, build_tombstones([1], [10]))
     log.append(KIND_CHECKPOINT, _checkpoint_payload(1, 50)[0], generation=1)
     assert log.compact() == 0
@@ -177,16 +187,17 @@ def test_compact_keeps_tombstones_until_an_older_checkpoint_covers_them():
 
 
 def test_capture_restore_round_trip():
-    log = MetaLog(PAGE)
+    log = _log()
     log.append(KIND_CHECKPOINT, _checkpoint_payload(1, 100)[0], generation=1)
     log.append(KIND_UNMAP, build_tombstones([2], [150]))
     log.tear_last(keep_pages=0)
     snapshot = log.capture()
-    clone = MetaLog.restore(snapshot, PAGE)
+    clone = _log()
+    clone.load(snapshot)
     assert clone.records == log.records
     assert clone.pages_held() == log.pages_held()
     # Appends after restore continue the sequence, not restart it.
-    record = clone.append(KIND_UNMAP, build_tombstones([3], [160]))
+    record = clone.append(KIND_UNMAP, build_tombstones([3], [160])).record
     assert record.seq == log.records[-1].seq + 1
     # The snapshot is immutable: the original log is unaffected.
     assert len(log.records) == 2
@@ -196,9 +207,9 @@ def test_capture_restore_round_trip():
 # Parse once per record
 # ----------------------------------------------------------------------
 def test_a_torn_copy_never_inherits_the_parse_of_the_record_it_tore():
-    log = MetaLog(PAGE)
+    log = _log()
     payload, (l2p, _, _) = _checkpoint_payload(user_pages=4096, blocks=128)
-    record = log.append(KIND_CHECKPOINT, payload, generation=1)
+    record = log.append(KIND_CHECKPOINT, payload, generation=1).record
     assert np.array_equal(record.parsed.l2p, l2p)  # parsed before the cut
     torn = log.tear_last()
     assert torn.parsed is None
@@ -211,10 +222,11 @@ def test_a_torn_copy_never_inherits_the_parse_of_the_record_it_tore():
 
 
 def test_a_restored_log_shares_parses_with_the_log_it_was_captured_from():
-    log = MetaLog(PAGE)
+    log = _log()
     log.append(KIND_CHECKPOINT, _checkpoint_payload(1, 100)[0], generation=1)
     log.append(KIND_UNMAP, build_tombstones([2], [150]))
-    clone = MetaLog.restore(log.capture(), PAGE)
+    clone = _log()
+    clone.load(log.capture())
     for ours, theirs in zip(log.records, clone.records):
         assert ours.parsed is theirs.parsed
     # Shared means nobody may write through it: the arrays are read-only

@@ -31,9 +31,7 @@ def make_ftl():
 
 def crashed_copy(ftl, tear=True):
     """The media image a power cut at this instant would leave behind."""
-    nand = NandArray.from_durable(
-        GEOMETRY, ftl.nand.capture_durable_state(), timing=TIMING
-    )
+    nand = CONFIG.restore_nand(ftl.nand.capture_durable_state())
     if tear:
         for block in (ftl.active_user_block, ftl.active_gc_block):
             if block is not None:
@@ -231,9 +229,7 @@ def test_write_seq_monotonic_across_recovery():
     new_ppn = recovered.page_map.lookup(3)
     assert recovered.nand.oob_seq[new_ppn] == seq_before
     # A second crash-recover sees the new write as the newest copy.
-    nand2 = NandArray.from_durable(
-        GEOMETRY, recovered.nand.capture_durable_state(), timing=TIMING
-    )
+    nand2 = CONFIG.restore_nand(recovered.nand.capture_durable_state())
     again, _ = recover_ftl(nand2, CONFIG)
     assert again.page_map.lookup(3) == new_ppn
     assert again._write_seq == seq_before + 1

@@ -87,8 +87,7 @@ def test_recovered_state_equals_oob_oracle(seed, total_writes, crash_fraction):
         ftl.host_write_page(lpn)
 
     # ...cut power there: frontiers tear, DRAM is lost.
-    durable = ftl.nand.capture_durable_state()
-    crashed = NandArray.from_durable(GEOMETRY, durable, timing=TIMING)
+    crashed = CONFIG.restore_nand(ftl.nand.capture_durable_state())
     for block in (ftl.active_user_block, ftl.active_gc_block):
         if block is not None:
             crashed.tear_frontier_page(block)
@@ -169,9 +168,11 @@ def test_recovery_never_exceeds_durable_horizon(
     horizon = ftl._write_seq
 
     durable = ftl.nand.capture_durable_state()
-    if tear == "strip":
-        durable = dataclasses.replace(durable, meta=())
-    crashed = NandArray.from_durable(GEOMETRY, durable, timing=TIMING)
+    if tear == "strip":  # the records go; the reserved blocks keep their wear
+        durable = dataclasses.replace(
+            durable, meta=dataclasses.replace(durable.meta, records=())
+        )
+    crashed = CONFIG.restore_nand(durable)
     for block in (ftl.active_user_block, ftl.active_gc_block):
         if block is not None:
             crashed.tear_frontier_page(block)

@@ -35,7 +35,7 @@ def state(ftl):
         durable.program_ptr.tobytes(),
         durable.oob_lpn.tobytes(),
         durable.oob_seq.tobytes(),
-        durable.meta,
+        durable.meta.records,
     )
 
 

@@ -66,13 +66,10 @@ def _assert_same_device(a, b):
     for name, value in vars(da).items():
         other = getattr(db, name)
         if name == "meta":
-            assert [(r.kind, r.generation, r.payload) for r in value] == [
-                (r.kind, r.generation, r.payload) for r in other
+            assert [(r.kind, r.generation, r.payload) for r in value.records] == [
+                (r.kind, r.generation, r.payload) for r in other.records
             ]
-        elif name == "meta_wear":
-            assert value.keys() == other.keys()
-            for key in value:
-                assert np.array_equal(value[key], other[key]), f"meta_wear.{key}"
+            assert value.ring == other.ring
         elif isinstance(value, np.ndarray):
             assert np.array_equal(value, other), name
         else:

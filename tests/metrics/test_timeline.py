@@ -1,49 +1,50 @@
-"""Tests for the timeline sampler."""
-
-import csv
-
-import pytest
+"""Timeline sampling: a host observed through :class:`~repro.obs.Observability`
+records its standard gauges into same-named registry series every period."""
 
 from repro.core.policies import NoBgcPolicy
 from repro.host import HostSystem
-from repro.metrics.timeline import TimelineSampler
+from repro.obs import Observability
 from repro.sim.simtime import SECOND
 from repro.ssd.config import SsdConfig
 
 
 def make_host():
-    return HostSystem(SsdConfig.small(blocks=64, pages_per_block=8), NoBgcPolicy())
+    obs = Observability(metrics_interval_ns=SECOND)
+    return HostSystem(
+        SsdConfig.small(blocks=64, pages_per_block=8), NoBgcPolicy(), obs=obs
+    )
 
 
 def test_samples_at_period():
     host = make_host()
-    sampler = TimelineSampler(host, period_ns=SECOND).start()
     host.run_for(5 * SECOND)
     # Samples at t=0,1,2,3,4,5 seconds.
-    assert sampler.sample_count == 6
-    assert sampler.times_ns[0] == 0
-    assert sampler.times_ns[-1] == 5 * SECOND
+    times = host.obs.registry.series("ftl.free_pages").times_ns
+    assert len(times) == 6
+    assert times[0] == 0
+    assert times[-1] == 5 * SECOND
 
 
 def test_default_probes_track_state():
     host = make_host()
-    sampler = TimelineSampler(host, period_ns=SECOND).start()
+    registry = host.obs.registry
     free_initial = host.ftl.free_pages()
     host.prefill(host.user_pages // 4, age=False)
     host.run_for(3 * SECOND)
-    series = sampler.series("free_pages")
+    series = registry.series("ftl.free_pages").values
     assert series[0] <= free_initial
-    assert sampler.minimum("free_pages") < free_initial
-    assert sampler.maximum("waf") >= 1.0
+    assert min(series) < free_initial
+    assert max(registry.series("ftl.waf").values) >= 1.0
+    for name in ("cache.dirty_pages", "ftl.fgc_invocations", "ftl.bgc_blocks"):
+        assert len(registry.series(name)) == len(series)
 
 
 def test_stop_halts_sampling():
     host = make_host()
-    sampler = TimelineSampler(host, period_ns=SECOND).start()
     host.run_for(2 * SECOND)
-    sampler.stop()
+    host.obs.finish()
     host.run_for(3 * SECOND)
-    assert sampler.sample_count == 3
+    assert len(host.obs.registry.series("ftl.free_pages")) == 3
 
 
 def test_custom_probe():
@@ -54,27 +55,6 @@ def test_custom_probe():
         counter["n"] += 1
         return counter["n"]
 
-    sampler = TimelineSampler(host, period_ns=SECOND, probes={"tick": probe}).start()
+    host.obs.registry.gauge("tick", probe)
     host.run_for(2 * SECOND)
-    assert sampler.series("tick") == [1, 2, 3]
-
-
-def test_csv_export(tmp_path):
-    host = make_host()
-    sampler = TimelineSampler(host, period_ns=SECOND).start()
-    host.run_for(2 * SECOND)
-    path = tmp_path / "timeline.csv"
-    assert sampler.save_csv(path) == 3
-    with open(path) as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0][0] == "time_ns"
-    assert len(rows) == 4
-
-
-def test_validation():
-    host = make_host()
-    with pytest.raises(ValueError):
-        TimelineSampler(host, period_ns=0)
-    sampler = TimelineSampler(host, period_ns=SECOND).start()
-    with pytest.raises(RuntimeError):
-        sampler.start()
+    assert host.obs.registry.series("tick").values == [1, 2, 3]

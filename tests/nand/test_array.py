@@ -158,9 +158,10 @@ def test_is_bad_agrees_with_both_bad_block_records():
     check(nand, {0, 3, 5})
     nand.erase_block(6)
     check(nand, {0, 3, 5, 6})                # a wear-out erase
-    restored = NandArray.from_durable(
-        GEOMETRY, nand.capture_durable_state(), timing=TIMING, pe_cycle_limit=2
+    restored = NandArray(
+        GEOMETRY, TIMING, EnduranceModel(GEOMETRY.total_blocks, pe_cycle_limit=2)
     )
+    restored.load_durable_state(nand.capture_durable_state())
     check(restored, {0, 3, 5, 6})            # across a power cut
     for block in (-1, GEOMETRY.total_blocks):
         with pytest.raises(AddressError):

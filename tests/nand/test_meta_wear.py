@@ -1,13 +1,17 @@
 """Tests for metadata wear accounting: the reserved-block ring that
-absorbs checkpoint/tombstone programs (repro.nand.metaregion), its
-NandArray/FTL wiring and the read-only terminal state on exhaustion."""
+absorbs checkpoint/tombstone programs (repro.nand.metaregion), the log
+that programs every record through it, its FTL wiring and the read-only
+terminal state on exhaustion."""
 
 import numpy as np
 import pytest
 
 from repro.faults.injector import FaultInjector, FaultProfile
 from repro.ftl.ftl import DeviceReadOnlyError
+from repro.ftl.mapping import UNMAPPED
+from repro.ftl.metastore import KIND_UNMAP
 from repro.nand.array import NandArray
+from repro.nand.endurance import EnduranceModel
 from repro.nand.geometry import NandGeometry
 from repro.nand.metaregion import MetaRegion
 from repro.nand.timing import NandTiming
@@ -17,20 +21,32 @@ GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=8)
 TIMING = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_page=1)
 
 
+def _pages(n):
+    """A record payload exactly ``n`` metadata pages long."""
+    return bytes(n * GEOMETRY.page_size)
+
+
+def _one_life_nand():
+    """One reserved block rated for a single erase: its first wrap
+    retires it and exhausts the log."""
+    endurance = EnduranceModel(GEOMETRY.total_blocks, pe_cycle_limit=1)
+    return NandArray(GEOMETRY, TIMING, endurance, meta_blocks=1)
+
+
 # ----------------------------------------------------------------------
 # MetaRegion ring semantics
 # ----------------------------------------------------------------------
 def test_program_advances_frontier_without_erases_until_wrap():
     region = MetaRegion(blocks=2, pages_per_block=4)
-    out = region.program(3)
-    assert out.pages_programmed == 3
-    assert out.erases == 0
+    first = region.program(3)
+    assert first.pages_programmed == 3
+    assert first.erases == 0
     # 5 more pages: finishes block 0 (1 page) and fills block 1 (4
     # pages); both blocks were never written, so still no erase.
     out = region.program(5)
     assert out.pages_programmed == 5
     assert out.erases == 0
-    assert region.pages_programmed == 8
+    assert first.pages_programmed + out.pages_programmed == 8
 
 
 def test_wrap_erases_oldest_block_before_reuse():
@@ -91,7 +107,8 @@ def test_capture_restore_round_trip():
     region = MetaRegion(blocks=3, pages_per_block=4, pe_cycle_limit=50)
     region.program(17)
     state = region.capture()
-    clone = MetaRegion.restore(state, pages_per_block=4, pe_cycle_limit=50)
+    clone = MetaRegion(blocks=3, pages_per_block=4, pe_cycle_limit=50)
+    clone.load(state)
     assert np.array_equal(clone.erase_counts, region.erase_counts)
     assert np.array_equal(clone.retired, region.retired)
     assert clone._block == region._block and clone._page == region._page
@@ -109,36 +126,64 @@ def test_region_validates_arguments():
 
 
 # ----------------------------------------------------------------------
-# NandArray wiring
+# The log programs every record through the ring
 # ----------------------------------------------------------------------
 def test_nand_meta_program_prices_nand_work():
     nand = NandArray(GEOMETRY, TIMING, meta_blocks=1)
-    out = nand.meta_program(4)  # fills the single reserved block
+    out = nand.meta.append(KIND_UNMAP, _pages(4))  # fills the reserved block
     assert out.latency_ns == 4 * TIMING.program_ns
-    out = nand.meta_program(2)  # wrap: one erase + two programs
+    out = nand.meta.append(KIND_UNMAP, _pages(2))  # wrap: erase + two programs
     assert out.erases == 1
     assert out.latency_ns == 2 * TIMING.program_ns + TIMING.erase_ns
 
 
+def test_partly_landed_record_is_torn_and_keeps_the_landed_pages():
+    nand = _one_life_nand()
+    nand.meta.append(KIND_UNMAP, _pages(2))
+    payload = bytes(range(256)) * (4 * GEOMETRY.page_size // 256)
+    # Two pages land in the open block; the wrap erase wears it out.
+    out = nand.meta.append(KIND_UNMAP, payload)
+    assert out.exhausted and out.pages_programmed == 2
+    assert out.latency_ns == 2 * TIMING.program_ns + TIMING.erase_ns
+    record = out.record
+    assert record.torn and record.pages == 2
+    assert record.payload == payload[: 2 * GEOMETRY.page_size]
+    assert record.parsed is None
+    assert nand.meta.records[-1] is record
+    assert nand.meta.exhausted
+
+
+def test_exhausted_log_tears_even_a_one_page_record():
+    nand = _one_life_nand()
+    nand.meta.append(KIND_UNMAP, _pages(4))
+    assert nand.meta.append(KIND_UNMAP, _pages(1)).exhausted
+    out = nand.meta.append(KIND_UNMAP, _pages(1))
+    assert out.exhausted and out.pages_programmed == 0 and out.latency_ns == 0
+    assert out.record.torn and out.record.payload == b""
+    assert [record.torn for record in nand.meta.records] == [False, True, True]
+
+
 def test_meta_wear_survives_durable_capture():
+    """Capture then power-on carries the records and the ring wear as
+    one image, and the powered-on log continues as the original would."""
     nand = NandArray(GEOMETRY, TIMING, meta_blocks=2)
-    nand.meta_program(11)  # past one wrap (capacity 8)
+    for pages in (3, 5, 3):  # past one wrap (capacity 8)
+        nand.meta.append(KIND_UNMAP, _pages(pages))
     state = nand.capture_durable_state()
-    clone = NandArray.from_durable(GEOMETRY, state, timing=TIMING, meta_blocks=2)
-    assert np.array_equal(
-        clone.meta_region.erase_counts, nand.meta_region.erase_counts
-    )
-    assert clone.meta_region._block == nand.meta_region._block
-    assert clone.meta_region._page == nand.meta_region._page
-
-
-def test_pre_feature_image_restores_fresh_region():
-    nand = NandArray(GEOMETRY, TIMING)
-    state = nand.capture_durable_state()
-    state.meta_wear = None  # image captured before meta wear existed
-    clone = NandArray.from_durable(GEOMETRY, state, timing=TIMING)
-    assert clone.meta_region.total_erases() == 0
-    assert not clone.meta_region.exhausted
+    clone = NandArray(GEOMETRY, TIMING, meta_blocks=2)
+    clone.load_durable_state(state)
+    assert clone.meta.records == nand.meta.records
+    ring, twin = nand.meta.ring, clone.meta.ring
+    assert np.array_equal(twin.erase_counts, ring.erase_counts)
+    assert twin._block == ring._block
+    assert twin._page == ring._page
+    for pages in (6, 1, 7):
+        a = nand.meta.append(KIND_UNMAP, _pages(pages))
+        b = clone.meta.append(KIND_UNMAP, _pages(pages))
+        assert (a.latency_ns, a.erases, a.record) == (b.latency_ns, b.erases, b.record)
+    assert np.array_equal(twin.erase_counts, ring.erase_counts)
+    # The image itself never moved.
+    assert len(state.meta.records) == 3
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +198,7 @@ def test_checkpoint_traffic_wears_metadata_ring():
     assert stats.checkpoints_written > 0
     assert stats.meta_pages_written > 0
     assert stats.meta_block_erases > 0, "ring should have wrapped"
-    assert ftl.nand.meta_region.total_erases() == stats.meta_block_erases
+    assert ftl.nand.meta.ring.total_erases() == stats.meta_block_erases
     ftl.invariant_check()
 
 
@@ -162,11 +207,11 @@ def test_tombstone_journal_charges_meta_region():
     ftl = cfg.build_ftl()
     for i in range(256):
         ftl.host_write_page(i)
-    before = ftl.nand.meta_region.pages_programmed
+    before = ftl.stats.meta_pages_written
     latency = ftl.trim(range(128))
     assert latency > 0
-    assert ftl.nand.meta_region.pages_programmed > before
-    assert ftl.stats.meta_pages_written == ftl.nand.meta_region.pages_programmed
+    assert ftl.stats.meta_pages_written > before
+    assert ftl.stats.meta_pages_written == ftl.nand.meta.pages_held()
 
 
 def test_meta_exhaustion_drives_device_read_only():
@@ -179,15 +224,15 @@ def test_meta_exhaustion_drives_device_read_only():
             ftl.host_write_page(i % 2000)
     assert ftl.read_only
     assert ftl.stats.meta_blocks_retired == 1
-    assert ftl.nand.meta_region.exhausted
+    assert ftl.nand.meta.exhausted
 
 
 def test_mid_checkpoint_exhaustion_keeps_newest_complete_generation():
     """Wear exhaustion landing mid-checkpoint must not corrupt recovery.
 
-    The logical append precedes the physical program, so when the ring
-    dies partway through a checkpoint record the FTL must mark that
-    record torn (its tail never reached NAND) and go read-only; the
+    When the ring dies partway through a checkpoint record the log must
+    mark that record torn (its tail never reached NAND) and the FTL go
+    read-only; the
     previous complete generation stays authoritative and power-on
     recovery restores the exact pre-exhaustion mapping from it plus the
     OOB tail."""
@@ -205,16 +250,15 @@ def test_mid_checkpoint_exhaustion_keeps_newest_complete_generation():
 
     # Burn ring capacity one page at a time until the *next* checkpoint
     # record is guaranteed to exhaust mid-record (probe on a clone).
-    ppb = cfg.geometry.pages_per_block
+    ring = ftl.nand.meta.ring
     while True:
-        probe = MetaRegion.restore(
-            ftl.nand.meta_region.capture(), ppb, pe_cycle_limit=3
-        )
+        probe = MetaRegion(1, cfg.geometry.pages_per_block, pe_cycle_limit=3)
+        probe.load(ring.capture())
         out = probe.program(ckpt_pages)
         if out.exhausted and 0 < out.pages_programmed < ckpt_pages:
             break
-        assert not ftl.nand.meta_region.exhausted
-        ftl.nand.meta_program(1)
+        assert not ring.exhausted
+        ring.program(1)
 
     ftl.write_checkpoint()
     assert ftl.read_only
@@ -228,3 +272,42 @@ def test_mid_checkpoint_exhaustion_keeps_newest_complete_generation():
     assert np.array_equal(
         recovered.page_map.l2p_snapshot(), ftl.page_map.l2p_snapshot()
     )
+
+
+def test_trim_on_worn_out_metadata_blocks_is_refused_untouched():
+    """A TRIM the log can no longer journal must not be acknowledged.
+
+    One reserved block rated for three erases holds 24 tombstone pages;
+    the 25th one-page TRIM exhausts it, tears its own record and drives
+    the device read-only.  A further TRIM is refused before it unmaps
+    anything, so the live mapping and what recovery rebuilds agree."""
+    cfg = SsdConfig(
+        geometry=NandGeometry(page_size=4096, pages_per_block=8, blocks_per_plane=64),
+        op_ratio=0.25,
+        meta_blocks=1,
+        pe_cycle_limit=3,
+    )
+    ftl = cfg.build_ftl()
+    for lpn in range(64):
+        ftl.host_write_page(lpn)
+    for lpn in range(24):
+        ftl.trim([lpn])
+        ftl.host_write_page(lpn)
+    ftl.trim([24])
+    assert ftl.read_only
+    assert ftl.nand.meta.records[-1].torn
+    assert ftl.stats.meta_pages_written == 24
+
+    l2p = ftl.page_map.l2p_snapshot()
+    write_seq = ftl._write_seq
+    records = ftl.nand.meta.records
+    with pytest.raises(DeviceReadOnlyError):
+        ftl.trim([5])
+    assert np.array_equal(ftl.page_map.l2p_snapshot(), l2p)
+    assert ftl._write_seq == write_seq
+    assert ftl.nand.meta.records == records
+
+    # Nothing of the refused TRIM reaches the image: LPN 5 stays mapped.
+    recovered, report = cfg.recover_from(ftl.nand.capture_durable_state())
+    assert report.tombstones_replayed == 0
+    assert recovered.page_map.lookup(5) == ftl.page_map.lookup(5) != UNMAPPED

@@ -18,6 +18,13 @@ def make_array(**kwargs):
     return NandArray(GEOMETRY, TIMING, **kwargs)
 
 
+def power_on(state):
+    """A first-boot array loaded with ``state``."""
+    nand = make_array()
+    nand.load_durable_state(state)
+    return nand
+
+
 # ----------------------------------------------------------------------
 # OOB stamping
 # ----------------------------------------------------------------------
@@ -116,7 +123,7 @@ def test_capture_restore_roundtrip():
     nand = make_array()
     _exercise(nand)
     state = nand.capture_durable_state()
-    copy = NandArray.from_durable(GEOMETRY, state, timing=TIMING)
+    copy = power_on(state)
     assert np.array_equal(copy.block_states, nand.block_states)
     assert np.array_equal(copy.program_ptr, nand.program_ptr)
     assert np.array_equal(copy.oob_lpn, nand.oob_lpn)
@@ -137,7 +144,7 @@ def test_captured_state_is_isolated_from_live_array():
     nand.program_page(3, 2, lpn=9, seq=12)
     nand.erase_block(1)
     assert np.array_equal(state.program_ptr, before)
-    copy = NandArray.from_durable(GEOMETRY, state, timing=TIMING)
+    copy = power_on(state)
     copy.erase_block(3)
     assert nand.next_programmable_page(3) == 3
 
@@ -145,7 +152,7 @@ def test_captured_state_is_isolated_from_live_array():
 def test_factory_bad_marks_survive_as_factory():
     nand = NandArray(GEOMETRY, TIMING, initial_bad_blocks=[2])
     nand.mark_bad(6)
-    copy = NandArray.from_durable(GEOMETRY, nand.capture_durable_state(), timing=TIMING)
+    copy = power_on(nand.capture_durable_state())
     assert copy.factory_bad[2] and not copy.factory_bad[6]
     assert copy.factory_bad_blocks == 1
     assert copy.grown_bad_blocks == 1
