@@ -423,40 +423,26 @@ class JitGcPolicy(GcPolicy):
         reclaim_bytes = max(decision.reclaim_bytes, guard_bytes)
         self._quota_pages = -(-reclaim_bytes // page)  # ceil
 
-        if self.audit.enabled or self.tracer.enabled:
-            record = ManagerTickRecord(
-                t_ns=now,
-                dbuf_bytes=sum(prediction.demands_bytes),
-                ddir_bytes=sum(ddir),
-                creq_bytes=decision.creq_bytes,
-                cfree_bytes=decision.cfree_bytes,
-                tw_ns=decision.tw_ns,
-                tidle_ns=decision.tidle_ns,
-                tgc_ns=decision.tgc_ns,
-                reclaim_bytes=decision.reclaim_bytes,
-                guard_bytes=guard_bytes,
-                quota_pages=self._quota_pages,
-                branch=decision.branch,
-                write_bw=self.device.write_bandwidth.bytes_per_second,
-                gc_bw=self.device.gc_bandwidth.bytes_per_second,
-                sip_pages=len(sip_set),
-            )
-            self.audit.record_manager_tick(record)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "manager",
-                    "manager.tick",
-                    branch=record.branch,
-                    creq_bytes=record.creq_bytes,
-                    cfree_bytes=record.cfree_bytes,
-                    tw_ns=record.tw_ns,
-                    tidle_ns=record.tidle_ns,
-                    tgc_ns=record.tgc_ns,
-                    reclaim_bytes=record.reclaim_bytes,
-                    guard_bytes=record.guard_bytes,
-                    quota_pages=record.quota_pages,
-                    sip_pages=record.sip_pages,
+        if self.audit.enabled:
+            self.audit.record(
+                ManagerTickRecord(
+                    t_ns=now,
+                    dbuf_bytes=sum(prediction.demands_bytes),
+                    ddir_bytes=sum(ddir),
+                    creq_bytes=decision.creq_bytes,
+                    cfree_bytes=decision.cfree_bytes,
+                    tw_ns=decision.tw_ns,
+                    tidle_ns=decision.tidle_ns,
+                    tgc_ns=decision.tgc_ns,
+                    reclaim_bytes=decision.reclaim_bytes,
+                    guard_bytes=guard_bytes,
+                    quota_pages=self._quota_pages,
+                    branch=decision.branch,
+                    write_bw=self.device.write_bandwidth.bytes_per_second,
+                    gc_bw=self.device.gc_bandwidth.bytes_per_second,
+                    sip_pages=len(sip_set),
                 )
+            )
         if self.registry is not None:
             self.registry.series("manager.creq_bytes").append(now, decision.creq_bytes)
 

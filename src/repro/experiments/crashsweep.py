@@ -561,7 +561,7 @@ def run_scenario_with_spo(spec: ScenarioSpec, plan: SpoPlan) -> SpoRunResult:
             obs=replace(spec, obs=obs).make_obs(),
         )
         if host.ftl.audit.enabled:
-            host.ftl.audit.record_recovery(
+            host.ftl.audit.record(
                 RecoveryRecord(
                     t_ns=cut.t_ns,
                     **{

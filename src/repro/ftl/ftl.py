@@ -331,7 +331,11 @@ class PageMappedFtl:
             self.stats.blocks_retired = len(self.retired_blocks)
             self._op_series.append(self.media.clock(), self.effective_op_pages())
         min_good = self.fgc_watermark + self._streams
-        if self.effective_op_pages() <= 0 or self.nand.good_blocks() < min_good:
+        if (
+            self.effective_op_pages() <= 0
+            or self.nand.good_blocks() < min_good
+            or self.nand.meta.exhausted  # nothing more could be journaled
+        ):
             self._enter_read_only()
 
     # ------------------------------------------------------------------
@@ -816,22 +820,36 @@ class PageMappedFtl:
         discard survives power loss; the returned latency is the
         tombstone record's metadata-page program time (zero when nothing
         was mapped).  A command naming an LPN outside the logical space
-        changes nothing.
+        changes nothing.  The mapping changes only once the tombstone
+        record has landed in full, so the live map never drops an entry
+        that recovery would bring back.
 
         Raises:
             DeviceReadOnlyError: the metadata blocks are worn out, so the
-                unmap could not be journaled (nothing is touched).
+                unmap could not be journaled -- before the append (nothing
+                is touched) or during it (the record tore; the mapping is
+                untouched).
         """
         if self.nand.meta.exhausted:
             raise DeviceReadOnlyError(
                 "TRIM rejected: the metadata blocks are worn out, "
                 "so the unmap cannot be journaled"
             )
-        freed = self.page_map.unmap_many(lpns)
-        self.stats.pages_trimmed += len(freed)
+        pm = self.page_map
+        freed = pm.mapped_lpns(lpns)
         latency = self._journal_tombstones(freed)
+        # The ring runs out only inside an append whose pages it could
+        # not all land: exhausted now means this record tore.
+        if self.nand.meta.exhausted:
+            raise DeviceReadOnlyError(
+                "TRIM rejected: the metadata blocks wore out under its "
+                "unmap record, which tore"
+            )
+        for lpn in freed:
+            pm.unmap(lpn)
+        self.stats.pages_trimmed += len(freed)
         if self._dftl and freed:
-            ept = self.page_map.entries_per_tpage
+            ept = pm.entries_per_tpage
             for tvpn in sorted({lpn // ept for lpn in freed}):
                 latency += self._mapping_access(tvpn, dirty=True)
         if self.tracer.enabled and freed:
@@ -928,25 +946,15 @@ class PageMappedFtl:
             self.page_map.cmt_flush_all()
         self.stats.checkpoints_written += 1
         latency = self._note_meta(outcome)
-        meta_pages = outcome.record.pages
         if self.audit.enabled:
-            self.audit.record_checkpoint(
+            self.audit.record(
                 CheckpointRecord(
                     t_ns=self.media.clock(),
                     generation=generation,
-                    meta_pages=meta_pages,
+                    meta_pages=outcome.record.pages,
                     horizon_seq=self._write_seq,
                     trigger=trigger,
                 )
-            )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "ftl",
-                "ftl.checkpoint",
-                generation=generation,
-                meta_pages=meta_pages,
-                horizon_seq=self._write_seq,
-                trigger=trigger,
             )
         return latency
 
@@ -1008,24 +1016,16 @@ class PageMappedFtl:
             latency += self._program_trans_page(evicted_tvpn)
             pages += 1
             kind = "writeback"
-        if latency and (self.audit.enabled or self.tracer.enabled):
-            if self.audit.enabled:
-                self.audit.record_mapping_fault(
-                    MappingFaultRecord(
-                        t_ns=self.media.clock(),
-                        dur_ns=latency,
-                        kind=kind,
-                        pages=pages,
-                    )
-                )
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "ftl",
-                    "ftl.mapping_fault",
+        if latency and self.audit.enabled:
+            self.audit.record(
+                MappingFaultRecord(
+                    t_ns=self.media.clock(),
+                    dur_ns=latency,
                     tvpn=tvpn,
                     kind=kind,
-                    dur_ns=latency,
+                    pages=pages,
                 )
+            )
         return latency
 
     def _program_trans_page(self, tvpn: int) -> int:
@@ -1096,27 +1096,18 @@ class PageMappedFtl:
             self.stats.victim_selections += 1
             if decision.filtered_by_sip > 0:
                 self.stats.victims_filtered_by_sip += 1
-            if self.audit.enabled or self.tracer.enabled:
-                record = VictimRecord(
-                    t_ns=self.media.clock(),
-                    block=victim,
-                    valid_pages=decision.valid_pages,
-                    score=decision.score,
-                    candidates_considered=decision.candidates_considered,
-                    filtered_by_sip=decision.filtered_by_sip,
-                    background=background,
-                )
-                self.audit.record_victim(record)
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "ftl",
-                        "victim.select",
+            if self.audit.enabled:
+                self.audit.record(
+                    VictimRecord(
+                        t_ns=self.media.clock(),
                         block=victim,
                         valid_pages=decision.valid_pages,
                         score=decision.score,
+                        candidates_considered=decision.candidates_considered,
                         filtered_by_sip=decision.filtered_by_sip,
                         background=background,
                     )
+                )
             if decision.valid_pages >= self._ppb:
                 raise OutOfSpaceError(
                     f"best victim {victim} has no invalid pages; device is full of live data"

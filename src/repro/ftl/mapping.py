@@ -169,21 +169,23 @@ class PageMap:
         self.mapped_count -= 1
         return old_ppn
 
-    def unmap_many(self, lpns: Iterable[int]) -> List[int]:
-        """Batched :meth:`unmap`; returns the LPNs that were mapped.
+    def mapped_lpns(self, lpns: Iterable[int]) -> List[int]:
+        """The distinct LPNs of ``lpns`` that map to a page, first seen first.
 
         A TRIM command covers an extent, but typically only part of it
         still maps to live pages (re-trims and sparse files are common);
         the returned list is exactly the set the FTL must tombstone in
         the durable unmap journal -- already-unmapped LPNs need none,
         because they were either never written or their previous
-        tombstone already outranks every surviving copy.
+        tombstone already outranks every surviving copy.  Reads only:
+        the FTL unmaps them once their tombstones have landed.
         """
         lpns = list(lpns)
-        if lpns:  # every LPN before the first unmap: a rejected TRIM changes nothing
+        if lpns:
             self.check_lpn(min(lpns))
             self.check_lpn(max(lpns))
-        return [lpn for lpn in lpns if self.unmap(lpn) is not None]
+        l2p = self._l2p
+        return list(dict.fromkeys(lpn for lpn in lpns if l2p[lpn] != UNMAPPED))
 
     # Extents up to this size take the scalar loop.  Per call on a
     # 4096x64 dram map under random 1-32-page overwrites (PERFORMANCE.md

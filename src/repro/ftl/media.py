@@ -3,8 +3,8 @@
 :class:`Media` wraps a :class:`~repro.nand.array.NandArray` with the
 recovery a controller runs below its mapping layer: read-retry of
 uncorrectable reads, the deterministic ECC escalation ladder of an armed
-reliability profile, erase-retry, and the audit records and tracer
-``fault.*`` events of every episode.  Results come back as
+reliability profile, erase-retry, and the audit record (traced as a
+``fault.*`` event) of every episode.  Results come back as
 ``(latency_ns, ok)``; what a lost page or a failed erase means for the
 mapping (unmap, retire) stays with the FTL, as do program retries, which
 re-slot on a write frontier.  Without an injector or a ladder the media
@@ -24,7 +24,6 @@ from repro.nand.array import NandArray
 from repro.nand.errors import EraseFailError, UncorrectableReadError
 from repro.nand.reliability import ReadOutcome, ReliabilityModel
 from repro.obs.audit import DISABLED_AUDIT, FaultRecord
-from repro.obs.tracer import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ssd.config import SsdConfig
@@ -46,8 +45,7 @@ class Media:
         self.max_read_retries = config.max_read_retries
         self.max_erase_retries = config.max_erase_retries
         self._ppb = nand.geometry.pages_per_block
-        #: No-op defaults, replaced by :meth:`repro.obs.Observability.install`.
-        self.tracer = NULL_TRACER
+        #: No-op default, replaced by :meth:`repro.obs.Observability.install`.
         self.audit = DISABLED_AUDIT
         #: The live data-integrity subsystem (repro.nand.reliability +
         #: repro.ftl.scrub): when armed, every read consults the ladder
@@ -77,14 +75,11 @@ class Media:
     def note_fault(
         self, kind: str, block: int, page: int, resolution: str, retries: int = 0
     ) -> None:
-        """Audit and trace one fault-recovery episode."""
+        """Audit one fault-recovery episode (the audit log traces it)."""
         if self.audit.enabled:
-            self.audit.record_fault(
+            self.audit.record(
                 FaultRecord(self.clock(), kind, block, page, resolution, retries)
             )
-        if self.tracer.enabled:
-            self.tracer.emit("faults", f"fault.{kind}", block=block, page=page,
-                             resolution=resolution, retries=retries)
 
     def verdict(self, block: int) -> ReadOutcome:
         """ECC escalation ladder verdict for a read of ``block`` now.

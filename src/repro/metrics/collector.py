@@ -322,7 +322,6 @@ class MetricsCollector:
         # the gauges, host.ops becomes the per-interval IOPS series.
         self._ops_counter = host.obs.registry.counter("host.ops")
         self._oplog = host.obs.oplog
-        self._tracer = host.obs.tracer
         self._begin_stats: Optional[FtlStats] = None
         self._begin_ns = 0
         self._end_ns = -1
@@ -341,8 +340,9 @@ class MetricsCollector:
         """One application operation completed.
 
         ``kind``/``issue_ns``/``queue_depth`` feed the per-op completion
-        log and trace events when tail attribution or tracing is on;
-        plain ``record_op(latency)`` call sites keep working unchanged.
+        log when tail attribution or tracing is on (the log writes the
+        trace's ``op.complete`` events); plain ``record_op(latency)``
+        call sites keep working unchanged.
         """
         self.iops_meter.total_ops += 1
         self._ops_counter.value += 1
@@ -353,15 +353,6 @@ class MetricsCollector:
             return
         if self._oplog.enabled:
             self._oplog.record(kind, issue_ns, issue_ns + latency_ns, queue_depth)
-        if self._tracer.enabled:
-            self._tracer.complete(
-                "host",
-                "op.complete",
-                issue_ns,
-                latency_ns,
-                kind=kind,
-                queue_depth=queue_depth,
-            )
 
     # ------------------------------------------------------------------
     # Window control

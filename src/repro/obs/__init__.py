@@ -4,10 +4,10 @@ Four pieces, designed to cost a single guarded branch when disabled:
 
 * :mod:`repro.obs.tracer` -- sim-time event tracing with JSONL and
   Chrome ``trace_event`` (Perfetto-loadable) sinks.
-* :mod:`repro.obs.registry` -- counters / gauges / histograms / time
-  series with periodic sim-time sampling.
+* :mod:`repro.obs.registry` -- counters / gauges / HDR histograms /
+  time series with periodic sim-time sampling.
 * :mod:`repro.obs.audit` -- decision-audit records for manager ticks,
-  victim selections and fault recoveries.
+  victim selections and fault recoveries; the trace's typed events.
 * :mod:`repro.obs.profiler` -- wall-clock event-loop profiling.
 
 :class:`Observability` bundles one of each per run and knows how to wire
@@ -46,7 +46,6 @@ from repro.obs.profiler import LoopProfiler
 from repro.obs.registry import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     MetricsSampler,
     TimeSeries,
@@ -77,7 +76,7 @@ class ObservabilityConfig:
             periodic sampling.
         profile: attach a wall-clock event-loop profiler.
         audit: keep decision-audit records in memory (implied by
-            tracing, since audit records feed trace events).
+            tracing, since the audit log writes the trace's typed events).
         tail_attribution: keep a per-op completion log and attribute
             tail-latency ops against the decision-audit timeline
             (implies ``audit``; see :mod:`repro.obs.attribution`).
@@ -130,6 +129,10 @@ class Observability:
     default).  The registry is always real -- it is the single source of
     truth for event-driven series like the FTL's effective-OP timeline --
     while the tracer, audit log and profiler are no-ops unless configured.
+
+    A trace implies the event streams: the audit log and the op log write
+    its decision, fault and per-op events, so a tracer given without them
+    gets its own (an op log that traces every op but keeps none).
     """
 
     def __init__(
@@ -142,6 +145,10 @@ class Observability:
         oplog: Optional[OpLog] = None,
         tail_threshold_pct: float = 99.0,
     ) -> None:
+        if tracer.enabled:
+            audit = audit if audit is not None else DecisionAuditLog()
+            oplog = oplog if oplog is not None else OpLog(limit=0)
+            audit.tracer = oplog.tracer = tracer
         self.tracer = tracer
         self.registry = registry if registry is not None else MetricsRegistry()
         self.audit = audit if audit is not None else DISABLED_AUDIT
@@ -179,18 +186,12 @@ class Observability:
             else:
                 sink = JsonlTraceSink(config.trace_path, header=merged)
             tracer = Tracer(sink)
-        audit = (
-            DecisionAuditLog()
-            if (config.audit or config.trace_path or config.tail_attribution)
-            else DISABLED_AUDIT
-        )
-        profiler = LoopProfiler() if config.profile else None
         return cls(
             tracer=tracer,
-            audit=audit,
-            profiler=profiler,
+            audit=DecisionAuditLog() if (config.audit or config.tail_attribution) else None,
+            profiler=LoopProfiler() if config.profile else None,
             metrics_interval_ns=config.metrics_interval_ns if config.trace_path else 0,
-            oplog=OpLog() if config.tail_attribution else DISABLED_OPLOG,
+            oplog=OpLog() if config.tail_attribution else None,
             tail_threshold_pct=config.tail_threshold_pct,
         )
 
@@ -218,10 +219,9 @@ class Observability:
         sim = host.sim
         if self.tracer.enabled:
             self.tracer.clock = lambda: sim.now
-            host.device.tracer = self.tracer
             host.flusher.tracer = self.tracer
             ftl = host.ftl
-            ftl.tracer = ftl.media.tracer = self.tracer
+            ftl.tracer = self.tracer
             ftl.nand.tracer = self.tracer
             if ftl.nand.fault_injector is not None:
                 ftl.nand.fault_injector.tracer = self.tracer
@@ -307,7 +307,6 @@ __all__ = [
     "TailReport",
     "attribute_tail",
     "Gauge",
-    "Histogram",
     "InMemorySink",
     "JsonlTraceSink",
     "LoopProfiler",

@@ -7,8 +7,9 @@ module closes the loop:
 * :class:`OpLog` -- a structure-of-arrays per-op completion record
   (op kind, issue/complete sim-time, device queue depth at issue),
   appended by the metrics collector behind an ``enabled`` guard exactly
-  like the tracer and audit log (:data:`DISABLED_OPLOG` is the shared
-  no-op default).
+  like the audit log (:data:`DISABLED_OPLOG` is the shared no-op
+  default); with a trace open it also writes each op as the trace's
+  ``host`` / ``op.complete`` duration event.
 * :func:`attribute_tail` -- joins every op above a percentile threshold
   against the decision-audit timeline (FGC stall spans, BGC block
   collections, flusher backpressure spans, fault recoveries, post-SPO
@@ -55,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.metrics.hdr import nearest_rank
+from repro.obs.tracer import NULL_TRACER
 
 #: Cause labels, in attribution priority order (most direct first).
 CAUSE_FGC_STALL = "fgc-stall"
@@ -87,9 +89,14 @@ class OpLog:
     flat and the append path allocation-free; the log is bounded like
     the audit log -- past ``limit`` ops recording stops and ``dropped``
     counts the overflow (attribution then covers the recorded prefix).
+    The trace, written first, is not bounded: a traced run without tail
+    attribution gets a ``limit=0`` log that keeps no op but traces all.
     """
 
-    __slots__ = ("enabled", "limit", "kinds", "issue_ns", "complete_ns", "queue_depths", "dropped")
+    __slots__ = (
+        "enabled", "limit", "kinds", "issue_ns", "complete_ns", "queue_depths",
+        "dropped", "tracer",
+    )
 
     def __init__(self, limit: int = 2_000_000, enabled: bool = True) -> None:
         self.enabled = enabled
@@ -99,9 +106,20 @@ class OpLog:
         self.complete_ns: List[int] = []
         self.queue_depths: List[int] = []
         self.dropped = 0
+        #: The run's trace; :class:`repro.obs.Observability` binds it.
+        self.tracer = NULL_TRACER
 
     def record(self, kind: str, issue_ns: int, complete_ns: int, queue_depth: int) -> None:
         """Append one completed op (call sites guard on ``enabled``)."""
+        if self.tracer.enabled:
+            self.tracer.complete(
+                "host",
+                "op.complete",
+                issue_ns,
+                complete_ns - issue_ns,
+                kind=kind,
+                queue_depth=queue_depth,
+            )
         if len(self.issue_ns) >= self.limit:
             self.dropped += 1
             return
@@ -227,40 +245,19 @@ def attribute_tail(
         ordered = sorted(latencies)
         threshold_ns = ordered[nearest_rank(threshold_pct, total_ops) - 1]
 
-    fgc = SpanIndex(
-        [(r.t_ns, r.t_ns + r.dur_ns) for r in getattr(audit, "gc_spans", []) if not r.background]
-    )
+    fgc = SpanIndex([(r.t_ns, r.t_ns + r.dur_ns) for r in audit.fgc_spans()])
     # Background spans split by origin: refresh-scrub relocations get
-    # their own cause (getattr tolerates pre-scrub records on disk).
-    bgc = SpanIndex(
-        [
-            (r.t_ns, r.t_ns + r.dur_ns)
-            for r in getattr(audit, "gc_spans", [])
-            if r.background and not getattr(r, "scrub", False)
-        ]
-    )
-    scrub = SpanIndex(
-        [
-            (r.t_ns, r.t_ns + r.dur_ns)
-            for r in getattr(audit, "gc_spans", [])
-            if r.background and getattr(r, "scrub", False)
-        ]
-    )
+    # their own cause.
+    background = audit.bgc_spans()
+    bgc = SpanIndex([(r.t_ns, r.t_ns + r.dur_ns) for r in background if not r.scrub])
+    scrub = SpanIndex([(r.t_ns, r.t_ns + r.dur_ns) for r in background if r.scrub])
     backpressure = SpanIndex(
-        [(r.t_ns, r.t_ns + r.dur_ns) for r in getattr(audit, "backpressure_spans", [])]
+        [(r.t_ns, r.t_ns + r.dur_ns) for r in audit.backpressure_spans]
     )
-    recovery = SpanIndex(
-        [
-            (r.t_ns, r.t_ns + r.duration_ns)
-            for r in getattr(audit, "recoveries", [])
-        ]
-    )
-    faults = PointIndex([r.t_ns for r in getattr(audit, "faults", [])])
+    recovery = SpanIndex([(r.t_ns, r.t_ns + r.duration_ns) for r in audit.recoveries])
+    faults = PointIndex([r.t_ns for r in audit.faults])
     mapping_faults = SpanIndex(
-        [
-            (r.t_ns, r.t_ns + r.dur_ns)
-            for r in getattr(audit, "mapping_fault_spans", [])
-        ]
+        [(r.t_ns, r.t_ns + r.dur_ns) for r in audit.mapping_fault_spans]
     )
 
     counts: Dict[str, int] = {cause: 0 for cause in CAUSES}

@@ -22,17 +22,31 @@ Records are plain frozen dataclasses so tests can assert on them
 directly; the log is bounded (oldest runs of a long simulation matter
 less than its recent behaviour is *not* assumed -- instead recording
 simply stops at the cap and the drop count is reported).
+
+The records are also the trace's typed events: :meth:`DecisionAuditLog.record`
+keeps each one in the log list its ``store`` names and, with a trace
+open, writes it there as a single event on the record's ``track`` under
+its ``event`` name -- ``t_ns`` becomes
+``ts``, a ``dur_ns`` field makes it a duration event, and every other
+field is an arg.  No site writes these facts to the tracer itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import ClassVar, List, Optional
+
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 #: Manager branch outcomes (see ManagerDecision.branch).
 BRANCH_NO_BGC = "no-bgc"
 BRANCH_DEFER = "defer"
 BRANCH_INVOKE = "invoke"
+
+#: :attr:`GcSpanRecord.event` of a foreground stall and of a
+#: refresh-scrub relocation (the device names the other idle work).
+FGC_STALL = "fgc.stall"
+SCRUB_BLOCK = "scrub.block"
 
 
 @dataclass(frozen=True)
@@ -55,6 +69,10 @@ class ManagerTickRecord:
             ``Tw``/``Tgc``, recorded so the rule can be re-derived.
         sip_pages: size of the SIP list downloaded this tick.
     """
+
+    store: ClassVar[str] = "manager_ticks"
+    track: ClassVar[str] = "manager"
+    event: ClassVar[str] = "manager.tick"
 
     t_ns: int
     dbuf_bytes: int
@@ -87,6 +105,10 @@ class VictimRecord:
         background: True for BGC, False for a foreground stall.
     """
 
+    store: ClassVar[str] = "victim_selections"
+    track: ClassVar[str] = "ftl"
+    event: ClassVar[str] = "victim.select"
+
     t_ns: int
     block: int
     valid_pages: Optional[int]
@@ -109,12 +131,19 @@ class FaultRecord:
         retries: recovery attempts spent before resolution.
     """
 
+    store: ClassVar[str] = "faults"
+    track: ClassVar[str] = "faults"
+
     t_ns: int
     kind: str
     block: int
     page: int
     resolution: str
     retries: int = 0
+
+    @property
+    def event(self) -> str:
+        return f"fault.{self.kind}"
 
 
 @dataclass(frozen=True)
@@ -129,20 +158,33 @@ class GcSpanRecord:
     Attributes:
         t_ns: span start (sim time).
         dur_ns: span length.
-        background: True for BGC block collections and wear-level moves,
-            False for a foreground stall inside a host request.
+        event: what occupied the device -- :data:`FGC_STALL` (a
+            foreground stall inside a host request), ``bgc.block``,
+            :data:`SCRUB_BLOCK` or ``wear_level.block`` (one idle-time
+            block); also the span's trace event name.
         pages: foreground -- the stalled request's page count;
-            background -- net pages freed by the collection.
-        scrub: True for refresh-scrub relocations (a background span
-            attributed as ``scrub-interference`` rather than
-            ``bgc-overlap``).
+            background collection -- net pages freed by it; 0 for
+            scrub and wear-level moves.
     """
+
+    store: ClassVar[str] = "gc_spans"
+    track: ClassVar[str] = "device"
 
     t_ns: int
     dur_ns: int
-    background: bool
+    event: str
     pages: int = 0
-    scrub: bool = False
+
+    @property
+    def background(self) -> bool:
+        """Idle-time work rather than a foreground stall."""
+        return self.event != FGC_STALL
+
+    @property
+    def scrub(self) -> bool:
+        """A refresh-scrub relocation: attributed as
+        ``scrub-interference`` rather than ``bgc-overlap``."""
+        return self.event == SCRUB_BLOCK
 
 
 @dataclass(frozen=True)
@@ -158,6 +200,10 @@ class BackpressureRecord:
         dur_ns: span length (park to final release).
         writers: writer parks during the episode.
     """
+
+    store: ClassVar[str] = "backpressure_spans"
+    track: ClassVar[str] = "flusher"
+    event: ClassVar[str] = "backpressure"
 
     t_ns: int
     dur_ns: int
@@ -176,13 +222,19 @@ class MappingFaultRecord:
         t_ns: span start (sim time, FTL clock).
         dur_ns: NAND time charged to the host op (translation-page read
             on a miss, plus program when a dirty entry was evicted).
+        tvpn: the translation page the access looked up.
         kind: ``miss`` (read only) or ``writeback`` (dirty eviction
             programmed, possibly on top of a miss read).
         pages: translation pages touched (read + programmed).
     """
 
+    store: ClassVar[str] = "mapping_fault_spans"
+    track: ClassVar[str] = "ftl"
+    event: ClassVar[str] = "ftl.mapping_fault"
+
     t_ns: int
     dur_ns: int
+    tvpn: int
     kind: str
     pages: int = 1
 
@@ -199,6 +251,10 @@ class CheckpointRecord:
             stamp and tombstone at or past it postdates this checkpoint.
         trigger: what caused it (``interval`` / ``recovery`` / ``manual``).
     """
+
+    store: ClassVar[str] = "checkpoints"
+    track: ClassVar[str] = "ftl"
+    event: ClassVar[str] = "ftl.checkpoint"
 
     t_ns: int
     generation: int
@@ -232,6 +288,10 @@ class RecoveryRecord:
             (older) generation was found.
     """
 
+    store: ClassVar[str] = "recoveries"
+    track: ClassVar[str] = "spo"
+    event: ClassVar[str] = "recovery"
+
     t_ns: int
     duration_ns: int
     pages_scanned: int
@@ -251,10 +311,12 @@ class RecoveryRecord:
 
 @dataclass
 class DecisionAuditLog:
-    """Bounded in-memory store of decision records.
+    """Bounded in-memory store of decision records, one list per type.
 
     Hot paths guard recording with ``if audit.enabled:`` so the disabled
-    default (:data:`DISABLED_AUDIT`) costs one attribute check.
+    default (:data:`DISABLED_AUDIT`) costs one attribute check.  Each
+    store is capped at ``limit`` on its own; the trace, written before
+    the cap check, is not.
     """
 
     enabled: bool = True
@@ -268,45 +330,29 @@ class DecisionAuditLog:
     backpressure_spans: List[BackpressureRecord] = field(default_factory=list)
     mapping_fault_spans: List[MappingFaultRecord] = field(default_factory=list)
     dropped: int = 0
+    #: The run's trace; :class:`repro.obs.Observability` binds it.
+    tracer: Tracer = field(default=NULL_TRACER, repr=False, compare=False)
 
     # ------------------------------------------------------------------
-    def _append(self, store: List, record) -> None:
+    def record(self, rec) -> None:
+        """Keep ``rec`` in its type's store; with a trace open, first
+        write it there as one event (see the module docstring)."""
+        if not self.enabled:
+            return
+        if self.tracer.enabled:
+            args = dict(vars(rec))
+            ts = args.pop("t_ns")
+            args.pop("event", None)
+            dur = args.pop("dur_ns", None)
+            if dur is None:
+                self.tracer.instant(rec.track, rec.event, ts, **args)
+            else:
+                self.tracer.complete(rec.track, rec.event, ts, dur, **args)
+        store = getattr(self, rec.store)
         if len(store) < self.limit:
-            store.append(record)
+            store.append(rec)
         else:
             self.dropped += 1
-
-    def record_manager_tick(self, record: ManagerTickRecord) -> None:
-        if self.enabled:
-            self._append(self.manager_ticks, record)
-
-    def record_victim(self, record: VictimRecord) -> None:
-        if self.enabled:
-            self._append(self.victim_selections, record)
-
-    def record_fault(self, record: FaultRecord) -> None:
-        if self.enabled:
-            self._append(self.faults, record)
-
-    def record_recovery(self, record: RecoveryRecord) -> None:
-        if self.enabled:
-            self._append(self.recoveries, record)
-
-    def record_checkpoint(self, record: CheckpointRecord) -> None:
-        if self.enabled:
-            self._append(self.checkpoints, record)
-
-    def record_gc_span(self, record: GcSpanRecord) -> None:
-        if self.enabled:
-            self._append(self.gc_spans, record)
-
-    def record_backpressure(self, record: BackpressureRecord) -> None:
-        if self.enabled:
-            self._append(self.backpressure_spans, record)
-
-    def record_mapping_fault(self, record: MappingFaultRecord) -> None:
-        if self.enabled:
-            self._append(self.mapping_fault_spans, record)
 
     # ------------------------------------------------------------------
     # Query helpers

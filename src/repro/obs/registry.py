@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms and time series.
+"""The metrics registry: counters, gauges, HDR histograms and time series.
 
 One :class:`MetricsRegistry` per run is the single source of truth for
 every numeric observable.  Instruments are created on demand and looked
@@ -9,7 +9,8 @@ never hold diverging copies:
 * :class:`Counter` -- monotonically increasing count (host ops, faults).
 * :class:`Gauge` -- a zero-arg probe read at sampling time (``Cfree``,
   dirty pages, WAF).
-* :class:`Histogram` -- power-of-two-bucketed value distribution.
+* :class:`~repro.metrics.hdr.HdrHistogram` -- latency distributions,
+  quantile-sampled per interval.
 * :class:`TimeSeries` -- explicit ``(t_ns, value)`` points, either
   event-driven (the FTL's effective-OP degradation timeline) or produced
   by periodic sampling.
@@ -22,7 +23,7 @@ counter event so Perfetto draws the trajectories as counter tracks.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.metrics.hdr import HdrHistogram
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -68,53 +69,6 @@ class Gauge:
         return f"<Gauge {self.name}>"
 
 
-class Histogram:
-    """Power-of-two-bucketed distribution of non-negative values.
-
-    Bucket ``i`` counts values whose integer part has bit length ``i``
-    (i.e. value in ``[2^(i-1), 2^i)``; bucket 0 holds zeros), which is
-    enough resolution for latency/size distributions at O(1) memory.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max", "buckets")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self.buckets: Dict[int, int] = {}
-
-    def observe(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"histogram {self.name} observed negative {value}")
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        bucket = int(value).bit_length()
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean(),
-            "min": self.min,
-            "max": self.max,
-            "buckets": dict(sorted(self.buckets.items())),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Histogram {self.name} n={self.count} mean={self.mean():.1f}>"
-
-
 class TimeSeries:
     """Append-only ``(t_ns, value)`` sequence."""
 
@@ -146,7 +100,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
         self.hdr_histograms: Dict[str, HdrHistogram] = {}
         self._hdr_marks: Dict[str, Tuple[Dict[int, int], int]] = {}
         self._series: Dict[str, TimeSeries] = {}
@@ -164,12 +117,6 @@ class MetricsRegistry:
         """Register (or re-bind) a gauge probe."""
         instrument = Gauge(name, fn)
         self.gauges[name] = instrument
-        return instrument
-
-    def histogram(self, name: str) -> Histogram:
-        instrument = self.histograms.get(name)
-        if instrument is None:
-            instrument = self.histograms[name] = Histogram(name)
         return instrument
 
     def hdr(self, name: str, bucket_bits: int = 8) -> HdrHistogram:
@@ -237,19 +184,6 @@ class MetricsRegistry:
             dv = series.values[index] - series.values[index - 1]
             rates.append((series.times_ns[index], dv * per_ns / dt))
         return rates
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable view of everything the registry holds."""
-        return {
-            "counters": {name: c.value for name, c in self.counters.items()},
-            "gauges": sorted(self.gauges),
-            "histograms": {name: h.summary() for name, h in self.histograms.items()},
-            "hdr": {name: h.to_wire() for name, h in self.hdr_histograms.items()},
-            "series": {
-                name: {"times_ns": list(s.times_ns), "values": list(s.values)}
-                for name, s in self._series.items()
-            },
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -212,12 +212,16 @@ class Tracer:
     # ------------------------------------------------------------------
     def emit(self, category: str, name: str, **fields: Any) -> None:
         """Instant event at the current sim time on the given track."""
+        self.instant(category, name, self.clock(), **fields)
+
+    def instant(self, category: str, name: str, ts_ns: int, **fields: Any) -> None:
+        """Instant event at sim time ``ts_ns``."""
         self.sink.write(
             {
                 "ph": PHASE_INSTANT,
                 "cat": category,
                 "name": name,
-                "ts": self.clock(),
+                "ts": ts_ns,
                 "args": fields,
             }
         )
@@ -271,6 +275,9 @@ class NullTracer(Tracer):
         self.enabled = False
 
     def emit(self, category: str, name: str, **fields: Any) -> None:
+        pass
+
+    def instant(self, category: str, name: str, ts_ns: int, **fields: Any) -> None:
         pass
 
     def complete(

@@ -177,7 +177,7 @@ class IoDispatcher:
         elif self.audit.enabled and self._throttle_parks:
             # Episode over: every parked writer re-dispatched.  One span
             # from the first park to this drain, for tail attribution.
-            self.audit.record_backpressure(
+            self.audit.record(
                 BackpressureRecord(
                     t_ns=self._throttle_started_ns,
                     dur_ns=self.sim.now - self._throttle_started_ns,

@@ -24,9 +24,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, NamedTuple, Optional
 
-from repro.obs.audit import DISABLED_AUDIT, GcSpanRecord
+from repro.obs.audit import DISABLED_AUDIT, FGC_STALL, SCRUB_BLOCK, GcSpanRecord
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
 from repro.sim.engine import Simulator
 from repro.sim.events import PRIORITY_DEVICE, PRIORITY_LOW
 from repro.sim.simtime import MICROSECOND
@@ -40,15 +39,13 @@ class IdleWork(NamedTuple):
 
     #: Completion event name.
     event: str
-    #: Device trace span name.
+    #: :attr:`GcSpanRecord.event` of the block's occupancy span.
     span: str
-    #: :attr:`GcSpanRecord.scrub` of the block's occupancy span.
-    scrub: bool
 
 
-BGC_WORK = IdleWork("ssd.bgc_done", "bgc.block", False)
-SCRUB_WORK = IdleWork("ssd.scrub_done", "scrub.block", True)
-WEAR_LEVEL_WORK = IdleWork("ssd.wl_done", "wear_level.block", False)
+BGC_WORK = IdleWork("ssd.bgc_done", "bgc.block")
+SCRUB_WORK = IdleWork("ssd.scrub_done", SCRUB_BLOCK)
+WEAR_LEVEL_WORK = IdleWork("ssd.wl_done", "wear_level.block")
 
 
 class ReclaimController:
@@ -107,8 +104,6 @@ class SsdDevice:
         )
         self.controller = controller
         self.parallelism = max(1, config.channel_parallelism)
-        #: Sim-time tracer; replaced by Observability.install when tracing.
-        self.tracer = NULL_TRACER
         #: Decision audit; replaced by Observability.install when auditing.
         #: The device records GC occupancy spans (FGC stalls, BGC blocks,
         #: wear-level moves) for tail-latency attribution.
@@ -237,28 +232,17 @@ class SsdDevice:
         request.complete_time = self.sim.now
         self.busy_ns += latency
         self.requests_completed += 1
-        if fgc_ns > 0:
-            if self.tracer.enabled:
-                # The request stalled on foreground GC: a duration event
-                # on the device track spanning the whole (stalled) service.
-                self.tracer.complete(
-                    "device",
-                    "fgc.stall",
-                    start_ns=request.start_time,
+        if fgc_ns > 0 and self.audit.enabled:
+            # The request stalled on foreground GC: one span over the
+            # whole (stalled) service.
+            self.audit.record(
+                GcSpanRecord(
+                    t_ns=request.start_time,
                     dur_ns=latency,
-                    fgc_ns=fgc_ns,
-                    kind=request.kind.name,
+                    event=FGC_STALL,
                     pages=request.page_count,
                 )
-            if self.audit.enabled:
-                self.audit.record_gc_span(
-                    GcSpanRecord(
-                        t_ns=request.start_time,
-                        dur_ns=latency,
-                        background=False,
-                        pages=request.page_count,
-                    )
-                )
+            )
 
         kind = request.kind
         if kind is READ:
@@ -358,31 +342,21 @@ class SsdDevice:
         self.bgc_busy_ns += latency
         start_ns = self.sim.now - latency
         # Only BGC is reclaim: its freed pages feed the bandwidth
-        # estimate, the trace, the occupancy span and the controller.
-        # Scrub and wear levelling move data; what they free is incidental.
+        # estimate, the occupancy span and the controller.  Scrub and
+        # wear levelling move data; what they free is incidental.
         bgc = work is BGC_WORK
         freed_pages = 0
-        fields = {}
         if bgc:
             freed_pages = self.ftl.free_pages() - free_before
             freed_bytes = freed_pages * self.config.geometry.page_size
             self.gc_bandwidth.observe(max(0, freed_bytes), latency)
-            fields["freed_pages"] = freed_pages
-        if self.tracer.enabled:
-            self.tracer.complete(
-                "device", work.span, start_ns=start_ns, dur_ns=latency, **fields
-            )
         if self.audit.enabled:
             # Every idle-work block occupies the device like a BGC block;
-            # scrub relocations carry the scrub flag so tail attribution
-            # reports ``scrub-interference`` apart from ``bgc-overlap``.
-            self.audit.record_gc_span(
+            # the span's name keeps scrub relocations apart, so tail
+            # attribution reports ``scrub-interference`` on its own.
+            self.audit.record(
                 GcSpanRecord(
-                    t_ns=start_ns,
-                    dur_ns=latency,
-                    background=True,
-                    pages=freed_pages,
-                    scrub=work.scrub,
+                    t_ns=start_ns, dur_ns=latency, event=work.span, pages=freed_pages
                 )
             )
         if bgc and self.controller is not None:

@@ -274,26 +274,65 @@ def test_mid_checkpoint_exhaustion_keeps_newest_complete_generation():
     )
 
 
-def test_trim_on_worn_out_metadata_blocks_is_refused_untouched():
-    """A TRIM the log can no longer journal must not be acknowledged.
+#: One reserved block rated for three erases: it holds 24 tombstone pages.
+WORN_RING = SsdConfig(
+    geometry=NandGeometry(page_size=4096, pages_per_block=8, blocks_per_plane=64),
+    op_ratio=0.25,
+    meta_blocks=1,
+    pe_cycle_limit=3,
+)
 
-    One reserved block rated for three erases holds 24 tombstone pages;
-    the 25th one-page TRIM exhausts it, tears its own record and drives
-    the device read-only.  A further TRIM is refused before it unmaps
-    anything, so the live mapping and what recovery rebuilds agree."""
-    cfg = SsdConfig(
-        geometry=NandGeometry(page_size=4096, pages_per_block=8, blocks_per_plane=64),
-        op_ratio=0.25,
-        meta_blocks=1,
-        pe_cycle_limit=3,
-    )
-    ftl = cfg.build_ftl()
+
+def _wear_out_ring_with_a_trim():
+    """24 TRIM + rewrite pairs fill the ring; the 25th one-page TRIM
+    exhausts it, tears its own record and is refused."""
+    ftl = WORN_RING.build_ftl()
     for lpn in range(64):
         ftl.host_write_page(lpn)
     for lpn in range(24):
         ftl.trim([lpn])
         ftl.host_write_page(lpn)
-    ftl.trim([24])
+    with pytest.raises(DeviceReadOnlyError):
+        ftl.trim([24])
+    return ftl
+
+
+def test_trim_whose_record_tears_leaves_the_mapping_recovery_rebuilds():
+    """A TRIM changes the mapping only once its record has landed in
+    full: the one whose record tore keeps LPN 24 mapped, live and after
+    power-on alike."""
+    ftl = _wear_out_ring_with_a_trim()
+    assert ftl.nand.meta.records[-1].torn
+    assert ftl.stats.pages_trimmed == 24
+    recovered, _ = WORN_RING.recover_from(ftl.nand.capture_durable_state())
+    assert ftl.page_map.lookup(24) is not None
+    assert recovered.page_map.lookup(24) == ftl.page_map.lookup(24)
+
+
+def test_power_on_over_a_worn_out_ring_comes_back_read_only():
+    """A ring that cannot journal anything keeps the device read-only
+    across power loss: the recovered FTL refuses host writes."""
+    ftl = WORN_RING.build_ftl()
+    for lpn in range(64):
+        ftl.host_write_page(lpn)
+    ring = ftl.nand.meta.ring
+    while not ring.exhausted:  # wear the ring out under the FTL
+        ring.program(1)
+    recovered, _ = WORN_RING.recover_from(ftl.nand.capture_durable_state())
+    assert recovered.nand.meta.exhausted
+    assert recovered.read_only
+    with pytest.raises(DeviceReadOnlyError):
+        recovered.host_write_page(0)
+
+
+def test_trim_on_worn_out_metadata_blocks_is_refused_untouched():
+    """A TRIM the log can no longer journal must not be acknowledged.
+
+    The TRIM that exhausts the ring drives the device read-only.  A
+    further TRIM is refused before it unmaps anything, so the live
+    mapping and what recovery rebuilds agree."""
+    cfg = WORN_RING
+    ftl = _wear_out_ring_with_a_trim()
     assert ftl.read_only
     assert ftl.nand.meta.records[-1].torn
     assert ftl.stats.meta_pages_written == 24

@@ -71,13 +71,13 @@ def test_point_index():
 # ----------------------------------------------------------------------
 def _audit_with_timeline() -> DecisionAuditLog:
     audit = DecisionAuditLog()
-    audit.record_gc_span(GcSpanRecord(t_ns=1000, dur_ns=500, background=False))
-    audit.record_gc_span(GcSpanRecord(t_ns=5000, dur_ns=500, background=True))
-    audit.record_backpressure(BackpressureRecord(t_ns=9000, dur_ns=400, writers=2))
-    audit.record_fault(
+    audit.record(GcSpanRecord(t_ns=1000, dur_ns=500, event="fgc.stall"))
+    audit.record(GcSpanRecord(t_ns=5000, dur_ns=500, event="bgc.block"))
+    audit.record(BackpressureRecord(t_ns=9000, dur_ns=400, writers=2))
+    audit.record(
         FaultRecord(t_ns=12_000, kind="read", block=1, page=2, resolution="read-retry")
     )
-    audit.record_recovery(
+    audit.record(
         RecoveryRecord(
             t_ns=15_000,
             duration_ns=1000,
@@ -187,7 +187,7 @@ def test_audit_span_queries():
     # Disabled audit drops span records like every other record type.
     from repro.obs.audit import DISABLED_AUDIT
 
-    DISABLED_AUDIT.record_gc_span(GcSpanRecord(t_ns=0, dur_ns=1, background=False))
+    DISABLED_AUDIT.record(GcSpanRecord(t_ns=0, dur_ns=1, event="fgc.stall"))
     assert DISABLED_AUDIT.gc_spans == []
 
 
@@ -196,9 +196,9 @@ def test_mapping_fault_cause_attributes_cmt_misses():
     from repro.obs.audit import MappingFaultRecord
 
     audit = DecisionAuditLog()
-    audit.record_mapping_fault(MappingFaultRecord(t_ns=2000, dur_ns=300, kind="miss"))
-    audit.record_mapping_fault(
-        MappingFaultRecord(t_ns=8000, dur_ns=500, kind="writeback", pages=1)
+    audit.record(MappingFaultRecord(t_ns=2000, dur_ns=300, tvpn=0, kind="miss"))
+    audit.record(
+        MappingFaultRecord(t_ns=8000, dur_ns=500, tvpn=0, kind="writeback", pages=1)
     )
     log = OpLog()
     log.record("write", 1900, 2100, 0)   # overlaps the miss read
@@ -216,10 +216,10 @@ def test_fault_retry_outranks_mapping_fault():
     from repro.obs.audit import MappingFaultRecord
 
     audit = DecisionAuditLog()
-    audit.record_fault(
+    audit.record(
         FaultRecord(t_ns=2000, kind="read", block=0, page=0, resolution="read-retry")
     )
-    audit.record_mapping_fault(MappingFaultRecord(t_ns=2000, dur_ns=300, kind="miss"))
+    audit.record(MappingFaultRecord(t_ns=2000, dur_ns=300, tvpn=0, kind="miss"))
     log = OpLog()
     log.record("read", 1900, 2400, 0)  # overlaps both
     report = attribute_tail(log, audit, threshold_pct=0.0)

@@ -39,27 +39,27 @@ def _tick(branch, **overrides):
 
 def test_disabled_audit_records_nothing():
     assert DISABLED_AUDIT.enabled is False
-    DISABLED_AUDIT.record_manager_tick(_tick(BRANCH_DEFER))
-    DISABLED_AUDIT.record_victim(
+    DISABLED_AUDIT.record(_tick(BRANCH_DEFER))
+    DISABLED_AUDIT.record(
         VictimRecord(0, 1, 2, 2.0, 3, 0, background=True)
     )
-    DISABLED_AUDIT.record_fault(FaultRecord(0, "read", 1, 2, "read-retry"))
+    DISABLED_AUDIT.record(FaultRecord(0, "read", 1, 2, "read-retry"))
     assert DISABLED_AUDIT.total_records() == 0
 
 
 def test_audit_log_caps_and_counts_drops():
     audit = DecisionAuditLog(limit=2)
     for i in range(5):
-        audit.record_fault(FaultRecord(i, "read", 0, 0, "read-retry"))
+        audit.record(FaultRecord(i, "read", 0, 0, "read-retry"))
     assert len(audit.faults) == 2
     assert audit.dropped == 3
 
 
 def test_ticks_filter_by_branch():
     audit = DecisionAuditLog()
-    audit.record_manager_tick(_tick(BRANCH_NO_BGC))
-    audit.record_manager_tick(_tick(BRANCH_DEFER))
-    audit.record_manager_tick(_tick(BRANCH_DEFER))
+    audit.record(_tick(BRANCH_NO_BGC))
+    audit.record(_tick(BRANCH_DEFER))
+    audit.record(_tick(BRANCH_DEFER))
     assert len(audit.ticks()) == 3
     assert len(audit.ticks(BRANCH_DEFER)) == 2
     assert audit.ticks(BRANCH_INVOKE) == []
@@ -67,8 +67,8 @@ def test_ticks_filter_by_branch():
 
 def test_filtered_selections_query():
     audit = DecisionAuditLog()
-    audit.record_victim(VictimRecord(0, 1, 4, 4.0, 8, 0, background=True))
-    audit.record_victim(VictimRecord(1, 2, 4, 4.0, 8, 2, background=True))
+    audit.record(VictimRecord(0, 1, 4, 4.0, 8, 0, background=True))
+    audit.record(VictimRecord(1, 2, 4, 4.0, 8, 2, background=True))
     assert [v.block for v in audit.filtered_selections()] == [2]
 
 

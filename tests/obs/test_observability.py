@@ -72,7 +72,9 @@ def test_install_wires_components():
     )
     assert host.ftl.tracer is obs.tracer
     assert host.flusher.tracer is obs.tracer
-    assert host.device.tracer is obs.tracer
+    # A trace implies the event streams that write its typed events.
+    assert host.device.audit is obs.audit
+    assert obs.audit.tracer is obs.tracer and obs.oplog.tracer is obs.tracer
     assert host.ftl.nand.tracer is obs.tracer
     assert host.ftl.nand.fault_injector.tracer is obs.tracer
     assert host.policy.tracer is obs.tracer

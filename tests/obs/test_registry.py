@@ -11,7 +11,6 @@ from repro.sim.simtime import SECOND
 def test_instruments_are_idempotent_by_name():
     registry = MetricsRegistry()
     assert registry.counter("ops") is registry.counter("ops")
-    assert registry.histogram("lat") is registry.histogram("lat")
     assert registry.series("op") is registry.series("op")
 
 
@@ -43,19 +42,6 @@ def test_rate_points_derives_per_interval_iops():
     assert rates == [(2 * SECOND, 200.0), (4 * SECOND, 0.0)]
 
 
-def test_histogram_buckets_and_summary():
-    registry = MetricsRegistry()
-    hist = registry.histogram("lat")
-    for value in (0, 1, 3, 100):
-        hist.observe(value)
-    summary = hist.summary()
-    assert summary["count"] == 4
-    assert summary["min"] == 0 and summary["max"] == 100
-    assert summary["mean"] == pytest.approx(26.0)
-    with pytest.raises(ValueError):
-        hist.observe(-1)
-
-
 def test_event_driven_series_append():
     registry = MetricsRegistry()
     series = registry.series("ftl.effective_op_pages.events")
@@ -63,21 +49,6 @@ def test_event_driven_series_append():
     series.append(20, 32)
     assert series.points == [(10, 64), (20, 32)]
     assert len(series) == 2
-
-
-def test_snapshot_is_serializable():
-    import json
-
-    registry = MetricsRegistry()
-    registry.counter("c").inc()
-    registry.gauge("g", lambda: 1.0)
-    registry.histogram("h").observe(5)
-    registry.series("s").append(1, 2.0)
-    registry.sample(SECOND)
-    encoded = json.dumps(registry.snapshot())
-    decoded = json.loads(encoded)
-    assert decoded["counters"]["c"] == 1
-    assert decoded["series"]["s"]["values"] == [2.0]
 
 
 def test_sampler_fires_at_fixed_sim_period():

@@ -1,6 +1,6 @@
 """Tests for the scrub-interference tail-latency cause.
 
-Refresh-scrub relocations are background GC spans flagged ``scrub=True``
+Refresh-scrub relocations are background GC spans named ``scrub.block``
 on their :class:`GcSpanRecord`; the attribution engine must classify a
 slow op overlapping one as ``scrub-interference`` -- not fold it into
 ``bgc-overlap`` -- while preserving the priority ladder around it.
@@ -19,10 +19,10 @@ from repro.obs.audit import DecisionAuditLog, GcSpanRecord
 
 def _audit_with_scrub() -> DecisionAuditLog:
     audit = DecisionAuditLog()
-    audit.record_gc_span(GcSpanRecord(t_ns=1000, dur_ns=500, background=False))
-    audit.record_gc_span(GcSpanRecord(t_ns=5000, dur_ns=500, background=True))
-    audit.record_gc_span(
-        GcSpanRecord(t_ns=9000, dur_ns=500, background=True, scrub=True)
+    audit.record(GcSpanRecord(t_ns=1000, dur_ns=500, event="fgc.stall"))
+    audit.record(GcSpanRecord(t_ns=5000, dur_ns=500, event="bgc.block"))
+    audit.record(
+        GcSpanRecord(t_ns=9000, dur_ns=500, event="scrub.block")
     )
     return audit
 
@@ -64,10 +64,10 @@ def test_bgc_outranks_scrub_when_both_overlap():
     assert report.count(CAUSE_SCRUB) == 0
 
 
-def test_pre_scrub_records_default_to_bgc_overlap():
-    """Old GcSpanRecords (no scrub flag) still classify as bgc-overlap."""
+def test_wear_level_span_classifies_as_bgc_overlap():
+    """Wear-level moves are background work, but not a scrub."""
     audit = DecisionAuditLog()
-    audit.record_gc_span(GcSpanRecord(t_ns=5000, dur_ns=500, background=True))
+    audit.record(GcSpanRecord(t_ns=5000, dur_ns=500, event="wear_level.block"))
     log = OpLog()
     log.record("write", 4900, 5200, 0)
     report = attribute_tail(log, audit, threshold_pct=0.0)

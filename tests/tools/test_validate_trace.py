@@ -1,8 +1,9 @@
-"""Tests for tools/validate_trace.py's latency-record checks.
+"""Tests for tools/validate_trace.py's latency-record and span checks.
 
 The validator's happy paths run in CI against real traces; these tests
-pin the *failure* paths -- malformed per-op completion records and the
-``--require-latency`` contract -- with hand-built minimal traces.
+pin the *failure* paths -- malformed per-op completion records, span
+records that are not duration events, and the ``--require-latency``
+contract -- with hand-built minimal traces.
 """
 
 import importlib.util
@@ -104,6 +105,28 @@ def test_op_complete_must_be_complete_duration_event(tmp_path):
     del bad["args"]["queue_depth"]
     path = _write_jsonl(tmp_path / "t.jsonl", [HEADER, bad])
     with pytest.raises(ValueError, match="queue_depth"):
+        validate_trace.validate_jsonl(path)
+
+
+@pytest.mark.parametrize("name", sorted(validate_trace.SPAN_EVENT_NAMES))
+def test_span_records_pass_as_duration_events(tmp_path, name):
+    span = _event(name=name, ph="X", ts=10, dur=0, args={"pages": 1})
+    validate_trace.validate_jsonl(_write_jsonl(tmp_path / "t.jsonl", [HEADER, span]))
+    validate_trace.validate_chrome(_write_chrome(tmp_path / "t.json", [span]))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        _event(name="backpressure", ph="i", ts=10, args={"writers": 1}),
+        _event(name="ftl.mapping_fault", ph="X", ts=10, args={"kind": "miss"}),
+        _event(name="fgc.stall", ph="X", ts=10, dur=-1, args={"pages": 1}),
+    ],
+    ids=["instant", "no-dur", "negative-dur"],
+)
+def test_span_records_must_be_duration_events(tmp_path, bad):
+    path = _write_jsonl(tmp_path / "t.jsonl", [HEADER, bad])
+    with pytest.raises(ValueError, match="duration event"):
         validate_trace.validate_jsonl(path)
 
 

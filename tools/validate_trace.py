@@ -23,11 +23,14 @@ the percentile counter tracks fails validation (the latency-report CI
 job passes it; plain smoke traces from runs without ``--trace``-time
 sampling or tail attribution may legitimately lack both).
 
+Span-typed audit records (GC occupancy, backpressure and mapping-fault
+spans; see :data:`SPAN_EVENT_NAMES`) must be duration events with
+``dur >= 0`` wherever they appear.
+
 With ``--require-scrub`` a trace must carry at least one
 ``device/scrub.block`` span (a refresh-scrub relocation, emitted with
 ``--reliability`` armed and at-risk data present); the reliability CI
-smoke job passes it.  Scrub spans are additionally checked to be
-duration events wherever they appear.
+smoke job passes it.
 
 Exit status 0 when every file passes; 1 with a diagnostic otherwise.
 """
@@ -49,6 +52,19 @@ OP_COMPLETE_NAME = "op.complete"
 #: Refresh-scrub relocation span (device track; reliability runs only).
 SCRUB_EVENT_NAME = "scrub.block"
 
+#: Events of the span-typed audit records (repro.obs.audit): each one
+#: carries a ``dur_ns`` field, so the trace writes it as a duration event.
+SPAN_EVENT_NAMES = frozenset(
+    {
+        "fgc.stall",
+        "bgc.block",
+        SCRUB_EVENT_NAME,
+        "wear_level.block",
+        "backpressure",
+        "ftl.mapping_fault",
+    }
+)
+
 
 def _check_op_complete(event: dict, args: dict, has_dur: bool) -> None:
     """Shared per-op completion record invariants (both formats)."""
@@ -69,17 +85,19 @@ class _LatencyAudit:
         self.counter_tracks = set()
         self.scrub_spans = 0
 
-    def see(self, name: str, ph: str) -> None:
+    def see(self, event: dict) -> None:
+        name, ph = event["name"], event["ph"]
         if name == OP_COMPLETE_NAME and ph == "X":
             self.op_completes += 1
         if ph == "C" and name in LATENCY_COUNTER_TRACKS:
             self.counter_tracks.add(name)
-        if name == SCRUB_EVENT_NAME:
-            if ph != "X":
+        if name in SPAN_EVENT_NAMES:
+            if ph != "X" or not event.get("dur", -1) >= 0:
                 raise ValueError(
-                    f"{SCRUB_EVENT_NAME} must be a duration event, got ph={ph!r}"
+                    f"{name} must be a duration event with dur >= 0: {event}"
                 )
-            self.scrub_spans += 1
+            if name == SCRUB_EVENT_NAME:
+                self.scrub_spans += 1
 
     def enforce(self) -> None:
         if self.op_completes == 0:
@@ -128,7 +146,7 @@ def validate_jsonl(
                 raise ValueError(f"event missing {key!r}: {event}")
         if event["name"] == OP_COMPLETE_NAME:
             _check_op_complete(event, event.get("args", {}), "dur" in event)
-        audit.see(event["name"], event["ph"])
+        audit.see(event)
     if require_latency:
         audit.enforce()
     if require_scrub:
@@ -162,7 +180,7 @@ def validate_chrome(
         last_ts[tid] = event["ts"]
         if event["name"] == OP_COMPLETE_NAME:
             _check_op_complete(event, event.get("args", {}), "dur" in event)
-        audit.see(event["name"], event["ph"])
+        audit.see(event)
     if require_latency:
         audit.enforce()
     if require_scrub:
