@@ -113,7 +113,8 @@ def bench_recovery_scan(quick: bool) -> dict:
 
     walls = []
     for _ in range(params["rounds"]):
-        nand = config.restore_nand(durable)
+        # A power-on adopts (spends) its image: each round gets a copy.
+        nand = config.restore_nand(durable.copy())
         start = time.perf_counter()
         ftl, report = recover_ftl(nand, config)
         walls.append(time.perf_counter() - start)
@@ -139,19 +140,20 @@ def bench_recovery_tail_scan(quick: bool) -> dict:
     # tail scan covers a representative mid-interval crash.
     interval = max(1, config.space_model().user_pages // 32)
     durable = _churned_image(params, checkpoint_interval=interval)
-    # Drop the records; the reserved blocks keep their wear.
+    # Drop the records; the reserved blocks keep their wear.  A copy:
+    # ``replace`` alone would share ``durable``'s columns.
     stripped = dataclasses.replace(
-        durable, meta=dataclasses.replace(durable.meta, records=())
+        durable.copy(), meta=dataclasses.replace(durable.meta, records=())
     )
 
     ckpt_walls, full_walls = [], []
     for _ in range(params["rounds"]):
-        nand = config.restore_nand(durable)
+        nand = config.restore_nand(durable.copy())
         start = time.perf_counter()
         ftl, ckpt_report = recover_ftl(nand, config)
         ckpt_walls.append(time.perf_counter() - start)
 
-        nand = config.restore_nand(stripped)
+        nand = config.restore_nand(stripped.copy())
         start = time.perf_counter()
         ftl_full, full_report = recover_ftl(nand, config)
         full_walls.append(time.perf_counter() - start)

@@ -153,6 +153,9 @@ class PageMappedFtl:
         #: default) and a third write frontier for translation blocks.
         self.mapping_mode = config.mapping_mode
         self._dftl = config.mapping_mode == "dftl"
+        # A recovered map is built around the rebuilt L2P table, which it
+        # adopts (PageMap.load_mapping): no blank table is filled first.
+        l2p = None if recovered is None else recovered.l2p
         if self._dftl:
             full_map_bytes = space.user_pages * 8
             budget = (
@@ -163,11 +166,11 @@ class PageMappedFtl:
             self.cmt_budget_bytes = budget
             capacity = max(1, budget // nand.geometry.page_size)
             self.page_map: PageMap = CachedPageMap(
-                nand.geometry, space.user_pages, capacity
+                nand.geometry, space.user_pages, capacity, l2p
             )
         else:
             self.cmt_budget_bytes = None
-            self.page_map = PageMap(nand.geometry, space.user_pages)
+            self.page_map = PageMap(nand.geometry, space.user_pages, l2p)
         #: Write streams: user + GC frontiers, plus the translation
         #: frontier in dftl mode (sizing floor for the free pool).
         self._streams = 3 if self._dftl else 2
@@ -294,12 +297,13 @@ class PageMappedFtl:
         scan (:func:`repro.ftl.recovery.recover_ftl`) instead of
         formatting a fresh device.
 
-        Volatile host-side state (SIP list, block close times, stats,
-        the op-counter clock) is deliberately *not* restored -- it lived
-        in controller DRAM and died with the power rail.
+        The page map already holds the recovered L2P (the constructor
+        built it around that table).  Volatile host-side state (SIP list,
+        block close times, stats, the op-counter clock) is deliberately
+        *not* restored -- it lived in controller DRAM and died with the
+        power rail.
         """
         pm = self.page_map
-        pm.load_mapping(recovered.l2p)
         if self._dftl:
             if recovered.gtd is None:
                 raise FtlError(
@@ -315,9 +319,7 @@ class PageMappedFtl:
         )
         closed = np.asarray(recovered.closed_blocks, dtype=np.int64)
         self._closed[closed] = True
-        self.victim_index.track_many(
-            recovered.closed_blocks, pm.valid_counts()[closed].tolist()
-        )
+        self.victim_index.track_many(closed, pm.valid_counts()[closed])
         self._open_frontiers(
             (
                 recovered.active_user_block,
@@ -1260,8 +1262,7 @@ class PageMappedFtl:
         self.page_map.invariant_check()
         valid_counts = self.page_map.valid_counts()
         closed = np.flatnonzero(self._closed)
-        expected = dict(zip(closed.tolist(), valid_counts[closed].tolist()))
-        if dict(self.victim_index.items()) != expected:
+        if not self.victim_index.tracks_exactly(closed, valid_counts[closed]):
             raise AssertionError(
                 "valid-count index disagrees with the closed-block scan"
             )

@@ -75,9 +75,17 @@ class PageMap:
     Args:
         geometry: NAND geometry (defines the physical page space).
         user_pages: size of the logical page space.
+        l2p: a rebuilt L2P table to install (power-on recovery), adopted
+            as :meth:`load_mapping` adopts it; None starts every LPN
+            unmapped.
     """
 
-    def __init__(self, geometry: NandGeometry, user_pages: int) -> None:
+    def __init__(
+        self,
+        geometry: NandGeometry,
+        user_pages: int,
+        l2p: Optional[np.ndarray] = None,
+    ) -> None:
         if user_pages <= 0:
             raise ValueError(f"user_pages must be positive, got {user_pages}")
         self.geometry = geometry
@@ -85,12 +93,21 @@ class PageMap:
         # Cached int: the per-write paths below do flat-address math per
         # call and must not walk the geometry attribute chain each time.
         self._ppb = geometry.pages_per_block
-        self._l2p = np.full(user_pages, UNMAPPED, dtype=np.int64)
-        self._p2l = np.full(geometry.total_pages, UNMAPPED, dtype=np.int64)
-        self._valid = np.zeros(geometry.total_pages, dtype=bool)
-        self._valid_per_block = np.zeros(geometry.total_blocks, dtype=np.int32)
-        #: Number of LPNs currently mapped (the paper's ``Cused`` in pages).
-        self.mapped_count = 0
+        if l2p is not None:
+            # No blank planes first: load_mapping fills the reverse map
+            # and the validity plane once and adopts ``l2p`` as the
+            # forward table.
+            self._p2l = np.empty(geometry.total_pages, dtype=np.int64)
+            self._valid = np.empty(geometry.total_pages, dtype=bool)
+            self._valid_per_block = np.empty(geometry.total_blocks, dtype=np.int32)
+            self.load_mapping(l2p)
+        else:
+            self._l2p = np.full(user_pages, UNMAPPED, dtype=np.int64)
+            self._p2l = np.full(geometry.total_pages, UNMAPPED, dtype=np.int64)
+            self._valid = np.zeros(geometry.total_pages, dtype=bool)
+            self._valid_per_block = np.zeros(geometry.total_blocks, dtype=np.int32)
+            #: Number of LPNs currently mapped (the paper's ``Cused`` in pages).
+            self.mapped_count = 0
         #: Single observer called as ``(block, lpn, delta)`` on every
         #: per-page validity change (delta is +1 or -1).  The FTL's
         #: victim/SIP indexes subscribe here; None costs one ``is None``
@@ -281,18 +298,22 @@ class PageMap:
         ``l2p`` is a full ``user_pages``-long PPN vector (``UNMAPPED``
         where the LPN has no surviving copy); the reverse map, validity
         bitmap, per-block counters and ``mapped_count`` are all rebuilt
-        from it.  Replaces any existing state and does **not** fire the
-        validity observer -- the recovery path rebuilds its indexes from
-        the resulting counters itself.  A table of the wrong length, or
-        with an entry outside the physical space, is rejected with a
-        :class:`ValueError` before any state changes.
+        from it.  The map *adopts* ``l2p`` as its forward table -- no
+        copy, so the caller hands over a private table (the recovery
+        rebuild's is) -- unless it is read-only or not a contiguous
+        int64 vector, when it takes a copy.  Replaces any existing state
+        and does **not** fire the validity observer -- the recovery path
+        rebuilds its indexes from the resulting counters itself.  A
+        table of the wrong length, or with an entry outside the physical
+        space, is rejected with a :class:`ValueError` before any state
+        changes.
         """
         if len(l2p) != self.user_pages:
             raise ValueError(
                 f"l2p table sized {len(l2p)}, map holds {self.user_pages} LPNs"
             )
         _check_in_physical_space(l2p, len(self._p2l), "l2p")
-        self._l2p[:] = l2p
+        self._l2p = np.require(l2p, np.int64, ("C", "W"))
         lpns = np.flatnonzero(self._l2p != UNMAPPED)
         self._p2l.fill(UNMAPPED)
         self._p2l[self._l2p[lpns]] = lpns
@@ -569,8 +590,9 @@ class CachedPageMap(PageMap):
         geometry: NandGeometry,
         user_pages: int,
         cmt_capacity_pages: int,
+        l2p: Optional[np.ndarray] = None,
     ) -> None:
-        super().__init__(geometry, user_pages)
+        super().__init__(geometry, user_pages, l2p)
         if cmt_capacity_pages < 1:
             raise ValueError(
                 f"cmt_capacity_pages must be >= 1, got {cmt_capacity_pages}"

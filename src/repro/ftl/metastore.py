@@ -293,6 +293,13 @@ class MetaImage:
     records: Tuple[MetaRecord, ...]
     ring: RingWear
 
+    @cached_property
+    def pages(self) -> int:
+        """Metadata pages the records occupy.  :meth:`MetaLog.capture`
+        seeds it with the log's running count; an image built any other
+        way (``dataclasses.replace``) sums its records on first ask."""
+        return sum(record.pages for record in self.records)
+
 
 class MetaLog:
     """The NAND-resident metadata log and the reserved blocks it lives in.
@@ -319,6 +326,8 @@ class MetaLog:
         self._erase_ns = timing.erase_ns
         self._records: List[MetaRecord] = []
         self._next_seq = 0
+        #: Running total of the records' pages (:meth:`pages_held`).
+        self._pages = 0
 
     # ------------------------------------------------------------------
     # Mutations
@@ -363,6 +372,7 @@ class MetaLog:
         )
         self._next_seq += 1
         self._records.append(record)
+        self._pages += record.pages
         return record
 
     def _program(self, record: MetaRecord) -> MetaProgramOutcome:
@@ -400,6 +410,7 @@ class MetaLog:
             torn=True,
         )
         self._records[-1] = torn
+        self._pages += torn.pages - record.pages
         return torn
 
     def compact(self) -> int:
@@ -440,6 +451,7 @@ class MetaLog:
                 survivors.append(record)
         dropped = len(self._records) - len(survivors)
         self._records = survivors
+        self._pages = sum(record.pages for record in survivors)
         return dropped
 
     # ------------------------------------------------------------------
@@ -451,7 +463,7 @@ class MetaLog:
 
     def pages_held(self) -> int:
         """Metadata pages a recovery scan must read (post-compaction)."""
-        return sum(record.pages for record in self._records)
+        return self._pages
 
     @property
     def exhausted(self) -> bool:
@@ -460,13 +472,19 @@ class MetaLog:
 
     def capture(self) -> MetaImage:
         """The durable image: records plus ring wear, deep-copied."""
-        return MetaImage(tuple(self._records), self.ring.capture())
+        image = MetaImage(tuple(self._records), self.ring.capture())
+        # Seeds the cached_property, exactly as a first read would.
+        image.__dict__["pages"] = self._pages
+        return image
 
     def load(self, image: MetaImage) -> None:
         """Power on over a captured image: its records and ring wear
-        replace this (fresh) log's."""
+        replace this (fresh) log's.  Records keep append order through
+        compaction and tears, so the newest one holds the highest
+        sequence number."""
         self._records = list(image.records)
-        self._next_seq = max((r.seq for r in image.records), default=-1) + 1
+        self._next_seq = image.records[-1].seq + 1 if image.records else 0
+        self._pages = image.pages
         self.ring.load(image.ring)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

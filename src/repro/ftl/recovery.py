@@ -66,7 +66,7 @@ and erase no longer resurrects the mapping (the pre-PR-6 caveat).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -74,7 +74,6 @@ from repro.ftl.ftl import FtlError, PageMappedFtl
 from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED
 from repro.ftl.metastore import (
     KIND_CHECKPOINT,
-    KIND_UNMAP,
     CheckpointImage,
 )
 from repro.nand.array import (
@@ -100,9 +99,12 @@ class RecoveredFtlState:
     """Rebuilt FTL state handed to :class:`PageMappedFtl` (``recovered=``).
 
     Attributes:
-        l2p: full LPN→PPN table (``UNMAPPED`` where no copy survived).
-        free_blocks: erased blocks for the wear-aware pool.
-        closed_blocks: fully-programmed in-use blocks (GC candidates).
+        l2p: full LPN→PPN table (``UNMAPPED`` where no copy survived);
+            the FTL's page map adopts it, so it must be private.
+        free_blocks: erased blocks for the wear-aware pool (a list or an
+            int array).
+        closed_blocks: fully-programmed in-use blocks (GC candidates; a
+            list or an int array).
         retired_blocks: grown-bad blocks (bad marks absent from the
             factory table).
         active_user_block: resumed user write frontier (None -> allocate
@@ -121,8 +123,8 @@ class RecoveredFtlState:
     """
 
     l2p: np.ndarray
-    free_blocks: List[int]
-    closed_blocks: List[int]
+    free_blocks: Sequence[int]
+    closed_blocks: Sequence[int]
     retired_blocks: Set[int]
     active_user_block: Optional[int]
     active_gc_block: Optional[int]
@@ -289,20 +291,28 @@ def _load_metadata(nand: NandArray, user_pages: int) -> _DurableMetadata:
     counts as a fallback (an older complete generation, or the empty
     base, takes over).  Tombstone vectors are concatenated across all
     surviving journal records -- the merge orders them by stamp, so
-    record boundaries carry no meaning.
+    record boundaries carry no meaning.  One walk over the log sorts the
+    records; only the few checkpoints are walked again, newest first.
     """
-    records = nand.meta.records
     torn_records = 0
     fallbacks = 0
-    max_generation = 0
+    checkpoints = []
+    lpn_parts: List[np.ndarray] = []
+    seq_parts: List[np.ndarray] = []
+    for record in nand.meta.records:
+        if record.kind == KIND_CHECKPOINT:
+            checkpoints.append(record)
+            continue
+        parsed = record.parsed
+        if parsed is None:
+            torn_records += 1
+            continue
+        lpn_parts.append(parsed[0])
+        seq_parts.append(parsed[1])
+    max_generation = max((record.generation for record in checkpoints), default=0)
 
     checkpoint: Optional[CheckpointImage] = None
-    for record in reversed(records):
-        if record.kind != KIND_CHECKPOINT:
-            continue
-        max_generation = max(max_generation, record.generation)
-        if checkpoint is not None:
-            continue
+    for record in reversed(checkpoints):
         image = record.parsed
         if image is None:
             torn_records += 1
@@ -331,18 +341,8 @@ def _load_metadata(nand: NandArray, user_pages: int) -> _DurableMetadata:
                     "checkpoint GTD entry outside the physical space"
                 )
         checkpoint = image
+        break
 
-    lpn_parts: List[np.ndarray] = []
-    seq_parts: List[np.ndarray] = []
-    for record in records:
-        if record.kind != KIND_UNMAP:
-            continue
-        if record.parsed is None:
-            torn_records += 1
-            continue
-        lpns, seqs = record.parsed
-        lpn_parts.append(lpns)
-        seq_parts.append(seqs)
     empty = np.empty(0, dtype=np.int64)
     tomb_lpns = np.concatenate(lpn_parts) if lpn_parts else empty
     if tomb_lpns.size and (
@@ -370,6 +370,7 @@ def _merge_namespace(
     tombs: Tuple[np.ndarray, np.ndarray],
     horizon: int,
     oob_base: int,
+    unsettled: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, int, int, int, int]:
     """Rebuild one mapping table -- the L2P or the GTD -- over its base.
 
@@ -387,7 +388,12 @@ def _merge_namespace(
     dangles at an unprogrammed page (or at another key's data if the
     block was reprogrammed), and no durable copy of that key is left, so
     a surviving entry must land on a page stamped ``oob_base + key``.  A
-    merge winner always does, so an empty base needs no check.
+    merge winner always does, so an empty base needs no check.  Nor does
+    an entry on a page the snapshot had already programmed in a block
+    not erased since: its OOB is the one the snapshot saw, stamped with
+    that key.  ``unsettled`` (:func:`_unsettled_pages`; ``None`` with an
+    empty base) marks the other pages, and only entries on them are
+    checked -- a few blocks' worth instead of the whole table.
 
     Returns ``(table, mapped, stale, tombstones_replayed, next_seq)``:
     ``mapped`` counts the table's entries, ``stale`` the swept stamps
@@ -425,17 +431,33 @@ def _merge_namespace(
     if base is None:
         mapped = int(np.count_nonzero(table != UNMAPPED))
         return table, mapped, stale, replayed, next_seq
-    mapped = np.flatnonzero(table != UNMAPPED)
-    ppns = table[mapped]
+    # An UNMAPPED (-1) entry reads the mask's trailing False.
+    suspect = np.flatnonzero(unsettled[table])
+    ppns = table[suspect]
     dangling = nand.oob_seq[ppns] == OOB_UNSTAMPED
     owner = nand.oob_lpn[ppns]
     if oob_base:
         owner -= oob_base
-    dangling |= owner != mapped
-    n_dangling = int(np.count_nonzero(dangling))
-    if n_dangling:
-        table[mapped[dangling]] = UNMAPPED
-    return table, int(mapped.size) - n_dangling, stale, replayed, next_seq
+    dangling |= owner != suspect
+    if dangling.any():
+        table[suspect[dangling]] = UNMAPPED
+    mapped = int(np.count_nonzero(table != UNMAPPED))
+    return table, mapped, stale, replayed, next_seq
+
+
+def _unsettled_pages(
+    base_ptr: np.ndarray, erase_moved: np.ndarray, ppb: int
+) -> np.ndarray:
+    """Pages whose OOB may differ from what a snapshot saw, as a mask
+    over the flat page space plus one trailing ``False`` (which index
+    ``UNMAPPED`` reads): every page of a block erased since, and every
+    page at or past the snapshot's program pointer.  Everywhere else the
+    cells are untouched -- a page is stamped once per erase."""
+    mask = np.zeros(len(base_ptr) * ppb + 1, dtype=bool)
+    pages = mask[:-1].reshape(len(base_ptr), ppb)
+    np.greater_equal(np.arange(ppb), base_ptr[:, None], out=pages)
+    pages |= erase_moved[:, None]
+    return mask
 
 
 def _rebuild(
@@ -453,6 +475,7 @@ def _rebuild(
     """
     ppb = nand.geometry.pages_per_block
     ckpt = meta.checkpoint
+    unsettled = None
     if ckpt is None:
         horizon, generation, l2p_base, gtd_base = 0, -1, None, None
         base_ptr = np.zeros_like(nand.program_ptr)
@@ -481,12 +504,14 @@ def _rebuild(
     # trust").
     end = np.where(bad, 0, ptr_now)
     start = np.minimum(np.where(erase_moved, 0, base_ptr), end)
+    if ckpt is not None:
+        unsettled = _unsettled_pages(base_ptr, erase_moved, ppb)
     pages_scanned, torn, data, trans = _sweep(
         nand, start, end, user_pages, trans_pages
     )
     l2p, mapped_lpns, stale, tombstones_replayed, write_seq = _merge_namespace(
         nand, l2p_base, user_pages, data, (meta.tomb_lpns, meta.tomb_seqs),
-        horizon, 0,
+        horizon, 0, unsettled,
     )
     del data  # device-sized over an empty base: release it before the GTD
 
@@ -503,7 +528,7 @@ def _rebuild(
         empty = np.empty(0, dtype=np.int64)
         gtd, trans_mapped, trans_stale, _, trans_seq = _merge_namespace(
             nand, gtd_base, trans_pages, trans, (empty, empty), horizon,
-            TRANS_LPN_BASE,
+            TRANS_LPN_BASE, unsettled,
         )
         stale += trans_stale
         write_seq = max(write_seq, trans_seq)
@@ -530,10 +555,12 @@ def _rebuild(
 
 def rediscover_layout(
     nand: NandArray,
-) -> Tuple[List[int], List[int], List[int], Set[int]]:
+) -> Tuple[np.ndarray, List[int], np.ndarray, Set[int]]:
     """Classify every block from its durable physical state.
 
-    Returns ``(free, open, closed, retired)``:
+    Returns ``(free, open, closed, retired)`` -- ascending int arrays for
+    the two large classes, which the FTL's pool and victim index are
+    built from as arrays:
 
     * ERASED (and good) -> free pool;
     * OPEN -> a write frontier interrupted mid-block (at most one per
@@ -542,9 +569,9 @@ def rediscover_layout(
     * BAD and not factory-marked -> grown-bad (retired).
     """
     states = nand.block_states
-    free = np.flatnonzero(states == STATE_ERASED).tolist()
+    free = np.flatnonzero(states == STATE_ERASED)
     open_blocks = np.flatnonzero(states == STATE_OPEN).tolist()
-    closed = np.flatnonzero(states == STATE_FULL).tolist()
+    closed = np.flatnonzero(states == STATE_FULL)
     grown = (states == STATE_BAD) & ~nand.factory_bad
     retired = set(np.flatnonzero(grown).tolist())
     return free, open_blocks, closed, retired

@@ -95,18 +95,38 @@ class ValidCountIndex:
     def track_many(self, blocks: Sequence[int], counts: Sequence[int]) -> None:
         """Bulk :meth:`track` of distinct ``blocks`` (power-on rebuild).
 
-        The new ``(count, block, gen)`` rows join the heap as they are
-        and one ``heapify`` orders it -- no push per block, no rebuild of
-        the rows from the dicts.  Heap entries are distinct tuples, so
-        the pop order is the same whichever way the heap was built.
+        ``blocks`` and ``counts`` are parallel int sequences or arrays.
+        The new ``(count, block, gen)`` rows join the heap as they are and
+        one ``heapify`` orders it -- no push per block, no rebuild of the
+        rows from the dicts.  Heap entries are distinct tuples, so the pop
+        order is the same whichever way the heap was built.  Every block
+        starts its first generation except the few tracked in an earlier
+        life, which are looked up, not every block.
         """
-        gen_of = self._gen.get
-        gens = [gen_of(block, 0) + 1 for block in blocks]
-        self._gen.update(zip(blocks, gens))
+        blocks = np.asarray(blocks, dtype=np.int64).tolist()
+        counts = np.asarray(counts, dtype=np.int64).tolist()
+        gens = dict.fromkeys(blocks, 1)
+        for block in gens.keys() & self._gen.keys():
+            gens[block] = self._gen[block] + 1
+        self._gen.update(gens)
         self._count.update(zip(blocks, counts))
-        self._heap.extend(zip(counts, blocks, gens))
+        self._heap.extend(zip(counts, blocks, gens.values()))
         heapq.heapify(self._heap)
         self._compact_if_bloated()
+
+    def tracks_exactly(self, blocks: np.ndarray, counts: np.ndarray) -> bool:
+        """True when the tracked population is ``blocks`` (ascending and
+        distinct) at ``counts`` -- the invariant check's comparison, on
+        arrays instead of two block-keyed dicts."""
+        tracked = len(self._count)
+        if tracked != len(blocks):
+            return False
+        held = np.fromiter(self._count, dtype=np.int64, count=tracked)
+        at = np.fromiter(self._count.values(), dtype=np.int64, count=tracked)
+        order = held.argsort()
+        return bool(
+            np.array_equal(held[order], blocks) and np.array_equal(at[order], counts)
+        )
 
     def untrack(self, block: int) -> None:
         """Stop tracking ``block`` (erased or retired); idempotent."""

@@ -33,10 +33,16 @@ class WearAwareAllocator:
 
     def __init__(self, endurance: EnduranceModel, initial_free: Iterable[int] = ()) -> None:
         self.endurance = endurance
-        self._heap: List[tuple] = []
-        self._members = set()
-        for block in initial_free:
-            self.release(block)
+        # One heapify over the initial pool instead of a push per block;
+        # entries are distinct tuples, so the pop order is the same.
+        blocks = np.fromiter(initial_free, dtype=np.int64).tolist()
+        self._members = set(blocks)
+        if len(self._members) != len(blocks):
+            raise ValueError("initial free pool lists a block twice")
+        self._heap: List[tuple] = list(
+            zip(endurance.erase_counts[blocks].tolist(), blocks)
+        )
+        heapq.heapify(self._heap)
 
     def __len__(self) -> int:
         return len(self._members)

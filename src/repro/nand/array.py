@@ -25,7 +25,7 @@ it must agree with, exception for exception, lives in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
@@ -85,8 +85,13 @@ class NandDurableState:
     durable-metadata log.  Volatile controller state -- operation
     counters, the fault injector's RNG position, tracers -- is
     deliberately absent: it dies with the power rail.  Only
-    :meth:`NandArray.capture_durable_state` builds one, and
-    :meth:`NandArray.load_durable_state` is its inverse.
+    :meth:`NandArray.capture_durable_state` builds one, and a
+    ``NandArray(..., durable=image)`` powers on over it.
+
+    Ownership: powering on *adopts* the image's columns -- the device
+    runs on them, nothing is copied -- and spends the image.  A second
+    power-on over a spent image is refused; a caller that powers on the
+    same image twice takes a :meth:`copy` before the first.
     """
 
     block_states: np.ndarray
@@ -109,6 +114,54 @@ class NandDurableState:
     #: unlike the read-disturb counters (volatile DRAM state, reset at
     #: power-on) this vector *does* ride the durable image.
     last_program_ns: np.ndarray
+    #: Set when a device powered on over this image and adopted its
+    #: columns: they are that device's state now, no longer the image.
+    spent: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def copy(self) -> "NandDurableState":
+        """An unspent twin with columns of its own (the immutable bad-block
+        bytes and metadata image are shared).  Take it *before* the first
+        power-on: a spent image's columns belong to a running device."""
+        self._refuse_if_spent()
+        return NandDurableState(
+            block_states=self.block_states.copy(),
+            program_ptr=self.program_ptr.copy(),
+            erase_counts=self.erase_counts.copy(),
+            bad=self.bad,
+            factory_bad=self.factory_bad.copy(),
+            oob_lpn=self.oob_lpn.copy(),
+            oob_seq=self.oob_seq.copy(),
+            torn_pages=self.torn_pages,
+            factory_bad_blocks=self.factory_bad_blocks,
+            grown_bad_blocks=self.grown_bad_blocks,
+            meta=self.meta,
+            last_program_ns=self.last_program_ns.copy(),
+        )
+
+    def _refuse_if_spent(self) -> None:
+        if self.spent:
+            raise ValueError(
+                "media image already powered on: its columns belong to that "
+                "device -- power on from a copy() taken before it"
+            )
+
+    def _claim(self, geometry: NandGeometry, meta_blocks: int) -> None:
+        """Check the image fits a device of ``geometry`` with a
+        ``meta_blocks``-block metadata ring, then spend it."""
+        self._refuse_if_spent()
+        image = (
+            len(self.block_states),
+            len(self.oob_lpn),
+            len(self.meta.ring.erase_counts),
+        )
+        device = (geometry.total_blocks, geometry.total_pages, meta_blocks)
+        if image != device:
+            raise ValueError(
+                "media image geometry ({} blocks, {} pages, {}-block metadata "
+                "ring) does not match the device's ({} blocks, {} pages, "
+                "{}-block metadata ring)".format(*image, *device)
+            )
+        self.spent = True
 
 
 class NandArray:
@@ -130,6 +183,15 @@ class NandArray:
         meta_blocks: reserved metadata blocks (outside the user pool)
             whose wear/faults absorb checkpoint and tombstone programs
             (:class:`~repro.nand.metaregion.MetaRegion`).
+        durable: a captured media image to power on over instead of a
+            factory-fresh medium.  The array adopts the image's columns
+            and spends it (:class:`NandDurableState`); volatile operation
+            counters start at zero, as in a controller that just powered
+            on, and so do the read-disturb counters -- the caller hands
+            in a *fresh* tracker, exactly like a real power-on.  An image
+            of another geometry or metadata-ring size, or one already
+            spent, is refused with :class:`ValueError` before anything is
+            built.
 
     Attributes:
         block_states: int32 vector of per-block :class:`BlockState` raw
@@ -147,6 +209,8 @@ class NandArray:
         read_disturb: Optional["ReadDisturbTracker"] = None,
         fault_injector: Optional["FaultInjector"] = None,
         meta_blocks: int = 4,
+        *,
+        durable: Optional[NandDurableState] = None,
     ) -> None:
         self.geometry = geometry
         self.timing = timing
@@ -156,6 +220,8 @@ class NandArray:
                 f"endurance model sized for {self.endurance.num_blocks} blocks, "
                 f"geometry has {geometry.total_blocks}"
             )
+        if durable is not None:
+            durable._claim(geometry, meta_blocks)
 
         n = geometry.total_blocks
         # Cached geometry/timing ints: the per-op paths must not walk
@@ -166,16 +232,38 @@ class NandArray:
         self._program_ns = timing.program_ns
         self._erase_ns = timing.erase_ns
 
+        if durable is None:  # first boot: a factory-fresh medium
+            total_pages = geometry.total_pages
+            program_ptr = np.zeros(n, dtype=np.int32)
+            block_states = np.full(n, STATE_ERASED, dtype=np.int32)
+            bad = bytearray(n)
+            factory_bad = np.zeros(n, dtype=bool)
+            oob_lpn = np.full(total_pages, OOB_UNSTAMPED, dtype=np.int64)
+            oob_seq = np.full(total_pages, OOB_UNSTAMPED, dtype=np.int64)
+            last_program_ns = np.zeros(n, dtype=np.int64)
+            torn_pages = grown_bad_blocks = factory_bad_blocks = 0
+        else:  # power-on: the image's columns become the array's
+            program_ptr, block_states = durable.program_ptr, durable.block_states
+            bad = bytearray(durable.bad)
+            factory_bad = durable.factory_bad
+            oob_lpn, oob_seq = durable.oob_lpn, durable.oob_seq
+            last_program_ns = durable.last_program_ns
+            torn_pages = durable.torn_pages
+            grown_bad_blocks = durable.grown_bad_blocks
+            factory_bad_blocks = durable.factory_bad_blocks
+            self.endurance.erase_counts = durable.erase_counts
+            self.endurance.total_erases = int(durable.erase_counts.sum())
+
         #: Next programmable page index per block (== pages_per_block when full).
-        self.program_ptr = np.zeros(n, dtype=np.int32)
-        self.block_states = np.full(n, STATE_ERASED, dtype=np.int32)
+        self.program_ptr = program_ptr
+        self.block_states = block_states
         # Bad-block mirror: the one-byte probe the fast address check
         # reads.  Mutated only where block_states transitions to/from BAD
         # (factory marks below, wear-out in erase_block, mark_bad).
-        self._bad = bytearray(n)
+        self._bad = bad
         #: Factory bad-block table (survives power loss; grown marks are
         #: the set difference against :attr:`_bad`).
-        self._factory_bad = np.zeros(n, dtype=bool)
+        self._factory_bad = factory_bad
 
         #: Per-page OOB metadata persisted atomically with each
         #: *successful* program: the logical page stored there and the
@@ -183,11 +271,10 @@ class NandArray:
         #: marks never-stamped slots -- a consumed page whose OOB is
         #: unstamped is *torn* (program interrupted by power loss or a
         #: status-fail) and is discarded at recovery.
-        total_pages = geometry.total_pages
-        self.oob_lpn = np.full(total_pages, OOB_UNSTAMPED, dtype=np.int64)
-        self.oob_seq = np.full(total_pages, OOB_UNSTAMPED, dtype=np.int64)
+        self.oob_lpn = oob_lpn
+        self.oob_seq = oob_seq
         #: Pages consumed by a power-cut mid-program (never OOB-stamped).
-        self.torn_pages = 0
+        self.torn_pages = torn_pages
 
         # Local import: repro.ftl.metastore is NAND-layout code that the
         # ftl package owns; importing it at module scope would close an
@@ -211,6 +298,8 @@ class NandArray:
             ),
             timing,
         )
+        if durable is not None:
+            self.meta.load(durable.meta)
 
         self.read_disturb = read_disturb
         self.fault_injector = fault_injector
@@ -223,7 +312,7 @@ class NandArray:
         #: :meth:`set_reliability_clock` -- with reliability off the
         #: vector stays untouched and the program/erase paths pay one
         #: ``is None`` check, keeping the off path bit-identical.
-        self.last_program_ns = np.zeros(n, dtype=np.int64)
+        self.last_program_ns = last_program_ns
         self._reliability_clock = None
 
         # Operation counters (for WAF and profiling).
@@ -234,8 +323,8 @@ class NandArray:
         #: this to assert fault runs still batch clean extents).
         self.batch_programs = 0
         #: Blocks retired at runtime via :meth:`mark_bad` (grown bad blocks).
-        self.grown_bad_blocks = 0
-        self.factory_bad_blocks = 0
+        self.grown_bad_blocks = grown_bad_blocks
+        self.factory_bad_blocks = factory_bad_blocks
 
         for block in initial_bad_blocks or []:
             geometry.check_block(block)
@@ -429,6 +518,8 @@ class NandArray:
         Returns deep copies, so the snapshot stays valid while the live
         array keeps running (the crash-point sweep recovers a copy at
         each candidate point without disturbing the reference run).
+        These copies are the only ones a power-cut cycle makes: powering
+        on adopts them (:class:`NandDurableState`).
         """
         return NandDurableState(
             block_states=self.block_states.copy(),
@@ -444,30 +535,6 @@ class NandArray:
             meta=self.meta.capture(),
             last_program_ns=self.last_program_ns.copy(),
         )
-
-    def load_durable_state(self, state: NandDurableState) -> None:
-        """Power this freshly built array on over a captured media image.
-
-        The array must be built as first boot builds it (same geometry,
-        endurance rating and metadata ring); the durable arrays are
-        copied in, so the image stays reusable, while volatile operation
-        counters stay at zero -- a controller that just powered on.  The
-        read-disturb counters are volatile too: the caller builds the
-        array with a *fresh* tracker, exactly like a real power-on.
-        """
-        self.block_states[:] = state.block_states
-        self.program_ptr[:] = state.program_ptr
-        self._bad[:] = state.bad
-        self._factory_bad[:] = state.factory_bad
-        self.oob_lpn[:] = state.oob_lpn
-        self.oob_seq[:] = state.oob_seq
-        self.torn_pages = state.torn_pages
-        self.factory_bad_blocks = state.factory_bad_blocks
-        self.grown_bad_blocks = state.grown_bad_blocks
-        self.endurance.erase_counts[:] = state.erase_counts
-        self.endurance.total_erases = int(state.erase_counts.sum())
-        self.last_program_ns[:] = state.last_program_ns
-        self.meta.load(state.meta)
 
     # ------------------------------------------------------------------
     # Batched operations (GC migration fast path)

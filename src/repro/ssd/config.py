@@ -203,7 +203,11 @@ class SsdConfig:
         """A first-boot array; ``seed`` seeds its fault injector."""
         return self._nand(self.build_injector(seed))
 
-    def _nand(self, fault_injector: Optional[FaultInjector]) -> NandArray:
+    def _nand(
+        self,
+        fault_injector: Optional[FaultInjector],
+        durable: Optional[NandDurableState] = None,
+    ) -> NandArray:
         endurance = EnduranceModel(self.geometry.total_blocks, self.pe_cycle_limit)
         return NandArray(
             self.geometry,
@@ -212,6 +216,7 @@ class SsdConfig:
             read_disturb=self.build_read_disturb(),
             fault_injector=fault_injector,
             meta_blocks=self.meta_blocks,
+            durable=durable,
         )
 
     def restore_nand(
@@ -223,15 +228,19 @@ class SsdConfig:
 
         The one place a post-power-cut array is built (live SPO recovery
         and both crash-sweep recoveries use it): the array first boot
-        builds, with the caller's ``fault_injector``, loaded with
-        ``durable``.  Power-on disturb-reset semantics: the read-disturb
+        builds, with the caller's ``fault_injector``, running on
+        ``durable``'s columns.  The array *adopts* them and the image is
+        spent: a second power-on over it raises :class:`ValueError`, so a
+        caller that needs the image twice powers on from
+        :meth:`~repro.nand.array.NandDurableState.copy`.  An image whose
+        block count, page count or metadata-ring size differs from this
+        config's is refused the same way, naming both, before anything
+        is built.  Power-on disturb-reset semantics: the read-disturb
         tracker is rebuilt zeroed (volatile DRAM died with the rail)
         while the retention clock rides the durable image itself --
         charge leaks with the rail down too.
         """
-        nand = self._nand(fault_injector)
-        nand.load_durable_state(durable)
-        return nand
+        return self._nand(fault_injector, durable)
 
     def build_ftl(
         self,

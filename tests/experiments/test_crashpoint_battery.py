@@ -168,3 +168,41 @@ def test_a_restamped_torn_frontier_page_is_no_divergence(live, monkeypatch):
     recovering_with(monkeypatch, restamp)
     verify_crash_point(live.ftl, live.config)
 
+
+def test_a_nested_crash_point_leaves_the_live_device_alone(live, monkeypatch):
+    """Both power-ons of a nested point adopt a *captured* image, never
+    the live arrays: with each recovered device written to right after
+    its battery passed, the live NAND columns, L2P and GTD stay
+    bit-identical."""
+    ftl, nand = live.ftl, live.ftl.nand
+
+    def state():
+        return {
+            "oob_lpn": nand.oob_lpn.copy(),
+            "oob_seq": nand.oob_seq.copy(),
+            "program_ptr": nand.program_ptr.copy(),
+            "block_states": nand.block_states.copy(),
+            "l2p": ftl.page_map.l2p_snapshot(),
+            "gtd": ftl.page_map.gtd_snapshot(),
+        }
+
+    real = crashsweep._check_recovered_against_live
+    written = []
+
+    def check_then_write(live_ftl, live_side, recovered, *args, **kwargs):
+        # The nested power-on runs over the first device's writes, so only
+        # the first battery can still match the live device.
+        if not written:
+            real(live_ftl, live_side, recovered, *args, **kwargs)
+        for lpn in range(recovered.page_map.entries_per_tpage * 2):
+            recovered.host_write_page(lpn)
+        written.append(recovered)
+
+    monkeypatch.setattr(crashsweep, "_check_recovered_against_live", check_then_write)
+    before = state()
+    report = verify_crash_point(ftl, live.config, nested=True)
+    assert not report.read_only and len(written) == 2
+    after = state()
+    for name, column in before.items():
+        assert np.array_equal(after[name], column), name
+    ftl.invariant_check()

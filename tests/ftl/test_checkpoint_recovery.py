@@ -338,6 +338,7 @@ def test_second_power_on_over_the_same_records_checks_no_crc(monkeypatch):
         calls.append(len(data))
         return real_crc32(data, *args)
 
+    twin = durable.copy()  # powering on spends an image; the twin shares its records
     monkeypatch.setattr(zlib, "crc32", counting_crc32)
     _, first = recover_ftl(config.restore_nand(durable), config)
     # Each journal record once; the live log's own compaction had already
@@ -348,7 +349,7 @@ def test_second_power_on_over_the_same_records_checks_no_crc(monkeypatch):
     assert len(journal) == 4
     assert calls == [len(record.payload) - 4 for record in journal]
     del calls[:]
-    _, second = recover_ftl(config.restore_nand(durable), config)
+    _, second = recover_ftl(config.restore_nand(twin), config)
     assert calls == []
     assert second == first
 

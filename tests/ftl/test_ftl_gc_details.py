@@ -430,7 +430,10 @@ def test_a_recovered_translation_stream_never_resumes_on_a_data_block(monkeypatc
     for frontier in ftl.frontiers:
         nand.tear_frontier_page(frontier.block)
     image = nand.capture_durable_state()
-    one, ref = (recover_ftl(config.restore_nand(image), config)[0] for _ in range(2))
+    one, ref = (
+        recover_ftl(config.restore_nand(twin), config)[0]
+        for twin in (image.copy(), image)
+    )
     assert one.active_trans_block != data_block
     monkeypatch.setattr(ref, "_relocate_valid_pages", partial(relocate_per_page, ref))
 

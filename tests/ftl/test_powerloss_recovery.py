@@ -138,7 +138,7 @@ def test_rediscover_layout_classifies_blocks():
     nand.mark_bad(GEOMETRY.total_blocks - 1)
     free, open_blocks, closed, retired = rediscover_layout(nand)
     assert len(open_blocks) >= 1
-    assert closed  # the filled frontier block
+    assert len(closed)  # the filled frontier block
     assert retired == {GEOMETRY.total_blocks - 1}
     total = len(free) + len(open_blocks) + len(closed) + len(retired)
     assert total == GEOMETRY.total_blocks

@@ -78,3 +78,9 @@ def test_leveler_invalid_threshold():
     endurance = EnduranceModel(2, pe_cycle_limit=None)
     with pytest.raises(ValueError):
         StaticWearLeveler(endurance, threshold=0)
+
+
+def test_initial_pool_refuses_a_block_twice():
+    endurance = EnduranceModel(4, pe_cycle_limit=None)
+    with pytest.raises(ValueError, match="lists a block twice"):
+        WearAwareAllocator(endurance, initial_free=[1, 2, 1])

@@ -1,5 +1,6 @@
 """Tests for the NAND array state machine: erase-before-write, program
-order, bad blocks and operation counting."""
+order, bad blocks, operation counting and power-on over a captured
+image."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from repro.nand.errors import (
 )
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NandTiming
+from repro.ssd.config import SsdConfig
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=8)
 TIMING = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_page=1)
@@ -159,9 +161,11 @@ def test_is_bad_agrees_with_both_bad_block_records():
     nand.erase_block(6)
     check(nand, {0, 3, 5, 6})                # a wear-out erase
     restored = NandArray(
-        GEOMETRY, TIMING, EnduranceModel(GEOMETRY.total_blocks, pe_cycle_limit=2)
+        GEOMETRY,
+        TIMING,
+        EnduranceModel(GEOMETRY.total_blocks, pe_cycle_limit=2),
+        durable=nand.capture_durable_state(),
     )
-    restored.load_durable_state(nand.capture_durable_state())
     check(restored, {0, 3, 5, 6})            # across a power cut
     for block in (-1, GEOMETRY.total_blocks):
         with pytest.raises(AddressError):
@@ -305,3 +309,85 @@ def test_nand_batch_ops_match_per_page_loops():
         batched.program_pages_batch(1, 2, 1)  # ahead of block 1's frontier (0)
     with pytest.raises(AddressError):
         batched.program_pages_batch(0, 3, ppb)  # runs past the block end
+
+
+# ----------------------------------------------------------------------
+# Power-on adopts the captured image (SsdConfig.restore_nand)
+# ----------------------------------------------------------------------
+def _config(geometry=GEOMETRY, **kwargs):
+    return SsdConfig(geometry=geometry, timing=TIMING, **kwargs)
+
+
+def _image():
+    nand = make_array()
+    nand.program_page(0, 0, lpn=5, seq=1)
+    nand.program_page(0, 1, lpn=6, seq=2)
+    return nand.capture_durable_state()
+
+
+COLUMNS = ("block_states", "program_ptr", "oob_lpn", "oob_seq", "last_program_ns")
+
+
+def _columns(nand):
+    return {name: getattr(nand, name).copy() for name in COLUMNS} | {
+        "erase_counts": nand.erase_counts.copy()
+    }
+
+
+def test_a_second_power_on_of_one_image_is_refused():
+    config, image = _config(), _image()
+    config.restore_nand(image)
+    with pytest.raises(ValueError, match="already powered on"):
+        config.restore_nand(image)
+    with pytest.raises(ValueError, match="already powered on"):
+        image.copy()  # its columns are a running device's now
+
+
+def test_devices_from_an_image_and_its_copy_share_no_column():
+    config, image = _config(), _image()
+    twin = image.copy()
+    spare = twin.copy()
+    one, two = config.restore_nand(image), config.restore_nand(twin)
+    for name in COLUMNS:
+        assert not np.shares_memory(getattr(one, name), getattr(two, name)), name
+    assert not np.shares_memory(one.erase_counts, two.erase_counts)
+    before = _columns(two)
+
+    one.program_page(0, 2, lpn=7, seq=3)
+    one.erase_block(1)
+    one.mark_bad(2)
+
+    after = _columns(two)
+    for name, column in before.items():
+        assert np.array_equal(after[name], column), name
+    assert not two.is_bad(2)
+    # The spare copy -- the image as captured -- is untouched as well.
+    for name in COLUMNS + ("erase_counts",):
+        assert np.array_equal(getattr(spare, name), before[name]), name
+    assert int(spare.program_ptr[0]) == 2 and spare.bad == bytes(GEOMETRY.total_blocks)
+
+
+@pytest.mark.parametrize(
+    "device, meta_blocks",
+    [
+        (NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=16), 4),
+        (NandGeometry(page_size=4096, pages_per_block=8, blocks_per_plane=8), 4),
+        (GEOMETRY, 2),
+    ],
+    ids=["block-count", "page-count", "metadata-ring"],
+)
+def test_an_image_of_another_geometry_is_refused_naming_both(device, meta_blocks):
+    image = _image()
+    config = _config(device, meta_blocks=meta_blocks)
+    message = (
+        f"media image geometry ({GEOMETRY.total_blocks} blocks, "
+        f"{GEOMETRY.total_pages} pages, 4-block metadata ring) does not match "
+        f"the device's ({device.total_blocks} blocks, {device.total_pages} "
+        f"pages, {meta_blocks}-block metadata ring)"
+    )
+    with pytest.raises(ValueError) as refused:
+        config.restore_nand(image)
+    assert str(refused.value) == message
+    # Refused before anything was built: the image is not spent.
+    assert not image.spent
+    _config().restore_nand(image)

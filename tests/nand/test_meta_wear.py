@@ -170,8 +170,7 @@ def test_meta_wear_survives_durable_capture():
     for pages in (3, 5, 3):  # past one wrap (capacity 8)
         nand.meta.append(KIND_UNMAP, _pages(pages))
     state = nand.capture_durable_state()
-    clone = NandArray(GEOMETRY, TIMING, meta_blocks=2)
-    clone.load_durable_state(state)
+    clone = NandArray(GEOMETRY, TIMING, meta_blocks=2, durable=state)
     assert clone.meta.records == nand.meta.records
     ring, twin = nand.meta.ring, clone.meta.ring
     assert np.array_equal(twin.erase_counts, ring.erase_counts)

@@ -19,10 +19,8 @@ def make_array(**kwargs):
 
 
 def power_on(state):
-    """A first-boot array loaded with ``state``."""
-    nand = make_array()
-    nand.load_durable_state(state)
-    return nand
+    """A first-boot array powered on over ``state``."""
+    return make_array(durable=state)
 
 
 # ----------------------------------------------------------------------

@@ -229,8 +229,7 @@ def test_retention_clock_rides_durable_image():
     nand.program_page(2, 0)
     state = nand.capture_durable_state()
 
-    recovered = NandArray(GEOMETRY, TIMING)
-    recovered.load_durable_state(state)
+    recovered = NandArray(GEOMETRY, TIMING, durable=state)
     assert int(recovered.last_program_ns[2]) == 777
     np.testing.assert_array_equal(recovered.last_program_ns, nand.last_program_ns)
 
@@ -254,8 +253,7 @@ def test_disturb_counters_reset_at_power_on():
 
     state = nand.capture_durable_state()
     fresh_tracker = ReadDisturbTracker(GEOMETRY.total_blocks, scrub_threshold=1000)
-    recovered = NandArray(GEOMETRY, TIMING, read_disturb=fresh_tracker)
-    recovered.load_durable_state(state)
+    recovered = NandArray(GEOMETRY, TIMING, read_disturb=fresh_tracker, durable=state)
     # Clock survived; counters did not.
     assert int(recovered.last_program_ns[1]) == 42
     assert recovered.read_disturb is fresh_tracker
