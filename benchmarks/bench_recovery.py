@@ -33,7 +33,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import json
 import os
@@ -140,11 +139,8 @@ def bench_recovery_tail_scan(quick: bool) -> dict:
     # tail scan covers a representative mid-interval crash.
     interval = max(1, config.space_model().user_pages // 32)
     durable = _churned_image(params, checkpoint_interval=interval)
-    # Drop the records; the reserved blocks keep their wear.  A copy:
-    # ``replace`` alone would share ``durable``'s columns.
-    stripped = dataclasses.replace(
-        durable.copy(), meta=dataclasses.replace(durable.meta, records=())
-    )
+    # Drop the records; the reserved blocks keep their wear.
+    stripped = durable.without_records()
 
     ckpt_walls, full_walls = [], []
     for _ in range(params["rounds"]):

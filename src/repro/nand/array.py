@@ -25,7 +25,7 @@ it must agree with, exception for exception, lives in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
@@ -137,6 +137,14 @@ class NandDurableState:
             meta=self.meta,
             last_program_ns=self.last_program_ns.copy(),
         )
+
+    def without_records(self) -> "NandDurableState":
+        """A :meth:`copy` whose metadata log lost its records (the
+        reserved blocks keep their wear): the image of a device whose
+        checkpoints and unmap journal are gone."""
+        twin = self.copy()
+        twin.meta = replace(self.meta, records=())
+        return twin
 
     def _refuse_if_spent(self) -> None:
         if self.spent:

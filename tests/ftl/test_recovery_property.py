@@ -169,9 +169,7 @@ def test_recovery_never_exceeds_durable_horizon(
 
     durable = ftl.nand.capture_durable_state()
     if tear == "strip":  # the records go; the reserved blocks keep their wear
-        durable = dataclasses.replace(
-            durable, meta=dataclasses.replace(durable.meta, records=())
-        )
+        durable = durable.without_records()
     crashed = CONFIG.restore_nand(durable)
     for block in (ftl.active_user_block, ftl.active_gc_block):
         if block is not None:

@@ -367,6 +367,27 @@ def test_devices_from_an_image_and_its_copy_share_no_column():
     assert int(spare.program_ptr[0]) == 2 and spare.bad == bytes(GEOMETRY.total_blocks)
 
 
+def test_an_image_stripped_of_its_records_owns_its_columns():
+    """``without_records`` is a copy: the twin powers on beside the
+    original, and only the records go -- the ring keeps its wear."""
+    config = _config()
+    ftl = config.build_ftl()
+    for lpn in range(6):
+        ftl.host_write_page(lpn)
+    ftl.write_checkpoint()
+    image = ftl.nand.capture_durable_state()
+    stripped = image.without_records()
+    assert stripped.meta.records == () and image.meta.records
+    assert stripped.meta.ring == image.meta.ring
+    for name in COLUMNS + ("erase_counts", "factory_bad"):
+        assert not np.shares_memory(getattr(stripped, name), getattr(image, name)), name
+        assert np.array_equal(getattr(stripped, name), getattr(image, name)), name
+    config.restore_nand(image)
+    config.restore_nand(stripped)  # not spent by the original's power-on
+    with pytest.raises(ValueError, match="already powered on"):
+        image.without_records()
+
+
 @pytest.mark.parametrize(
     "device, meta_blocks",
     [
