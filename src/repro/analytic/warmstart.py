@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.analytic.model import SteadyStatePrediction, predict_steady_state
 from repro.ftl.ftl import PageMappedFtl
-from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED
+from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED, translation_layout
 from repro.ftl.recovery import RecoveredFtlState
 from repro.nand.array import STATE_BAD, STATE_FULL, STATE_OPEN
 from repro.sim.randomness import RandomStreams
@@ -163,8 +163,7 @@ def synthesize_steady_state(
     active_trans: Optional[int] = None
     trans_closed: np.ndarray = np.zeros(0, dtype=np.int64)
     if config.mapping_mode == "dftl":
-        ept = geometry.page_size // 8
-        n_tvpn_total = -(-space.user_pages // ept)
+        ept, n_tvpn_total = translation_layout(geometry.page_size, space.user_pages)
         n_tvpn = min(n_tvpn_total, -(-working_set_pages // ept))
         n_tblocks = -(-n_tvpn // ppb)
         if n_tblocks >= free_list.size:

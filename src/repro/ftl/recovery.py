@@ -71,7 +71,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.ftl.ftl import FtlError, PageMappedFtl
-from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED
+from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED, translation_layout, write_streams
 from repro.ftl.metastore import (
     KIND_CHECKPOINT,
     CheckpointImage,
@@ -607,15 +607,13 @@ def recover_ftl(
     """
     space = config.space_model()
     dftl = config.mapping_mode == "dftl"
-    trans_pages = 0
-    if dftl:
-        entries_per_tpage = nand.geometry.page_size // 8
-        trans_pages = -(-space.user_pages // entries_per_tpage)  # ceil
+    layout = translation_layout(nand.geometry.page_size, space.user_pages)
+    trans_pages = layout[1] if dftl else 0
     meta = _load_metadata(nand, space.user_pages)
     l2p, write_seq, report = _rebuild(nand, meta, space.user_pages, trans_pages)
     free, open_blocks, closed, retired = rediscover_layout(nand)
 
-    max_streams = 3 if dftl else 2
+    max_streams = write_streams(config.mapping_mode)
     if len(open_blocks) > max_streams:
         raise RecoveryError(
             f"{len(open_blocks)} partially-programmed blocks found; "

@@ -35,13 +35,6 @@ import numpy as np
 
 from repro.nand.geometry import NandGeometry
 
-#: Second block class for the DFTL mapping tier: blocks are *data* unless
-#: they hold at least one valid translation page (the two classes share
-#: the physical pool; victim selection ranks both by valid count and the
-#: migration path routes each page by its OOB-stamp namespace).
-BLOCK_KIND_DATA = 0
-BLOCK_KIND_TRANS = 1
-
 #: :class:`ValidCountIndex` compacts its heap once it holds more than
 #: ``_HEAP_FACTOR * tracked + _HEAP_SLACK`` entries.
 _HEAP_FACTOR, _HEAP_SLACK = 4, 64

@@ -428,7 +428,7 @@ class MetricsCollector:
             effective_op_pages=ftl.effective_op_pages(),
             op_timeline=op_timeline,
             device_read_only=ftl.read_only,
-            mapping_mode=getattr(ftl, "mapping_mode", "dram"),
+            mapping_mode=ftl.config.mapping_mode,
             ecc_retry_histogram=self._ecc_retry_delta(),
             waf=window.waf(),
             translation_waf_share=window.translation_waf_share(),

@@ -88,10 +88,9 @@ def make_ftl(mapping, reliability, injector, cmt_pages=1, geometry=GEOMETRY):
 
 
 def reference_read_page(ftl, lpn):
-    """The per-page host read as it stood before ``host_read_extent``."""
-    latency = 0
-    if ftl._dftl:
-        latency += ftl._mapping_access(ftl.page_map.tvpn_of(lpn), dirty=False)
+    """The per-page host read as it stood before ``host_read_extent``:
+    the page's own translation-tier touch, then its read."""
+    latency = ftl.page_map.touch_span(lpn, 1, dirty=False)
     ppn = ftl.page_map.lookup(lpn)
     ftl.stats.host_pages_read += 1
     if ppn is None:
@@ -117,6 +116,7 @@ def read_partitioned(ftl, lpn, count, cuts):
 def snapshot(ftl):
     """Everything a host read may touch, in comparable form."""
     pm, nand = ftl.page_map, ftl.nand
+    dftl = isinstance(pm, CachedPageMap)
     injector, disturb = nand.fault_injector, nand.read_disturb
     return {
         "stats": dataclasses.asdict(ftl.stats),
@@ -124,8 +124,8 @@ def snapshot(ftl):
         "ladder_memo": {block: list(entry) for block, entry in ftl.media._memo.items()},
         "read_counts": disturb.read_counts.tolist() if disturb is not None else None,
         "nand": (nand.page_reads, nand.page_programs, nand.program_ptr.tolist()),
-        "cmt": list(pm._cmt.items()) if ftl._dftl else None,
-        "gtd": pm._gtd.tolist() if ftl._dftl else None,
+        "cmt": list(pm._cmt.items()) if dftl else None,
+        "gtd": pm._gtd.tolist() if dftl else None,
         "l2p": pm._l2p.tolist(),
         "write_seq": ftl._write_seq,
         "frontiers": [frontier.block for frontier in ftl.frontiers],

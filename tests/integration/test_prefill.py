@@ -75,7 +75,7 @@ def _assert_same_device(a, b):
         else:
             assert value == other, name
     assert np.array_equal(a.page_map.l2p_snapshot(), b.page_map.l2p_snapshot())
-    if a.mapping_mode == "dftl":
+    if a.config.mapping_mode == "dftl":
         assert np.array_equal(a.page_map.gtd_snapshot(), b.page_map.gtd_snapshot())
         assert list(a.page_map._cmt.items()) == list(b.page_map._cmt.items())
     assert dict(a.victim_index.items()) == dict(b.victim_index.items())
