@@ -6,7 +6,7 @@ Implements the firmware half of the paper's storage system:
   over-provisioning (OP) capacity and the *reserved capacity* ``Cresv``
   that defines lazy vs aggressive background GC.
 * :mod:`repro.ftl.mapping` -- page-level LPN↔PPN mapping with validity
-  tracking.
+  tracking, and the translation tier that prices each lookup.
 * :mod:`repro.ftl.victim` -- GC victim selection off the FTL's
   valid-count index: greedy, and the paper's SIP-filtered greedy.
 * :mod:`repro.ftl.wear` -- free-block allocation ordered by wear plus a
