@@ -9,9 +9,6 @@ one entry per run with date, commit and machine fingerprint).  With
 ``--output PATH`` a single-run ``bench-hotpaths/v1`` payload is written
 instead (what CI feeds ``tools/bench_gate.py``).
 
-The trajectory helpers (:func:`_load_trajectory`, :func:`_git_commit`,
-:func:`_machine_fingerprint`) are shared with ``bench_recovery.py``,
-``bench_cmt.py``, ``bench_warmstart.py`` and ``bench_reliability.py``.
 Simulator speed itself is measured end to end by ``benchmarks/e2e``.
 
 Usage::

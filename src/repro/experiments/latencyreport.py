@@ -173,7 +173,7 @@ def run_latency_report(
     seed) with tail attribution armed; ``jobs > 1`` parallelises across
     policies -- the attribution table travels inside each
     :class:`~repro.metrics.collector.RunMetrics` wire dict, so the
-    streamed pool path carries it unchanged.
+    pool path carries it unchanged.
     """
     armed = latency_spec(spec, threshold_pct)
     results = run_policy_comparison(armed, policies or POLICY_FACTORIES, jobs=jobs)

@@ -18,7 +18,6 @@ and metric differences are attributable to the policy alone.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import threading
@@ -26,7 +25,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from queue import Empty
+from itertools import chain, islice
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.policies import (
@@ -512,117 +511,59 @@ def resolve_jobs(jobs: Optional[int], task_count: int) -> int:
     return max(1, min(jobs, task_count))
 
 
-#: Per-worker slot for the streamed-result queue proxy (set by the pool
-#: initializer; None in the parent and in serial runs).
-_WORKER_QUEUE = None
+def _run_worker(spec: ScenarioSpec) -> Tuple[Optional[dict], Optional[str]]:
+    """Pool worker: one scenario's ``(wire, error)``.
 
-
-def _pool_init(queue=None) -> None:
-    """Worker-process initializer: the result-stream queue."""
-    global _WORKER_QUEUE
-    _WORKER_QUEUE = queue
-
-
-def _make_pool(jobs: int, queue=None) -> ProcessPoolExecutor:
-    """Worker pool streaming results through ``queue`` (a
-    ``multiprocessing.Manager`` queue proxy -- raw ``mp.Queue`` objects
-    cannot pass through executor initargs)."""
-    return ProcessPoolExecutor(
-        max_workers=jobs, initializer=_pool_init, initargs=(queue,)
-    )
-
-
-def _stream_scenario(key: str, spec: ScenarioSpec) -> str:
-    """Pool worker: run one scenario, stream the outcome, return the key.
-
-    The metrics travel through the shared queue as a plain
-    :meth:`~repro.metrics.collector.RunMetrics.to_wire` dict; the future
-    carries only the key, so the parent never accumulates per-scenario
-    pickles while waiting.
+    The metrics travel back through the future as a plain
+    :meth:`~repro.metrics.collector.RunMetrics.to_wire` dict; a scenario
+    that raises comes back as its ``"ExcType: message"`` instead.
     """
     try:
-        metrics = run_scenario(spec)
+        return run_scenario(spec).to_wire(), None
     except Exception as exc:  # noqa: BLE001 - isolation is the point
-        _WORKER_QUEUE.put((key, None, f"{type(exc).__name__}: {exc}"))
-    else:
-        _WORKER_QUEUE.put((key, metrics.to_wire(), None))
-    return key
+        return None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_streamed(
+def _run_pooled(
     pending: Dict[str, ScenarioSpec],
     jobs: int,
     record: Callable[[str, Optional[RunMetrics], Optional[str]], None],
 ) -> None:
-    """Run scenarios on ``jobs`` workers with streamed aggregation.
+    """Run scenarios on ``jobs`` worker processes.
 
     Submission is chunked to a window of two tasks per worker (enough to
     keep every worker busy without materialising thousands of queued
-    pickled specs), and each finished scenario's metrics arrive through
-    a managed queue the moment the worker finishes -- ``record`` runs in
-    the parent, in completion order, exactly like the serial path's
-    per-scenario bookkeeping.
+    pickled specs), and ``record`` runs in the parent as each future
+    completes, exactly like the serial path's per-scenario bookkeeping.
 
-    A worker process dying hard (``BrokenProcessPool``) surfaces through
-    the futures: any affected scenario without a streamed result is
-    recorded as failed, so checkpointed sweeps can retry it.
+    A worker process dying hard breaks the pool: its future and every
+    other outstanding one raise ``BrokenProcessPool``, and so does any
+    later submission.  Each such scenario is recorded as failed, so a
+    checkpointed sweep retries it on resume.
     """
-    with multiprocessing.Manager() as manager:
-        queue = manager.Queue()
-        window = 2 * jobs
-        items = iter(pending.items())
-        outstanding: Dict[Future, str] = {}
-        delivered = set()
-
-        def _drain() -> None:
-            while True:
+    items = iter(pending.items())
+    outstanding: Dict[Future, str] = {}
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        while True:
+            for key, spec in islice(items, 2 * jobs - len(outstanding)):
                 try:
-                    key, wire, error = queue.get_nowait()
-                except Empty:
-                    return
-                delivered.add(key)
-                record(
-                    key,
-                    RunMetrics.from_wire(wire) if wire is not None else None,
-                    error,
-                )
-
-        with _make_pool(jobs, queue) as pool:
-            exhausted = False
-            while True:
-                while not exhausted and len(outstanding) < window:
-                    try:
-                        key, spec = next(items)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    try:
-                        outstanding[pool.submit(_stream_scenario, key, spec)] = key
-                    except Exception as exc:  # noqa: BLE001 - broken pool
-                        # The pool is unusable; fail this and every
-                        # unsubmitted scenario (all retryable on resume).
-                        record(key, None, f"{type(exc).__name__}: {exc}")
-                        for key, _spec in items:
-                            record(key, None, f"{type(exc).__name__}: {exc}")
-                        exhausted = True
-                if not outstanding:
-                    break
-                done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
-                crashed: Dict[str, str] = {}
-                for future in done:
-                    key = outstanding.pop(future)
-                    exc = future.exception()
-                    if exc is not None:
-                        # Hard worker death (e.g. BrokenProcessPool); the
-                        # queue may or may not hold its result already.
-                        crashed[key] = f"{type(exc).__name__}: {exc}"
-                # Workers enqueue before returning, so every cleanly
-                # finished future's message is already available here.
-                _drain()
-                for key, error in crashed.items():
-                    if key not in delivered:
-                        delivered.add(key)
-                        record(key, None, error)
+                    outstanding[pool.submit(_run_worker, spec)] = key
+                except Exception as exc:  # noqa: BLE001 - broken pool
+                    # The pool is unusable; fail this and every
+                    # unsubmitted scenario (all retryable on resume).
+                    for failed, _spec in chain([(key, spec)], items):
+                        record(failed, None, f"{type(exc).__name__}: {exc}")
+            if not outstanding:
+                return
+            done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
+            for future in done:
+                key = outstanding.pop(future)
+                exc = future.exception()
+                if exc is not None:
+                    record(key, None, f"{type(exc).__name__}: {exc}")
+                    continue
+                wire, error = future.result()
+                record(key, None if wire is None else RunMetrics.from_wire(wire), error)
 
 
 def run_policy_comparison(
@@ -634,10 +575,9 @@ def run_policy_comparison(
 
     With ``jobs > 1`` (or the adaptive ``jobs=0``/``None``, resolved via
     :func:`resolve_jobs`) the per-policy runs execute in a process pool
-    with streamed result aggregation -- each scenario is already a
-    self-contained deterministic replay (own simulator, own seeded RNGs),
-    so results are bit-identical to the serial path and come back in the
-    given policy order.
+    -- each scenario is already a self-contained deterministic replay
+    (own simulator, own seeded RNGs), so results are bit-identical to the
+    serial path and come back in the given policy order.
 
     Returns ``{policy_name: RunMetrics}`` in the given order.
 
@@ -666,7 +606,7 @@ def run_policy_comparison(
         else:
             results[name] = metrics
 
-    _run_streamed(run_specs, jobs, _record)
+    _run_pooled(run_specs, jobs, _record)
     if failures:
         raise RuntimeError(f"policy comparison failed: {failures}")
     return {name: results[name] for name in run_specs}
@@ -714,14 +654,13 @@ def run_sweep(
 
     With more than one worker (``jobs > 1``, or the adaptive
     ``jobs=0``/``None`` resolved by :func:`resolve_jobs`), scenarios run
-    in a ``ProcessPoolExecutor`` with *streamed aggregation*: submission
-    is chunked, and workers push each scenario's metrics through a shared
-    queue as flat wire dicts the moment it completes, instead of
-    returning whole pickled :class:`RunMetrics` through their futures.
-    Each scenario is a self-contained deterministic replay (its own
-    simulator and seeded RNGs), so per-scenario results are bit-identical
-    to a serial run; only completion order varies, and ``results`` is
-    re-ordered to the input order before returning.  The checkpoint is
+    in a ``ProcessPoolExecutor``: submission is chunked, and each worker
+    returns its scenario's metrics through the future as a flat wire
+    dict, not a pickled :class:`RunMetrics`.  Each scenario is a
+    self-contained deterministic replay (its own simulator and seeded
+    RNGs), so per-scenario results are bit-identical to a serial run;
+    only completion order varies, and ``results`` is re-ordered to the
+    input order before returning.  The checkpoint is
     written exclusively by the parent process (one atomic write per
     completion, exactly as in a serial run), so serial and parallel runs
     can freely resume each other's checkpoints.  Per-scenario wall-clock
@@ -799,7 +738,7 @@ def run_sweep(
                 continue
             _record(key, metrics, None)
     elif pending:
-        _run_streamed(pending, jobs, _record)
+        _run_pooled(pending, jobs, _record)
         # Completion order is nondeterministic; reports should not be.
         outcome.results = {
             key: outcome.results[key] for key in keyed if key in outcome.results

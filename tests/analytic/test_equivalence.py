@@ -3,9 +3,9 @@
 For every GC policy, runs the same scenario twice -- once preconditioned
 by the reference prefill + simulated warmup, once warm-started from the
 analytic steady-state prediction -- and bounds the measure-window
-divergence.  This is the CI equivalence smoke; the full-size validation
-on the paper's Fig. 2 configuration (1024 blocks, 40 s warmup) is
-recorded in BENCH_hotpaths.json by benchmarks/bench_warmstart.py, where
+divergence.  This is the tier-1 equivalence gate; the full-size
+validation on the paper's Fig. 2 configuration (1024 blocks, 40 s
+warmup) is recorded in PERFORMANCE.md ("Analytic warm start"), where
 the acceptance bounds are WAF within 5 % and p99 within 10 %.
 
 Both runs are deterministic functions of the seed, so these bounds

@@ -5,7 +5,7 @@ recorder that raises as soon as it is called, so each argv below is
 pinned to the exact :class:`ScenarioSpec` and keyword arguments the
 subcommand would run -- without simulating anything.  The option
 strings of every subcommand are pinned too: a flag that is added,
-dropped or renamed shows up here, not only in the CI smoke jobs.
+dropped or renamed shows up here, not only in the CI smoke job.
 """
 
 import dataclasses

@@ -43,7 +43,9 @@ def test_runner_reports_translation_tier_metrics():
     assert metrics.mapping_mode == "dftl"
     assert metrics.cmt_hits + metrics.cmt_misses > 0
     assert metrics.trans_pages_written > 0
-    assert 0.0 < metrics.translation_waf_share < 1.0
+    # Translation programs are priced into WAF without dominating the
+    # write stream (0.147 on this spec).
+    assert 0.0 < metrics.translation_waf_share <= 0.5
     assert 0.0 <= metrics.cmt_hit_rate() <= 1.0
 
 

@@ -229,7 +229,7 @@ def _recovered(config, policy):
 
 
 @pytest.mark.parametrize("build", [_warm_started, _recovered])
-def test_adopted_ftl_stamps_retention_on_the_simulator_clock(build):
+def test_adopted_ftl_stamps_on_the_sim_clock(build):
     """An FTL built before its simulator (analytic warm start, power-on
     recovery) joins the simulator's clock for stamping as well as for
     ageing: a page written at sim time t is stamped t and, read back at

@@ -222,8 +222,38 @@ def test_parallel_sweep_resumes_serial_checkpoint(tmp_path):
     assert parallel.results[superset[-1].key()] == alone.results[superset[-1].key()]
 
 
+def _die_hard():
+    """A policy factory that kills its worker process outright: no
+    exception, no result, just a dead process (as an OOM kill would)."""
+    os._exit(3)
+
+
+def test_worker_death_fails_its_scenarios_and_they_resume(tmp_path):
+    checkpoint = os.fspath(tmp_path / "sweep.json")
+    specs = [tiny_spec(policy=name) for name in ("L-BGC", "JIT-GC", "A-BGC", "ADP-GC")]
+    dying = specs[1].with_policy("JIT-GC", _die_hard)
+    keys = [spec.key() for spec in specs]
+
+    outcome = run_sweep([specs[0], dying, *specs[2:]], checkpoint=checkpoint, jobs=2)
+    # The dead worker's scenario fails, and so may any other the broken
+    # pool took down with it; nothing is lost or counted twice.
+    assert outcome.failures[dying.key()].startswith("BrokenProcessPool")
+    assert set(outcome.results) | set(outcome.failures) == set(keys)
+    assert not set(outcome.results) & set(outcome.failures)
+    assert list(outcome.results) == [key for key in keys if key in outcome.results]
+    stored = SweepCheckpoint(checkpoint).load()
+    assert set(stored.failures) == set(outcome.failures)
+    assert not any(stored.is_completed(key) for key in outcome.failures)
+
+    # Every failure is retried on resume; every success is skipped.
+    resumed = run_sweep(specs, checkpoint=checkpoint, jobs=2)
+    assert resumed.ok()
+    assert sorted(resumed.skipped) == sorted(outcome.results)
+    assert list(resumed.results) == keys
+
+
 def test_streamed_aggregation_matches_serial_at_scale():
-    # The streamed queue aggregation must reproduce the serial results
+    # The worker pool's aggregation must reproduce the serial results
     # exactly at sweep scale.  Default 100 scenarios (the acceptance
     # scale); REPRO_SWEEP_SCALE trims it for constrained CI runners.
     count = int(os.environ.get("REPRO_SWEEP_SCALE", "100"))

@@ -24,7 +24,7 @@ from repro.ftl.metastore import parse_checkpoint
 from repro.ftl.recovery import recover_ftl
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
-from repro.nand.timing import NandTiming
+from repro.nand.timing import NAND_20NM_MLC, NandTiming
 from repro.ssd.config import SsdConfig
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=8, blocks_per_plane=24)
@@ -99,6 +99,40 @@ def test_tail_scan_equals_full_scan_for_less_reading():
     assert tail.pages_scanned < full.pages_scanned
     assert tail.duration_ns < full.duration_ns
     tail_ftl.invariant_check()
+
+
+def test_checkpointed_power_on_is_ten_times_faster_than_the_full_scan():
+    """A lived-in 2048x64 device (filled, then skew-overwritten by half
+    its user pages through GC), checkpointed every 1/32nd of its user
+    pages and crashed half an interval past the last checkpoint: the
+    checkpoint + tail power-on is ready in under a tenth of the full
+    scan's simulated time (35.8x at this scale) and rebuilds its L2P."""
+    geometry = NandGeometry(page_size=4096, pages_per_block=64, blocks_per_plane=2048)
+    config = SsdConfig(geometry=geometry, timing=NAND_20NM_MLC, op_ratio=0.12)
+    user = config.space_model().user_pages
+    interval = user // 32
+    ftl = dataclasses.replace(config, checkpoint_interval_pages=interval).build_ftl(
+        nand=NandArray(geometry, NAND_20NM_MLC)
+    )
+    rng = np.random.default_rng(7)
+    for lpn in range(user):
+        ftl.host_write_page(lpn)
+    for lpn in rng.integers(0, user // 4, user // 2 + interval // 2):
+        ftl.host_write_page(int(lpn))
+    for block in (ftl.active_user_block, ftl.active_gc_block):
+        if block is not None:
+            ftl.nand.tear_frontier_page(block)
+    durable = ftl.nand.capture_durable_state()
+    # Drop the records; the reserved blocks keep their wear.
+    stripped = durable.without_records()
+
+    tail_ftl, tail = recover_ftl(config.restore_nand(durable), config)
+    full_ftl, full = recover_ftl(config.restore_nand(stripped), config)
+    assert not tail.full_scan and full.full_scan
+    assert np.array_equal(
+        tail_ftl.page_map.l2p_snapshot(), full_ftl.page_map.l2p_snapshot()
+    )
+    assert full.duration_ns >= 10 * tail.duration_ns
 
 
 def test_recovered_ftl_matches_live_reference():

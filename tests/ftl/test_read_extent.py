@@ -49,7 +49,7 @@ ACCEL = ReliabilityProfile(
     scrub_scan_blocks=GEOMETRY.total_blocks,
     retention_accel=1e9,
 )
-RELIABILITY = {"off": None, "mlc-20nm": "mlc-20nm", "accel": ACCEL}
+RELIABILITY = {"off": None, "mlc": "mlc-20nm", "acc": ACCEL}
 #: ``light`` draws from the read stream on every read but practically
 #: never fires; ``reads`` fires often enough to walk the retry budget.
 INJECTORS = {
@@ -260,7 +260,7 @@ def test_dirty_eviction_lands_between_the_two_groups_data_reads(monkeypatch):
 @pytest.mark.parametrize("mapping", ["dram", "dftl"])
 @pytest.mark.parametrize("lpn,count", [(-1, 2), (-4, 4), (0, 10**6), (None, 2)])
 def test_out_of_range_extent_raises_and_changes_nothing(mapping, lpn, count):
-    ftl, _ = make_ftl(mapping, "mlc-20nm", "none")
+    ftl, _ = make_ftl(mapping, "mlc", "none")
     for page in range(8):
         ftl.host_write_page(page)
     if lpn is None:
@@ -299,7 +299,7 @@ def test_sixteen_pages_in_one_translation_page_cost_one_cmt_touch(monkeypatch):
     """Cost guard: the extent consults the CMT once per translation page
     and never calls the per-LPN lookup, yet accounts every page."""
     geometry = NandGeometry(page_size=128, pages_per_block=4, blocks_per_plane=48)
-    ftl, _ = make_ftl("dftl", "mlc-20nm", "none", geometry=geometry)
+    ftl, _ = make_ftl("dftl", "mlc", "none", geometry=geometry)
     assert ftl.page_map.entries_per_tpage == 16
     for lpn in range(16, 32):
         ftl.host_write_page(lpn)

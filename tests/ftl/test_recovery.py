@@ -414,9 +414,7 @@ def test_nested_program_fail_skips_the_slot_without_recursive_retirement(mode, s
 
 
 @pytest.mark.parametrize("mode,stream", STREAMS)
-def test_lost_read_during_retirement_unmaps_data_but_reprograms_translation(
-    mode, stream
-):
+def test_lost_read_in_retirement_unmaps_data_not_translation(mode, stream):
     ftl, injector, ops = staged_ftl(mode, stream)
     failed = frontier_block(ftl, stream)
     live = live_pages(ftl, failed)

@@ -58,7 +58,7 @@ def assert_unchanged_and_powers_on(config, ftl, before):
     ],
     ids=["page-below", "page-past-end", "extent-across-end", "extent-below"],
 )
-def test_rejected_write_touches_nothing_and_the_device_powers_on(mapping, write):
+def test_rejected_write_touches_nothing(mapping, write):
     config, ftl = written_ftl(mapping)
     before = state(ftl)
     with pytest.raises(IndexError):

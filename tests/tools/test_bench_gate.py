@@ -1,5 +1,5 @@
 """Tests for the benchmark regression gate: the ``--jobs 2`` scaling
-rule on sweep payloads and the reliability-overhead rules."""
+rule on sweep payloads."""
 
 import importlib.util
 import json
@@ -43,68 +43,3 @@ def test_jobs_scaling_is_skipped_on_a_single_cpu(tmp_path, capsys):
     assert _run_sweep_gate(tmp_path, _sweep_payload(0.9, cpus=1)) == 0
     assert "single-CPU host" in capsys.readouterr().out
 
-
-# ----------------------------------------------------------------------
-# Reliability-overhead payloads
-# ----------------------------------------------------------------------
-def _reliability_payload(slowdown=1.01, scrubs=0, ueccs=0, fast_reads=1000):
-    return {
-        "schema": "bench-hotpaths/v1",
-        "benchmark": "reliability_overhead",
-        "mode": "quick",
-        "results": {
-            "reliability_overhead": {
-                "off": {"events_per_sec": 100_000.0, "waf": 3.0},
-                "armed": {
-                    "events_per_sec": round(100_000.0 / slowdown, 1),
-                    "waf": 3.0,
-                    "ecc_fast_reads": fast_reads,
-                    "ecc_retry_reads": 0,
-                    "uecc_count": ueccs,
-                    "scrub_blocks_refreshed": scrubs,
-                },
-                "slowdown": slowdown,
-                "waf_delta": 0.0,
-            }
-        },
-    }
-
-
-def _run_reliability(tmp_path, payload, extra_args=()):
-    current = tmp_path / "rel.json"
-    current.write_text(json.dumps(payload))
-    return bench_gate.main(["--current", str(current), *extra_args])
-
-
-def test_quiescent_reliability_run_passes(tmp_path):
-    assert _run_reliability(tmp_path, _reliability_payload(slowdown=1.01)) == 0
-
-
-def test_reliability_overhead_above_ceiling_fails(tmp_path, capsys):
-    assert _run_reliability(tmp_path, _reliability_payload(slowdown=1.10)) == 1
-    assert "exceeds the 1.03x ceiling" in capsys.readouterr().out
-
-
-def test_reliability_ceiling_is_configurable(tmp_path):
-    payload = _reliability_payload(slowdown=1.10)
-    assert (
-        _run_reliability(
-            tmp_path, payload, ["--max-reliability-overhead", "1.2"]
-        )
-        == 0
-    )
-
-
-def test_non_quiescent_reliability_run_fails(tmp_path, capsys):
-    assert _run_reliability(tmp_path, _reliability_payload(scrubs=3)) == 1
-    assert "not a no-data-at-risk measurement" in capsys.readouterr().out
-
-
-def test_reliability_uecc_fails(tmp_path, capsys):
-    assert _run_reliability(tmp_path, _reliability_payload(ueccs=1)) == 1
-    assert "ECC cliff" in capsys.readouterr().out
-
-
-def test_reliability_ladder_must_be_installed(tmp_path, capsys):
-    assert _run_reliability(tmp_path, _reliability_payload(fast_reads=0)) == 1
-    assert "not" in capsys.readouterr().out

@@ -1,14 +1,16 @@
 """Every documented ``python -m repro ...`` command line must parse.
 
 The command lines in the Markdown docs and in the CI workflow's smoke
-jobs are the CLI's public examples.  A flag that is renamed or dropped
-would otherwise break only the CI smoke jobs; here each line goes
+matrix are the CLI's public examples.  A flag that is renamed or dropped
+would otherwise break only the CI smoke job; here each line goes
 through ``build_parser().parse_args`` (parsing only -- nothing runs).
 
 Extraction covers fenced code blocks (``\\`` continuations joined,
 ``#`` comments dropped), single-line inline code spans, and the
-workflow's folded ``run: >`` blocks.  A line elided with ``…`` is a
-placeholder, not an example, and is skipped; so are hidden directories.
+workflow's ``run: >`` and ``run: |`` blocks.  A line elided with ``…``
+is a placeholder, not an example, and is skipped; so is a bare
+``python -m repro`` that names the CLI in prose, and so are hidden
+directories.
 Each case is named by its file and its argv, not by its line, so an edit
 above a command leaves its id alone: ``DESIGN.md@1a2b3c::run --seed 7``.
 The label before ``::`` (file name, a digest of the argv, ``#n`` for a
@@ -111,6 +113,8 @@ def _keyed(path: Path, lines: Iterator[Tuple[int, str]]) -> Iterator[Tuple[str, 
         if "…" in line:
             continue
         argv = _argv(line)
+        if not argv:
+            continue
         joined = " ".join(argv)
         label = f"{path.name}@{hashlib.sha1(joined.encode()).hexdigest()[:6]}"
         seen[label] += 1

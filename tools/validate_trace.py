@@ -19,8 +19,8 @@ the CI smoke job relies on:
   sampled per-interval tail percentiles, counter-phase records.
 
 With ``--require-latency`` a trace missing the op-completion records or
-the percentile counter tracks fails validation (the latency-report CI
-job passes it; plain smoke traces from runs without ``--trace``-time
+the percentile counter tracks fails validation (the CI smoke job's
+latency-report row passes it; plain smoke traces from runs without ``--trace``-time
 sampling or tail attribution may legitimately lack both).
 
 Span-typed audit records (GC occupancy, backpressure and mapping-fault
@@ -29,8 +29,8 @@ spans; see :data:`SPAN_EVENT_NAMES`) must be duration events with
 
 With ``--require-scrub`` a trace must carry at least one
 ``device/scrub.block`` span (a refresh-scrub relocation, emitted with
-``--reliability`` armed and at-risk data present); the reliability CI
-smoke job passes it.
+``--reliability`` armed and at-risk data present); the CI smoke job's
+reliability row passes it.
 
 Exit status 0 when every file passes; 1 with a diagnostic otherwise.
 """
