@@ -704,9 +704,7 @@ class PageMappedFtl:
             # One adjustment per run of old pages in one block: the
             # intermediate heap entries the per-page observer would push
             # are dead on arrival, so aggregation is selection-equivalent.
-            adjust = vindex.adjust_if_tracked
-            for old_block, pages in old_runs:
-                adjust(old_block, -pages)
+            vindex.invalidate_runs(old_runs)
             if sip.lpns:
                 sip_set = sip.lpns
                 hits = [i for i in range(chunk) if (first + i) in sip_set]

@@ -258,10 +258,11 @@ class PageMap:
         the caller (the FTL's batched host write) applies one index delta
         per returned run.  Small extents take a scalar loop; large ones
         the vectorized path -- both apply the exact same state
-        transitions.
+        transitions.  The caller has validated the extent
+        (:meth:`check_extent`); it is not checked again here.
         """
-        old_ppns = self.lookup_extent(first_lpn, count)
         l2p = self._l2p
+        old_ppns = l2p[first_lpn:first_lpn + count].tolist()
         p2l = self._p2l
         valid = self._valid
         per_block = self._valid_per_block
@@ -465,26 +466,28 @@ class PageMap:
         invalid, until :meth:`migrate_pages` lands them or
         :meth:`drop_evacuated` unmaps them: nothing may remap, unmap or
         look them up in between (the FTL's relocation routine and
-        DESIGN.md section 7a say what runs there).  A miscounted block,
-        or one holding both page classes, is refused untouched.  Does not
-        fire the validity observer.
+        DESIGN.md section 7a say what runs there).  A miscounted block --
+        or, on a :class:`CachedPageMap`, one holding both page classes --
+        is refused untouched.  Does not fire the validity observer.
         """
         start = block * self._ppb
         end = start + self._ppb
         offsets = self._valid[start:end].nonzero()[0]
         lpns = self._p2l[start:end][offsets]
+        self._check_evacuation(block, lpns)
+        self._p2l[start:end] = UNMAPPED
+        self._valid[start:end] = False
+        self._valid_per_block[block] = 0
+        return offsets, lpns
+
+    def _check_evacuation(self, block: int, lpns: np.ndarray) -> None:
+        """Refuse to evacuate ``block`` when its valid pages (``lpns``)
+        disagree with its counter."""
         if len(lpns) != self._valid_per_block.item(block):
             raise RuntimeError(
                 f"block {block} holds {len(lpns)} valid pages, its counter "
                 f"says {self._valid_per_block.item(block)}"
             )
-        trans = np.count_nonzero(lpns >= TRANS_LPN_BASE)
-        if 0 < trans < len(lpns):
-            raise RuntimeError(f"block {block} holds {trans} translation and some data pages")
-        self._p2l[start:end] = UNMAPPED
-        self._valid[start:end] = False
-        self._valid_per_block[block] = 0
-        return offsets, lpns
 
     def migrate_pages(self, lpns: np.ndarray, dst_block: int, dst_start: int) -> None:
         """Land ``lpns``, taken by :meth:`evacuate_block`, on consecutive
@@ -696,6 +699,14 @@ class CachedPageMap(PageMap):
     def gtd_snapshot(self) -> np.ndarray:
         """Copy of the GTD vector."""
         return self._gtd.copy()
+
+    def _check_evacuation(self, block: int, lpns: np.ndarray) -> None:
+        # Only this map stamps translation pages, so only it can meet a
+        # block holding both page classes: refuse one before evacuating.
+        super()._check_evacuation(block, lpns)
+        trans = np.count_nonzero(lpns >= TRANS_LPN_BASE)
+        if 0 < trans < len(lpns):
+            raise RuntimeError(f"block {block} holds {trans} translation and some data pages")
 
     def translation_run(self, lpns: np.ndarray) -> bool:
         # A block holds one page class (evacuate_block refuses a mixed

@@ -142,6 +142,22 @@ class ValidCountIndex:
             heapq.heappush(self._heap, (count, block, self._gen[block]))
             self._compact_if_bloated()
 
+    def invalidate_runs(self, runs: Iterable[Tuple[int, int]]) -> None:
+        """:meth:`adjust_if_tracked` by ``-pages`` for each ``(block,
+        pages)`` run of old copies a batched host write invalidated, in
+        one call: the same pushes, and the heap's bloat is checked once,
+        after the last."""
+        counts = self._count
+        gens = self._gen
+        heap = self._heap
+        for block, pages in runs:
+            count = counts.get(block)
+            if count is not None:
+                count -= pages
+                counts[block] = count
+                heapq.heappush(heap, (count, block, gens[block]))
+        self._compact_if_bloated()
+
     def make_fused_observer(self, sip: "SipOverlapIndex"):
         """A single ``(block, lpn, delta)`` callable fusing
         :meth:`adjust_if_tracked` with :meth:`SipOverlapIndex.on_valid_delta`.

@@ -5,7 +5,7 @@ This package provides the timing substrate on which every other subsystem
 It is a small but complete event-driven kernel:
 
 * :mod:`repro.sim.simtime` -- integer-nanosecond time base and unit helpers.
-* :mod:`repro.sim.events` -- schedulable events with stable ordering.
+* :mod:`repro.sim.events` -- event priorities (the same-instant tie-break).
 * :mod:`repro.sim.engine` -- the :class:`Simulator` event loop.
 * :mod:`repro.sim.process` -- generator-based sequential processes
   (used by closed-loop workload actors).
@@ -29,7 +29,6 @@ from repro.sim.events import (
     PRIORITY_DEVICE,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
-    Event,
     EventPriority,
 )
 from repro.sim.engine import Simulator, SimulationError
@@ -44,7 +43,6 @@ __all__ = [
     "format_time",
     "ns_from_seconds",
     "seconds_from_ns",
-    "Event",
     "EventPriority",
     "PRIORITY_DEVICE",
     "PRIORITY_NORMAL",

@@ -8,14 +8,16 @@ in deterministic ``(time, priority, sequence)`` order.
 The loop never advances time past the event being dispatched, so a callback
 always observes ``sim.now`` equal to its own firing time.
 
-Hot-path layout (PERFORMANCE.md): the heap holds flat
-``(time, priority, seq, event)`` tuples.  ``seq`` is unique per event, so
-heap sifting is decided entirely by C-level int comparison -- the
-:class:`~repro.sim.events.Event` object rides along and is never compared.
-Scheduling is one call (:meth:`Simulator.schedule` validates, builds the
-event and pushes; :meth:`Simulator.schedule_at` validates its absolute
-time and goes through it), and ``step`` / ``run`` / ``run_until`` share
-one loop that fires the event where it pops it.
+Hot-path layout (PERFORMANCE.md): an event *is* its heap entry, a flat
+``(time, priority, seq, callback, name)`` tuple.  ``seq`` is unique per
+event, so heap sifting is decided entirely by C-level int comparison --
+the callback and name ride along and are never compared.  Events cannot
+be cancelled: nothing schedules one it may later withdraw, so the loop
+carries no cancelled-entry skips and the heap's length is the pending
+count.  Scheduling is one call (:meth:`Simulator.schedule` validates and
+pushes; :meth:`Simulator.schedule_at` validates its absolute time and
+goes through it), and ``step`` / ``run`` / ``run_until`` share one loop
+that fires the event where it pops it.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ import sys
 from time import perf_counter_ns
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.events import PRIORITY_NORMAL, Event, EventPriority  # noqa: F401
+from repro.sim.events import PRIORITY_NORMAL
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-#: Heap entry: ``(time, priority, seq, event)``.
-_HeapEntry = Tuple[int, int, int, Event]
+#: Heap entry: ``(time, priority, seq, callback, name)``.
+_HeapEntry = Tuple[int, int, int, Callable[[], Any], Optional[str]]
 
 #: "No horizon" / "no event limit": one int compare serves both cases.
 _UNBOUNDED = sys.maxsize
@@ -59,7 +61,6 @@ class Simulator:
         self._now: int = 0
         self._heap: List[_HeapEntry] = []
         self._seq: int = 0
-        self._live: int = 0
         self._running: bool = False
         self._stopped: bool = False
         self._dead: bool = False
@@ -104,22 +105,19 @@ class Simulator:
         *,
         priority: int = PRIORITY_NORMAL,
         name: Optional[str] = None,
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback`` to run ``delay`` ticks from now.
 
-        Returns the :class:`Event`, which the caller may :meth:`~Event.cancel`.
+        ``name`` labels the event in errors and in the loop profiler
+        (default: the callback's qualified name).
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for {name or callback}")
         if self._dead:
             raise SimulationError("simulator is dead after a power cut")
-        time = self._now + delay
         seq = self._seq
-        event = Event(time, priority, seq, callback, name, self._on_event_cancelled)
         self._seq = seq + 1
-        self._live += 1
-        _heappush(self._heap, (time, priority, seq, event))
-        return event
+        _heappush(self._heap, (self._now + delay, priority, seq, callback, name))
 
     def schedule_at(
         self,
@@ -128,23 +126,20 @@ class Simulator:
         *,
         priority: int = PRIORITY_NORMAL,
         name: Optional[str] = None,
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback`` at absolute simulated ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at {time} before current time {self._now}"
             )
-        return self.schedule(time - self._now, callback, priority=priority, name=name)
-
-    def _on_event_cancelled(self) -> None:
-        self._live -= 1
+        self.schedule(time - self._now, callback, priority=priority, name=name)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _drain(self, until: Optional[int], max_events: Optional[int]) -> int:
         """The one dispatch loop behind :meth:`step`, :meth:`run` and
-        :meth:`run_until`: fire live events stamped ``<= until`` (``None``:
+        :meth:`run_until`: fire events stamped ``<= until`` (``None``:
         all of them) and, unless stopped or cut short by ``max_events``,
         leave the clock at ``until``.  Returns the number dispatched.
         """
@@ -156,28 +151,18 @@ class Simulator:
         while heap and not self._stopped:
             if count >= limit:
                 return count
-            head = heap[0]
-            event = head[3]
-            if event.cancelled:
-                _heappop(heap)
-                continue
-            time = head[0]
-            if time > horizon:
+            if heap[0][0] > horizon:
                 break
-            _heappop(heap)
-            event._on_cancel = None  # fired: a late cancel() is a no-op
-            self._live -= 1
+            time, _priority, _seq, callback, name = _heappop(heap)
             self._now = time
             self.dispatched += 1
             profiler = self._profiler
             if profiler is None:
-                event.callback()
+                callback()
             else:
-                label = event.name or getattr(
-                    event.callback, "__qualname__", "anonymous"
-                )
+                label = name or getattr(callback, "__qualname__", "anonymous")
                 start = perf_counter_ns()
-                event.callback()
+                callback()
                 profiler.record(label, perf_counter_ns() - start)
             count += 1
         if until is not None and not self._stopped:
@@ -241,16 +226,13 @@ class Simulator:
 
         In-flight work dies with the power rail: nothing queued survives
         into recovery, which starts from durable state only.  Returns
-        the number of live events discarded.  The simulator is dead
+        the number of pending events discarded.  The simulator is dead
         afterwards -- further scheduling or running raises
         :class:`SimulationError`; recovery builds a fresh one
         (:meth:`resume_at` continues the timeline).
         """
-        dropped = self._live
-        for entry in self._heap:
-            entry[3]._on_cancel = None
+        dropped = len(self._heap)
         self._heap.clear()
-        self._live = 0
         self._stopped = True
         self._dead = True
         return dropped
@@ -259,19 +241,12 @@ class Simulator:
     # Introspection
     # ------------------------------------------------------------------
     def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued (O(1))."""
-        return self._live
+        """Number of events still queued (O(1))."""
+        return len(self._heap)
 
     def peek_time(self) -> Optional[int]:
-        """Timestamp of the next live event, or ``None`` if idle.
-
-        Cancelled heads are popped lazily, so the amortized cost is
-        O(log n) per cancelled event rather than a full heap sort per
-        call.
-        """
+        """Timestamp of the next event, or ``None`` if idle."""
         heap = self._heap
-        while heap and heap[0][3].cancelled:
-            _heappop(heap)
         return heap[0][0] if heap else None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -186,6 +186,56 @@ def test_watermark_validation():
         SsdConfig(geometry=GEOMETRY, timing=TIMING, fgc_watermark=1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    program=st.lists(
+        st.one_of(
+            st.tuples(st.just("write"), st.integers(0, 47), st.integers(1, 12)),
+            st.tuples(st.just("trim"), st.integers(0, 47), st.integers(1, 12)),
+            st.tuples(st.just("collect"), st.booleans()),
+        ),
+        max_size=60,
+    )
+)
+def test_a_dram_map_evacuates_only_data_stamps(program):
+    """Host writes (with the foreground GC they trigger), background and
+    forced relocations and TRIMs never put a stamp at or above
+    ``user_pages`` into an evacuated run of a DRAM map: only the
+    flash-resident map stamps translation pages, so only it has to
+    refuse a victim holding both page classes."""
+    ftl = make_ftl()
+    pm = ftl.page_map
+    user = ftl.space.user_pages
+    runs = []
+    evacuate = pm.evacuate_block
+
+    def recording(block):
+        offsets, lpns = evacuate(block)
+        runs.append(lpns.copy())
+        return offsets, lpns
+
+    pm.evacuate_block = recording
+    for _ in range(2):
+        ftl.host_write_extent(0, user)
+    for action, *args in program:
+        if action == "write":
+            first, count = args
+            ftl.host_write_extent(first, min(count, user - first))
+        elif action == "trim":
+            first, count = args
+            ftl.trim(range(first, min(first + count, user)))
+        elif args[0]:
+            top = ftl.victim_index.min_block()
+            if top is not None:
+                ftl.collect_one_block(background=True, forced_victim=top[0])
+        elif ftl.has_victim():
+            ftl.collect_one_block(background=True)
+    assert runs  # the second pass of the pre-fill already collects
+    for lpns in runs:
+        assert ((0 <= lpns) & (lpns < user)).all()
+    ftl.invariant_check()
+
+
 # ----------------------------------------------------------------------
 # Batched host-write extents vs the per-page write loop
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 the valid-count index that shares its module."""
 
 import copy
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -131,9 +132,11 @@ def test_track_many_equals_one_track_per_block(history, install):
 # ----------------------------------------------------------------------
 class ValidCountIndexMachine(RuleBasedStateMachine):
     """Drives the index the way the FTL does -- close, invalidate (by
-    method and through the fused observer), erase, re-close -- beside a
-    plain ``{block: count}`` dict.  Twelve blocks keep the compaction
-    threshold near a hundred entries, so ``churn`` crosses it often."""
+    method, through the fused observer and a host write's runs of old
+    pages), erase, re-close -- beside a plain ``{block: count}`` dict and
+    a twin index that takes each run as its own ``adjust_if_tracked``.
+    Twelve blocks keep the compaction threshold near a hundred entries,
+    so ``churn`` crosses it often."""
 
     BLOCKS = 12
     PPB = 64
@@ -149,6 +152,7 @@ class ValidCountIndexMachine(RuleBasedStateMachine):
         self.observer = self.index.make_fused_observer(self.sip)
         self.heap = self.index._heap
         self.oracle = {}
+        self.twin = ValidCountIndex()
 
     def _clip(self, block, delta):
         """``delta`` clipped so the oracle's count stays in [0, PPB]."""
@@ -159,17 +163,20 @@ class ValidCountIndexMachine(RuleBasedStateMachine):
     def track(self, block, count):
         if block not in self.oracle:  # also the re-track after an erase
             self.index.track(block, count)
+            self.twin.track(block, count)
             self.oracle[block] = count
 
     @rule(install=st.dictionaries(blocks, st.integers(0, PPB), max_size=BLOCKS))
     def track_many(self, install):
         new = [block for block in install if block not in self.oracle]
         self.index.track_many(new, [install[block] for block in new])
+        self.twin.track_many(new, [install[block] for block in new])
         self.oracle.update((block, install[block]) for block in new)
 
     @rule(block=blocks)
     def untrack(self, block):
         self.index.untrack(block)
+        self.twin.untrack(block)
         self.oracle.pop(block, None)
 
     @rule(block=blocks, delta=st.integers(-PPB, PPB))
@@ -177,6 +184,7 @@ class ValidCountIndexMachine(RuleBasedStateMachine):
         if block in self.oracle:
             delta = self._clip(block, delta)
             self.index.adjust(block, delta)
+            self.twin.adjust(block, delta)
             self.oracle[block] += delta
 
     @rule(block=blocks, delta=st.integers(-PPB, PPB))
@@ -185,6 +193,21 @@ class ValidCountIndexMachine(RuleBasedStateMachine):
             delta = self._clip(block, delta)
             self.oracle[block] += delta
         self.index.adjust_if_tracked(block, delta)
+        self.twin.adjust_if_tracked(block, delta)
+
+    @rule(runs=st.lists(st.tuples(blocks, st.integers(1, PPB)), max_size=8))
+    def invalidate_runs(self, runs):
+        """A host write's ``(block, pages)`` runs of old copies: tracked
+        and untracked blocks, a block possibly repeated, never below 0."""
+        clipped = []
+        for block, pages in runs:
+            if block in self.oracle:
+                pages = min(pages, self.oracle[block])
+                self.oracle[block] -= pages
+            clipped.append((block, pages))
+        self.index.invalidate_runs(clipped)
+        for block, pages in clipped:
+            self.twin.adjust_if_tracked(block, -pages)
 
     @rule(block=blocks, pages=st.integers(1, PPB), up=st.booleans(), back=st.booleans())
     def churn(self, block, pages, up, back):
@@ -198,6 +221,7 @@ class ValidCountIndexMachine(RuleBasedStateMachine):
         for direction in (step, -step)[: 1 + back]:
             for lpn in range(pages):
                 self.observer(block, lpn, direction)
+                self.twin.adjust_if_tracked(block, direction)
         if tracked and pages:
             if not back:
                 self.oracle[block] += step * pages
@@ -222,7 +246,11 @@ class ValidCountIndexMachine(RuleBasedStateMachine):
     def ranking_matches_oracle(self):
         index = self.index
         assert index._heap is self.heap, "compaction must rebuild in place"
-        assert len(index._heap) <= 4 * len(index) + 64
+        for each in (index, self.twin):
+            assert len(each._heap) <= 4 * len(each) + 64
+        twin = copy.deepcopy(self.twin)
+        with closing(copy.deepcopy(index).ranked()) as walk, closing(twin.ranked()) as same:
+            assert list(walk) == list(same)
         assert dict(index.items()) == self.oracle
         ranking = self._ranking(())
         assert index.min_block() == (ranking[0] if ranking else None)

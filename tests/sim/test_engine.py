@@ -1,4 +1,7 @@
-"""Tests for the simulator event loop: ordering, cancellation, run_until."""
+"""Tests for the simulator event loop: ordering, run_until, power cuts."""
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -78,16 +81,6 @@ def test_schedule_in_the_past_rejected():
         sim.schedule_at(5, lambda: None)
 
 
-def test_cancelled_event_does_not_fire():
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(5, lambda: fired.append("x"))
-    event.cancel()
-    sim.run()
-    assert fired == []
-    assert sim.pending() == 0
-
-
 def test_run_until_stops_at_boundary():
     sim = Simulator()
     fired = []
@@ -137,14 +130,6 @@ def test_run_max_events():
     assert fired == [0, 1, 2]
 
 
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    first = sim.schedule(5, lambda: None)
-    sim.schedule(9, lambda: None)
-    first.cancel()
-    assert sim.peek_time() == 9
-
-
 def test_dispatched_counter():
     sim = Simulator()
     for i in range(4):
@@ -153,85 +138,32 @@ def test_dispatched_counter():
     assert sim.dispatched == 4
 
 
-def test_pending_is_live_count_through_cancel_and_dispatch():
+def test_engine_holds_no_reference_to_a_fired_callback():
+    # A component's callback (and what its closure holds) must be
+    # collectable once its event has fired: the engine keeps no record.
     sim = Simulator()
-    events = [sim.schedule(i + 1, lambda: None) for i in range(4)]
-    assert sim.pending() == 4
-    events[0].cancel()
-    events[0].cancel()  # idempotent: must not double-decrement
-    assert sim.pending() == 3
-    sim.run()
-    assert sim.pending() == 0
 
+    class Callback:
+        def __call__(self):
+            pass
 
-def test_cancel_after_fire_is_noop():
-    sim = Simulator()
-    event = sim.schedule(1, lambda: None)
+    callback = Callback()
+    ref = weakref.ref(callback)
+    sim.schedule(1, callback, name="once")
     sim.schedule(2, lambda: None)
+    del callback
     sim.run(max_events=1)
-    event.cancel()  # already fired: must not corrupt the live count
+    gc.collect()
+    assert ref() is None
     assert sim.pending() == 1
-    assert sim.peek_time() == 2
-
-
-def test_peek_time_pops_cancelled_heads_lazily():
-    sim = Simulator()
-    head = [sim.schedule(i + 1, lambda: None) for i in range(3)]
-    survivor = sim.schedule(10, lambda: None)
-    for event in head:
-        event.cancel()
-    assert sim.peek_time() == 10
-    assert sim.pending() == 1
-    sim.run()
-    assert sim.now == survivor.time
-
-
-def test_peek_time_none_when_every_event_cancelled():
-    sim = Simulator()
-    events = [sim.schedule(i + 1, lambda: None) for i in range(3)]
-    for event in events:
-        event.cancel()
-    assert sim.peek_time() is None
-    assert sim.pending() == 0
-    assert sim.run() == 0
-
-
-def test_cancel_then_reschedule_fires_only_replacement():
-    sim = Simulator()
-    fired = []
-    stale = sim.schedule(5, lambda: fired.append("stale"))
-    stale.cancel()
-    replacement = sim.schedule(5, lambda: fired.append("fresh"))
-    assert sim.pending() == 1
-    assert sim.peek_time() == 5
-    sim.run()
-    assert fired == ["fresh"]
-    assert sim.now == replacement.time
-    assert sim.pending() == 0
-
-
-def test_on_cancel_hook_detached_after_fire_and_after_cancel():
-    # The engine's live-count hook must not stay reachable from events a
-    # component keeps around after they fired or were cancelled.
-    sim = Simulator()
-    fired_event = sim.schedule(1, lambda: None)
-    cancelled_event = sim.schedule(2, lambda: None)
-    assert fired_event._on_cancel is not None
-    sim.run(max_events=1)
-    assert fired_event._on_cancel is None
-    cancelled_event.cancel()
-    assert cancelled_event._on_cancel is None
-    cancelled_event.cancel()  # idempotent with the hook already gone
-    assert sim.pending() == 0
 
 
 # ----------------------------------------------------------------------
-# Property: any program of schedules, cancels, slices and stops
+# Property: any program of schedules, slices, stops and a power cut
 # ----------------------------------------------------------------------
 PRIORITY_VALUES = list(EventPriority)
 #: ``schedule`` / ``schedule_at`` with a delay (0 included), a priority,
-#: a name or none; a cancel of the n-th event created so far, fired or
-#: not; a ``stop()``.
+#: a name or none; a ``stop()``.
 ACTIONS = st.one_of(
     st.tuples(
         st.just("schedule"),
@@ -240,7 +172,6 @@ ACTIONS = st.one_of(
         st.booleans(),
         st.booleans(),
     ),
-    st.tuples(st.just("cancel"), st.integers(0, 60)),
     st.tuples(st.just("stop")),
 )
 MAX_EVENTS = st.one_of(st.none(), st.integers(0, 5))
@@ -252,14 +183,15 @@ SLICES = st.one_of(
 
 
 class EngineModel:
-    """Drives a Simulator and keeps the set of live events beside it."""
+    """Drives a Simulator and keeps the ``(time, priority, seq)`` keys of
+    its pending ("live") events beside it."""
 
     EVENT_CAP = 120  # callbacks schedule callbacks: bound the program
 
     def __init__(self, behaviours):
         self.sim = Simulator()
         self.behaviours = behaviours
-        self.events = []
+        self.keys = []
         self.labels = []
         self.live = {}
         self.fired = []
@@ -277,10 +209,10 @@ class EngineModel:
 
     def callback(self, ident):
         def fire():
-            event = self.events[ident]
-            assert ident in self.live  # neither cancelled nor fired before
-            assert self.sim.now == event.time
-            assert event.sort_key() == min(e.sort_key() for e in self.live.values())
+            key = self.keys[ident]
+            assert ident in self.live  # not fired before
+            assert self.sim.now == key[0]
+            assert key == min(self.live.values())
             del self.live[ident]
             self.fired.append(ident)
             self.check_counts()
@@ -293,28 +225,20 @@ class EngineModel:
         sim = self.sim
         if action[0] == "schedule":
             _, delay, priority, named, absolute = action
-            ident = len(self.events)
+            ident = len(self.keys)
             if ident >= self.EVENT_CAP:
                 return
             callback = self.callback(ident)
             name = f"event-{ident}" if named else None
             if absolute:
-                event = sim.schedule_at(
-                    sim.now + delay, callback, priority=priority, name=name
-                )
+                sim.schedule_at(sim.now + delay, callback, priority=priority, name=name)
             else:
-                event = sim.schedule(delay, callback, priority=priority, name=name)
-            assert event.sort_key() == (sim.now + delay, priority, ident)
-            assert event.key == event.sort_key() and not event.cancelled
-            self.events.append(event)
+                sim.schedule(delay, callback, priority=priority, name=name)
+            # The engine numbers events in scheduling order, as this does.
+            key = (sim.now + delay, int(priority), ident)
+            self.keys.append(key)
             self.labels.append(name or callback.__qualname__)
-            self.live[ident] = event
-        elif action[0] == "cancel":
-            if self.events:
-                ident = action[1] % len(self.events)
-                self.events[ident].cancel()
-                assert self.events[ident].cancelled
-                self.live.pop(ident, None)
+            self.live[ident] = key
         else:
             sim.stop()
             self.stopped = True
@@ -335,7 +259,7 @@ class EngineModel:
             returned = sim.run_until(target, limit)
         count = len(self.fired) - fired_before
         assert returned == count
-        last = self.events[self.fired[-1]].time if count else now_before
+        last = self.keys[self.fired[-1]][0] if count else now_before
         if limit is not None:
             assert count <= limit
         cut_short = limit is not None and count >= limit and bool(sim._heap)
@@ -345,7 +269,7 @@ class EngineModel:
             assert sim.now == target
         if not self.stopped and not cut_short:
             horizon = sim.now if target is not None else float("inf")
-            assert not [e for e in self.live.values() if e.time <= horizon]
+            assert not [key for key in self.live.values() if key[0] <= horizon]
         self.check_counts()
 
 
@@ -353,25 +277,37 @@ class EngineModel:
 @given(
     behaviours=st.lists(st.lists(ACTIONS, max_size=4), min_size=1, max_size=8),
     program=st.lists(st.one_of(ACTIONS, SLICES), max_size=40),
+    power_cut=st.booleans(),
 )
-def test_any_program_dispatches_live_events_in_key_order(behaviours, program):
+def test_any_program_dispatches_live_events_in_key_order(behaviours, program, power_cut):
     """Whatever is scheduled from wherever, the event that fires is the
     smallest ``(time, priority, seq)`` among the live ones, at its own
     time; ``pending()`` and ``dispatched`` are exact after every step;
-    slices end where ``max_events`` / ``stop()`` / the horizon say; and
-    the profiler hears each fired event once, under its label."""
+    slices end where ``max_events`` / ``stop()`` / the horizon say; the
+    profiler hears each fired event once, under its label; and a power
+    cut drops exactly the live events and leaves the simulator dead."""
     model = EngineModel(behaviours)
     for piece in program:
         if piece[0] in ("until", "run", "step"):
             model.advance(piece)
         else:
             model.do(piece)
+    if power_cut:
+        sim = model.sim
+        assert sim.power_cut() == len(model.live)
+        assert sim.pending() == 0 and sim.peek_time() is None
+        with pytest.raises(SimulationError):
+            sim.schedule(0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run_until(sim.now)
+        assert sim.dispatched == len(model.fired)
+        return
     model.advance(("run", None))
     while model.stopped:  # a stop() ends a run early; finish the program
         model.advance(("run", None))
     assert not model.live and model.sim.pending() == 0
     assert model.sim.peek_time() is None
     assert sorted(model.fired) == sorted(set(model.fired))
-    times = [model.events[ident].time for ident in model.fired]
+    times = [model.keys[ident][0] for ident in model.fired]
     assert times == sorted(times)
     assert model.profile == [model.labels[ident] for ident in model.fired]

@@ -1,22 +1,37 @@
-"""Tests for Event ordering semantics."""
+"""Tests for event ordering semantics: time, then priority, then
+scheduling order."""
 
-from repro.sim.events import Event, EventPriority
+from repro.sim.engine import Simulator
+from repro.sim.events import EventPriority
 
 
-def make(time, priority=EventPriority.NORMAL, seq=0):
-    return Event(time=time, priority=int(priority), seq=seq, callback=lambda: None)
+def fire_order(*events):
+    """Schedule ``(label, time, priority)`` events in the order given and
+    return the labels in the order they fire."""
+    sim = Simulator()
+    fired = []
+    for label, time, priority in events:
+        sim.schedule_at(time, lambda label=label: fired.append(label), priority=priority)
+    sim.run()
+    return fired
 
 
 def test_time_dominates():
-    assert make(1, EventPriority.LOW, 99) < make(2, EventPriority.DEVICE, 0)
+    assert fire_order(
+        ("late", 2, EventPriority.DEVICE), ("early", 1, EventPriority.LOW)
+    ) == ["early", "late"]
 
 
 def test_priority_breaks_time_ties():
-    assert make(5, EventPriority.DEVICE, 9) < make(5, EventPriority.CONTROL, 0)
+    assert fire_order(
+        ("control", 5, EventPriority.CONTROL), ("device", 5, EventPriority.DEVICE)
+    ) == ["device", "control"]
 
 
 def test_seq_breaks_full_ties():
-    assert make(5, EventPriority.NORMAL, 1) < make(5, EventPriority.NORMAL, 2)
+    assert fire_order(
+        ("first", 5, EventPriority.NORMAL), ("second", 5, EventPriority.NORMAL)
+    ) == ["first", "second"]
 
 
 def test_priority_ordering_constants():
@@ -26,15 +41,3 @@ def test_priority_ordering_constants():
         < EventPriority.CONTROL
         < EventPriority.LOW
     )
-
-
-def test_cancel_flag():
-    event = make(1)
-    assert not event.cancelled
-    event.cancel()
-    assert event.cancelled
-
-
-def test_sort_key_shape():
-    event = make(7, EventPriority.CONTROL, 3)
-    assert event.sort_key() == (7, EventPriority.CONTROL, 3)
