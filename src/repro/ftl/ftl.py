@@ -741,10 +741,11 @@ class PageMappedFtl:
         """
         pm, end = self.page_map, lpn + count
         pm.check_extent(lpn, count)  # before anything is touched
+        l2p = pm._l2p  # checked above: each group slices it directly
         latency = 0
         while lpn < end:
             stop, touch_ns = pm.touch_group(lpn, end)
-            latency += touch_ns + self.media.read_extent(pm.lookup_extent(lpn, stop - lpn))
+            latency += touch_ns + self.media.read_extent(l2p[lpn:stop].tolist())
             lpn = stop
         self.stats.host_pages_read += count
         return latency + count * self.nand.timing.transfer_ns_per_page

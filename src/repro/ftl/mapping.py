@@ -1,10 +1,14 @@
 """Page-level address mapping with validity tracking, and what a lookup costs.
 
-:class:`PageMap` is the FTL's logical heart: the LPN→PPN table, the
-reverse PPN→LPN table, a per-page validity bitmap and per-block valid-page
-counters.  Out-place updates (the NAND erase-before-write consequence) are
-expressed here: remapping an LPN invalidates its previous physical page,
-creating the garbage that GC later reclaims.
+:class:`PageMap` is the FTL's logical heart: the LPN→PPN table, a
+per-page validity bitmap and per-block valid-page counters.  Out-place
+updates (the NAND erase-before-write consequence) are expressed here:
+remapping an LPN invalidates its previous physical page, creating the
+garbage that GC later reclaims.
+
+The reverse map is the NAND's: a successful program stamps the page's
+LPN into ``NandArray.oob_lpn``, and the map reads a valid page's LPN from
+a read-only view of that column, so a page is remapped only once stamped.
 
 Physical page numbers are flat: ``ppn = block * pages_per_block + page``.
 
@@ -66,15 +70,17 @@ def build_page_map(
     program_translation: Callable[[int], Tuple[int, int, int]],
     l2p: Optional[np.ndarray] = None, gtd: Optional[np.ndarray] = None,
 ) -> "PageMap":
-    """The map ``config`` asks for, adopting a recovered ``l2p`` / ``gtd``
-    (None: blank).  A flash-resident map's tier prices with ``media``,
-    ``stats`` and ``program_translation`` (see :class:`CachedPageMap`);
-    its CMT budget defaults to 1/64 of the full map's DRAM."""
+    """The map ``config`` asks for over ``media``'s NAND stamps, adopting
+    a recovered ``l2p`` / ``gtd`` (None: blank).  A flash-resident map's
+    tier prices with ``media``, ``stats`` and ``program_translation``
+    (see :class:`CachedPageMap`); its CMT budget defaults to 1/64 of the
+    full map's DRAM."""
+    stamps = media.nand.oob_lpn
     if config.mapping_mode != "dftl":
-        return PageMap(config.geometry, user_pages, l2p)
+        return PageMap(config.geometry, user_pages, stamps, l2p)
     budget = config.cmt_budget_bytes or user_pages * 8 // 64
     return CachedPageMap(
-        config.geometry, user_pages, max(1, budget // config.geometry.page_size),
+        config.geometry, user_pages, stamps, max(1, budget // config.geometry.page_size),
         l2p, gtd, media=media, stats=stats, program_translation=program_translation,
     )
 
@@ -106,6 +112,8 @@ class PageMap:
     Args:
         geometry: NAND geometry (defines the physical page space).
         user_pages: size of the logical page space.
+        stamps: the NAND's OOB LPN column (``NandArray.oob_lpn``); the
+            map reads a valid page's LPN from a read-only view of it.
         l2p: a rebuilt L2P table to install (power-on recovery), adopted
             as :meth:`load_mapping` adopts it; None starts every LPN
             unmapped.
@@ -115,6 +123,7 @@ class PageMap:
         self,
         geometry: NandGeometry,
         user_pages: int,
+        stamps: np.ndarray,
         l2p: Optional[np.ndarray] = None,
     ) -> None:
         if user_pages <= 0:
@@ -124,17 +133,15 @@ class PageMap:
         # Cached int: the per-write paths below do flat-address math per
         # call and must not walk the geometry attribute chain each time.
         self._ppb = geometry.pages_per_block
+        self._stamps = _read_only(stamps)
         if l2p is not None:
-            # No blank planes first: load_mapping fills the reverse map
-            # and the validity plane once and adopts ``l2p`` as the
-            # forward table.
-            self._p2l = np.empty(geometry.total_pages, dtype=np.int64)
+            # No blank planes first: load_mapping fills the validity
+            # plane once and adopts ``l2p`` as the forward table.
             self._valid = np.empty(geometry.total_pages, dtype=bool)
             self._valid_per_block = np.empty(geometry.total_blocks, dtype=np.int32)
             self.load_mapping(l2p)
         else:
             self._l2p = np.full(user_pages, UNMAPPED, dtype=np.int64)
-            self._p2l = np.full(geometry.total_pages, UNMAPPED, dtype=np.int64)
             self._valid = np.zeros(geometry.total_pages, dtype=bool)
             self._valid_per_block = np.zeros(geometry.total_blocks, dtype=np.int32)
             #: Number of LPNs currently mapped (the paper's ``Cused`` in pages).
@@ -198,7 +205,6 @@ class PageMap:
         else:
             self.mapped_count += 1
         self._l2p[lpn] = new_ppn
-        self._p2l[new_ppn] = lpn
         self._valid[new_ppn] = True
         block = new_ppn // self._ppb
         self._valid_per_block[block] += 1
@@ -263,7 +269,6 @@ class PageMap:
         """
         l2p = self._l2p
         old_ppns = l2p[first_lpn:first_lpn + count].tolist()
-        p2l = self._p2l
         valid = self._valid
         per_block = self._valid_per_block
         ppb = self._ppb
@@ -295,9 +300,7 @@ class PageMap:
                     if not valid[old]:
                         raise RuntimeError("double invalidation in remap_extent")
                     valid[old] = False
-                    p2l[old] = UNMAPPED
                 l2p[lpn] = ppn
-                p2l[ppn] = lpn
                 valid[ppn] = True
                 lpn += 1
                 ppn += 1
@@ -309,12 +312,8 @@ class PageMap:
                 if np.count_nonzero(valid[old]) != count - fresh:
                     raise RuntimeError("double invalidation in remap_extent")
                 valid[old] = False
-                p2l[old] = UNMAPPED
             l2p[first_lpn:first_lpn + count] = np.arange(
                 first_ppn, first_ppn + count, dtype=np.int64
-            )
-            p2l[first_ppn:first_ppn + count] = np.arange(
-                first_lpn, first_lpn + count, dtype=np.int64
             )
             valid[first_ppn:first_ppn + count] = True
         self.mapped_count += fresh
@@ -328,13 +327,13 @@ class PageMap:
         """Install a complete L2P table in one shot (recovery scan).
 
         ``l2p`` is a full ``user_pages``-long PPN vector (``UNMAPPED``
-        where the LPN has no surviving copy); the reverse map, validity
-        bitmap, per-block counters and ``mapped_count`` are all rebuilt
-        from it.  The map *adopts* ``l2p`` as its forward table -- no
-        copy, so the caller hands over a private table (the recovery
-        rebuild's is) -- unless it is read-only or not a contiguous
-        int64 vector, when it takes a copy.  Replaces any existing state
-        and does **not** fire the validity observer -- the recovery path
+        where the LPN has no surviving copy); the validity bitmap,
+        per-block counters and ``mapped_count`` are all rebuilt from it.
+        The map *adopts* ``l2p`` as its forward table -- no copy, so the
+        caller hands over a private table (the recovery rebuild's is) --
+        unless it is read-only or not a contiguous int64 vector, when it
+        takes a copy.  Replaces any existing state and does **not** fire
+        the validity observer -- the recovery path
         rebuilds its indexes from the resulting counters itself.  A
         table of the wrong length, or with an entry outside the physical
         space, is rejected with a :class:`ValueError` before any state
@@ -344,31 +343,27 @@ class PageMap:
             raise ValueError(
                 f"l2p table sized {len(l2p)}, map holds {self.user_pages} LPNs"
             )
-        _check_in_physical_space(l2p, len(self._p2l), "l2p")
+        _check_in_physical_space(l2p, len(self._valid), "l2p")
         self._l2p = np.require(l2p, np.int64, ("C", "W"))
-        lpns = np.flatnonzero(self._l2p != UNMAPPED)
-        self._p2l.fill(UNMAPPED)
-        self._p2l[self._l2p[lpns]] = lpns
-        # The validity plane is the reverse map's occupied slots, and the
-        # per-block counters are its row sums: contiguous passes, no
-        # gather.  Two LPNs sharing a PPN land in one slot, so a short
-        # count is the duplicate test.
-        np.not_equal(self._p2l, UNMAPPED, out=self._valid)
-        if np.count_nonzero(self._valid) != len(lpns):
+        ppns = self._l2p[self._l2p != UNMAPPED]
+        # The validity plane is the mapped PPNs' slots, and the per-block
+        # counters are its row sums.  Two LPNs sharing a PPN land in one
+        # slot, so a short count is the duplicate test.
+        self._valid.fill(False)
+        self._valid[ppns] = True
+        if np.count_nonzero(self._valid) != len(ppns):
             raise ValueError("l2p table maps two LPNs to the same physical page")
         self._valid_per_block[:] = self._recount_valid()
-        self.mapped_count = int(len(lpns))
+        self.mapped_count = int(len(ppns))
 
     def _invalidate_ppn(self, ppn: int) -> None:
         if not self._valid[ppn]:
             raise RuntimeError(f"double invalidation of PPN {ppn}")
         self._valid[ppn] = False
-        lpn = int(self._p2l[ppn])
-        self._p2l[ppn] = UNMAPPED
         block = ppn // self._ppb
         self._valid_per_block[block] -= 1
         if self._observer is not None:
-            self._observer(block, lpn, -1)
+            self._observer(block, self._stamps.item(ppn), -1)
 
     def clear_block(self, block: int) -> None:
         """Reset per-page state of ``block`` after an erase.
@@ -382,7 +377,6 @@ class PageMap:
             )
         start = block * self.geometry.pages_per_block
         end = start + self.geometry.pages_per_block
-        self._p2l[start:end] = UNMAPPED
         self._valid[start:end] = False
 
     # ------------------------------------------------------------------
@@ -415,8 +409,7 @@ class PageMap:
 
     def lpn_of_ppn(self, ppn: int) -> Optional[int]:
         """LPN stored at ``ppn`` if that physical page is valid."""
-        lpn = int(self._p2l[ppn])
-        return None if lpn == UNMAPPED else lpn
+        return self._stamps.item(ppn) if self._valid[ppn] else None
 
     def mapped_blocks(self, lpns: Iterable[int]) -> np.ndarray:
         """Block index of each currently-mapped LPN in ``lpns``.
@@ -448,7 +441,7 @@ class PageMap:
         start = block * self.geometry.pages_per_block
         end = start + self.geometry.pages_per_block
         valid = self._valid[start:end]
-        lpns = self._p2l[start:end]
+        lpns = self._stamps[start:end]
         for offset in np.flatnonzero(valid):
             yield int(offset), int(lpns[offset])
 
@@ -473,9 +466,8 @@ class PageMap:
         start = block * self._ppb
         end = start + self._ppb
         offsets = self._valid[start:end].nonzero()[0]
-        lpns = self._p2l[start:end][offsets]
+        lpns = self._stamps[start:end][offsets]
         self._check_evacuation(block, lpns)
-        self._p2l[start:end] = UNMAPPED
         self._valid[start:end] = False
         self._valid_per_block[block] = 0
         return offsets, lpns
@@ -504,7 +496,6 @@ class PageMap:
         base = dst_block * self._ppb + dst_start
         end = base + len(lpns)
         self._valid[base:end] = True
-        self._p2l[base:end] = lpns
         table, index = self._forward(lpns)
         table[index] = np.arange(base, end, dtype=np.int64)
         per_block = self._valid_per_block
@@ -527,7 +518,6 @@ class PageMap:
         table, index = self._forward(lpns)
         ppns = table[index]
         self._valid[ppns] = True
-        self._p2l[ppns] = lpns
         np.add.at(self._valid_per_block, ppns // self._ppb, 1)
 
     def translation_run(self, lpns: np.ndarray) -> bool:
@@ -581,8 +571,8 @@ class PageMap:
         self, table: np.ndarray, stamp_base: int, name: str, key: str
     ) -> None:
         """Every mapped entry of ``table`` is a PPN of the physical space
-        holding a valid page whose reverse-map slot reads back
-        ``stamp_base + index``; raises on the lowest offending index."""
+        holding a valid page whose OOB stamp reads back ``stamp_base +
+        index``; raises on the lowest offending index."""
         mapped = np.flatnonzero(table != UNMAPPED)
         if not len(mapped):
             return
@@ -592,7 +582,7 @@ class PageMap:
             outside = (ppns < 0) | (ppns >= len(self._valid))
             ppns = np.where(outside, 0, ppns)
         stamps = mapped + stamp_base if stamp_base else mapped
-        bad = ~self._valid[ppns] | (self._p2l[ppns] != stamps)
+        bad = ~self._valid[ppns] | (self._stamps[ppns] != stamps)
         if outside is not None:
             bad |= outside
         if bad.any():
@@ -600,7 +590,7 @@ class PageMap:
             if outside is not None and outside[at]:
                 problem = f"{name} entry outside the physical space"
             else:
-                problem = f"{name}/p2l mismatch"
+                problem = f"{name}/stamp mismatch"
             raise AssertionError(f"{problem} at {key} {int(mapped[at])}")
 
     def invariant_check(self) -> None:
@@ -631,12 +621,12 @@ class CachedPageMap(PageMap):
       frontier.
 
     Translation pages share the physical validity plane with data pages:
-    ``_p2l`` stores the encoded ``TRANS_LPN_BASE + tvpn`` for a valid
-    translation page, so ``valid_lpns_in_block`` / per-block counters /
-    the valid-count observer all see translation blocks exactly like
-    data blocks -- which is how GC learns the second block class for
-    free.  ``mapped_count`` keeps its host semantics (data LPNs only,
-    the paper's ``Cused``); the translation population is tracked apart
+    a translation page's OOB stamp is the encoded ``TRANS_LPN_BASE +
+    tvpn``, so ``valid_lpns_in_block`` / per-block counters / the
+    valid-count observer all see translation blocks exactly like data
+    blocks -- which is how GC learns the second block class for free.
+    ``mapped_count`` keeps its host semantics (data LPNs only, the
+    paper's ``Cused``); the translation population is tracked apart
     in :attr:`gtd_mapped_count`.
 
     The ground-truth L2P stays in the inherited DRAM arrays: the
@@ -652,6 +642,7 @@ class CachedPageMap(PageMap):
         self,
         geometry: NandGeometry,
         user_pages: int,
+        stamps: np.ndarray,
         cmt_capacity_pages: int,
         l2p: Optional[np.ndarray] = None,
         gtd: Optional[np.ndarray] = None,
@@ -666,7 +657,7 @@ class CachedPageMap(PageMap):
             )
         if l2p is not None and gtd is None:
             raise ValueError("a recovered flash-resident map needs its recovered GTD")
-        super().__init__(geometry, user_pages, l2p)
+        super().__init__(geometry, user_pages, stamps, l2p)
         #: Mapping entries per translation page (8-byte PPN entries).
         self.entries_per_tpage, self.trans_pages = translation_layout(
             geometry.page_size, user_pages
@@ -738,7 +729,6 @@ class CachedPageMap(PageMap):
         else:
             self.gtd_mapped_count += 1
         self._gtd[tvpn] = new_ppn
-        self._p2l[new_ppn] = TRANS_LPN_BASE + tvpn
         self._valid[new_ppn] = True
         block = new_ppn // self._ppb
         self._valid_per_block[block] += 1
@@ -751,23 +741,25 @@ class CachedPageMap(PageMap):
 
         Must run *after* :meth:`load_mapping` (which resets the shared
         validity plane); adds each flushed translation page back into the
-        reverse map / validity bitmap / per-block counters.  Does not
-        fire the observer, matching :meth:`load_mapping`'s contract.
+        validity bitmap / per-block counters.  An entry whose page is not
+        stamped with its tvpn (so also a second tvpn on one page), or is
+        mapped by a data LPN, is refused before any state changes.  Does
+        not fire the observer, matching :meth:`load_mapping`'s contract.
         """
         if len(gtd) != self.trans_pages:
             raise ValueError(
                 f"gtd sized {len(gtd)}, directory holds {self.trans_pages} entries"
             )
-        _check_in_physical_space(gtd, len(self._p2l), "gtd")
-        self._gtd[:] = gtd
-        tvpns = np.flatnonzero(self._gtd != UNMAPPED)
-        ppns = self._gtd[tvpns]
-        stamps = TRANS_LPN_BASE + tvpns
-        self._p2l[ppns] = stamps
-        if not np.array_equal(self._p2l[ppns], stamps):
-            raise ValueError("gtd maps two translation pages to the same PPN")
+        _check_in_physical_space(gtd, len(self._valid), "gtd")
+        tvpns = np.flatnonzero(gtd != UNMAPPED)
+        ppns = gtd[tvpns]
+        unstamped = self._stamps[ppns] != TRANS_LPN_BASE + tvpns
+        if unstamped.any():
+            tvpn = int(tvpns[np.argmax(unstamped)])
+            raise ValueError(f"gtd entry at tvpn {tvpn} names a page not stamped with it")
         if self._valid[ppns].any():
             raise ValueError("gtd entry collides with a mapped data page")
+        self._gtd[:] = gtd
         self._valid[ppns] = True
         self._valid_per_block += np.bincount(
             ppns // self._ppb, minlength=len(self._valid_per_block)

@@ -233,10 +233,11 @@ class PageCache:
         """
         if not self._dirty and not self._in_writeback:
             # Nothing dirty (a direct-write workload): only clean copies
-            # can be dropped, and no listener has anything to hear.
-            drop_clean = self._clean.pop
-            for lpn in lpns:
-                drop_clean(lpn, None)
+            # can be dropped, found by one C-level set intersection, and
+            # no listener has anything to hear.
+            clean = self._clean
+            for lpn in clean.keys() & lpns:
+                del clean[lpn]
             return
         removed: List[Tuple[int, int]] = []
         for lpn in lpns:

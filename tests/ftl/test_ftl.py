@@ -251,7 +251,7 @@ def _assert_same_state(batched, looped):
     assert batched._op_counter == looped._op_counter
     assert batched.stats == looped.stats
     assert np.array_equal(batched.page_map._l2p, looped.page_map._l2p)
-    assert np.array_equal(batched.page_map._p2l, looped.page_map._p2l)
+    assert np.array_equal(batched.nand.oob_lpn, looped.nand.oob_lpn)
     assert np.array_equal(batched.page_map._valid, looped.page_map._valid)
     assert batched.page_map.mapped_count == looped.page_map.mapped_count
     assert np.array_equal(batched._closed, looped._closed)

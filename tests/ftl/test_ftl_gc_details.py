@@ -293,7 +293,7 @@ def on_sip_list(victim, *twins):
 def assert_twins_equal(one, ref):
     assert one.stats == ref.stats
     assert one._write_seq == ref._write_seq
-    for attr in ("_l2p", "_p2l", "_valid"):
+    for attr in ("_l2p", "_valid"):
         assert np.array_equal(getattr(one.page_map, attr), getattr(ref.page_map, attr))
     assert np.array_equal(one.page_map.valid_counts(), ref.page_map.valid_counts())
     if one.page_map.directory() is not None:

@@ -1,4 +1,7 @@
-"""Tests for LPN<->PPN mapping, validity tracking and invariants."""
+"""Tests for LPN<->PPN mapping, validity tracking and invariants.
+
+The maps here stand alone over an OOB plane of their own, stamped before
+each remap as the NAND stamps a page (``tests/ftl/stamped.py``)."""
 
 from itertools import groupby
 
@@ -9,12 +12,13 @@ from hypothesis import strategies as st
 
 from repro.ftl.mapping import UNMAPPED, PageMap
 from repro.nand.geometry import NandGeometry
+from tests.ftl.stamped import StampedPageMap
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=8)
 
 
 def make_map(user_pages=16):
-    return PageMap(GEOMETRY, user_pages)
+    return StampedPageMap(GEOMETRY, user_pages)
 
 
 def test_initially_unmapped():
@@ -79,6 +83,21 @@ def test_clear_block_requires_no_valid_pages():
     pm.clear_block(2)  # now fine
 
 
+def test_the_map_reads_stamps_through_a_read_only_view():
+    """The NAND is the only writer of stamps: a write through the map's
+    view raises, and a page's LPN is its stamp only while it is valid."""
+    pm = make_map()
+    pm.remap(5, pm.ppn(1, 0))
+    with pytest.raises(ValueError, match="read-only"):
+        pm._stamps[pm.ppn(1, 0)] = 6
+    assert pm.lpn_of_ppn(pm.ppn(1, 0)) == 5
+    pm.remap(5, pm.ppn(2, 0))
+    assert pm.oob[pm.ppn(1, 0)] == 5  # the stale copy keeps its stamp...
+    assert pm.lpn_of_ppn(pm.ppn(1, 0)) is None  # ...but holds no LPN
+    pm.oob[pm.ppn(2, 0)] = 9  # the NAND's own writes show through
+    assert pm.lpn_of_ppn(pm.ppn(2, 0)) == 9
+
+
 def test_lpn_bounds():
     pm = make_map(user_pages=4)
     with pytest.raises(IndexError):
@@ -128,8 +147,8 @@ def invariant_check_per_lpn(pm):
             continue
         if not 0 <= ppn < GEOMETRY.total_pages:
             raise AssertionError(f"l2p entry outside the physical space at LPN {lpn}")
-        if not pm._valid[ppn] or int(pm._p2l[ppn]) != lpn:
-            raise AssertionError(f"l2p/p2l mismatch at LPN {lpn}")
+        if not pm._valid[ppn] or int(pm._stamps[ppn]) != lpn:
+            raise AssertionError(f"l2p/stamp mismatch at LPN {lpn}")
 
 
 def _raises_message(check) -> str:
@@ -150,14 +169,14 @@ def test_batched_invariant_check_matches_scan_on_clean_and_corrupted_state():
     mapped = np.flatnonzero(pm._l2p != UNMAPPED)
     ppn = int(pm._l2p[mapped[0]])
 
-    # Reverse-map corruption: only the l2p/p2l cross-check can see it.
-    saved = int(pm._p2l[ppn])
-    pm._p2l[ppn] = int(mapped[-1])
+    # The page carries another LPN's stamp: only the l2p/stamp
+    # cross-check can see it, and it names the entry.
+    saved = int(pm.oob[ppn])
+    pm.oob[ppn] = int(mapped[-1])
     batched_msg = _raises_message(pm.invariant_check)
-    assert batched_msg and batched_msg == _raises_message(
-        lambda: invariant_check_per_lpn(pm)
-    )
-    pm._p2l[ppn] = saved
+    assert batched_msg == f"l2p/stamp mismatch at LPN {int(mapped[0])}"
+    assert batched_msg == _raises_message(lambda: invariant_check_per_lpn(pm))
+    pm.oob[ppn] = saved
 
     # Valid-bit corruption: population and per-block counters disagree.
     pm._valid[ppn] = False
@@ -230,6 +249,7 @@ def test_load_mapping_replaces_existing_state():
         pm.remap(lpn, pm.ppn(lpn % 3, lpn // 3))
     l2p = np.full(16, UNMAPPED, dtype=np.int64)
     l2p[[1, 15]] = [pm.ppn(7, 3), pm.ppn(7, 0)]
+    pm.oob[l2p[[1, 15]]] = [1, 15]  # the recovered image's stamps
     pm.load_mapping(l2p)
     assert pm.mapped_count == 2
     assert pm.valid_counts().tolist() == [0, 0, 0, 0, 0, 0, 0, 2]
@@ -241,7 +261,7 @@ def test_load_mapping_replaces_existing_state():
 def snapshot(pm):
     return (
         pm._l2p.tolist(),
-        pm._p2l.tolist(),
+        [pm.lpn_of_ppn(ppn) for ppn in range(len(pm._valid))],
         pm._valid.tolist(),
         pm.valid_counts().tolist(),
         pm.mapped_count,
@@ -260,7 +280,7 @@ LAYOUT = st.integers(-1, 5)
 
 
 def old_layout_twins(first, layout):
-    twins = PageMap(WIDE, 64), PageMap(WIDE, 64)
+    twins = StampedPageMap(WIDE, 64), StampedPageMap(WIDE, 64)
     for pm in twins:
         used = [0] * 6
         for i, where in enumerate(layout):

@@ -1,7 +1,9 @@
 """Tests for the DFTL-class mapping store (repro.ftl.mapping.CachedPageMap):
 GTD/translation-page bookkeeping, the LRU cached mapping table, the shared
 validity plane over both page classes, and the SsdConfig seam that selects
-the store per mapping mode."""
+the store per mapping mode.  The bare maps stand alone over an OOB plane
+of their own, stamped before each remap as the NAND stamps a page
+(``tests/ftl/stamped.py``)."""
 
 import random
 
@@ -18,9 +20,9 @@ from repro.ftl.mapping import (
     PageMap,
     translation_layout,
 )
-from repro.ftl.stats import FtlStats
 from repro.nand.geometry import NandGeometry
 from repro.ssd.config import SsdConfig
+from tests.ftl.stamped import StampedCachedPageMap
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=8, blocks_per_plane=16)
 
@@ -28,14 +30,7 @@ GEOMETRY = NandGeometry(page_size=4096, pages_per_block=8, blocks_per_plane=16)
 def make_map(user_pages=2048, cmt=2):
     """A bare map: its translation tier is never called here, so it has
     no flash to read or program."""
-    return CachedPageMap(
-        GEOMETRY,
-        user_pages,
-        cmt_capacity_pages=cmt,
-        media=None,
-        stats=FtlStats(),
-        program_translation=None,
-    )
+    return StampedCachedPageMap(GEOMETRY, user_pages, cmt_capacity_pages=cmt)
 
 
 # ----------------------------------------------------------------------
@@ -160,6 +155,7 @@ def test_load_gtd_round_trip_restores_shared_validity_plane():
     gtd = np.full(m.trans_pages, UNMAPPED, dtype=np.int64)
     gtd[0] = 80
     gtd[1] = 81
+    m.oob[[40, 41, 80, 81]] = [5, 600, TRANS_LPN_BASE, TRANS_LPN_BASE + 1]
     m.load_mapping(l2p)
     m.load_gtd(gtd)
     assert m.mapped_count == 2
@@ -175,19 +171,23 @@ def test_load_gtd_rejects_collision_with_data_page():
     l2p = np.full(1024, UNMAPPED, dtype=np.int64)
     l2p[5] = 40
     gtd = np.full(m.trans_pages, UNMAPPED, dtype=np.int64)
-    gtd[0] = 40  # same physical page as the mapped data LPN
+    gtd[0] = 40  # same physical page as the mapped data LPN...
+    m.oob[40] = TRANS_LPN_BASE  # ...which carries tvpn 0's stamp
     m.load_mapping(l2p)
     with pytest.raises(ValueError, match="collides with a mapped data page"):
         m.load_gtd(gtd)
 
 
 def test_load_gtd_rejects_two_tvpns_on_one_ppn():
+    """A page carries one stamp, so the stamp check rules out a second
+    tvpn on it."""
     m = make_map(user_pages=2048)
     m.load_mapping(np.full(2048, UNMAPPED, dtype=np.int64))
     gtd = np.full(m.trans_pages, UNMAPPED, dtype=np.int64)
     gtd[[0, 3]] = 80
+    m.oob[80] = TRANS_LPN_BASE
     with pytest.raises(
-        ValueError, match="gtd maps two translation pages to the same PPN"
+        ValueError, match="gtd entry at tvpn 3 names a page not stamped with it"
     ):
         m.load_gtd(gtd)
     with pytest.raises(ValueError, match="gtd sized 3, directory holds 4 entries"):
@@ -199,17 +199,41 @@ def test_load_gtd_rejects_an_entry_outside_the_physical_space_untouched(entry):
     m = make_map(user_pages=1024)
     l2p = np.full(1024, UNMAPPED, dtype=np.int64)
     l2p[5] = 40
+    m.oob[40] = 5
     m.load_mapping(l2p)
-    before = (m._p2l.copy(), m._valid.copy(), m.valid_counts().copy())
+    before = (m._valid.copy(), m.valid_counts().copy())
     gtd = np.full(m.trans_pages, UNMAPPED, dtype=np.int64)
     gtd[0] = entry
     with pytest.raises(ValueError, match="gtd entry outside the physical space"):
         m.load_gtd(gtd)
     assert m.gtd_mapped_count == 0
     assert np.array_equal(m.gtd_snapshot(), np.full(m.trans_pages, UNMAPPED))
-    assert np.array_equal(m._p2l, before[0])
-    assert np.array_equal(m._valid, before[1])
-    assert np.array_equal(m.valid_counts(), before[2])
+    assert np.array_equal(m._valid, before[0])
+    assert np.array_equal(m.valid_counts(), before[1])
+    m.invariant_check()
+
+
+@pytest.mark.parametrize(
+    "stamp", [UNMAPPED, 7, TRANS_LPN_BASE + 1], ids=["unstamped", "data", "other-tvpn"]
+)
+def test_load_gtd_refuses_a_page_without_its_tvpn_stamp(stamp):
+    """Entry 2 names page 81: torn (never stamped), holding a data page,
+    or another translation page's copy.  Nothing is installed."""
+    m = make_map(user_pages=2048)
+    m.load_mapping(np.full(2048, UNMAPPED, dtype=np.int64))
+    gtd = np.full(m.trans_pages, UNMAPPED, dtype=np.int64)
+    gtd[[0, 2]] = [80, 81]
+    m.oob[[80, 81]] = [TRANS_LPN_BASE, stamp]
+    with pytest.raises(
+        ValueError, match="gtd entry at tvpn 2 names a page not stamped with it"
+    ):
+        m.load_gtd(gtd)
+    assert m.gtd_mapped_count == 0
+    assert np.array_equal(m.gtd_snapshot(), np.full(m.trans_pages, UNMAPPED))
+    assert not m._valid.any() and not m.valid_counts().any()
+    m.oob[81] = TRANS_LPN_BASE + 2
+    m.load_gtd(gtd)
+    assert m.gtd_mapped_count == 2
     m.invariant_check()
 
 
@@ -245,8 +269,8 @@ def test_invariant_check_flags_an_entry_outside_the_physical_space(table):
 def test_bulk_install_equals_replaying_one_entry_at_a_time(data):
     """``load_mapping`` + ``load_gtd`` over a random injective partial map
     leave the page map exactly where per-entry ``remap`` / ``remap_trans``
-    calls do -- the reverse map, validity plane, per-block counters and
-    both populations."""
+    calls do -- the LPN each valid page reads back, the validity plane,
+    the per-block counters and both populations."""
     user_pages = 1024
     trans_pages = make_map(user_pages).trans_pages
     n_data = data.draw(st.integers(0, 100))
@@ -282,6 +306,8 @@ def test_bulk_install_equals_replaying_one_entry_at_a_time(data):
 
     bulk = make_map(user_pages)
     bulk.remap(7, 0)  # stale state the install must replace
+    bulk.oob[ppns[:n_data]] = lpns  # the recovered image's stamps
+    bulk.oob[ppns[n_data:]] = TRANS_LPN_BASE + np.asarray(tvpns, dtype=np.int64)
     bulk.load_mapping(l2p)
     bulk.load_gtd(gtd)
 
@@ -291,7 +317,8 @@ def test_bulk_install_equals_replaying_one_entry_at_a_time(data):
     for tvpn, ppn in zip(tvpns, ppns[n_data:]):
         replayed.remap_trans(tvpn, ppn)
 
-    assert np.array_equal(bulk._p2l, replayed._p2l)
+    pages = range(GEOMETRY.total_pages)
+    assert [bulk.lpn_of_ppn(p) for p in pages] == [replayed.lpn_of_ppn(p) for p in pages]
     assert np.array_equal(bulk._valid, replayed._valid)
     assert np.array_equal(bulk.valid_counts(), replayed.valid_counts())
     assert np.array_equal(bulk.l2p_snapshot(), replayed.l2p_snapshot())
@@ -336,6 +363,23 @@ def test_dftl_default_budget_is_one_64th_of_full_map():
     ftl = cfg.build_ftl()
     budget = ftl.space.user_pages * 8 // 64
     assert ftl.page_map.cmt_capacity_pages == budget // 4096 > 1
+
+
+@pytest.mark.parametrize("mode", ["dram", "dftl"])
+def test_no_map_holds_a_device_sized_int64_array_of_its_own(mode):
+    """The reverse map is the NAND's OOB column: the only int64 array of
+    ``total_pages`` entries a map holds is its read-only view of it."""
+    ftl = SsdConfig.small(blocks=64, mapping_mode=mode).build_ftl()
+    total = ftl.geometry.total_pages
+    assert ftl.space.user_pages != total
+    sized = [
+        (name, value)
+        for name, value in vars(ftl.page_map).items()
+        if isinstance(value, np.ndarray) and value.dtype == np.int64 and value.size == total
+    ]
+    assert [name for name, _ in sized] == ["_stamps"]
+    view = sized[0][1]
+    assert np.shares_memory(view, ftl.nand.oob_lpn) and not view.flags.writeable
 
 
 def test_config_rejects_unknown_mapping_mode():

@@ -169,6 +169,30 @@ def test_recover_ftl_restores_full_state_and_passes_invariants():
     assert recovered.host_read_page(0) > 0
 
 
+@pytest.mark.parametrize("mode", ["dram", "dftl"])
+def test_recovered_map_reads_the_restored_nands_stamps(mode):
+    """A power-on binds the new map to the restored NAND's OOB column:
+    wiping the pre-crash array's column changes nothing it reads, and
+    collection off the stamps keeps working."""
+    config = dataclasses.replace(CONFIG, mapping_mode=mode)
+    ftl = config.build_ftl(nand=NandArray(GEOMETRY, TIMING))
+    for lpn in range(30):
+        ftl.host_write_page(lpn)
+    for lpn in range(0, 30, 3):
+        ftl.host_write_page(lpn)
+    nand = crashed_copy(ftl, tear=False)
+    recovered, _ = recover_ftl(nand, config)
+    pm = recovered.page_map
+    assert np.shares_memory(pm._stamps, nand.oob_lpn)
+    ftl.nand.oob_lpn[:] = UNMAPPED
+    recovered.invariant_check()
+    assert [pm.lpn_of_ppn(pm.lookup(lpn)) for lpn in range(30)] == list(range(30))
+    while recovered.has_victim():
+        recovered.collect_one_block(background=True)
+    recovered.invariant_check()
+    assert np.array_equal(pm.l2p_snapshot() != UNMAPPED, np.arange(pm.user_pages) < 30)
+
+
 def test_recovery_resumes_open_frontiers():
     ftl = make_ftl()
     for lpn in range(GEOMETRY.pages_per_block // 2):

@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ftl.mapping import PageMap
 from repro.ftl.space import SipOverlapIndex, ValidCountIndex
 from repro.ftl.victim import GreedySelector, SipFilteredSelector
 from repro.nand.geometry import NandGeometry
+from tests.ftl.stamped import StampedPageMap
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=16)
 
 
 def build_map(block_contents):
     """block_contents: {block: [lpn, ...]} programs pages sequentially."""
-    pm = PageMap(GEOMETRY, user_pages=GEOMETRY.total_pages)
+    pm = StampedPageMap(GEOMETRY, user_pages=GEOMETRY.total_pages)
     for block, lpns in block_contents.items():
         for offset, lpn in enumerate(lpns):
             pm.remap(lpn, pm.ppn(block, offset))

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from repro.core.cdh import CumulativeDataHistogram
 from repro.ftl.ftl import PageMappedFtl
-from repro.ftl.mapping import PageMap
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import NandTiming
 from repro.ssd.config import SsdConfig
+from tests.ftl.stamped import StampedPageMap
 
 GEOMETRY = NandGeometry(page_size=4096, pages_per_block=4, blocks_per_plane=24)
 TIMING = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_page=1)
@@ -27,7 +27,7 @@ TIMING = NandTiming(read_ns=10, program_ns=100, erase_ns=1000, transfer_ns_per_p
     )
 )
 def test_pagemap_invariants_under_arbitrary_ops(ops):
-    pm = PageMap(GEOMETRY, user_pages=16)
+    pm = StampedPageMap(GEOMETRY, user_pages=16)
     next_ppn = iter(range(GEOMETRY.total_pages))
     for is_write, lpn in ops:
         if is_write:

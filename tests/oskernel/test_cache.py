@@ -378,6 +378,59 @@ def test_extent_forms_equal_the_per_page_replay(
         assert extent.cached_pages <= capacity
 
 
+def reference_invalidate(cache, lpns):
+    """``invalidate`` as it stood before the clean-only intersection: one
+    ``pop`` per page from each set, one listener call per operation."""
+    removed = []
+    for lpn in lpns:
+        entry = cache._dirty.pop(lpn, None)
+        if entry is not None:
+            cache._bucket_remove(lpn, entry.last_update)
+            removed.append((lpn, entry.last_update))
+        cache._clean.pop(lpn, None)
+        cache._in_writeback.pop(lpn, None)
+    if removed and cache.dirty_listeners:
+        cache._notify_dirty([], removed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity=st.integers(1, 12),
+    before=ACTORS,
+    settle=st.booleans(),
+    lpn=CACHE_LPNS,
+    count=st.integers(0, 10),
+    one_shot=st.booleans(),
+)
+def test_invalidate_equals_the_per_page_reference(
+    capacity, before, settle, lpn, count, one_shot
+):
+    """Over clean, dirty and in-write-back pages -- and, once the
+    flusher has settled everything, over clean copies alone, where only
+    those can drop -- ``invalidate`` leaves the cache, its expiry index
+    and what the listeners heard exactly as one pop per page does."""
+    caches = [make_cache(capacity, 1.0) for _ in range(2)]
+    heard = [[], []]
+    for cache, log in zip(caches, heard):
+        cache.dirty_listeners.append(
+            lambda added, removed, log=log: log.append((list(added), list(removed)))
+        )
+    run_actors(caches, before, now=1)
+    if settle:
+        for cache in caches:
+            cache.begin_writeback(cache.dirty_lpns())
+            cache.complete_writeback(list(cache._in_writeback))
+        assert not caches[0]._dirty and not caches[0]._in_writeback
+    for log in heard:
+        log.clear()
+    pages = range(lpn, lpn + count)
+    caches[0].invalidate(iter(pages) if one_shot else pages)
+    reference_invalidate(caches[1], pages)
+    assert cache_state(caches[0]) == cache_state(caches[1])
+    assert caches[0]._by_time == caches[1]._by_time
+    assert heard[0] == heard[1]
+
+
 # ----------------------------------------------------------------------
 # write_extent against n x the per-page write_page it replaced
 # ----------------------------------------------------------------------
