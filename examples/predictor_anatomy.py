@@ -26,7 +26,7 @@ def fig4_buffered() -> None:
     print("=" * 64)
     print("Fig. 4: buffered-write demand from the page cache")
     print("=" * 64)
-    cache = PageCache(page_size=MB, capacity_bytes=4096 * MB)
+    cache = PageCache(page_size=MB, capacity_bytes=4096 * MB, logical_pages=4096)
     predictor = BufferedWritePredictor(cache, P, TAU)
 
     def write(label, start, mb, at_s):

@@ -402,11 +402,6 @@ class PageMap:
         ppn = int(self._l2p[lpn])
         return None if ppn == UNMAPPED else ppn
 
-    def lookup_extent(self, first_lpn: int, count: int) -> List[int]:
-        """PPNs of ``count`` consecutive LPNs (``UNMAPPED`` where unmapped)."""
-        self.check_extent(first_lpn, count)
-        return self._l2p[first_lpn:first_lpn + count].tolist()
-
     def lpn_of_ppn(self, ppn: int) -> Optional[int]:
         """LPN stored at ``ppn`` if that physical page is valid."""
         return self._stamps.item(ppn) if self._valid[ppn] else None

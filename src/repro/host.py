@@ -104,7 +104,10 @@ class HostSystem:
         if cache_bytes is None:
             cache_bytes = max(page_size * 64, config.user_bytes // 4)
         self.cache = PageCache(
-            page_size, cache_bytes, dirty_throttle_fraction=dirty_throttle_fraction
+            page_size,
+            cache_bytes,
+            self.user_pages,
+            dirty_throttle_fraction=dirty_throttle_fraction,
         )
         self.flusher = FlusherThread(
             self.sim,

@@ -120,7 +120,8 @@ class IoDispatcher:
         """Issue an application write of ``page_count`` pages at ``lpn``.
 
         ``direct=True`` models an ``O_SYNC`` write: it bypasses the page
-        cache and completes with the device.
+        cache and completes with the device.  An extent outside the
+        device's logical space raises ``IndexError`` and changes nothing.
         """
         if direct:
             self._write_direct(lpn, page_count, on_complete)
@@ -130,10 +131,10 @@ class IoDispatcher:
     def _write_direct(
         self, lpn: int, page_count: int, on_complete: Optional[Callable[[], None]]
     ) -> None:
-        self.stats.direct_bytes += page_count * self.cache.page_size
-        self.stats.direct_ops += 1
         # Direct I/O invalidates any cached copies (coherence).
         self.cache.invalidate(range(lpn, lpn + page_count))
+        self.stats.direct_bytes += page_count * self.cache.page_size
+        self.stats.direct_ops += 1
         self.device.submit(
             IoRequest(
                 IoKind.DIRECT_WRITE,
@@ -148,6 +149,7 @@ class IoDispatcher:
     ) -> None:
         if self.cache.throttled():
             # Park the writer; retried when write-back drains the cache.
+            self.cache.check_extent(lpn, page_count)
             self.stats.throttle_events += 1
             if not self._throttle_queue:
                 self._throttle_started_ns = self.sim.now
@@ -157,9 +159,9 @@ class IoDispatcher:
             if len(self._throttle_queue) == 1:
                 self.cache.drain_listeners.append(self._release_throttled)
             return
+        self.cache.write_extent(lpn, page_count, self.sim.now)
         self.stats.buffered_bytes += page_count * self.cache.page_size
         self.stats.buffered_ops += 1
-        self.cache.write_extent(lpn, page_count, self.sim.now)
         if on_complete is not None:
             self.sim.schedule(
                 self.memcpy_ns_per_page * page_count,
@@ -196,9 +198,9 @@ class IoDispatcher:
         on_complete: Optional[Callable[[], None]] = None,
     ) -> None:
         """Read pages, cache-first; misses are fetched as one extent."""
+        misses = self.cache.read_extent(lpn, page_count)
         self.stats.read_bytes += page_count * self.cache.page_size
         self.stats.read_ops += 1
-        misses = self.cache.read_extent(lpn, page_count)
         if not misses:
             if on_complete is not None:
                 self.sim.schedule(
@@ -257,7 +259,7 @@ class IoDispatcher:
 
         for start, length in _coalesce(dirty):
             remaining["extents"] += 1
-            extent = list(range(start, start + length))
+            extent = range(start, start + length)
             self.device.submit(
                 IoRequest(
                     IoKind.WRITEBACK,
@@ -278,9 +280,9 @@ class IoDispatcher:
         journaled its unmap tombstones, so a completed TRIM is durable:
         recovery after a crash will not resurrect the discarded pages.
         """
+        self.cache.invalidate(range(lpn, lpn + page_count))
         self.stats.trim_ops += 1
         self.stats.trim_bytes += page_count * self.cache.page_size
-        self.cache.invalidate(range(lpn, lpn + page_count))
         self.device.submit(
             IoRequest(
                 IoKind.TRIM,

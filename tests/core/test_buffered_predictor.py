@@ -16,7 +16,7 @@ TAU = 30 * SECOND
 
 
 def make(strict=False, tau_flush_pages=0):
-    cache = PageCache(PAGE, 4096 * PAGE)
+    cache = PageCache(PAGE, 4096 * PAGE, 4096)
     predictor = BufferedWritePredictor(
         cache, P, TAU, strict=strict, tau_flush_pages=tau_flush_pages
     )
@@ -114,7 +114,7 @@ def test_predictor_incremental_dbuf_matches_scan(writes, ticks):
     dirty-set scan), ``Dbuf`` equals ``_flush_interval`` applied to
     every dirty page -- the scan the histogram replaced."""
     period, tau = 5, 30
-    cache = PageCache(4096, 128 * 4096)
+    cache = PageCache(4096, 128 * 4096, 128)
     predictor = BufferedWritePredictor(cache, period, tau)
     for lpn, t in writes:
         cache.write_page(lpn, t)
@@ -133,7 +133,7 @@ def test_predictor_incremental_dbuf_matches_scan(writes, ticks):
 
 
 def test_validation():
-    cache = PageCache(PAGE, 64 * PAGE)
+    cache = PageCache(PAGE, 64 * PAGE, 64)
     with pytest.raises(ValueError):
         BufferedWritePredictor(cache, 0, TAU)
     with pytest.raises(ValueError):

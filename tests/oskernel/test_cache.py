@@ -1,17 +1,32 @@
 """Tests for the write-back page cache."""
 
+import tracemalloc
+from collections import OrderedDict
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.core.buffered_predictor import BufferedWritePredictor
+from repro.oskernel import cache as cache_module
 from repro.oskernel.cache import DirtyPage, PageCache
 
 PAGE = 4096
+#: Logical space of the standalone caches below: LPNs 0..63.
+LOGICAL = 64
 
 
 def make_cache(capacity_pages=64, throttle=0.5):
-    return PageCache(PAGE, capacity_pages * PAGE, dirty_throttle_fraction=throttle)
+    return PageCache(
+        PAGE, capacity_pages * PAGE, LOGICAL, dirty_throttle_fraction=throttle
+    )
 
 
 def oldest_dirty(cache):
@@ -155,9 +170,11 @@ def test_invalidate_drops_everywhere():
 
 def test_validation():
     with pytest.raises(ValueError):
-        PageCache(0, 4096)
+        PageCache(0, 4096, LOGICAL)
     with pytest.raises(ValueError):
-        PageCache(4096, 4096, dirty_throttle_fraction=0)
+        PageCache(4096, 4096, LOGICAL, dirty_throttle_fraction=0)
+    with pytest.raises(ValueError, match="logical_pages"):
+        PageCache(4096, 4096, 0)
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +224,7 @@ def test_iter_oldest_dirty_matches_oldest_dirty():
 
 
 def test_indexed_and_scan_caches_agree_after_churn():
-    cache = PageCache(PAGE, 64 * PAGE)
+    cache = PageCache(PAGE, 64 * PAGE, LOGICAL)
     for lpn in range(16):
         cache.write_page(lpn, now=lpn % 5)
     cache.begin_writeback([0, 1, 2])
@@ -235,7 +252,7 @@ def test_indexed_and_scan_caches_agree_after_churn():
 def test_cache_expiry_index_matches_scan(ops, tau):
     """The expiry index answers what a full scan of the dirty set does,
     on random op sequences, clock rewinds included."""
-    cache = PageCache(PAGE, 64 * PAGE)
+    cache = PageCache(PAGE, 64 * PAGE, LOGICAL)
     now = 0
     for op, lpn, t in ops:
         now = max(now, t)
@@ -273,7 +290,7 @@ def test_invalidate_with_nothing_dirty_drops_clean_copies_silently():
     assert cache.cached_pages == 1
     assert cache.dirty_pages == 0 and cache.writeback_pages == 0
     assert calls == []
-    # ...and the general path is back as soon as something is dirty.
+    # ...and once something is dirty, its listener hears the drop.
     cache.write_page(7, now=5)
     calls.clear()
     cache.invalidate([1, 7])
@@ -282,40 +299,155 @@ def test_invalidate_with_nothing_dirty_drops_clean_copies_silently():
 
 
 # ----------------------------------------------------------------------
-# Extent forms against the per-page routines they replaced
+# An independent reference: the cache as three ordered dicts
 # ----------------------------------------------------------------------
-def reference_read_page(cache, lpn):
-    """``read_page`` as it stood before ``read_extent``."""
-    if lpn in cache._dirty or lpn in cache._in_writeback:
-        cache.read_hits += 1
-        return True
-    if lpn in cache._clean:
-        cache._clean.move_to_end(lpn)
-        cache.read_hits += 1
-        return True
-    cache.read_misses += 1
-    return False
+class ReferenceCache:
+    """The page cache as it stood before the page-state table: a clean
+    LRU ``OrderedDict``, a dirty ``OrderedDict`` and a write-back dict,
+    every operation in its one-page form -- one listener call, one
+    eviction pass and one throttle check per *page*.  The properties
+    below hold :class:`PageCache` to it through the same read-only
+    queries."""
+
+    def __init__(self, capacity_pages, throttle):
+        self.page_size = PAGE
+        self.capacity_pages = capacity_pages
+        self.dirty_throttle_pages = max(1, int(capacity_pages * throttle))
+        self.clean = OrderedDict()
+        self.dirty = OrderedDict()
+        self.writeback = {}
+        self.write_hits = self.read_hits = self.read_misses = 0
+        self.dirty_listeners = []
+        self.pressure_listeners = []
+
+    def write_page(self, lpn, now):
+        entry = self.dirty.get(lpn)
+        if entry is not None:
+            old_ts = entry.last_update
+            entry.last_update = now
+            self.dirty.move_to_end(lpn)
+            self.write_hits += 1
+            self._notify([(lpn, now)], [(lpn, old_ts)])
+            return
+        self.writeback.pop(lpn, None)
+        self.clean.pop(lpn, None)
+        self.dirty[lpn] = DirtyPage(lpn=lpn, last_update=now)
+        self._notify([(lpn, now)], [])
+        self._evict()
+        if self.throttled():
+            for listener in list(self.pressure_listeners):
+                listener()
+
+    def read_page(self, lpn):
+        if lpn in self.dirty or lpn in self.writeback:
+            self.read_hits += 1
+            return True
+        if lpn in self.clean:
+            self.clean.move_to_end(lpn)
+            self.read_hits += 1
+            return True
+        self.read_misses += 1
+        return False
+
+    def insert_clean(self, lpn):
+        if lpn in self.dirty or lpn in self.writeback:
+            return
+        self.clean[lpn] = True
+        self.clean.move_to_end(lpn)
+        self._evict()
+
+    def invalidate(self, lpns):
+        removed = []
+        for lpn in lpns:
+            entry = self.dirty.pop(lpn, None)
+            if entry is not None:
+                removed.append((lpn, entry.last_update))
+            self.clean.pop(lpn, None)
+            self.writeback.pop(lpn, None)
+        if removed:
+            self._notify([], removed)
+
+    def begin_writeback(self, lpns):
+        moved = []
+        for lpn in lpns:
+            entry = self.dirty.pop(lpn)
+            self.writeback[lpn] = True
+            moved.append((lpn, entry.last_update))
+        if moved:
+            self._notify([], moved)
+
+    def complete_writeback(self, lpns):
+        for lpn in lpns:
+            if self.writeback.pop(lpn, None) is not None:
+                self.clean[lpn] = True
+        self._evict()
+
+    def _notify(self, added, removed):
+        for listener in list(self.dirty_listeners):
+            listener(added, removed)
+
+    def _evict(self):
+        while self.cached_pages > self.capacity_pages and self.clean:
+            self.clean.popitem(last=False)
+
+    @property
+    def cached_pages(self):
+        return len(self.dirty) + len(self.clean) + len(self.writeback)
+
+    @property
+    def dirty_pages(self):
+        return len(self.dirty)
+
+    @property
+    def writeback_pages(self):
+        return len(self.writeback)
+
+    def throttled(self):
+        return len(self.dirty) + len(self.writeback) >= self.dirty_throttle_pages
+
+    def contains_dirty(self, lpn):
+        return lpn in self.dirty
+
+    def dirty_items(self):
+        return list(self.dirty.values())
+
+    def dirty_lpns(self):
+        return list(self.dirty)
+
+    def iter_oldest_dirty(self):
+        return iter(sorted(self.dirty.values(), key=lambda e: (e.last_update, e.lpn)))
+
+    def clean_lpns(self):
+        return list(self.clean)
+
+    def writeback_lpns(self):
+        return sorted(self.writeback)
 
 
-def reference_insert_clean(cache, lpn):
-    """``insert_clean`` as it stood before ``insert_clean_many``,
-    evicting after every page."""
-    if lpn in cache._dirty or lpn in cache._in_writeback:
-        return
-    cache._clean[lpn] = True
-    cache._clean.move_to_end(lpn)
-    while cache.cached_pages > cache.capacity_pages and cache._clean:
-        cache._clean.popitem(last=False)
-
-
-def cache_state(cache):
+def observable(cache):
+    """What a cache shows through its read-only queries: clean LRU order
+    (oldest first), dirty order, age order, the write-back set, the
+    counters and the population."""
     return (
-        list(cache._clean.items()),
-        list(cache._dirty.items()),
-        list(cache._in_writeback.items()),
-        cache.read_hits,
-        cache.read_misses,
+        cache.clean_lpns(),
+        [(e.lpn, e.last_update) for e in cache.dirty_items()],
+        [(e.lpn, e.last_update) for e in cache.iter_oldest_dirty()],
+        cache.writeback_lpns(),
+        (cache.read_hits, cache.read_misses, cache.write_hits),
+        (cache.dirty_pages, cache.writeback_pages, cache.cached_pages),
     )
+
+
+def index_matches_dirty(cache):
+    """The expiry index holds exactly the dirty pages, by last update."""
+    buckets = {}
+    for entry in cache.dirty_items():
+        buckets.setdefault(entry.last_update, set()).add(entry.lpn)
+    return {ts: set(bucket) for ts, bucket in cache._by_time.items()} == buckets
+
+
+def buckets(cache):
+    return [(ts, list(bucket)) for ts, bucket in cache._by_time.items()]
 
 
 CACHE_LPNS = st.integers(0, 9)
@@ -327,18 +459,18 @@ ACTORS = st.lists(
 )
 
 
-def run_actors(caches, actors, now, write=PageCache.write_page):
+def run_actors(caches, actors, now):
     for action, lpn in actors:
         for cache in caches:
             if action == "write":
-                write(cache, lpn, now)
+                cache.write_page(lpn, now)
             elif action == "writeback":
                 if cache.contains_dirty(lpn):
                     cache.begin_writeback([lpn])
             elif action == "complete":
                 cache.complete_writeback([lpn])
             else:
-                reference_insert_clean(cache, lpn)
+                cache.insert_clean(lpn)
 
 
 @settings(max_examples=300, deadline=None)
@@ -356,41 +488,28 @@ def test_extent_forms_equal_the_per_page_replay(
     """From any state (dirty pages pinned past capacity included), with
     other actors between the miss and the fetch and duplicates in the
     fetched list, the extent forms leave the cache exactly as the
-    per-page routines do -- through the reference bodies above and
-    through the one-page forms ``read_page`` / ``insert_clean``."""
-    extent, paged, single = caches = [make_cache(capacity, 1.0) for _ in range(3)]
+    per-page routines do -- through the reference cache and through
+    the one-page forms ``read_page`` / ``insert_clean``."""
+    extent, single = make_cache(capacity, 1.0), make_cache(capacity, 1.0)
+    paged = ReferenceCache(capacity, 1.0)
+    caches = [extent, paged, single]
     run_actors(caches, before, now=1)
     misses = extent.read_extent(lpn, count)
     pages = range(lpn, lpn + count)
-    assert misses == [p for p in pages if not reference_read_page(paged, p)]
+    assert misses == [p for p in pages if not paged.read_page(p)]
     assert misses == [p for p in pages if not single.read_page(p)]
-    assert cache_state(extent) == cache_state(paged) == cache_state(single)
+    assert observable(extent) == observable(paged) == observable(single)
     run_actors(caches, between, now=2)
     fetched = misses + extra + misses[:2]
     extent.insert_clean_many(fetched)
     for page in fetched:
-        reference_insert_clean(paged, page)
+        paged.insert_clean(page)
         single.insert_clean(page)
-    assert cache_state(extent) == cache_state(paged) == cache_state(single)
-    if len(extent._dirty) + len(extent._in_writeback) >= capacity:
-        assert not extent._clean  # pinned pages alone fill the cache
+    assert observable(extent) == observable(paged) == observable(single)
+    if extent.dirty_pages + extent.writeback_pages >= capacity:
+        assert not extent.clean_lpns()  # pinned pages alone fill the cache
     else:
         assert extent.cached_pages <= capacity
-
-
-def reference_invalidate(cache, lpns):
-    """``invalidate`` as it stood before the clean-only intersection: one
-    ``pop`` per page from each set, one listener call per operation."""
-    removed = []
-    for lpn in lpns:
-        entry = cache._dirty.pop(lpn, None)
-        if entry is not None:
-            cache._bucket_remove(lpn, entry.last_update)
-            removed.append((lpn, entry.last_update))
-        cache._clean.pop(lpn, None)
-        cache._in_writeback.pop(lpn, None)
-    if removed and cache.dirty_listeners:
-        cache._notify_dirty([], removed)
 
 
 @settings(max_examples=300, deadline=None)
@@ -406,10 +525,11 @@ def test_invalidate_equals_the_per_page_reference(
     capacity, before, settle, lpn, count, one_shot
 ):
     """Over clean, dirty and in-write-back pages -- and, once the
-    flusher has settled everything, over clean copies alone, where only
-    those can drop -- ``invalidate`` leaves the cache, its expiry index
-    and what the listeners heard exactly as one pop per page does."""
-    caches = [make_cache(capacity, 1.0) for _ in range(2)]
+    flusher has settled everything, over clean copies alone -- the
+    table's ``invalidate`` leaves the cache, its expiry index and what
+    the listeners heard exactly as the reference's one pop per page
+    from each set does."""
+    caches = [make_cache(capacity, 1.0), ReferenceCache(capacity, 1.0)]
     heard = [[], []]
     for cache, log in zip(caches, heard):
         cache.dirty_listeners.append(
@@ -419,77 +539,42 @@ def test_invalidate_equals_the_per_page_reference(
     if settle:
         for cache in caches:
             cache.begin_writeback(cache.dirty_lpns())
-            cache.complete_writeback(list(cache._in_writeback))
-        assert not caches[0]._dirty and not caches[0]._in_writeback
+            cache.complete_writeback(cache.writeback_lpns())
+        assert not caches[0].dirty_pages and not caches[0].writeback_pages
     for log in heard:
         log.clear()
     pages = range(lpn, lpn + count)
     caches[0].invalidate(iter(pages) if one_shot else pages)
-    reference_invalidate(caches[1], pages)
-    assert cache_state(caches[0]) == cache_state(caches[1])
-    assert caches[0]._by_time == caches[1]._by_time
+    caches[1].invalidate(pages)
+    assert observable(caches[0]) == observable(caches[1])
+    assert index_matches_dirty(caches[0])
     assert heard[0] == heard[1]
 
 
 # ----------------------------------------------------------------------
 # write_extent against n x the per-page write_page it replaced
 # ----------------------------------------------------------------------
-def reference_write_page(cache, lpn, now):
-    """``write_page`` as it stood before ``write_extent``: one listener
-    call, one eviction pass and one throttle check per *page*."""
-    entry = cache._dirty.get(lpn)
-    if entry is not None:
-        old_ts = entry.last_update
-        entry.last_update = now
-        cache._dirty.move_to_end(lpn)
-        if old_ts != now:
-            cache._bucket_remove(lpn, old_ts)
-            cache._bucket_add(lpn, now)
-        cache.write_hits += 1
-        if cache.dirty_listeners:
-            cache._notify_dirty([(lpn, now)], [(lpn, old_ts)])
-        return
-    cache._in_writeback.pop(lpn, None)
-    cache._clean.pop(lpn, None)
-    cache._dirty[lpn] = DirtyPage(lpn=lpn, last_update=now)
-    cache._bucket_add(lpn, now)
-    if cache.dirty_listeners:
-        cache._notify_dirty([(lpn, now)], [])
-    cache._evict_if_needed()
-    if cache.throttled():
-        for listener in list(cache.pressure_listeners):
-            listener()
-
-
 PERIOD, TAU = 4, 12  # the predictor's p and tau_expire (Nwb = 3)
 
 
 class WriteSide:
     """One cache with everything that listens to its write path."""
 
-    def __init__(self, capacity, throttle):
-        self.cache = make_cache(capacity, throttle)
-        self.predictor = BufferedWritePredictor(self.cache, PERIOD, TAU)
+    def __init__(self, cache):
+        self.cache = cache
+        self.predictor = BufferedWritePredictor(cache, PERIOD, TAU)
         self.payloads = []
         self.pressure = 0
-        self.cache.dirty_listeners.append(
+        cache.dirty_listeners.append(
             lambda added, removed: self.payloads.append((list(added), list(removed)))
         )
-        self.cache.pressure_listeners.append(self._on_pressure)
+        cache.pressure_listeners.append(self._on_pressure)
 
     def _on_pressure(self):
         self.pressure += 1
 
     def state(self):
-        cache = self.cache
-        return (
-            [(lpn, entry.lpn, entry.last_update) for lpn, entry in cache._dirty.items()],
-            list(cache._clean.items()),
-            list(cache._in_writeback.items()),
-            [(ts, list(bucket)) for ts, bucket in cache._by_time.items()],
-            cache.write_hits,
-            self.predictor._interval_counts,
-        )
+        return observable(self.cache), self.predictor._interval_counts
 
     def heard(self):
         """Listener payloads as multisets, whatever the call boundaries."""
@@ -538,14 +623,15 @@ def test_write_extent_equals_the_per_page_replay(
     one, pinned pages past capacity, the throttle crossed mid-extent --
     one ``write_extent`` leaves the cache, the expiry index, the
     pressure signal and a listening predictor exactly as ``count``
-    per-page writes did, and so does the one-page form."""
-    extent, paged, single = sides = [WriteSide(capacity, throttle) for _ in range(3)]
+    per-page writes of the reference did, and so does the one-page
+    form."""
+    extent, single = (WriteSide(make_cache(capacity, throttle)) for _ in range(2))
+    paged = WriteSide(ReferenceCache(capacity, throttle))
+    sides = [extent, paged, single]
     now = 0
     for action, page, step in before:
         now += step
-        run_actors(
-            [side.cache for side in sides], [(action, page)], now, reference_write_page
-        )
+        run_actors([side.cache for side in sides], [(action, page)], now)
     now += gap  # gap 0: pages already stamped ``now`` keep their bucket
     for side in sides:
         side.payloads.clear()
@@ -556,10 +642,12 @@ def test_write_extent_equals_the_per_page_replay(
 
     extent.cache.write_extent(lpn, count, now)
     for page in range(lpn, lpn + count):
-        reference_write_page(paged.cache, page, now)
+        paged.cache.write_page(page, now)
         single.cache.write_page(page, now)
 
     assert extent.state() == paged.state() == single.state()
+    assert buckets(extent.cache) == buckets(single.cache)
+    assert index_matches_dirty(extent.cache)
     assert bool(extent.pressure) == bool(paged.pressure) == bool(single.pressure)
     assert extent.pressure <= 1 and len(evictions) <= 1
     assert len(extent.payloads) == 1  # ONE dirty-listener call per operation
@@ -568,3 +656,231 @@ def test_write_extent_equals_the_per_page_replay(
     demands = [side.predictor.predict(tick).demands_bytes for side in sides]
     assert demands[0] == demands[1] == demands[2]
     assert sum(demands[0]) == extent.cache.dirty_pages * PAGE
+
+
+# ----------------------------------------------------------------------
+# The page-state table against the reference, operation by operation
+# ----------------------------------------------------------------------
+class PageStateMachine(RuleBasedStateMachine):
+    """Every cache operation, applied to the table and to the reference,
+    over every state a page can be in: write and overwrite, re-dirty
+    under write-back, begin and complete write-back (stale and dropped
+    completions included), read, fetch, and invalidate of each state.
+    The test lowers the LRU log's compaction floor so that the log
+    compacts every few steps; the count is over every example."""
+
+    CAPACITY = 12
+    compactions = 0
+
+    lpns = st.integers(0, LOGICAL - 1)
+
+    def __init__(self):
+        super().__init__()
+        self.cache = make_cache(self.CAPACITY, throttle=1.0)
+        self.ref = ReferenceCache(self.CAPACITY, 1.0)
+        self.now = 0
+        compact = self.cache._compact
+
+        def counted():
+            type(self).compactions += 1
+            compact()
+
+        self.cache._compact = counted
+
+    def _pick(self, data, pool):
+        return data.draw(st.lists(st.sampled_from(sorted(pool)), min_size=1, unique=True))
+
+    @rule(lpn=lpns, count=st.integers(1, 16), gap=st.integers(0, 2))
+    def write(self, lpn, count, gap):
+        self.now += gap
+        count = min(count, LOGICAL - lpn)
+        self.cache.write_extent(lpn, count, self.now)
+        for page in range(lpn, lpn + count):
+            self.ref.write_page(page, self.now)
+
+    @precondition(lambda self: self.ref.dirty)
+    @rule(data=st.data(), gap=st.integers(0, 2))
+    def overwrite(self, data, gap):
+        self.now += gap
+        for lpn in self._pick(data, self.ref.dirty):
+            self.cache.write_page(lpn, self.now)
+            self.ref.write_page(lpn, self.now)
+
+    @precondition(lambda self: self.ref.writeback)
+    @rule(data=st.data())
+    def redirty_under_writeback(self, data):
+        for lpn in self._pick(data, self.ref.writeback):
+            self.cache.write_page(lpn, self.now)
+            self.ref.write_page(lpn, self.now)
+
+    @precondition(lambda self: self.ref.dirty)
+    @rule(data=st.data())
+    def begin_writeback(self, data):
+        lpns = self._pick(data, self.ref.dirty)
+        self.cache.begin_writeback(lpns)
+        self.ref.begin_writeback(lpns)
+
+    @rule(data=st.data(), others=st.lists(lpns, max_size=4))
+    def complete_writeback(self, data, others):
+        lpns = others
+        if self.ref.writeback:
+            lpns = self._pick(data, self.ref.writeback) + others
+        self.cache.complete_writeback(lpns)
+        self.ref.complete_writeback(lpns)
+
+    @rule(lpn=lpns, count=st.integers(1, 24))
+    def read(self, lpn, count):
+        count = min(count, LOGICAL - lpn)
+        misses = self.cache.read_extent(lpn, count)
+        pages = range(lpn, lpn + count)
+        assert misses == [page for page in pages if not self.ref.read_page(page)]
+
+    @rule(fetched=st.lists(lpns, max_size=16))
+    def insert_clean_many(self, fetched):
+        self.cache.insert_clean_many(fetched)
+        for lpn in fetched:
+            self.ref.insert_clean(lpn)
+
+    @rule(lpn=lpns, count=st.integers(0, 8))
+    def invalidate_range(self, lpn, count):
+        pages = range(lpn, min(lpn + count, LOGICAL))
+        self.cache.invalidate(pages)
+        self.ref.invalidate(pages)
+
+    def _invalidate_some(self, data, pool):
+        lpns = self._pick(data, pool)
+        self.cache.invalidate(lpns)
+        self.ref.invalidate(lpns)
+
+    @precondition(lambda self: self.ref.clean)
+    @rule(data=st.data())
+    def invalidate_clean(self, data):
+        self._invalidate_some(data, self.ref.clean)
+
+    @precondition(lambda self: self.ref.dirty)
+    @rule(data=st.data())
+    def invalidate_dirty(self, data):
+        self._invalidate_some(data, self.ref.dirty)
+
+    @precondition(lambda self: self.ref.writeback)
+    @rule(data=st.data())
+    def invalidate_writeback(self, data):
+        self._invalidate_some(data, self.ref.writeback)
+
+    @invariant()
+    def matches_reference(self):
+        assert observable(self.cache) == observable(self.ref)
+        assert index_matches_dirty(self.cache)
+
+
+def test_page_state_table_against_the_three_dict_reference(monkeypatch):
+    monkeypatch.setattr(cache_module, "_LOG_MIN_STALE", 4)
+    PageStateMachine.compactions = 0
+    run_state_machine_as_test(
+        PageStateMachine,
+        settings=settings(
+            max_examples=60, stateful_step_count=60, deadline=None, derandomize=True
+        ),
+    )
+    assert PageStateMachine.compactions >= 3
+
+
+def test_the_lru_log_compacts_at_its_threshold_and_keeps_lru_order():
+    """At the real floor and factor: repeated hits on a hot subset leave
+    stale log entries until they outnumber the live ones, then one
+    compaction keeps exactly the live entries, in LRU order."""
+    clean = 1000
+    cache = PageCache(PAGE, clean * PAGE, 4 * clean)
+    ref = ReferenceCache(clean, 0.5)
+    cache.insert_clean_many(range(clean))
+    for lpn in range(clean):
+        ref.insert_clean(lpn)
+    stale_needed = max(
+        cache_module._LOG_MIN_STALE, cache_module._LOG_STALE_FACTOR * clean
+    )
+    reads = 0
+    while True:
+        start = (reads * 37) % (clean - 100)
+        cache.read_extent(start, 100)
+        for lpn in range(start, start + 100):
+            ref.read_page(lpn)
+        reads += 1
+        if len(cache._log) == clean:  # compacted
+            break
+        assert len(cache._log) - clean <= stale_needed
+    assert reads * 100 > stale_needed  # ...and not one touch earlier
+    assert cache._log_head == 0 and len(cache._log) == clean
+    assert observable(cache) == observable(ref)
+    # The renumbered stamps keep working: eviction takes the oldest.
+    cache.insert_clean_many(range(clean, clean + 10))
+    for lpn in range(clean, clean + 10):
+        ref.insert_clean(lpn)
+    assert observable(cache) == observable(ref)
+
+
+# ----------------------------------------------------------------------
+# Bounds and memory
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: c.write_extent(LOGICAL - 1, 2, now=9),
+        lambda c: c.write_extent(-3, 2, now=9),
+        lambda c: c.write_page(LOGICAL, now=9),
+        lambda c: c.read_extent(LOGICAL - 1, 2),
+        lambda c: c.read_page(-1),
+        lambda c: c.insert_clean_many([5, -1]),
+        lambda c: c.insert_clean(LOGICAL),
+        lambda c: c.invalidate([1, -1]),
+        lambda c: c.invalidate(range(-2, 2)),
+        lambda c: c.invalidate(iter([2, LOGICAL])),
+        lambda c: c.complete_writeback([-1]),
+    ],
+    ids=[
+        "write-across-end", "write-below", "write-page-past-end",
+        "read-across-end", "read-below", "fetch-below", "fetch-past-end",
+        "invalidate-below", "invalidate-range-below", "invalidate-past-end",
+        "complete-below",
+    ],
+)
+def test_an_lpn_outside_the_logical_space_is_refused_untouched(call):
+    """The table would wrap a negative LPN onto the end of the logical
+    space, where the last pages are in write-back, dirty and clean."""
+    cache = make_cache(8, 1.0)
+    cache.write_page(LOGICAL - 1, now=1)
+    cache.begin_writeback([LOGICAL - 1])
+    cache.write_extent(LOGICAL - 3, 2, now=2)
+    cache.insert_clean_many([1, 2, LOGICAL - 4])
+    before = observable(cache)
+    with pytest.raises(IndexError, match="out of range"):
+        call(cache)
+    assert observable(cache) == before
+
+
+def test_a_negative_count_is_refused():
+    cache = make_cache()
+    with pytest.raises(ValueError, match="page count"):
+        cache.write_extent(5, -1, now=0)
+    with pytest.raises(ValueError, match="page count"):
+        cache.read_extent(5, -1)
+
+
+def test_a_clean_page_costs_at_most_32_bytes_above_the_table():
+    """The OrderedDict this table replaced cost ~205 B per clean page;
+    the LRU log costs one int32 per touch.  The pages are fetched as a
+    read-mostly workload fetches them, then each is hit once more (the
+    OrderedDict measures ~107 B per page here, int keys included)."""
+    pages = 64 * 320
+    tracemalloc.start()
+    try:
+        cache = PageCache(PAGE, 2 * pages * PAGE, 4 * pages)
+        table = tracemalloc.get_traced_memory()[0]
+        for start in range(0, pages, 64):
+            cache.insert_clean_many(cache.read_extent(start, 64))
+        for start in range(0, pages, 64):
+            assert not cache.read_extent(start, 64)
+        held = tracemalloc.get_traced_memory()[0] - table
+    finally:
+        tracemalloc.stop()
+    assert cache.cached_pages == pages == len(cache.clean_lpns())
+    assert held <= 32 * pages

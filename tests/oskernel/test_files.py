@@ -13,7 +13,7 @@ from repro.ssd.device import SsdDevice
 def make_fs(page_count=200, journal_pages=16, journal_record_pages=1):
     sim = Simulator()
     device = SsdDevice(sim, SsdConfig.small(blocks=64, pages_per_block=8))
-    cache = PageCache(4096, 4096 * 512)
+    cache = PageCache(4096, 4096 * 512, device.ftl.space.user_pages)
     dispatcher = IoDispatcher(sim, cache, device)
     fs = SimpleFileSystem(
         dispatcher, first_lpn=0, page_count=page_count,
@@ -127,7 +127,7 @@ def test_journal_record_pages_multiplies_direct_traffic():
 def test_invalid_construction():
     sim = Simulator()
     device = SsdDevice(sim, SsdConfig.small(blocks=64, pages_per_block=8))
-    cache = PageCache(4096, 4096 * 64)
+    cache = PageCache(4096, 4096 * 64, device.ftl.space.user_pages)
     dispatcher = IoDispatcher(sim, cache, device)
     with pytest.raises(FsError):
         SimpleFileSystem(dispatcher, 0, 10, journal_pages=16)

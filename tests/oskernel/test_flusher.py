@@ -15,7 +15,9 @@ from repro.ssd.request import IoKind
 def make_stack(tau_flush_pages=1000, period=SECOND, tau_expire=6 * SECOND):
     sim = Simulator()
     device = SsdDevice(sim, SsdConfig.small(blocks=64, pages_per_block=8))
-    cache = PageCache(4096, 4096 * 256, dirty_throttle_fraction=0.5)
+    cache = PageCache(
+        4096, 4096 * 256, device.ftl.space.user_pages, dirty_throttle_fraction=0.5
+    )
     flusher = FlusherThread(
         sim, cache, device, period_ns=period, tau_expire_ns=tau_expire,
         tau_flush_pages=tau_flush_pages,
@@ -26,7 +28,7 @@ def make_stack(tau_flush_pages=1000, period=SECOND, tau_expire=6 * SECOND):
 def test_tau_expire_must_divide():
     sim = Simulator()
     device = SsdDevice(sim, SsdConfig.small(blocks=64, pages_per_block=8))
-    cache = PageCache(4096, 4096 * 64)
+    cache = PageCache(4096, 4096 * 64, device.ftl.space.user_pages)
     with pytest.raises(ValueError):
         FlusherThread(sim, cache, device, period_ns=SECOND, tau_expire_ns=SECOND * 7 // 2)
 

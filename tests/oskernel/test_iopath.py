@@ -14,7 +14,12 @@ from repro.ssd.request import IoKind
 def make_stack(cache_pages=128, throttle=0.5):
     sim = Simulator()
     device = SsdDevice(sim, SsdConfig.small(blocks=64, pages_per_block=8))
-    cache = PageCache(4096, 4096 * cache_pages, dirty_throttle_fraction=throttle)
+    cache = PageCache(
+        4096,
+        4096 * cache_pages,
+        device.ftl.space.user_pages,
+        dirty_throttle_fraction=throttle,
+    )
     dispatcher = IoDispatcher(sim, cache, device)
     return sim, device, cache, dispatcher
 
@@ -77,6 +82,38 @@ def test_throttled_writer_parks_and_releases():
     assert dispatcher.blocked_writers == 0
 
 
+@pytest.mark.parametrize("throttled", [False, True], ids=["open", "throttled"])
+@pytest.mark.parametrize("start", ["end", -3])
+@pytest.mark.parametrize(
+    "issue",
+    [
+        lambda d, lpn: d.write(lpn, 2, direct=False),
+        lambda d, lpn: d.write(lpn, 2, direct=True),
+        lambda d, lpn: d.read(lpn, 2),
+        lambda d, lpn: d.trim(lpn, 2),
+    ],
+    ids=["buffered", "direct", "read", "trim"],
+)
+def test_an_extent_off_the_device_is_refused(issue, start, throttled):
+    """A command past the last user page or below LPN 0 raises before
+    the cache, the traffic counters or the device see it -- the page
+    table would wrap a negative LPN onto the end of the logical space."""
+    sim, device, cache, dispatcher = make_stack(cache_pages=16, throttle=0.5)
+    user = device.ftl.space.user_pages
+    dispatcher.write(user - 2, 2, direct=False)  # last pages dirty
+    if throttled:
+        dispatcher.write(0, 6, direct=False)
+        assert cache.throttled()
+    sim.run()
+    before = (cache.dirty_lpns(), cache.clean_lpns(), repr(dispatcher.stats))
+    with pytest.raises(IndexError, match="out of range"):
+        issue(dispatcher, user if start == "end" else start)
+    assert (cache.dirty_lpns(), cache.clean_lpns(), repr(dispatcher.stats)) == before
+    assert dispatcher.blocked_writers == 0
+    sim.run()
+    assert device.requests_completed == 0  # nothing reached the device
+
+
 def test_read_hit_avoids_device():
     sim, device, cache, dispatcher = make_stack()
     dispatcher.write(0, 2, direct=False)
@@ -119,7 +156,7 @@ def test_read_with_hits_in_the_middle_is_one_extent_and_inserts_only_misses():
     assert (cache.read_hits, cache.read_misses) == (2, 4)
     # The hit was promoted by the lookup and not touched again by the
     # fetch; the dirty page stayed dirty.
-    assert list(cache._clean) == [20, 6, 3, 4, 7, 8]
+    assert cache.clean_lpns() == [20, 6, 3, 4, 7, 8]
     assert cache.contains_dirty(5) and cache.dirty_pages == 1
 
 
