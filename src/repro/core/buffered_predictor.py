@@ -98,8 +98,8 @@ class BufferedWritePredictor:
         #: Absolute flush-interval index -> dirty-page count.  The key is
         #: ``c = ceil((last_update + tau_expire) / p)``; see module doc.
         self._interval_counts: Dict[int, int] = {}
-        for entry in cache.dirty_items():
-            self._bump(entry.last_update, +1)
+        for _lpn, last_update in cache.dirty_items():
+            self._bump(last_update, +1)
         cache.dirty_listeners.append(self._on_dirty_delta)
 
     @property
@@ -123,8 +123,9 @@ class BufferedWritePredictor:
         self, added: List[Tuple[int, int]], removed: List[Tuple[int, int]]
     ) -> None:
         # One bump per run of equal stamps: every page of one buffered
-        # write carries the same ``now``, and a flushed batch leaves in
-        # (last_update, lpn) order.
+        # write carries the same ``now``.  A flushed batch arrives in LPN
+        # order (the flusher and ``fsync`` sort their pages), so its runs
+        # are only as long as its neighbouring LPNs share a stamp.
         for pairs, sign in ((removed, -1), (added, +1)):
             run_ts, run = None, 0
             for _lpn, ts in pairs:
@@ -157,10 +158,10 @@ class BufferedWritePredictor:
             sip_lpns = self.cache.dirty_lpns()
         else:
             sip_lpns = []
-            for entry in self.cache.dirty_items():
-                interval = self._flush_interval(entry.last_update, now)
+            for lpn, last_update in self.cache.dirty_items():
+                interval = self._flush_interval(last_update, now)
                 demands[interval - 1] += page
-                sip_lpns.append(entry.lpn)
+                sip_lpns.append(lpn)
         if self.strict and self.tau_flush_pages > 0:
             self._apply_volume_condition(demands, page)
         return BufferedPrediction(

@@ -14,14 +14,13 @@ Models the kernel half of the paper's I/O datapath (Fig. 3):
   create/append/delete traffic including journal-style direct writes.
 """
 
-from repro.oskernel.cache import PageCache, DirtyPage
+from repro.oskernel.cache import PageCache
 from repro.oskernel.flusher import FlusherThread
 from repro.oskernel.iopath import IoDispatcher, WriteTrafficStats
 from repro.oskernel.files import SimpleFileSystem, FsError
 
 __all__ = [
     "PageCache",
-    "DirtyPage",
     "FlusherThread",
     "IoDispatcher",
     "WriteTrafficStats",

@@ -33,25 +33,25 @@ in order, and a page's stamp names the log position of its latest
 touch.  An entry whose page's stamp has moved on is stale; eviction
 walks the log from its head and skips stale entries, and the log is
 compacted (live entries kept in order, stamps renumbered) once stale
-entries outnumber live ones by ``_LOG_STALE_FACTOR``.  The dirty pages
-keep their ``DirtyPage`` records: the predictor scans them and the SIP
-list is their order.
+entries outnumber live ones by ``_LOG_STALE_FACTOR``.
 
-Hot-path acceleration: the flusher and the buffered predictor
-interrogate the dirty set every tick.  The cache maintains a
-*last-update expiry index* -- dirty LPNs grouped into per-timestamp
-buckets kept in age order -- so :meth:`expired_dirty` costs O(pages
-expired) and :meth:`iter_oldest_dirty` streams oldest-first without
-sorting the whole population.  The full scans of the dirty set they must
-agree with, and a cache of three ordered dicts that the page-state table
-must agree with, are written out in ``tests/oskernel/test_cache.py``.
+The dirty pages are one insertion-ordered dict from LPN to last-update
+time, and its order is their age order: a new page is appended at
+``now``, an overwrite pops its page and appends it again, and
+:meth:`write_extent` refuses a ``now`` earlier than the cache's newest
+write (simulated time never goes backwards).  :meth:`iter_oldest_dirty`
+walks the dict from the front, in ``(last_update, lpn)`` order, and
+:meth:`expired_dirty` is the expired prefix of that walk.  A full scan
+of the dirty set they must agree with, and a cache of three ordered
+dicts that the page-state table must agree with, are written out in
+``tests/oskernel/test_cache.py``.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
-from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -72,20 +72,6 @@ _COMPACT_CHUNK = 1 << 16
 #: times the logical space plus ``_LOG_MIN_STALE`` and one operation's
 #: touches, which this bound keeps below 2**31.
 _MAX_LOGICAL_PAGES = 1 << 28
-
-
-@dataclass
-class DirtyPage:
-    """One dirty cache page.
-
-    Attributes:
-        lpn: logical page number backing this cache page.
-        last_update: simulated time of the most recent write to the page
-            (an overwrite resets it, delaying the flush).
-    """
-
-    lpn: int
-    last_update: int
 
 
 class PageCache:
@@ -136,14 +122,10 @@ class PageCache:
         self._log_head = 0
         self._clean_pages = 0
         self._writeback_pages = 0
-        self._dirty: "OrderedDict[int, DirtyPage]" = OrderedDict()
-
-        #: Expiry index: last_update -> {lpn: None}, buckets kept in
-        #: ascending-timestamp order (sim time is monotone, so appends
-        #: are O(1); the out-of-order fallback only fires in synthetic
-        #: unit tests that rewind the clock).
-        self._by_time: "OrderedDict[int, Dict[int, None]]" = OrderedDict()
-        self._max_bucket_ts: int = -1
+        #: Dirty pages: LPN -> last-update time, oldest write first.
+        self._dirty: Dict[int, int] = {}
+        #: Time of the newest write; an earlier ``now`` is refused.
+        self._newest_write = 0
 
         #: Callbacks fired when dirty population drops below the throttle.
         self.drain_listeners: List[Callable[[], None]] = []
@@ -197,27 +179,8 @@ class PageCache:
         return lpns
 
     # ------------------------------------------------------------------
-    # Expiry-index maintenance
+    # Listeners
     # ------------------------------------------------------------------
-    def _bucket_add(self, lpn: int, ts: int) -> None:
-        bucket = self._by_time.get(ts)
-        if bucket is None:
-            bucket = self._by_time[ts] = {}
-            if ts >= self._max_bucket_ts:
-                self._max_bucket_ts = ts
-            else:
-                # Clock went backwards (synthetic test input): restore
-                # ascending bucket order.  Never hit under a simulator.
-                for key in sorted(self._by_time):
-                    self._by_time.move_to_end(key)
-        bucket[lpn] = None
-
-    def _bucket_remove(self, lpn: int, ts: int) -> None:
-        bucket = self._by_time[ts]
-        del bucket[lpn]
-        if not bucket:
-            del self._by_time[ts]
-
     def _notify_dirty(
         self, added: List[Tuple[int, int]], removed: List[Tuple[int, int]]
     ) -> None:
@@ -236,7 +199,9 @@ class PageCache:
 
         Callers must check :meth:`throttled` first; writing while
         throttled is allowed (the model keeps state consistent) but a
-        well-behaved dispatcher blocks the writer instead.
+        well-behaved dispatcher blocks the writer instead.  A ``now``
+        earlier than the newest write raises ``ValueError``: the dirty
+        dict's order is its age order only while the clock is monotone.
 
         One listener call, one eviction pass and one throttle check per
         operation, with the outcome of doing each per page: the dirty +
@@ -247,19 +212,18 @@ class PageCache:
         """
         if lpn < 0 or count < 0 or lpn + count > self.logical_pages:
             self.check_extent(lpn, count)
+        if now < self._newest_write:
+            raise ValueError(
+                f"write at {now} precedes the cache's newest write at {self._newest_write}"
+            )
+        self._newest_write = now
         dirty, state = self._dirty, self._state
         added: List[Tuple[int, int]] = []
         removed: List[Tuple[int, int]] = []
         for page in range(lpn, lpn + count):
-            entry = dirty.get(page)
-            if entry is not None:
+            old_ts = dirty.pop(page, None)
+            if old_ts is not None:
                 # Overwrite: age resets, flush is postponed (paper Fig. 4, B').
-                old_ts = entry.last_update
-                entry.last_update = now
-                dirty.move_to_end(page)
-                if old_ts != now:
-                    self._bucket_remove(page, old_ts)
-                    self._bucket_add(page, now)
                 removed.append((page, old_ts))
             else:
                 held = state[page]
@@ -268,8 +232,7 @@ class PageCache:
                 elif held:  # re-dirtied under write-back
                     self._writeback_pages -= 1
                 state[page] = DIRTY
-                dirty[page] = DirtyPage(page, now)
-                self._bucket_add(page, now)
+            dirty[page] = now
             added.append((page, now))
         hits = len(removed)
         self.write_hits += hits
@@ -345,9 +308,7 @@ class PageCache:
             if held > 0:
                 self._clean_pages -= 1
             elif held == DIRTY:
-                entry = self._dirty.pop(lpn)
-                self._bucket_remove(lpn, entry.last_update)
-                removed.append((lpn, entry.last_update))
+                removed.append((lpn, self._dirty.pop(lpn)))
             else:
                 self._writeback_pages -= 1
         if removed and self.dirty_listeners:
@@ -356,30 +317,29 @@ class PageCache:
     # ------------------------------------------------------------------
     # Flusher-side operations
     # ------------------------------------------------------------------
-    def expired_dirty(self, now: int, tau_expire: int) -> List[DirtyPage]:
-        """Dirty pages older than ``tau_expire`` at time ``now``.
-
-        O(pages expired) on the expiry index (oldest bucket first, LPN
-        order within a bucket).
-        """
-        expired: List[DirtyPage] = []
-        for ts, bucket in self._by_time.items():
+    def expired_dirty(self, now: int, tau_expire: int) -> List[Tuple[int, int]]:
+        """``(lpn, last_update)`` of the dirty pages older than
+        ``tau_expire`` at time ``now``: the prefix of
+        :meth:`iter_oldest_dirty` that has expired, taken one run of
+        equal stamps at a time."""
+        expired: List[Tuple[int, int]] = []
+        for ts, run in groupby(self._dirty.items(), key=itemgetter(1)):
             if now - ts < tau_expire:
                 break
-            expired.extend(self._dirty[lpn] for lpn in sorted(bucket))
+            expired += sorted(run)
         return expired
 
-    def iter_oldest_dirty(self) -> Iterator[DirtyPage]:
-        """Stream dirty pages oldest-first, in ``(last_update, lpn)``
-        order, lazily.
+    def iter_oldest_dirty(self) -> Iterator[Tuple[int, int]]:
+        """Stream ``(lpn, last_update)`` oldest-first, in
+        ``(last_update, lpn)`` order, lazily.
 
-        The flusher's volume condition only needs the oldest ``excess``
-        pages; this stops after yielding them instead of sorting the
-        whole population.
+        The dirty dict is in age order already; only a run of pages
+        sharing one stamp is sorted, by LPN.  The flusher's volume
+        condition only needs the oldest ``excess`` pages; this stops
+        after yielding them instead of sorting the whole population.
         """
-        for bucket in self._by_time.values():
-            for lpn in sorted(bucket):
-                yield self._dirty[lpn]
+        for _ts, run in groupby(self._dirty.items(), key=itemgetter(1)):
+            yield from sorted(run)
 
     def begin_writeback(self, lpns: Iterable[int]) -> None:
         """Move pages from dirty to the in-flight write-back set.
@@ -390,13 +350,12 @@ class PageCache:
         state = self._state
         moved = []
         for lpn in lpns:
-            entry = self._dirty.pop(lpn, None)
-            if entry is None:
+            last_update = self._dirty.pop(lpn, None)
+            if last_update is None:
                 raise KeyError(f"page {lpn} is not dirty")
-            self._bucket_remove(lpn, entry.last_update)
             state[lpn] = WRITEBACK
             self._writeback_pages += 1
-            moved.append((lpn, entry.last_update))
+            moved.append((lpn, last_update))
         if moved:
             if self.dirty_listeners:
                 self._notify_dirty([], moved)
@@ -449,9 +408,10 @@ class PageCache:
         """True when buffered writers should block (dirty pressure)."""
         return len(self._dirty) + self._writeback_pages >= self.dirty_throttle_pages
 
-    def dirty_items(self) -> List[DirtyPage]:
-        """Snapshot of dirty pages (the predictor's scan input)."""
-        return list(self._dirty.values())
+    def dirty_items(self) -> List[Tuple[int, int]]:
+        """Snapshot of ``(lpn, last_update)`` pairs, oldest write first
+        (the predictor's scan input)."""
+        return list(self._dirty.items())
 
     def dirty_lpns(self) -> List[int]:
         """Dirty LPNs in insertion order (the SIP-list snapshot)."""

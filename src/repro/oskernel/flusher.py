@@ -9,10 +9,11 @@ each wake-up it flushes:
    additionally the oldest dirty pages until the population is back
    under the threshold (the volume condition).
 
-Flushed pages are coalesced into contiguous extents and issued to the
-SSD as ``WRITEBACK`` requests.  Pages stay in the cache's *in-writeback*
-set until the device acknowledges them, which is when dirty throttling
-releases blocked writers.
+Flushed pages are coalesced into contiguous extents of at most
+``MAX_REQUEST_PAGES`` and issued to the SSD as ``WRITEBACK`` requests.
+Pages stay in the cache's *in-writeback* set until the device
+acknowledges them, which is when dirty throttling releases blocked
+writers.
 
 The flusher exposes a tick hook so host-side GC-policy code can run
 *right after* write-back is issued -- exactly where the paper invokes
@@ -25,11 +26,15 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.obs.tracer import NULL_TRACER
 from repro.oskernel.cache import PageCache
+from repro.oskernel.iopath import _coalesce
 from repro.sim.engine import Simulator
 from repro.sim.events import PRIORITY_CONTROL
 from repro.sim.simtime import SECOND
 from repro.ssd.device import SsdDevice
 from repro.ssd.request import IoKind, IoRequest
+
+#: Largest write-back request the flusher issues at once, in pages.
+MAX_REQUEST_PAGES = 64
 
 
 class FlusherThread:
@@ -43,7 +48,6 @@ class FlusherThread:
         tau_expire_ns: dirty-age expiration threshold (paper: 30 s).
         tau_flush_pages: dirty-volume threshold in pages; ``None``
             derives the Linux-like default of 10 % of cache capacity.
-        max_request_pages: largest write-back request issued at once.
     """
 
     def __init__(
@@ -54,7 +58,6 @@ class FlusherThread:
         period_ns: int = 5 * SECOND,
         tau_expire_ns: int = 30 * SECOND,
         tau_flush_pages: Optional[int] = None,
-        max_request_pages: int = 64,
     ) -> None:
         if period_ns <= 0:
             raise ValueError(f"period must be positive, got {period_ns}")
@@ -71,7 +74,6 @@ class FlusherThread:
         if tau_flush_pages is None:
             tau_flush_pages = max(1, cache.capacity_pages // 10)
         self.tau_flush_pages = tau_flush_pages
-        self.max_request_pages = max(1, max_request_pages)
 
         #: Hooks run at each wake-up, *after* this tick's write-back was
         #: issued (predictor / JIT manager attach here).
@@ -127,7 +129,7 @@ class FlusherThread:
 
     def flush_once(self, now: int) -> int:
         """Apply both flush conditions once; returns pages issued."""
-        to_flush = {e.lpn for e in self.cache.expired_dirty(now, self.tau_expire_ns)}
+        to_flush = {lpn for lpn, _ in self.cache.expired_dirty(now, self.tau_expire_ns)}
         self._add_volume_excess(to_flush)
         return self._flush_set(to_flush)
 
@@ -136,11 +138,11 @@ class FlusherThread:
         excess = self.cache.dirty_pages - len(to_flush) - self.tau_flush_pages
         if excess <= 0:
             return
-        for entry in self.cache.iter_oldest_dirty():
+        for lpn, _ in self.cache.iter_oldest_dirty():
             if excess <= 0:
                 break
-            if entry.lpn not in to_flush:
-                to_flush.add(entry.lpn)
+            if lpn not in to_flush:
+                to_flush.add(lpn)
                 excess -= 1
 
     def _flush_set(self, to_flush: set) -> int:
@@ -189,27 +191,18 @@ class FlusherThread:
 
     def _issue(self, lpns: Sequence[int]) -> None:
         """Coalesce sorted LPNs into extents and submit WRITEBACK I/O."""
-        start = lpns[0]
-        prev = start
-        for lpn in list(lpns[1:]) + [None]:
-            contiguous = lpn is not None and lpn == prev + 1
-            full = lpn is not None and (prev - start + 1) >= self.max_request_pages
-            if contiguous and not full:
-                prev = lpn
-                continue
-            extent = range(start, prev + 1)
+        for start, length in _coalesce(lpns, MAX_REQUEST_PAGES):
+            extent = range(start, start + length)
             self.device.submit(
                 IoRequest(
                     IoKind.WRITEBACK,
                     start,
-                    prev - start + 1,
+                    length,
                     on_complete=lambda req, pages=extent: self.cache.complete_writeback(
                         pages
                     ),
                 )
             )
-            if lpn is not None:
-                start = prev = lpn
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FlusherThread p={self.period_ns} wakeups={self.wakeups}>"

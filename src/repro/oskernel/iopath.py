@@ -22,15 +22,23 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Iterable, List, Optional, Tuple
 
+from repro.obs.audit import DISABLED_AUDIT, BackpressureRecord
+from repro.oskernel.cache import PageCache
+from repro.sim.engine import Simulator
+from repro.sim.simtime import MICROSECOND
+from repro.ssd.device import SsdDevice
+from repro.ssd.request import IoKind, IoRequest
 
-def _coalesce(sorted_pages: Iterable[int]) -> List[Tuple[int, int]]:
-    """Group sorted page numbers into (start, length) extents."""
+
+def _coalesce(sorted_pages: Iterable[int], max_len: int) -> List[Tuple[int, int]]:
+    """Group sorted page numbers into (start, length) extents of at most
+    ``max_len`` pages (both write-back paths build their requests here)."""
     extents: List[Tuple[int, int]] = []
     start = prev = None
     for page in sorted_pages:
         if start is None:
             start = prev = page
-        elif page == prev + 1:
+        elif page == prev + 1 and page - start < max_len:
             prev = page
         else:
             extents.append((start, prev - start + 1))
@@ -38,13 +46,6 @@ def _coalesce(sorted_pages: Iterable[int]) -> List[Tuple[int, int]]:
     if start is not None:
         extents.append((start, prev - start + 1))
     return extents
-
-from repro.obs.audit import DISABLED_AUDIT, BackpressureRecord
-from repro.oskernel.cache import PageCache
-from repro.sim.engine import Simulator
-from repro.sim.simtime import MICROSECOND
-from repro.ssd.device import SsdDevice
-from repro.ssd.request import IoKind, IoRequest
 
 
 @dataclass
@@ -257,7 +258,7 @@ class IoDispatcher:
             if remaining["extents"] == 0 and on_complete is not None:
                 on_complete()
 
-        for start, length in _coalesce(dirty):
+        for start, length in _coalesce(dirty, len(dirty)):
             remaining["extents"] += 1
             extent = range(start, start + length)
             self.device.submit(

@@ -103,7 +103,7 @@ def test_strict_mode_pulls_excess_earlier():
     writes=st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=31),  # lpn
-            st.integers(min_value=0, max_value=60),  # time
+            st.integers(min_value=0, max_value=60),  # time (written in order)
         ),
         max_size=60,
     ),
@@ -116,13 +116,13 @@ def test_predictor_incremental_dbuf_matches_scan(writes, ticks):
     period, tau = 5, 30
     cache = PageCache(4096, 128 * 4096, 128)
     predictor = BufferedWritePredictor(cache, period, tau)
-    for lpn, t in writes:
+    for lpn, t in sorted(writes, key=lambda write: write[1]):
         cache.write_page(lpn, t)
 
     def scanned(now):
         demands = [0] * predictor.nwb
-        for entry in cache.dirty_items():
-            demands[predictor._flush_interval(entry.last_update, now) - 1] += 4096
+        for _lpn, last_update in cache.dirty_items():
+            demands[predictor._flush_interval(last_update, now) - 1] += 4096
         return demands
 
     for tick in sorted(ticks):

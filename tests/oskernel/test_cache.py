@@ -16,7 +16,7 @@ from hypothesis.stateful import (
 
 from repro.core.buffered_predictor import BufferedWritePredictor
 from repro.oskernel import cache as cache_module
-from repro.oskernel.cache import DirtyPage, PageCache
+from repro.oskernel.cache import PageCache
 
 PAGE = 4096
 #: Logical space of the standalone caches below: LPNs 0..63.
@@ -30,13 +30,13 @@ def make_cache(capacity_pages=64, throttle=0.5):
 
 
 def oldest_dirty(cache):
-    """The full-scan reference of the expiry index's age order."""
-    return sorted(cache.dirty_items(), key=lambda e: (e.last_update, e.lpn))
+    """The full-scan reference of :meth:`PageCache.iter_oldest_dirty`."""
+    return sorted(cache.dirty_items(), key=lambda pair: (pair[1], pair[0]))
 
 
 def expired_lpns(cache, now, tau):
     """The full-scan reference of :meth:`PageCache.expired_dirty`."""
-    return {e.lpn for e in cache.dirty_items() if now - e.last_update >= tau}
+    return {lpn for lpn, last_update in cache.dirty_items() if now - last_update >= tau}
 
 
 def test_write_marks_dirty_with_timestamp():
@@ -44,9 +44,7 @@ def test_write_marks_dirty_with_timestamp():
     cache.write_page(5, now=100)
     assert cache.dirty_pages == 1
     assert cache.contains_dirty(5)
-    [entry] = cache.dirty_items()
-    assert entry.lpn == 5
-    assert entry.last_update == 100
+    assert cache.dirty_items() == [(5, 100)]
 
 
 def test_overwrite_resets_age():
@@ -54,8 +52,7 @@ def test_overwrite_resets_age():
     cache = make_cache()
     cache.write_page(5, now=100)
     cache.write_page(5, now=900)
-    [entry] = cache.dirty_items()
-    assert entry.last_update == 900
+    assert cache.dirty_items() == [(5, 900)]
     assert cache.dirty_pages == 1
     assert cache.write_hits == 1
 
@@ -78,15 +75,16 @@ def test_expired_dirty_by_age():
     cache.write_page(1, now=0)
     cache.write_page(2, now=500)
     expired = cache.expired_dirty(now=1000, tau_expire=600)
-    assert [e.lpn for e in expired] == [1]
+    assert expired == [(1, 0)]
 
 
 def test_oldest_dirty_order():
     cache = make_cache()
-    cache.write_page(3, now=30)
-    cache.write_page(1, now=10)
-    cache.write_page(2, now=20)
-    assert [e.lpn for e in cache.iter_oldest_dirty()] == [1, 2, 3]
+    cache.write_page(3, now=10)
+    cache.write_page(1, now=20)
+    cache.write_page(2, now=30)
+    cache.write_page(3, now=40)  # the overwrite makes page 3 the youngest
+    assert [lpn for lpn, _ in cache.iter_oldest_dirty()] == [1, 2, 3]
 
 
 def test_writeback_lifecycle():
@@ -216,25 +214,35 @@ def test_dirty_listener_reports_overwrite_as_move():
 
 
 def test_iter_oldest_dirty_matches_oldest_dirty():
+    """Pages sharing a stamp come out in LPN order, whatever order they
+    were written in."""
     cache = make_cache()
-    for lpn, now in ((1, 30), (2, 10), (3, 20), (4, 10)):
+    for lpn, now in ((4, 10), (2, 10), (3, 20), (1, 30)):
         cache.write_page(lpn, now=now)
-    assert [e.lpn for e in cache.iter_oldest_dirty()] == [2, 4, 3, 1]
+    assert [lpn for lpn, _ in cache.iter_oldest_dirty()] == [2, 4, 3, 1]
     assert list(cache.iter_oldest_dirty()) == oldest_dirty(cache)
 
 
-def test_indexed_and_scan_caches_agree_after_churn():
+def test_age_walk_and_scan_agree_after_churn():
     cache = PageCache(PAGE, 64 * PAGE, LOGICAL)
-    for lpn in range(16):
-        cache.write_page(lpn, now=lpn % 5)
+    for step, lpn in enumerate(reversed(range(16))):
+        cache.write_page(lpn, now=step // 5)
     cache.begin_writeback([0, 1, 2])
     cache.complete_writeback([0, 1, 2])
     cache.invalidate([3, 4])
     cache.write_page(1, now=9)
     assert list(cache.iter_oldest_dirty()) == oldest_dirty(cache)
     for now, tau in ((10, 3), (10, 8), (4, 1)):
-        got = [e.lpn for e in cache.expired_dirty(now, tau)]
-        assert sorted(got) == sorted(expired_lpns(cache, now, tau))
+        got = cache.expired_dirty(now, tau)
+        assert got == oldest_dirty(cache)[: len(got)]
+        assert {lpn for lpn, _ in got} == expired_lpns(cache, now, tau)
+
+
+def assert_age_walk_matches_scan(cache, now, tau):
+    assert list(cache.iter_oldest_dirty()) == oldest_dirty(cache)
+    expired = cache.expired_dirty(now, tau)
+    assert expired == oldest_dirty(cache)[: len(expired)]
+    assert {lpn for lpn, _ in expired} == expired_lpns(cache, now, tau)
 
 
 @settings(max_examples=80, deadline=None)
@@ -243,21 +251,28 @@ def test_indexed_and_scan_caches_agree_after_churn():
         st.tuples(
             st.sampled_from(["write", "invalidate", "writeback", "query"]),
             st.integers(min_value=0, max_value=31),  # lpn
-            st.integers(min_value=0, max_value=40),  # time (may go backwards)
+            st.integers(min_value=0, max_value=3),  # clock step (0: a tie)
         ),
         max_size=80,
     ),
     tau=st.integers(min_value=1, max_value=20),
 )
-def test_cache_expiry_index_matches_scan(ops, tau):
-    """The expiry index answers what a full scan of the dirty set does,
-    on random op sequences, clock rewinds included."""
+# A run of pages on one stamp, written in descending LPN order, then
+# overwritten in part on the same stamp and on the next one.
+@example(
+    ops=[("write", lpn, 0) for lpn in (9, 7, 5, 3, 1)]
+    + [("write", 7, 0), ("write", 5, 1), ("write", 2, 0), ("query", 0, 0)],
+    tau=1,
+)
+def test_age_walk_and_expiry_match_a_scan(ops, tau):
+    """The dirty dict's walk answers what a full sort of the dirty set
+    does, on random op sequences with many pages sharing a stamp."""
     cache = PageCache(PAGE, 64 * PAGE, LOGICAL)
     now = 0
-    for op, lpn, t in ops:
-        now = max(now, t)
+    for op, lpn, step in ops:
+        now += step
         if op == "write":
-            cache.write_page(lpn, t)
+            cache.write_page(lpn, now)
         elif op == "invalidate":
             cache.invalidate([lpn])
         elif op == "writeback":
@@ -265,12 +280,36 @@ def test_cache_expiry_index_matches_scan(ops, tau):
                 cache.begin_writeback([lpn])
                 cache.complete_writeback([lpn])
         else:
-            assert list(cache.iter_oldest_dirty()) == oldest_dirty(cache)
-            assert {e.lpn for e in cache.expired_dirty(now, tau)} == expired_lpns(
-                cache, now, tau
-            )
-    assert list(cache.iter_oldest_dirty()) == oldest_dirty(cache)
-    assert {e.lpn for e in cache.expired_dirty(now, tau)} == expired_lpns(cache, now, tau)
+            assert_age_walk_matches_scan(cache, now, tau)
+    assert_age_walk_matches_scan(cache, now, tau)
+
+
+def test_a_write_before_the_newest_write_is_refused_untouched():
+    """The dirty dict's order is its age order only while the clock is
+    monotone, so a write stamped earlier than the newest one changes
+    nothing: not the dirty order, the counters, or a listener."""
+    cache = make_cache(capacity_pages=8, throttle=0.5)
+    calls = []
+    cache.dirty_listeners.append(lambda added, removed: calls.append("dirty"))
+    cache.pressure_listeners.append(lambda: calls.append("pressure"))
+    cache.insert_clean(6)
+    cache.write_extent(1, 3, now=10)
+    cache.write_page(5, now=20)
+    cache.begin_writeback([5])
+    cache.complete_writeback([5])  # the newest write is no longer dirty
+    before = observable(cache)
+    calls.clear()
+    for call in (
+        lambda: cache.write_page(2, now=19),  # an overwrite
+        lambda: cache.write_extent(5, 2, now=0),  # clean pages
+        lambda: cache.write_extent(8, 4, now=9),  # new pages, past the throttle
+    ):
+        with pytest.raises(ValueError, match="newest write"):
+            call()
+        assert observable(cache) == before
+    assert calls == []
+    cache.write_page(2, now=20)  # the same stamp is not earlier
+    assert cache.dirty_items() == [(1, 10), (3, 10), (2, 20)]
 
 
 def test_invalidate_with_nothing_dirty_drops_clean_copies_silently():
@@ -303,11 +342,11 @@ def test_invalidate_with_nothing_dirty_drops_clean_copies_silently():
 # ----------------------------------------------------------------------
 class ReferenceCache:
     """The page cache as it stood before the page-state table: a clean
-    LRU ``OrderedDict``, a dirty ``OrderedDict`` and a write-back dict,
-    every operation in its one-page form -- one listener call, one
-    eviction pass and one throttle check per *page*.  The properties
-    below hold :class:`PageCache` to it through the same read-only
-    queries."""
+    LRU ``OrderedDict``, a dirty ``OrderedDict`` of last-update times
+    and a write-back dict, every operation in its one-page form -- one
+    listener call, one eviction pass and one throttle check per *page*
+    -- and the age order a full sort.  The properties below hold
+    :class:`PageCache` to it through the same read-only queries."""
 
     def __init__(self, capacity_pages, throttle):
         self.page_size = PAGE
@@ -321,17 +360,16 @@ class ReferenceCache:
         self.pressure_listeners = []
 
     def write_page(self, lpn, now):
-        entry = self.dirty.get(lpn)
-        if entry is not None:
-            old_ts = entry.last_update
-            entry.last_update = now
+        old_ts = self.dirty.get(lpn)
+        if old_ts is not None:
+            self.dirty[lpn] = now
             self.dirty.move_to_end(lpn)
             self.write_hits += 1
             self._notify([(lpn, now)], [(lpn, old_ts)])
             return
         self.writeback.pop(lpn, None)
         self.clean.pop(lpn, None)
-        self.dirty[lpn] = DirtyPage(lpn=lpn, last_update=now)
+        self.dirty[lpn] = now
         self._notify([(lpn, now)], [])
         self._evict()
         if self.throttled():
@@ -359,9 +397,9 @@ class ReferenceCache:
     def invalidate(self, lpns):
         removed = []
         for lpn in lpns:
-            entry = self.dirty.pop(lpn, None)
-            if entry is not None:
-                removed.append((lpn, entry.last_update))
+            old_ts = self.dirty.pop(lpn, None)
+            if old_ts is not None:
+                removed.append((lpn, old_ts))
             self.clean.pop(lpn, None)
             self.writeback.pop(lpn, None)
         if removed:
@@ -370,9 +408,9 @@ class ReferenceCache:
     def begin_writeback(self, lpns):
         moved = []
         for lpn in lpns:
-            entry = self.dirty.pop(lpn)
+            old_ts = self.dirty.pop(lpn)
             self.writeback[lpn] = True
-            moved.append((lpn, entry.last_update))
+            moved.append((lpn, old_ts))
         if moved:
             self._notify([], moved)
 
@@ -409,13 +447,13 @@ class ReferenceCache:
         return lpn in self.dirty
 
     def dirty_items(self):
-        return list(self.dirty.values())
+        return list(self.dirty.items())
 
     def dirty_lpns(self):
         return list(self.dirty)
 
     def iter_oldest_dirty(self):
-        return iter(sorted(self.dirty.values(), key=lambda e: (e.last_update, e.lpn)))
+        return iter(sorted(self.dirty.items(), key=lambda pair: (pair[1], pair[0])))
 
     def clean_lpns(self):
         return list(self.clean)
@@ -430,24 +468,12 @@ def observable(cache):
     counters and the population."""
     return (
         cache.clean_lpns(),
-        [(e.lpn, e.last_update) for e in cache.dirty_items()],
-        [(e.lpn, e.last_update) for e in cache.iter_oldest_dirty()],
+        cache.dirty_items(),
+        list(cache.iter_oldest_dirty()),
         cache.writeback_lpns(),
         (cache.read_hits, cache.read_misses, cache.write_hits),
         (cache.dirty_pages, cache.writeback_pages, cache.cached_pages),
     )
-
-
-def index_matches_dirty(cache):
-    """The expiry index holds exactly the dirty pages, by last update."""
-    buckets = {}
-    for entry in cache.dirty_items():
-        buckets.setdefault(entry.last_update, set()).add(entry.lpn)
-    return {ts: set(bucket) for ts, bucket in cache._by_time.items()} == buckets
-
-
-def buckets(cache):
-    return [(ts, list(bucket)) for ts, bucket in cache._by_time.items()]
 
 
 CACHE_LPNS = st.integers(0, 9)
@@ -526,9 +552,8 @@ def test_invalidate_equals_the_per_page_reference(
 ):
     """Over clean, dirty and in-write-back pages -- and, once the
     flusher has settled everything, over clean copies alone -- the
-    table's ``invalidate`` leaves the cache, its expiry index and what
-    the listeners heard exactly as the reference's one pop per page
-    from each set does."""
+    table's ``invalidate`` leaves the cache and what the listeners heard
+    exactly as the reference's one pop per page from each set does."""
     caches = [make_cache(capacity, 1.0), ReferenceCache(capacity, 1.0)]
     heard = [[], []]
     for cache, log in zip(caches, heard):
@@ -547,7 +572,6 @@ def test_invalidate_equals_the_per_page_reference(
     caches[0].invalidate(iter(pages) if one_shot else pages)
     caches[1].invalidate(pages)
     assert observable(caches[0]) == observable(caches[1])
-    assert index_matches_dirty(caches[0])
     assert heard[0] == heard[1]
 
 
@@ -621,10 +645,10 @@ def test_write_extent_equals_the_per_page_replay(
     """From any state -- dirty, write-back and clean pages inside the
     extent, eviction running, the extent's own page being the LRU clean
     one, pinned pages past capacity, the throttle crossed mid-extent --
-    one ``write_extent`` leaves the cache, the expiry index, the
-    pressure signal and a listening predictor exactly as ``count``
-    per-page writes of the reference did, and so does the one-page
-    form."""
+    one ``write_extent`` leaves the cache (its dirty and age order
+    included), the pressure signal and a listening predictor exactly as
+    ``count`` per-page writes of the reference did, and so does the
+    one-page form."""
     extent, single = (WriteSide(make_cache(capacity, throttle)) for _ in range(2))
     paged = WriteSide(ReferenceCache(capacity, throttle))
     sides = [extent, paged, single]
@@ -632,7 +656,7 @@ def test_write_extent_equals_the_per_page_replay(
     for action, page, step in before:
         now += step
         run_actors([side.cache for side in sides], [(action, page)], now)
-    now += gap  # gap 0: pages already stamped ``now`` keep their bucket
+    now += gap  # gap 0: an overwrite on the same stamp still moves to the end
     for side in sides:
         side.payloads.clear()
         side.pressure = 0
@@ -646,8 +670,6 @@ def test_write_extent_equals_the_per_page_replay(
         single.cache.write_page(page, now)
 
     assert extent.state() == paged.state() == single.state()
-    assert buckets(extent.cache) == buckets(single.cache)
-    assert index_matches_dirty(extent.cache)
     assert bool(extent.pressure) == bool(paged.pressure) == bool(single.pressure)
     assert extent.pressure <= 1 and len(evictions) <= 1
     assert len(extent.payloads) == 1  # ONE dirty-listener call per operation
@@ -770,7 +792,6 @@ class PageStateMachine(RuleBasedStateMachine):
     @invariant()
     def matches_reference(self):
         assert observable(self.cache) == observable(self.ref)
-        assert index_matches_dirty(self.cache)
 
 
 def test_page_state_table_against_the_three_dict_reference(monkeypatch):

@@ -77,6 +77,34 @@ def test_flush_issues_coalesced_writeback():
     assert extents == [(1, 3), (7, 2)]
 
 
+def test_long_expired_run_is_split_into_requests_of_64_pages():
+    sim, device, cache, flusher = make_stack()
+    requests = []
+    device.completion_listeners.append(requests.append)
+    flusher.start()
+    cache.write_extent(0, 130, now=sim.now)
+    sim.run_until(7 * SECOND)
+    assert flusher.background_flushes == 0  # the age condition flushed them
+    assert flusher.pages_flushed == 130
+    extents = sorted((r.lpn, r.page_count) for r in requests)
+    assert extents == [(0, 64), (64, 64), (128, 2)]
+
+
+def test_volume_condition_cuts_a_tied_run_at_its_lowest_lpns():
+    """Pages sharing one last-update time leave in LPN order, whatever
+    order they were written in: the ``(last_update, lpn)`` rule."""
+    sim, device, cache, flusher = make_stack(tau_flush_pages=4)
+    requests = []
+    device.completion_listeners.append(requests.append)
+    flusher.start()
+    for lpn in reversed(range(10)):
+        cache.write_page(lpn, now=sim.now)
+    sim.run_until(SECOND + SECOND // 2)
+    assert flusher.pages_flushed == 6
+    assert sorted(cache.dirty_lpns()) == [6, 7, 8, 9]
+    assert [(r.lpn, r.page_count) for r in requests] == [(0, 6)]
+
+
 def test_tick_hooks_run_after_flush():
     sim, device, cache, flusher = make_stack()
     observed = []

@@ -220,9 +220,26 @@ def test_fsync_of_clean_range_completes_immediately():
 
 
 def test_coalesce_helper():
-    assert _coalesce([]) == []
-    assert _coalesce([1]) == [(1, 1)]
-    assert _coalesce([1, 2, 3, 7, 8, 11]) == [(1, 3), (7, 2), (11, 1)]
+    assert _coalesce([], 64) == []
+    assert _coalesce([1], 64) == [(1, 1)]
+    assert _coalesce([1, 2, 3, 7, 8, 11], 64) == [(1, 3), (7, 2), (11, 1)]
+    assert _coalesce([1, 2, 3, 4, 5, 7, 8], 2) == [(1, 2), (3, 2), (5, 1), (7, 2)]
+
+
+def test_fsync_issues_one_request_per_contiguous_run_however_long():
+    """``fsync`` caps its extents at its own page count, so a 130-page
+    contiguous run is one request (the flusher's cap does not apply)."""
+    sim, device, cache, dispatcher = make_stack(cache_pages=256, throttle=1.0)
+    requests = []
+    device.completion_listeners.append(requests.append)
+    cache.write_extent(0, 130, now=0)
+    cache.write_page(140, now=0)
+    assert dispatcher.fsync(0, 150) == 131
+    sim.run()
+    assert [(r.kind, r.lpn, r.page_count) for r in requests] == [
+        (IoKind.WRITEBACK, 0, 130),
+        (IoKind.WRITEBACK, 140, 1),
+    ]
 
 
 def test_buffered_write_is_one_cache_operation():
