@@ -499,15 +499,20 @@ def _advance_tolerating_death(
 def resolve_jobs(jobs: Optional[int], task_count: int) -> int:
     """Concrete worker count for a requested ``--jobs`` value.
 
-    ``None`` or ``0`` means *adaptive*: one worker per CPU
-    (``os.cpu_count()``), never more than there are tasks.  Explicit
-    requests are honoured, capped at the task count (extra idle workers
-    only cost fork time).  Always returns at least 1.
+    ``None`` or ``0`` means *adaptive*: one worker per CPU this process
+    may run on (its affinity mask where the platform has one, so a
+    ``taskset`` or cpuset limit is honoured; else ``os.cpu_count()``),
+    never more than there are tasks.  Explicit requests are honoured,
+    capped at the task count (extra idle workers only cost fork time).
+    Always returns at least 1.
     """
     if task_count <= 0:
         return 1
     if jobs is None or jobs <= 0:
-        jobs = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            jobs = len(os.sched_getaffinity(0))
+        else:
+            jobs = os.cpu_count() or 1
     return max(1, min(jobs, task_count))
 
 

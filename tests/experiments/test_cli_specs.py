@@ -262,6 +262,7 @@ CASES = {
                 "stride_events": 512,
                 "progress": "<callable>",
                 "nested_every": 0,
+                "jobs": 0,
             },
         ),
     ),
@@ -271,7 +272,7 @@ CASES = {
          "--warm-start", "analytic", "--faults", "heavy", "--mapping", "dftl",
          "--cmt-budget-kb", "16", "--reliability", "mlc-20nm-accel",
          "--points", "7", "--stride", "64", "--trim-heavy",
-         "--checkpoint-interval", "256", "--nested-every", "3"],
+         "--checkpoint-interval", "256", "--nested-every", "3", "--jobs", "2"],
         (
             "run_crash_sweep",
             [
@@ -301,6 +302,7 @@ CASES = {
                 "stride_events": 64,
                 "progress": "<callable>",
                 "nested_every": 3,
+                "jobs": 2,
             },
         ),
     ),
@@ -407,7 +409,7 @@ OPTIONS = {
         "--blocks", "--pages-per-block", "--measure", "--warmup", "--seed",
         "--warm-start", "--faults", "--mapping", "--cmt-budget-kb",
         "--reliability", "--points", "--stride", "--trim-heavy",
-        "--checkpoint-interval", "--nested-every", "-h", "--help",
+        "--checkpoint-interval", "--nested-every", "--jobs", "-h", "--help",
     },
     "latency-report": _REPORT_OPTIONS
     | {"--working-set", "--policies", "--threshold-pct", "--trace",
