@@ -538,10 +538,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     crash_parser.add_argument(
         "--jobs", type=int, default=0, metavar="N",
-        help="processes that each replay the run and verify a share of the "
-        "points (0 = adaptive: one per usable CPU, at most 2; 1 = "
-        "in-process; results are identical, only wall-clock changes — "
-        "see PERFORMANCE.md)",
+        help="processes that split the points: forked ranks verify the "
+        "head and replay the run that far, this one replays the whole run "
+        "and verifies the tail (0 = adaptive: one per usable CPU, at most "
+        "2; 1 = in-process; results are identical, only wall-clock "
+        "changes — see PERFORMANCE.md)",
     )
     crash_parser.set_defaults(func=cmd_crash_sweep)
 
@@ -603,7 +604,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Every --jobs is an int where only 0 means adaptive: a negative count
+    # is refused here, with argparse's exit status, before any run.
+    if getattr(args, "jobs", 0) < 0:
+        parser.error(
+            f"argument --jobs: expected 0 (adaptive) or a worker count, got {args.jobs}"
+        )
     return args.func(args)
 
 

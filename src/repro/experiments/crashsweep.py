@@ -360,20 +360,25 @@ def gc_heavy_spec(trim_heavy: bool = False, **overrides) -> ScenarioSpec:
 
 
 #: The most ranks an adaptive ``jobs`` starts, however many CPUs there
-#: are.  Every rank repeats the reference run (about 58 % of the
-#: crash-sweep cell's window) and holds its own heap (about 66 MiB
-#: there), so the gain is bounded by the verification's share while CPU
-#: and memory grow with each rank.  Two ranks is what was measured
-#: (PERFORMANCE.md "Splitting a crash sweep across replaying ranks");
-#: an explicit ``jobs`` may ask for more.
+#: are.  Rank 0 replays the whole reference run (about as costly as
+#: all the verification in the crash-sweep cell) and verifies the tail;
+#: a second rank verifies the head and replays only that far.  No rank
+#: count takes the window below the reference run, while each rank
+#: costs a CPU and its own heap (about 66 MiB there).  Two ranks is what
+#: was measured (PERFORMANCE.md "Splitting a crash sweep where its
+#: ranks' remaining work meets"); an explicit ``jobs`` may ask for more.
 MAX_ADAPTIVE_RANKS = 2
 
 
 def _rank_of(index: int, nested_every: int, jobs: int) -> int:
-    """The rank that verifies point ``index``.  Points are dealt in groups
-    of ``nested_every``, so every rank gets its share of the nested points
-    (two power-ons each) and not just of the plain ones."""
-    return (index // max(1, nested_every)) % jobs
+    """The child rank that verifies point ``index`` if it falls before
+    the tail rank 0 claims; 0 when there is no child, so every point is
+    rank 0's own.  The children are dealt the points in whole groups of
+    ``nested_every``, so each gets its share of the nested points (two
+    power-ons each) and not just of the plain ones."""
+    if jobs == 1:
+        return 0
+    return 1 + (index // max(1, nested_every)) % (jobs - 1)
 
 
 def _reference_run(
@@ -452,49 +457,123 @@ def _how_it_ended(status: int) -> str:
     return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
 
 
+class _Child(NamedTuple):
+    """A running child rank, as rank 0 sees it."""
+
+    rank: int
+    pid: int
+    #: Rank 0's end of the pipe that carries the claim to the child.
+    claim: Connection
+
+
 class _Gather:
     """Rank 0's side of a split sweep.
+
+    Rank 0 replays the whole reference run but verifies nothing until it
+    claims the tail.  It does so at the first point ``p`` with ``2p >=
+    points + c``, ``c`` being the points already in, or at once when no
+    child is left: it asks every child to stop at ``p`` and waits for the
+    answer, the index the child stops at (``p``, or its next point if it
+    is already past ``p``).  From then on rank 0 verifies the child's
+    share from the answered index.  At that moment the child has ``p -
+    c`` points left to replay and verify and rank 0 ``points - p``: the
+    split follows how far each rank got, not a fixed fraction, so it
+    holds whatever a replay costs against a verification.
 
     Holds every point of rank 0's own reference run, what each point's
     verification came to and the child ranks still running, and moves
     points into ``result.points`` (calling ``progress`` on each) in index
     order as soon as every lower index is in.  A point whose
     verification raised re-raises on its turn; a point whose rank ended
-    without reporting it is recorded as failed; a reported point whose
-    instant differs from rank 0's is recorded as failed too (the ranks
-    replayed different runs).
+    without reporting it is recorded as failed, unless rank 0 can still
+    verify it; a reported point whose instant differs from rank 0's is
+    recorded as failed too (the ranks replayed different runs).
     """
 
     def __init__(
         self,
         result: CrashSweepResult,
         progress: Optional[Callable[[CrashPointCheck], None]],
+        points: int,
         rank_of: Callable[[int], int],
     ) -> None:
         self.result = result
         self.progress = progress
+        self.points = points
         self.rank_of = rank_of
-        #: Reader end of each running child rank's pipe -> (rank, pid).
-        self.children: Dict[Connection, Tuple[int, int]] = {}
+        #: Rank 0's end of each running child rank's result pipe -> the child.
+        self.children: Dict[Connection, _Child] = {}
         #: Rank -> how it ended, once its pipe closed.
         self.ended: Dict[int, str] = {}
+        #: Rank -> one past the last point it reported.
+        self.reported: Dict[int, int] = {}
+        #: Rank -> the index from which rank 0 verifies that rank's points.
+        self.tail_from: Dict[int, int] = {}
+        self.claimed = False
+        #: The first point rank 0 can still verify.
+        self.at = 0
         self.reference: List[CrashPointCheck] = []
         #: Index -> the point's verified check, or what its verification raised.
         self.outcomes: Dict[int, Union[CrashPointCheck, BaseException]] = {}
 
-    def collect(self, timeout: Optional[float]) -> None:
-        """Take in what the child ranks sent within ``timeout``, then move
-        every point whose turn has come into the result."""
-        for conn in wait(list(self.children), timeout) if self.children else ():
-            rank, pid = self.children[conn]
+    def reached(self, check: CrashPointCheck) -> bool:
+        """Rank 0's replay stands at ``check``: take in what the children
+        sent, claim the tail if its time has come, and say whether rank 0
+        verifies this point."""
+        self.reference.append(check)
+        self.at = check.index
+        self.receive(0)
+        if not self.claimed and (
+            not self.children or 2 * check.index >= self.points + len(self.result.points)
+        ):
+            self.claim(check.index)
+        start = self.tail_from.get(self.rank_of(check.index))
+        return start is not None and check.index >= start
+
+    def claim(self, at: int) -> None:
+        """Ask every child to stop at ``at`` and wait for each answer."""
+        self.claimed = True
+        for child in self.children.values():
             try:
-                index, outcome = conn.recv()
-            except EOFError:
-                del self.children[conn]
-                conn.close()
-                self.ended[rank] = _how_it_ended(os.waitpid(pid, 0)[1])
-                continue
-            self.outcomes[index] = outcome
+                child.claim.send(at)
+            except OSError:
+                pass  # it has ended; receive() takes its end-of-file
+        while any(child.rank not in self.tail_from for child in self.children.values()):
+            self.receive(None)
+        self.tail_from[0] = at  # rank 0's own points, when there is no child
+
+    def receive(self, timeout: Optional[float]) -> None:
+        """Take in every message the children sent, waiting up to
+        ``timeout`` for the first, then move every point whose turn has
+        come into the result."""
+        while self.children:
+            ready = wait(list(self.children), timeout)
+            if not ready:
+                break
+            timeout = 0
+            for conn in ready:
+                rank, pid, claim = self.children[conn]
+                try:
+                    message = conn.recv()
+                except EOFError:
+                    del self.children[conn]
+                    conn.close()
+                    claim.close()
+                    self.ended[rank] = _how_it_ended(os.waitpid(pid, 0)[1])
+                    # Rank 0 takes over the rest of its points from the
+                    # first one it can still reach.
+                    self.tail_from.setdefault(rank, max(self.at, self.reported.get(rank, 0)))
+                    continue
+                if isinstance(message, int):  # its answer to the claim
+                    self.tail_from[rank] = message
+                    continue
+                index, outcome = message
+                self.outcomes[index] = outcome
+                self.reported[rank] = index + 1
+        self.emit()
+
+    def emit(self) -> None:
+        """Move every point whose turn has come into the result."""
         points = self.result.points
         while len(points) < len(self.reference):
             index = len(points)
@@ -504,8 +583,8 @@ class _Gather:
             if isinstance(check, BaseException):
                 raise check
             if check is None:
-                if rank not in self.ended:
-                    return  # its rank may still report it
+                if rank not in self.ended or index >= self.tail_from[rank]:
+                    return  # its rank, or rank 0, may still verify it
                 check = expected
                 check.error = f"rank {rank} {self.ended[rank]} before it reported this point"
             elif (check.t_ns, check.events_dispatched) != (
@@ -522,16 +601,19 @@ class _Gather:
                 self.progress(check)
 
     def finish(self) -> None:
-        """Wait for the child ranks until every point has had its turn."""
-        self.collect(0)
+        """Rank 0's replay is over: wait for the child ranks until every
+        point has had its turn."""
+        self.at = len(self.reference)
+        self.receive(0)
         while self.children and len(self.result.points) < len(self.reference):
-            self.collect(None)
+            self.receive(None)
 
     def reap(self, kill: bool) -> None:
         """Wait for every child rank still running (killing it first when
         ``kill``), so none outlives the sweep."""
-        for conn, (_rank, pid) in self.children.items():
+        for conn, (_rank, pid, claim) in self.children.items():
             conn.close()
+            claim.close()
             if kill:
                 try:
                     os.kill(pid, signal.SIGKILL)
@@ -544,15 +626,25 @@ class _Gather:
 def _serve_rank(
     rank: int,
     writer: Connection,
+    claim: Connection,
     reference: Iterator[CrashPointCheck],
     verify: Callable[[CrashPointCheck], None],
     rank_of: Callable[[int], int],
 ) -> None:
-    """A child rank's whole life: replay the reference run and send back
-    ``(index, check)`` for each of its own points once verified.  Its
-    first point that raises goes back as ``(index, exception)`` and ends
-    the rank."""
+    """A child rank's whole life: replay the reference run from the start
+    and send back ``(index, check)`` for each of its own points once
+    verified, until the point where rank 0 claims the tail.  Before each
+    point it looks for the claim; it answers with the index it stops at,
+    the claimed one or this point if it is already past it, and leaves
+    there.  Its first point that raises goes back as ``(index,
+    exception)`` and ends the rank."""
+    stop = None
     for check in reference:
+        if stop is None and claim.poll():
+            stop = max(claim.recv(), check.index)
+            writer.send(stop)
+        if stop is not None and check.index >= stop:
+            return
         if rank_of(check.index) != rank:
             continue
         try:
@@ -587,13 +679,18 @@ def run_crash_sweep(
     ``jobs`` ranks split the verification (``0``/``None``: one per usable
     CPU, see :func:`~repro.experiments.runner.resolve_jobs`, and at most
     :data:`MAX_ADAPTIVE_RANKS`; always 1 where the platform cannot
-    fork).  After set-up the sweep forks ``jobs - 1`` child ranks; every
-    rank replays the same deterministic reference run and verifies only
-    its own points, dealt in groups of ``nested_every``.  No device state
-    crosses a process boundary: a child sends back each finished
-    :class:`CrashPointCheck`, and the calling process adds them to the
-    result and calls ``progress`` in index order.  The result is the same
-    for every ``jobs``; no child outlives the call.
+    fork; a negative count raises :class:`ValueError`).  After set-up
+    the sweep forks ``jobs - 1`` child ranks.  The children verify the
+    head of the sweep from point 0, dealt among them in groups of
+    ``nested_every``, and replay the deterministic reference run only
+    that far.  The calling process, rank 0, replays the whole run and
+    claims the tail where the two ranks' remaining work meets (see
+    :class:`_Gather`); with ``jobs=1`` it claims at point 0.  No device
+    state crosses a process boundary: a child sends back each finished
+    :class:`CrashPointCheck`, and rank 0 adds them to the result and
+    calls ``progress`` in index order.  Rank 0's live host ends where an
+    unsplit sweep leaves it, the result is the same for every ``jobs``,
+    and no child outlives the call.
 
     Every check failure is recorded, not raised -- the result object
     reports pass/fail per point (``result.ok()`` for the verdict); so is
@@ -608,14 +705,11 @@ def run_crash_sweep(
             f"a crash sweep needs points >= 1 and stride_events >= 1, "
             f"got points={points}, stride_events={stride_events}"
         )
-    host, _collector, workload, measure_start = build_preconditioned_host(spec)
-    end = measure_start + spec.measure_s * SECOND
+    jobs = resolve_jobs(jobs, points if jobs else min(points, MAX_ADAPTIVE_RANKS))
     if not hasattr(os, "fork"):
         jobs = 1
-    elif jobs is None or jobs <= 0:
-        jobs = resolve_jobs(0, min(points, MAX_ADAPTIVE_RANKS))
-    else:
-        jobs = resolve_jobs(jobs, points)
+    host, _collector, workload, measure_start = build_preconditioned_host(spec)
+    end = measure_start + spec.measure_s * SECOND
 
     def rank_of(index: int) -> int:
         return _rank_of(index, nested_every, jobs)
@@ -624,20 +718,24 @@ def run_crash_sweep(
         _verify_point(check, host, spec.seed, sample_reads, nested_every)
 
     result = CrashSweepResult(scenario=spec.key(), stride_events=stride_events)
-    gather = _Gather(result, progress, rank_of)
+    gather = _Gather(result, progress, points, rank_of)
     try:
         for rank in range(1, jobs):
             reader, writer = Pipe(duplex=False)
+            claim_reader, claim = Pipe(duplex=False)
             pid = os.fork()
             if pid == 0:  # a child rank: it never returns from here
                 status = 1
                 try:
                     reader.close()
-                    for conn in gather.children:
-                        conn.close()
+                    claim.close()
+                    for other, child in gather.children.items():
+                        other.close()
+                        child.claim.close()
                     _serve_rank(
                         rank,
                         writer,
+                        claim_reader,
                         _reference_run(host, end, points, stride_events),
                         verify,
                         rank_of,
@@ -646,19 +744,18 @@ def run_crash_sweep(
                 finally:
                     os._exit(status)
             writer.close()
-            gather.children[reader] = (rank, pid)
+            claim_reader.close()
+            gather.children[reader] = _Child(rank, pid, claim)
         for check in _reference_run(host, end, points, stride_events):
-            gather.reference.append(check)
-            if rank_of(check.index) == 0:
-                try:
-                    verify(check)
-                except Exception as exc:  # noqa: BLE001 - raised on its turn
-                    gather.outcomes[check.index] = exc
-                    break
-                gather.outcomes[check.index] = check
-            # Taking in the children's points as they come keeps progress
-            # in step with the run, and their pipes from filling up.
-            gather.collect(0)
+            if not gather.reached(check):
+                continue
+            try:
+                verify(check)
+            except Exception as exc:  # noqa: BLE001 - raised on its turn
+                gather.outcomes[check.index] = exc
+                break
+            gather.outcomes[check.index] = check
+            gather.emit()
         gather.finish()
     except BaseException:
         gather.reap(kill=True)

@@ -504,11 +504,14 @@ def resolve_jobs(jobs: Optional[int], task_count: int) -> int:
     ``taskset`` or cpuset limit is honoured; else ``os.cpu_count()``),
     never more than there are tasks.  Explicit requests are honoured,
     capped at the task count (extra idle workers only cost fork time).
-    Always returns at least 1.
+    Always returns at least 1.  A negative request is an error
+    (:class:`ValueError`), not a request for adaptive.
     """
+    if jobs is not None and jobs < 0:
+        raise ValueError(f"jobs must be 0 (adaptive) or a worker count, got {jobs}")
     if task_count <= 0:
         return 1
-    if jobs is None or jobs <= 0:
+    if not jobs:
         if hasattr(os, "sched_getaffinity"):
             jobs = len(os.sched_getaffinity(0))
         else:

@@ -156,6 +156,29 @@ def test_crash_sweep_command(capsys):
     assert "6/6 points recovered consistently" in out
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["crash-sweep", "compare", "fig2", "sweep", "latency-report", "lifetime-report"],
+)
+def test_negative_jobs_are_refused_before_any_run(monkeypatch, command, capsys):
+    import repro.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a runner was called with a negative --jobs")
+
+    for name in (
+        "run_policy_comparison", "run_crash_sweep", "run_fig2", "run_sweep",
+        "run_latency_report", "run_lifetime_report",
+    ):
+        monkeypatch.setattr(cli, name, no_run)
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--jobs", "-1"])
+    assert excinfo.value.code == 2
+    assert "argument --jobs: expected 0 (adaptive) or a worker count, got -1" in (
+        capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize("flag", ["--points", "--stride"])
 def test_crash_sweep_that_would_verify_nothing_exits_with_one_line(flag):
     with pytest.raises(SystemExit) as excinfo:

@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -85,7 +86,7 @@ def test_sweep_reports_progress():
 
 
 # ----------------------------------------------------------------------
-# Splitting the points across ranks that replay the reference run
+# Splitting the points: the children verify the head, rank 0 the tail
 # ----------------------------------------------------------------------
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
@@ -109,6 +110,31 @@ def verify_in_child_rank(monkeypatch, call, act):
     monkeypatch.setattr(crashsweep, "verify_crash_point", verify)
 
 
+def log_verifications(monkeypatch, path):
+    """Wrap ``_verify_point`` so that every rank appends ``pid index`` to
+    the one file ``path`` for each point it finished verifying; returns
+    a reader of ``(pid, index)`` pairs.  Each line is one ``O_APPEND``
+    write, so lines from different ranks never interleave."""
+    real = crashsweep._verify_point
+
+    def verify(check, *args):
+        real(check, *args)
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{os.getpid()} {check.index}\n".encode())
+        finally:
+            os.close(fd)
+
+    monkeypatch.setattr(crashsweep, "_verify_point", verify)
+
+    def read():
+        if not path.exists():
+            return []
+        return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+
+    return read
+
+
 def split_spec():
     return small_spec(
         trim_heavy=True, checkpoint_interval=512, mapping="dftl", fault_profile="light"
@@ -128,8 +154,65 @@ def test_every_jobs_value_gives_the_same_points():
 
 
 def test_ranks_are_dealt_whole_groups_of_nested_every():
-    assert [crashsweep._rank_of(i, 2, 3) for i in range(8)] == [0, 0, 1, 1, 2, 2, 0, 0]
-    assert [crashsweep._rank_of(i, 0, 2) for i in range(4)] == [0, 1, 0, 1]
+    # The children take the head in turn, a whole group of nested_every
+    # at a time; rank 0 is dealt nothing and verifies only the tail it
+    # claims.  With no child every point is rank 0's own.
+    assert [crashsweep._rank_of(i, 2, 3) for i in range(8)] == [1, 1, 2, 2, 1, 1, 2, 2]
+    assert [crashsweep._rank_of(i, 0, 3) for i in range(4)] == [1, 2, 1, 2]
+    assert [crashsweep._rank_of(i, 2, 2) for i in range(4)] == [1, 1, 1, 1]
+    assert [crashsweep._rank_of(i, 2, 1) for i in range(4)] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_every_point_is_verified_exactly_once(monkeypatch, tmp_path, jobs):
+    read = log_verifications(monkeypatch, tmp_path / "verified")
+    result = run_crash_sweep(
+        small_spec(), points=12, stride_events=128, nested_every=2, jobs=jobs
+    )
+    assert result.ok() and len(result.points) == 12
+    log = read()
+    assert sorted(index for _pid, index in log) == list(range(12))
+    # Rank 0 verifies from its claim, at or after the middle, to the end
+    # (one child answers once, so its tail is contiguous); the children
+    # verify the head, each one its own whole groups of nested_every.
+    parent = os.getpid()
+    tail = [index for pid, index in log if pid == parent]
+    assert tail == sorted(tail) and tail[0] >= 6 and tail[-1] == 11
+    if jobs == 2:
+        assert tail == list(range(tail[0], 12))
+    children = {pid for pid, _index in log if pid != parent}
+    assert len(children) == jobs - 1
+    for pid in children:
+        own = [index for p, index in log if p == pid]
+        assert own == sorted(own)
+        groups = {index // 2 for index in own}
+        assert all(g % (jobs - 1) == min(groups) % (jobs - 1) for g in groups)
+    assert_no_child_left()
+
+
+def test_a_split_sweep_leaves_rank_zero_where_a_one_rank_sweep_does(monkeypatch):
+    """Every caller reads rank 0's live host after the sweep (the e2e
+    cell takes its ``sim_*`` and end-of-window checks from it), so rank
+    0 replays the whole run however the points are split."""
+    real = crashsweep.build_preconditioned_host
+    built = []
+
+    def build_and_open(spec, deadline=None):
+        host, collector, workload, measure_start = real(spec)
+        collector.begin()
+        built.append((host, collector))
+        return host, collector, workload, measure_start
+
+    monkeypatch.setattr(crashsweep, "build_preconditioned_host", build_and_open)
+    ends = []
+    for jobs in (1, 2):
+        result = run_crash_sweep(split_spec(), points=12, stride_events=192, jobs=jobs)
+        assert result.ok() and len(result.points) == 12
+        host, collector = built[-1]
+        collector.end()
+        ends.append((host.sim.now, host.sim.dispatched, collector.results().to_wire()))
+    assert ends[1] == ends[0]
+    assert_no_child_left()
 
 
 def test_split_sweep_reports_progress_in_index_order():
@@ -142,17 +225,44 @@ def test_split_sweep_reports_progress_in_index_order():
     assert_no_child_left()
 
 
-def test_a_killed_rank_fails_the_points_it_never_reported(monkeypatch):
-    verify_in_child_rank(monkeypatch, 2, lambda: os.kill(os.getpid(), signal.SIGKILL))
+def test_a_killed_rank_fails_the_points_it_never_reported(monkeypatch, tmp_path):
+    read = log_verifications(monkeypatch, tmp_path / "verified")
+    parent = os.getpid()
+    past_point_1 = tmp_path / "rank 0 replayed past point 1"
+    real = crashsweep._reference_run
+
+    def marked(*args):
+        for check in real(*args):
+            if os.getpid() == parent and check.index == 2:
+                past_point_1.touch()
+            yield check
+
+    def die_once_rank_zero_is_past_point_1():
+        deadline = time.monotonic() + 60
+        while not past_point_1.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(crashsweep, "_reference_run", marked)
+    verify_in_child_rank(monkeypatch, 2, die_once_rank_zero_is_past_point_1)
     result = run_crash_sweep(small_spec(), points=8, stride_events=128, jobs=2)
     assert len(result.points) == 8
     assert not result.ok()
-    # Rank 1 holds the odd points; it reported point 1 and died in point 3.
-    assert [p.index for p in result.failed] == [3, 5, 7]
+    # Rank 1 verified point 0 and died in point 1, after rank 0 had
+    # replayed past it.  Rank 0 claims at the point where it learns
+    # that, no later than the first p with 2p >= 8 + 1: every point rank
+    # 1 left unreported before it fails, one contiguous run, and rank 0
+    # verifies every point from it on.
+    failed = [p.index for p in result.failed]
+    assert failed, "point 1 was verified by neither rank"
+    claimed = failed[-1] + 1
+    assert failed == list(range(1, claimed)) and claimed <= 5
     assert all(
         p.error == f"rank 1 was killed by signal {signal.SIGKILL} before it reported this point"
         for p in result.failed
     )
+    assert [index for pid, index in read() if pid == parent] == list(range(claimed, 8))
+    assert all(p.ok for p in result.points[claimed:])
     assert_no_child_left()
 
 
@@ -160,7 +270,9 @@ def test_an_error_in_a_child_rank_reraises_on_its_turn(monkeypatch):
     def fail():
         raise RuntimeError("rank 1 broke")
 
-    verify_in_child_rank(monkeypatch, 2, fail)
+    # The child verifies at least the first half of the points: its
+    # fourth verification is point 3.
+    verify_in_child_rank(monkeypatch, 4, fail)
     seen = []
     with pytest.raises(RuntimeError, match="rank 1 broke"):
         run_crash_sweep(small_spec(), points=8, stride_events=128, jobs=2, progress=seen.append)
@@ -172,22 +284,26 @@ def test_an_error_in_a_child_rank_reraises_on_its_turn(monkeypatch):
 
 def test_an_error_in_rank_zero_reraises_after_the_child_points_before_it(monkeypatch):
     parent = os.getpid()
-    real = crashsweep.verify_crash_point
-    calls = []
+    real = crashsweep._verify_point
+    verified = []
 
-    def verify(*args, **kwargs):
+    def verify(check, *args):
         if os.getpid() == parent:
-            calls.append(None)
-            if len(calls) == 3:
-                raise RuntimeError("rank 0 broke")
-        return real(*args, **kwargs)
+            verified.append(check.index)
+            raise RuntimeError("rank 0 broke")
+        return real(check, *args)
 
-    monkeypatch.setattr(crashsweep, "verify_crash_point", verify)
+    monkeypatch.setattr(crashsweep, "_verify_point", verify)
     seen = []
     with pytest.raises(RuntimeError, match="rank 0 broke"):
         run_crash_sweep(small_spec(), points=8, stride_events=128, jobs=2, progress=seen.append)
-    # Rank 0 holds the even points and broke in point 4.
-    assert [p.index for p in seen] == [0, 1, 2, 3]
+    # Rank 0 broke in the first point of its tail, which starts at or
+    # after the middle: every point the child verified before it is kept,
+    # and none after it.
+    (broke,) = verified
+    assert broke >= 4
+    assert [p.index for p in seen] == list(range(broke))
+    assert all(p.ok for p in seen)
     assert_no_child_left()
 
 
@@ -202,9 +318,13 @@ def test_a_rank_that_replays_a_different_run_fails_its_points(monkeypatch):
             yield check
 
     monkeypatch.setattr(crashsweep, "_reference_run", skewed)
-    result = run_crash_sweep(small_spec(), points=4, stride_events=128, jobs=2)
-    assert [p.index for p in result.failed] == [1, 3]
+    result = run_crash_sweep(small_spec(), points=8, stride_events=128, jobs=2)
+    # Every point rank 1 reported (the head, at least half of them)
+    # fails; rank 0's own tail passes.
+    failed = [p.index for p in result.failed]
+    assert failed == list(range(len(failed))) and len(failed) >= 4
     assert all(p.error.startswith("rank 1 replayed a different run") for p in result.failed)
+    assert all(p.ok for p in result.points[len(failed):])
     assert_no_child_left()
 
 
@@ -237,9 +357,10 @@ def test_one_usable_cpu_runs_the_sweep_in_one_process(monkeypatch):
 
 
 def test_adaptive_ranks_stop_at_the_measured_cap_on_many_cpus(monkeypatch):
-    """Every rank repeats the reference run and holds its own heap, so
-    adaptive ``jobs`` forks no more than ``MAX_ADAPTIVE_RANKS - 1``
-    children however many CPUs the mask allows."""
+    """Rank 0 replays the whole reference run and every rank holds its
+    own heap, so adaptive ``jobs`` forks no more than
+    ``MAX_ADAPTIVE_RANKS - 1`` children however many CPUs the mask
+    allows."""
     real_fork = os.fork
     forks = []
 

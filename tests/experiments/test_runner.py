@@ -6,6 +6,7 @@ from repro.core.policies import FixedReservePolicy
 from repro.experiments.runner import (
     POLICY_FACTORIES,
     ScenarioSpec,
+    resolve_jobs,
     run_policy_comparison,
     run_scenario,
 )
@@ -110,3 +111,13 @@ def test_spec_rejects_bad_values_at_construction(field, value):
 
 def test_spec_accepts_boundary_values():
     ScenarioSpec(measure_s=1, warmup_s=0, working_set_fraction=1.0)
+
+
+@pytest.mark.parametrize("jobs", [-1, -3])
+def test_negative_jobs_are_refused(jobs):
+    """Only 0 (or None) asks for adaptive; a negative count used to
+    resolve to one worker per CPU."""
+    with pytest.raises(ValueError, match="jobs must be 0"):
+        resolve_jobs(jobs, 10)
+    with pytest.raises(ValueError, match="jobs must be 0"):
+        run_policy_comparison(quick_spec(), jobs=jobs)
