@@ -62,15 +62,6 @@ def workload_mix_hints(workload: str, workload_kwargs: dict) -> dict:
     return {"trim_fraction": 0.0, "write_fraction": 1.0, "zipf_theta": 0.99}
 
 
-def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(n) for n in lengths])`` without the loop."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return np.arange(total, dtype=np.int64) - starts
-
-
 def synthesize_steady_state(
     config: SsdConfig,
     *,
@@ -123,11 +114,13 @@ def synthesize_steady_state(
     mapped_total = int(valid.sum())
 
     # Physical layout, in global (block, page) order: stale pages fill
-    # each closed block's head, live pages its tail.
-    live_ppns = (
-        np.repeat(closed, valid) * ppb + np.repeat(stale, valid) + _ragged_arange(valid)
-    )
-    stale_ppns = np.repeat(closed, stale) * ppb + _ragged_arange(stale)
+    # each closed block's head, live pages its tail.  Each PPN vector is
+    # an arange shifted in place by one repeated per-block offset (the
+    # block's first slot, less where its run starts in the vector).
+    stale_ppns = np.arange(stale_total, dtype=np.int64)
+    stale_ppns += np.repeat(closed * ppb - (np.cumsum(stale) - stale), stale)
+    live_ppns = np.arange(mapped_total, dtype=np.int64)
+    live_ppns += np.repeat(closed * ppb + stale - (np.cumsum(valid) - valid), valid)
 
     # Mapped LPNs: a seed-deterministic draw of the stationary mapped
     # subset of the working set, already shuffled across the live slots.
@@ -137,6 +130,7 @@ def synthesize_steady_state(
     nand.program_ptr[closed] = ppb
     nand.oob_lpn[stale_ppns] = mapped_lpns[np.arange(stale_total) % mapped_total]
     nand.oob_seq[stale_ppns] = np.arange(stale_total, dtype=np.int64)
+    del stale_ppns
     nand.oob_lpn[live_ppns] = mapped_lpns
     nand.oob_seq[live_ppns] = stale_total + np.arange(mapped_total, dtype=np.int64)
 
@@ -150,6 +144,8 @@ def synthesize_steady_state(
 
     l2p = np.full(space.user_pages, UNMAPPED, dtype=np.int64)
     l2p[mapped_lpns] = live_ppns
+    # The device-sized temporaries go before the FTL is built over them.
+    del live_ppns, mapped_lpns, valid, stale
     write_seq = stale_total + mapped_total
 
     # DFTL: lay the translation tier out on NAND too.  Every translation

@@ -335,11 +335,14 @@ class PageMappedFtl:
         return len(self.allocator)
 
     def free_pages(self) -> int:
-        """Pages writable without any GC: pool blocks + open frontiers."""
-        ppb = self.geometry.pages_per_block
+        """Pages writable without any GC: pool blocks + open frontiers.
+
+        Reads ``program_ptr`` directly, as :meth:`_frontier_slot` does:
+        the churn asks once per chunk."""
+        ppb, ptr = self._ppb, self.nand.program_ptr
         free = len(self.allocator) * ppb
         for frontier in self.frontiers:
-            free += ppb - self.nand.next_programmable_page(frontier.block)
+            free += ppb - ptr.item(frontier.block)
         return free
 
     def free_bytes(self) -> int:
@@ -680,11 +683,15 @@ class PageMappedFtl:
                 continue
             chunk = min(count - pos, ppb - start)
             first = lpn + pos
+            # Ticked first: the program stamps the clock as the loop's
+            # last page does.
+            self._op_counter += chunk
             try:
                 program_ns = nand.program_pages_batch(
                     block, start, chunk, first_lpn=first, first_seq=self._write_seq
                 )
             except BatchFaultPending:
+                self._op_counter -= chunk
                 # An injected program fault lies somewhere in this chunk
                 # (no NAND state was touched; the injector's stream is
                 # restored).  Fall back exactly one page through the
@@ -696,7 +703,6 @@ class PageMappedFtl:
                 pos += 1
                 continue
             self._write_seq += chunk
-            self._op_counter += chunk
             latency += program_ns
             old_ppns, old_runs = page_map.remap_extent(
                 first, chunk, block * ppb + start
@@ -725,6 +731,91 @@ class PageMappedFtl:
             # needs *a* recent horizon, not a page-exact one.
             latency += self._maybe_checkpoint()
         return latency + count * self.nand.timing.transfer_ns_per_page
+
+    # Shorter churn chunks go page by page.  A batch's fixed cost (the
+    # fault pre-draw, two np.unique calls in the remap, the index call)
+    # is about six per-page writes, so it pays from about 8 pages
+    # (PERFORMANCE.md "Batching the preconditioning churn"); the dftl
+    # churn's chunks, ended by CMT misses, are mostly 2-3 pages.
+    _CHURN_BATCH_MIN = 8
+
+    def host_write_pages(self, lpns: np.ndarray, keep_free: int) -> int:
+        """Batched :meth:`host_write_page` over scattered ``lpns`` until
+        :meth:`free_pages` is down to ``keep_free``; returns how many of
+        ``lpns`` it wrote.  The preconditioning churn's one routine.
+
+        Leaves the device exactly as the loop ``for lpn in lpns: if
+        free_pages() <= keep_free: break; host_write_page(lpn)`` does.
+        Each chunk lands on the user frontier as one program batch and one
+        :meth:`PageMap.remap_pages`, and the victim index takes the old
+        copies' runs in one call (the dead-entry argument of
+        :meth:`host_write_extent`).  A chunk ends wherever the loop could
+        decide something differently (DESIGN.md section 7): at the
+        frontier's end, at the ``keep_free`` floor, where the checkpoint
+        policy may next fire, and after the first LPN whose translation
+        tier may touch NAND.  A chunk shorter than ``_CHURN_BATCH_MIN``
+        -- a frontier roll, a faulted batch, a non-empty SIP list, the
+        adaptive policy, most dftl chunks -- goes one page at a time
+        through the per-page helper.
+
+        An LPN outside the logical space is rejected before anything is
+        touched.
+        """
+        lpns = np.asarray(lpns, dtype=np.int64)
+        pm, nand, ppb = self.page_map, self.nand, self._ppb
+        if len(lpns):
+            pm.check_lpn(int(lpns.min()))
+            pm.check_lpn(int(lpns.max()))
+        policy, least = self.checkpoint_policy, self._CHURN_BATCH_MIN
+        pos = 0
+        while pos < len(lpns):
+            free = self.free_pages()
+            if free <= keep_free:
+                break
+            if self.read_only:
+                raise DeviceReadOnlyError(
+                    "write rejected: device is read-only "
+                    f"({len(self.retired_blocks)} blocks retired)"
+                )
+            if self.needs_foreground_gc():
+                self._run_foreground_gc()
+                free = self.free_pages()
+            block = self._user.block
+            start = nand.program_ptr.item(block)
+            # Until the floor, each page of a chunk takes one free page.
+            count = min(len(lpns) - pos, ppb - start, free - keep_free)
+            if self.sip_index.lpns:
+                count = 1
+            if count >= least:
+                count = pm.cached_prefix(lpns[pos:pos + count])
+            if count >= least and policy is not None:
+                count = min(count, policy.pages_until_due(self))
+            if count >= least:
+                run = lpns[pos:pos + count]
+                # Ticked first: the program stamps the clock as the
+                # loop's last page does.
+                self._op_counter += count
+                try:
+                    nand.program_pages_batch(
+                        block, start, count, lpns=run, first_seq=self._write_seq
+                    )
+                except BatchFaultPending:
+                    self._op_counter -= count
+                    count = 1  # the per-page helper replays the same draws
+                else:
+                    self._write_seq += count
+                    self.victim_index.invalidate_runs(
+                        pm.remap_pages(run, block * ppb + start)
+                    )
+                    self.stats.host_pages_written += count
+                    pm.touch_each(run)
+            if count < least:
+                count = 1
+                self._program_user_page(lpns.item(pos))
+            if policy is not None:
+                self._maybe_checkpoint()
+            pos += count
+        return pos
 
     def host_read_page(self, lpn: int) -> int:
         """Read one logical page: :meth:`host_read_extent` of length one."""

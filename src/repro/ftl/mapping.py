@@ -14,9 +14,10 @@ Physical page numbers are flat: ``ppn = block * pages_per_block + page``.
 
 Each map is also the FTL's *translation tier*, whose methods the FTL
 calls on every map (``touch_span``, ``touch_group``, ``touch_lpns``,
-``directory``, ``checkpointed``); :func:`build_page_map` picks the map
-a device's config asks for.  On the all-DRAM :class:`PageMap` (the
-default, bit-frozen by the equivalence suites) the tier is free; the
+``touch_each``, ``cached_prefix``, ``directory``, ``checkpointed``);
+:func:`build_page_map` picks the map a device's config asks for.  On
+the all-DRAM :class:`PageMap` (the default, bit-frozen by the
+equivalence suites) the tier is free; the
 DFTL-class :class:`CachedPageMap` keeps translation pages on NAND
 behind a cached mapping table and prices its misses and writebacks.
 
@@ -323,6 +324,40 @@ class PageMap:
         per_block[dst_block] = per_block.item(dst_block) + count
         return old_ppns, runs
 
+    def remap_pages(self, lpns: np.ndarray, first_ppn: int) -> List[Tuple[int, int]]:
+        """Batched :meth:`remap` of scattered ``lpns`` onto a contiguous
+        just-programmed PPN run inside one block.
+
+        Semantically identical to ``remap(lpns[i], first_ppn + i)`` in
+        order: an LPN repeated in ``lpns`` ends on its last copy's page,
+        the pages of its earlier copies are garbage, and its old page is
+        invalidated once.  Returns ``(block, pages)``: how many old pages
+        each block lost, for the caller's index.  The earlier copies are
+        not in it: they lie in the destination block, an open frontier no
+        index tracks.  Like :meth:`remap_extent` it does NOT fire the
+        per-page observer, and the caller has validated ``lpns``.
+        """
+        count = len(lpns)
+        ppns = np.arange(first_ppn, first_ppn + count, dtype=np.int64)
+        # The first of each LPN in the reversed run is its last copy.
+        distinct, last = np.unique(lpns[::-1], return_index=True)
+        if len(distinct) < count:
+            lpns, ppns = distinct, ppns[(count - 1) - last]
+        l2p, valid, per_block = self._l2p, self._valid, self._valid_per_block
+        old = l2p[lpns]
+        old = old[old != UNMAPPED]
+        if not valid[old].all():
+            raise RuntimeError("double invalidation in remap_pages")
+        valid[old] = False
+        blocks, pages = np.unique(old // self._ppb, return_counts=True)
+        per_block[blocks] -= pages.astype(np.int32)
+        l2p[lpns] = ppns
+        valid[ppns] = True
+        dst_block = first_ppn // self._ppb
+        per_block[dst_block] = per_block.item(dst_block) + len(lpns)
+        self.mapped_count += len(lpns) - len(old)
+        return list(zip(blocks.tolist(), pages.tolist()))
+
     def load_mapping(self, l2p: np.ndarray) -> None:
         """Install a complete L2P table in one shot (recovery scan).
 
@@ -537,6 +572,16 @@ class PageMap:
     def touch_lpns(self, lpns: Iterable[int]) -> int:
         """Update the entries of ``lpns``; returns the NAND latency (ns)."""
         return 0
+
+    def touch_each(self, lpns: np.ndarray) -> int:
+        """Update the entry of each of ``lpns`` in turn, as that many
+        one-entry :meth:`touch_span` calls; returns the NAND latency (ns)."""
+        return 0
+
+    def cached_prefix(self, lpns: np.ndarray) -> int:
+        """How many leading ``lpns`` :meth:`touch_each` can take while
+        only the last of them may touch NAND (here: all of them)."""
+        return len(lpns)
 
     def directory(self) -> Optional[np.ndarray]:
         """What a checkpoint persists of the tier beside the L2P (a view)."""
@@ -812,6 +857,22 @@ class CachedPageMap(PageMap):
         # One dirty access per distinct translation page, ascending.
         tvpns = np.asarray(lpns, dtype=np.int64) // self.entries_per_tpage
         return sum(self._access(tvpn, True) for tvpn in sorted(set(tvpns.tolist())))
+
+    def touch_each(self, lpns: np.ndarray) -> int:
+        # One dirty access per entry, in order: the LRU ends as the
+        # per-page loop leaves it.
+        tvpns = (lpns // self.entries_per_tpage).tolist()
+        return sum(self._access(tvpn, True) for tvpn in tvpns)
+
+    def cached_prefix(self, lpns: np.ndarray) -> int:
+        # Hits only reorder the CMT, so its membership holds until the
+        # first miss, which may read a page in and write one back.
+        # Scalar reads: the first LPN is most often the miss.
+        cmt, ept = self._cmt, self.entries_per_tpage
+        for at in range(len(lpns)):
+            if lpns.item(at) // ept not in cmt:
+                return at + 1
+        return len(lpns)
 
     def directory(self) -> Optional[np.ndarray]:
         # A read-only view of the GTD, valid until the next mutation.

@@ -151,11 +151,14 @@ class HostSystem:
            landing at a block start, which a fill from LPN 0 keeps when
            ``pages_per_block`` divides the entries per translation page;
            then
-        2. with ``age=True``, random overwrites churn the working set, one
-           page each, until the free capacity is down to roughly the OP
-           capacity (``op_pages`` + two blocks) -- the "logically full"
-           steady state a deployed SSD lives in, where every spare block
-           holds garbage and GC policy actually matters.
+        2. with ``age=True``, random one-page overwrites churn the working
+           set until the free capacity is down to roughly the OP capacity
+           (``op_pages`` + two blocks) -- the "logically full" steady
+           state a deployed SSD lives in, where every spare block holds
+           garbage and GC policy actually matters.  They go down in
+           batches of 1024 draws as
+           :meth:`~repro.ftl.ftl.PageMappedFtl.host_write_pages` calls,
+           which leave the device as a per-page loop does.
 
         Call before starting any workload.
 
@@ -198,11 +201,7 @@ class HostSystem:
             return
         rng = self.streams.numpy("prefill-churn")
         while ftl.free_pages() > floor:
-            batch = rng.integers(0, pages, size=1024)
-            for lpn in batch:
-                ftl.host_write_page(int(lpn))
-                if ftl.free_pages() <= floor:
-                    break
+            ftl.host_write_pages(rng.integers(0, pages, size=1024), floor)
 
     def run_for(self, duration_ns: int) -> None:
         """Advance the simulation by ``duration_ns``."""

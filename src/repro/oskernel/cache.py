@@ -298,9 +298,15 @@ class PageCache:
         Dirty listeners observe the whole batch as ONE call, however
         many pages are dropped.
         """
+        lpns = self._checked(lpns)
         state = self._state
+        # A direct write's extent that holds nothing skips the walk.  The
+        # table's own C count beats a NumPy reduction at 8-32 pages.
+        if type(lpns) is range:
+            if state[lpns.start:lpns.stop].count(ABSENT) == len(lpns):
+                return
         removed: List[Tuple[int, int]] = []
-        for lpn in self._checked(lpns):
+        for lpn in lpns:
             held = state[lpn]
             if not held:
                 continue

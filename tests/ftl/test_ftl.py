@@ -311,6 +311,18 @@ def test_host_write_extent_large_chunks_match_per_page_loop():
     _assert_same_state(batched, looped)
 
 
+def test_host_write_extent_stamps_the_op_counter_clock_as_the_loop_does():
+    """A standalone FTL's clock is its op counter; the reliability model
+    stamps each block's last program with it, at the chunk's last page."""
+    config = SsdConfig.small(blocks=128, pages_per_block=16, reliability="mlc-20nm")
+    batched, looped = (config.build_ftl() for _ in range(2))
+    batched.host_write_extent(0, 40)
+    for lpn in range(40):
+        looped.host_write_page(lpn)
+    assert np.array_equal(batched.nand.last_program_ns, looped.nand.last_program_ns)
+    assert looped.nand.last_program_ns[looped.active_user_block] == 40
+
+
 def test_dftl_host_write_extent_counts_every_cmt_hit():
     """In dftl mode the extent touches each translation page once per
     chunk; the per-page loop's repeat touches of that page are hits and

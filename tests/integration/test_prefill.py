@@ -1,12 +1,12 @@
-"""HostSystem.prefill: the extent fill against a per-page reference.
+"""HostSystem.prefill: the batched fill and churn against a per-page reference.
 
 The fill writes the working set as ``host_write_extent`` calls cut where
-the checkpoint policy may next fire.  Its contract is that the device
-ends exactly as a ``host_write_page`` loop leaves it: durable image
-(checkpoints at the same host-page counts), mapping, victim index,
-allocator, write sequence and every ``FtlStats`` counter.  The churn
-that follows (``age=True``) stays per page and must then see the same
-device.
+the checkpoint policy may next fire; the churn that follows
+(``age=True``) writes its random LPNs as ``host_write_pages`` calls.
+The contract of both is that the device ends exactly as a
+``host_write_page`` loop leaves it: durable image (checkpoints at the
+same host-page counts), mapping, CMT order, victim index, allocator,
+write sequence and every ``FtlStats`` counter.
 """
 
 import math
@@ -23,9 +23,17 @@ from repro.ftl.checkpoint_policy import (
 )
 from repro.ftl.ftl import DeviceReadOnlyError
 from repro.host import HostSystem
+from repro.nand.errors import BatchFaultPending
 from repro.ssd.config import SsdConfig
 
 INTERVAL = 100  # not a multiple of pages_per_block: cuts land mid-block
+MAPPINGS = {
+    "dram": {"mapping_mode": "dram"},
+    # A one-page CMT: nearly every churn chunk ends at a miss.
+    "dftl": {"mapping_mode": "dftl"},
+    # A CMT holding the whole map: churn chunks run to the frontier's end.
+    "dftl-cached": {"mapping_mode": "dftl", "cmt_budget_bytes": 1 << 16},
+}
 CHECKPOINTS = {
     "none": {},
     "interval": {"checkpoint_interval_pages": INTERVAL},
@@ -43,22 +51,33 @@ def _host(mapping, checkpoint, faults):
     config = SsdConfig.small(
         blocks=128,
         pages_per_block=16,
-        mapping_mode=mapping,
         fault_profile=FAULTS[faults],
+        **MAPPINGS[mapping],
         **CHECKPOINTS[checkpoint],
     )
     return HostSystem(config, NoBgcPolicy(), seed=3)
 
 
 def _per_page_reference(host):
-    """The fill written page by page: every extent the prefill hands the
-    FTL goes through a ``host_write_page`` loop instead."""
+    """The prefill written page by page: every extent and every churn
+    batch it hands the FTL goes through a ``host_write_page`` loop
+    instead."""
     ftl = host.ftl
 
     def per_page(lpn, count):
         return sum(ftl.host_write_page(lpn + i) for i in range(count))
 
+    def per_page_churn(lpns, keep_free):
+        used = 0
+        for lpn in lpns:
+            if ftl.free_pages() <= keep_free:
+                break
+            ftl.host_write_page(int(lpn))
+            used += 1
+        return used
+
     ftl.host_write_extent = per_page
+    ftl.host_write_pages = per_page_churn
 
 
 def _assert_same_device(a, b):
@@ -90,7 +109,7 @@ def _assert_same_device(a, b):
 
 @pytest.mark.parametrize("faults", sorted(FAULTS))
 @pytest.mark.parametrize("checkpoint", sorted(CHECKPOINTS))
-@pytest.mark.parametrize("mapping", ["dram", "dftl"])
+@pytest.mark.parametrize("mapping", sorted(MAPPINGS))
 def test_prefill_matches_the_per_page_fill(mapping, checkpoint, faults):
     extent, reference = (_host(mapping, checkpoint, faults) for _ in range(2))
     _per_page_reference(reference)
@@ -109,6 +128,129 @@ def test_prefill_matches_the_per_page_fill(mapping, checkpoint, faults):
         assert extent.ftl.stats.checkpoints_written > 0
     if faults != "clean":
         assert extent.ftl.stats.program_faults > 0
+
+
+@pytest.mark.parametrize("mapping", ["dram", "dftl"])
+def test_churn_repeating_lpns_in_a_chunk_matches_per_page(mapping):
+    """A working set of 5 LPNs puts each one several times in every
+    frontier-sized chunk: only the last copy stays valid, and its old
+    page is invalidated once."""
+    batched, reference = (_host(mapping, "interval", "clean") for _ in range(2))
+    _per_page_reference(reference)
+    repeats = []
+    remap_pages = batched.ftl.page_map.remap_pages
+
+    def watched(lpns, first_ppn):
+        repeats.append(len(lpns) - len(set(lpns.tolist())))
+        return remap_pages(lpns, first_ppn)
+
+    batched.ftl.page_map.remap_pages = watched
+    for host in (batched, reference):
+        host.prefill(5)
+        assert host.ftl.used_pages() == 5
+    _assert_same_device(batched.ftl, reference.ftl)
+    assert max(repeats) > 0
+
+
+@pytest.mark.parametrize(
+    "mapping, program_fail_prob, outcome",
+    [("dram", 0.005, "writable"), ("dram", 0.01, "read-only"), ("dftl", 0.005, "writable")],
+)
+def test_churn_through_program_faults_matches_per_page(mapping, program_fail_prob, outcome):
+    """Program faults inside churn chunks (at 0.01 they drive the device
+    read-only mid-churn): each faulted chunk falls back one page, and
+    the device still ends as the per-page churn leaves it.  The CMT holds
+    every translation page, so dftl chunks are not cut by misses."""
+    hosts = [
+        HostSystem(
+            SsdConfig.small(
+                blocks=128,
+                pages_per_block=16,
+                mapping_mode=mapping,
+                fault_profile=FaultProfile(program_fail_prob=program_fail_prob),
+                checkpoint_interval_pages=INTERVAL,
+                cmt_budget_bytes=1 << 16,
+            ),
+            NoBgcPolicy(),
+            seed=3,
+        )
+        for _ in range(2)
+    ]
+    _per_page_reference(hosts[1])
+    ftl = hosts[0].ftl
+    fallbacks = []
+
+    write, batch = ftl.host_write_pages, ftl.nand.program_pages_batch
+
+    def churn(lpns, keep_free):
+        def counted(*args, **kwargs):
+            try:
+                return batch(*args, **kwargs)
+            except BatchFaultPending:
+                fallbacks.append(args[:3])
+                raise
+
+        ftl.nand.program_pages_batch = counted
+        try:
+            return write(lpns, keep_free)
+        finally:
+            del ftl.nand.program_pages_batch
+
+    ftl.host_write_pages = churn
+    outcomes = []
+    for host in hosts:
+        try:
+            host.prefill(host.user_pages // 2)
+            outcomes.append("writable")
+        except DeviceReadOnlyError:
+            outcomes.append("read-only")
+    assert outcomes == [outcome] * 2
+    assert fallbacks
+    _assert_same_device(hosts[0].ftl, hosts[1].ftl)
+
+
+def test_host_write_pages_under_a_sip_list_matches_per_page():
+    """The batched remap does not tell the SIP-overlap counters; with a
+    SIP list installed every page takes the per-page helper."""
+    batched, reference = (_host("dram", "none", "clean").ftl for _ in range(2))
+    lpns = np.random.default_rng(5).integers(0, 200, size=300)
+    for ftl in (batched, reference):
+        ftl.host_write_extent(0, 200)
+        ftl.set_sip_list(range(0, 200, 3))
+    assert batched.host_write_pages(lpns, 0) == len(lpns)
+    for lpn in lpns.tolist():
+        reference.host_write_page(lpn)
+    _assert_same_device(batched, reference)
+    assert np.array_equal(batched.sip_index.snapshot(), reference.sip_index.snapshot())
+
+
+def test_host_write_pages_stamps_the_op_counter_clock_as_the_loop_does():
+    """A standalone FTL's clock is its op counter, and the reliability
+    model stamps each block's last program with it."""
+    config = SsdConfig.small(blocks=128, pages_per_block=16, reliability="mlc-20nm")
+    batched, reference = (config.build_ftl() for _ in range(2))
+    lpns = np.random.default_rng(7).integers(0, 300, size=400)
+    for ftl in (batched, reference):
+        ftl.host_write_extent(0, 300)
+    assert batched.host_write_pages(lpns, 0) == len(lpns)
+    for lpn in lpns.tolist():
+        reference.host_write_page(lpn)
+    _assert_same_device(batched, reference)
+    assert batched.nand.last_program_ns.any()
+
+
+def test_host_write_pages_stops_at_the_floor_and_reports_its_count():
+    host = _host("dram", "none", "clean")
+    ftl = host.ftl
+    lpns = np.arange(40) % 7
+    keep_free = ftl.free_pages() - 25
+    assert ftl.host_write_pages(lpns, keep_free) == 25
+    assert ftl.free_pages() == keep_free
+    assert ftl.stats.host_pages_written == 25
+    assert ftl.host_write_pages(lpns, keep_free) == 0
+    with pytest.raises(IndexError):
+        ftl.host_write_pages(np.array([0, host.user_pages]), 0)
+    assert ftl.stats.host_pages_written == 25
 
 
 def test_interval_fill_takes_only_the_extent_path():
@@ -165,16 +307,25 @@ def test_negative_prefill_is_rejected(age):
 
 
 def _bounded_writes(ftl, budget):
-    """Fail a runaway churn loop instead of hanging the suite."""
+    """Fail a runaway churn loop instead of hanging the suite: every page
+    handed to ``host_write_page`` or ``host_write_pages`` spends budget."""
     left = [budget]
 
-    def bounded(lpn, _write=ftl.host_write_page):
-        left[0] -= 1
+    def spend(pages):
+        left[0] -= pages
         if left[0] < 0:
             raise RuntimeError("prefill churn did not terminate")
+
+    def bounded(lpn, _write=ftl.host_write_page):
+        spend(1)
         return _write(lpn)
 
+    def bounded_pages(lpns, keep_free, _write=ftl.host_write_pages):
+        spend(len(lpns))
+        return _write(lpns, keep_free)
+
     ftl.host_write_page = bounded
+    ftl.host_write_pages = bounded_pages
 
 
 @pytest.mark.parametrize(

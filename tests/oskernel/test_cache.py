@@ -353,6 +353,28 @@ def test_invalidate_with_nothing_dirty_drops_clean_copies_silently():
     assert cache.cached_pages == 0
 
 
+def test_invalidating_a_range_walks_it_only_when_it_holds_a_page():
+    """A direct write's range: one holding nothing leaves the cache and
+    its listeners alone; one holding a clean page at its first LPN and a
+    dirty one at its last drops both, with one dirty-listener call."""
+    cache = make_cache()
+    calls = []
+    cache.dirty_listeners.append(lambda added, removed: calls.append(removed))
+    cache.insert_clean(10)
+    cache.write_page(17, now=5)
+    calls.clear()
+    before = observable(cache)
+    cache.invalidate(range(0, 10))
+    cache.invalidate(range(18, LOGICAL))
+    cache.invalidate(range(12, 12))
+    assert observable(cache) == before and calls == []
+    cache.invalidate(range(10, 18))
+    assert calls == [[(17, 5)]]
+    assert cache.cached_pages == 0 and cache.dirty_pages == 0
+    with pytest.raises(IndexError):
+        cache.invalidate(range(LOGICAL - 1, LOGICAL + 1))
+
+
 # ----------------------------------------------------------------------
 # An independent reference: the cache as three ordered dicts
 # ----------------------------------------------------------------------
