@@ -538,11 +538,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     crash_parser.add_argument(
         "--jobs", type=int, default=0, metavar="N",
-        help="processes that split the points: forked ranks verify the "
-        "head and replay the run that far, this one replays the whole run "
-        "and verifies the tail (0 = adaptive: one per usable CPU, at most "
-        "2; 1 = in-process; results are identical, only wall-clock "
-        "changes — see PERFORMANCE.md)",
+        help="processes that split the points, at most 2 whatever is "
+        "asked: a forked rank verifies the head and replays the run that "
+        "far, this one replays the whole run and verifies the tail (0 = "
+        "adaptive: one per usable CPU; 1 = in-process; results are "
+        "identical, only wall-clock changes — see PERFORMANCE.md)",
     )
     crash_parser.set_defaults(func=cmd_crash_sweep)
 

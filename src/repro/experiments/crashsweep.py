@@ -41,7 +41,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field, fields, replace
-from multiprocessing.connection import Connection, Pipe, wait
+from multiprocessing.connection import Connection, Pipe
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -359,26 +359,15 @@ def gc_heavy_spec(trim_heavy: bool = False, **overrides) -> ScenarioSpec:
     return replace(GC_HEAVY, **overrides)
 
 
-#: The most ranks an adaptive ``jobs`` starts, however many CPUs there
-#: are.  Rank 0 replays the whole reference run (about as costly as
-#: all the verification in the crash-sweep cell) and verifies the tail;
-#: a second rank verifies the head and replays only that far.  No rank
-#: count takes the window below the reference run, while each rank
-#: costs a CPU and its own heap (about 66 MiB there).  Two ranks is what
-#: was measured (PERFORMANCE.md "Splitting a crash sweep where its
-#: ranks' remaining work meets"); an explicit ``jobs`` may ask for more.
-MAX_ADAPTIVE_RANKS = 2
-
-
-def _rank_of(index: int, nested_every: int, jobs: int) -> int:
-    """The child rank that verifies point ``index`` if it falls before
-    the tail rank 0 claims; 0 when there is no child, so every point is
-    rank 0's own.  The children are dealt the points in whole groups of
-    ``nested_every``, so each gets its share of the nested points (two
-    power-ons each) and not just of the plain ones."""
-    if jobs == 1:
-        return 0
-    return 1 + (index // max(1, nested_every)) % (jobs - 1)
+#: The most ranks a crash sweep runs, whatever ``jobs`` asks for and
+#: however many CPUs there are.  Rank 0 replays the whole reference run
+#: (about as costly as all the verification in the crash-sweep cell) and
+#: verifies the tail; the one child rank verifies the head and replays
+#: only that far.  No rank count takes the window below the reference
+#: run, while each rank costs a CPU and its own heap (about 66 MiB
+#: there).  Two ranks is what was measured (PERFORMANCE.md "Splitting a
+#: crash sweep where its ranks' remaining work meets").
+MAX_RANKS = 2
 
 
 def _reference_run(
@@ -390,7 +379,7 @@ def _reference_run(
     stopped at the point's instant.  Stops early when the measurement
     window ends or the run stalls (terminal read-only device with a
     drained queue).  Verifying a point leaves the live host untouched,
-    so every rank that runs this from the same set-up meets the same
+    so both ranks, running this from the same set-up, meet the same
     points.
     """
     sim = host.sim
@@ -457,35 +446,26 @@ def _how_it_ended(status: int) -> str:
     return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
 
 
-class _Child(NamedTuple):
-    """A running child rank, as rank 0 sees it."""
-
-    rank: int
-    pid: int
-    #: Rank 0's end of the pipe that carries the claim to the child.
-    claim: Connection
-
-
 class _Gather:
     """Rank 0's side of a split sweep.
 
     Rank 0 replays the whole reference run but verifies nothing until it
     claims the tail.  It does so at the first point ``p`` with ``2p >=
-    points + c``, ``c`` being the points already in, or at once when no
-    child is left: it asks every child to stop at ``p`` and waits for the
-    answer, the index the child stops at (``p``, or its next point if it
-    is already past ``p``).  From then on rank 0 verifies the child's
-    share from the answered index.  At that moment the child has ``p -
-    c`` points left to replay and verify and rank 0 ``points - p``: the
-    split follows how far each rank got, not a fixed fraction, so it
-    holds whatever a replay costs against a verification.
+    points + c``, ``c`` being the points already in, or at once when
+    there is no child (left): it asks the child to stop at ``p`` and
+    waits for the answer, the index the child stops at (``p``, or its
+    next point if it is already past ``p``).  Points below the answered
+    index are the child's, and rank 0 verifies the rest.  At that moment
+    the child has ``p - c`` points left to replay and verify and rank 0
+    ``points - p``: the split follows how far each rank got, not a fixed
+    fraction, so it holds whatever a replay costs against a verification.
 
     Holds every point of rank 0's own reference run, what each point's
-    verification came to and the child ranks still running, and moves
+    verification came to and the child rank while it runs, and moves
     points into ``result.points`` (calling ``progress`` on each) in index
     order as soon as every lower index is in.  A point whose
-    verification raised re-raises on its turn; a point whose rank ended
-    without reporting it is recorded as failed, unless rank 0 can still
+    verification raised re-raises on its turn; a point the child ended
+    without reporting is recorded as failed, unless rank 0 can still
     verify it; a reported point whose instant differs from rank 0's is
     recorded as failed too (the ranks replayed different runs).
     """
@@ -495,21 +475,18 @@ class _Gather:
         result: CrashSweepResult,
         progress: Optional[Callable[[CrashPointCheck], None]],
         points: int,
-        rank_of: Callable[[int], int],
     ) -> None:
         self.result = result
         self.progress = progress
         self.points = points
-        self.rank_of = rank_of
-        #: Rank 0's end of each running child rank's result pipe -> the child.
-        self.children: Dict[Connection, _Child] = {}
-        #: Rank -> how it ended, once its pipe closed.
-        self.ended: Dict[int, str] = {}
-        #: Rank -> one past the last point it reported.
-        self.reported: Dict[int, int] = {}
-        #: Rank -> the index from which rank 0 verifies that rank's points.
-        self.tail_from: Dict[int, int] = {}
-        self.claimed = False
+        #: The running child rank's pid and rank 0's end of its pipe.
+        self.child: Optional[Tuple[int, Connection]] = None
+        #: How the child ended, once its pipe closed.
+        self.ended = ""
+        #: One past the last point the child reported.
+        self.reported = 0
+        #: The index from which rank 0 verifies, once it has claimed.
+        self.tail_from: Optional[int] = None
         #: The first point rank 0 can still verify.
         self.at = 0
         self.reference: List[CrashPointCheck] = []
@@ -517,59 +494,55 @@ class _Gather:
         self.outcomes: Dict[int, Union[CrashPointCheck, BaseException]] = {}
 
     def reached(self, check: CrashPointCheck) -> bool:
-        """Rank 0's replay stands at ``check``: take in what the children
+        """Rank 0's replay stands at ``check``: take in what the child
         sent, claim the tail if its time has come, and say whether rank 0
         verifies this point."""
         self.reference.append(check)
         self.at = check.index
         self.receive(0)
-        if not self.claimed and (
-            not self.children or 2 * check.index >= self.points + len(self.result.points)
+        if self.tail_from is None and (
+            self.child is None or 2 * check.index >= self.points + len(self.result.points)
         ):
             self.claim(check.index)
-        start = self.tail_from.get(self.rank_of(check.index))
-        return start is not None and check.index >= start
+        return self.tail_from is not None and check.index >= self.tail_from
 
     def claim(self, at: int) -> None:
-        """Ask every child to stop at ``at`` and wait for each answer."""
-        self.claimed = True
-        for child in self.children.values():
-            try:
-                child.claim.send(at)
-            except OSError:
-                pass  # it has ended; receive() takes its end-of-file
-        while any(child.rank not in self.tail_from for child in self.children.values()):
+        """Ask the child, if any, to stop at ``at`` and wait for its answer."""
+        if self.child is None:
+            self.tail_from = at
+            return
+        try:
+            self.child[1].send(at)
+        except OSError:
+            pass  # it has ended; receive() takes its end-of-file
+        while self.tail_from is None:
             self.receive(None)
-        self.tail_from[0] = at  # rank 0's own points, when there is no child
 
     def receive(self, timeout: Optional[float]) -> None:
-        """Take in every message the children sent, waiting up to
-        ``timeout`` for the first, then move every point whose turn has
-        come into the result."""
-        while self.children:
-            ready = wait(list(self.children), timeout)
-            if not ready:
-                break
+        """Take in every message the child sent, waiting up to ``timeout``
+        for the first, then move every point whose turn has come into the
+        result."""
+        while self.child is not None and self.child[1].poll(timeout):
             timeout = 0
-            for conn in ready:
-                rank, pid, claim = self.children[conn]
-                try:
-                    message = conn.recv()
-                except EOFError:
-                    del self.children[conn]
-                    conn.close()
-                    claim.close()
-                    self.ended[rank] = _how_it_ended(os.waitpid(pid, 0)[1])
+            pid, conn = self.child
+            try:
+                message = conn.recv()
+            except (EOFError, ConnectionResetError):
+                # A child that died with the claim unread resets the pipe.
+                self.child = None
+                conn.close()
+                self.ended = _how_it_ended(os.waitpid(pid, 0)[1])
+                if self.tail_from is None:
                     # Rank 0 takes over the rest of its points from the
                     # first one it can still reach.
-                    self.tail_from.setdefault(rank, max(self.at, self.reported.get(rank, 0)))
-                    continue
-                if isinstance(message, int):  # its answer to the claim
-                    self.tail_from[rank] = message
-                    continue
-                index, outcome = message
-                self.outcomes[index] = outcome
-                self.reported[rank] = index + 1
+                    self.tail_from = max(self.at, self.reported)
+                break
+            if isinstance(message, int):  # its answer to the claim
+                self.tail_from = message
+                continue
+            index, outcome = message
+            self.outcomes[index] = outcome
+            self.reported = index + 1
         self.emit()
 
     def emit(self) -> None:
@@ -578,21 +551,20 @@ class _Gather:
         while len(points) < len(self.reference):
             index = len(points)
             expected = self.reference[index]
-            rank = self.rank_of(index)
             check = self.outcomes.get(index)
             if isinstance(check, BaseException):
                 raise check
             if check is None:
-                if rank not in self.ended or index >= self.tail_from[rank]:
-                    return  # its rank, or rank 0, may still verify it
+                if not self.ended or index >= self.tail_from:
+                    return  # the child, or rank 0, may still verify it
                 check = expected
-                check.error = f"rank {rank} {self.ended[rank]} before it reported this point"
+                check.error = f"rank 1 {self.ended} before it reported this point"
             elif (check.t_ns, check.events_dispatched) != (
                 expected.t_ns,
                 expected.events_dispatched,
             ):
                 expected.error = (
-                    f"rank {rank} replayed a different run: its point {index} "
+                    f"rank 1 replayed a different run: its point {index} "
                     f"fell at {check.t_ns} ns"
                 )
                 check = expected
@@ -601,58 +573,54 @@ class _Gather:
                 self.progress(check)
 
     def finish(self) -> None:
-        """Rank 0's replay is over: wait for the child ranks until every
+        """Rank 0's replay is over: wait for the child rank until every
         point has had its turn."""
         self.at = len(self.reference)
         self.receive(0)
-        while self.children and len(self.result.points) < len(self.reference):
+        while self.child is not None and len(self.result.points) < len(self.reference):
             self.receive(None)
 
     def reap(self, kill: bool) -> None:
-        """Wait for every child rank still running (killing it first when
-        ``kill``), so none outlives the sweep."""
-        for conn, (_rank, pid, claim) in self.children.items():
-            conn.close()
-            claim.close()
-            if kill:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-            os.waitpid(pid, 0)
-        self.children.clear()
+        """Wait for the child rank if it still runs (killing it first when
+        ``kill``), so it does not outlive the sweep."""
+        if self.child is None:
+            return
+        pid, conn = self.child
+        self.child = None
+        conn.close()
+        if kill:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        os.waitpid(pid, 0)
 
 
 def _serve_rank(
-    rank: int,
-    writer: Connection,
-    claim: Connection,
+    conn: Connection,
     reference: Iterator[CrashPointCheck],
     verify: Callable[[CrashPointCheck], None],
-    rank_of: Callable[[int], int],
 ) -> None:
-    """A child rank's whole life: replay the reference run from the start
-    and send back ``(index, check)`` for each of its own points once
-    verified, until the point where rank 0 claims the tail.  Before each
-    point it looks for the claim; it answers with the index it stops at,
-    the claimed one or this point if it is already past it, and leaves
+    """The child rank's whole life: replay the reference run from the
+    start and send back ``(index, check)`` for each point once verified,
+    until the point where rank 0 claims the tail.  Before each point it
+    looks for the claim; it answers with the index it stops at, the
+    claimed one or this point if it is already past it, and leaves
     there.  Its first point that raises goes back as ``(index,
     exception)`` and ends the rank."""
     stop = None
     for check in reference:
-        if stop is None and claim.poll():
-            stop = max(claim.recv(), check.index)
-            writer.send(stop)
+        if stop is None and conn.poll():
+            stop = max(conn.recv(), check.index)
+            conn.send(stop)
         if stop is not None and check.index >= stop:
             return
-        if rank_of(check.index) != rank:
-            continue
         try:
             verify(check)
         except Exception as exc:  # noqa: BLE001 - re-raised by rank 0
-            writer.send((check.index, _sendable(exc)))
+            conn.send((check.index, _sendable(exc)))
             return
-        writer.send((check.index, check))
+        conn.send((check.index, check))
 
 
 def run_crash_sweep(
@@ -677,24 +645,23 @@ def run_crash_sweep(
     half-written checkpoint, recover again, re-verify.
 
     ``jobs`` ranks split the verification (``0``/``None``: one per usable
-    CPU, see :func:`~repro.experiments.runner.resolve_jobs`, and at most
-    :data:`MAX_ADAPTIVE_RANKS`; always 1 where the platform cannot
-    fork; a negative count raises :class:`ValueError`).  After set-up
-    the sweep forks ``jobs - 1`` child ranks.  The children verify the
-    head of the sweep from point 0, dealt among them in groups of
-    ``nested_every``, and replay the deterministic reference run only
-    that far.  The calling process, rank 0, replays the whole run and
-    claims the tail where the two ranks' remaining work meets (see
-    :class:`_Gather`); with ``jobs=1`` it claims at point 0.  No device
-    state crosses a process boundary: a child sends back each finished
-    :class:`CrashPointCheck`, and rank 0 adds them to the result and
-    calls ``progress`` in index order.  Rank 0's live host ends where an
-    unsplit sweep leaves it, the result is the same for every ``jobs``,
-    and no child outlives the call.
+    CPU, see :func:`~repro.experiments.runner.resolve_jobs`; any count is
+    capped at :data:`MAX_RANKS`; always 1 where the platform cannot
+    fork; a negative count raises :class:`ValueError`).  With two ranks
+    the sweep forks one child rank after set-up.  The child verifies the
+    head of the sweep from point 0 and replays the deterministic
+    reference run only that far.  The calling process, rank 0, replays
+    the whole run and claims the tail where the two ranks' remaining
+    work meets (see :class:`_Gather`); with ``jobs=1`` it claims at point
+    0.  No device state crosses a process boundary: the child sends back
+    each finished :class:`CrashPointCheck`, and rank 0 adds them to the
+    result and calls ``progress`` in index order.  Rank 0's live host
+    ends where an unsplit sweep leaves it, the result is the same for
+    every ``jobs``, and the child does not outlive the call.
 
     Every check failure is recorded, not raised -- the result object
     reports pass/fail per point (``result.ok()`` for the verdict); so is
-    a point whose rank died before reporting it.  Any other exception a
+    a point the child died before reporting.  Any other exception a
     verification raises is re-raised in its point's turn, and later
     points are dropped.  Fewer than one point, or a stride under one
     event, would verify nothing yet report success, so both raise
@@ -705,47 +672,33 @@ def run_crash_sweep(
             f"a crash sweep needs points >= 1 and stride_events >= 1, "
             f"got points={points}, stride_events={stride_events}"
         )
-    jobs = resolve_jobs(jobs, points if jobs else min(points, MAX_ADAPTIVE_RANKS))
+    jobs = resolve_jobs(jobs, min(points, MAX_RANKS))
     if not hasattr(os, "fork"):
         jobs = 1
     host, _collector, workload, measure_start = build_preconditioned_host(spec)
     end = measure_start + spec.measure_s * SECOND
 
-    def rank_of(index: int) -> int:
-        return _rank_of(index, nested_every, jobs)
-
     def verify(check: CrashPointCheck) -> None:
         _verify_point(check, host, spec.seed, sample_reads, nested_every)
 
     result = CrashSweepResult(scenario=spec.key(), stride_events=stride_events)
-    gather = _Gather(result, progress, points, rank_of)
+    gather = _Gather(result, progress, points)
     try:
-        for rank in range(1, jobs):
-            reader, writer = Pipe(duplex=False)
-            claim_reader, claim = Pipe(duplex=False)
+        if jobs > 1:
+            conn, child_conn = Pipe()
             pid = os.fork()
-            if pid == 0:  # a child rank: it never returns from here
+            if pid == 0:  # the child rank: it never returns from here
                 status = 1
                 try:
-                    reader.close()
-                    claim.close()
-                    for other, child in gather.children.items():
-                        other.close()
-                        child.claim.close()
+                    conn.close()
                     _serve_rank(
-                        rank,
-                        writer,
-                        claim_reader,
-                        _reference_run(host, end, points, stride_events),
-                        verify,
-                        rank_of,
+                        child_conn, _reference_run(host, end, points, stride_events), verify
                     )
                     status = 0
                 finally:
                     os._exit(status)
-            writer.close()
-            claim_reader.close()
-            gather.children[reader] = _Child(rank, pid, claim)
+            child_conn.close()
+            gather.child = (pid, conn)
         for check in _reference_run(host, end, points, stride_events):
             if not gather.reached(check):
                 continue

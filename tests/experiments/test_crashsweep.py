@@ -86,7 +86,7 @@ def test_sweep_reports_progress():
 
 
 # ----------------------------------------------------------------------
-# Splitting the points: the children verify the head, rank 0 the tail
+# Splitting the points: the child verifies the head, rank 0 the tail
 # ----------------------------------------------------------------------
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
@@ -153,17 +153,7 @@ def test_every_jobs_value_gives_the_same_points():
     assert_no_child_left()
 
 
-def test_ranks_are_dealt_whole_groups_of_nested_every():
-    # The children take the head in turn, a whole group of nested_every
-    # at a time; rank 0 is dealt nothing and verifies only the tail it
-    # claims.  With no child every point is rank 0's own.
-    assert [crashsweep._rank_of(i, 2, 3) for i in range(8)] == [1, 1, 2, 2, 1, 1, 2, 2]
-    assert [crashsweep._rank_of(i, 0, 3) for i in range(4)] == [1, 2, 1, 2]
-    assert [crashsweep._rank_of(i, 2, 2) for i in range(4)] == [1, 1, 1, 1]
-    assert [crashsweep._rank_of(i, 2, 1) for i in range(4)] == [0, 0, 0, 0]
-
-
-@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("jobs", [2])
 def test_every_point_is_verified_exactly_once(monkeypatch, tmp_path, jobs):
     read = log_verifications(monkeypatch, tmp_path / "verified")
     result = run_crash_sweep(
@@ -172,21 +162,32 @@ def test_every_point_is_verified_exactly_once(monkeypatch, tmp_path, jobs):
     assert result.ok() and len(result.points) == 12
     log = read()
     assert sorted(index for _pid, index in log) == list(range(12))
-    # Rank 0 verifies from its claim, at or after the middle, to the end
-    # (one child answers once, so its tail is contiguous); the children
-    # verify the head, each one its own whole groups of nested_every.
+    # Rank 0 verifies from its claim, at or after the middle, to the end;
+    # the child verifies the head before it, each point once.
     parent = os.getpid()
     tail = [index for pid, index in log if pid == parent]
-    assert tail == sorted(tail) and tail[0] >= 6 and tail[-1] == 11
-    if jobs == 2:
-        assert tail == list(range(tail[0], 12))
+    assert tail and tail[0] >= 6
+    assert tail == list(range(tail[0], 12))
     children = {pid for pid, _index in log if pid != parent}
-    assert len(children) == jobs - 1
-    for pid in children:
-        own = [index for p, index in log if p == pid]
-        assert own == sorted(own)
-        groups = {index // 2 for index in own}
-        assert all(g % (jobs - 1) == min(groups) % (jobs - 1) for g in groups)
+    assert len(children) == 1
+    assert [index for pid, index in log if pid != parent] == list(range(tail[0]))
+    assert_no_child_left()
+
+
+def test_an_explicit_jobs_above_the_cap_forks_one_child(monkeypatch):
+    """Every ``jobs`` is capped at ``MAX_RANKS``, as ``resolve_jobs`` caps
+    it at the task count: ``jobs=3`` runs two ranks and one child."""
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    result = run_crash_sweep(small_spec(), points=8, stride_events=128, jobs=3)
+    assert len(forks) == 1
+    assert result.ok() and len(result.points) == 8
     assert_no_child_left()
 
 
@@ -358,9 +359,8 @@ def test_one_usable_cpu_runs_the_sweep_in_one_process(monkeypatch):
 
 def test_adaptive_ranks_stop_at_the_measured_cap_on_many_cpus(monkeypatch):
     """Rank 0 replays the whole reference run and every rank holds its
-    own heap, so adaptive ``jobs`` forks no more than
-    ``MAX_ADAPTIVE_RANKS - 1`` children however many CPUs the mask
-    allows."""
+    own heap, so adaptive ``jobs`` forks no more than ``MAX_RANKS - 1``
+    children however many CPUs the mask allows."""
     real_fork = os.fork
     forks = []
 
@@ -371,7 +371,7 @@ def test_adaptive_ranks_stop_at_the_measured_cap_on_many_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     monkeypatch.setattr(os, "fork", counting_fork)
     result = run_crash_sweep(small_spec(), points=8, stride_events=128)
-    assert len(forks) == crashsweep.MAX_ADAPTIVE_RANKS - 1 == 1
+    assert len(forks) == crashsweep.MAX_RANKS - 1 == 1
     assert result.points == run_crash_sweep(small_spec(), points=8, stride_events=128, jobs=1).points
     assert_no_child_left()
 
