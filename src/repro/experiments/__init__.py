@@ -24,6 +24,7 @@ from repro.experiments.runner import (
     resolve_jobs,
     run_policy_comparison,
     run_scenario,
+    run_scenarios,
     run_sweep,
 )
 from repro.experiments.reporting import format_table, normalize_to
@@ -73,6 +74,7 @@ __all__ = [
     "resolve_jobs",
     "run_policy_comparison",
     "run_scenario",
+    "run_scenarios",
     "run_sweep",
     "format_table",
     "normalize_to",

@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence
 
 from repro.core.policies import JitGcPolicy
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import ScenarioSpec, run_scenario
+from repro.experiments.runner import ScenarioSpec, run_scenarios
 from repro.metrics.collector import RunMetrics
 
 
@@ -53,10 +53,8 @@ class AblationResult:
 def _run_variants(
     base_spec: ScenarioSpec, title: str, variants: Dict[str, JitGcPolicy]
 ) -> AblationResult:
-    result = AblationResult(title=title, workload=base_spec.workload)
-    for name, factory in variants.items():
-        result.raw[name] = run_scenario(base_spec.with_policy(name, factory))
-    return result
+    specs = {name: base_spec.with_policy(name, f) for name, f in variants.items()}
+    return AblationResult(title, base_spec.workload, run_scenarios(specs))
 
 
 def run_percentile_sweep(

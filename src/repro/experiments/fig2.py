@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.policies import FixedReservePolicy
 from repro.experiments.reporting import format_table, normalize_to
-from repro.experiments.runner import ScenarioSpec, run_scenario, run_sweep
+from repro.experiments.runner import ScenarioSpec, run_scenarios
 from repro.metrics.collector import RunMetrics
 
 #: The paper's Fig. 2 x-axis.
@@ -75,7 +75,7 @@ def fig2_specs(
     """The Fig. 2 grid as keyed scenario specs.
 
     Policy factories are ``functools.partial`` (not lambdas) so the
-    specs survive pickling into :func:`run_sweep` worker processes.
+    specs survive pickling into :func:`run_scenarios` worker processes.
     """
     base_spec = base_spec or ScenarioSpec()
     specs: Dict[str, ScenarioSpec] = {}
@@ -94,23 +94,14 @@ def run_fig2(
     base_spec: ScenarioSpec = None,
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
     reserve_points: Sequence[float] = RESERVE_POINTS,
-    jobs: int = 1,
+    jobs: Optional[int] = 1,
 ) -> Fig2Result:
-    """Run the full Fig. 2 sweep; one scenario per (workload, Cresv)."""
-    base_spec = base_spec or ScenarioSpec()
+    """Run the full Fig. 2 sweep; one scenario per (workload, Cresv),
+    keyed by :meth:`ScenarioSpec.key` and run by :func:`run_scenarios`."""
     result = Fig2Result(reserve_points=tuple(reserve_points))
     specs = fig2_specs(base_spec, workloads, reserve_points)
-    if jobs <= 1:
-        metrics_by_key = {key: run_scenario(spec) for key, spec in specs.items()}
-    else:
-        outcome = run_sweep(specs, jobs=jobs)
-        if outcome.failures:
-            key, error = next(iter(outcome.failures.items()))
-            raise RuntimeError(f"fig2 scenario {key} failed: {error}")
-        metrics_by_key = outcome.results
-    for workload in workloads:
-        result.raw[workload] = {}
+    metrics_by_key = run_scenarios(specs, jobs)
     for key, spec in specs.items():
         point = float(spec.policy.removeprefix("FIXED-").removesuffix("OP"))
-        result.raw[spec.workload][point] = metrics_by_key[key]
+        result.raw.setdefault(spec.workload, {})[point] = metrics_by_key[key]
     return result

@@ -12,15 +12,11 @@ Runs L-BGC, A-BGC, ADP-GC and JIT-GC on each benchmark and reports IOPS
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
 from repro.experiments.reporting import format_table, normalize_to
-from repro.experiments.runner import (
-    POLICY_FACTORIES,
-    ScenarioSpec,
-    run_policy_comparison,
-)
+from repro.experiments.runner import ScenarioSpec, run_scenarios
 from repro.metrics.collector import RunMetrics
 
 DEFAULT_WORKLOADS = ("YCSB", "Postmark", "Filebench", "Bonnie++", "Tiobench", "TPC-C")
@@ -78,13 +74,15 @@ def run_fig7(
     base_spec: ScenarioSpec = None,
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
 ) -> Fig7Result:
-    """Run all four policies on each workload."""
+    """Run all four policies on each workload, keyed ``<workload>/<policy>``."""
     base_spec = base_spec or ScenarioSpec()
+    specs = {
+        f"{workload}/{policy}": replace(base_spec, workload=workload).with_policy(policy)
+        for workload in workloads
+        for policy in POLICY_ORDER
+    }
+    metrics = run_scenarios(specs)
     result = Fig7Result()
-    for workload in workloads:
-        spec = base_spec.with_policy(base_spec.policy)
-        spec.workload = workload
-        result.raw[workload] = run_policy_comparison(
-            spec, {name: POLICY_FACTORIES[name] for name in POLICY_ORDER}
-        )
+    for key, spec in specs.items():
+        result.raw.setdefault(spec.workload, {})[spec.policy] = metrics[key]
     return result

@@ -14,13 +14,13 @@ rather than *know* -- the headroom left for better predictors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.core.oracle import FutureWriteRecorder, OracleGcPolicy
 from repro.core.policies import JitGcPolicy
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import ScenarioSpec, run_scenario
+from repro.experiments.runner import ScenarioSpec, run_scenario, traced_per_key
 from repro.metrics.collector import RunMetrics
 from repro.sim.simtime import SECOND
 
@@ -66,8 +66,7 @@ class _CapturingJitGc(JitGcPolicy):
 
 def _policy_spec(spec: ScenarioSpec, name: str, factory) -> ScenarioSpec:
     """``spec`` under the policy ``factory`` builds, tracing to its own file."""
-    obs = spec.obs and spec.obs.with_suffix(name)
-    return replace(spec, policy=name, policy_factory=factory, obs=obs)
+    return traced_per_key(spec.with_policy(name, factory), name)
 
 
 def run_oracle_comparison(spec: ScenarioSpec = None) -> OracleComparison:

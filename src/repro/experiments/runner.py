@@ -19,11 +19,8 @@ and metric differences are attributable to the policy alone.
 from __future__ import annotations
 
 import os
-import signal
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
@@ -276,40 +273,6 @@ class ScenarioSpec:
         }
 
 
-@contextmanager
-def _wall_clock_limit(seconds: Optional[float]):
-    """Abort the enclosed block after ``seconds`` of real time.
-
-    Uses ``SIGALRM``, so it is active only on the main thread of a
-    platform that has it; elsewhere the limit is a silent no-op (the
-    sweep still has exception isolation, just no timeout).
-    """
-    usable = (
-        seconds is not None
-        and seconds > 0
-        and hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
-        yield
-        return
-
-    def _expired(signum, frame):
-        raise ScenarioTimeoutError(f"scenario exceeded {seconds:g}s wall clock")
-
-    previous = signal.signal(signal.SIGALRM, _expired)
-    # Repeating interval, not one-shot: a delivery that lands in an
-    # unraisable context (e.g. a __del__ frame during GC) is suppressed
-    # by the interpreter, and a one-shot timer would then never abort
-    # the scenario.  With an interval the next tick retries.
-    signal.setitimer(signal.ITIMER_REAL, float(seconds), float(seconds))
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 #: Simulated seconds an analytically warm-started run advances before
 #: its measurement window opens.  The synthesized device is already at
 #: steady state, but the *host* is not: the page cache is empty and the
@@ -411,10 +374,13 @@ def run_scenario(spec: ScenarioSpec) -> RunMetrics:
     is frozen at the failure point and the returned metrics carry
     ``device_read_only=True``.
 
-    ``spec.timeout_s`` is enforced two ways: a monotonic deadline checked
-    at event-loop batch boundaries (works on any thread, including pool
-    workers), plus the ``SIGALRM`` backstop where available (covers
-    non-event phases like prefill on a main thread).
+    ``spec.timeout_s`` is a monotonic deadline checked at event-loop
+    batch boundaries, so it holds on any thread and in pool workers.
+    Set-up that dispatches no events (the prefill, an analytic
+    synthesis) runs to its end before the first check.
+
+    Raises:
+        ScenarioTimeoutError: the run outlived ``spec.timeout_s``.
     """
     return _run_scenario_host(spec)[0]
 
@@ -428,22 +394,17 @@ def _run_scenario_host(spec: ScenarioSpec) -> Tuple[RunMetrics, HostSystem]:
     deadline: Optional[float] = None
     if spec.timeout_s is not None and spec.timeout_s > 0:
         deadline = time.monotonic() + spec.timeout_s
-    with _wall_clock_limit(spec.timeout_s):
-        host, metrics, workload, _measure_start = build_preconditioned_host(
-            spec, deadline
-        )
-        metrics.begin()
-        _advance_tolerating_death(
-            host, spec.measure_s * SECOND, deadline, spec.timeout_s
-        )
-        metrics.end()
-        workload.stop()
-        results = metrics.results()
-        host.obs.finish()
-        report = host.obs.profile_report()
-        if report is not None:
-            print(report)
-        return results, host
+    host, metrics, workload, _measure_start = build_preconditioned_host(spec, deadline)
+    metrics.begin()
+    _advance_tolerating_death(host, spec.measure_s * SECOND, deadline, spec.timeout_s)
+    metrics.end()
+    workload.stop()
+    results = metrics.results()
+    host.obs.finish()
+    report = host.obs.profile_report()
+    if report is not None:
+        print(report)
+    return results, host
 
 
 #: Events dispatched between wall-clock deadline probes.  Large enough
@@ -469,9 +430,8 @@ def _advance_tolerating_death(
 
     With ``deadline`` set (``time.monotonic()`` value), events run in
     batches of :data:`_DEADLINE_BATCH_EVENTS` and the deadline is checked
-    between batches -- the wall-clock budget mechanism that works on pool
-    worker threads where ``SIGALRM`` cannot (signals only reach a
-    process's main thread).
+    between batches -- the one wall-clock budget, which works on any
+    thread and in pool workers alike.
 
     Raises:
         ScenarioTimeoutError: the deadline passed.
@@ -574,50 +534,66 @@ def _run_pooled(
                 record(key, None if wire is None else RunMetrics.from_wire(wire), error)
 
 
+def traced_per_key(spec: ScenarioSpec, key: str) -> ScenarioSpec:
+    """``spec`` tracing to its own file: ``<stem>-<key>``, each ``/`` in
+    the key written ``_``, so the runs of a batch never overwrite each
+    other's traces.  Untraced specs come back unchanged."""
+    if spec.obs is None or not spec.obs.trace_path:
+        return spec
+    return replace(spec, obs=spec.obs.with_suffix(key.replace("/", "_")))
+
+
+def run_scenarios(
+    specs: Dict[str, ScenarioSpec], jobs: Optional[int] = 1
+) -> Dict[str, RunMetrics]:
+    """Run a batch of keyed scenarios, every one of which must succeed.
+
+    ``jobs`` is resolved by :func:`resolve_jobs`.  One worker runs the
+    batch in-process, where a scenario's own exception propagates; more
+    run it in a process pool.  Each scenario is a self-contained
+    deterministic replay (own simulator, own seeded RNGs), so results
+    are bit-identical either way.  A traced spec writes to
+    :func:`traced_per_key`'s file for its key.
+
+    Returns ``{key: RunMetrics}`` in the order of ``specs``.
+
+    Raises:
+        RuntimeError: a pooled run failed.
+    """
+    jobs = resolve_jobs(jobs, len(specs))
+    specs = {key: traced_per_key(spec, key) for key, spec in specs.items()}
+    if jobs <= 1:
+        return {key: run_scenario(spec) for key, spec in specs.items()}
+    results: Dict[str, RunMetrics] = {}
+    failures: Dict[str, str] = {}
+
+    def _record(key: str, metrics: Optional[RunMetrics], error: Optional[str]) -> None:
+        if error is not None:
+            failures[key] = error
+        else:
+            results[key] = metrics
+
+    _run_pooled(specs, jobs, _record)
+    if failures:
+        raise RuntimeError(f"scenarios failed: {failures}")
+    return {key: results[key] for key in specs}
+
+
 def run_policy_comparison(
     spec: ScenarioSpec,
     policies: Optional[Dict[str, Callable[[], GcPolicy]]] = None,
     jobs: Optional[int] = 1,
 ) -> Dict[str, RunMetrics]:
-    """Run one workload under several policies (identical everything else).
-
-    With ``jobs > 1`` (or the adaptive ``jobs=0``/``None``, resolved via
-    :func:`resolve_jobs`) the per-policy runs execute in a process pool
-    -- each scenario is already a self-contained deterministic replay
-    (own simulator, own seeded RNGs), so results are bit-identical to the
-    serial path and come back in the given policy order.
+    """Run one workload under several policies (identical everything
+    else) through :func:`run_scenarios`, keyed by policy name.
 
     Returns ``{policy_name: RunMetrics}`` in the given order.
-
-    Raises:
-        RuntimeError: a parallel run failed (the serial path instead
-            propagates the scenario's original exception).
     """
     policies = policies or POLICY_FACTORIES
-    run_specs: Dict[str, ScenarioSpec] = {}
-    for name, factory in policies.items():
-        run_spec = spec.with_policy(name, factory)
-        if run_spec.obs is not None and run_spec.obs.trace_path:
-            # Per-policy trace files: compared runs never overwrite
-            # each other's output.
-            run_spec = replace(run_spec, obs=run_spec.obs.with_suffix(name))
-        run_specs[name] = run_spec
-    jobs = resolve_jobs(jobs, len(run_specs))
-    if jobs <= 1:
-        return {name: run_scenario(s) for name, s in run_specs.items()}
-    results: Dict[str, RunMetrics] = {}
-    failures: Dict[str, str] = {}
-
-    def _record(name: str, metrics: Optional[RunMetrics], error: Optional[str]) -> None:
-        if error is not None:
-            failures[name] = error
-        else:
-            results[name] = metrics
-
-    _run_pooled(run_specs, jobs, _record)
-    if failures:
-        raise RuntimeError(f"policy comparison failed: {failures}")
-    return {name: results[name] for name in run_specs}
+    return run_scenarios(
+        {name: spec.with_policy(name, factory) for name, factory in policies.items()},
+        jobs,
+    )
 
 
 @dataclass
@@ -672,9 +648,8 @@ def run_sweep(
     written exclusively by the parent process (one atomic write per
     completion, exactly as in a serial run), so serial and parallel runs
     can freely resume each other's checkpoints.  Per-scenario wall-clock
-    budgets apply in workers too: the runner checks a monotonic deadline
-    at event-loop batch boundaries (``SIGALRM`` only works on a process's
-    main thread, so the signal timer is merely a serial-path backstop).
+    budgets (see :func:`run_scenario`) hold in workers as in-process, and
+    a traced spec writes to :func:`traced_per_key`'s file for its key.
 
     Args:
         specs: the scenarios, either keyed explicitly (dict) or keyed by
@@ -719,10 +694,7 @@ def run_sweep(
             continue
         if spec.timeout_s is None and timeout_s is not None:
             spec = replace(spec, timeout_s=timeout_s)
-        if spec.obs is not None and spec.obs.trace_path:
-            # Per-scenario trace files, same suffix rule serial or not.
-            spec = replace(spec, obs=spec.obs.with_suffix(key.replace("/", "_")))
-        pending[key] = spec
+        pending[key] = traced_per_key(spec, key)
 
     def _record(key: str, metrics: Optional[RunMetrics], error: Optional[str]) -> None:
         if error is not None:

@@ -8,11 +8,11 @@ measured-vs-paper percentages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import ScenarioSpec, run_scenario
+from repro.experiments.runner import ScenarioSpec, run_scenarios
 from repro.workloads import BENCHMARKS
 
 DEFAULT_WORKLOADS = ("YCSB", "Postmark", "Filebench", "Bonnie++", "Tiobench", "TPC-C")
@@ -64,15 +64,17 @@ def run_table1(
     """Measure the write mix of each benchmark model.
 
     The GC policy is irrelevant to the mix; a single L-BGC run per
-    benchmark suffices.
+    benchmark, keyed by workload, suffices.
     """
     base_spec = base_spec or ScenarioSpec()
-    result = Table1Result()
     for workload in workloads:
         if workload not in BENCHMARKS:
             raise KeyError(f"unknown workload {workload!r}")
-        spec = base_spec.with_policy("L-BGC")
-        spec.workload = workload
-        metrics = run_scenario(spec)
+    specs = {
+        workload: replace(base_spec, workload=workload).with_policy("L-BGC")
+        for workload in workloads
+    }
+    result = Table1Result()
+    for workload, metrics in run_scenarios(specs).items():
         result.buffered_pct[workload] = 100.0 * metrics.buffered_fraction
     return result

@@ -10,11 +10,11 @@ writes are fundamentally harder to predict (paper: 72.5 %).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import ScenarioSpec, run_scenario
+from repro.experiments.runner import ScenarioSpec, run_scenarios
 
 DEFAULT_WORKLOADS = ("YCSB", "Postmark", "Filebench", "Bonnie++", "Tiobench", "TPC-C")
 
@@ -66,17 +66,19 @@ def run_table2(
     base_spec: ScenarioSpec = None,
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
 ) -> Table2Result:
-    """Measure predictor accuracy for both predicting policies."""
+    """Measure predictor accuracy for both predicting policies, keyed
+    ``<workload>/<policy>``."""
     base_spec = base_spec or ScenarioSpec()
+    specs = {
+        f"{workload}/{policy}": replace(base_spec, workload=workload).with_policy(policy)
+        for workload in workloads
+        for policy in ("JIT-GC", "ADP-GC")
+    }
+    metrics = run_scenarios(specs)
     result = Table2Result(accuracy_pct={"JIT-GC": {}, "ADP-GC": {}})
-    for workload in workloads:
-        for policy in ("JIT-GC", "ADP-GC"):
-            spec = base_spec.with_policy(policy)
-            spec.workload = workload
-            metrics = run_scenario(spec)
-            result.accuracy_pct[policy][workload] = (
-                metrics.prediction_accuracy_pct
-                if metrics.prediction_accuracy_pct is not None
-                else 100.0
-            )
+    for key, spec in specs.items():
+        accuracy = metrics[key].prediction_accuracy_pct
+        result.accuracy_pct[spec.policy][spec.workload] = (
+            accuracy if accuracy is not None else 100.0
+        )
     return result

@@ -9,11 +9,11 @@ re-writes dominate -- Postmark (20.6 %) > Filebench (17.5 %) > YCSB
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import ScenarioSpec, run_scenario
+from repro.experiments.runner import ScenarioSpec, run_scenarios
 
 DEFAULT_WORKLOADS = ("YCSB", "Postmark", "Filebench", "Bonnie++", "Tiobench", "TPC-C")
 
@@ -58,13 +58,15 @@ def run_table3(
     base_spec: ScenarioSpec = None,
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
 ) -> Table3Result:
-    """Measure SIP-filter activity under JIT-GC per benchmark."""
+    """Measure SIP-filter activity under JIT-GC per benchmark, keyed by
+    workload."""
     base_spec = base_spec or ScenarioSpec()
+    specs = {
+        workload: replace(base_spec, workload=workload).with_policy("JIT-GC")
+        for workload in workloads
+    }
     result = Table3Result()
-    for workload in workloads:
-        spec = base_spec.with_policy("JIT-GC")
-        spec.workload = workload
-        metrics = run_scenario(spec)
+    for workload, metrics in run_scenarios(specs).items():
         result.filtered_pct[workload] = metrics.sip_filtered_pct()
         result.selections[workload] = metrics.sip_selections
     return result

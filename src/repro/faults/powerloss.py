@@ -45,25 +45,17 @@ class SpoPlan:
             the measurement window, seed-deterministically.
         seed: seed for the random cut draws (independent of workload and
             fault-injector streams).
-        every_k_events: crash-point sweep stride -- snapshot-and-recover
-            at every k-th dispatched event (sweep harness only; not a
-            live cut).
     """
 
     at_ns: Tuple[int, ...] = ()
     random_cuts: int = 0
     seed: int = 0
-    every_k_events: Optional[int] = None
 
     def __post_init__(self) -> None:
         if any(t < 0 for t in self.at_ns):
             raise ValueError(f"cut times must be >= 0, got {self.at_ns}")
         if self.random_cuts < 0:
             raise ValueError(f"random_cuts must be >= 0, got {self.random_cuts}")
-        if self.every_k_events is not None and self.every_k_events <= 0:
-            raise ValueError(
-                f"every_k_events must be positive, got {self.every_k_events}"
-            )
 
     @property
     def enabled(self) -> bool:

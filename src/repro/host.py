@@ -25,6 +25,10 @@ from repro.sim.simtime import SECOND
 from repro.ssd.config import SsdConfig
 from repro.ssd.device import SsdDevice
 
+#: Dirty share of the page cache that triggers volume flushing, kept
+#: high so age flushing dominates.
+TAU_FLUSH_FRACTION = 0.6
+
 
 class HostSystem:
     """A complete simulated host + SSD running one GC policy.
@@ -43,8 +47,6 @@ class HostSystem:
         tau_expire_ns: dirty-age threshold (paper: 30 s; scaled: 6 s).
         dirty_throttle_fraction: dirty share of the cache beyond which
             buffered writers block.
-        tau_flush_fraction: dirty share of the cache that triggers
-            volume flushing (kept high so age flushing dominates).
         obs: observability for the run -- an
             :class:`~repro.obs.Observability`, an
             :class:`~repro.obs.ObservabilityConfig`, or None for the
@@ -65,7 +67,6 @@ class HostSystem:
         flusher_period_ns: int = SECOND,
         tau_expire_ns: int = 6 * SECOND,
         dirty_throttle_fraction: float = 0.8,
-        tau_flush_fraction: float = 0.6,
         obs=None,
         ftl=None,
         start_time_ns: int = 0,
@@ -115,7 +116,7 @@ class HostSystem:
             self.device,
             period_ns=flusher_period_ns,
             tau_expire_ns=tau_expire_ns,
-            tau_flush_pages=max(1, int(self.cache.capacity_pages * tau_flush_fraction)),
+            tau_flush_pages=max(1, int(self.cache.capacity_pages * TAU_FLUSH_FRACTION)),
         )
         self.dispatcher = IoDispatcher(self.sim, self.cache, self.device)
 

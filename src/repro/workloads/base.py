@@ -127,11 +127,7 @@ class Workload:
             set: half the user capacity, per the paper's setup).
         think_ns: mean think time between operations inside a burst.
         burst_ops: operations per burst before an idle pause.
-        idle_ns: mean idle pause between bursts (BGC's opportunity);
-            used when ``wave_period_ns`` is None.
-        wave_period_ns: when set, actors synchronise to global load
-            waves: each actor runs one burst per wave, then sleeps until
-            the next wave boundary.
+        idle_ns: mean idle pause between bursts (BGC's opportunity).
         phase_on_ns / phase_off_ns: when set, a global duty-cycle gate
             drives the whole benchmark: actors issue operations freely
             during ON phases and all park during OFF phases.  Real
@@ -156,7 +152,6 @@ class Workload:
         think_ns: int = 30_000,
         burst_ops: int = 2048,
         idle_ns: int = 8 * SECOND,
-        wave_period_ns: Optional[int] = None,
         phase_on_ns: Optional[int] = None,
         phase_off_ns: Optional[int] = None,
     ) -> None:
@@ -172,7 +167,6 @@ class Workload:
         self.think_ns = think_ns
         self.burst_ops = burst_ops
         self.idle_ns = idle_ns
-        self.wave_period_ns = wave_period_ns
         if (phase_on_ns is None) != (phase_off_ns is None):
             raise ValueError("phase_on_ns and phase_off_ns must be set together")
         self.phase_on_ns = phase_on_ns
@@ -305,13 +299,7 @@ class Workload:
                 yield Timeout(delay)
 
     def burst_pause(self, rng: Optional[np.random.Generator] = None) -> Iterator:
-        """Pause after a burst: until the next global wave boundary when
-        wave synchronisation is on, otherwise a truncated-exponential idle."""
-        if self.wave_period_ns is not None:
-            period = self.wave_period_ns
-            next_wave = (self.sim.now // period + 1) * period
-            yield Timeout(next_wave - self.sim.now)
-            return
+        """Pause after a burst: a truncated-exponential idle."""
         delay = self._exponential(self.idle_ns, rng)
         if delay > 0:
             yield Timeout(delay)

@@ -7,15 +7,18 @@ Full-fidelity runs live in benchmarks/; these verify the harness logic
 import pytest
 
 from repro.experiments import (
+    POLICY_FACTORIES,
     ScenarioSpec,
     run_fig2,
     run_fig7,
     run_manager_laziness,
+    run_policy_comparison,
     run_sip_ablation,
     run_table1,
     run_table2,
     run_table3,
 )
+from repro.obs import ObservabilityConfig
 
 MICRO = ScenarioSpec(blocks=192, pages_per_block=16, warmup_s=4, measure_s=10)
 
@@ -72,3 +75,45 @@ def test_ablation_micro():
     assert set(result.raw) == {"JIT-GC (SIP)", "JIT-GC (no SIP)"}
     laziness = run_manager_laziness(micro("TPC-C"))
     assert "pure deferral" in laziness.raw
+
+
+@pytest.mark.parametrize(
+    "run, kwargs, keys",
+    [
+        (
+            run_fig2,
+            {"workloads": ("YCSB",), "reserve_points": (0.5, 1.5)},
+            [f"YCSB_FIXED-{k}OP_seed42_faults-none" for k in ("0.5", "1.5")],
+        ),
+        (
+            run_fig7,
+            {"workloads": ("YCSB", "Postmark")},
+            [
+                f"{workload}_{policy}"
+                for workload in ("YCSB", "Postmark")
+                for policy in ("L-BGC", "A-BGC", "ADP-GC", "JIT-GC")
+            ],
+        ),
+        (run_table1, {"workloads": ("YCSB", "Postmark")}, ["YCSB", "Postmark"]),
+        (
+            run_policy_comparison,
+            {"policies": {p: POLICY_FACTORIES[p] for p in ("L-BGC", "JIT-GC")}},
+            ["L-BGC", "JIT-GC"],
+        ),
+    ],
+    ids=["fig2", "fig7", "table1", "compare"],
+)
+def test_batches_trace_one_file_per_run(tmp_path, run, kwargs, keys):
+    """Each run of a traced batch writes ``<stem>-<key>``, ``/`` in the
+    key written ``_``; a comparison keeps bare policy names."""
+    spec = ScenarioSpec(
+        blocks=64,
+        pages_per_block=8,
+        warmup_s=0,
+        measure_s=1,
+        obs=ObservabilityConfig(trace_path=str(tmp_path / "t.jsonl")),
+    )
+    run(spec, **kwargs)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"t-{key}.jsonl" for key in keys
+    )

@@ -177,7 +177,6 @@ CASES = {
                         "at_ns": (1_500_000_000, 2_000_000_000),
                         "random_cuts": 3,
                         "seed": 7,
-                        "every_k_events": None,
                     }
                 },
             ],

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.policies import FixedReservePolicy
+from repro.experiments import runner
+from repro.experiments.fig2 import run_fig2
 from repro.experiments.runner import (
     POLICY_FACTORIES,
     ScenarioSpec,
@@ -121,3 +123,25 @@ def test_negative_jobs_are_refused(jobs):
         resolve_jobs(jobs, 10)
     with pytest.raises(ValueError, match="jobs must be 0"):
         run_policy_comparison(quick_spec(), jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be 0"):
+        run_fig2(quick_spec(), workloads=("YCSB",), reserve_points=(1.0,), jobs=jobs)
+
+
+def test_fig2_adaptive_jobs_runs_pooled(monkeypatch):
+    """``jobs=0``, fig2's CLI default, resolves to a pool as every other
+    batch's does; the spy runs the pool's scenarios in-process."""
+    pooled = []
+
+    def spy(pending, jobs, record):
+        pooled.append(jobs)
+        for key, spec in pending.items():
+            record(key, run_scenario(spec), None)
+
+    monkeypatch.setattr(runner, "_run_pooled", spy)
+    monkeypatch.setattr(
+        runner.os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False
+    )
+    spec = quick_spec(warmup_s=0, measure_s=2)
+    result = run_fig2(spec, workloads=("YCSB",), reserve_points=(0.5, 1.5), jobs=0)
+    assert pooled == [2]
+    assert set(result.raw["YCSB"]) == {0.5, 1.5}

@@ -4,7 +4,6 @@ timeouts, and persistence of the fault-metrics fields."""
 import dataclasses
 import json
 import os
-import time
 
 import pytest
 
@@ -15,8 +14,6 @@ from repro.experiments.persistence import (
 )
 from repro.experiments.runner import (
     ScenarioSpec,
-    ScenarioTimeoutError,
-    _wall_clock_limit,
     run_sweep,
 )
 from repro.metrics.collector import RunMetrics
@@ -151,25 +148,26 @@ def test_checkpoint_file_is_valid_json_with_schema(tmp_path):
 # ----------------------------------------------------------------------
 # Wall-clock timeout
 # ----------------------------------------------------------------------
-def test_wall_clock_limit_fires():
-    with pytest.raises(ScenarioTimeoutError):
-        with _wall_clock_limit(0.05):
-            time.sleep(2.0)
-
-
-def test_wall_clock_limit_noop_when_disabled():
-    with _wall_clock_limit(None):
-        pass
-    with _wall_clock_limit(0):
-        pass
-
-
 def test_sweep_records_timeouts_as_failures(tmp_path):
     # A generous scenario with a microscopic budget must fail cleanly.
     spec = tiny_spec(blocks=256, pages_per_block=32, measure_s=30)
     outcome = run_sweep([spec], timeout_s=0.05)
     assert spec.key() in outcome.failures
     assert "ScenarioTimeoutError" in outcome.failures[spec.key()]
+
+
+def test_sweep_records_timeouts_in_pool_workers():
+    """The budget is a deadline the event loop checks, not a signal to
+    the main thread, so it holds in worker processes too."""
+    specs = [
+        tiny_spec(policy=name, blocks=256, pages_per_block=32, measure_s=30)
+        for name in ("L-BGC", "JIT-GC")
+    ]
+    outcome = run_sweep(specs, timeout_s=0.05, jobs=2)
+    assert not outcome.results
+    assert sorted(outcome.failures) == sorted(spec.key() for spec in specs)
+    for error in outcome.failures.values():
+        assert error.startswith("ScenarioTimeoutError")
 
 
 # ----------------------------------------------------------------------

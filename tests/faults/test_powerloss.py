@@ -20,15 +20,12 @@ def test_plan_validation():
         SpoPlan(at_ns=(-1,))
     with pytest.raises(ValueError):
         SpoPlan(random_cuts=-1)
-    with pytest.raises(ValueError):
-        SpoPlan(every_k_events=0)
 
 
 def test_plan_enabled():
     assert not SpoPlan().enabled
     assert SpoPlan(at_ns=(5,)).enabled
     assert SpoPlan(random_cuts=2).enabled
-    assert not SpoPlan(every_k_events=64).enabled  # sweep mode, no live cut
 
 
 def test_cut_times_sorted_deduped_and_deterministic():
