@@ -4,7 +4,8 @@ Every bench regenerates one of the paper's tables/figures at a reduced
 scale (smaller device, shorter measurement window) so the full suite
 finishes in minutes.  Experiment results are cached per process: the two
 panels of a figure (e.g. Fig. 2a IOPS and Fig. 2b WAF) come from the
-same sweep rather than running it twice.
+same sweep rather than running it twice, and Tables 1-3 read their
+columns of the cached Fig. 7 grid instead of running them again.
 
 Run with ``pytest benchmarks/ --benchmark-only -s`` to see the tables.
 """
@@ -17,11 +18,11 @@ from repro.experiments import (
     Fig2Result,
     Fig7Result,
     ScenarioSpec,
+    Table1Result,
+    Table2Result,
+    Table3Result,
     run_fig2,
     run_fig7,
-    run_table1,
-    run_table2,
-    run_table3,
 )
 
 #: Reduced-scale scenario shared by all benches.
@@ -51,19 +52,13 @@ def fig7_result() -> Fig7Result:
     return _cache["fig7"]
 
 
-def table1_result():
-    if "table1" not in _cache:
-        _cache["table1"] = run_table1(quick_spec())
-    return _cache["table1"]
+def table1_result() -> Table1Result:
+    return Table1Result.from_grid(fig7_result().raw)
 
 
-def table2_result():
-    if "table2" not in _cache:
-        _cache["table2"] = run_table2(quick_spec())
-    return _cache["table2"]
+def table2_result() -> Table2Result:
+    return Table2Result.from_grid(fig7_result().raw)
 
 
-def table3_result():
-    if "table3" not in _cache:
-        _cache["table3"] = run_table3(quick_spec())
-    return _cache["table3"]
+def table3_result() -> Table3Result:
+    return Table3Result.from_grid(fig7_result().raw)

@@ -64,10 +64,11 @@ from repro.sim.simtime import SECOND
 from repro.workloads import WORKLOADS
 
 #: The run family (``run``, ``compare``, ``oracle``, the artifacts and
-#: ``sweep``) measures shorter windows than ``ScenarioSpec()``.
+#: ``sweep``) measures shorter windows than ``ScenarioSpec()``.  The
+#: artifacts run every benchmark, so ``--workload`` is not a family flag.
 _RUN_BASE = ScenarioSpec(warmup_s=20, measure_s=60, fault_profile="none")
 _RUN_FLAGS = (
-    "workload", "blocks", "pages_per_block", "warmup_s", "measure_s", "seed",
+    "blocks", "pages_per_block", "warmup_s", "measure_s", "seed",
     "warm_start", "fault_profile", "mapping", "cmt_budget_bytes",
     "reliability", "checkpoint_interval", "checkpoint_policy",
 )
@@ -104,11 +105,10 @@ def _add_spec_args(
         )
 
 
-def _spec_from(
-    args: argparse.Namespace, base: ScenarioSpec, names: Sequence[str], **extra
-) -> ScenarioSpec:
-    """``base`` with each named field set from its parsed flag."""
+def _spec_from(args: argparse.Namespace, base: ScenarioSpec, **extra) -> ScenarioSpec:
+    """``base`` with every field the parser defined a flag for set from it."""
     flags = vars(args)
+    names = [f.name for f in dataclasses.fields(ScenarioSpec) if f.name in flags]
     try:
         return replace(base, **{name: flags[name] for name in names}, **extra)
     except ValueError as exc:
@@ -142,7 +142,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser, *names: str) -> None:
     _add_obs_args(parser)
 
 
-def _scenario_spec(args: argparse.Namespace, *names: str) -> ScenarioSpec:
+def _scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
     """The spec built from :func:`_add_scenario_args`'s flags."""
     obs = None
     if args.trace is not None or args.profile:
@@ -153,7 +153,7 @@ def _scenario_spec(args: argparse.Namespace, *names: str) -> ScenarioSpec:
             profile=args.profile,
             audit=args.trace is not None,
         )
-    return _spec_from(args, _RUN_BASE, _RUN_FLAGS + names, obs=obs)
+    return _spec_from(args, _RUN_BASE, obs=obs)
 
 
 def _echo_run_header(spec: ScenarioSpec) -> None:
@@ -269,7 +269,7 @@ def _spo_plan_from(args: argparse.Namespace) -> SpoPlan:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = _scenario_spec(args, "policy")
+    spec = _scenario_spec(args)
     _echo_run_header(spec)
     plan = _spo_plan_from(args)
     if plan.enabled:
@@ -298,7 +298,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_crash_sweep(args: argparse.Namespace) -> int:
-    spec = _spec_from(args, gc_heavy_spec(trim_heavy=args.trim_heavy), _CRASH_FLAGS)
+    spec = _spec_from(args, gc_heavy_spec(trim_heavy=args.trim_heavy))
     _echo_run_header(spec)
     ticks = {"n": 0}
 
@@ -407,7 +407,7 @@ def cmd_latency_report(args: argparse.Namespace) -> int:
     obs = None
     if args.trace is not None:
         obs = ObservabilityConfig(trace_path=args.trace, trace_format=args.trace_format)
-    spec = _spec_from(args, _LATENCY_BASE, _LATENCY_FLAGS, obs=obs)
+    spec = _spec_from(args, _LATENCY_BASE, obs=obs)
     policies = None
     if args.policies:
         names = [name.strip() for name in args.policies.split(",") if name.strip()]
@@ -427,7 +427,7 @@ def cmd_latency_report(args: argparse.Namespace) -> int:
 
 
 def cmd_lifetime_report(args: argparse.Namespace) -> int:
-    spec = _spec_from(args, _REPORT_BASE, _REPORT_FLAGS)
+    spec = _spec_from(args, _REPORT_BASE)
     _echo_run_header(spec)
     result = run_lifetime_report(
         spec,
@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run one (workload, policy) scenario")
-    _add_scenario_args(run_parser, "policy")
+    _add_scenario_args(run_parser, "workload", "policy")
     run_parser.add_argument(
         "--spo-at", type=float, action="append", default=None, metavar="S",
         help="cut power at simulated second S and recover (repeatable)",
@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.set_defaults(func=cmd_run)
 
     compare_parser = sub.add_parser("compare", help="four-policy comparison")
-    _add_scenario_args(compare_parser)
+    _add_scenario_args(compare_parser, "workload")
     _add_jobs_arg(compare_parser)
     compare_parser.set_defaults(func=cmd_compare)
 
@@ -481,8 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(fig2_parser)
     fig2_parser.set_defaults(func=cmd_fig2)
 
+    oracle_parser = sub.add_parser("oracle", help="JIT-GC vs the ideal policy")
+    _add_scenario_args(oracle_parser, "workload")
+    oracle_parser.set_defaults(func=_artifact_command(run_oracle_comparison))
+
     for name, runner, help_text in (
-        ("oracle", run_oracle_comparison, "JIT-GC vs the ideal policy"),
         ("fig7", run_fig7, "four policies x six benchmarks (paper Fig. 7)"),
         ("table1", run_table1, "buffered/direct write mix (paper Table 1)"),
         ("table2", run_table2, "prediction accuracy (paper Table 2)"),
@@ -495,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = sub.add_parser(
         "sweep", help="all policies on one workload, isolated + checkpointed"
     )
-    _add_scenario_args(sweep_parser)
+    _add_scenario_args(sweep_parser, "workload")
     sweep_parser.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="persist per-scenario results here; resumable after a crash",

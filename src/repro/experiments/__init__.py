@@ -1,6 +1,7 @@
 """Experiment harnesses: one module per table/figure of the paper.
 
-* :mod:`repro.experiments.runner` -- the shared scenario protocol.
+* :mod:`repro.experiments.runner` -- the shared scenario protocol and
+  the benchmark x policy grid behind Fig. 2, Fig. 7 and Tables 1-3.
 * :mod:`repro.experiments.reporting` -- text-table formatting.
 * :mod:`repro.experiments.fig2` -- reserved-capacity sweep (Fig. 2a/2b).
 * :mod:`repro.experiments.table1` -- buffered/direct write mix (Table 1).
@@ -8,8 +9,8 @@
 * :mod:`repro.experiments.table2` -- prediction accuracy (Table 2).
 * :mod:`repro.experiments.table3` -- SIP victim filtering (Table 3).
 * :mod:`repro.experiments.ablations` -- design-choice sweeps from
-  DESIGN.md (CDH percentile, SIP threshold, strict predictor, eager
-  manager).
+  DESIGN.md (CDH percentile, SIP filtering on/off, strict predictor,
+  pure-deferral manager).
 * :mod:`repro.experiments.crashsweep` -- exhaustive crash-point sweep
   and live sudden-power-off runs with post-recovery continuation.
 """

@@ -10,20 +10,18 @@ JIT-GC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.policies import FixedReservePolicy
 from repro.experiments.reporting import format_table, normalize_to
-from repro.experiments.runner import ScenarioSpec, run_scenarios
+from repro.experiments.runner import ScenarioSpec, run_grid
 from repro.metrics.collector import RunMetrics
+from repro.workloads import BENCHMARKS
 
 #: The paper's Fig. 2 x-axis.
 RESERVE_POINTS = (0.5, 0.75, 1.0, 1.25, 1.5)
-
-#: Benchmarks in the paper's order.
-DEFAULT_WORKLOADS = ("YCSB", "Postmark", "Filebench", "Bonnie++", "Tiobench", "TPC-C")
 
 
 @dataclass
@@ -67,41 +65,20 @@ class Fig2Result:
         )
 
 
-def fig2_specs(
-    base_spec: ScenarioSpec = None,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    reserve_points: Sequence[float] = RESERVE_POINTS,
-) -> Dict[str, ScenarioSpec]:
-    """The Fig. 2 grid as keyed scenario specs.
-
-    Policy factories are ``functools.partial`` (not lambdas) so the
-    specs survive pickling into :func:`run_scenarios` worker processes.
-    """
-    base_spec = base_spec or ScenarioSpec()
-    specs: Dict[str, ScenarioSpec] = {}
-    for workload in workloads:
-        for point in reserve_points:
-            spec = base_spec.with_policy(
-                f"FIXED-{point:g}OP",
-                partial(FixedReservePolicy, point),
-            )
-            spec = replace(spec, workload=workload)
-            specs[spec.key()] = spec
-    return specs
-
-
 def run_fig2(
     base_spec: ScenarioSpec = None,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
+    workloads: Sequence[str] = tuple(BENCHMARKS),
     reserve_points: Sequence[float] = RESERVE_POINTS,
     jobs: Optional[int] = 1,
 ) -> Fig2Result:
-    """Run the full Fig. 2 sweep; one scenario per (workload, Cresv),
-    keyed by :meth:`ScenarioSpec.key` and run by :func:`run_scenarios`."""
-    result = Fig2Result(reserve_points=tuple(reserve_points))
-    specs = fig2_specs(base_spec, workloads, reserve_points)
-    metrics_by_key = run_scenarios(specs, jobs)
-    for key, spec in specs.items():
-        point = float(spec.policy.removeprefix("FIXED-").removesuffix("OP"))
-        result.raw.setdefault(spec.workload, {})[point] = metrics_by_key[key]
-    return result
+    """Run the full Fig. 2 sweep: :func:`run_grid` with one
+    ``FIXED-<k>OP`` policy per reserve point.
+
+    Policy factories are ``functools.partial`` (not lambdas) so the
+    specs survive pickling into worker processes.
+    """
+    names = {point: f"FIXED-{point:g}OP" for point in reserve_points}
+    policies = {name: partial(FixedReservePolicy, k) for k, name in names.items()}
+    grid = run_grid(base_spec, policies, workloads, jobs)
+    raw = {w: {k: row[name] for k, name in names.items()} for w, row in grid.items()}
+    return Fig2Result(tuple(reserve_points), raw)

@@ -12,22 +12,19 @@ Runs L-BGC, A-BGC, ADP-GC and JIT-GC on each benchmark and reports IOPS
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.experiments.reporting import format_table, normalize_to
-from repro.experiments.runner import ScenarioSpec, run_scenarios
-from repro.metrics.collector import RunMetrics
-
-DEFAULT_WORKLOADS = ("YCSB", "Postmark", "Filebench", "Bonnie++", "Tiobench", "TPC-C")
-POLICY_ORDER = ("L-BGC", "A-BGC", "ADP-GC", "JIT-GC")
+from repro.experiments.runner import POLICY_FACTORIES, Grid, ScenarioSpec, run_grid
+from repro.workloads import BENCHMARKS
 
 
 @dataclass
 class Fig7Result:
     """``raw[workload][policy]`` -> RunMetrics."""
 
-    raw: Dict[str, Dict[str, RunMetrics]] = field(default_factory=dict)
+    raw: Grid = field(default_factory=dict)
 
     def normalized_iops(self, workload: str) -> Dict[str, float]:
         series = {p: m.iops for p, m in self.raw[workload].items()}
@@ -55,14 +52,14 @@ class Fig7Result:
         return sum(ratios) / len(ratios)
 
     def format(self) -> str:
-        headers = ["Benchmark"] + list(POLICY_ORDER)
+        headers = ["Benchmark"] + list(POLICY_FACTORIES)
         iops_rows: List[List[object]] = []
         waf_rows: List[List[object]] = []
         for workload in self.raw:
             iops = self.normalized_iops(workload)
             waf = self.normalized_waf(workload)
-            iops_rows.append([workload] + [iops[p] for p in POLICY_ORDER])
-            waf_rows.append([workload] + [waf[p] for p in POLICY_ORDER])
+            iops_rows.append([workload] + [iops[p] for p in POLICY_FACTORIES])
+            waf_rows.append([workload] + [waf[p] for p in POLICY_FACTORIES])
         return (
             format_table(headers, iops_rows, title="Fig 7(a): normalized IOPS")
             + "\n\n"
@@ -72,17 +69,7 @@ class Fig7Result:
 
 def run_fig7(
     base_spec: ScenarioSpec = None,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
+    workloads: Sequence[str] = tuple(BENCHMARKS),
 ) -> Fig7Result:
-    """Run all four policies on each workload, keyed ``<workload>/<policy>``."""
-    base_spec = base_spec or ScenarioSpec()
-    specs = {
-        f"{workload}/{policy}": replace(base_spec, workload=workload).with_policy(policy)
-        for workload in workloads
-        for policy in POLICY_ORDER
-    }
-    metrics = run_scenarios(specs)
-    result = Fig7Result()
-    for key, spec in specs.items():
-        result.raw.setdefault(spec.workload, {})[spec.policy] = metrics[key]
-    return result
+    """Run all four policies on each workload (:func:`run_grid`)."""
+    return Fig7Result(raw=run_grid(base_spec, POLICY_FACTORIES, workloads))

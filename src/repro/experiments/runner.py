@@ -23,7 +23,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.policies import (
     AdaptiveGcPolicy,
@@ -40,7 +40,7 @@ from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.obs import Observability, ObservabilityConfig
 from repro.sim.simtime import SECOND
 from repro.ssd.config import SsdConfig
-from repro.workloads import WORKLOADS, Region
+from repro.workloads import BENCHMARKS, WORKLOADS, Region
 
 
 class ScenarioTimeoutError(RuntimeError):
@@ -54,6 +54,9 @@ POLICY_FACTORIES: Dict[str, Callable[[], GcPolicy]] = {
     "JIT-GC": JitGcPolicy,
 }
 
+
+#: ``grid[workload][policy]``: the runs of :func:`run_grid`.
+Grid = Dict[str, Dict[str, RunMetrics]]
 
 #: Valid ``ScenarioSpec.warm_start`` modes.
 WARM_START_MODES = ("sim", "analytic")
@@ -594,6 +597,29 @@ def run_policy_comparison(
         {name: spec.with_policy(name, factory) for name, factory in policies.items()},
         jobs,
     )
+
+
+def run_grid(
+    base_spec: Optional[ScenarioSpec],
+    policies: Dict[str, Callable[[], GcPolicy]],
+    workloads: Sequence[str] = tuple(BENCHMARKS),
+    jobs: Optional[int] = 1,
+) -> Grid:
+    """Run every workload under every policy through :func:`run_scenarios`,
+    keyed ``<workload>/<policy>``; returns ``grid[workload][policy]`` in
+    the order given.  An unknown workload raises :class:`KeyError`
+    before anything runs."""
+    unknown = [workload for workload in workloads if workload not in WORKLOADS]
+    if unknown:
+        raise KeyError(f"unknown workloads {unknown}; known: {sorted(WORKLOADS)}")
+    base_spec = base_spec or ScenarioSpec()
+    specs = {
+        f"{workload}/{name}": replace(base_spec, workload=workload).with_policy(name, f)
+        for workload in workloads
+        for name, f in policies.items()
+    }
+    metrics = run_scenarios(specs, jobs)
+    return {w: {name: metrics[f"{w}/{name}"] for name in policies} for w in workloads}
 
 
 @dataclass

@@ -8,14 +8,12 @@ measured-vs-paper percentages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import ScenarioSpec, run_scenarios
+from repro.experiments.runner import POLICY_FACTORIES, Grid, ScenarioSpec, run_grid
 from repro.workloads import BENCHMARKS
-
-DEFAULT_WORKLOADS = ("YCSB", "Postmark", "Filebench", "Bonnie++", "Tiobench", "TPC-C")
 
 #: The paper's Table 1 buffered-write percentages.
 PAPER_BUFFERED_PCT = {
@@ -33,6 +31,16 @@ class Table1Result:
     """Measured buffered fraction per benchmark."""
 
     buffered_pct: Dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def from_grid(cls, grid: Grid) -> "Table1Result":
+        """The write mix of each workload's L-BGC run in ``grid``."""
+        return cls(
+            {
+                workload: 100.0 * row["L-BGC"].buffered_fraction
+                for workload, row in grid.items()
+            }
+        )
 
     def direct_pct(self, workload: str) -> float:
         return 100.0 - self.buffered_pct[workload]
@@ -59,22 +67,13 @@ class Table1Result:
 
 def run_table1(
     base_spec: ScenarioSpec = None,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
+    workloads: Sequence[str] = tuple(BENCHMARKS),
 ) -> Table1Result:
     """Measure the write mix of each benchmark model.
 
     The GC policy is irrelevant to the mix; a single L-BGC run per
-    benchmark, keyed by workload, suffices.
+    benchmark suffices.
     """
-    base_spec = base_spec or ScenarioSpec()
-    for workload in workloads:
-        if workload not in BENCHMARKS:
-            raise KeyError(f"unknown workload {workload!r}")
-    specs = {
-        workload: replace(base_spec, workload=workload).with_policy("L-BGC")
-        for workload in workloads
-    }
-    result = Table1Result()
-    for workload, metrics in run_scenarios(specs).items():
-        result.buffered_pct[workload] = 100.0 * metrics.buffered_fraction
-    return result
+    return Table1Result.from_grid(
+        run_grid(base_spec, {"L-BGC": POLICY_FACTORIES["L-BGC"]}, workloads)
+    )

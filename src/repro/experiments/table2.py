@@ -10,13 +10,12 @@ writes are fundamentally harder to predict (paper: 72.5 %).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import ScenarioSpec, run_scenarios
-
-DEFAULT_WORKLOADS = ("YCSB", "Postmark", "Filebench", "Bonnie++", "Tiobench", "TPC-C")
+from repro.experiments.runner import POLICY_FACTORIES, Grid, ScenarioSpec, run_grid
+from repro.workloads import BENCHMARKS
 
 #: The paper's Table 2 (percent).
 PAPER_ACCURACY = {
@@ -45,6 +44,22 @@ class Table2Result:
 
     accuracy_pct: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
+    @classmethod
+    def from_grid(cls, grid: Grid) -> "Table2Result":
+        """The accuracy of each predicting policy's runs in ``grid``; a
+        run with no scored horizon reads 100 %."""
+        return cls(
+            {
+                policy: {
+                    workload: 100.0
+                    if row[policy].prediction_accuracy_pct is None
+                    else row[policy].prediction_accuracy_pct
+                    for workload, row in grid.items()
+                }
+                for policy in PAPER_ACCURACY
+            }
+        )
+
     def format(self) -> str:
         workloads = list(next(iter(self.accuracy_pct.values())).keys())
         rows: List[List[object]] = []
@@ -64,21 +79,9 @@ class Table2Result:
 
 def run_table2(
     base_spec: ScenarioSpec = None,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
+    workloads: Sequence[str] = tuple(BENCHMARKS),
 ) -> Table2Result:
-    """Measure predictor accuracy for both predicting policies, keyed
-    ``<workload>/<policy>``."""
-    base_spec = base_spec or ScenarioSpec()
-    specs = {
-        f"{workload}/{policy}": replace(base_spec, workload=workload).with_policy(policy)
-        for workload in workloads
-        for policy in ("JIT-GC", "ADP-GC")
-    }
-    metrics = run_scenarios(specs)
-    result = Table2Result(accuracy_pct={"JIT-GC": {}, "ADP-GC": {}})
-    for key, spec in specs.items():
-        accuracy = metrics[key].prediction_accuracy_pct
-        result.accuracy_pct[spec.policy][spec.workload] = (
-            accuracy if accuracy is not None else 100.0
-        )
-    return result
+    """Measure predictor accuracy for both predicting policies."""
+    return Table2Result.from_grid(
+        run_grid(base_spec, {p: POLICY_FACTORIES[p] for p in PAPER_ACCURACY}, workloads)
+    )

@@ -9,13 +9,12 @@ re-writes dominate -- Postmark (20.6 %) > Filebench (17.5 %) > YCSB
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import ScenarioSpec, run_scenarios
-
-DEFAULT_WORKLOADS = ("YCSB", "Postmark", "Filebench", "Bonnie++", "Tiobench", "TPC-C")
+from repro.experiments.runner import POLICY_FACTORIES, Grid, ScenarioSpec, run_grid
+from repro.workloads import BENCHMARKS
 
 #: The paper's Table 3 (percent of filtered GC victim selections).
 PAPER_FILTERED_PCT = {
@@ -34,6 +33,15 @@ class Table3Result:
 
     filtered_pct: Dict[str, float] = field(default_factory=dict)
     selections: Dict[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def from_grid(cls, grid: Grid) -> "Table3Result":
+        """The SIP-filter activity of each workload's JIT-GC run in ``grid``."""
+        runs = {workload: row["JIT-GC"] for workload, row in grid.items()}
+        return cls(
+            {workload: run.sip_filtered_pct() for workload, run in runs.items()},
+            {workload: run.sip_selections for workload, run in runs.items()},
+        )
 
     def format(self) -> str:
         rows: List[List[object]] = []
@@ -56,17 +64,9 @@ class Table3Result:
 
 def run_table3(
     base_spec: ScenarioSpec = None,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
+    workloads: Sequence[str] = tuple(BENCHMARKS),
 ) -> Table3Result:
-    """Measure SIP-filter activity under JIT-GC per benchmark, keyed by
-    workload."""
-    base_spec = base_spec or ScenarioSpec()
-    specs = {
-        workload: replace(base_spec, workload=workload).with_policy("JIT-GC")
-        for workload in workloads
-    }
-    result = Table3Result()
-    for workload, metrics in run_scenarios(specs).items():
-        result.filtered_pct[workload] = metrics.sip_filtered_pct()
-        result.selections[workload] = metrics.sip_selections
-    return result
+    """Measure SIP-filter activity under JIT-GC per benchmark."""
+    return Table3Result.from_grid(
+        run_grid(base_spec, {"JIT-GC": POLICY_FACTORIES["JIT-GC"]}, workloads)
+    )

@@ -4,7 +4,7 @@ The registry :data:`BENCHMARKS` maps the paper's benchmark names to their
 generator classes in the order the paper's tables list them; the wider
 :data:`WORKLOADS` registry adds the non-paper generators (the knob-driven
 synthetic workload) for scenario runners that are not reproducing a paper
-table -- the Table 1 / Fig. 7 artifact experiments iterate
+table -- the Fig. 2, Fig. 7 and Table 1-3 artifact experiments iterate
 :data:`BENCHMARKS` and stay unchanged by additions here.
 """
 

@@ -119,6 +119,10 @@ SCENARIO_SPEC = {
     "reliability": "mlc-20nm",
 }
 
+#: The artifacts run every benchmark and take no ``--workload``.
+ARTIFACT_FLAGS = SCENARIO_FLAGS[2:]
+ARTIFACT_SPEC = {k: v for k, v in SCENARIO_SPEC.items() if k != "workload"}
+
 RUN_BASE = {"warmup_s": 20, "measure_s": 60, "fault_profile": "none"}
 
 GC_HEAVY = {
@@ -208,8 +212,8 @@ CASES = {
         ("run_fig2", [RUN_BASE], {"jobs": 0}),
     ),
     "fig2-full": (
-        ["fig2", *SCENARIO_FLAGS, "--jobs", "2"],
-        ("run_fig2", [SCENARIO_SPEC], {"jobs": 2}),
+        ["fig2", *ARTIFACT_FLAGS, "--jobs", "2"],
+        ("run_fig2", [ARTIFACT_SPEC], {"jobs": 2}),
     ),
     **{
         f"{name}-bare": ([name], (f"run_{name}", [RUN_BASE], {}))
@@ -217,8 +221,8 @@ CASES = {
     },
     **{
         f"{name}-full": (
-            [name, *SCENARIO_FLAGS],
-            (f"run_{name}", [SCENARIO_SPEC], {}),
+            [name, *ARTIFACT_FLAGS],
+            (f"run_{name}", [ARTIFACT_SPEC], {}),
         )
         for name in ("fig7", "table1", "table2", "table3")
     },
@@ -388,6 +392,8 @@ _SCENARIO_OPTIONS = {
     "--help",
 }
 
+_ARTIFACT_OPTIONS = _SCENARIO_OPTIONS - {"--workload"}
+
 _REPORT_OPTIONS = {
     "--workload", "--blocks", "--pages-per-block", "--measure", "--seed",
     "--mapping", "--cmt-budget-kb", "--reliability", "--jobs", "-h", "--help",
@@ -397,11 +403,11 @@ OPTIONS = {
     "run": _SCENARIO_OPTIONS | {"--policy", "--spo-at", "--spo-random"},
     "compare": _SCENARIO_OPTIONS | {"--jobs"},
     "oracle": _SCENARIO_OPTIONS,
-    "fig2": _SCENARIO_OPTIONS | {"--jobs"},
-    "fig7": _SCENARIO_OPTIONS,
-    "table1": _SCENARIO_OPTIONS,
-    "table2": _SCENARIO_OPTIONS,
-    "table3": _SCENARIO_OPTIONS,
+    "fig2": _ARTIFACT_OPTIONS | {"--jobs"},
+    "fig7": _ARTIFACT_OPTIONS,
+    "table1": _ARTIFACT_OPTIONS,
+    "table2": _ARTIFACT_OPTIONS,
+    "table3": _ARTIFACT_OPTIONS,
     "sweep": _SCENARIO_OPTIONS
     | {"--checkpoint", "--no-resume", "--timeout", "--jobs"},
     "crash-sweep": {

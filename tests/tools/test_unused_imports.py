@@ -105,7 +105,7 @@ def test_the_rule_itself():
     assert unused_imports(source) == [("Nowhere", 8), ("Tuple", 5), ("b", 6), ("os", 2)]
 
 
-@pytest.mark.parametrize("top", ["src", "tests"])
+@pytest.mark.parametrize("top", ["src", "tests", "benchmarks"])
 def test_no_unused_imports(top):
     found = []
     for path in sorted((REPO_ROOT / top).rglob("*.py")):
