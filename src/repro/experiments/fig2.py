@@ -76,8 +76,19 @@ def run_fig2(
 
     Policy factories are ``functools.partial`` (not lambdas) so the
     specs survive pickling into worker processes.
+
+    Raises:
+        ValueError: two distinct reserve points print as one policy name
+            (their runs would be filed as one), before any scenario runs.
     """
     names = {point: f"FIXED-{point:g}OP" for point in reserve_points}
+    first_of: Dict[str, float] = {}
+    for point, name in names.items():
+        if first_of.setdefault(name, point) != point:
+            raise ValueError(
+                f"reserve points {first_of[name]!r} and {point!r} "
+                f"share the policy name {name}"
+            )
     policies = {name: partial(FixedReservePolicy, k) for k, name in names.items()}
     grid = run_grid(base_spec, policies, workloads, jobs)
     raw = {w: {k: row[name] for k, name in names.items()} for w, row in grid.items()}

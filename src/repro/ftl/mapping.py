@@ -724,7 +724,7 @@ class CachedPageMap(PageMap):
     # ------------------------------------------------------------------
     def trans_ppn(self, tvpn: int) -> Optional[int]:
         """PPN of ``tvpn``'s newest flushed copy, or None if never flushed."""
-        ppn = int(self._gtd[tvpn])
+        ppn = self._gtd.item(tvpn)
         return None if ppn == UNMAPPED else ppn
 
     def gtd_snapshot(self) -> np.ndarray:
@@ -887,7 +887,8 @@ class CachedPageMap(PageMap):
         """Consult the CMT for one translation page; returns ns latency.
 
         A hit is free.  A miss reads the page's newest flushed copy (if
-        any); a *dirty* eviction writes back a fresh copy, stamped in the
+        any) with :meth:`Media.read_ppn <repro.ftl.media.Media.read_ppn>`;
+        a *dirty* eviction writes back a fresh copy, stamped in the
         translation namespace, and points the GTD at it.  Non-zero cost
         is recorded as a ``mapping-fault`` episode for tail attribution.
         """
@@ -901,7 +902,7 @@ class CachedPageMap(PageMap):
             stats.cmt_misses += 1
             ppn = self.trans_ppn(tvpn)
             if ppn is not None:
-                latency += self._media.read(ppn // self._ppb, ppn % self._ppb)[0]
+                latency += self._media.read_ppn(ppn)
                 stats.trans_pages_read += 1
         pages = 1 if latency else 0
         for victim, was_dirty in evicted:

@@ -107,7 +107,7 @@ class Media:
         outcome, hold_ns, reads = self.model.verdict(
             int(nand.erase_counts[block]),
             max(0, now - stamp_ns),
-            int(disturb.read_counts[block]) if disturb is not None else 0,
+            disturb.counts[block] if disturb is not None else 0,
         )
         self._memo[block] = [outcome, stamp_ns + hold_ns, reads - 1]  # less this read
         return outcome
@@ -172,23 +172,30 @@ class Media:
         A plain device reads them in one
         :meth:`~repro.nand.array.NandArray.read_pages_scattered` call;
         under an injector each is a :meth:`read`, in order (fault draws
-        are per read).  Under the ladder alone, pages whose block holds a
-        live fast-path verdict are booked in one bulk call, flushed
-        before any page takes :meth:`read`: a fresh verdict reads the
-        disturb counters the deferred reads bump.
+        are per read).  Under the ladder alone each page is checked and
+        booked at its turn in one pass: a page whose block holds a live
+        fast-path verdict takes one step of the verdict's countdown and
+        the array's bounds and bad-block probe, bumps the block's disturb
+        counter, and is counted in ``page_reads`` and ``ecc_fast_reads``,
+        exactly as :meth:`read` would book it; any other page takes
+        :meth:`read`, which sees every counter the pages before it bumped.
+        :meth:`read_ppn` is the one-page form.
         """
-        ppb = self._ppb
-        if self.nand.fault_injector is not None:
+        ppb, nand = self._ppb, self.nand
+        if nand.fault_injector is not None:
             return sum(
                 self.read(ppn // ppb, ppn % ppb)[0] for ppn in ppns if ppn != UNMAPPED
             )
         if self.model is None:
-            return self.nand.read_pages_scattered(
+            return nand.read_pages_scattered(
                 [ppn // ppb for ppn in ppns if ppn != UNMAPPED]
             )
         memo_get, now = self._memo.get, self.clock()
-        latency = 0
-        fast: List[int] = []  # blocks of the deferred fast-path reads
+        disturb = nand.read_disturb
+        counts = disturb.counts if disturb is not None else None
+        # The array's own read probe (NandArray.read_page), inlined.
+        num_blocks, bad = nand._num_blocks, nand._bad
+        latency = fast = 0
         for ppn in ppns:
             if ppn == UNMAPPED:
                 continue
@@ -196,21 +203,46 @@ class Media:
             entry = memo_get(block)
             if entry is not None and entry[2] > 0 and now < entry[1] and not entry[0].level:
                 entry[2] -= 1
-                fast.append(block)
-                continue
-            if fast:
-                latency += self._read_fast(fast)
-            latency += self.read(block, ppn % ppb)[0]
+                if not 0 <= block < num_blocks or bad[block]:
+                    nand._check_block(block, "read")  # raises the matching error
+                if counts is not None:
+                    counts[block] += 1
+                fast += 1
+            else:
+                latency += self.read(block, ppn % ppb)[0]
         if fast:
-            latency += self._read_fast(fast)
-        return latency
+            self.stats.ecc_fast_reads += fast
+            nand.page_reads += fast
+        return latency + fast * nand._read_ns
 
-    def _read_fast(self, blocks: List[int]) -> int:
-        """Book the deferred fast-path reads of ``blocks``; empties the list."""
-        self.stats.ecc_fast_reads += len(blocks)
-        latency = self.nand.read_pages_scattered(blocks)
-        blocks.clear()
-        return latency
+    def read_ppn(self, ppn: int) -> int:
+        """Read the one mapped page ``ppn`` (a CMT miss's translation
+        page); returns the latency.
+
+        :meth:`read_extent`'s pass over one page, without the group set-up
+        that would cost more than the page: a page whose block holds a
+        live fast-path verdict is booked here, unless an injector (whose
+        draws are per read) is attached; any other page takes
+        :meth:`read`.  A memo entry exists only with the ladder armed.
+        """
+        block, nand = ppn // self._ppb, self.nand
+        entry = self._memo.get(block)
+        if (
+            entry is None
+            or entry[2] <= 0
+            or entry[0].level
+            or nand.fault_injector is not None
+            or self.clock() >= entry[1]
+        ):
+            return self.read(block, ppn % self._ppb)[0]
+        entry[2] -= 1
+        if not 0 <= block < nand._num_blocks or nand._bad[block]:
+            nand._check_block(block, "read")  # raises the matching error
+        if nand.read_disturb is not None:
+            nand.read_disturb.counts[block] += 1
+        self.stats.ecc_fast_reads += 1
+        nand.page_reads += 1
+        return nand._read_ns
 
     def read_block(self, block: int, pages: np.ndarray) -> Optional[Tuple[int, List[int]]]:
         """Read ahead the valid ``pages`` (ascending offsets) of a block

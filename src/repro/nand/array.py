@@ -379,7 +379,7 @@ class NandArray:
         self._check_addr(block, page, "read")
         self.page_reads += 1
         if self.read_disturb is not None:
-            self.read_disturb.record_read(block)
+            self.read_disturb.counts[block] += 1
         if self.fault_injector is not None and self.fault_injector.read_uncorrectable(
             block, page, self.endurance.erase_count(block)
         ):
@@ -576,13 +576,13 @@ class NandArray:
         injector."""
         if self.fault_injector is not None:
             raise RuntimeError("read_pages_scattered requires fault_injector=None")
-        disturb = self.read_disturb.read_counts if self.read_disturb is not None else None
+        counts = self.read_disturb.counts if self.read_disturb is not None else None
         num_blocks, bad = self._num_blocks, self._bad
         for block in blocks:
             if not 0 <= block < num_blocks or bad[block]:
                 self._check_block(block, "read")  # raises the matching error
-            if disturb is not None:
-                disturb[block] += 1
+            if counts is not None:
+                counts[block] += 1
         self.page_reads += len(blocks)
         return self._read_ns * len(blocks)
 

@@ -18,6 +18,7 @@ connect the simulator's wear counters to reliability quantities:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -131,23 +132,29 @@ class ReadDisturbTracker:
         if num_blocks <= 0 or scrub_threshold <= 0:
             raise ValueError("num_blocks and scrub_threshold must be positive")
         self.scrub_threshold = scrub_threshold
-        self.read_counts = np.zeros(num_blocks, dtype=np.int64)
+        #: Per-block read counters.  The read path bumps and probes this
+        #: table one block at a time (an ``array`` item is a plain int,
+        #: about half the cost of a NumPy scalar).
+        self.counts = array("q", [0]) * num_blocks
+        #: The same table for the scrubber's vectorised scans (the table
+        #: is never resized, so the shared buffer is stable).
+        self.read_counts = np.frombuffer(self.counts, dtype=np.int64)
 
     def record_read(self, block: int) -> bool:
         """Count one page read in ``block``; True when scrub is due."""
-        self.read_counts[block] += 1
-        return bool(self.read_counts[block] >= self.scrub_threshold)
+        self.counts[block] += 1
+        return self.counts[block] >= self.scrub_threshold
 
     def record_reads(self, block: int, count: int) -> bool:
         """Count ``count`` page reads in ``block`` at once; True when scrub
         is due.  Equivalent to ``count`` :meth:`record_read` calls (the
         tracker is observational, so only the final counter matters)."""
-        self.read_counts[block] += count
-        return bool(self.read_counts[block] >= self.scrub_threshold)
+        self.counts[block] += count
+        return self.counts[block] >= self.scrub_threshold
 
     def reset(self, block: int) -> None:
         """Clear the counter after the block is refreshed/erased."""
-        self.read_counts[block] = 0
+        self.counts[block] = 0
 
     def blocks_needing_scrub(self) -> List[int]:
         return [int(b) for b in np.flatnonzero(self.read_counts >= self.scrub_threshold)]

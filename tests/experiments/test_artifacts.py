@@ -106,6 +106,17 @@ def test_fig2_files_each_reserve_point_under_its_own_policy():
     }
 
 
+def test_fig2_refuses_two_reserve_points_with_one_policy_name(monkeypatch):
+    """``1.0000001`` and ``1.0000004`` both print as ``FIXED-1OP``: the
+    sweep names both points and runs nothing, instead of filing the two
+    columns under one run."""
+    calls = []
+    monkeypatch.setattr(runner, "run_scenario", lambda spec: calls.append(spec))
+    with pytest.raises(ValueError, match=r"1\.0000001 and 1\.0000004 .*FIXED-1OP"):
+        run_fig2(micro(), workloads=("YCSB",), reserve_points=(1.0000001, 1.0000004))
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "run", [run_fig2, run_fig7, run_table1, run_table2, run_table3]
 )

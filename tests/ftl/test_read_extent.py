@@ -2,13 +2,15 @@
 
 The extent path groups CMT accesses per translation page, slices the
 L2P once per group and hands each group to the media, which reads a
-plain device's group in one bulk call and defers the NAND bookkeeping of
-fast-path ladder reads; none of that may be observable.  The reference kept here is the
+plain device's group in one bulk call and books fast-path ladder reads
+in one pass; none of that may be observable.  The reference kept here is the
 per-page routine as it stood before the extent path existed
 (:func:`reference_read_page`), driven over three identically prepared
 FTLs: one reads each extent whole, one in a drawn partition of
 sub-extents (single pages through ``host_read_page``), one page by page
-through the reference.
+through the reference.  That reference prices a CMT miss through the
+tier under test; :func:`reference_touch` is an independent one that
+reads the missed translation page with ``Media.read``.
 
 The geometry has 64-byte pages, so a translation page holds 8 entries
 and a 16-page extent spans up to three of them; blocks hold 4 pages, so
@@ -23,10 +25,16 @@ from hypothesis import strategies as st
 
 from repro.faults.injector import FAULT_PROFILES, FaultInjector, FaultProfile
 from repro.ftl.ftl import PageMappedFtl
-from repro.ftl.mapping import CachedPageMap, PageMap
+from repro.ftl.mapping import TRANS_LPN_BASE, CachedPageMap, PageMap
+from repro.ftl.media import Media
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
-from repro.nand.reliability import BitErrorModel, ReliabilityModel, ReliabilityProfile
+from repro.nand.reliability import (
+    BitErrorModel,
+    ReadDisturbTracker,
+    ReliabilityModel,
+    ReliabilityProfile,
+)
 from repro.nand.timing import NandTiming
 from repro.ssd.config import SsdConfig
 
@@ -163,7 +171,11 @@ def park_countdown(ftl, lpn, reads_left):
     """Make the ladder verdict of ``lpn``'s block run out after
     ``reads_left`` more reads: through its memo entry when it has one,
     else through the disturb counter the next verdict is computed from."""
-    ppn = ftl.page_map.lookup(lpn)
+    park_block(ftl, ftl.page_map.lookup(lpn), reads_left)
+
+
+def park_block(ftl, ppn, reads_left):
+    """:func:`park_countdown` for the block of page ``ppn`` (None: no-op)."""
     if ppn is None or ftl.nand.read_disturb is None:
         return
     block = ftl.page_map.block_of(ppn)
@@ -201,6 +213,88 @@ def test_extent_read_equals_every_partition_down_to_single_pages(
         expected = snapshot(paged)
         assert snapshot(whole) == expected
         assert snapshot(split) == expected
+    whole.invariant_check()
+
+
+def reference_touch(ftl, lpn):
+    """``touch_span(lpn, 1, dirty=False)`` with the missed translation
+    page read through :meth:`Media.read`, whatever its block's verdict:
+    the pricing ``Media.read_ppn`` must reproduce."""
+    pm, stats = ftl.page_map, ftl.stats
+    tvpn = lpn // pm.entries_per_tpage
+    hit, evicted = pm.cmt_touch(tvpn, False)
+    latency = 0
+    if hit:
+        stats.cmt_hits += 1
+    else:
+        stats.cmt_misses += 1
+        ppn = pm.trans_ppn(tvpn)
+        if ppn is not None:
+            latency += ftl.media.read(pm.block_of(ppn), pm.page_of(ppn))[0]
+            stats.trans_pages_read += 1
+    for victim, was_dirty in evicted:
+        if was_dirty:
+            stats.cmt_evictions += 1
+            block, page, program_ns = pm._program_translation(TRANS_LPN_BASE + victim)
+            pm.remap_trans(victim, pm.ppn(block, page))
+            stats.trans_pages_written += 1
+            latency += program_ns
+    return latency
+
+
+def independent_read_page(ftl, lpn):
+    """:func:`reference_read_page` over :func:`reference_touch`: every
+    flash read of the host read, data or translation, is a
+    :meth:`Media.read`."""
+    latency = reference_touch(ftl, lpn) + ftl.nand.timing.transfer_ns_per_page
+    ftl.stats.host_pages_read += 1
+    ppn = ftl.page_map.lookup(lpn)
+    if ppn is None:
+        return latency
+    read_ns, _ok = ftl.media.read(ftl.page_map.block_of(ppn), ftl.page_map.page_of(ppn))
+    return latency + read_ns
+
+
+#: As ROUNDS, plus a translation page's block to park, and ticks that
+#: expire verdicts without leaving the fast path: 5 k modelled seconds
+#: under ``acc``, 2^42 ns (~4.4 k seconds) under ``mlc``, each past the
+#: ladder's 4096-second retention bucket.
+TRANSLATION_ROUNDS = st.lists(
+    st.tuples(
+        st.none() | st.tuples(LPNS, st.integers(1, 8)),
+        st.sampled_from([0, 0, 5_000, 150_000, 1 << 42]),
+        st.none() | st.tuples(LPNS, st.integers(0, 2)),
+        st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.integers(0, READ_SPAN - 1), st.integers(1, 16)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@pytest.mark.parametrize("injector", ["none", "reads"])
+@pytest.mark.parametrize("reliability", ["acc", "mlc"])
+@settings(max_examples=80, deadline=None)
+@given(rounds=TRANSLATION_ROUNDS, cmt_pages=st.integers(1, 2))
+def test_translation_reads_equal_an_independent_media_read_reference(
+    reliability, injector, rounds, cmt_pages
+):
+    pair = [make_ftl("dftl", reliability, injector, cmt_pages) for _ in range(2)]
+    (whole, _), (paged, _) = pair
+    for write, tick, countdown, trans_countdown, (lpn, count) in rounds:
+        for ftl, clock in pair:
+            if write is not None:
+                for page in range(write[0], min(sum(write), WRITE_SPAN)):
+                    ftl.host_write_page(page)
+            clock.now += tick
+            if countdown is not None:
+                park_countdown(ftl, *countdown)
+            if trans_countdown is not None:
+                tvpn, reads_left = trans_countdown
+                park_block(ftl, ftl.page_map.trans_ppn(tvpn), reads_left)
+        latency = whole.host_read_extent(lpn, count)
+        assert latency == sum(independent_read_page(paged, lpn + i) for i in range(count))
+        assert snapshot(whole) == snapshot(paged)
     whole.invariant_check()
 
 
@@ -325,3 +419,41 @@ def test_sixteen_pages_in_one_translation_page_cost_one_cmt_touch(monkeypatch):
     assert accesses == 16
     assert ftl.stats.host_pages_read - before.host_pages_read == 16
     assert ftl.stats.ecc_fast_reads - before.ecc_fast_reads == 16
+
+
+def test_fast_verdict_pages_are_booked_without_a_per_page_call(monkeypatch):
+    """Cost guard: with the ladder armed and every verdict fast, a
+    16-page extent and its missed translation page are checked and
+    booked in the media's one pass, without one call into the per-page
+    read chain, yet every page is counted."""
+    geometry = NandGeometry(page_size=128, pages_per_block=4, blocks_per_plane=48)
+    ftl, _ = make_ftl("dftl", "mlc", "none", geometry=geometry)
+    pm, nand = ftl.page_map, ftl.nand
+    for lpn in range(16, 32):
+        ftl.host_write_page(lpn)
+    ftl.host_write_page(0)  # evicts tvpn 1, writing its translation page back
+    ftl.host_read_extent(16, 16)  # computes every verdict the next read needs
+    ftl.host_read_extent(0, 1)  # evicts tvpn 1 again, clean
+    assert 1 not in pm._cmt and pm.trans_ppn(1) is not None
+    blocks = [pm.block_of(pm.trans_ppn(1))]
+    blocks += [pm.block_of(pm.lookup(lpn)) for lpn in range(16, 32)]
+    assert all(not ftl.media._memo[block][0].level for block in blocks)
+    calls = []
+    for owner, name in [
+        (Media, "read"),
+        (NandArray, "read_page"),
+        (NandArray, "read_pages_scattered"),
+        (ReadDisturbTracker, "record_read"),
+    ]:
+        monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
+    before = dataclasses.replace(ftl.stats)
+    reads_before, counts_before = nand.page_reads, nand.read_disturb.read_counts.copy()
+    latency = ftl.host_read_extent(16, 16)
+    assert calls == []
+    assert ftl.stats.trans_pages_read - before.trans_pages_read == 1
+    assert nand.page_reads - reads_before == 17
+    assert ftl.stats.ecc_fast_reads - before.ecc_fast_reads == 17
+    bumped = nand.read_disturb.read_counts - counts_before
+    assert bumped.sum() == 17
+    assert all(bumped[block] >= 1 for block in blocks)
+    assert latency == 17 * TIMING.read_ns + 16 * TIMING.transfer_ns_per_page
