@@ -90,14 +90,6 @@ class CumulativeDataHistogram:
         # Floating-point slack: fall back to the maximum bin bound.
         return (indices[-1] + 1) * bin_bytes
 
-    def max_observation(self) -> int:
-        return max(self._observations, default=0)
-
-    def mean_observation(self) -> float:
-        if not self._observations:
-            return 0.0
-        return sum(self._observations) / len(self._observations)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<CDH n={self.count} bin={self.bin_bytes}B "

@@ -353,15 +353,6 @@ class PageMappedFtl:
         """Live logical pages (the paper's ``Cused`` in pages)."""
         return self.page_map.mapped_count
 
-    def reclaimable_garbage_pages(self) -> int:
-        """Invalid pages sitting in closed blocks (BGC's raw material)."""
-        closed = np.flatnonzero(self._closed)
-        if len(closed) == 0:
-            return 0
-        ppb = self.geometry.pages_per_block
-        valid = self.page_map.valid_counts()[closed]
-        return int((ppb - valid).sum())
-
     # ------------------------------------------------------------------
     # Degraded capacity (fault recovery)
     # ------------------------------------------------------------------

@@ -59,8 +59,16 @@ class Media:
         #: FtlStats (plain-int snapshot/delta contract) and surfaced in
         #: RunMetrics by the collector.
         self.ecc_retry_histogram: Dict[int, int] = {}
-        #: block -> [verdict, expiry_ns, reads left]; see :meth:`verdict`.
-        self._memo: Dict[int, list] = {}
+        #: The ladder's verdict memo (see :meth:`verdict`), one flat table
+        #: per field indexed by block: the verdict, its expiry (ns), that
+        #: expiry or 0 when the verdict is not level 0 (the fast path's
+        #: one test), and the reads left, 0 meaning no live entry.  With
+        #: the ladder off every entry stays dead.
+        n = nand.geometry.total_blocks
+        self._verdicts: List[Optional[ReadOutcome]] = [None] * n
+        self._expiry = [0] * n
+        self._fast_expiry = [0] * n
+        self._reads_left = [0] * n
         self.set_clock(clock)
 
     def set_clock(self, clock: Callable[[], int]) -> None:
@@ -86,20 +94,22 @@ class Media:
 
         Expected RBER is wear x retention age x disturb count, each
         bucketed by the model.  The memo keeps the steady-state cost to
-        one dict probe: a verdict holds until the block's retention
-        bucket rolls over (from the stamp it was computed against) or its
-        disturb bucket could advance (a countdown of reads), and is
-        dropped on erase, which changes all three inputs.  A stamp
-        refreshed by a later program only shortens the true age, so
-        holding the older verdict until the (earlier) expiry is
-        conservative, never optimistic.
+        a few flat-table reads: a verdict holds until the block's
+        retention bucket rolls over (from the stamp it was computed
+        against) or its disturb bucket could advance (a countdown of
+        reads), and is dropped on erase, which changes all three inputs.
+        A stamp refreshed by a later program only shortens the true age,
+        so holding the older verdict until the (earlier) expiry is
+        conservative, never optimistic.  The array's bounds and bad-block
+        probe runs first: a table would wrap a negative block.
         """
-        now = self.clock()
-        entry = self._memo.get(block)
-        if entry is not None and now < entry[1] and entry[2] > 0:
-            entry[2] -= 1
-            return entry[0]
         nand = self.nand
+        if not 0 <= block < nand._num_blocks or nand._bad[block]:
+            nand._check_block(block, "read")  # raises the matching error
+        now, left = self.clock(), self._reads_left
+        if left[block] > 0 and now < self._expiry[block]:
+            left[block] -= 1
+            return self._verdicts[block]
         stamp_ns = int(nand.last_program_ns[block])
         disturb = nand.read_disturb
         # A negative age is clock skew across power cycles (standalone
@@ -109,7 +119,11 @@ class Media:
             max(0, now - stamp_ns),
             disturb.counts[block] if disturb is not None else 0,
         )
-        self._memo[block] = [outcome, stamp_ns + hold_ns, reads - 1]  # less this read
+        expiry = stamp_ns + hold_ns
+        self._verdicts[block] = outcome
+        self._expiry[block] = expiry
+        self._fast_expiry[block] = 0 if outcome.level else expiry
+        left[block] = reads - 1  # less this read
         return outcome
 
     def read(self, block: int, page: int) -> Tuple[int, bool]:
@@ -173,12 +187,13 @@ class Media:
         :meth:`~repro.nand.array.NandArray.read_pages_scattered` call;
         under an injector each is a :meth:`read`, in order (fault draws
         are per read).  Under the ladder alone each page is checked and
-        booked at its turn in one pass: a page whose block holds a live
-        fast-path verdict takes one step of the verdict's countdown and
-        the array's bounds and bad-block probe, bumps the block's disturb
-        counter, and is counted in ``page_reads`` and ``ecc_fast_reads``,
-        exactly as :meth:`read` would book it; any other page takes
-        :meth:`read`, which sees every counter the pages before it bumped.
+        booked at its turn in one pass: every page takes the array's
+        bounds and bad-block probe before any table is read, and a page
+        whose block holds a live fast-path verdict takes one step of the
+        verdict's countdown, bumps the block's disturb counter, and is
+        counted in ``page_reads`` and ``ecc_fast_reads``, exactly as
+        :meth:`read` would book it; any other page takes :meth:`read`,
+        which sees every counter the pages before it bumped.
         :meth:`read_ppn` is the one-page form.
         """
         ppb, nand = self._ppb, self.nand
@@ -190,7 +205,7 @@ class Media:
             return nand.read_pages_scattered(
                 [ppn // ppb for ppn in ppns if ppn != UNMAPPED]
             )
-        memo_get, now = self._memo.get, self.clock()
+        left, fast_expiry, now = self._reads_left, self._fast_expiry, self.clock()
         disturb = nand.read_disturb
         counts = disturb.counts if disturb is not None else None
         # The array's own read probe (NandArray.read_page), inlined.
@@ -200,11 +215,10 @@ class Media:
             if ppn == UNMAPPED:
                 continue
             block = ppn // ppb
-            entry = memo_get(block)
-            if entry is not None and entry[2] > 0 and now < entry[1] and not entry[0].level:
-                entry[2] -= 1
-                if not 0 <= block < num_blocks or bad[block]:
-                    nand._check_block(block, "read")  # raises the matching error
+            if not 0 <= block < num_blocks or bad[block]:
+                nand._check_block(block, "read")  # raises the matching error
+            if left[block] > 0 and now < fast_expiry[block]:
+                left[block] -= 1
                 if counts is not None:
                     counts[block] += 1
                 fast += 1
@@ -223,21 +237,18 @@ class Media:
         that would cost more than the page: a page whose block holds a
         live fast-path verdict is booked here, unless an injector (whose
         draws are per read) is attached; any other page takes
-        :meth:`read`.  A memo entry exists only with the ladder armed.
+        :meth:`read`.  Only the armed ladder leaves a live entry.
         """
-        block, nand = ppn // self._ppb, self.nand
-        entry = self._memo.get(block)
-        if (
-            entry is None
-            or entry[2] <= 0
-            or entry[0].level
-            or nand.fault_injector is not None
-            or self.clock() >= entry[1]
-        ):
-            return self.read(block, ppn % self._ppb)[0]
-        entry[2] -= 1
+        block, nand, left = ppn // self._ppb, self.nand, self._reads_left
         if not 0 <= block < nand._num_blocks or nand._bad[block]:
             nand._check_block(block, "read")  # raises the matching error
+        if (
+            left[block] <= 0
+            or nand.fault_injector is not None
+            or self.clock() >= self._fast_expiry[block]
+        ):
+            return self.read(block, ppn % self._ppb)[0]
+        left[block] -= 1
         if nand.read_disturb is not None:
             nand.read_disturb.counts[block] += 1
         self.stats.ecc_fast_reads += 1
@@ -277,7 +288,10 @@ class Media:
         retired as grown-bad (the fault is noted here)."""
         # The erase re-bases the retention clock, resets the disturb
         # counter and bumps the P/E count: a memoised verdict is stale.
-        self._memo.pop(block, None)
+        # The probe first, so that no table is touched for a block the
+        # array refuses.
+        self.nand._check_block(block, "erase")
+        self._reads_left[block] = 0
         latency = 0
         for _ in range(self.max_erase_retries + 1):
             try:

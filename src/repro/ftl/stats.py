@@ -152,9 +152,6 @@ class FtlStats:
             + self.trans_pages_migrated
         )
 
-    def gc_blocks_collected(self) -> int:
-        return self.fgc_blocks_collected + self.bgc_blocks_collected
-
     def sip_filtered_fraction(self) -> float:
         """Fraction of victim selections that skipped at least one
         SIP-heavy candidate -- the paper's Table 3 row."""

@@ -42,10 +42,6 @@ class NandTiming:
     # ------------------------------------------------------------------
     # Composite costs used by the FTL / device model
     # ------------------------------------------------------------------
-    def host_read_ns(self) -> int:
-        """One page read delivered to the host (tR + transfer)."""
-        return self.read_ns + self.transfer_ns_per_page
-
     def host_program_ns(self) -> int:
         """One page program sourced from the host (transfer + tPROG)."""
         return self.program_ns + self.transfer_ns_per_page
@@ -53,13 +49,6 @@ class NandTiming:
     def migrate_page_ns(self) -> int:
         """One GC valid-page migration (read + program, internal copy)."""
         return self.read_ns + self.program_ns
-
-    def gc_block_ns(self, valid_pages: int) -> int:
-        """Full cost of collecting one victim block with ``valid_pages``
-        live pages: migrate each valid page, then erase the block."""
-        if valid_pages < 0:
-            raise ValueError(f"valid_pages must be >= 0, got {valid_pages}")
-        return valid_pages * self.migrate_page_ns() + self.erase_ns
 
 
 #: 130 nm SLC-era NAND (paper Sec 1 citation [1]): fast programs, small blocks.

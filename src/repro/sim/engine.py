@@ -244,10 +244,5 @@ class Simulator:
         """Number of events still queued (O(1))."""
         return len(self._heap)
 
-    def peek_time(self) -> Optional[int]:
-        """Timestamp of the next event, or ``None`` if idle."""
-        heap = self._heap
-        return heap[0][0] if heap else None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator now={self._now} pending={self.pending()}>"

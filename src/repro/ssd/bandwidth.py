@@ -59,17 +59,5 @@ class BandwidthEstimator:
         self._pending_ns = 0
         self.samples += 1
 
-    def time_for_bytes(self, nbytes: int) -> int:
-        """Estimated nanoseconds needed to move ``nbytes``."""
-        if nbytes <= 0:
-            return 0
-        return int(nbytes * SECOND / self._estimate)
-
-    def bytes_in_time(self, duration_ns: int) -> int:
-        """Estimated bytes movable in ``duration_ns``."""
-        if duration_ns <= 0:
-            return 0
-        return int(self._estimate * duration_ns / SECOND)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<BandwidthEstimator {self._estimate / (1 << 20):.1f} MiB/s n={self.samples}>"

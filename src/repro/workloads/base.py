@@ -312,15 +312,5 @@ class Workload:
         # whole measurement window.
         return min(draw, 4 * mean_ns)
 
-    def uniform_lpn(
-        self, pages: int = 1, rng: Optional[np.random.Generator] = None
-    ) -> int:
-        """A uniformly random aligned LPN inside the region."""
-        if pages > self.region.pages:
-            raise ValueError("operation larger than region")
-        return self.region.start + int(
-            (rng or self.rng).integers(0, self.region.pages - pages + 1)
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Workload {self.name} actors={len(self._processes)}>"

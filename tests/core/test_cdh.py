@@ -37,8 +37,6 @@ def test_empty_cdh():
     assert cdh.histogram() == []
     assert cdh.cdf() == []
     assert cdh.percentile_bytes(0.8) == 0
-    assert cdh.max_observation() == 0
-    assert cdh.mean_observation() == 0.0
 
 
 def test_histogram_bins():
@@ -53,7 +51,7 @@ def test_sliding_window_forgets():
     cdh.observe(100)
     for _ in range(3):
         cdh.observe(5)
-    assert cdh.max_observation() == 5
+    assert cdh.histogram() == [3]  # the 100 (bin 10) has left the window
     assert cdh.count == 3
 
 
@@ -61,13 +59,6 @@ def test_percentile_one_covers_max():
     cdh = CumulativeDataHistogram(bin_bytes=10)
     cdh.observe(42)
     assert cdh.percentile_bytes(1.0) >= 42
-
-
-def test_mean_observation():
-    cdh = CumulativeDataHistogram(bin_bytes=10)
-    cdh.observe(10)
-    cdh.observe(30)
-    assert cdh.mean_observation() == pytest.approx(20.0)
 
 
 def test_validation():

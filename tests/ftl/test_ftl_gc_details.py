@@ -154,16 +154,6 @@ def test_free_pages_arithmetic():
     assert ftl.free_bytes() == ftl.free_pages() * GEOMETRY.page_size
 
 
-def test_reclaimable_garbage_counts_invalid_in_closed_blocks():
-    ftl = make_ftl()
-    assert ftl.reclaimable_garbage_pages() == 0
-    # Fill two blocks with the same LPN repeatedly: first block becomes
-    # fully invalid once closed.
-    for _ in range(GEOMETRY.pages_per_block + 1):
-        ftl.host_write_page(0)
-    assert ftl.reclaimable_garbage_pages() == GEOMETRY.pages_per_block
-
-
 def test_gc_preserves_data_addressability():
     ftl = make_ftl()
     fill_with_garbage(ftl, overwrites=3)

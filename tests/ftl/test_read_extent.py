@@ -10,7 +10,9 @@ FTLs: one reads each extent whole, one in a drawn partition of
 sub-extents (single pages through ``host_read_page``), one page by page
 through the reference.  That reference prices a CMT miss through the
 tier under test; :func:`reference_touch` is an independent one that
-reads the missed translation page with ``Media.read``.
+reads the missed translation page with ``Media.read``, and
+:class:`ReferenceMedia` holds the media's flat verdict tables to the
+dict-of-lists memo they replaced.
 
 The geometry has 64-byte pages, so a translation page holds 8 entries
 and a 16-page extent spans up to three of them; blocks hold 4 pages, so
@@ -25,9 +27,10 @@ from hypothesis import strategies as st
 
 from repro.faults.injector import FAULT_PROFILES, FaultInjector, FaultProfile
 from repro.ftl.ftl import PageMappedFtl
-from repro.ftl.mapping import TRANS_LPN_BASE, CachedPageMap, PageMap
+from repro.ftl.mapping import TRANS_LPN_BASE, UNMAPPED, CachedPageMap, PageMap
 from repro.ftl.media import Media
 from repro.nand.array import NandArray
+from repro.nand.errors import AddressError, BadBlockError
 from repro.nand.geometry import NandGeometry
 from repro.nand.reliability import (
     BitErrorModel,
@@ -121,6 +124,14 @@ def read_partitioned(ftl, lpn, count, cuts):
     return latency
 
 
+def memo_tables(media):
+    """The ladder's verdict memo tables, copied."""
+    return [
+        list(table)
+        for table in (media._verdicts, media._expiry, media._fast_expiry, media._reads_left)
+    ]
+
+
 def snapshot(ftl):
     """Everything a host read may touch, in comparable form."""
     pm, nand = ftl.page_map, ftl.nand
@@ -129,7 +140,7 @@ def snapshot(ftl):
     return {
         "stats": dataclasses.asdict(ftl.stats),
         "retry_histogram": dict(ftl.media.ecc_retry_histogram),
-        "ladder_memo": {block: list(entry) for block, entry in ftl.media._memo.items()},
+        "ladder_tables": memo_tables(ftl.media),
         "read_counts": disturb.read_counts.tolist() if disturb is not None else None,
         "nand": (nand.page_reads, nand.page_programs, nand.program_ptr.tolist()),
         "cmt": list(pm._cmt.items()) if dftl else None,
@@ -169,8 +180,9 @@ ROUNDS = st.lists(
 
 def park_countdown(ftl, lpn, reads_left):
     """Make the ladder verdict of ``lpn``'s block run out after
-    ``reads_left`` more reads: through its memo entry when it has one,
-    else through the disturb counter the next verdict is computed from."""
+    ``reads_left`` more reads: through its memo countdown when it has a
+    live one, else through the disturb counter the next verdict is
+    computed from."""
     park_block(ftl, ftl.page_map.lookup(lpn), reads_left)
 
 
@@ -178,12 +190,13 @@ def park_block(ftl, ppn, reads_left):
     """:func:`park_countdown` for the block of page ``ppn`` (None: no-op)."""
     if ppn is None or ftl.nand.read_disturb is None:
         return
-    block = ftl.page_map.block_of(ppn)
-    entry = ftl.media._memo.get(block)
-    if entry is not None:
-        entry[2] = reads_left
-    else:
+    block, media = ftl.page_map.block_of(ppn), ftl.media
+    if block not in live_verdicts(media):
         ftl.nand.read_disturb.read_counts[block] = BUCKET - 1 - reads_left
+    elif isinstance(media, ReferenceMedia):
+        media.memo[block][2] = reads_left
+    else:
+        media._reads_left[block] = reads_left
 
 
 @pytest.mark.parametrize("injector", sorted(INJECTORS))
@@ -296,6 +309,178 @@ def test_translation_reads_equal_an_independent_media_read_reference(
         assert latency == sum(independent_read_page(paged, lpn + i) for i in range(count))
         assert snapshot(whole) == snapshot(paged)
     whole.invariant_check()
+
+
+class ReferenceMedia(Media):
+    """:class:`Media` with the verdict memo as a dict of
+    ``[verdict, expiry_ns, reads left]`` lists, each method in the form
+    it had before the flat per-block tables: the fast paths probe the
+    dict, and an erase pops the block's entry.  :meth:`Media.read` and
+    :meth:`Media.read_block` reach the memo through :meth:`verdict`."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.memo = {}
+
+    def verdict(self, block):
+        now = self.clock()
+        entry = self.memo.get(block)
+        if entry is not None and now < entry[1] and entry[2] > 0:
+            entry[2] -= 1
+            return entry[0]
+        nand = self.nand
+        stamp_ns = int(nand.last_program_ns[block])
+        outcome, hold_ns, reads = self.model.verdict(
+            int(nand.erase_counts[block]),
+            max(0, now - stamp_ns),
+            nand.read_disturb.counts[block],
+        )
+        self.memo[block] = [outcome, stamp_ns + hold_ns, reads - 1]
+        return outcome
+
+    def _book_fast(self, entry, block):
+        """One page of a live fast verdict: its countdown step and
+        everything :meth:`Media.read` would book for it."""
+        entry[2] -= 1
+        nand = self.nand
+        nand._check_block(block, "read")
+        nand.read_disturb.counts[block] += 1
+        nand.page_reads += 1
+        self.stats.ecc_fast_reads += 1
+        return nand._read_ns
+
+    def _live_fast(self, block):
+        entry = self.memo.get(block)
+        if entry is None or entry[2] <= 0 or entry[0].level:
+            return None
+        return entry if self.clock() < entry[1] else None
+
+    def read_extent(self, ppns):
+        ppb, latency = self._ppb, 0
+        for ppn in ppns:
+            if ppn == UNMAPPED:
+                continue
+            block = ppn // ppb
+            entry = self._live_fast(block) if self.nand.fault_injector is None else None
+            if entry is not None:
+                latency += self._book_fast(entry, block)
+            else:
+                latency += self.read(block, ppn % ppb)[0]
+        return latency
+
+    def read_ppn(self, ppn):
+        return self.read_extent([ppn])
+
+    def erase(self, block):
+        self.memo.pop(block, None)
+        return super().erase(block)
+
+
+def live_verdicts(media):
+    """The live verdicts, ``{block: (verdict, expiry_ns, reads left)}``,
+    of a :class:`ReferenceMedia` or of the tables of a :class:`Media`."""
+    if isinstance(media, ReferenceMedia):
+        return {block: tuple(entry) for block, entry in media.memo.items() if entry[2] > 0}
+    left = media._reads_left
+    return {
+        block: (media._verdicts[block], media._expiry[block], left[block])
+        for block in range(len(left))
+        if left[block] > 0
+    }
+
+
+def with_reference_media(ftl):
+    """Swap ``ftl``'s media for a :class:`ReferenceMedia` on the same
+    array, stats and clock."""
+    media = ReferenceMedia(ftl.nand, ftl.config, ftl.stats, ftl.media.clock)
+    ftl.media = ftl.page_map._media = media
+    return ftl
+
+
+#: As TRANSLATION_ROUNDS, plus a GC pass (relocation reads of a victim,
+#: then its erase) before the clock moves.
+MEMO_ROUNDS = st.lists(
+    st.tuples(
+        st.none() | st.tuples(LPNS, st.integers(1, 8)),
+        st.booleans(),
+        st.sampled_from([0, 0, 5_000, 150_000, 1 << 42]),
+        st.none() | st.tuples(LPNS, st.integers(0, 2)),
+        st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.integers(0, READ_SPAN - 1), st.integers(1, 16)),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@pytest.mark.parametrize("injector", ["none", "reads"])
+@pytest.mark.parametrize("reliability", ["acc", "mlc"])
+@settings(max_examples=60, deadline=None)
+@given(rounds=MEMO_ROUNDS, cmt_pages=st.integers(1, 2))
+def test_verdict_tables_equal_a_dict_of_lists_reference(reliability, injector, rounds, cmt_pages):
+    """The flat per-block tables return the verdicts, latencies and
+    countdowns of the dict-of-lists memo they replaced, over extent
+    reads, translation misses, GC erases, ticks past expiry and parked
+    countdowns."""
+    pair = [make_ftl("dftl", reliability, injector, cmt_pages) for _ in range(2)]
+    (tables, _), (reference, _) = pair
+    with_reference_media(reference)
+    for write, gc, tick, countdown, trans_countdown, (lpn, count) in rounds:
+        for ftl, clock in pair:
+            if write is not None:
+                for page in range(write[0], min(sum(write), WRITE_SPAN)):
+                    ftl.host_write_page(page)
+            if gc and ftl.has_victim():
+                ftl.collect_one_block(background=True)
+            clock.now += tick
+            if countdown is not None:
+                park_countdown(ftl, *countdown)
+            if trans_countdown is not None:
+                tvpn, reads_left = trans_countdown
+                park_block(ftl, ftl.page_map.trans_ppn(tvpn), reads_left)
+        assert tables.host_read_extent(lpn, count) == reference.host_read_extent(lpn, count)
+        assert live_verdicts(tables.media) == live_verdicts(reference.media)
+        expected = snapshot(reference)
+        actual = snapshot(tables)
+        del expected["ladder_tables"], actual["ladder_tables"]
+        assert actual == expected
+    tables.invariant_check()
+
+
+@pytest.mark.parametrize("where", ["negative", "past-end", "bad"])
+def test_out_of_range_and_bad_blocks_raise_before_any_table_is_touched(where):
+    """A list wraps block -1 onto the last block and raises a bare
+    IndexError past the end: every memo path runs the array's probe
+    first, raises its error, and leaves every table as it was.  The
+    last block and the bad one hold live fast verdicts, so a wrapped or
+    unprobed access would show."""
+    ftl, _ = make_ftl("dftl", "mlc", "none")
+    media, nand = ftl.media, ftl.nand
+    last = GEOMETRY.total_blocks - 1
+    for lpn in range(8):
+        ftl.host_write_page(lpn)
+    ftl.host_read_extent(0, 8)
+    bad = ftl.page_map.block_of(ftl.page_map.lookup(0))
+    media.verdict(last)
+    assert media._reads_left[last] > 0 and media._reads_left[bad] > 0
+    assert not media._verdicts[last].level and not media._verdicts[bad].level
+    nand.mark_bad(bad)
+    block, error = {
+        "negative": (-1, AddressError),
+        "past-end": (GEOMETRY.total_blocks, AddressError),
+        "bad": (bad, BadBlockError),
+    }[where]
+    ppn = block * GEOMETRY.pages_per_block
+    before = snapshot(ftl)
+    for call in (
+        lambda: media.read_extent([ppn]),
+        lambda: media.read_ppn(ppn),
+        lambda: media.verdict(block),
+        lambda: media.erase(block),
+    ):
+        with pytest.raises(error):
+            call()
+        assert snapshot(ftl) == before
 
 
 def _nand_op_log(ftl, monkeypatch):
@@ -437,7 +622,8 @@ def test_fast_verdict_pages_are_booked_without_a_per_page_call(monkeypatch):
     assert 1 not in pm._cmt and pm.trans_ppn(1) is not None
     blocks = [pm.block_of(pm.trans_ppn(1))]
     blocks += [pm.block_of(pm.lookup(lpn)) for lpn in range(16, 32)]
-    assert all(not ftl.media._memo[block][0].level for block in blocks)
+    assert all(ftl.media._reads_left[block] > 0 for block in blocks)
+    assert all(not ftl.media._verdicts[block].level for block in blocks)
     calls = []
     for owner, name in [
         (Media, "read"),

@@ -18,11 +18,6 @@ def test_waf_with_migrations():
     assert stats.total_pages_programmed() == 150
 
 
-def test_gc_blocks_total():
-    stats = FtlStats(fgc_blocks_collected=3, bgc_blocks_collected=7)
-    assert stats.gc_blocks_collected() == 10
-
-
 def test_sip_filtered_fraction():
     stats = FtlStats()
     assert stats.sip_filtered_fraction() == 0.0

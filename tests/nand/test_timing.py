@@ -15,16 +15,8 @@ def test_composite_costs():
     t = NandTiming(
         read_ns=50, program_ns=1000, erase_ns=5000, transfer_ns_per_page=10
     )
-    assert t.host_read_ns() == 60
     assert t.host_program_ns() == 1010
     assert t.migrate_page_ns() == 1050
-    assert t.gc_block_ns(0) == 5000
-    assert t.gc_block_ns(3) == 3 * 1050 + 5000
-
-
-def test_gc_block_negative_valid_rejected():
-    with pytest.raises(ValueError):
-        NAND_20NM_MLC.gc_block_ns(-1)
 
 
 def test_negative_latency_rejected():

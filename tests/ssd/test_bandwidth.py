@@ -9,7 +9,6 @@ from repro.ssd.bandwidth import BandwidthEstimator
 def test_prior_used_before_samples():
     est = BandwidthEstimator(prior_bytes_per_sec=1000.0)
     assert est.bytes_per_second == 1000.0
-    assert est.time_for_bytes(1000) == SECOND
 
 
 def test_converges_to_observed_rate():
@@ -27,14 +26,6 @@ def test_short_samples_accumulate():
         est.observe(10, SECOND // 10)
     assert est.samples == 1
     assert est.bytes_per_second != 1000.0
-
-
-def test_time_and_bytes_helpers():
-    est = BandwidthEstimator(prior_bytes_per_sec=100.0)
-    assert est.time_for_bytes(0) == 0
-    assert est.time_for_bytes(50) == SECOND // 2
-    assert est.bytes_in_time(SECOND) == 100
-    assert est.bytes_in_time(0) == 0
 
 
 def test_validation():

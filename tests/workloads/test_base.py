@@ -202,15 +202,3 @@ def test_phase_params_must_be_paired():
     metrics = MetricsCollector(host, "test")
     with pytest.raises(ValueError):
         OneShotWorkload(host, metrics, Region(0, 64), phase_on_ns=SECOND)
-
-
-def test_uniform_lpn_in_region():
-    host = make_host()
-    metrics = MetricsCollector(host, "test")
-    workload = OneShotWorkload(host, metrics, Region(100, 50))
-    rng = workload.actor_rng(0)
-    for _ in range(100):
-        lpn = workload.uniform_lpn(pages=5, rng=rng)
-        assert 100 <= lpn <= 145
-    with pytest.raises(ValueError):
-        workload.uniform_lpn(pages=51, rng=rng)
